@@ -19,6 +19,7 @@ writing.  Formats: csv (tables) or jsonl (one JSON record per line).
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
@@ -27,18 +28,23 @@ import numpy as np
 
 from . import monodromy as mono
 from . import transmission_matrices as tmat
-from .lax_defect import (CRITICAL, NONCRITICAL, XXX, RegimeParams,
-                         crossing_transform, lax_pair, make_l, make_l_hat,
-                         make_r, make_s_matrix, unitarity_residuals)
-from .oscillator_reps import algebra_residuals, harmonic_rep, q_oscillator_rep
+from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
+                         crossing_transform, defect_rep, lax_pair, make_l,
+                         make_l_hat, make_r, unitarity_residuals)
+from .oscillator_reps import algebra_residuals
 from .reporting import ResidualReport
 from .special_functions import ProductTruncation
+from .tensor_core import exchange_residual
 from .transmission_amplitudes import (amplitude, breather_amplitude,
-                                      soliton_s_amplitude, type2_amplitude)
+                                      make_s_matrix, soliton_s_amplitude,
+                                      type2_amplitude)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# tail tolerance of the S-matrix prefactor products in the verify suite
+S_MATRIX_TRUNC = ProductTruncation(tail_tol=1e-9)
 
 
 def _parse_grid(text: str):
@@ -60,72 +66,43 @@ def _make_params(args) -> RegimeParams:
     return RegimeParams.noncritical(args.eta, theta=args.theta)
 
 
-def _build_rep(params: RegimeParams, dim: int):
-    if params.regime == XXX:
-        return harmonic_rep(dim)
-    return q_oscillator_rep(dim, params.q)
-
-
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
 
 
-def _ybe_residual(mat_of_lam, l1: float, l2: float, dim: int) -> float:
-    eye = np.eye(dim, dtype=np.complex128)
-
-    def emb(m, pos):
-        t = m.reshape(dim, dim, dim, dim)
-        if pos == (0, 1):
-            return np.einsum("abcd,ef->abecdf", t, eye).reshape(dim ** 3, dim ** 3)
-        if pos == (0, 2):
-            return np.einsum("abcd,ef->aebcfd", t, eye).reshape(dim ** 3, dim ** 3)
-        return np.einsum("abcd,ef->eabfcd", t, eye).reshape(dim ** 3, dim ** 3)
-
-    r12 = emb(mat_of_lam(l1 - l2), (0, 1))
-    r13 = emb(mat_of_lam(l1), (0, 2))
-    r23 = emb(mat_of_lam(l2), (1, 2))
-    return float(np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12))
-
-
 def run_verify(params: RegimeParams, fock_dim: int, seed: int,
-               tol_override: float | None = None,
-               s_matrix_trunc: ProductTruncation | None = None) -> list[ResidualReport]:
+               tol_override: float | None = None) -> list[ResidualReport]:
     """The full identity suite for one regime."""
     rng = np.random.default_rng(seed)
-    rep = _build_rep(params, fock_dim)
+    rep = defect_rep(params, fock_dim)
     reports: list[ResidualReport] = []
 
     def add(name, residual, tol, **kw):
         reports.append(ResidualReport(name, float(residual), tolerance=tol, **kw))
 
-    # Yang-Baxter for R and the prefactored S-matrix
+    # Yang-Baxter for R and the prefactored S-matrix: the exchange relation
+    # with A = R (or S) on V = C^2
     pairs = rng.uniform(-1.5, 1.5, size=(6, 2))
-    r_res = max(_ybe_residual(lambda x: make_r(params, x).entries, l1, l2, 2)
-                for l1, l2 in pairs)
-    add("ybe-r", r_res, 1e-10, params={"pairs": len(pairs), "seed": seed})
-    strunc = s_matrix_trunc or ProductTruncation(tail_tol=1e-9)
-    s_res = max(_ybe_residual(
-        lambda x: make_s_matrix(params, x, trunc=strunc).entries, l1, l2, 2)
-        for l1, l2 in pairs)
-    add("ybe-s", s_res, 1e-10, params={"pairs": len(pairs), "seed": seed})
+
+    def ybe(f):
+        return max(exchange_residual(f(l1 - l2), f(l1), f(l2))[0] for l1, l2 in pairs)
+
+    add("ybe-r", ybe(lambda x: make_r(params, x).entries), 1e-10,
+        params={"pairs": len(pairs), "seed": seed})
+    add("ybe-s", ybe(lambda x: make_s_matrix(params, x, trunc=S_MATRIX_TRUNC).entries),
+        1e-10, params={"pairs": len(pairs), "seed": seed})
 
     # defect algebra relations
     for rr in algebra_residuals(rep):
         add(f"algebra[{rr.identity}]", rr.residual, 1e-12, subspace=rr.subspace)
 
     # RLL
-    d = rep.dim
-    eye2 = np.eye(2, dtype=np.complex128)
-    proj4 = np.kron(np.eye(4, dtype=np.complex128), rep.interior(1))
-    rll = 0.0
-    for l1, l2 in pairs[:3]:
-        lm1 = make_l(params, l1, rep).entries.reshape(2, d, 2, d)
-        lm2 = make_l(params, l2, rep).entries.reshape(2, d, 2, d)
-        m1 = np.einsum("aibj,cd->acibdj", lm1, eye2).reshape(4 * d, 4 * d)
-        m2 = np.einsum("aibj,cd->caidbj", lm2, eye2).reshape(4 * d, 4 * d)
-        r12 = np.kron(make_r(params, l1 - l2).entries, np.eye(d, dtype=np.complex128))
-        rll = max(rll, np.linalg.norm((r12 @ m1 @ m2 - m2 @ m1 @ r12) @ proj4))
+    interior = np.diag(rep.interior(1))
+    rll = max(exchange_residual(make_r(params, l1 - l2).entries,
+                                make_l(params, l1, rep).entries,
+                                make_l(params, l2, rep).entries, keep=interior)[0]
+              for l1, l2 in pairs[:3])
     add("rll", rll, 1e-11, subspace="interior(buffer=1)")
 
     # conjugate operator: explicit vs crossing route, unitarity scalars
@@ -143,7 +120,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
     # monodromy-level checks at desk scale
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params,
-                          rep=_build_rep(params, 6))
+                          rep=defect_rep(params, 6))
     l1, l2 = rng.uniform(-1.0, 1.0, size=2)
     add("rtt", mono.rtt_residual(spec, l1, l2).residual, 1e-10,
         params={"lam1": l1, "lam2": l2}, subspace="charge sectors")
@@ -173,7 +150,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
               for x in lam_grid)
     add("amplitude-unitarity", uni, 1e-10)
     s_second = "sum" if params.regime == NONCRITICAL else "integral"
-    s_disc = max(abs(soliton_s_amplitude(params, x, "closed", trunc=strunc)
+    s_disc = max(abs(soliton_s_amplitude(params, x, "closed", trunc=S_MATRIX_TRUNC)
                      - soliton_s_amplitude(params, x, s_second)) for x in lam_grid[:3])
     add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": s_second})
 
@@ -202,11 +179,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         add("breather-cross-route", disc, 1e-6)
 
     # Bethe roots for the one-root chain, both defect orientations
-    for sign in ("+", "-"):
-        root = _newton_bae_root(params, sign, theta=params.theta)
-        spec1 = mono.ChainSpec(n_sites=1, defect_site=1, params=params,
-                               rep=_build_rep(params, 4))
-        res = np.abs(mono.bae_residual(spec1, sign, [root])).max()
+    for sign, root, res in _bae_roots(params):
         add(f"bae-residual[{sign}]", res, 1e-10, params={"root": root})
 
     if tol_override is not None:
@@ -215,18 +188,27 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     return reports
 
 
-def _newton_bae_root(params: RegimeParams, sign: str, theta: float = 0.0,
-                     n_sites: int = 1) -> complex:
+def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
+    """(sign, root, residual) of the N=1, M=1 Bethe equation for both defect
+    orientations."""
+    spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params,
+                          rep=defect_rep(params, 4))
+    out = []
+    for sign in ("+", "-"):
+        root = _newton_bae_root(spec, sign)
+        out.append((sign, root, float(np.abs(mono.bae_residual(spec, sign, [root])).max())))
+    return out
+
+
+def _newton_bae_root(spec: mono.ChainSpec, sign: str) -> complex:
     """Newton search for the single Bethe root of the N=1, M=1 chain."""
-    spec = mono.ChainSpec(n_sites=n_sites, defect_site=1, params=params,
-                          rep=_build_rep(params, 4))
 
     def f(z):
         return mono.bae_residual(spec, sign, [z])[0]
 
     h = 1e-7
     for guess in (0.4 + 0.5j, 0.4 - 0.5j, -0.5 + 0.6j, -0.5 - 0.6j, 1.4 - 0.6j, 1.4 + 0.6j):
-        z = complex(guess) + theta
+        z = complex(guess) + spec.theta
         try:
             for _ in range(80):
                 fz = f(z)
@@ -255,10 +237,11 @@ def _write_records(records, fmt: str, out, header: dict):
     else:
         stream.write("# " + json.dumps(header, sort_keys=True) + "\n")
         if records:
+            writer = csv.writer(stream, lineterminator="\n")
             cols = list(records[0].keys())
-            stream.write(",".join(cols) + "\n")
+            writer.writerow(cols)
             for rec in records:
-                stream.write(",".join(_fmt_cell(rec[c]) for c in cols) + "\n")
+                writer.writerow(_fmt_cell(rec[c]) for c in cols)
     text = stream.getvalue()
     if out:
         with open(out, "w") as fh:
@@ -303,7 +286,6 @@ def cmd_amplitude(args) -> int:
     start, stop, count = args.grid
     grid = np.linspace(start, stop, count)
     rows = []
-    exit_code = EXIT_OK
     for x in grid:
         row = {"lam_hat": float(x)}
         try:
@@ -338,23 +320,24 @@ def cmd_amplitude(args) -> int:
     header = {"command": "amplitude", "regime": args.regime, "family": args.family,
               "grid": f"{start}:{stop}:{count}", "theta": args.theta}
     _write_records(rows, args.format or "csv", args.out, header)
-    return exit_code
+    return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     params = _make_params(args)
-    rep = _build_rep(params, args.fock_dim)
     spec = mono.ChainSpec(n_sites=args.sites, defect_site=args.defect_site,
-                          params=params, rep=rep)
+                          params=params, rep=defect_rep(params, args.fock_dim))
     start, stop, count = args.grid
     rows = []
     first_t = None
     proj = mono.sector_projector(spec)
+    q = mono.charge_vector(spec)
+    sectors = [(sector, np.where(np.abs(q - sector) < 1e-9)[0])
+               for sector in sorted(set(int(round(x)) for x in q))]
+    vec = mono.reference_state(spec)
     for lam in np.linspace(start, stop, count):
         t = mono.transfer_matrix(spec, lam).entries
-        q = mono.charge_vector(spec)
         ref = mono.reference_eigenvalue(spec, lam)
-        vec = mono.reference_state(spec)
         ref_res = float(np.linalg.norm(t @ vec - ref * vec) / max(abs(ref), 1e-30))
         # sector-projected commutator with the first grid point: the whole
         # family must commute below the truncation ceiling
@@ -364,8 +347,7 @@ def cmd_spectrum(args) -> int:
         else:
             comm_res = float(np.linalg.norm(
                 proj @ (t @ first_t - first_t @ t) @ proj))
-        for sector in sorted(set(int(round(x)) for x in q)):
-            idx = np.where(np.abs(q - sector) < 1e-9)[0]
+        for sector, idx in sectors:
             block = t[np.ix_(idx, idx)]
             for ev in sorted(np.linalg.eigvals(block),
                              key=lambda z: (round(z.real, 10), round(z.imag, 10))):
@@ -382,16 +364,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bae(args) -> int:
     params = _make_params(args)
-    rows = []
-    worst = 0.0
-    for sign in ("+", "-"):
-        root = _newton_bae_root(params, sign, theta=args.theta)
-        spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params,
-                              rep=_build_rep(params, 4))
-        res = float(np.abs(mono.bae_residual(spec, sign, [root])).max())
-        worst = max(worst, res)
-        rows.append({"sign": sign, "re_root": root.real, "im_root": root.imag,
-                     "residual": res})
+    rows = [{"sign": sign, "re_root": root.real, "im_root": root.imag, "residual": res}
+            for sign, root, res in _bae_roots(params)]
+    worst = max(row["residual"] for row in rows)
     header = {"command": "bae", "regime": args.regime, "theta": args.theta}
     _write_records(rows, args.format or "csv", args.out, header)
     tol = args.tol if args.tol is not None else 1e-10

@@ -1,4 +1,5 @@
-"""R-matrices, defect Lax operators, crossing, and bulk S-matrices.
+"""R-matrices, defect representations and Lax operators, crossing, and the
+matrix part of the bulk S-matrix.
 
 Conventions used throughout (validated numerically by the test suite):
 
@@ -24,20 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator_reps import HarmonicRep, QOscRep
+from .oscillator_reps import HarmonicRep, QOscRep, harmonic_rep, q_oscillator_rep
 from .reporting import ResidualReport
-from .tensor_core import TensorOperator, TensorSpace, partial_transpose
+from .tensor_core import (TensorOperator, TensorSpace, partial_transpose,
+                          permutation_operator)
 
 __all__ = [
     "RegimeParams",
     "LaxPair",
+    "defect_rep",
     "make_r",
     "make_l",
     "make_l_hat",
     "crossing_transform",
     "lax_pair",
     "unitarity_residuals",
-    "make_s_matrix",
     "s_matrix_part",
 ]
 
@@ -123,17 +125,7 @@ AUX_SPACE = TensorSpace((2, 2))
 
 _SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 _SM = np.array([[0, 0], [1, 0]], dtype=np.complex128)
-
-
-def _perm4() -> np.ndarray:
-    p = np.zeros((4, 4), dtype=np.complex128)
-    for a in range(2):
-        for b in range(2):
-            p[b * 2 + a, a * 2 + b] = 1.0
-    return p
-
-
-_P4 = _perm4()
+_P4 = permutation_operator(2).entries
 
 
 def make_r(params: RegimeParams, lam: complex) -> TensorOperator:
@@ -151,6 +143,13 @@ def make_r(params: RegimeParams, lam: complex) -> TensorOperator:
     off = q - 1.0 / q
     m = np.block([[e11, off * _SM], [off * _SP, e22]])
     return TensorOperator(AUX_SPACE, m)
+
+
+def defect_rep(params: RegimeParams, dim: int):
+    """The D-level defect representation the regime's Lax operator acts on."""
+    if params.regime == XXX:
+        return harmonic_rep(dim)
+    return q_oscillator_rep(dim, params.q)
 
 
 def _defect_space(rep) -> TensorSpace:
@@ -274,26 +273,29 @@ def lax_pair(params: RegimeParams, rep) -> LaxPair:
     )
 
 
-def unitarity_residuals(pair: LaxPair, grid, buffer: int = 1,
-                        zero_window: float = 1e-8) -> list[ResidualReport]:
-    """Scalar unitarity and crossing-unitarity residuals over a lam grid.
+_ZERO_WINDOW = 1e-8
 
-    Grid points within zero_window of a scalar zero are skipped and reported
-    as such instead of dividing by a vanishing scalar.
+
+def unitarity_residuals(pair: LaxPair, grid) -> list[ResidualReport]:
+    """Scalar unitarity and crossing-unitarity residuals over a lam grid,
+    measured on the interior (buffer 1) of the defect space.
+
+    Grid points within 1e-8 of a scalar zero are skipped and reported as
+    such instead of dividing by a vanishing scalar.
     """
     rep = pair.rep
     d = rep.dim
-    proj = np.kron(np.eye(2, dtype=np.complex128), rep.interior(buffer))
+    proj = np.kron(np.eye(2, dtype=np.complex128), rep.interior(1))
     eye = np.eye(2 * d, dtype=np.complex128)
     out = []
     for lam in grid:
         lam = complex(lam)
         su = pair.scalar_unit(lam)
         sc = pair.scalar_cross(lam)
-        if min(abs(su), abs(sc)) < zero_window:
+        if min(abs(su), abs(sc)) < _ZERO_WINDOW:
             out.append(ResidualReport(
                 "unitarity/crossing", np.nan, params={"lam": lam},
-                subspace=f"skipped (scalar zero within {zero_window})"))
+                subspace=f"skipped (scalar zero within {_ZERO_WINDOW})"))
             continue
         l_mat = pair.l(lam).entries
         lh_mat = pair.l_hat(-lam).entries
@@ -301,7 +303,7 @@ def unitarity_residuals(pair: LaxPair, grid, buffer: int = 1,
         lt = partial_transpose(pair.l(-lam - 1j), 0).entries
         lht = partial_transpose(pair.l_hat(lam - 1j), 0).entries
         res_c = np.linalg.norm((lt @ lht - sc * eye) @ proj)
-        sub = f"interior(buffer={buffer})"
+        sub = "interior(buffer=1)"
         out.append(ResidualReport("unitarity", float(res_u),
                                   params={"lam": lam}, subspace=sub))
         out.append(ResidualReport("crossing-unitarity", float(res_c),
@@ -332,12 +334,3 @@ def s_matrix_part(params: RegimeParams, lam: complex) -> TensorOperator:
     m[1, 1] = m[2, 2] = bw
     m[1, 2] = m[2, 1] = cw
     return TensorOperator(AUX_SPACE, m / aw)
-
-
-def make_s_matrix(params: RegimeParams, lam: complex, trunc=None) -> TensorOperator:
-    """Bulk S-matrix including its scalar prefactor."""
-    from .transmission_amplitudes import soliton_s_amplitude
-
-    part = s_matrix_part(params, lam)
-    s_s = soliton_s_amplitude(params, lam, trunc=trunc)
-    return s_s * part

@@ -14,7 +14,7 @@ Truncation-leak policy: the defect occupation together with the site
 grading defines a conserved charge Q; on charge sectors whose occupation
 never reaches the truncation ceiling the transfer matrix acts exactly as in
 the untruncated representation, so all operator identities are checked
-after projecting onto sectors Q <= ceiling (default D - 2).
+after projecting onto sectors Q <= D - 2.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ import numpy as np
 
 from .lax_defect import CRITICAL, XXX, RegimeParams, make_l, make_r
 from .reporting import ResidualReport
-from .tensor_core import TensorOperator, TensorSpace, embed_two_site
+from .tensor_core import (TensorOperator, TensorSpace, embed_two_site,
+                          exchange_residual)
 
 __all__ = [
     "ChainSpec",
@@ -139,12 +140,10 @@ def charge_vector(spec: ChainSpec) -> np.ndarray:
     return q
 
 
-def sector_projector(spec: ChainSpec, ceiling: int | None = None) -> np.ndarray:
-    """Projector onto charge sectors Q <= ceiling (default D - 2)."""
-    if ceiling is None:
-        ceiling = spec.rep.dim - 2
+def sector_projector(spec: ChainSpec) -> np.ndarray:
+    """Projector onto charge sectors Q <= D - 2."""
     q = charge_vector(spec)
-    return np.diag((q <= ceiling + 1e-9).astype(np.complex128))
+    return np.diag((q <= spec.rep.dim - 2 + 1e-9).astype(np.complex128))
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +180,6 @@ def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
         a_def, d_def = lam - th + 1j, 1j
     else:
         mu = spec.params.mu_complex
-        q = spec.params.q
         a_bulk = 2.0 * np.sinh(mu * lam)
         d_bulk = 2.0 * np.sinh(mu * (lam + 1j))
         a_def = 2.0 * np.sinh(mu * (lam - th + 1j))
@@ -195,48 +193,36 @@ def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex,
-                 ceiling: int | None = None) -> ResidualReport:
-    """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= ceiling."""
-    d = spec.chain_dim
-    eye2 = np.eye(2, dtype=np.complex128)
-    t1 = build_monodromy(spec, lam1).entries.reshape(2, d, 2, d)
-    t2 = build_monodromy(spec, lam2).entries.reshape(2, d, 2, d)
-    m1 = np.einsum("aibj,cd->acibdj", t1, eye2).reshape(4 * d, 4 * d)
-    m2 = np.einsum("aibj,cd->caidbj", t2, eye2).reshape(4 * d, 4 * d)
-    r12 = np.kron(make_r(spec.params, lam1 - lam2).entries, np.eye(d, dtype=np.complex128))
-    res = r12 @ m1 @ m2 - m2 @ m1 @ r12
-    proj = np.kron(np.eye(4, dtype=np.complex128), sector_projector(spec, ceiling))
-    ceiling = spec.rep.dim - 2 if ceiling is None else ceiling
-    return ResidualReport("rtt", float(np.linalg.norm(res @ proj)),
-                          params={"lam1": lam1, "lam2": lam2},
-                          subspace=f"charge sectors Q <= {ceiling}")
+def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> ResidualReport:
+    """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= D - 2."""
+    res, _ = exchange_residual(make_r(spec.params, lam1 - lam2).entries,
+                               build_monodromy(spec, lam1).entries,
+                               build_monodromy(spec, lam2).entries,
+                               keep=np.diag(sector_projector(spec)))
+    return ResidualReport("rtt", res, params={"lam1": lam1, "lam2": lam2},
+                          subspace=f"charge sectors Q <= {spec.rep.dim - 2}")
 
 
-def commuting_residual(spec: ChainSpec, lam1: complex, lam2: complex,
-                       ceiling: int | None = None) -> ResidualReport:
-    """|| [t(lam1), t(lam2)] || on charge sectors Q <= ceiling."""
+def commuting_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> ResidualReport:
+    """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2."""
     t1 = transfer_matrix(spec, lam1).entries
     t2 = transfer_matrix(spec, lam2).entries
-    proj = sector_projector(spec, ceiling)
+    proj = sector_projector(spec)
     res = proj @ (t1 @ t2 - t2 @ t1) @ proj
-    ceiling = spec.rep.dim - 2 if ceiling is None else ceiling
     return ResidualReport("commuting-family", float(np.linalg.norm(res)),
                           params={"lam1": lam1, "lam2": lam2},
-                          subspace=f"charge sectors Q <= {ceiling}")
+                          subspace=f"charge sectors Q <= {spec.rep.dim - 2}")
 
 
-def charge_residual(spec: ChainSpec, lam: complex,
-                    ceiling: int | None = None) -> ResidualReport:
-    """|| [t(lam), Q] || on charge sectors Q <= ceiling."""
+def charge_residual(spec: ChainSpec, lam: complex) -> ResidualReport:
+    """|| [t(lam), Q] || on charge sectors Q <= D - 2."""
     t = transfer_matrix(spec, lam).entries
     qd = np.diag(charge_vector(spec)).astype(np.complex128)
-    proj = sector_projector(spec, ceiling)
+    proj = sector_projector(spec)
     res = proj @ (t @ qd - qd @ t) @ proj
-    ceiling = spec.rep.dim - 2 if ceiling is None else ceiling
     return ResidualReport("charge-conservation", float(np.linalg.norm(res)),
                           params={"lam": lam},
-                          subspace=f"charge sectors Q <= {ceiling}")
+                          subspace=f"charge sectors Q <= {spec.rep.dim - 2}")
 
 
 # --------------------------------------------------------------------------

@@ -185,8 +185,9 @@ def _frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def algebra_residuals(rep, buffer: int = 1) -> list[ResidualReport]:
-    """Frobenius residual of every defining relation, projected on the interior."""
+def algebra_residuals(rep) -> list[ResidualReport]:
+    """Frobenius residual of every defining relation, projected on the
+    interior (buffer 1)."""
     reports = []
 
     def add(name, lhs_minus_rhs, proj, subspace):
@@ -195,9 +196,9 @@ def algebra_residuals(rep, buffer: int = 1) -> list[ResidualReport]:
             params={"dim": getattr(rep, "dim", None)}))
 
     if isinstance(rep, HarmonicRep):
-        p = rep.interior(buffer)
+        p = rep.interior(1)
         eye = np.eye(rep.dim, dtype=np.complex128)
-        sub = f"interior(buffer={buffer})"
+        sub = "interior(buffer=1)"
         add("[a,a_dag]-1", rep.a @ rep.a_dag - rep.a_dag @ rep.a - eye, p, sub)
         add("[N,a]+a", rep.n_op @ rep.a - rep.a @ rep.n_op + rep.a, p, sub)
         add("[N,a_dag]-a_dag", rep.n_op @ rep.a_dag - rep.a_dag @ rep.n_op - rep.a_dag, p, sub)
@@ -209,10 +210,10 @@ def algebra_residuals(rep, buffer: int = 1) -> list[ResidualReport]:
         reports.append(ResidualReport("N|0>", float(np.linalg.norm(rep.n_op @ ref)),
                                       subspace="reference state"))
     elif isinstance(rep, QOscRep):
-        p = rep.interior(buffer)
+        p = rep.interior(1)
         eye = np.eye(rep.dim, dtype=np.complex128)
         q = rep.q
-        sub = f"interior(buffer={buffer})"
+        sub = "interior(buffer=1)"
         add("a_dag.a-(1-qV^2)", rep.a_dag @ rep.a - (eye - q * rep.v @ rep.v), p, sub)
         add("a.a_dag-(1-V^2/q)", rep.a @ rep.a_dag - (eye - rep.v @ rep.v / q), p, sub)
         add("Va-qaV", rep.v @ rep.a - q * rep.a @ rep.v, p, sub)

@@ -169,24 +169,20 @@ class ProductTruncation:
 class QuadratureSpec:
     """Frequency-cutoff quadrature for the amplitude integrals.
 
-    Default: Gauss-Legendre with 4096 nodes on (0, 40].  The kernels here
+    Gauss-Legendre, by default with 4096 nodes on (0, 40].  The kernels here
     decay at least like e^{-|w|/2}, so the cutoff alone contributes < 1e-9;
-    Gauss nodes keep the discretisation error at a comparable level (a plain
-    4096-node trapezoid leaves ~1e-5 endpoint error, which is why Gauss is
-    the default scheme).
+    Gauss nodes keep the discretisation error at a comparable level (an
+    equispaced 4096-node rule would leave ~1e-5 endpoint error).
     """
 
     cutoff: float = 40.0
     nodes: int = 4096
-    scheme: str = "gauss"
 
     def __post_init__(self):
         if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
         if self.nodes < 16:
             raise ValueError("nodes must be >= 16")
-        if self.scheme not in ("gauss", "trapezoid"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -222,18 +218,6 @@ def _legendre_nodes(n: int):
 def _gauss_nodes(cutoff: float, n: int):
     x, w = _legendre_nodes(n)
     return 0.5 * cutoff * (x + 1.0), 0.5 * cutoff * w
-
-
-def _nodes(spec: QuadratureSpec):
-    if spec.scheme == "gauss":
-        return _gauss_nodes(spec.cutoff, spec.nodes)
-    h = spec.cutoff / spec.nodes
-    w = np.full(spec.nodes, h)
-    w[-1] = 0.5 * h
-    # open at the origin: first node at h with full weight (integrands here
-    # are bounded at 0, so the missed strip is O(h^2))
-    x = h * np.arange(1, spec.nodes + 1)
-    return x, w
 
 
 # --------------------------------------------------------------------------
@@ -396,21 +380,8 @@ def amplitude_integral(kernel: FourierKernel, lam_hat: float,
         raise ValueError("discrete kernel passed to amplitude_integral")
     if abs(complex(lam_hat).imag) > 0:
         raise ValueError("amplitude_integral requires real lam_hat")
-    w, wt = _nodes(spec)
+    w, wt = _gauss_nodes(spec.cutoff, spec.nodes)
     return complex(np.exp(_ln_amplitude_nodes(kernel, float(np.real(lam_hat)), w, wt)))
-
-
-def amplitude_quadrature_error(kernel: FourierKernel, lam_hat: float,
-                               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Error estimate: half-node comparison plus the cutoff tail bound."""
-    w, wt = _nodes(spec)
-    half = QuadratureSpec(spec.cutoff, max(spec.nodes // 2, 16), spec.scheme)
-    w2, wt2 = _nodes(half)
-    lam = float(np.real(lam_hat))
-    a = _ln_amplitude_nodes(kernel, lam, w, wt)
-    b = _ln_amplitude_nodes(kernel, lam, w2, wt2)
-    tail = np.exp(-kernel.decay * spec.cutoff) / max(kernel.decay, 1e-3)
-    return float((abs(a - b) + tail) * abs(np.exp(a)))
 
 
 def amplitude_sum(kernel: FourierKernel, lam_hat: float, eta: float,

@@ -20,12 +20,10 @@ import numpy as np
 __all__ = [
     "TensorSpace",
     "TensorOperator",
-    "kron",
     "permutation_operator",
     "partial_transpose",
-    "embed",
     "embed_two_site",
-    "frobenius",
+    "exchange_residual",
 ]
 
 
@@ -114,17 +112,6 @@ class TensorOperator:
         return self.entries.reshape(dims + dims)
 
 
-def frobenius(matrix) -> float:
-    """Frobenius norm, the operator norm used for every residual in this package."""
-    m = matrix.entries if isinstance(matrix, TensorOperator) else np.asarray(matrix)
-    return float(np.linalg.norm(m))
-
-
-def kron(a: TensorOperator, b: TensorOperator) -> TensorOperator:
-    """Kronecker product; factor lists concatenate with a's factors first."""
-    return TensorOperator(a.space * b.space, np.kron(a.entries, b.entries))
-
-
 def permutation_operator(d: int) -> TensorOperator:
     """P on C^d (x) C^d with P(|a> (x) |b>) = |b> (x) |a>."""
     if d < 2:
@@ -152,18 +139,6 @@ def _as_matrix(op, expected_dim: int) -> np.ndarray:
     if m.shape != (expected_dim, expected_dim):
         raise ValueError(f"local operator shape {m.shape}, expected {(expected_dim,) * 2}")
     return m
-
-
-def embed(op, site: int, space: TensorSpace) -> TensorOperator:
-    """Embed a local operator at one site, identity on all other factors."""
-    site = space.check_factor(site)
-    dims = space.factor_dims
-    m = _as_matrix(op, dims[site])
-    left = math.prod(dims[:site]) if site else 1
-    right = math.prod(dims[site + 1:]) if site + 1 < len(dims) else 1
-    out = np.kron(np.kron(np.eye(left, dtype=np.complex128), m),
-                  np.eye(right, dtype=np.complex128))
-    return TensorOperator(space, out)
 
 
 def embed_two_site(op, sites: tuple[int, int], space: TensorSpace) -> TensorOperator:
@@ -199,3 +174,32 @@ def embed_two_site(op, sites: tuple[int, int], space: TensorSpace) -> TensorOper
     perm = [order[name] for name in row + col]
     d = space.dim
     return TensorOperator(space, np.ascontiguousarray(tensor.transpose(perm)).reshape(d, d))
+
+
+def exchange_residual(r12, a1, a2, keep=None) -> tuple[float, float]:
+    """The exchange relation R12 A1 A2 = A2 A1 R12 on C^2 (x) C^2 (x) V.
+
+    The arguments are matrices: ``r12`` acts on the two auxiliary factors,
+    ``a1`` and ``a2`` act on (auxiliary C^2) (x) V and sit at auxiliary
+    factor 1 and 2.  Yang-Baxter (A = R, V = C^2), RLL (A = L), RTT (A = the
+    monodromy) and the transmission-matrix exchange algebra (R = S) are all
+    this relation.  ``keep`` is a 0/1 mask over the basis of V defining the
+    diagonal projector P (all of V by default).
+
+    Returns (|| (R12 A1 A2 - A2 A1 R12) P ||, || R12 A1 A2 P ||), computed from
+    the (2, d, 2, d) tensors without building 4d x 4d matrices: A1 A2 and
+    A2 A1 are batched d x d products of auxiliary blocks, and R12 is
+    contracted into them with einsum.
+    """
+    d = len(a1) // 2
+    r = _as_matrix(r12, 4).reshape(2, 2, 2, 2)
+    # blocks[row aux, col aux] as d x d matrices on V, broadcast so that the
+    # products carry indices (row1, col1, row2, col2, V row, V col)
+    t1 = _as_matrix(a1, 2 * d).reshape(2, d, 2, d).transpose(0, 2, 1, 3)[:, :, None, None]
+    t2 = _as_matrix(a2, 2 * d).reshape(2, d, 2, d).transpose(0, 2, 1, 3)[None, None]
+    lhs = np.einsum("acef,ebfdij->acbdij", r, t1 @ t2)
+    res = lhs - np.einsum("aecfij,efbd->acbdij", t2 @ t1, r)
+    if keep is not None:
+        lhs = lhs * keep
+        res = res * keep
+    return float(np.linalg.norm(res)), float(np.linalg.norm(lhs))

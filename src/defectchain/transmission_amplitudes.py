@@ -1,6 +1,6 @@
 """Scalar thermodynamic objects: Fourier kernels, state densities, defect
 transmission amplitudes (hole, breather, spin-defect), bulk scattering
-amplitudes, and the coupling-constant map.
+amplitudes with the full bulk S-matrix, and the coupling-constant map.
 
 Amplitude routes
 ----------------
@@ -32,13 +32,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
+from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams, s_matrix_part
 from .special_functions import (DEFAULT_QUADRATURE, DEFAULT_TRUNCATION,
                                 FourierKernel, ProductTruncation,
                                 QuadratureSpec, amplitude_integral,
                                 amplitude_sum, gamma_ratio,
                                 infinite_gamma_product, log_gamma, q_gamma,
                                 _gauss_nodes, _hurwitz_tail)
+from .tensor_core import TensorOperator
 
 __all__ = [
     "AmplitudeResult",
@@ -50,6 +51,7 @@ __all__ = [
     "breather_amplitude",
     "type2_amplitude",
     "soliton_s_amplitude",
+    "make_s_matrix",
     "coupling_map",
 ]
 
@@ -613,6 +615,11 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
     if route == "sum":
         return amplitude_sum(kernel(params, "r"), lam, eta)
     raise ValueError(f"route {route!r} not available for the non-critical S_s")
+
+
+def make_s_matrix(params: RegimeParams, lam: complex, trunc=None) -> TensorOperator:
+    """Bulk S-matrix including its scalar prefactor."""
+    return soliton_s_amplitude(params, lam, trunc=trunc) * s_matrix_part(params, lam)
 
 
 # --------------------------------------------------------------------------

@@ -26,16 +26,18 @@ every evaluation on the real axis of the amplitude routines.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams, s_matrix_part
-from .oscillator_reps import (HarmonicRep, QOscRep, SpinRep, harmonic_rep,
-                              q_oscillator_rep, spin_rep)
+from .lax_defect import CRITICAL, XXX, RegimeParams, defect_rep, s_matrix_part
+from .oscillator_reps import (HarmonicRep, QOscRep, SpinRep, q_oscillator_rep,
+                              spin_rep)
 from .reporting import ResidualReport
 from .special_functions import gamma_ratio
-from .tensor_core import TensorOperator, TensorSpace, partial_transpose
+from .tensor_core import (TensorOperator, TensorSpace, exchange_residual,
+                          partial_transpose)
 from .transmission_amplitudes import amplitude, type2_amplitude
 
 __all__ = [
@@ -70,14 +72,12 @@ class TransmissionPair:
 
 
 def default_rep(params: RegimeParams, dim: int):
-    """The defect representation each regime's transmission matrices act on."""
-    if params.regime == XXX:
-        return harmonic_rep(dim)
-    if params.regime == NONCRITICAL:
-        return q_oscillator_rep(dim, params.q)
-    # critical: rescaled deformation
+    """The defect representation each regime's transmission matrices act on:
+    the Lax operator's, except at the rescaled deformation q~ = e^{i pi gamma}
+    in the critical regime."""
+    if params.regime != CRITICAL:
+        return defect_rep(params, dim)
     q_tilde = complex(np.exp(1j * np.pi * params.gamma))
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # root-of-unity flag is expected here
         return q_oscillator_rep(dim, q_tilde)
@@ -208,52 +208,23 @@ def make_t_pair(params: RegimeParams, rep) -> TransmissionPair:
 # --------------------------------------------------------------------------
 
 
-def _embed_first(m: np.ndarray, d: int) -> np.ndarray:
-    eye2 = np.eye(2, dtype=np.complex128)
-    t = m.reshape(2, d, 2, d)
-    return np.einsum("aibj,cd->acibdj", t, eye2).reshape(4 * d, 4 * d)
-
-
-def _embed_second(m: np.ndarray, d: int) -> np.ndarray:
-    eye2 = np.eye(2, dtype=np.complex128)
-    t = m.reshape(2, d, 2, d)
-    return np.einsum("aibj,cd->caidbj", t, eye2).reshape(4 * d, 4 * d)
-
-
-def _interior4(rep, buffer: int) -> np.ndarray:
-    return np.kron(np.eye(4, dtype=np.complex128), rep.interior(buffer))
-
-
 def quadratic_algebra_residual(params: RegimeParams, lam1: float, lam2: float,
-                               rep, which: str = "t", buffer: int = 1,
-                               include_prefactor: bool = False) -> ResidualReport:
-    """|| S12 T1 T2 - T2 T1 S12 || on the interior of the defect space.
+                               rep, which: str = "t") -> ResidualReport:
+    """|| S12 T1 T2 - T2 T1 S12 || on the interior (buffer 1) of the defect
+    space, relative to || S12 T1 T2 || (floored at 1).
 
     The scalar prefactors cancel in this bilinear residual, so it is
-    evaluated on the matrix parts by default; include_prefactor=True
-    recomputes with the full scalars to exercise that invariance.
+    evaluated on the matrix parts.
     """
     pair = make_t_pair(params, rep)
     part = pair.t_matrix_part if which == "t" else pair.t_bar_matrix_part
-    d = rep.dim
-    m1 = part(lam1).entries
-    m2 = part(lam2).entries
-    if include_prefactor:
-        pref = pair.t_prefactor if which == "t" else pair.t_bar_prefactor
-        m1 = pref(lam1) * m1
-        m2 = pref(lam2) * m2
-    s12 = np.kron(s_matrix_part(params, lam1 - lam2).entries,
-                  np.eye(d, dtype=np.complex128))
-    t1 = _embed_first(m1, d)
-    t2 = _embed_second(m2, d)
-    res = s12 @ t1 @ t2 - t2 @ t1 @ s12
-    proj = _interior4(rep, buffer)
-    scale = max(np.linalg.norm(s12 @ t1 @ t2 @ proj), 1.0)
+    res, scale = exchange_residual(s_matrix_part(params, lam1 - lam2).entries,
+                                   part(lam1).entries, part(lam2).entries,
+                                   keep=np.diag(rep.interior(1)))
     return ResidualReport(
-        f"quadratic-algebra[{which}]",
-        float(np.linalg.norm(res @ proj) / scale),
-        params={"lam1": lam1, "lam2": lam2, "dim": d},
-        subspace=f"interior(buffer={buffer}), relative")
+        f"quadratic-algebra[{which}]", res / max(scale, 1.0),
+        params={"lam1": lam1, "lam2": lam2, "dim": rep.dim},
+        subspace="interior(buffer=1), relative")
 
 
 def _critical_crossing_scalar(lam: float, gamma: float) -> complex:
@@ -264,9 +235,10 @@ def _critical_crossing_scalar(lam: float, gamma: float) -> complex:
         [1j * lam + gamma / 2.0, -1j * lam - gamma / 2.0 + 1.0])
 
 
-def unitarity_crossing_residual(params: RegimeParams, lam: float, rep,
-                                buffer: int = 1) -> tuple[ResidualReport, ResidualReport]:
-    """Residuals of T(l) Tbar(-l) = 1 and Tbar^{t1}(l+i) T^{t1}(-l+i) = 1.
+def unitarity_crossing_residual(params: RegimeParams, lam: float,
+                                rep) -> tuple[ResidualReport, ResidualReport]:
+    """Residuals of T(l) Tbar(-l) = 1 and Tbar^{t1}(l+i) T^{t1}(-l+i) = 1 on
+    the interior (buffer 1) of the defect space.
 
     In the critical regime both identities hold in the rescaled variable,
     so the crossing shift is lam -> lam + i gamma and the amplitude product
@@ -274,9 +246,9 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float, rep,
     """
     d = rep.dim
     pair = make_t_pair(params, rep)
-    proj = np.kron(np.eye(2, dtype=np.complex128), rep.interior(buffer))
+    proj = np.kron(np.eye(2, dtype=np.complex128), rep.interior(1))
     eye = np.eye(2 * d, dtype=np.complex128)
-    sub = f"interior(buffer={buffer})"
+    sub = "interior(buffer=1)"
 
     u = (pair.t(lam).entries @ pair.t_bar(-lam).entries) - eye
     unit = ResidualReport("tt-unitarity", float(np.linalg.norm(u @ proj)),
@@ -360,18 +332,11 @@ def type2_algebra_residual(eta: float, spin: float, lam1: float,
                            lam2: float) -> ResidualReport:
     """Exchange-algebra residual of the spin matrix with the non-critical
     bulk S-matrix (prefactors cancel; matrix parts used)."""
-    params = RegimeParams.noncritical(eta)
     mat = make_type2(eta, spin)
-    d = mat.rep.dim
-    m1 = mat.matrix_part(lam1).entries
-    m2 = mat.matrix_part(lam2).entries
-    s12 = np.kron(s_matrix_part(params, lam1 - lam2).entries,
-                  np.eye(d, dtype=np.complex128))
-    t1 = _embed_first(m1, d)
-    t2 = _embed_second(m2, d)
-    res = s12 @ t1 @ t2 - t2 @ t1 @ s12
-    scale = max(np.linalg.norm(s12 @ t1 @ t2), 1.0)
+    s12 = s_matrix_part(RegimeParams.noncritical(eta), lam1 - lam2).entries
+    res, scale = exchange_residual(s12, mat.matrix_part(lam1).entries,
+                                   mat.matrix_part(lam2).entries)
     return ResidualReport(
-        "quadratic-algebra[type2]", float(np.linalg.norm(res) / scale),
+        "quadratic-algebra[type2]", res / max(scale, 1.0),
         params={"lam1": lam1, "lam2": lam2, "spin": spin},
         subspace="full (no truncation), relative")

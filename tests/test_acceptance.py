@@ -7,7 +7,7 @@ import numpy as np
 
 from defectchain.lax_defect import (RegimeParams, crossing_transform,
                                     lax_pair, make_l, make_l_hat, make_r,
-                                    make_s_matrix, unitarity_residuals)
+                                    unitarity_residuals)
 from defectchain.monodromy import (ChainSpec, bae_residual,
                                    commuting_residual, reference_eigenvalue,
                                    reference_state, rtt_residual,
@@ -16,6 +16,7 @@ from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import ProductTruncation, gamma_ratio
 from defectchain.transmission_amplitudes import (amplitude,
                                                  breather_amplitude,
+                                                 make_s_matrix,
                                                  soliton_s_amplitude,
                                                  type2_amplitude)
 from defectchain.transmission_matrices import (default_rep,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -65,6 +66,29 @@ def test_verify_deterministic_output(tmp_path, args):
     run(["verify", *args, "--out", str(a)])
     run(["verify", *args, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["--regime", "xxx"],
+    ["--regime", "critical", "--mu", "0.7"],
+], ids=["xxx", "crit"])
+def test_verify_csv_is_well_formed(tmp_path, args):
+    # names, params and subspaces contain commas, so cells must be quoted
+    out_csv, out_jsonl = tmp_path / "v.csv", tmp_path / "v.jsonl"
+    assert run(["verify", *args, "--format", "csv", "--out", str(out_csv)]) == 0
+    run(["verify", *args, "--out", str(out_jsonl)])
+    lines = out_csv.read_text().splitlines()
+    assert lines[0].startswith("# ")
+    rows = list(csv.DictReader(lines[1:], strict=True))
+    _, records = read_jsonl(out_jsonl)
+    assert len(rows) == len(records)
+    assert any("," in row["params"] + row["subspace"] for row in rows)
+    for row, rec in zip(rows, records):
+        assert None not in row and len(row) == 6
+        assert row["name"] == rec["name"]
+        assert json.loads(row["params"]) == json.loads(rec["params"])
+        assert row["subspace"] == rec["subspace"]
+        assert row["pass"] == str(rec["pass"])
 
 
 def test_amplitude_table_xxx(tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from defectchain.lax_defect import (RegimeParams, crossing_transform, lax_pair,
-                                    make_l, make_l_hat, make_r, make_s_matrix,
-                                    scalar_crossing, scalar_unitarity,
-                                    unitarity_residuals)
+                                    make_l, make_l_hat, make_r, scalar_crossing,
+                                    scalar_unitarity, unitarity_residuals)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import ProductTruncation
 from defectchain.tensor_core import permutation_operator
+from defectchain.transmission_amplitudes import make_s_matrix
 
 XXX = RegimeParams.xxx()
 CRIT = RegimeParams.critical(0.7)

@@ -197,6 +197,4 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes=4)
     with pytest.raises(ValueError):
-        QuadratureSpec(scheme="simpson")
-    with pytest.raises(ValueError):
         ProductTruncation(max_terms=0)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectchain.tensor_core import (TensorOperator, TensorSpace, embed,
-                                     embed_two_site, frobenius, kron,
+from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
+from defectchain.tensor_core import (TensorOperator, TensorSpace,
+                                     embed_two_site, exchange_residual,
                                      partial_transpose, permutation_operator)
 
 
@@ -17,39 +18,6 @@ def random_op(rng, d):
 
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def test_kron_identities():
-    i2 = TensorOperator.identity(TensorSpace((2,)))
-    i3 = TensorOperator.identity(TensorSpace((3,)))
-    out = kron(i2, i3)
-    assert out.space.factor_dims == (2, 3)
-    np.testing.assert_allclose(out.entries, np.eye(6))
-
-
-def test_kron_sigma_z():
-    sz = op([2], SZ)
-    out = kron(sz, sz)
-    np.testing.assert_allclose(out.entries, np.diag([1, -1, -1, 1]))
-
-
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c, d = (random_op(rng, 2) for _ in range(4))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    np.testing.assert_allclose(lhs.entries, rhs.entries, atol=1e-12)
-
-
-def test_kron_associativity_bookkeeping():
-    rng = np.random.default_rng(3)
-    a, b, c = random_op(rng, 2), random_op(rng, 3), random_op(rng, 2)
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert left.space.factor_dims == right.space.factor_dims == (2, 3, 2)
-    np.testing.assert_allclose(left.entries, right.entries, atol=1e-13)
 
 
 def test_permutation_matrix_d2():
@@ -70,8 +38,8 @@ def test_permutation_swaps_factors():
     rng = np.random.default_rng(11)
     a, b = random_op(rng, 2), random_op(rng, 2)
     p = permutation_operator(2)
-    lhs = p @ kron(a, b) @ p
-    np.testing.assert_allclose(lhs.entries, kron(b, a).entries, atol=1e-12)
+    lhs = p.entries @ np.kron(a.entries, b.entries) @ p.entries
+    np.testing.assert_allclose(lhs, np.kron(b.entries, a.entries), atol=1e-12)
 
 
 def test_permutation_rejects_small():
@@ -92,9 +60,9 @@ def test_partial_transpose_identity_and_involution():
 def test_partial_transpose_on_product():
     rng = np.random.default_rng(6)
     a, b = random_op(rng, 2), random_op(rng, 3)
-    m = kron(a, b)
-    expected = kron(op([2], a.entries.T), b)
-    np.testing.assert_allclose(partial_transpose(m, 0).entries, expected.entries)
+    m = op([2, 3], np.kron(a.entries, b.entries))
+    expected = np.kron(a.entries.T, b.entries)
+    np.testing.assert_allclose(partial_transpose(m, 0).entries, expected)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -102,7 +70,8 @@ def test_partial_transpose_on_product():
 def test_partial_transpose_preserves_frobenius(seed):
     rng = np.random.default_rng(seed)
     m = op([2, 2], rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    assert frobenius(partial_transpose(m, 1)) == pytest.approx(frobenius(m), rel=1e-12)
+    norm = np.linalg.norm(partial_transpose(m, 1).entries)
+    assert norm == pytest.approx(np.linalg.norm(m.entries), rel=1e-12)
 
 
 def test_partial_transpose_bad_index():
@@ -113,26 +82,23 @@ def test_partial_transpose_bad_index():
 
 def test_embed_identity_and_kron_ordering():
     space = TensorSpace((2, 3, 2))
-    ident = embed(np.eye(3), 1, space)
+    ident = embed_two_site(np.eye(6), (0, 1), space)
     np.testing.assert_allclose(ident.entries, np.eye(12))
-    sz0 = embed(SZ, 0, space)
-    sz2 = embed(SZ, 2, space)
-    direct = kron(kron(op([2], SZ), TensorOperator.identity(TensorSpace((3,)))),
-                  op([2], SZ))
-    np.testing.assert_allclose((sz0 @ sz2).entries, direct.entries)
+    sz02 = embed_two_site(np.kron(SZ, SZ), (0, 2), space)
+    np.testing.assert_allclose(sz02.entries, np.kron(np.kron(SZ, np.eye(3)), SZ))
 
 
 def test_embed_distinct_sites_commute():
     rng = np.random.default_rng(8)
-    space = TensorSpace((2, 2, 3))
-    a = embed(rng.standard_normal((2, 2)), 0, space)
-    b = embed(rng.standard_normal((3, 3)), 2, space)
-    np.testing.assert_allclose((a @ b).entries, (b @ a).entries, atol=1e-13)
+    space = TensorSpace((2, 2, 3, 2))
+    a = embed_two_site(rng.standard_normal((4, 4)), (0, 1), space)
+    b = embed_two_site(rng.standard_normal((6, 6)), (2, 3), space)
+    np.testing.assert_allclose((a @ b).entries, (b @ a).entries, atol=1e-12)
 
 
 def test_embed_dimension_mismatch():
     with pytest.raises(ValueError):
-        embed(np.eye(3), 0, TensorSpace((2, 2)))
+        embed_two_site(np.eye(3), (0, 1), TensorSpace((2, 2)))
 
 
 def test_embed_two_site_matches_kron():
@@ -158,3 +124,73 @@ def test_space_mismatch_rejected():
     b = TensorOperator.identity(TensorSpace((4,)))
     with pytest.raises(ValueError):
         a @ b
+
+
+# ------------------------------------------------------------ exchange relation
+
+def exchange_oracle(r12, m1, m2, keep):
+    """The relation on explicit 4d x 4d matrices: A1, A2 embedded by einsum
+    with a 2x2 identity, R12 and the projector by kron."""
+    d = m1.shape[0] // 2
+    eye2 = np.eye(2, dtype=complex)
+    a1 = np.einsum("aibj,cd->acibdj", m1.reshape(2, d, 2, d), eye2).reshape(4 * d, 4 * d)
+    a2 = np.einsum("aibj,cd->caidbj", m2.reshape(2, d, 2, d), eye2).reshape(4 * d, 4 * d)
+    r = np.kron(r12, np.eye(d, dtype=complex))
+    proj = np.kron(np.eye(4, dtype=complex), np.diag(keep))
+    return (np.linalg.norm((r @ a1 @ a2 - a2 @ a1 @ r) @ proj),
+            np.linalg.norm(r @ a1 @ a2 @ proj))
+
+
+def assert_matches_oracle(r12, m1, m2, keep=None):
+    full = np.ones(len(m1) // 2) if keep is None else keep
+    want = exchange_oracle(r12, m1, m2, full)
+    got = exchange_residual(r12, m1, m2, keep=keep)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("params", [RegimeParams.xxx(), RegimeParams.critical(0.7),
+                                    RegimeParams.noncritical(0.4)],
+                         ids=["xxx", "crit", "nc"])
+def test_exchange_residual_failing_rll_matches_oracle(params):
+    # R at l1 + l2 instead of l1 - l2: the relation fails at O(1), so a
+    # kernel returning roundoff cannot pass
+    rep = defect_rep(params, 8)
+    l1, l2 = 0.63, -0.41
+    res, scale = assert_matches_oracle(
+        make_r(params, l1 + l2).entries, make_l(params, l1, rep).entries,
+        make_l(params, l2, rep).entries, keep=np.diag(rep.interior(1)).real)
+    assert res > 1e-3 * scale > 0
+
+
+def test_exchange_residual_is_yang_baxter_on_c2():
+    params = RegimeParams.critical(0.7)
+    l1, l2 = 0.9, -0.35
+
+    def r(x):
+        return make_r(params, x).entries
+
+    eye = np.eye(2, dtype=complex)
+    r13 = np.einsum("abcd,ef->aebcfd", r(l1).reshape(2, 2, 2, 2), eye).reshape(8, 8)
+    r23 = np.kron(eye, r(l2))
+    # R12 at l1 - l2 satisfies Yang-Baxter; at l1 + l2 it fails at O(1)
+    for r12, holds in ((r(l1 - l2), True), (r(l1 + l2), False)):
+        r12_full = np.kron(r12, eye)
+        lhs = r12_full @ r13 @ r23
+        want_res = np.linalg.norm(lhs - r23 @ r13 @ r12_full)
+        res, scale = exchange_residual(r12, r(l1), r(l2))
+        assert scale == pytest.approx(np.linalg.norm(lhs), rel=1e-12)
+        assert res == pytest.approx(want_res, rel=1e-12, abs=1e-13 * scale)
+        assert (res < 1e-13 * scale) == holds
+    assert_matches_oracle(r(l1 + l2), r(l1), r(l2))
+
+
+def test_exchange_residual_odd_dimension_with_mask():
+    rng = np.random.default_rng(12)
+    d = 5
+    r12, m1, m2 = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                   for n in (4, 2 * d, 2 * d))
+    keep = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    res, _ = assert_matches_oracle(r12, m1, m2, keep)
+    assert 0.0 < res < exchange_residual(r12, m1, m2)[0]
+    assert exchange_residual(r12, m1, m2, keep=np.zeros(d)) == (0.0, 0.0)

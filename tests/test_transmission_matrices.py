@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from defectchain.lax_defect import RegimeParams
+from defectchain.lax_defect import RegimeParams, s_matrix_part
 from defectchain.oscillator_reps import spin_rep
+from defectchain.tensor_core import exchange_residual
 from defectchain.transmission_amplitudes import amplitude, type2_amplitude
 from defectchain.transmission_matrices import (default_rep, make_t_pair,
                                                make_type2,
@@ -72,11 +73,16 @@ def test_quadratic_algebra(params, which):
 
 def test_quadratic_algebra_prefactor_invariance():
     # the residual is bilinear, so attaching the scalar prefactors must not
-    # change whether it vanishes
+    # change whether it vanishes (quadratic_algebra_residual uses the matrix
+    # parts only)
     rep = default_rep(XXX, 6)
-    a = quadratic_algebra_residual(XXX, 0.9, -0.6, rep, include_prefactor=False)
-    b = quadratic_algebra_residual(XXX, 0.9, -0.6, rep, include_prefactor=True)
-    assert a.residual < 1e-11 and b.residual < 1e-11
+    l1, l2 = 0.9, -0.6
+    pair = make_t_pair(XXX, rep)
+    a = quadratic_algebra_residual(XXX, l1, l2, rep)
+    res, scale = exchange_residual(s_matrix_part(XXX, l1 - l2).entries,
+                                   pair.t(l1).entries, pair.t(l2).entries,
+                                   keep=np.diag(rep.interior(1)))
+    assert a.residual < 1e-11 and res / max(scale, 1.0) < 1e-11
 
 
 @pytest.mark.parametrize("params", ALL + [RegimeParams.noncritical(0.5)],
