@@ -33,7 +33,7 @@ from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
                          make_l_hat, make_r, unitarity_residuals)
 from .oscillator_reps import algebra_residuals
 from .reporting import ResidualReport
-from .special_functions import ProductTruncation
+from .special_functions import ConvergenceError, ProductTruncation
 from .tensor_core import exchange_residual
 from .transmission_amplitudes import (amplitude, breather_amplitude,
                                       make_s_matrix, soliton_s_amplitude,
@@ -285,38 +285,58 @@ def cmd_amplitude(args) -> int:
     params = _make_params(args)
     start, stop, count = args.grid
     grid = np.linspace(start, stop, count)
+    # closed(x) -> (T+, T-) and second(x) -> the other route's T+ (and T-)
+    if args.family == "type1":
+        other = "sum" if params.regime == NONCRITICAL else "integral"
+
+        def closed(x):
+            return amplitude(params, "+", x).value, amplitude(params, "-", x).value
+
+        def second(x):
+            return amplitude(params, "+", x, other).value, amplitude(params, "-", x, other).value
+    elif args.family == "breather":
+        n = args.breather_n
+
+        def closed(x):
+            return (breather_amplitude("+", n, x, params.gamma).value,
+                    breather_amplitude("-", n, x, params.gamma).value)
+
+        second = None if n != 1 else (
+            lambda x: (breather_amplitude("+", 1, x, params.gamma, "integral").value,))
+    else:
+        def closed(x):
+            return (type2_amplitude(x, params.eta, args.spin).value,
+                    type2_amplitude(-x, params.eta, args.spin).value)
+
+        def second(x):
+            return (type2_amplitude(x, params.eta, args.spin, "sum").value,)
+
+    notes = [""] * count
+    try:
+        tp, tm = closed(grid)
+        disc = np.zeros(count)
+        if second is not None:
+            for mine, theirs in zip((tp, tm), second(grid)):
+                disc = np.maximum(disc, np.abs(mine - theirs))
+    except (ZeroDivisionError, ValueError) as err:
+        tp = tm = np.full(count, np.nan + 0j)
+        disc = np.full(count, np.nan)
+        notes = [f"pole:{err}"] * count
+    else:
+        # a pole reads NaN on the grid; the scalar call names it
+        for i in np.flatnonzero(~(np.isfinite(tp) & np.isfinite(tm))):
+            try:
+                closed(grid[i])
+            except (ZeroDivisionError, ValueError) as err:
+                notes[i] = f"pole:{err}"
     rows = []
-    for x in grid:
-        row = {"lam_hat": float(x)}
-        try:
-            if args.family == "type1":
-                second = "sum" if params.regime == NONCRITICAL else "integral"
-                tp = amplitude(params, "+", x, "closed").value
-                tm = amplitude(params, "-", x, "closed").value
-                disc = max(abs(tp - amplitude(params, "+", x, second).value),
-                           abs(tm - amplitude(params, "-", x, second).value))
-            elif args.family == "breather":
-                g = params.gamma
-                tp = breather_amplitude("+", args.breather_n, x, g).value
-                tm = breather_amplitude("-", args.breather_n, x, g).value
-                if args.breather_n == 1:
-                    disc = abs(tp - breather_amplitude("+", 1, x, g, "integral").value)
-                else:
-                    disc = 0.0
-            else:
-                tp = type2_amplitude(x, params.eta, args.spin).value
-                tm = type2_amplitude(-x, params.eta, args.spin).value
-                disc = abs(tp - type2_amplitude(x, params.eta, args.spin, "sum").value)
-        except (ZeroDivisionError, ValueError) as err:
-            row.update({"re_t_plus": float("nan"), "im_t_plus": float("nan"),
-                        "re_t_minus": float("nan"), "im_t_minus": float("nan"),
-                        "route_discrepancy": float("nan"), "note": f"pole:{err}"})
-            rows.append(row)
-            continue
-        row.update({"re_t_plus": tp.real, "im_t_plus": tp.imag,
-                    "re_t_minus": tm.real, "im_t_minus": tm.imag,
-                    "route_discrepancy": float(disc), "note": ""})
-        rows.append(row)
+    for x, p, m, d, note in zip(grid, tp, tm, disc, notes):
+        if note:
+            p = m = complex(np.nan, np.nan)
+            d = np.nan
+        rows.append({"lam_hat": float(x), "re_t_plus": float(p.real), "im_t_plus": float(p.imag),
+                     "re_t_minus": float(m.real), "im_t_minus": float(m.imag),
+                     "route_discrepancy": float(d), "note": note})
     header = {"command": "amplitude", "regime": args.regime, "family": args.family,
               "grid": f"{start}:{stop}:{count}", "theta": args.theta}
     _write_records(rows, args.format or "csv", args.out, header)
@@ -434,7 +454,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,22 @@
 """Residual reports shared by the verification layers."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+
+
+def _json_value(v):
+    """A params value as JSON: numbers stay numbers, a complex becomes
+    [re, im], strings stay strings, anything else its repr."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, numbers.Real):
+        return float(v)
+    if isinstance(v, numbers.Complex):
+        return [float(v.real), float(v.imag)]
+    return repr(v)
 
 
 @dataclass(frozen=True)
@@ -30,7 +45,7 @@ class ResidualReport:
     def as_record(self) -> dict:
         rec = {
             "name": self.identity,
-            "params": {k: repr(v) for k, v in sorted(self.params.items())},
+            "params": {k: _json_value(v) for k, v in sorted(self.params.items())},
             "residual": self.residual,
             "subspace": self.subspace,
         }

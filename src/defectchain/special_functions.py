@@ -37,7 +37,7 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "ProductTruncation",
-    "QuadratureSpec",
+    "AmplitudeResult",
     "log_gamma",
     "gamma",
     "gamma_ratio",
@@ -146,7 +146,7 @@ def gamma_ratio(num, den):
 
 
 # --------------------------------------------------------------------------
-# truncation / quadrature configuration
+# truncation
 # --------------------------------------------------------------------------
 
 
@@ -165,96 +165,60 @@ class ProductTruncation:
             raise ValueError("tail_tol must be positive")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Frequency-cutoff quadrature for the amplitude integrals.
+DEFAULT_TRUNCATION = ProductTruncation()
 
-    Gauss-Legendre, by default with 4096 nodes on (0, 40].  The kernels here
-    decay at least like e^{-|w|/2}, so the cutoff alone contributes < 1e-9;
-    Gauss nodes keep the discretisation error at a comparable level (an
-    equispaced 4096-node rule would leave ~1e-5 endpoint error).
-    """
-
-    cutoff: float = 40.0
-    nodes: int = 4096
-
-    def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
-        if self.nodes < 16:
-            raise ValueError("nodes must be >= 16")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@lru_cache(maxsize=8)
-def _legendre_nodes(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] by vectorised Newton
-    iteration on the three-term recurrence (much faster than the
-    companion-matrix route for the node counts used here)."""
-    i = np.arange(1, n + 1)
-    x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return x, w
-
-
-@lru_cache(maxsize=32)
-def _gauss_nodes(cutoff: float, n: int):
-    x, w = _legendre_nodes(n)
-    return 0.5 * cutoff * (x + 1.0), 0.5 * cutoff * w
+# elements per (points x nodes) temporary: grids are walked in blocks of
+# max(1, BLOCK // nodes) points so no temporary outgrows this
+BLOCK = 16384
 
 
 # --------------------------------------------------------------------------
 # q-Gamma
 # --------------------------------------------------------------------------
 
-DEFAULT_TRUNCATION = ProductTruncation()
-
 
 def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
     """Gamma_q(x) = (1-q)^(1-x) prod_{j>=0} (1-q^(1+j))/(1-q^(x+j)),  0 < q < 1.
 
-    The tail of the log-product is bounded geometrically; truncation stops
-    once the bound drops below trunc.tail_tol.
+    x may be a scalar or an array.  The tail of each log-product is bounded
+    geometrically; a point's truncation stops once its bound drops below
+    trunc.tail_tol, so every point gets the terms it would get on its own.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    x = complex(x)
+    x = np.asarray(x, dtype=np.complex128)
+    flat = x.reshape(-1)
     lq = np.log(q)
 
     # |log term_j| <= C q^j with C ~ |q^x - q| / (1 - q); solve for j
-    c = max(abs(np.exp(x * lq) - q), 1e-30) / (1.0 - q)
-    j_needed = int(np.ceil((np.log(trunc.tail_tol) - np.log(c)) / lq)) + 2
-    j_needed = max(j_needed, 8)
-    if j_needed > trunc.max_terms:
+    c = np.maximum(np.abs(np.exp(flat * lq) - q), 1e-30) / (1.0 - q)
+    j_needed = np.maximum(np.ceil((np.log(trunc.tail_tol) - np.log(c)) / lq), 6.0) + 2.0
+    n_max = int(j_needed.max(initial=0.0))
+    if n_max > trunc.max_terms:
         raise ConvergenceError(
-            f"q_gamma needs ~{j_needed} terms for tail {trunc.tail_tol}, "
+            f"q_gamma needs ~{n_max} terms for tail {trunc.tail_tol}, "
             f"cap is {trunc.max_terms}")
 
-    j = np.arange(j_needed)
-    qx = np.exp((x + j) * lq)
-    bad = np.abs(1.0 - qx) < 1e-13
-    if np.any(bad):
-        raise PoleError(f"q_gamma pole: 1 - q^(x+j) = 0 at j = {int(np.where(bad)[0][0])}",
-                        location=x)
-    log_prod = np.sum(np.log1p(-np.power(q, 1.0 + j)) - np.log1p(-qx))
-    return complex(np.exp((1.0 - x) * np.log1p(-q) + log_prod))
+    j = np.arange(n_max)
+    head = np.log1p(-np.power(q, 1.0 + j))
+    log1p_q = np.log1p(-q)
+    out = np.empty_like(flat)
+    groups = set(j_needed.tolist())
+    for n in groups:
+        where = np.flatnonzero(j_needed == n) if len(groups) > 1 else np.arange(flat.size)
+        n = int(n)
+        step = max(1, BLOCK // n)
+        for i in range(0, where.size, step):
+            sel = where[i:i + step]
+            xs = flat[sel]
+            qx = np.exp(np.add.outer(xs, j[:n]) * lq)
+            bad = np.abs(1.0 - qx) < 1e-13
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise PoleError(f"q_gamma pole: 1 - q^(x+j) = 0 at j = {int(col)}",
+                                location=complex(xs[row]))
+            out[sel] = np.exp((1.0 - xs) * log1p_q + np.sum(head[:n] - np.log1p(-qx), axis=-1))
+    return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -320,8 +284,147 @@ def infinite_gamma_product(term, trunc: ProductTruncation = DEFAULT_TRUNCATION,
 
 
 # --------------------------------------------------------------------------
+# half-line quadrature
+# --------------------------------------------------------------------------
+
+_PANEL_NODES = 32      # Gauss-Legendre nodes per panel
+_CHECK_NODES = 24      # nodes of the comparison rule on the same panels
+_FIRST_PANEL = 0.25    # panel at the origin; widths double from it
+_MAX_WIDTH = 8.0       # widest panel
+_PANEL_PHASE = 24.0    # largest phase max|lam| * width one panel carries
+_TAIL = 1e-16          # the cutoff leaves at most this much of e^{-decay w}
+_SUM_TAIL = 1e-15      # the mode sums stop where e^{-decay eta k} falls below this
+_EPS = float(np.finfo(float).eps)
+
+
+@lru_cache(maxsize=4)
+def _legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=64)
+def _panel_rule(cutoff: float, width: float):
+    """Composite Gauss-Legendre rule on (0, cutoff].
+
+    Panels start at (0, _FIRST_PANEL] and double in width up to ``width``,
+    then stay that wide: the kernels' singularities lie on the imaginary
+    axis, so a panel as wide as its distance from the origin resolves them,
+    and past that the oscillation e^{i lam w} sets the width.
+
+    Returns the nodes (the _PANEL_NODES-point nodes, then the
+    _CHECK_NODES-point nodes on the same panels, then the cutoff itself with
+    zero weight, where callers read the tail) and a (nodes, 2) weight
+    matrix: column 0 is the fine rule, column 1 the comparison rule.
+    """
+    edges = [0.0]
+    h = min(_FIRST_PANEL, width)
+    while edges[-1] < cutoff:
+        edges.append(edges[-1] + h)
+        h = min(2.0 * h, width)
+    edges = np.array(edges)
+    left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    parts = []
+    for n in (_PANEL_NODES, _CHECK_NODES):
+        x, wx = _legendre(n)
+        parts.append((left + half * (x + 1.0)).ravel())
+        parts.append((half * wx).ravel())
+    nodes = np.concatenate([parts[0], parts[2], [edges[-1]]])
+    weights = np.zeros((nodes.size, 2))
+    weights[:parts[1].size, 0] = parts[1]
+    weights[parts[1].size:-1, 1] = parts[3]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _half_line_rule(decay: float, lam_max: float = 0.0):
+    """(nodes, weights) of the rule for integrands that decay like
+    e^{-decay w} and oscillate like e^{i lam w} with |lam| <= lam_max.
+
+    The cutoff leaves a tail below _TAIL; the panel width is the largest
+    power of two that keeps lam_max * width <= _PANEL_PHASE, at most
+    _MAX_WIDTH.  See _panel_rule for the layout.
+    """
+    if not decay > 0:
+        raise ValueError(f"decay rate must be positive, got {decay}")
+    cutoff = -np.log(_TAIL) / decay
+    width = _MAX_WIDTH
+    if lam_max * width > _PANEL_PHASE:
+        width = 2.0 ** np.floor(np.log2(_PANEL_PHASE / lam_max))
+    return _panel_rule(float(cutoff), float(width))
+
+
+def _fourier_sums(lam, freq, a, b):
+    """sum_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j] for each
+    lam, with a and b of shape (nodes, m); returns (points, m).
+
+    4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases exact.  The points
+    are walked in blocks so no temporary exceeds BLOCK elements.
+    """
+    lam = np.asarray(lam)
+    half_freq = 0.5 * np.asarray(freq, dtype=float)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    out = np.empty((lam.size, a.shape[1]), dtype=np.complex128)
+    real = not np.iscomplexobj(lam)
+    if real:
+        # complex columns as pairs of real columns: one real product each
+        a = a.view(float)
+        b = b.view(float)
+    step = max(1, BLOCK // half_freq.size)
+    for i in range(0, lam.size, step):
+        half = np.multiply.outer(lam[i:i + step], half_freq)
+        s, c = np.sin(half), np.cos(half)
+        c *= 2.0 * s          # sin(phi)
+        s *= s                # sin^2(phi / 2)
+        if real:
+            out[i:i + step] = ((4.0 * (s @ a)).view(np.complex128)
+                               + 2j * (c @ b).view(np.complex128))
+        else:
+            out[i:i + step] = 4.0 * (s @ a) + 2j * (c @ b)
+    return out
+
+
+# --------------------------------------------------------------------------
 # amplitude integrals and sums
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AmplitudeResult:
+    """An amplitude (scalar or per grid point), the route that produced it
+    and a measured bound on its absolute error."""
+
+    value: complex
+    route: str
+    error_estimate: float = 0.0
+
+    def __post_init__(self):
+        if np.min(self.error_estimate) < 0:
+            raise ValueError("error_estimate must be >= 0")
+
+
+def _amplitude_result(value, route: str, error, scalar: bool) -> AmplitudeResult:
+    """Package per-point values and errors; a scalar input gives Python
+    scalars back."""
+    if scalar:
+        return AmplitudeResult(complex(value[0]), route, float(error[0]))
+    return AmplitudeResult(value, route, error)
+
+
+def _as_grid(lam, real: bool = False):
+    """(1-d array of points, whether lam was a scalar)."""
+    arr = np.asarray(lam)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr).ravel()
+    if real:
+        if np.iscomplexobj(arr):
+            if np.any(arr.imag != 0):
+                raise ValueError("the quadrature and sum routes require real lam_hat")
+            arr = arr.real
+        arr = arr.astype(float)
+    elif not np.iscomplexobj(arr):
+        arr = arr.astype(float)
+    return arr, scalar
 
 
 @dataclass(frozen=True)
@@ -351,45 +454,83 @@ class FourierKernel:
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _ln_amplitude_nodes(kernel: FourierKernel, lam_hat: float, w, wt):
-    ke, ko = kernel.even_odd(w)
-    phi = w * lam_hat
-    core = -np.sum(wt * (2.0 * (np.cos(phi) - 1.0) * ko - 2.0j * np.sin(phi) * ke) / w)
-    if kernel.odd_kind == "none":
-        anchor = -2.0 * np.sum(wt * ko / w)
-    elif kernel.odd_kind == "jump":
-        s = kernel.odd_origin
-        anchor = -2.0 * np.sum(wt * (ko - s * np.exp(-2.0 * w)) / w)
-    elif kernel.odd_kind == "pole":
-        p = kernel.odd_origin
-        anchor = -2.0 * np.sum(wt * (ko - p / (2.0 * np.sinh(w / 2.0))) / w) + p * np.log(2.0)
-    else:
-        raise ValueError(
-            f"kernel {kernel.name!r}: no finite origin prescription ({kernel.odd_kind!r})")
-    return core + anchor
+def _rule_sums(lam, freq, weights, a, b, c, tail_length, c_size=None):
+    """sum_j weights_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j + c_j]
+    at every lam for the fine rule, with a bound on its error.
+
+    weights is (nodes, m), one column per rule, the fine rule first; every
+    rule gives the last node zero weight.  The bound adds
+      * the largest spread between the rules,
+      * the tail past the last node: the largest term there, grown by
+        e^{|Im lam| freq}, times tail_length,
+      * rounding: eps times the summed term sizes, where c_size (default
+        |c|) is the size of the operands c was formed from, so a c that
+        cancels near the origin is charged for it.
+    """
+    ln = _fourier_sums(lam, freq, weights * a[:, None], weights * b[:, None])
+    ln += weights.T @ c
+    lam_max = float(np.abs(lam).max(initial=0.0))
+    growth = np.exp(np.abs(np.imag(lam)).max(initial=0.0) * freq[-1])
+    last = 4.0 * abs(a[-1]) + 2.0 * abs(b[-1]) + abs(c[-1])
+    phase = freq * lam_max
+    sizes = (4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0)
+             + 2.0 * np.abs(b) * np.minimum(1.0, phase)
+             + (np.abs(c) if c_size is None else c_size))
+    err = last * growth * tail_length + _EPS * float(weights[:, 0] @ sizes)
+    if weights.shape[1] > 1:
+        err = err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
+    return ln[:, 0], np.broadcast_to(err, ln[:, 0].shape)
 
 
-def amplitude_integral(kernel: FourierKernel, lam_hat: float,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
-    """exp of the regularised 1/w-weighted Fourier transform of the kernel.
+def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
+    """exp of the regularised 1/w-weighted Fourier transform of the kernel,
+    at a real lam_hat or a real grid of them.
 
-    lam_hat must be real; analytic continuation is handled in closed form by
-    the callers that need it.
+    The half-line rule is sized from the kernel's decay (cutoff) and from
+    max|lam_hat| (panel width); its error estimate is the gap to the
+    comparison rule on the same panels plus the measured tail.  Analytic
+    continuation is handled in closed form by the callers that need it.
     """
     if kernel.discrete:
         raise ValueError("discrete kernel passed to amplitude_integral")
-    if abs(complex(lam_hat).imag) > 0:
-        raise ValueError("amplitude_integral requires real lam_hat")
-    w, wt = _gauss_nodes(spec.cutoff, spec.nodes)
-    return complex(np.exp(_ln_amplitude_nodes(kernel, float(np.real(lam_hat)), w, wt)))
+    lam, scalar = _as_grid(lam_hat, real=True)
+    rate = kernel.decay
+    shift = 0.0
+    if kernel.odd_kind == "none":
+        def counter(w):
+            return np.zeros_like(w)
+    elif kernel.odd_kind == "jump":
+        rate = min(rate, 2.0)
+
+        def counter(w):
+            return kernel.odd_origin * np.exp(-2.0 * w)
+    elif kernel.odd_kind == "pole":
+        rate = min(rate, 0.5)
+        shift = kernel.odd_origin * np.log(2.0)
+
+        def counter(w):
+            return -kernel.odd_origin * np.exp(-w / 2.0) / np.expm1(-w)   # p / (2 sinh(w/2))
+    else:
+        raise ValueError(
+            f"kernel {kernel.name!r}: no finite origin prescription ({kernel.odd_kind!r})")
+    w, weights = _half_line_rule(rate, float(np.abs(lam).max(initial=0.0)))
+    ke, ko = kernel.even_odd(w)
+    cw = counter(w)
+    ln, err = _rule_sums(lam, w, weights, ko / w, ke / w, -2.0 * (ko - cw) / w,
+                         1.0 / rate, 2.0 * (np.abs(ko) + np.abs(cw)) / w)
+    value = np.exp(ln + shift)
+    return _amplitude_result(value, "integral", np.abs(value) * err, scalar)
 
 
-def amplitude_sum(kernel: FourierKernel, lam_hat: float, eta: float,
-                  k_max: int | None = None, tail_tol: float = 1e-15) -> complex:
-    """Discrete analogue: exp[-sum_{k != 0} (1/k) e^{-2i eta k lam} K(k)].
+def amplitude_sum(kernel: FourierKernel, lam_hat, eta: float) -> AmplitudeResult:
+    """Discrete analogue: exp[-sum_{k != 0} (1/k) e^{-2i eta k lam} K(k)] at a
+    real lam_hat or a real grid of them.
 
     The k = 0 term is excluded by the 1/k weight.  Kernels decay at least
-    like e^{-decay * eta * |k|}, fixing k_max from tail_tol.
+    like e^{-decay * eta * |k|}, which fixes the mode count from _SUM_TAIL;
+    more modes than ProductTruncation.max_terms raise ConvergenceError
+    before anything is allocated.  The error estimate is the tail past the
+    last mode, read from the next one, plus rounding of the summed terms.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -397,15 +538,30 @@ def amplitude_sum(kernel: FourierKernel, lam_hat: float, eta: float,
         raise ValueError("continuous kernel passed to amplitude_sum")
     if kernel.odd_kind == "pole":
         raise ValueError("pole-type discrete kernels are not defined")
-    if k_max is None:
-        k_max = int(np.ceil(-np.log(tail_tol) / (kernel.decay * eta))) + 8
-    k = np.arange(1, k_max + 1, dtype=np.float64)
+    rate = kernel.decay * eta
+    k_max = int(np.ceil(-np.log(_SUM_TAIL) / rate)) + 8
+    if k_max > DEFAULT_TRUNCATION.max_terms:
+        raise ConvergenceError(
+            f"amplitude_sum needs {k_max} modes at eta = {eta}, "
+            f"cap is {DEFAULT_TRUNCATION.max_terms}")
+    lam, scalar = _as_grid(lam_hat, real=True)
+    k = np.arange(1, k_max + 2, dtype=np.float64)   # mode k_max + 1 reads the tail
     ke, ko = kernel.even_odd(k)
-    phi = 2.0 * eta * k * float(np.real(lam_hat))
-    core = -np.sum((2.0 * (np.cos(phi) - 1.0) * ko - 2.0j * np.sin(phi) * ke) / k)
+    counter = np.zeros_like(k)
     if kernel.odd_kind == "jump":
-        s = kernel.odd_origin
-        anchor = -2.0 * np.sum((ko - s * np.exp(-4.0 * eta * k)) / k)
-    else:
-        anchor = -2.0 * np.sum(ko / k)
-    return complex(np.exp(core + anchor))
+        rate = min(rate, 4.0 * eta)
+        counter = kernel.odd_origin * np.exp(-4.0 * eta * k)
+    sizes = (4.0 * np.abs(ko) + 2.0 * np.abs(ke) + 2.0 * np.abs(ko - counter)) / k
+    err = sizes[-1] / -np.expm1(-rate) + _EPS * np.sum(sizes[:-1])
+    k, ke, ko, counter = k[:-1], ke[:-1], ko[:-1], counter[:-1]
+
+    anchor = -2.0 * np.sum((ko - counter) / k)
+    freq = 2.0 * eta * k
+    ln = np.empty(lam.shape, dtype=np.complex128)
+    step = max(1, BLOCK // k.size)
+    for i in range(0, lam.size, step):
+        phi = np.multiply.outer(lam[i:i + step], freq)
+        ln[i:i + step] = -np.sum((2.0 * (np.cos(phi) - 1.0) * ko - 2.0j * np.sin(phi) * ke) / k,
+                                 axis=-1) + anchor
+    value = np.exp(ln)
+    return _amplitude_result(value, "sum", np.abs(value) * err, scalar)

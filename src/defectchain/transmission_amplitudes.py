@@ -33,12 +33,14 @@ from functools import lru_cache
 import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams, s_matrix_part
-from .special_functions import (DEFAULT_QUADRATURE, DEFAULT_TRUNCATION,
-                                FourierKernel, ProductTruncation,
-                                QuadratureSpec, amplitude_integral,
-                                amplitude_sum, gamma_ratio,
+from .special_functions import (BLOCK, DEFAULT_TRUNCATION, AmplitudeResult,
+                                ConvergenceError, FourierKernel, PoleError,
+                                ProductTruncation, amplitude_integral,
+                                amplitude_sum,
                                 infinite_gamma_product, log_gamma, q_gamma,
-                                _gauss_nodes, _hurwitz_tail)
+                                _EPS, _TAIL, _amplitude_result, _as_grid,
+                                _fourier_sums, _half_line_rule, _hurwitz_tail,
+                                _rule_sums)
 from .tensor_core import TensorOperator
 
 __all__ = [
@@ -54,17 +56,6 @@ __all__ = [
     "make_s_matrix",
     "coupling_map",
 ]
-
-
-@dataclass(frozen=True)
-class AmplitudeResult:
-    value: complex
-    route: str
-    error_estimate: float = 0.0
-
-    def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
 
 
 # --------------------------------------------------------------------------
@@ -156,8 +147,11 @@ def _kernel_critical(params: RegimeParams, name: str, n) -> FourierKernel:
         sgn = 1.0 if name.endswith("plus") else -1.0
 
         def hat(w, sgn=sgn):
+            # -sgn e^{sgn w/2} / (4 sinh(w/2) cosh(g w/2)) in decaying exponentials
             w = np.asarray(w, dtype=float)
-            return -sgn * np.exp(sgn * w / 2.0) / (4.0 * np.sinh(w / 2.0) * np.cosh(g * w / 2.0))
+            a = np.abs(w)
+            return (sgn * np.sign(w) * np.exp(sgn * w / 2.0 - (1.0 + g) * a / 2.0)
+                    / (np.expm1(-a) * (1.0 + np.exp(-g * a))))
 
         # odd-part Laurent coefficient: K_o ~ (-sgn/2) / w near the origin
         return FourierKernel(name, hat, odd_kind="pole", odd_origin=-0.5 * sgn,
@@ -191,8 +185,11 @@ def _kernel_critical(params: RegimeParams, name: str, n) -> FourierKernel:
         sgn = 1.0 if name.endswith("plus") else -1.0
 
         def hat(w, sgn=sgn):
+            # -e^{-sgn (nu-2) w/2} / (2 cosh((nu-1) w/2)) in decaying exponentials
             w = np.asarray(w, dtype=float)
-            return -np.exp(-sgn * (nu - 2.0) * w / 2.0) / (2.0 * np.cosh((nu - 1.0) * w / 2.0))
+            a = (nu - 1.0) * np.abs(w)
+            return (-np.exp(-sgn * (nu - 2.0) * w / 2.0 - a / 2.0)
+                    / (1.0 + np.exp(-a)))
 
         return FourierKernel(name, hat, odd_kind="none", decay=0.5)
     if name == "r":
@@ -274,47 +271,50 @@ class DensityParts:
         return self.leading + self.correction / float(n_sites)
 
 
-def state_density(params: RegimeParams, lam: float, theta: float | None = None,
-                  holes=(), sign: str = "+",
-                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> DensityParts:
-    """Root density of the one-hole (or multi-hole) state.
+def _cosine_sums(x, freq, coef):
+    """sum_j coef_j cos(freq_j x) at every x, as sum coef - 2 sum coef sin^2."""
+    sin2 = _fourier_sums(x, freq, coef[:, None], np.zeros((freq.size, 1)))[:, 0]
+    return coef.sum() - 0.5 * sin2.real
+
+
+def state_density(params: RegimeParams, lam, theta: float | None = None,
+                  holes=(), sign: str = "+") -> DensityParts:
+    """Root density of the one-hole (or multi-hole) state at lam (a scalar
+    or a real grid).
 
     Returns the bulk density sigma0(lam) and the 1/N correction
     sum_j r(lam - hole_j) + rt^{sign}(lam - theta); theta=None omits the
     defect term.  The formal 1/N is left to the caller via DensityParts.
     """
     sgn = "plus" if sign == "+" else "minus"
+    lam, scalar = _as_grid(lam, real=True)
+
+    # a real kernel's density is the cosine transform of its even part
     if params.regime == NONCRITICAL:
         eta = params.eta
-        k_max = int(np.ceil(40.0 / eta)) + 8
 
         def invert(kern, x):
-            k = np.arange(-k_max, k_max + 1)
-            vals = kern.hat(k.astype(float))
-            return float(np.real(eta / np.pi * np.sum(np.exp(-2j * eta * k * x) * vals)))
-
-        lead = invert(kernel(params, "sigma0"), lam)
-        corr = 0.0
-        for h in holes:
-            corr += invert(kernel(params, "r"), lam - h)
-        if theta is not None:
-            corr += invert(kernel(params, f"rt_{sgn}"), lam - theta)
-        return DensityParts(lead, corr)
-
-    w, wt = _gauss_nodes(spec.cutoff, spec.nodes)
-
-    def invert(kern, x):
-        # real density: cosine transform of the even part (the odd part of a
-        # real kernel only contributes an imaginary piece to the inversion)
-        ke, _ = kern.even_odd(w)
-        return float((1.0 / np.pi) * np.sum(wt * np.cos(w * x) * ke.real))
+            k_max = int(np.ceil(-np.log(_TAIL) / (kern.decay * eta))) + 8
+            if k_max > DEFAULT_TRUNCATION.max_terms:
+                raise ConvergenceError(f"state_density needs {k_max} modes at eta = {eta}, "
+                                       f"cap is {DEFAULT_TRUNCATION.max_terms}")
+            k = np.arange(1, k_max + 1, dtype=np.float64)
+            k0 = kern.hat(np.zeros(1))[0].real
+            return eta / np.pi * (k0 + _cosine_sums(x, 2.0 * eta * k,
+                                                     2.0 * kern.even_odd(k)[0].real))
+    else:
+        def invert(kern, x):
+            w, weights = _half_line_rule(kern.decay, float(np.abs(x).max()))
+            return _cosine_sums(x, w, weights[:, 0] * kern.even_odd(w)[0].real / np.pi)
 
     lead = invert(kernel(params, "sigma0"), lam)
-    corr = 0.0
+    corr = np.zeros_like(lam)
     for h in holes:
         corr += invert(kernel(params, "r"), lam - h)
     if theta is not None:
         corr += invert(kernel(params, f"rt_{sgn}"), lam - theta)
+    if scalar:
+        return DensityParts(float(lead[0]), float(corr[0]))
     return DensityParts(lead, corr)
 
 
@@ -324,28 +324,48 @@ def state_density(params: RegimeParams, lam: float, theta: float | None = None,
 
 
 @lru_cache(maxsize=64)
-def _critical_anchor(gamma: float) -> complex:
-    """ln T+(0, gamma): the origin normalisation shared by both routes.
+def _critical_anchor(gamma: float) -> tuple[float, float]:
+    """ln T+(0, gamma), the origin normalisation shared by both routes, and
+    a bound on its error.
 
     ln A = -ln(2)/2 - 2 int_0^inf [cosh(g w/2) - cosh(w/2)]
                                   / (4 sinh(w/2) cosh(g w/2)) dw/w
+
+    with the integrand written in decaying exponentials (cosh a - cosh b =
+    2 sinh((a+b)/2) sinh((a-b)/2)), so it neither cancels near the origin
+    nor overflows out to the cutoff of a slowly decaying (small gamma) kernel.
     """
-    w, wt = _gauss_nodes(80.0, 4096)
-    rho_o = (np.cosh(gamma * w / 2.0) - np.cosh(w / 2.0)) / (
-        4.0 * np.sinh(w / 2.0) * np.cosh(gamma * w / 2.0))
-    return complex(-0.5 * np.log(2.0) - 2.0 * np.sum(wt * rho_o / w))
+    rate = min(gamma, 1.0) / 2.0
+    w, weights = _half_line_rule(rate)
+    u, v = w / 2.0, gamma * w / 2.0
+    rho_o = (0.5 * np.sign(gamma - 1.0) * np.exp(-np.minimum(u, v))
+             * np.expm1(-(u + v)) * np.expm1(-np.abs(v - u))
+             / (-np.expm1(-2.0 * u) * (1.0 + np.exp(-2.0 * v))))
+    zero = np.zeros_like(w)
+    ln, err = _rule_sums(np.zeros(1), w, weights, zero, zero, -2.0 * rho_o / w, 1.0 / rate)
+    return float(ln[0].real - 0.5 * np.log(2.0)), float(err[0])
 
 
-def _critical_ln_ratio(lam_hat: float, gamma: float, nodes: int = 4096) -> complex:
-    """ln prod_k [f_k(lam)/f_k(0)] for the critical T+ Gamma-ratio product,
-    resummed as one absolutely convergent Malmsten-type integral."""
-    tmax = max(80.0, 200.0 / gamma)
-    t, wt = _gauss_nodes(tmax, nodes)
-    num = (np.exp(-gamma * t / 2.0) * (np.exp(-1j * lam_hat * t) - 1.0)
-           + np.exp(-(gamma / 2.0 + 1.0) * t) * (np.exp(1j * lam_hat * t) - 1.0))
-    num *= (1.0 - np.exp(-gamma * t))
-    den = (1.0 - np.exp(-t)) * (1.0 - np.exp(-2.0 * gamma * t)) * t
-    return complex(np.sum(wt * num / den))
+def _critical_ln_ratio(lam, gamma: float):
+    """ln prod_k [f_k(lam)/f_k(0)] for the critical T+ Gamma-ratio product at
+    every lam, resummed as one absolutely convergent Malmsten-type integral,
+    and a bound on its error:
+
+        int_0^inf dt [e^{-g t/2} (e^{-i lam t} - 1) + e^{-(g/2+1) t} (e^{i lam t} - 1)]
+                     (1 - e^{-g t}) / ((1 - e^{-t}) (1 - e^{-2 g t}) t)
+
+    The integrand decays like e^{-(g/2 - |Im lam|) t}.
+    """
+    rate = gamma / 2.0 - float(np.abs(np.imag(lam)).max(initial=0.0))
+    if not rate > 0:
+        raise ValueError(f"|Im lam_hat| must stay below gamma/2 = {gamma / 2.0}")
+    t, weights = _half_line_rule(rate, float(np.abs(lam).max(initial=0.0)))
+    a_t = np.exp(-gamma * t / 2.0)
+    b_t = a_t * np.exp(-t)
+    g_t = -np.expm1(-gamma * t) / (np.expm1(-t) * np.expm1(-2.0 * gamma * t) * t)
+    # the bracket is -2 sin^2(lam t/2) (A + B) + i sin(lam t) (B - A)
+    return _rule_sums(lam, t, weights, -0.5 * (a_t + b_t) * g_t,
+                      0.5 * a_t * np.expm1(-t) * g_t, np.zeros_like(t), 1.0 / rate)
 
 
 def _critical_ratio_product(lam_hat: float, gamma: float,
@@ -366,8 +386,69 @@ def _critical_ratio_product(lam_hat: float, gamma: float,
     return infinite_gamma_product(term, trunc, tail_coefficient=c2)
 
 
-def _t_plus_critical_closed(lam_hat: float, gamma: float) -> complex:
-    return complex(np.exp(_critical_anchor(gamma) + _critical_ln_ratio(lam_hat, gamma)))
+# --------------------------------------------------------------------------
+# closed Gamma and q-Gamma ratios on a grid
+# --------------------------------------------------------------------------
+
+# the absolute error of one log_gamma value (Lanczos g = 7, nine terms) is
+# below _LOG_GAMMA_REL * (1 + |log Gamma|) on the arguments used here; the
+# tests measure it against mpmath (about 4.6e-15 at worst)
+_LOG_GAMMA_REL = 1e-14
+
+
+def _gamma_ratio_grid(num, den):
+    """prod Gamma(num_i) / prod Gamma(den_j) at every point, with a bound on
+    its absolute error.  num and den are lists of argument arrays."""
+    try:
+        lg = log_gamma(np.stack(num + den))
+    except PoleError as exc:
+        side = "numerator" if np.any(np.stack(num) == exc.location) else "denominator"
+        raise PoleError(f"gamma_ratio: {side} pole at {exc.location}",
+                        location=exc.location) from None
+    value = np.exp(np.sum(lg[:len(num)], axis=0) - np.sum(lg[len(num):], axis=0))
+    return value, np.abs(value) * _LOG_GAMMA_REL * np.sum(1.0 + np.abs(lg), axis=0)
+
+
+def _complex(re, im):
+    """re + i im, keeping the sign of a zero part (re + 1j * im loses it)."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def _cmul(a, b):
+    """a * b written out in real arithmetic.  numpy's complex loops may fuse
+    multiply-adds depending on the CPU's SIMD level; this form rounds every
+    operation the same way on every machine, exactly as Python's complex
+    arithmetic does, so a grid point gets the value of a scalar call."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _cquot(a, b):
+    """a / b by Smith's method, dividing (not multiplying by a reciprocal)
+    as Python's complex division does; see _cmul."""
+    swap = np.abs(b.real) < np.abs(b.imag)
+    big, small = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
+    p, s = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
+    ratio = small / big
+    denom = big + small * ratio
+    im = (s - p * ratio) / denom
+    return _complex((p + s * ratio) / denom, np.where(swap, -im, im))
+
+
+def _q_gamma_ratio(num, den, q: float, trunc: ProductTruncation):
+    """prod Gamma_q(num_i) / prod Gamma_q(den_j) at every point, with the
+    truncation bounds of the products as its error."""
+    factors = q_gamma(np.stack(num + den), q, trunc)
+    sides = []
+    for part in (factors[:len(num)], factors[len(num):]):
+        total = part[0]
+        for factor in part[1:]:
+            total = _cmul(total, factor)
+        sides.append(total)
+    value = _cquot(sides[0], sides[1])
+    return value, len(factors) * trunc.tail_tol * np.abs(value)
 
 
 # --------------------------------------------------------------------------
@@ -376,80 +457,75 @@ def _t_plus_critical_closed(lam_hat: float, gamma: float) -> complex:
 
 
 def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
-              spec: QuadratureSpec = DEFAULT_QUADRATURE,
               trunc: ProductTruncation = DEFAULT_TRUNCATION) -> AmplitudeResult:
-    """Hole-defect transmission amplitude T^{sign}(lam_hat).
+    """Hole-defect transmission amplitude T^{sign}(lam_hat) at a scalar or on
+    a grid (value and error_estimate then have the grid's length).
 
     Routes: "closed" everywhere; "integral" (continuous regimes) and "sum"
     (non-critical) are the independent quadrature/summation routes;
     "product" additionally gives the literal Gamma-ratio product in the
-    critical regime.  Closed routes accept complex lam_hat; the quadrature
-    routes require it real.
+    critical regime.  Closed routes accept complex lam_hat (the critical
+    one inside its strip |Im lam_hat| < gamma/2); the quadrature routes
+    require it real.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    kern_name = "rt_plus" if sign == "+" else "rt_minus"
 
     if params.regime == XXX:
         if route == "closed":
+            lam, scalar = _as_grid(lam_hat)
             if sign == "+":
-                val = gamma_ratio([-1j * lam_hat / 2 + 0.25], [-1j * lam_hat / 2 + 0.75])
+                val, err = _gamma_ratio_grid([-1j * lam / 2 + 0.25], [-1j * lam / 2 + 0.75])
             else:
-                val = gamma_ratio([1j * lam_hat / 2 + 0.75], [1j * lam_hat / 2 + 0.25])
-            return AmplitudeResult(val, "closed", 1e-13)
+                val, err = _gamma_ratio_grid([1j * lam / 2 + 0.75], [1j * lam / 2 + 0.25])
+            return _amplitude_result(val, "closed", err, scalar)
         if route == "integral":
-            kern = kernel(params, "rt_plus" if sign == "+" else "rt_minus")
-            val = amplitude_integral(kern, lam_hat, spec)
-            return AmplitudeResult(val, "integral", _quad_err(kern, spec, val))
+            return amplitude_integral(kernel(params, kern_name), lam_hat)
         raise ValueError(f"route {route!r} not available in the isotropic regime")
 
     if params.regime == CRITICAL:
         g = params.gamma
         if route == "closed":
-            if sign == "+":
-                val = _t_plus_critical_closed(lam_hat, g)
-            else:
-                val = 1.0 / _t_plus_critical_closed(-lam_hat, g)
-            return AmplitudeResult(val, "closed", 1e-11)
+            lam, scalar = _as_grid(lam_hat)
+            ln_a, err_a = _critical_anchor(g)
+            ln_r, err_r = _critical_ln_ratio(lam if sign == "+" else -lam, g)
+            val = np.exp(ln_a + ln_r)
+            if sign == "-":
+                val = _cquot(np.ones_like(val), val)
+            return _amplitude_result(val, "closed", np.abs(val) * (err_a + err_r), scalar)
         if route == "product":
             # past ~1e4 factors the float noise of the summed log-Gammas
             # dominates the analytically completed 1/k^2 tail, so the literal
             # product stops earlier than the generic default
             ptrunc = trunc if trunc is not DEFAULT_TRUNCATION else \
                 ProductTruncation(max_terms=trunc.max_terms, tail_tol=1e-9)
-            if sign == "+":
-                prod, tail = _critical_ratio_product(lam_hat, g, ptrunc)
-                val = complex(np.exp(_critical_anchor(g)) * prod)
-            else:
-                prod, tail = _critical_ratio_product(-lam_hat, g, ptrunc)
-                val = complex(1.0 / (np.exp(_critical_anchor(g)) * prod))
-            return AmplitudeResult(val, "product", tail * abs(val))
+            lam, scalar = _as_grid(lam_hat)
+            anchor = np.exp(_critical_anchor(g)[0])
+            val = np.empty(lam.shape, dtype=np.complex128)
+            err = np.empty(lam.shape)
+            for i, x in enumerate(lam):
+                prod, tail = _critical_ratio_product(x if sign == "+" else -x, g, ptrunc)
+                val[i] = anchor * prod if sign == "+" else 1.0 / (anchor * prod)
+                err[i] = tail * abs(val[i])
+            return _amplitude_result(val, "product", err, scalar)
         if route == "integral":
-            kern = kernel(params, "rt_plus" if sign == "+" else "rt_minus")
-            val = amplitude_integral(kern, lam_hat, spec)
-            return AmplitudeResult(val, "integral", _quad_err(kern, spec, val))
+            return amplitude_integral(kernel(params, kern_name), lam_hat)
         raise ValueError(f"route {route!r} not available in the critical regime")
 
     # non-critical
     eta = params.eta
     if route == "closed":
+        lam, scalar = _as_grid(lam_hat)
         q4 = float(np.exp(-4.0 * eta))
         if sign == "+":
-            val = (q_gamma(-1j * lam_hat / 2 + 0.75, q4, trunc)
-                   / q_gamma(-1j * lam_hat / 2 + 0.25, q4, trunc))
+            val, err = _q_gamma_ratio([-1j * lam / 2 + 0.75], [-1j * lam / 2 + 0.25], q4, trunc)
         else:
-            val = (q_gamma(1j * lam_hat / 2 + 0.25, q4, trunc)
-                   / q_gamma(1j * lam_hat / 2 + 0.75, q4, trunc))
-        return AmplitudeResult(complex(val), "closed", trunc.tail_tol * abs(val))
+            val, err = _q_gamma_ratio([1j * lam / 2 + 0.25], [1j * lam / 2 + 0.75], q4, trunc)
+        return _amplitude_result(val, "closed", err, scalar)
     if route == "sum":
-        kern = kernel(params, "rt_plus" if sign == "+" else "rt_minus")
-        val = amplitude_sum(kern, lam_hat, eta)
-        return AmplitudeResult(val, "sum", 1e-13 * abs(val))
+        return amplitude_sum(kernel(params, kern_name), lam_hat, eta)
     raise ValueError(f"route {route!r} not available in the non-critical regime")
-
-
-def _quad_err(kern, spec, val) -> float:
-    tail = float(np.exp(-kern.decay * spec.cutoff) / max(kern.decay, 1e-3))
-    return (tail + 1e-11) * max(abs(val), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +533,9 @@ def _quad_err(kern, spec, val) -> float:
 # --------------------------------------------------------------------------
 
 
-def _breather_one(sign: str, theta_hat, gamma: float) -> complex:
-    """Lightest-breather amplitude in the rapidity variable theta_hat."""
+def _breather_one(sign: str, theta_hat, gamma: float):
+    """Lightest-breather amplitude at every rapidity theta_hat, NaN where its
+    denominator vanishes, and the mask of those poles."""
     shift = 1j * np.pi / (4.0 * gamma)
     if sign == "+":
         num = -np.sinh(theta_hat / 2.0 + shift)
@@ -466,20 +543,20 @@ def _breather_one(sign: str, theta_hat, gamma: float) -> complex:
     else:
         num = -np.sinh(theta_hat / 2.0 - shift - 1j * np.pi / 2.0)
         den = np.sinh(theta_hat / 2.0 - shift)
-    if abs(den) < 1e-12:
-        raise ZeroDivisionError(
-            f"breather amplitude pole: sinh zero at theta_hat = {theta_hat}")
-    return complex(num / den)
+    pole = np.abs(den) < 1e-12
+    val = num / np.where(pole, 1.0, den)
+    val[pole] = np.nan
+    return val, pole
 
 
 def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
-                       route: str = "closed",
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AmplitudeResult:
-    """n-breather transmission amplitude.
+                       route: str = "closed") -> AmplitudeResult:
+    """n-breather transmission amplitude at a scalar or on a grid.
 
     n = 1 has both the hyperbolic closed form (in theta_hat = pi lam_hat /
     gamma) and a quadrature route; n > 1 is the fusion product of shifted
-    n = 1 closed forms, lam_hat -> lam_hat + (i/2)(n + 1 - 2l).
+    n = 1 closed forms, lam_hat -> lam_hat + (i/2)(n + 1 - 2l).  A scalar on
+    a pole raises ZeroDivisionError; on a grid the pole points read NaN.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
@@ -489,20 +566,26 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     if route == "closed":
-        val = 1.0 + 0.0j
+        lam, scalar = _as_grid(lam_hat)
+        val = np.ones(lam.shape, dtype=np.complex128)
+        err = np.zeros(lam.shape)
         for ell in range(1, n + 1):
-            shifted = lam_hat + 0.5j * (n + 1 - 2 * ell)
-            theta = np.pi * shifted / gamma
-            val *= _breather_one(sign, theta, gamma)
-        return AmplitudeResult(complex(val), "closed", 1e-13 * abs(val))
+            theta = np.pi * (lam + 0.5j * (n + 1 - 2 * ell)) / gamma
+            factor, pole = _breather_one(sign, theta, gamma)
+            if scalar and pole[0]:
+                raise ZeroDivisionError(
+                    f"breather amplitude pole: sinh zero at theta_hat = {theta[0]}")
+            val = _cmul(val, factor)
+            # rounding of two sinh values whose arguments carry |theta|/2
+            err += 4.0 * _EPS * (2.0 + np.abs(theta))
+        return _amplitude_result(val, "closed", np.abs(val) * err, scalar)
     if route == "integral":
         if n != 1:
             raise ValueError("the integral route exists for the lightest breather only")
         nu = gamma + 1.0
         params = RegimeParams.critical(float(np.pi / nu))
-        kern = kernel(params, "tb_plus" if sign == "+" else "tb_minus")
-        val = amplitude_integral(kern, lam_hat, spec)
-        return AmplitudeResult(val, "integral", _quad_err(kern, spec, val))
+        return amplitude_integral(kernel(params, "tb_plus" if sign == "+" else "tb_minus"),
+                                  lam_hat)
     raise ValueError(f"unknown breather route {route!r}")
 
 
@@ -513,7 +596,8 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
 
 def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
                     trunc: ProductTruncation = DEFAULT_TRUNCATION) -> AmplitudeResult:
-    """Transmission amplitude of the spin-S defect in the non-critical regime.
+    """Transmission amplitude of the spin-S defect in the non-critical regime,
+    at a scalar or on a grid.
 
     Closed form: Gamma_{q^4} ratios with the shifted spin S~ = S - 1/2; sum
     route: the even kernel e^{-eta y|k|} / (1 + e^{-2 eta |k|}), y = 2S.
@@ -525,17 +609,16 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
         raise ValueError(f"eta must be positive, got {eta}")
     s_tilde = spin - 0.5
     if route == "closed":
+        lam, scalar = _as_grid(lam_hat)
         q4 = float(np.exp(-4.0 * eta))
-        val = (q_gamma(-1j * lam_hat / 2 + s_tilde / 2 + 0.25, q4, trunc)
-               * q_gamma(1j * lam_hat / 2 + s_tilde / 2 + 0.75, q4, trunc)
-               / (q_gamma(-1j * lam_hat / 2 + s_tilde / 2 + 0.75, q4, trunc)
-                  * q_gamma(1j * lam_hat / 2 + s_tilde / 2 + 0.25, q4, trunc)))
-        return AmplitudeResult(complex(val), "closed", trunc.tail_tol * abs(val))
+        val, err = _q_gamma_ratio(
+            [-1j * lam / 2 + s_tilde / 2 + 0.25, 1j * lam / 2 + s_tilde / 2 + 0.75],
+            [-1j * lam / 2 + s_tilde / 2 + 0.75, 1j * lam / 2 + s_tilde / 2 + 0.25],
+            q4, trunc)
+        return _amplitude_result(val, "closed", err, scalar)
     if route == "sum":
         params = RegimeParams.noncritical(eta)
-        kern = kernel(params, "rt_spin", spin=spin)
-        val = amplitude_sum(kern, lam_hat, eta)
-        return AmplitudeResult(val, "sum", 1e-13 * abs(val))
+        return amplitude_sum(kernel(params, "rt_spin", spin=spin), lam_hat, eta)
     raise ValueError(f"unknown type-II route {route!r}")
 
 
@@ -555,66 +638,78 @@ def _s2_log_factor(k, lam, gamma):
     return 2j * w.imag
 
 
+def _s2_critical_real(lam, g: float, trunc: ProductTruncation):
+    """Critical S_s at real lam (an array).  Schwarz reflection halves the
+    Gamma evaluations, and the log-factor tail c2/k^2 + c3/k^3 with c3 = -c2
+    is completed analytically, so each point's product stops once its
+    next-order remainder falls below the tail bound.  The per-point
+    coefficients are scalar arithmetic, as in a one-point call."""
+    c2 = np.empty(lam.shape, dtype=np.complex128)
+    stops = np.empty(lam.shape, dtype=np.int64)
+    for i, x in enumerate(lam.tolist()):
+        c2[i] = -1j * x * (g - 1.0) / (2.0 * g)
+        c4 = -1j * x * (g - 1.0) * (g * (7.0 * g - 1.0) - 2.0 * x ** 2) / (16.0 * g ** 3)
+        k_stop = 2048
+        while abs(c4) * _hurwitz_tail(4.0, k_stop) > trunc.tail_tol and 2 * k_stop <= trunc.max_terms:
+            k_stop *= 2
+        stops[i] = k_stop
+    out = np.empty(lam.shape, dtype=np.complex128)
+    for k_stop in sorted(set(stops.tolist())):
+        k = np.arange(k_stop, dtype=np.float64)
+        tail = _hurwitz_tail(2.0, int(k_stop)) - _hurwitz_tail(3.0, int(k_stop))
+        where = np.flatnonzero(stops == k_stop)
+        step = max(1, BLOCK // k_stop)
+        for i in range(0, where.size, step):
+            sel = where[i:i + step]
+            total = np.sum(_s2_log_factor(k, lam[sel, None], g), axis=-1)
+            out[sel] = np.exp(total + c2[sel] * tail)
+    return out
+
+
+def _s2_critical_product(lam: complex, g: float, trunc: ProductTruncation) -> complex:
+    """Critical S_s at one complex lam, as the literal Gamma-ratio product."""
+
+    def term(kk):
+        x = 2.0 * g * kk
+        il = 1j * lam
+        num = [il + x + 2 * g, il + x + 1, -il + x + g, -il + x + g + 1]
+        den = [il + x + g, il + x + g + 1, -il + x + 2 * g, -il + x + 1]
+        return num, den
+
+    c2 = -1j * lam * (g - 1.0) / (2.0 * g)
+    return infinite_gamma_product(term, trunc, tail_coefficient=c2)[0]
+
+
 def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
-                        trunc: ProductTruncation | None = None,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
-    """Scalar prefactor of the bulk S-matrix."""
+                        trunc: ProductTruncation | None = None):
+    """Scalar prefactor of the bulk S-matrix, at a scalar lam (a complex is
+    returned) or on a grid (an array)."""
     trunc = trunc or DEFAULT_TRUNCATION
-    if params.regime == XXX:
-        if route in ("closed", "product"):
-            return gamma_ratio(
-                [-1j * lam / 2 + 0.5, 1j * lam / 2 + 1.0],
-                [-1j * lam / 2 + 1.0, 1j * lam / 2 + 0.5])
-        if route == "integral":
-            return amplitude_integral(kernel(params, "r"), lam, spec)
-        raise ValueError(f"route {route!r} not available for the isotropic S_s")
-
-    if params.regime == CRITICAL:
-        g = params.gamma
-        if route in ("closed", "product"):
-            lam_c = complex(lam)
-            if abs(lam_c.imag) < 1e-14:
-                # fast path at real lam: Schwarz reflection halves the Gamma
-                # evaluations, and the log-factor tail c2/k^2 + c3/k^3 with
-                # c3 = -c2 is completed analytically, so the product can stop
-                # once the next-order remainder falls below the tail bound
-                lam_r = lam_c.real
-                c2 = -1j * lam_r * (g - 1.0) / (2.0 * g)
-                c4 = -1j * lam_r * (g - 1.0) * (g * (7.0 * g - 1.0)
-                                                - 2.0 * lam_r ** 2) / (16.0 * g ** 3)
-                k_stop = 2048
-                while (abs(c4) * _hurwitz_tail(4.0, k_stop) > trunc.tail_tol
-                       and 2 * k_stop <= trunc.max_terms):
-                    k_stop *= 2
-                k = np.arange(k_stop, dtype=np.float64)
-                total = np.sum(_s2_log_factor(k, lam_r, g))
-                total += c2 * (_hurwitz_tail(2.0, k_stop) - _hurwitz_tail(3.0, k_stop))
-                return complex(np.exp(total))
-
-            def term(kk):
-                x = 2.0 * g * kk
-                il = 1j * lam_c
-                num = [il + x + 2 * g, il + x + 1, -il + x + g, -il + x + g + 1]
-                den = [il + x + g, il + x + g + 1, -il + x + 2 * g, -il + x + 1]
-                return num, den
-
-            c2 = -1j * lam_c * (g - 1.0) / (2.0 * g)
-            val, _ = infinite_gamma_product(term, trunc, tail_coefficient=c2)
-            return val
-        if route == "integral":
-            return amplitude_integral(kernel(params, "r"), lam, spec)
-        raise ValueError(f"route {route!r} not available for the critical S_s")
-
-    # non-critical
-    eta = params.eta
-    if route in ("closed", "product"):
-        q4 = float(np.exp(-4.0 * eta))
-        return complex(
-            q_gamma(-1j * lam / 2 + 0.5, q4, trunc) * q_gamma(1j * lam / 2 + 1.0, q4, trunc)
-            / (q_gamma(-1j * lam / 2 + 1.0, q4, trunc) * q_gamma(1j * lam / 2 + 0.5, q4, trunc)))
+    second = "sum" if params.regime == NONCRITICAL else "integral"
+    if route not in ("closed", "product", second):
+        regime = {XXX: "isotropic", CRITICAL: "critical"}.get(params.regime, "non-critical")
+        raise ValueError(f"route {route!r} not available for the {regime} S_s")
     if route == "sum":
-        return amplitude_sum(kernel(params, "r"), lam, eta)
-    raise ValueError(f"route {route!r} not available for the non-critical S_s")
+        return amplitude_sum(kernel(params, "r"), lam, params.eta).value
+    if route == "integral":
+        return amplitude_integral(kernel(params, "r"), lam).value
+
+    grid, scalar = _as_grid(lam)
+    if params.regime == XXX:
+        val, _ = _gamma_ratio_grid([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
+                                   [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5])
+    elif params.regime == CRITICAL:
+        val = np.empty(grid.shape, dtype=np.complex128)
+        near_real = np.abs(np.imag(grid)) < 1e-14
+        if np.any(near_real):
+            val[near_real] = _s2_critical_real(np.real(grid[near_real]), params.gamma, trunc)
+        for i in np.flatnonzero(~near_real):
+            val[i] = _s2_critical_product(complex(grid[i]), params.gamma, trunc)
+    else:
+        q4 = float(np.exp(-4.0 * params.eta))
+        val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
+                                [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4, trunc)
+    return complex(val[0]) if scalar else val
 
 
 def make_s_matrix(params: RegimeParams, lam: complex, trunc=None) -> TensorOperator:

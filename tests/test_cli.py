@@ -190,3 +190,36 @@ def test_usage_errors():
     assert run(["amplitude", "--grid", "nonsense"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--regime", "xxx"],
+    ["--regime", "critical", "--mu", "0.7"],
+    ["--regime", "noncritical", "--eta", "0.4", "--theta", "0.2"],
+], ids=["xxx", "crit", "nc"])
+def test_verify_params_are_json_numbers(tmp_path, args):
+    out = tmp_path / "v.jsonl"
+    run(["verify", *args, "--out", str(out)])
+    _, records = read_jsonl(out)
+    seen = 0
+    for rec in records:
+        for key, value in json.loads(rec["params"]).items():
+            seen += 1
+            if key == "route":
+                assert value in ("integral", "sum")
+            elif isinstance(value, list):
+                assert len(value) == 2 and all(isinstance(v, (int, float)) for v in value)
+            else:
+                assert isinstance(value, (int, float)) and not isinstance(value, bool), (key, value)
+    assert seen > 10
+
+
+@pytest.mark.parametrize("command", ["amplitude", "verify"])
+def test_convergence_failure_is_a_one_line_error(capsys, command):
+    # q = e^{-4 eta} that close to 1 needs ~7e6 q-Gamma factors, past the cap;
+    # the cap is checked before any factor is built
+    code = run([command, "--regime", "noncritical", "--eta", "1e-6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "terms" in err

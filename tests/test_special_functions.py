@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectchain.special_functions import (ConvergenceError, PoleError,
-                                           ProductTruncation, QuadratureSpec,
+from defectchain.special_functions import (ConvergenceError, FourierKernel,
+                                           PoleError, ProductTruncation,
+                                           amplitude_integral, amplitude_sum,
                                            gamma_ratio, infinite_gamma_product,
                                            log_gamma, q_gamma)
 
@@ -171,15 +172,12 @@ def test_infinite_product_nonconvergence_reported():
 
 
 def test_zero_kernel_gives_unit_amplitude():
-    from defectchain.special_functions import (FourierKernel,
-                                               amplitude_integral,
-                                               amplitude_sum)
     zero = FourierKernel("zero", lambda w: np.zeros_like(np.asarray(w, dtype=float)),
                          decay=1.0)
-    assert amplitude_integral(zero, 0.7) == pytest.approx(1.0, abs=1e-14)
+    assert amplitude_integral(zero, 0.7).value == pytest.approx(1.0, abs=1e-14)
     zero_d = FourierKernel("zero", lambda k: np.zeros_like(np.asarray(k, dtype=float)),
                            decay=1.0, discrete=True, eta=0.5)
-    assert amplitude_sum(zero_d, 0.7, 0.5) == pytest.approx(1.0, abs=1e-14)
+    assert amplitude_sum(zero_d, 0.7, 0.5).value == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         amplitude_sum(zero_d, 0.7, -0.5)
     with pytest.raises(ValueError):
@@ -192,9 +190,11 @@ def test_zero_kernel_gives_unit_amplitude():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(cutoff=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes=4)
+    # the half-line rule is sized from the kernel's decay, which must be
+    # positive for a finite cutoff
+    flat = FourierKernel("flat", lambda w: np.exp(-np.abs(np.asarray(w, dtype=float))),
+                         decay=0.0)
+    with pytest.raises(ValueError, match="decay"):
+        amplitude_integral(flat, 0.7)
     with pytest.raises(ValueError):
         ProductTruncation(max_terms=0)
