@@ -27,6 +27,7 @@ against independent high-precision oracles in the test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -41,11 +42,14 @@ __all__ = [
     "log_gamma",
     "gamma",
     "gamma_ratio",
+    "gamma_ratio_bound",
     "q_gamma",
     "infinite_gamma_product",
     "FourierKernel",
     "amplitude_integral",
     "amplitude_sum",
+    "half_line_sums",
+    "mode_sums",
 ]
 
 
@@ -124,25 +128,35 @@ def gamma(z):
     return np.exp(log_gamma(z))
 
 
-def gamma_ratio(num, den):
-    """prod Gamma(num_i) / prod Gamma(den_j) via summed log-Gammas.
+# the absolute error of one log_gamma value (Lanczos g = 7, nine terms) is
+# below _LOG_GAMMA_REL * (1 + |log Gamma|) on the arguments the amplitudes
+# use; the tests measure it against mpmath (about 4.6e-15 at worst)
+_LOG_GAMMA_REL = 1e-14
+
+
+def gamma_ratio_bound(num, den):
+    """prod_i Gamma(num_i) / prod_j Gamma(den_j) and a bound on its absolute
+    error, with every num_i and den_j a scalar or an array of one shape (a
+    grid of points); the result has that shape.
 
     Overflow-safe: the log-gammas are summed before exponentiating.  Poles
     in numerator and denominator are reported separately.
     """
-    num = np.atleast_1d(np.asarray(num, dtype=np.complex128))
-    den = np.atleast_1d(np.asarray(den, dtype=np.complex128))
+    args = np.array([*num, *den], dtype=np.complex128)
     try:
-        ln = np.sum(log_gamma(num)) if num.size else 0.0
-    except PoleError as err:
-        raise PoleError(f"gamma_ratio: numerator pole at {err.location}",
-                        location=err.location) from None
-    try:
-        ld = np.sum(log_gamma(den)) if den.size else 0.0
-    except PoleError as err:
-        raise PoleError(f"gamma_ratio: denominator pole at {err.location}",
-                        location=err.location) from None
-    return complex(np.exp(ln - ld))
+        lg = log_gamma(args)
+    except PoleError as exc:
+        side = "numerator" if np.any(args[:len(num)] == exc.location) else "denominator"
+        raise PoleError(f"gamma_ratio: {side} pole at {exc.location}",
+                        location=exc.location) from None
+    value = np.exp(lg[:len(num)].sum(axis=0) - lg[len(num):].sum(axis=0))
+    return value, np.abs(value) * _LOG_GAMMA_REL * (1.0 + np.abs(lg)).sum(axis=0)
+
+
+def gamma_ratio(num, den):
+    """The value of gamma_ratio_bound: a complex for scalar arguments."""
+    value = gamma_ratio_bound(num, den)[0]
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 # --------------------------------------------------------------------------
@@ -177,12 +191,22 @@ BLOCK = 16384
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _q_powers(q: float, n: int):
+    """q^j and log(1 - q^(1+j)) for j < n, the x-independent parts of the
+    q-Gamma product."""
+    q_j = np.power(q, np.arange(n, dtype=float))
+    head = np.log1p(-q * q_j)
+    q_j.flags.writeable = head.flags.writeable = False
+    return q_j, head
+
+
 def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
     """Gamma_q(x) = (1-q)^(1-x) prod_{j>=0} (1-q^(1+j))/(1-q^(x+j)),  0 < q < 1.
 
     x may be a scalar or an array.  The tail of each log-product is bounded
     geometrically; a point's truncation stops once its bound drops below
-    trunc.tail_tol, so every point gets the terms it would get on its own.
+    trunc.tail_tol, so every point sums the terms it would sum on its own.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
@@ -191,7 +215,8 @@ def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
     lq = np.log(q)
 
     # |log term_j| <= C q^j with C ~ |q^x - q| / (1 - q); solve for j
-    c = np.maximum(np.abs(np.exp(flat * lq) - q), 1e-30) / (1.0 - q)
+    q_x = np.exp(flat * lq)
+    c = np.maximum(np.abs(q_x - q), 1e-30) / (1.0 - q)
     j_needed = np.maximum(np.ceil((np.log(trunc.tail_tol) - np.log(c)) / lq), 6.0) + 2.0
     n_max = int(j_needed.max(initial=0.0))
     if n_max > trunc.max_terms:
@@ -199,25 +224,21 @@ def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
             f"q_gamma needs ~{n_max} terms for tail {trunc.tail_tol}, "
             f"cap is {trunc.max_terms}")
 
-    j = np.arange(n_max)
-    head = np.log1p(-np.power(q, 1.0 + j))
-    log1p_q = np.log1p(-q)
+    q_j, head = _q_powers(q, n_max)
+    ragged = flat.size > 1 and j_needed.min() < n_max
     out = np.empty_like(flat)
-    groups = set(j_needed.tolist())
-    for n in groups:
-        where = np.flatnonzero(j_needed == n) if len(groups) > 1 else np.arange(flat.size)
-        n = int(n)
-        step = max(1, BLOCK // n)
-        for i in range(0, where.size, step):
-            sel = where[i:i + step]
-            xs = flat[sel]
-            qx = np.exp(np.add.outer(xs, j[:n]) * lq)
-            bad = np.abs(1.0 - qx) < 1e-13
-            if bad.any():
-                row, col = np.argwhere(bad)[0]
-                raise PoleError(f"q_gamma pole: 1 - q^(x+j) = 0 at j = {int(col)}",
-                                location=complex(xs[row]))
-            out[sel] = np.exp((1.0 - xs) * log1p_q + np.sum(head[:n] - np.log1p(-qx), axis=-1))
+    step = max(1, BLOCK // max(n_max, 1))
+    for i in range(0, flat.size, step):
+        qx = np.multiply.outer(q_x[i:i + step], q_j)      # q^(x+j)
+        bad = np.abs(1.0 - qx) < 1e-13
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise PoleError(f"q_gamma pole: 1 - q^(x+j) = 0 at j = {int(col)}",
+                            location=complex(flat[i + row]))
+        terms = head - np.log1p(-qx)
+        if ragged:
+            terms[np.arange(n_max) >= j_needed[i:i + step, None]] = 0.0   # each point's own terms
+        out[i:i + step] = np.exp((1.0 - flat[i:i + step]) * np.log1p(-q) + terms.sum(axis=-1))
     return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -292,8 +313,8 @@ _CHECK_NODES = 24      # nodes of the comparison rule on the same panels
 _FIRST_PANEL = 0.25    # panel at the origin; widths double from it
 _MAX_WIDTH = 8.0       # widest panel
 _PANEL_PHASE = 24.0    # largest phase max|lam| * width one panel carries
-_TAIL = 1e-16          # the cutoff leaves at most this much of e^{-decay w}
-_SUM_TAIL = 1e-15      # the mode sums stop where e^{-decay eta k} falls below this
+_TAIL = 1e-16          # the cutoff (or last mode) leaves at most this much of e^{-decay w}
+_MAX_GROWTH = 700.0    # largest exponent |Im lam| w the phases may reach (exp overflows past 709)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -353,35 +374,91 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     return _panel_rule(float(cutoff), float(width))
 
 
-def _fourier_sums(lam, freq, a, b):
-    """sum_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j] for each
-    lam, with a and b of shape (nodes, m); returns (points, m).
+def _rule_sums(lam, freq, weights, tail_length, a, b, c, c_size=None):
+    """sum_j weights_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j + c_j]
+    at every lam (a 1-d array) for the first rule, with a bound on its error.
 
-    4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases exact.  The points
-    are walked in blocks so no temporary exceeds BLOCK elements.
+    4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases exact.  weights is
+    (nodes, m), one column per rule, the fine rule first; every rule gives
+    the last node zero weight.  The points are walked in blocks so no
+    temporary exceeds BLOCK elements.  The bound adds
+      * the largest spread between the rules,
+      * the tail past the last node: the largest term there, grown by
+        e^{|Im lam| freq}, times tail_length,
+      * rounding: eps times the summed term sizes, where c_size (default
+        |c|) is the size of the operands c was formed from, so a c that
+        cancels near the origin is charged for it.
     """
-    lam = np.asarray(lam)
-    half_freq = 0.5 * np.asarray(freq, dtype=float)
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out = np.empty((lam.size, a.shape[1]), dtype=np.complex128)
     real = not np.iscomplexobj(lam)
+    growth = 0.0 if real else float(np.abs(lam.imag).max(initial=0.0)) * freq[-1]
+    if growth > _MAX_GROWTH:
+        raise ValueError(f"|Im lam| = {np.abs(lam.imag).max():.4g} lets the phases overflow "
+                         f"before the last node {freq[-1]:.4g}; keep it below "
+                         f"{_MAX_GROWTH / freq[-1]:.4g}")
+    wa = np.multiply(weights, 4.0 * a[:, None], dtype=np.complex128)
+    wb = np.multiply(weights, 2.0 * b[:, None], dtype=np.complex128)
     if real:
         # complex columns as pairs of real columns: one real product each
-        a = a.view(float)
-        b = b.view(float)
-    step = max(1, BLOCK // half_freq.size)
+        wa, wb = wa.view(float), wb.view(float)
+    ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
+    step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
-        half = np.multiply.outer(lam[i:i + step], half_freq)
-        s, c = np.sin(half), np.cos(half)
-        c *= 2.0 * s          # sin(phi)
-        s *= s                # sin^2(phi / 2)
+        half = np.multiply.outer(lam[i:i + step], 0.5 * freq)
+        s, sin_phi = np.sin(half), np.cos(half)
+        sin_phi *= 2.0 * s
+        s *= s
+        sa, sb = s @ wa, sin_phi @ wb
         if real:
-            out[i:i + step] = ((4.0 * (s @ a)).view(np.complex128)
-                               + 2j * (c @ b).view(np.complex128))
-        else:
-            out[i:i + step] = 4.0 * (s @ a) + 2j * (c @ b)
-    return out
+            sa, sb = sa.view(np.complex128), sb.view(np.complex128)
+        ln[i:i + step] = sa + 1j * sb
+    ln += weights.T @ c
+
+    phase = freq * float(np.abs(lam).max(initial=0.0))
+    last = 4.0 * abs(a[-1]) + 2.0 * abs(b[-1]) + abs(c[-1])
+    sizes = (4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0)
+             + 2.0 * np.abs(b) * np.minimum(1.0, phase)
+             + (np.abs(c) if c_size is None else c_size))
+    err = last * math.exp(growth) * tail_length + _EPS * float(weights[:, 0] @ sizes)
+    if weights.shape[1] > 1:
+        return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
+    return ln[:, 0], np.full(lam.size, err)
+
+
+def half_line_sums(lam, decay: float, terms):
+    """The half-line rule applied at every lam (an array):
+
+        int_0^inf dw [4 sin^2(w lam / 2) a(w) + 2i sin(w lam) b(w) + c(w)]
+
+    for an integrand that decays like e^{-decay w}; terms(w) returns a, b
+    and c at the rule's nodes (and optionally the size of the operands c
+    was formed from, see _rule_sums).  Returns the values and a bound on
+    their errors: the gap to the comparison rule, the tail past the cutoff
+    and rounding.
+    """
+    w, weights = _half_line_rule(decay, float(np.abs(lam).max(initial=0.0)))
+    return _rule_sums(lam, w, weights, 1.0 / decay, *terms(w))
+
+
+def mode_sums(lam, eta: float, decay: float, terms):
+    """The discrete analogue of half_line_sums over the modes k = 1, 2, ...
+    at frequencies 2 eta k, for terms that decay like e^{-decay eta k}:
+
+        sum_{k >= 1} [4 sin^2(eta k lam) a(k) + 2i sin(2 eta k lam) b(k) + c(k)]
+
+    The mode count leaves a tail below _TAIL; more modes than
+    ProductTruncation.max_terms raise ConvergenceError before anything is
+    allocated.  The error bound is the tail, read at the next mode and
+    summed geometrically, plus rounding.
+    """
+    rate = decay * eta
+    k_max = int(np.ceil(-np.log(_TAIL) / rate)) + 8
+    if k_max > DEFAULT_TRUNCATION.max_terms:
+        raise ConvergenceError(f"a mode sum needs {k_max} modes at eta = {eta}, "
+                               f"cap is {DEFAULT_TRUNCATION.max_terms}")
+    k = np.arange(1, k_max + 2, dtype=np.float64)     # mode k_max + 1 reads the tail
+    weights = np.ones((k.size, 1))
+    weights[-1] = 0.0
+    return _rule_sums(lam, 2.0 * eta * k, weights, 1.0 / -np.expm1(-rate), *terms(k))
 
 
 # --------------------------------------------------------------------------
@@ -399,19 +476,20 @@ class AmplitudeResult:
     error_estimate: float = 0.0
 
     def __post_init__(self):
-        if np.min(self.error_estimate) < 0:
+        err = self.error_estimate
+        if (np.min(err) if np.ndim(err) else err) < 0:
             raise ValueError("error_estimate must be >= 0")
 
+    @classmethod
+    def on_grid(cls, value, route: str, error, scalar: bool) -> AmplitudeResult:
+        """Per-point values and errors; for a scalar input (a grid of one)
+        Python scalars."""
+        if scalar:
+            return cls(complex(value[0]), route, float(error[0]))
+        return cls(value, route, error)
 
-def _amplitude_result(value, route: str, error, scalar: bool) -> AmplitudeResult:
-    """Package per-point values and errors; a scalar input gives Python
-    scalars back."""
-    if scalar:
-        return AmplitudeResult(complex(value[0]), route, float(error[0]))
-    return AmplitudeResult(value, route, error)
 
-
-def _as_grid(lam, real: bool = False):
+def as_grid(lam, real: bool = False):
     """(1-d array of points, whether lam was a scalar)."""
     arr = np.asarray(lam)
     scalar = arr.ndim == 0
@@ -454,34 +532,6 @@ class FourierKernel:
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _rule_sums(lam, freq, weights, a, b, c, tail_length, c_size=None):
-    """sum_j weights_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j + c_j]
-    at every lam for the fine rule, with a bound on its error.
-
-    weights is (nodes, m), one column per rule, the fine rule first; every
-    rule gives the last node zero weight.  The bound adds
-      * the largest spread between the rules,
-      * the tail past the last node: the largest term there, grown by
-        e^{|Im lam| freq}, times tail_length,
-      * rounding: eps times the summed term sizes, where c_size (default
-        |c|) is the size of the operands c was formed from, so a c that
-        cancels near the origin is charged for it.
-    """
-    ln = _fourier_sums(lam, freq, weights * a[:, None], weights * b[:, None])
-    ln += weights.T @ c
-    lam_max = float(np.abs(lam).max(initial=0.0))
-    growth = np.exp(np.abs(np.imag(lam)).max(initial=0.0) * freq[-1])
-    last = 4.0 * abs(a[-1]) + 2.0 * abs(b[-1]) + abs(c[-1])
-    phase = freq * lam_max
-    sizes = (4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0)
-             + 2.0 * np.abs(b) * np.minimum(1.0, phase)
-             + (np.abs(c) if c_size is None else c_size))
-    err = last * growth * tail_length + _EPS * float(weights[:, 0] @ sizes)
-    if weights.shape[1] > 1:
-        err = err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
-    return ln[:, 0], np.broadcast_to(err, ln[:, 0].shape)
-
-
 def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     """exp of the regularised 1/w-weighted Fourier transform of the kernel,
     at a real lam_hat or a real grid of them.
@@ -493,7 +543,7 @@ def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     """
     if kernel.discrete:
         raise ValueError("discrete kernel passed to amplitude_integral")
-    lam, scalar = _as_grid(lam_hat, real=True)
+    lam, scalar = as_grid(lam_hat, real=True)
     rate = kernel.decay
     shift = 0.0
     if kernel.odd_kind == "none":
@@ -513,24 +563,24 @@ def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     else:
         raise ValueError(
             f"kernel {kernel.name!r}: no finite origin prescription ({kernel.odd_kind!r})")
-    w, weights = _half_line_rule(rate, float(np.abs(lam).max(initial=0.0)))
-    ke, ko = kernel.even_odd(w)
-    cw = counter(w)
-    ln, err = _rule_sums(lam, w, weights, ko / w, ke / w, -2.0 * (ko - cw) / w,
-                         1.0 / rate, 2.0 * (np.abs(ko) + np.abs(cw)) / w)
+
+    def terms(w):
+        ke, ko = kernel.even_odd(w)
+        cw = counter(w)
+        return ko / w, ke / w, -2.0 * (ko - cw) / w, 2.0 * (np.abs(ko) + np.abs(cw)) / w
+
+    ln, err = half_line_sums(lam, rate, terms)
     value = np.exp(ln + shift)
-    return _amplitude_result(value, "integral", np.abs(value) * err, scalar)
+    return AmplitudeResult.on_grid(value, "integral", np.abs(value) * err, scalar)
 
 
 def amplitude_sum(kernel: FourierKernel, lam_hat, eta: float) -> AmplitudeResult:
     """Discrete analogue: exp[-sum_{k != 0} (1/k) e^{-2i eta k lam} K(k)] at a
     real lam_hat or a real grid of them.
 
-    The k = 0 term is excluded by the 1/k weight.  Kernels decay at least
-    like e^{-decay * eta * |k|}, which fixes the mode count from _SUM_TAIL;
-    more modes than ProductTruncation.max_terms raise ConvergenceError
-    before anything is allocated.  The error estimate is the tail past the
-    last mode, read from the next one, plus rounding of the summed terms.
+    The k = 0 term is excluded by the 1/k weight.  The modes run out where
+    the kernel has decayed (see mode_sums, which also caps their number);
+    the error estimate is the tail past the last mode plus rounding.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -538,30 +588,16 @@ def amplitude_sum(kernel: FourierKernel, lam_hat, eta: float) -> AmplitudeResult
         raise ValueError("continuous kernel passed to amplitude_sum")
     if kernel.odd_kind == "pole":
         raise ValueError("pole-type discrete kernels are not defined")
-    rate = kernel.decay * eta
-    k_max = int(np.ceil(-np.log(_SUM_TAIL) / rate)) + 8
-    if k_max > DEFAULT_TRUNCATION.max_terms:
-        raise ConvergenceError(
-            f"amplitude_sum needs {k_max} modes at eta = {eta}, "
-            f"cap is {DEFAULT_TRUNCATION.max_terms}")
-    lam, scalar = _as_grid(lam_hat, real=True)
-    k = np.arange(1, k_max + 2, dtype=np.float64)   # mode k_max + 1 reads the tail
-    ke, ko = kernel.even_odd(k)
-    counter = np.zeros_like(k)
+    lam, scalar = as_grid(lam_hat, real=True)
+    decay = kernel.decay
     if kernel.odd_kind == "jump":
-        rate = min(rate, 4.0 * eta)
-        counter = kernel.odd_origin * np.exp(-4.0 * eta * k)
-    sizes = (4.0 * np.abs(ko) + 2.0 * np.abs(ke) + 2.0 * np.abs(ko - counter)) / k
-    err = sizes[-1] / -np.expm1(-rate) + _EPS * np.sum(sizes[:-1])
-    k, ke, ko, counter = k[:-1], ke[:-1], ko[:-1], counter[:-1]
+        decay = min(decay, 4.0)
 
-    anchor = -2.0 * np.sum((ko - counter) / k)
-    freq = 2.0 * eta * k
-    ln = np.empty(lam.shape, dtype=np.complex128)
-    step = max(1, BLOCK // k.size)
-    for i in range(0, lam.size, step):
-        phi = np.multiply.outer(lam[i:i + step], freq)
-        ln[i:i + step] = -np.sum((2.0 * (np.cos(phi) - 1.0) * ko - 2.0j * np.sin(phi) * ke) / k,
-                                 axis=-1) + anchor
+    def terms(k):
+        ke, ko = kernel.even_odd(k)
+        counter = kernel.odd_origin * np.exp(-4.0 * eta * k) if kernel.odd_kind == "jump" else 0.0
+        return ko / k, ke / k, -2.0 * (ko - counter) / k
+
+    ln, err = mode_sums(lam, eta, decay, terms)
     value = np.exp(ln)
-    return _amplitude_result(value, "sum", np.abs(value) * err, scalar)
+    return AmplitudeResult.on_grid(value, "sum", np.abs(value) * err, scalar)

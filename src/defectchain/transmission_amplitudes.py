@@ -34,13 +34,11 @@ import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams, s_matrix_part
 from .special_functions import (BLOCK, DEFAULT_TRUNCATION, AmplitudeResult,
-                                ConvergenceError, FourierKernel, PoleError,
-                                ProductTruncation, amplitude_integral,
-                                amplitude_sum,
-                                infinite_gamma_product, log_gamma, q_gamma,
-                                _EPS, _TAIL, _amplitude_result, _as_grid,
-                                _fourier_sums, _half_line_rule, _hurwitz_tail,
-                                _rule_sums)
+                                FourierKernel, ProductTruncation,
+                                amplitude_integral, amplitude_sum, as_grid,
+                                gamma_ratio, gamma_ratio_bound, half_line_sums,
+                                infinite_gamma_product, log_gamma, mode_sums,
+                                q_gamma, _hurwitz_tail)
 from .tensor_core import TensorOperator
 
 __all__ = [
@@ -271,41 +269,36 @@ class DensityParts:
         return self.leading + self.correction / float(n_sites)
 
 
-def _cosine_sums(x, freq, coef):
-    """sum_j coef_j cos(freq_j x) at every x, as sum coef - 2 sum coef sin^2."""
-    sin2 = _fourier_sums(x, freq, coef[:, None], np.zeros((freq.size, 1)))[:, 0]
-    return coef.sum() - 0.5 * sin2.real
-
-
 def state_density(params: RegimeParams, lam, theta: float | None = None,
                   holes=(), sign: str = "+") -> DensityParts:
-    """Root density of the one-hole (or multi-hole) state at lam (a scalar
-    or a real grid).
+    """Root density of the one-hole (or multi-hole) state at a real lam.
 
     Returns the bulk density sigma0(lam) and the 1/N correction
     sum_j r(lam - hole_j) + rt^{sign}(lam - theta); theta=None omits the
     defect term.  The formal 1/N is left to the caller via DensityParts.
     """
     sgn = "plus" if sign == "+" else "minus"
-    lam, scalar = _as_grid(lam, real=True)
+    lam = np.array([float(lam)])
 
-    # a real kernel's density is the cosine transform of its even part
+    # a real kernel's density is the cosine transform of its even part,
+    # cos = 1 - 2 sin^2 in the rules' terms
     if params.regime == NONCRITICAL:
         eta = params.eta
 
         def invert(kern, x):
-            k_max = int(np.ceil(-np.log(_TAIL) / (kern.decay * eta))) + 8
-            if k_max > DEFAULT_TRUNCATION.max_terms:
-                raise ConvergenceError(f"state_density needs {k_max} modes at eta = {eta}, "
-                                       f"cap is {DEFAULT_TRUNCATION.max_terms}")
-            k = np.arange(1, k_max + 1, dtype=np.float64)
+            def terms(k):
+                ke = kern.even_odd(k)[0].real
+                return -ke, np.zeros_like(k), 2.0 * ke
+
             k0 = kern.hat(np.zeros(1))[0].real
-            return eta / np.pi * (k0 + _cosine_sums(x, 2.0 * eta * k,
-                                                     2.0 * kern.even_odd(k)[0].real))
+            return eta / np.pi * (k0 + mode_sums(x, eta, kern.decay, terms)[0].real)
     else:
         def invert(kern, x):
-            w, weights = _half_line_rule(kern.decay, float(np.abs(x).max()))
-            return _cosine_sums(x, w, weights[:, 0] * kern.even_odd(w)[0].real / np.pi)
+            def terms(w):
+                ke = kern.even_odd(w)[0].real / np.pi
+                return -0.5 * ke, np.zeros_like(w), ke
+
+            return half_line_sums(x, kern.decay, terms)[0].real
 
     lead = invert(kernel(params, "sigma0"), lam)
     corr = np.zeros_like(lam)
@@ -313,9 +306,7 @@ def state_density(params: RegimeParams, lam, theta: float | None = None,
         corr += invert(kernel(params, "r"), lam - h)
     if theta is not None:
         corr += invert(kernel(params, f"rt_{sgn}"), lam - theta)
-    if scalar:
-        return DensityParts(float(lead[0]), float(corr[0]))
-    return DensityParts(lead, corr)
+    return DensityParts(float(lead[0]), float(corr[0]))
 
 
 # --------------------------------------------------------------------------
@@ -335,14 +326,16 @@ def _critical_anchor(gamma: float) -> tuple[float, float]:
     2 sinh((a+b)/2) sinh((a-b)/2)), so it neither cancels near the origin
     nor overflows out to the cutoff of a slowly decaying (small gamma) kernel.
     """
-    rate = min(gamma, 1.0) / 2.0
-    w, weights = _half_line_rule(rate)
-    u, v = w / 2.0, gamma * w / 2.0
-    rho_o = (0.5 * np.sign(gamma - 1.0) * np.exp(-np.minimum(u, v))
-             * np.expm1(-(u + v)) * np.expm1(-np.abs(v - u))
-             / (-np.expm1(-2.0 * u) * (1.0 + np.exp(-2.0 * v))))
-    zero = np.zeros_like(w)
-    ln, err = _rule_sums(np.zeros(1), w, weights, zero, zero, -2.0 * rho_o / w, 1.0 / rate)
+
+    def terms(w):
+        u, v = w / 2.0, gamma * w / 2.0
+        rho_o = (0.5 * np.sign(gamma - 1.0) * np.exp(-np.minimum(u, v))
+                 * np.expm1(-(u + v)) * np.expm1(-np.abs(v - u))
+                 / (-np.expm1(-2.0 * u) * (1.0 + np.exp(-2.0 * v))))
+        zero = np.zeros_like(w)
+        return zero, zero, -2.0 * rho_o / w
+
+    ln, err = half_line_sums(np.zeros(1), min(gamma, 1.0) / 2.0, terms)
     return float(ln[0].real - 0.5 * np.log(2.0)), float(err[0])
 
 
@@ -354,18 +347,22 @@ def _critical_ln_ratio(lam, gamma: float):
         int_0^inf dt [e^{-g t/2} (e^{-i lam t} - 1) + e^{-(g/2+1) t} (e^{i lam t} - 1)]
                      (1 - e^{-g t}) / ((1 - e^{-t}) (1 - e^{-2 g t}) t)
 
-    The integrand decays like e^{-(g/2 - |Im lam|) t}.
+    The integrand decays like e^{-(g/2 - |Im lam|) t}.  Its phases grow like
+    e^{|Im lam| t} out to the rule's cutoff, so the rule reaches |Im lam| up
+    to about 0.95 g/2 and raises ValueError beyond.
     """
     rate = gamma / 2.0 - float(np.abs(np.imag(lam)).max(initial=0.0))
     if not rate > 0:
         raise ValueError(f"|Im lam_hat| must stay below gamma/2 = {gamma / 2.0}")
-    t, weights = _half_line_rule(rate, float(np.abs(lam).max(initial=0.0)))
-    a_t = np.exp(-gamma * t / 2.0)
-    b_t = a_t * np.exp(-t)
-    g_t = -np.expm1(-gamma * t) / (np.expm1(-t) * np.expm1(-2.0 * gamma * t) * t)
-    # the bracket is -2 sin^2(lam t/2) (A + B) + i sin(lam t) (B - A)
-    return _rule_sums(lam, t, weights, -0.5 * (a_t + b_t) * g_t,
-                      0.5 * a_t * np.expm1(-t) * g_t, np.zeros_like(t), 1.0 / rate)
+
+    def terms(t):
+        a_t = np.exp(-gamma * t / 2.0)
+        b_t = a_t * np.exp(-t)
+        g_t = -np.expm1(-gamma * t) / (np.expm1(-t) * np.expm1(-2.0 * gamma * t) * t)
+        # the bracket is -2 sin^2(lam t/2) (A + B) + i sin(lam t) (B - A)
+        return -0.5 * (a_t + b_t) * g_t, 0.5 * a_t * np.expm1(-t) * g_t, np.zeros_like(t)
+
+    return half_line_sums(lam, rate, terms)
 
 
 def _critical_ratio_product(lam_hat: float, gamma: float,
@@ -387,67 +384,15 @@ def _critical_ratio_product(lam_hat: float, gamma: float,
 
 
 # --------------------------------------------------------------------------
-# closed Gamma and q-Gamma ratios on a grid
+# closed q-Gamma ratios on a grid
 # --------------------------------------------------------------------------
-
-# the absolute error of one log_gamma value (Lanczos g = 7, nine terms) is
-# below _LOG_GAMMA_REL * (1 + |log Gamma|) on the arguments used here; the
-# tests measure it against mpmath (about 4.6e-15 at worst)
-_LOG_GAMMA_REL = 1e-14
-
-
-def _gamma_ratio_grid(num, den):
-    """prod Gamma(num_i) / prod Gamma(den_j) at every point, with a bound on
-    its absolute error.  num and den are lists of argument arrays."""
-    try:
-        lg = log_gamma(np.stack(num + den))
-    except PoleError as exc:
-        side = "numerator" if np.any(np.stack(num) == exc.location) else "denominator"
-        raise PoleError(f"gamma_ratio: {side} pole at {exc.location}",
-                        location=exc.location) from None
-    value = np.exp(np.sum(lg[:len(num)], axis=0) - np.sum(lg[len(num):], axis=0))
-    return value, np.abs(value) * _LOG_GAMMA_REL * np.sum(1.0 + np.abs(lg), axis=0)
-
-
-def _complex(re, im):
-    """re + i im, keeping the sign of a zero part (re + 1j * im loses it)."""
-    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
-    z.real, z.imag = re, im
-    return z
-
-
-def _cmul(a, b):
-    """a * b written out in real arithmetic.  numpy's complex loops may fuse
-    multiply-adds depending on the CPU's SIMD level; this form rounds every
-    operation the same way on every machine, exactly as Python's complex
-    arithmetic does, so a grid point gets the value of a scalar call."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _cquot(a, b):
-    """a / b by Smith's method, dividing (not multiplying by a reciprocal)
-    as Python's complex division does; see _cmul."""
-    swap = np.abs(b.real) < np.abs(b.imag)
-    big, small = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
-    p, s = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
-    ratio = small / big
-    denom = big + small * ratio
-    im = (s - p * ratio) / denom
-    return _complex((p + s * ratio) / denom, np.where(swap, -im, im))
 
 
 def _q_gamma_ratio(num, den, q: float, trunc: ProductTruncation):
     """prod Gamma_q(num_i) / prod Gamma_q(den_j) at every point, with the
     truncation bounds of the products as its error."""
-    factors = q_gamma(np.stack(num + den), q, trunc)
-    sides = []
-    for part in (factors[:len(num)], factors[len(num):]):
-        total = part[0]
-        for factor in part[1:]:
-            total = _cmul(total, factor)
-        sides.append(total)
-    value = _cquot(sides[0], sides[1])
+    factors = q_gamma(np.array(num + den), q, trunc)
+    value = factors[:len(num)].prod(axis=0) / factors[len(num):].prod(axis=0)
     return value, len(factors) * trunc.tail_tol * np.abs(value)
 
 
@@ -465,8 +410,8 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
     (non-critical) are the independent quadrature/summation routes;
     "product" additionally gives the literal Gamma-ratio product in the
     critical regime.  Closed routes accept complex lam_hat (the critical
-    one inside its strip |Im lam_hat| < gamma/2); the quadrature routes
-    require it real.
+    one inside its strip |Im lam_hat| < gamma/2, up to about 0.95 gamma/2,
+    see _critical_ln_ratio); the quadrature routes require it real.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
@@ -474,12 +419,12 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
 
     if params.regime == XXX:
         if route == "closed":
-            lam, scalar = _as_grid(lam_hat)
+            lam, scalar = as_grid(lam_hat)
             if sign == "+":
-                val, err = _gamma_ratio_grid([-1j * lam / 2 + 0.25], [-1j * lam / 2 + 0.75])
+                val, err = gamma_ratio_bound([-1j * lam / 2 + 0.25], [-1j * lam / 2 + 0.75])
             else:
-                val, err = _gamma_ratio_grid([1j * lam / 2 + 0.75], [1j * lam / 2 + 0.25])
-            return _amplitude_result(val, "closed", err, scalar)
+                val, err = gamma_ratio_bound([1j * lam / 2 + 0.75], [1j * lam / 2 + 0.25])
+            return AmplitudeResult.on_grid(val, "closed", err, scalar)
         if route == "integral":
             return amplitude_integral(kernel(params, kern_name), lam_hat)
         raise ValueError(f"route {route!r} not available in the isotropic regime")
@@ -487,20 +432,20 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
     if params.regime == CRITICAL:
         g = params.gamma
         if route == "closed":
-            lam, scalar = _as_grid(lam_hat)
+            lam, scalar = as_grid(lam_hat)
             ln_a, err_a = _critical_anchor(g)
             ln_r, err_r = _critical_ln_ratio(lam if sign == "+" else -lam, g)
             val = np.exp(ln_a + ln_r)
             if sign == "-":
-                val = _cquot(np.ones_like(val), val)
-            return _amplitude_result(val, "closed", np.abs(val) * (err_a + err_r), scalar)
+                val = 1.0 / val
+            return AmplitudeResult.on_grid(val, "closed", np.abs(val) * (err_a + err_r), scalar)
         if route == "product":
             # past ~1e4 factors the float noise of the summed log-Gammas
             # dominates the analytically completed 1/k^2 tail, so the literal
             # product stops earlier than the generic default
             ptrunc = trunc if trunc is not DEFAULT_TRUNCATION else \
                 ProductTruncation(max_terms=trunc.max_terms, tail_tol=1e-9)
-            lam, scalar = _as_grid(lam_hat)
+            lam, scalar = as_grid(lam_hat)
             anchor = np.exp(_critical_anchor(g)[0])
             val = np.empty(lam.shape, dtype=np.complex128)
             err = np.empty(lam.shape)
@@ -508,7 +453,7 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
                 prod, tail = _critical_ratio_product(x if sign == "+" else -x, g, ptrunc)
                 val[i] = anchor * prod if sign == "+" else 1.0 / (anchor * prod)
                 err[i] = tail * abs(val[i])
-            return _amplitude_result(val, "product", err, scalar)
+            return AmplitudeResult.on_grid(val, "product", err, scalar)
         if route == "integral":
             return amplitude_integral(kernel(params, kern_name), lam_hat)
         raise ValueError(f"route {route!r} not available in the critical regime")
@@ -516,13 +461,13 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
     # non-critical
     eta = params.eta
     if route == "closed":
-        lam, scalar = _as_grid(lam_hat)
+        lam, scalar = as_grid(lam_hat)
         q4 = float(np.exp(-4.0 * eta))
         if sign == "+":
             val, err = _q_gamma_ratio([-1j * lam / 2 + 0.75], [-1j * lam / 2 + 0.25], q4, trunc)
         else:
             val, err = _q_gamma_ratio([1j * lam / 2 + 0.25], [1j * lam / 2 + 0.75], q4, trunc)
-        return _amplitude_result(val, "closed", err, scalar)
+        return AmplitudeResult.on_grid(val, "closed", err, scalar)
     if route == "sum":
         return amplitude_sum(kernel(params, kern_name), lam_hat, eta)
     raise ValueError(f"route {route!r} not available in the non-critical regime")
@@ -566,7 +511,7 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     if route == "closed":
-        lam, scalar = _as_grid(lam_hat)
+        lam, scalar = as_grid(lam_hat)
         val = np.ones(lam.shape, dtype=np.complex128)
         err = np.zeros(lam.shape)
         for ell in range(1, n + 1):
@@ -575,10 +520,10 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
             if scalar and pole[0]:
                 raise ZeroDivisionError(
                     f"breather amplitude pole: sinh zero at theta_hat = {theta[0]}")
-            val = _cmul(val, factor)
+            val = val * factor
             # rounding of two sinh values whose arguments carry |theta|/2
-            err += 4.0 * _EPS * (2.0 + np.abs(theta))
-        return _amplitude_result(val, "closed", np.abs(val) * err, scalar)
+            err += 4.0 * np.finfo(float).eps * (2.0 + np.abs(theta))
+        return AmplitudeResult.on_grid(val, "closed", np.abs(val) * err, scalar)
     if route == "integral":
         if n != 1:
             raise ValueError("the integral route exists for the lightest breather only")
@@ -609,13 +554,13 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
         raise ValueError(f"eta must be positive, got {eta}")
     s_tilde = spin - 0.5
     if route == "closed":
-        lam, scalar = _as_grid(lam_hat)
+        lam, scalar = as_grid(lam_hat)
         q4 = float(np.exp(-4.0 * eta))
         val, err = _q_gamma_ratio(
             [-1j * lam / 2 + s_tilde / 2 + 0.25, 1j * lam / 2 + s_tilde / 2 + 0.75],
             [-1j * lam / 2 + s_tilde / 2 + 0.75, 1j * lam / 2 + s_tilde / 2 + 0.25],
             q4, trunc)
-        return _amplitude_result(val, "closed", err, scalar)
+        return AmplitudeResult.on_grid(val, "closed", err, scalar)
     if route == "sum":
         params = RegimeParams.noncritical(eta)
         return amplitude_sum(kernel(params, "rt_spin", spin=spin), lam_hat, eta)
@@ -694,10 +639,10 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
     if route == "integral":
         return amplitude_integral(kernel(params, "r"), lam).value
 
-    grid, scalar = _as_grid(lam)
+    grid, scalar = as_grid(lam)
     if params.regime == XXX:
-        val, _ = _gamma_ratio_grid([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
-                                   [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5])
+        val = gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
+                          [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5])
     elif params.regime == CRITICAL:
         val = np.empty(grid.shape, dtype=np.complex128)
         near_real = np.abs(np.imag(grid)) < 1e-14

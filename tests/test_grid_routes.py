@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (ConvergenceError, amplitude_sum,
-                                           log_gamma, q_gamma)
-from defectchain.transmission_amplitudes import (_LOG_GAMMA_REL, amplitude,
+from defectchain.special_functions import (_LOG_GAMMA_REL, ConvergenceError,
+                                           amplitude_sum, log_gamma, q_gamma)
+from defectchain.transmission_amplitudes import (amplitude,
                                                  breather_amplitude, kernel,
-                                                 soliton_s_amplitude,
-                                                 state_density, type2_amplitude)
+                                                 soliton_s_amplitude, type2_amplitude)
 
 mp.mp.dps = 30
 
@@ -84,7 +83,6 @@ def _cases():
         cases += [(f"S_s {params.regime} {r}",
                    lambda x, p=params, r=r: soliton_s_amplitude(p, x, r)) for r in routes]
     cases.append(("q_gamma", lambda x: q_gamma(0.3 - 0.5j * np.asarray(x), 0.2)))
-    cases.append(("density", lambda x: state_density(crit, x, theta=0.1, holes=[0.3]).correction))
     return cases
 
 
@@ -132,10 +130,16 @@ def test_critical_closed_route_in_the_complex_strip():
     # the resummed integral converges for |Im lam| < gamma/2 and must agree
     # there with the literal Gamma-ratio product
     params = RegimeParams.critical(0.7)
-    z = np.array([0.3 + 0.2j, -1.1 + 0.9j])
-    closed = amplitude(params, "+", z).value
+    half = params.gamma / 2.0
+    z = np.array([0.3 + 0.2j, -1.1 + 0.9j, 0.3 + 0.94j * half])
+    closed = amplitude(params, "+", z)
     product = amplitude(params, "+", z, "product").value
-    assert np.all(np.abs(closed - product) < 1e-6 * np.abs(product))
+    assert np.all(np.isfinite(closed.value)) and np.all(np.isfinite(closed.error_estimate))
+    assert np.all(np.abs(closed.value - product) < 1e-6 * np.abs(product))
+    # nearer the edge the phases e^{|Im lam| t} would overflow before the
+    # rule's cutoff: a clear error, not a NaN
+    with pytest.raises(ValueError, match="overflow"):
+        amplitude(params, "+", 0.3 + 0.97j * half)
     with pytest.raises(ValueError, match="gamma/2"):
         amplitude(params, "+", 0.3 + 2.0j)
 
