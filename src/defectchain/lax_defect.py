@@ -26,19 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oscillator_reps import HarmonicRep, QOscRep, harmonic_rep, q_oscillator_rep
-from .reporting import ResidualReport
-from .tensor_core import (TensorOperator, TensorSpace, partial_transpose,
-                          permutation_operator)
+from .tensor_core import (TensorOperator, TensorSpace, identity_residual,
+                          partial_transpose, permutation_operator)
 
 __all__ = [
     "RegimeParams",
-    "LaxPair",
     "defect_rep",
     "make_r",
     "make_l",
     "make_l_hat",
     "crossing_transform",
-    "lax_pair",
     "unitarity_residuals",
     "s_matrix_part",
 ]
@@ -249,66 +246,21 @@ def scalar_crossing(params: RegimeParams, lam: complex) -> complex:
     return np.exp(mu * lam) * (np.exp(mu * lam) - np.exp(-mu * lam))
 
 
-@dataclass(frozen=True)
-class LaxPair:
-    """lam-parametrised L, Lhat with their unitarity / crossing scalars."""
+def unitarity_residuals(params: RegimeParams, lam: complex, rep) -> tuple[float, float]:
+    """Residuals of scalar unitarity L(lam) Lhat(-lam) = s_u(lam) I and
+    crossing-unitarity L^{t1}(-lam-i) Lhat^{t1}(lam-i) = s_c(lam) I, measured
+    on the interior of the defect space.
 
-    params: RegimeParams
-    rep: object
-    l: object
-    l_hat: object
-    scalar_unit: object
-    scalar_cross: object
-
-
-def lax_pair(params: RegimeParams, rep) -> LaxPair:
-    _check_rep(params, rep)
-    return LaxPair(
-        params=params,
-        rep=rep,
-        l=lambda lam: make_l(params, lam, rep),
-        l_hat=lambda lam: make_l_hat(params, lam, rep),
-        scalar_unit=lambda lam: scalar_unitarity(params, lam),
-        scalar_cross=lambda lam: scalar_crossing(params, lam),
-    )
-
-
-_ZERO_WINDOW = 1e-8
-
-
-def unitarity_residuals(pair: LaxPair, grid) -> list[ResidualReport]:
-    """Scalar unitarity and crossing-unitarity residuals over a lam grid,
-    measured on the interior (buffer 1) of the defect space.
-
-    Grid points within 1e-8 of a scalar zero are skipped and reported as
-    such instead of dividing by a vanishing scalar.
+    Nothing divides by the scalars, so the identities are checked at their
+    zeros too (lam = -i and i for the isotropic chain, lam = 0 otherwise).
     """
-    rep = pair.rep
-    d = rep.dim
-    proj = np.kron(np.eye(2, dtype=np.complex128), rep.interior(1))
-    eye = np.eye(2 * d, dtype=np.complex128)
-    out = []
-    for lam in grid:
-        lam = complex(lam)
-        su = pair.scalar_unit(lam)
-        sc = pair.scalar_cross(lam)
-        if min(abs(su), abs(sc)) < _ZERO_WINDOW:
-            out.append(ResidualReport(
-                "unitarity/crossing", np.nan, params={"lam": lam},
-                subspace=f"skipped (scalar zero within {_ZERO_WINDOW})"))
-            continue
-        l_mat = pair.l(lam).entries
-        lh_mat = pair.l_hat(-lam).entries
-        res_u = np.linalg.norm((l_mat @ lh_mat - su * eye) @ proj)
-        lt = partial_transpose(pair.l(-lam - 1j), 0).entries
-        lht = partial_transpose(pair.l_hat(lam - 1j), 0).entries
-        res_c = np.linalg.norm((lt @ lht - sc * eye) @ proj)
-        sub = "interior(buffer=1)"
-        out.append(ResidualReport("unitarity", float(res_u),
-                                  params={"lam": lam}, subspace=sub))
-        out.append(ResidualReport("crossing-unitarity", float(res_c),
-                                  params={"lam": lam}, subspace=sub))
-    return out
+    lam = complex(lam)
+    keep = rep.interior()
+    unit = make_l(params, lam, rep).entries @ make_l_hat(params, -lam, rep).entries
+    lt = partial_transpose(make_l(params, -lam - 1j, rep), 0).entries
+    lht = partial_transpose(make_l_hat(params, lam - 1j, rep), 0).entries
+    return (identity_residual(unit, scalar_unitarity(params, lam), keep),
+            identity_residual(lt @ lht, scalar_crossing(params, lam), keep))
 
 
 def s_matrix_part(params: RegimeParams, lam: complex) -> TensorOperator:

@@ -13,8 +13,8 @@ defect site, which contributes L(lam - theta).
 Truncation-leak policy: the defect occupation together with the site
 grading defines a conserved charge Q; on charge sectors whose occupation
 never reaches the truncation ceiling the transfer matrix acts exactly as in
-the untruncated representation, so all operator identities are checked
-after projecting onto sectors Q <= D - 2.
+the untruncated representation, so all operator identities are measured on
+the 0/1 mask of sectors Q <= D - 2.
 """
 from __future__ import annotations
 
@@ -24,23 +24,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lax_defect import CRITICAL, XXX, RegimeParams, make_l, make_r
-from .reporting import ResidualReport
-from .tensor_core import (TensorOperator, TensorSpace, embed_two_site,
-                          exchange_residual)
+from .tensor_core import (TensorOperator, TensorSpace, commutator_residual,
+                          embed_two_site, exchange_residual)
 
 __all__ = [
     "ChainSpec",
     "chain_space",
     "charge_vector",
-    "sector_projector",
+    "sector_mask",
     "build_monodromy",
     "transfer_matrix",
     "reference_state",
     "reference_eigenvalue",
+    "reference_residual",
     "rtt_residual",
     "commuting_residual",
     "charge_residual",
     "bae_residual",
+    "bae_root",
     "bae_residual_breather_strings",
     "bae_residual_breather",
 ]
@@ -123,27 +124,16 @@ def charge_vector(spec: ChainSpec) -> np.ndarray:
     the off-diagonal Lax entries shift Q by exactly +-1 and sectors below
     the truncation ceiling are exact.
     """
-    dims = spec.dims
-    gradings = []
-    for d in dims:
-        if d == 2:
-            if spec.params.regime == XXX:
-                gradings.append(np.array([0.0, 1.0]))   # up = reference
-            else:
-                gradings.append(np.array([1.0, 0.0]))   # down = reference
-        else:
-            gradings.append(np.arange(d, dtype=float))
-    q = np.zeros(spec.chain_dim)
-    for i in range(spec.chain_dim):
-        idx = np.unravel_index(i, dims)
-        q[i] = sum(g[k] for g, k in zip(gradings, idx))
-    return q
+    spin = [0.0, 1.0] if spec.params.regime == XXX else [1.0, 0.0]  # reference: 0
+    q = np.zeros(())
+    for d in spec.dims:
+        q = np.add.outer(q, spin if d == 2 else np.arange(d, dtype=float))
+    return q.ravel()
 
 
-def sector_projector(spec: ChainSpec) -> np.ndarray:
-    """Projector onto charge sectors Q <= D - 2."""
-    q = charge_vector(spec)
-    return np.diag((q <= spec.rep.dim - 2 + 1e-9).astype(np.complex128))
+def sector_mask(spec: ChainSpec) -> np.ndarray:
+    """0/1 mask of the charge sectors Q <= D - 2."""
+    return (charge_vector(spec) <= spec.rep.dim - 2).astype(float)
 
 
 # --------------------------------------------------------------------------
@@ -188,41 +178,38 @@ def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
     return a_bulk ** n * a_def + d_bulk ** n * d_def
 
 
+def reference_residual(spec: ChainSpec, t: np.ndarray, lam: complex) -> float:
+    """|| t v - e v || / |e| for the transfer matrix t = t(lam), the
+    reference state v and its derived eigenvalue e."""
+    vec = reference_state(spec)
+    ev = reference_eigenvalue(spec, lam)
+    return float(np.linalg.norm(t @ vec - ev * vec) / max(abs(ev), 1e-30))
+
+
 # --------------------------------------------------------------------------
 # structural residuals
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> ResidualReport:
+def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> float:
     """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= D - 2."""
     res, _ = exchange_residual(make_r(spec.params, lam1 - lam2).entries,
                                build_monodromy(spec, lam1).entries,
                                build_monodromy(spec, lam2).entries,
-                               keep=np.diag(sector_projector(spec)))
-    return ResidualReport("rtt", res, params={"lam1": lam1, "lam2": lam2},
-                          subspace=f"charge sectors Q <= {spec.rep.dim - 2}")
+                               keep=sector_mask(spec))
+    return res
 
 
-def commuting_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> ResidualReport:
+def commuting_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> float:
     """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2."""
-    t1 = transfer_matrix(spec, lam1).entries
-    t2 = transfer_matrix(spec, lam2).entries
-    proj = sector_projector(spec)
-    res = proj @ (t1 @ t2 - t2 @ t1) @ proj
-    return ResidualReport("commuting-family", float(np.linalg.norm(res)),
-                          params={"lam1": lam1, "lam2": lam2},
-                          subspace=f"charge sectors Q <= {spec.rep.dim - 2}")
+    return commutator_residual(transfer_matrix(spec, lam1).entries,
+                               transfer_matrix(spec, lam2).entries, sector_mask(spec))
 
 
-def charge_residual(spec: ChainSpec, lam: complex) -> ResidualReport:
+def charge_residual(spec: ChainSpec, lam: complex) -> float:
     """|| [t(lam), Q] || on charge sectors Q <= D - 2."""
-    t = transfer_matrix(spec, lam).entries
-    qd = np.diag(charge_vector(spec)).astype(np.complex128)
-    proj = sector_projector(spec)
-    res = proj @ (t @ qd - qd @ t) @ proj
-    return ResidualReport("charge-conservation", float(np.linalg.norm(res)),
-                          params={"lam": lam},
-                          subspace=f"charge sectors Q <= {spec.rep.dim - 2}")
+    return commutator_residual(transfer_matrix(spec, lam).entries,
+                               np.diag(charge_vector(spec)), sector_mask(spec))
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +282,58 @@ def bae_residual(spec: ChainSpec, sign: str, roots) -> np.ndarray:
         rhs = np.prod([e2(lam - other) for other in roots])
         out.append(lhs + rhs)
     return np.asarray(out, dtype=np.complex128)
+
+
+def bae_root(spec: ChainSpec, sign: str) -> complex:
+    """The Bethe root of the one-site chain (N = 1, M = 1), solved exactly.
+
+    Its equation defect(lam - theta) e_1(lam) = 1 is cleared of denominators
+    into a quadratic in z = lam (isotropic) or z = e^{2 mu lam} (anisotropic,
+    mu = mu_complex), where each sinh (sin) factor of lam + a times 2 e^{mu lam}
+    is linear in z.  Clearing adds roots at the poles of the equation; they
+    are rejected by their bae_residual, and of the valid roots the one with
+    the larger real part is returned.
+    """
+    if spec.n_sites != 1:
+        raise ValueError(f"the exact root needs a one-site chain, got N = {spec.n_sites}")
+    th = spec.theta
+    if spec.params.regime == XXX:
+        def lin(a):                 # lam + a
+            return np.array([1.0, a])
+
+        if sign == "+":
+            num, den = np.polymul(lin(0.5j - th), lin(0.5j)), lin(-0.5j)
+        else:
+            num, den = lin(0.5j), np.polymul(lin(-0.5j - th), lin(-0.5j))
+        to_lam = complex
+    else:
+        mu = spec.params.mu_complex
+        kappa = 1.0 if spec.params.regime == CRITICAL else -1j   # sin(eta x) = -i sinh(mu x)
+
+        def lin(a):                 # 2 e^{mu lam} sinh(mu (lam + a)), or sin(eta (lam + a))
+            return kappa * np.array([np.exp(mu * a), -np.exp(-mu * a)])
+
+        shift = np.exp(mu * th)     # e^{-mu (lam - theta)} = shift / sqrt(z)
+        if sign == "+":
+            num = 2.0 * shift * lin(0.5j)
+            den = np.polymul(lin(0.5j - th), lin(-0.5j))
+        else:
+            num = shift * np.polymul(lin(-0.5j - th), lin(0.5j))
+            den = np.polymul([2.0, 0.0], lin(-0.5j))
+
+        def to_lam(z):
+            return complex(np.log(z) / (2.0 * mu))
+
+    def residual(lam):
+        try:
+            return abs(bae_residual(spec, sign, [lam])[0])
+        except ZeroDivisionError:
+            return np.inf
+
+    with np.errstate(all="ignore"):
+        roots = [to_lam(z) for z in np.roots(np.polysub(num, den))]
+        # a root at a pole reads NaN, Inf or O(1); a valid one reads roundoff
+        return min(roots, key=lambda lam: (not residual(lam) <= 1e-6, -lam.real))
 
 
 def bae_residual_breather_strings(params: RegimeParams, n_sites: int, sign: str,

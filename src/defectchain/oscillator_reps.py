@@ -7,9 +7,9 @@ Three families are built here:
 * the (2S+1)-dimensional quantum-group spin representations.
 
 Truncation to D levels breaks some defining relations on the top basis
-state(s); the ``interior`` projector (default: everything below the top
-state) restores them exactly, and ``algebra_residuals`` measures each
-relation on that subspace.
+state; the ``interior`` 0/1 mask (every state below the top one) selects
+the subspace where they hold exactly, and ``algebra_residuals`` measures
+each relation on it.
 
 Sign conventions.  The harmonic representation is fixed by requiring
 a_dag |0> = 0 together with [a, a_dag] = 1, which forces
@@ -45,13 +45,10 @@ __all__ = [
 ]
 
 
-def _interior(dim: int, buffer: int) -> np.ndarray:
-    if not 0 <= buffer < dim:
-        raise ValueError(f"buffer {buffer} invalid for dimension {dim}")
-    p = np.ones(dim)
-    if buffer:
-        p[dim - buffer:] = 0.0
-    return np.diag(p).astype(np.complex128)
+def _below_top(dim: int) -> np.ndarray:
+    keep = np.ones(dim)
+    keep[-1] = 0.0
+    return keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,13 +58,10 @@ class HarmonicRep:
     a_dag: np.ndarray = field(repr=False)
     n_op: np.ndarray = field(repr=False)
 
-    def interior(self, buffer: int = 1) -> np.ndarray:
-        """Projector onto basis states n <= dim - 1 - buffer.
-
-        Identity checks with two powers of ladder operators may need
-        buffer=2; every relation tested in this package closes at buffer=1.
-        """
-        return _interior(self.dim, buffer)
+    def interior(self) -> np.ndarray:
+        """0/1 mask of the basis states below the top one, where every
+        relation checked in this package holds exactly."""
+        return _below_top(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +76,8 @@ class QOscRep:
     y: np.ndarray = field(repr=False)
     root_of_unity_order: int | None = None
 
-    def interior(self, buffer: int = 1) -> np.ndarray:
-        return _interior(self.dim, buffer)
+    def interior(self) -> np.ndarray:
+        return _below_top(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +92,9 @@ class SpinRep:
     def dim(self) -> int:
         return self.s_z.shape[0]
 
-    def interior(self, buffer: int = 0) -> np.ndarray:
+    def interior(self) -> np.ndarray:
         # finite-dimensional, no truncation: the full space is exact
-        return np.eye(self.dim, dtype=np.complex128)
+        return np.ones(self.dim)
 
 
 def harmonic_rep(d: int) -> HarmonicRep:
@@ -181,28 +175,24 @@ def spin_rep(spin: float, q: complex = 1.0) -> SpinRep:
     return SpinRep(spin=spin, q=q, s_z=s_z, s_plus=s_plus, s_minus=s_minus)
 
 
-def _frob(m) -> float:
-    return float(np.linalg.norm(m))
-
-
 def algebra_residuals(rep) -> list[ResidualReport]:
-    """Frobenius residual of every defining relation, projected on the
-    interior (buffer 1)."""
+    """Frobenius residual of every defining relation, measured on the
+    columns the interior mask keeps."""
     reports = []
 
-    def add(name, lhs_minus_rhs, proj, subspace):
+    def add(name, lhs_minus_rhs, keep, subspace):
         reports.append(ResidualReport(
-            identity=name, residual=_frob(lhs_minus_rhs @ proj), subspace=subspace,
-            params={"dim": getattr(rep, "dim", None)}))
+            identity=name, residual=float(np.linalg.norm(lhs_minus_rhs * keep)),
+            subspace=subspace, params={"dim": getattr(rep, "dim", None)}))
 
     if isinstance(rep, HarmonicRep):
-        p = rep.interior(1)
+        keep = rep.interior()
         eye = np.eye(rep.dim, dtype=np.complex128)
         sub = "interior(buffer=1)"
-        add("[a,a_dag]-1", rep.a @ rep.a_dag - rep.a_dag @ rep.a - eye, p, sub)
-        add("[N,a]+a", rep.n_op @ rep.a - rep.a @ rep.n_op + rep.a, p, sub)
-        add("[N,a_dag]-a_dag", rep.n_op @ rep.a_dag - rep.a_dag @ rep.n_op - rep.a_dag, p, sub)
-        add("N-a.a_dag", rep.n_op - rep.a @ rep.a_dag, p, sub)
+        add("[a,a_dag]-1", rep.a @ rep.a_dag - rep.a_dag @ rep.a - eye, keep, sub)
+        add("[N,a]+a", rep.n_op @ rep.a - rep.a @ rep.n_op + rep.a, keep, sub)
+        add("[N,a_dag]-a_dag", rep.n_op @ rep.a_dag - rep.a_dag @ rep.n_op - rep.a_dag, keep, sub)
+        add("N-a.a_dag", rep.n_op - rep.a @ rep.a_dag, keep, sub)
         ref = np.zeros(rep.dim, dtype=np.complex128)
         ref[0] = 1.0
         reports.append(ResidualReport("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)),
@@ -210,19 +200,19 @@ def algebra_residuals(rep) -> list[ResidualReport]:
         reports.append(ResidualReport("N|0>", float(np.linalg.norm(rep.n_op @ ref)),
                                       subspace="reference state"))
     elif isinstance(rep, QOscRep):
-        p = rep.interior(1)
+        keep = rep.interior()
         eye = np.eye(rep.dim, dtype=np.complex128)
         q = rep.q
         sub = "interior(buffer=1)"
-        add("a_dag.a-(1-qV^2)", rep.a_dag @ rep.a - (eye - q * rep.v @ rep.v), p, sub)
-        add("a.a_dag-(1-V^2/q)", rep.a @ rep.a_dag - (eye - rep.v @ rep.v / q), p, sub)
-        add("Va-qaV", rep.v @ rep.a - q * rep.a @ rep.v, p, sub)
-        add("Va_dag-a_dagV/q", rep.v @ rep.a_dag - rep.a_dag @ rep.v / q, p, sub)
-        add("XY-qYX", rep.x @ rep.y - q * rep.y @ rep.x, p, sub)
-        add("a-YX", rep.a - rep.y @ rep.x, p, sub)
+        add("a_dag.a-(1-qV^2)", rep.a_dag @ rep.a - (eye - q * rep.v @ rep.v), keep, sub)
+        add("a.a_dag-(1-V^2/q)", rep.a @ rep.a_dag - (eye - rep.v @ rep.v / q), keep, sub)
+        add("Va-qaV", rep.v @ rep.a - q * rep.a @ rep.v, keep, sub)
+        add("Va_dag-a_dagV/q", rep.v @ rep.a_dag - rep.a_dag @ rep.v / q, keep, sub)
+        add("XY-qYX", rep.x @ rep.y - q * rep.y @ rep.x, keep, sub)
+        add("a-YX", rep.a - rep.y @ rep.x, keep, sub)
         # a_dag = (X^-1 - qX) Y^-1 checked as a_dag Y = X^-1 - qX (Y is a
         # truncated shift, so its inverse never appears as a matrix)
-        add("a_dagY-(X^-1-qX)", rep.a_dag @ rep.y - (rep.v_inv - q * rep.x), p, sub)
+        add("a_dagY-(X^-1-qX)", rep.a_dag @ rep.y - (rep.v_inv - q * rep.x), keep, sub)
         ref = np.zeros(rep.dim, dtype=np.complex128)
         ref[0] = 1.0
         reports.append(ResidualReport("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)),
@@ -231,7 +221,7 @@ def algebra_residuals(rep) -> list[ResidualReport]:
             "V|0>-q^(1/2)|0>",
             float(np.linalg.norm(rep.v @ ref - q ** 0.5 * ref)), subspace="reference state"))
     elif isinstance(rep, SpinRep):
-        p = rep.interior()
+        keep = rep.interior()
         sub = "full (no truncation)"
         two_sz = 2.0 * rep.s_z
         q = rep.q
@@ -239,9 +229,10 @@ def algebra_residuals(rep) -> list[ResidualReport]:
             qnum = two_sz
         else:
             qnum = (_matrix_power_diag(q, two_sz) - _matrix_power_diag(q, -two_sz)) / (q - 1.0 / q)
-        add("[S+,S-]-[2Sz]_q", rep.s_plus @ rep.s_minus - rep.s_minus @ rep.s_plus - qnum, p, sub)
-        add("[Sz,S+]-S+", rep.s_z @ rep.s_plus - rep.s_plus @ rep.s_z - rep.s_plus, p, sub)
-        add("[Sz,S-]+S-", rep.s_z @ rep.s_minus - rep.s_minus @ rep.s_z + rep.s_minus, p, sub)
+        add("[S+,S-]-[2Sz]_q", rep.s_plus @ rep.s_minus - rep.s_minus @ rep.s_plus - qnum,
+            keep, sub)
+        add("[Sz,S+]-S+", rep.s_z @ rep.s_plus - rep.s_plus @ rep.s_z - rep.s_plus, keep, sub)
+        add("[Sz,S-]+S-", rep.s_z @ rep.s_minus - rep.s_minus @ rep.s_z + rep.s_minus, keep, sub)
     else:
         raise TypeError(f"unknown representation type {type(rep)!r}")
     return reports

@@ -24,6 +24,8 @@ __all__ = [
     "partial_transpose",
     "embed_two_site",
     "exchange_residual",
+    "identity_residual",
+    "commutator_residual",
 ]
 
 
@@ -183,8 +185,8 @@ def exchange_residual(r12, a1, a2, keep=None) -> tuple[float, float]:
     ``a1`` and ``a2`` act on (auxiliary C^2) (x) V and sit at auxiliary
     factor 1 and 2.  Yang-Baxter (A = R, V = C^2), RLL (A = L), RTT (A = the
     monodromy) and the transmission-matrix exchange algebra (R = S) are all
-    this relation.  ``keep`` is a 0/1 mask over the basis of V defining the
-    diagonal projector P (all of V by default).
+    this relation.  ``keep`` is a 0/1 mask over the basis of V: the residual
+    is measured on the subspace it selects (all of V by default).
 
     Returns (|| (R12 A1 A2 - A2 A1 R12) P ||, || R12 A1 A2 P ||), computed from
     the (2, d, 2, d) tensors without building 4d x 4d matrices: A1 A2 and
@@ -203,3 +205,21 @@ def exchange_residual(r12, a1, a2, keep=None) -> tuple[float, float]:
         lhs = lhs * keep
         res = res * keep
     return float(np.linalg.norm(res)), float(np.linalg.norm(lhs))
+
+
+def identity_residual(m, s, keep) -> float:
+    """|| (M - s 1) P || for M on C^n (x) V and P = 1 (x) diag(keep).
+
+    Unitarity and crossing-unitarity of the Lax and transmission matrices
+    are this relation; ``keep`` is the 0/1 mask over the basis of V.
+    Multiplying by the mask (instead of slicing) keeps the zeros in place,
+    so the norm equals the one of the dense projector product bit for bit.
+    """
+    cols = np.tile(keep, len(m) // len(keep))
+    return float(np.linalg.norm((m - s * np.eye(len(m), dtype=np.complex128)) * cols))
+
+
+def commutator_residual(a, b, keep) -> float:
+    """|| P [A, B] P || with P = diag(keep) for a 0/1 mask ``keep``."""
+    c = a @ b - b @ a
+    return float(np.linalg.norm(c * keep[:, None] * keep[None, :]))

@@ -27,48 +27,27 @@ every evaluation on the real axis of the amplitude routines.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lax_defect import CRITICAL, XXX, RegimeParams, defect_rep, s_matrix_part
-from .oscillator_reps import (HarmonicRep, QOscRep, SpinRep, q_oscillator_rep,
-                              spin_rep)
-from .reporting import ResidualReport
+from .oscillator_reps import HarmonicRep, QOscRep, q_oscillator_rep, spin_rep
 from .special_functions import gamma_ratio
 from .tensor_core import (TensorOperator, TensorSpace, exchange_residual,
-                          partial_transpose)
+                          identity_residual, partial_transpose)
 from .transmission_amplitudes import amplitude, type2_amplitude
 
 __all__ = [
-    "TransmissionPair",
-    "TypeIIMatrix",
-    "make_t_pair",
     "default_rep",
+    "t_matrix_part",
+    "t_prefactor",
+    "t_matrix",
     "quadratic_algebra_residual",
     "unitarity_crossing_residual",
-    "make_type2",
+    "type2_matrix_part",
+    "type2_matrix",
     "type2_algebra_residual",
 ]
-
-
-@dataclass(frozen=True)
-class TransmissionPair:
-    """lam_hat-parametrised T and Tbar on (aux C^2) (x) (defect space).
-
-    renorm carries the critical-regime rescaling (u = lam/gamma,
-    mu~ = pi gamma, q~ = e^{i mu~}); it is None otherwise.
-    """
-
-    params: RegimeParams
-    rep: object
-    t: object
-    t_bar: object
-    t_matrix_part: object
-    t_bar_matrix_part: object
-    t_prefactor: object
-    t_bar_prefactor: object
-    renorm: dict | None = None
 
 
 def default_rep(params: RegimeParams, dim: int):
@@ -83,124 +62,73 @@ def default_rep(params: RegimeParams, dim: int):
         return q_oscillator_rep(dim, q_tilde)
 
 
-def _space(rep) -> TensorSpace:
-    return TensorSpace((2, rep.dim))
+def t_matrix_part(params: RegimeParams, lh: complex, rep, which: str = "t") -> TensorOperator:
+    """Matrix part of T (``which="t"``) or Tbar (``"t_bar"``) at lam_hat on
+    (aux C^2) (x) (defect space); complex lam_hat is allowed.
 
-
-def make_t_pair(params: RegimeParams, rep) -> TransmissionPair:
-    """Both transmission matrices, scalar amplitude prefactors attached.
-
-    The matrix parts and the elementary prefactor pieces accept complex
-    arguments (needed by the crossing check); the amplitude factors are
-    attached exactly as displayed for each regime.
+    The anisotropic parts are one block formula in q = rep.q and
+    e = e^{mu~ u} (critical, u = lam_hat / gamma, mu~ = pi gamma) or
+    e = e^{i eta lam_hat} (non-critical).
     """
-    d = rep.dim
-    eye = np.eye(d, dtype=np.complex128)
-    space = _space(rep)
-
     if params.regime == XXX:
         if not isinstance(rep, HarmonicRep):
             raise TypeError("isotropic transmission matrices need a HarmonicRep")
+        eye = np.eye(rep.dim, dtype=np.complex128)
         n_bar = rep.a @ rep.a_dag - 0.5 * eye
-
-        def t_part(lh):
-            return TensorOperator(space, np.block([
-                [1j * lh * eye + eye + n_bar, rep.a],
-                [rep.a_dag, eye]]))
-
-        def t_bar_part(lh):
-            return TensorOperator(space, np.block([
-                [eye, -rep.a],
-                [-rep.a_dag, -1j * lh * eye + n_bar]]))
-
-        def t_pref(lh):
-            return amplitude(params, "-", lh).value / (1j * lh + 0.5)
-
-        def t_bar_pref(lh):
-            return amplitude(params, "+", lh).value
-
-        renorm = None
-
-    elif params.regime == CRITICAL:
-        if not isinstance(rep, QOscRep):
-            raise TypeError("critical transmission matrices need a QOscRep")
-        g = params.gamma
-        mu_t = np.pi * g
-        q_t = complex(np.exp(1j * mu_t))
-        if abs(rep.q - q_t) > 1e-9:
-            raise ValueError(
-                "critical transmission matrices need the rescaled-deformation "
-                f"oscillator with q = e^(i pi gamma) = {q_t}, got {rep.q}")
-
-        def t_part(lh):
-            u = lh / g
-            e = np.exp(mu_t * u)
-            return TensorOperator(space, np.block([
-                [q_t / e * rep.v - e / q_t * rep.v_inv, rep.a_dag],
-                [rep.a, -e / q_t * rep.v]]))
-
-        def t_bar_part(lh):
-            u = lh / g
-            e = np.exp(mu_t * u)
-            return TensorOperator(space, np.block([
-                [-rep.v / e, -rep.a_dag],
-                [-rep.a, e * rep.v - rep.v_inv / e]]))
-
-        def t_pref(lh, elementary_only=False):
-            u = lh / g
-            e = np.exp(mu_t * u)
-            base = np.exp(-mu_t * u / 2.0) / (q_t ** 0.5 / e - e / q_t ** 0.5)
-            if elementary_only:
-                return base
-            return base * amplitude(params, "-", lh).value
-
-        def t_bar_pref(lh, elementary_only=False):
-            u = lh / g
-            base = -np.exp(mu_t * u / 2.0) * q_t ** 0.5
-            if elementary_only:
-                return base
-            return base * amplitude(params, "+", lh).value
-
-        renorm = {"gamma": g, "mu_tilde": mu_t, "q_tilde": q_t}
-
+        blocks = ([[1j * lh * eye + eye + n_bar, rep.a], [rep.a_dag, eye]] if which == "t"
+                  else [[eye, -rep.a], [-rep.a_dag, -1j * lh * eye + n_bar]])
     else:
         if not isinstance(rep, QOscRep):
-            raise TypeError("non-critical transmission matrices need a QOscRep")
-        eta = params.eta
-        q = params.q
+            raise TypeError("anisotropic transmission matrices need a QOscRep")
+        if params.regime == CRITICAL:
+            g = params.gamma
+            q_t = complex(np.exp(1j * np.pi * g))
+            if abs(rep.q - q_t) > 1e-9:
+                raise ValueError(
+                    "critical transmission matrices need the rescaled-deformation "
+                    f"oscillator with q = e^(i pi gamma) = {q_t}, got {rep.q}")
+            e = np.exp(np.pi * g * (lh / g))
+        else:
+            e = np.exp(1j * params.eta * lh)
+        q = rep.q
+        blocks = ([[q / e * rep.v - e / q * rep.v_inv, rep.a_dag], [rep.a, -e / q * rep.v]]
+                  if which == "t"
+                  else [[-rep.v / e, -rep.a_dag], [-rep.a, e * rep.v - rep.v_inv / e]])
+    return TensorOperator(TensorSpace((2, rep.dim)), np.block(blocks))
 
-        def t_part(lh):
-            e = np.exp(1j * eta * lh)
-            return TensorOperator(space, np.block([
-                [q / e * rep.v - e / q * rep.v_inv, rep.a_dag],
-                [rep.a, -e / q * rep.v]]))
 
-        def t_bar_part(lh):
-            e = np.exp(1j * eta * lh)
-            return TensorOperator(space, np.block([
-                [-rep.v / e, -rep.a_dag],
-                [-rep.a, e * rep.v - rep.v_inv / e]]))
+def _critical_elementary(lh: complex, gamma: float, which: str) -> complex:
+    """The elementary factor of the critical T (or Tbar) prefactor, in the
+    rescaled variable u = lam_hat / gamma."""
+    mu_t = np.pi * gamma
+    q_t = complex(np.exp(1j * mu_t))
+    u = lh / gamma
+    if which == "t":
+        e = np.exp(mu_t * u)
+        return np.exp(-mu_t * u / 2.0) / (q_t ** 0.5 / e - e / q_t ** 0.5)
+    return -np.exp(mu_t * u / 2.0) * q_t ** 0.5
 
-        def t_pref(lh):
-            e = np.exp(1j * eta * lh)
-            return (amplitude(params, "+", lh).value / e
-                    / (q ** 0.5 / e - e / q ** 0.5))
 
-        def t_bar_pref(lh):
-            return -q ** 0.5 * amplitude(params, "-", lh).value
+def t_prefactor(params: RegimeParams, lh: complex, which: str = "t") -> complex:
+    """Scalar prefactor of T (or Tbar): the elementary factor of each regime
+    times the hole amplitude, as displayed."""
+    if params.regime == XXX:
+        if which == "t":
+            return amplitude(params, "-", lh).value / (1j * lh + 0.5)
+        return amplitude(params, "+", lh).value
+    if params.regime == CRITICAL:
+        sign = "-" if which == "t" else "+"
+        return _critical_elementary(lh, params.gamma, which) * amplitude(params, sign, lh).value
+    q = params.q
+    if which == "t":
+        e = np.exp(1j * params.eta * lh)
+        return amplitude(params, "+", lh).value / e / (q ** 0.5 / e - e / q ** 0.5)
+    return -q ** 0.5 * amplitude(params, "-", lh).value
 
-        renorm = None
 
-    def t(lh):
-        return t_pref(lh) * t_part(lh)
-
-    def t_bar(lh):
-        return t_bar_pref(lh) * t_bar_part(lh)
-
-    return TransmissionPair(params=params, rep=rep, t=t, t_bar=t_bar,
-                            t_matrix_part=t_part, t_bar_matrix_part=t_bar_part,
-                            t_prefactor=t_pref, t_bar_prefactor=t_bar_pref,
-                            renorm=renorm)
+def t_matrix(params: RegimeParams, lh: complex, rep, which: str = "t") -> TensorOperator:
+    """T (or Tbar) at lam_hat: prefactor times matrix part."""
+    return t_prefactor(params, lh, which) * t_matrix_part(params, lh, rep, which)
 
 
 # --------------------------------------------------------------------------
@@ -209,22 +137,18 @@ def make_t_pair(params: RegimeParams, rep) -> TransmissionPair:
 
 
 def quadratic_algebra_residual(params: RegimeParams, lam1: float, lam2: float,
-                               rep, which: str = "t") -> ResidualReport:
-    """|| S12 T1 T2 - T2 T1 S12 || on the interior (buffer 1) of the defect
-    space, relative to || S12 T1 T2 || (floored at 1).
+                               rep, which: str = "t") -> float:
+    """|| S12 T1 T2 - T2 T1 S12 || on the interior of the defect space,
+    relative to || S12 T1 T2 || (floored at 1).
 
     The scalar prefactors cancel in this bilinear residual, so it is
     evaluated on the matrix parts.
     """
-    pair = make_t_pair(params, rep)
-    part = pair.t_matrix_part if which == "t" else pair.t_bar_matrix_part
     res, scale = exchange_residual(s_matrix_part(params, lam1 - lam2).entries,
-                                   part(lam1).entries, part(lam2).entries,
-                                   keep=np.diag(rep.interior(1)))
-    return ResidualReport(
-        f"quadratic-algebra[{which}]", res / max(scale, 1.0),
-        params={"lam1": lam1, "lam2": lam2, "dim": rep.dim},
-        subspace="interior(buffer=1), relative")
+                                   t_matrix_part(params, lam1, rep, which).entries,
+                                   t_matrix_part(params, lam2, rep, which).entries,
+                                   keep=rep.interior())
+    return res / max(scale, 1.0)
 
 
 def _critical_crossing_scalar(lam: float, gamma: float) -> complex:
@@ -236,39 +160,30 @@ def _critical_crossing_scalar(lam: float, gamma: float) -> complex:
 
 
 def unitarity_crossing_residual(params: RegimeParams, lam: float,
-                                rep) -> tuple[ResidualReport, ResidualReport]:
+                                rep) -> tuple[float, float]:
     """Residuals of T(l) Tbar(-l) = 1 and Tbar^{t1}(l+i) T^{t1}(-l+i) = 1 on
-    the interior (buffer 1) of the defect space.
+    the interior of the defect space.
 
     In the critical regime both identities hold in the rescaled variable,
     so the crossing shift is lam -> lam + i gamma and the amplitude product
     is evaluated through its closed elementary form.
     """
-    d = rep.dim
-    pair = make_t_pair(params, rep)
-    proj = np.kron(np.eye(2, dtype=np.complex128), rep.interior(1))
-    eye = np.eye(2 * d, dtype=np.complex128)
-    sub = "interior(buffer=1)"
-
-    u = (pair.t(lam).entries @ pair.t_bar(-lam).entries) - eye
-    unit = ResidualReport("tt-unitarity", float(np.linalg.norm(u @ proj)),
-                          params={"lam": lam, "dim": d}, subspace=sub)
-
-    shift = 1j * (params.gamma if params.regime == CRITICAL else 1.0)
+    keep = rep.interior()
+    unit = (t_matrix(params, lam, rep).entries
+            @ t_matrix(params, -lam, rep, "t_bar").entries)
     if params.regime == CRITICAL:
-        amp = _critical_crossing_scalar(lam, params.gamma)
-        pb = pair.t_bar_prefactor(lam + shift, elementary_only=True)
-        pt = pair.t_prefactor(-lam + shift, elementary_only=True)
-        scalars = amp * pb * pt
+        g = params.gamma
+        shift = 1j * g
+        amp = _critical_crossing_scalar(lam, g)
+        scalars = (amp * _critical_elementary(lam + shift, g, "t_bar")
+                   * _critical_elementary(-lam + shift, g, "t"))
     else:
-        scalars = (pair.t_bar_prefactor(lam + shift)
-                   * pair.t_prefactor(-lam + shift))
-    mb = partial_transpose(pair.t_bar_matrix_part(lam + shift), 0).entries
-    mt = partial_transpose(pair.t_matrix_part(-lam + shift), 0).entries
-    c = scalars * (mb @ mt) - eye
-    cross = ResidualReport("tt-crossing", float(np.linalg.norm(c @ proj)),
-                           params={"lam": lam, "dim": d}, subspace=sub)
-    return unit, cross
+        shift = 1j
+        scalars = t_prefactor(params, lam + shift, "t_bar") * t_prefactor(params, -lam + shift)
+    mb = partial_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"), 0).entries
+    mt = partial_transpose(t_matrix_part(params, -lam + shift, rep), 0).entries
+    return (identity_residual(unit, 1, keep),
+            identity_residual(scalars * (mb @ mt), 1, keep))
 
 
 # --------------------------------------------------------------------------
@@ -276,67 +191,34 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeIIMatrix:
-    eta: float
-    spin: float
-    rep: SpinRep
-    t: object
-    matrix_part: object
-    prefactor: object
-
-    @property
-    def s_tilde(self) -> float:
-        return self.spin - 0.5
-
-
-def make_type2(eta: float, spin: float, rep: SpinRep | None = None) -> TypeIIMatrix:
-    """Spin-defect transmission matrix in the non-critical regime.
-
-    Entries are sin(eta(-lam +- i Sz + i/2)) on the diagonal and
-    sin(i eta) S -+ off it, with prefactor T(lam) / sin(eta(-lam + i S~ + i/2)).
-    """
-    if rep is None:
-        rep = spin_rep(spin, complex(np.exp(-eta)))
-    if rep.dim != round(2 * spin) + 1:
-        raise ValueError("representation dimension does not match the spin")
-    s_tilde = spin - 0.5
-    d = rep.dim
-    eye = np.eye(d, dtype=np.complex128)
-    space = TensorSpace((2, d))
+def type2_matrix_part(eta: float, spin: float, lh: complex) -> TensorOperator:
+    """Matrix part of the spin-defect transmission matrix (non-critical):
+    sin(eta(-lam +- i Sz + i/2)) on the diagonal and sin(i eta) S-+ off it,
+    over the spin representation at q = e^{-eta}."""
+    rep = spin_rep(spin, complex(np.exp(-eta)))
     sz_diag = np.diag(rep.s_z)
-
-    def matrix_part(lh):
-        a11 = np.diag(np.sin(eta * (-lh + 1j * sz_diag + 0.5j)))
-        a22 = np.diag(np.sin(eta * (-lh - 1j * sz_diag + 0.5j)))
-        off = np.sin(1j * eta)
-        return TensorOperator(space, np.block([
-            [a11, off * rep.s_minus],
-            [off * rep.s_plus, a22]]))
-
-    def prefactor(lh):
-        den = np.sin(eta * (-lh + 1j * s_tilde + 0.5j))
-        if abs(den) < 1e-12:
-            raise ZeroDivisionError(
-                f"type-II prefactor denominator vanishes at lam_hat = {lh}")
-        return type2_amplitude(lh, eta, spin).value / den
-
-    def t(lh):
-        return prefactor(lh) * matrix_part(lh)
-
-    return TypeIIMatrix(eta=eta, spin=spin, rep=rep, t=t,
-                        matrix_part=matrix_part, prefactor=prefactor)
+    a11 = np.diag(np.sin(eta * (-lh + 1j * sz_diag + 0.5j)))
+    a22 = np.diag(np.sin(eta * (-lh - 1j * sz_diag + 0.5j)))
+    off = np.sin(1j * eta)
+    return TensorOperator(TensorSpace((2, rep.dim)), np.block([
+        [a11, off * rep.s_minus],
+        [off * rep.s_plus, a22]]))
 
 
-def type2_algebra_residual(eta: float, spin: float, lam1: float,
-                           lam2: float) -> ResidualReport:
+def type2_matrix(eta: float, spin: float, lh: complex) -> TensorOperator:
+    """The spin-defect transmission matrix: the matrix part times
+    T(lam) / sin(eta(-lam + i S~ + i/2)), S~ = S - 1/2."""
+    den = np.sin(eta * (-lh + 1j * (spin - 0.5) + 0.5j))
+    if abs(den) < 1e-12:
+        raise ZeroDivisionError(
+            f"type-II prefactor denominator vanishes at lam_hat = {lh}")
+    return type2_amplitude(lh, eta, spin).value / den * type2_matrix_part(eta, spin, lh)
+
+
+def type2_algebra_residual(eta: float, spin: float, lam1: float, lam2: float) -> float:
     """Exchange-algebra residual of the spin matrix with the non-critical
-    bulk S-matrix (prefactors cancel; matrix parts used)."""
-    mat = make_type2(eta, spin)
+    bulk S-matrix, relative (prefactors cancel; matrix parts used)."""
     s12 = s_matrix_part(RegimeParams.noncritical(eta), lam1 - lam2).entries
-    res, scale = exchange_residual(s12, mat.matrix_part(lam1).entries,
-                                   mat.matrix_part(lam2).entries)
-    return ResidualReport(
-        "quadratic-algebra[type2]", res / max(scale, 1.0),
-        params={"lam1": lam1, "lam2": lam2, "spin": spin},
-        subspace="full (no truncation), relative")
+    res, scale = exchange_residual(s12, type2_matrix_part(eta, spin, lam1).entries,
+                                   type2_matrix_part(eta, spin, lam2).entries)
+    return res / max(scale, 1.0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,51 @@ def test_convergence_failure_is_a_one_line_error(capsys, command):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "terms" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "xxx", "--family", "breather"],
+    ["--regime", "noncritical", "--family", "breather"],
+    ["--regime", "noncritical", "--family", "type2", "--spin", "0.3"],
+    ["--regime", "xxx", "--family", "type2"],
+], ids=["xxx-breather", "nc-breather", "type2-bad-spin", "xxx-type2"])
+def test_amplitude_family_outside_its_domain_is_a_usage_error(capsys, argv):
+    # no table of NaN rows: one plain error line and exit 2
+    code = run(["amplitude", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "NoneType" not in captured.err
+
+
+# theta on a 0.1 grid over [-0.5, 0.5] plus the 0.06 probe; the Newton search
+# this replaced warned or failed at theta = 0.06 and -0.4 for mu = 0.7
+BAE_THETAS = [k / 10 for k in range(-5, 6)] + [0.06]
+
+
+@pytest.mark.parametrize("regime, flag", [("critical", "--mu"), ("noncritical", "--eta")],
+                         ids=["crit", "nc"])
+@pytest.mark.parametrize("anisotropy", [0.3, 0.7, 2.5])
+def test_bae_exact_root_over_theta_without_warnings(tmp_path, regime, flag, anisotropy):
+    out = tmp_path / "bae.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in BAE_THETAS:
+            argv = ["bae", "--regime", regime, flag, str(anisotropy), "--theta", str(theta)]
+            assert run(argv + ["--out", str(out)]) == 0, argv
+            _, rows = read_csv(out)
+            assert len(rows) == 2
+            assert all(float(r["residual"]) <= 1e-10 for r in rows), (argv, rows)
+
+
+def test_verify_critical_off_zero_theta_without_warnings(tmp_path):
+    out = tmp_path / "v.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["verify", "--regime", "critical", "--mu", "0.7", "--theta", "0.2",
+                    "--out", str(out)])
+    assert code == 0
+    _, records = read_jsonl(out)
+    bae = [r for r in records if r["name"].startswith("bae-residual")]
+    assert len(bae) == 2 and all(r["pass"] and r["residual"] <= 1e-10 for r in bae)

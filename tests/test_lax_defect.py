@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from defectchain.lax_defect import (RegimeParams, crossing_transform, lax_pair,
-                                    make_l, make_l_hat, make_r, scalar_crossing,
+from defectchain.lax_defect import (RegimeParams, crossing_transform, make_l,
+                                    make_l_hat, make_r, scalar_crossing,
                                     scalar_unitarity, unitarity_residuals)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import ProductTruncation
@@ -37,7 +37,7 @@ def ybe_residual(mat, l1, l2):
     return np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12)
 
 
-def rll_residual(params, rep, l1, l2, buffer=1):
+def rll_residual(params, rep, l1, l2):
     d = rep.dim
     eye2 = np.eye(2, dtype=complex)
     lm1 = make_l(params, l1, rep).entries.reshape(2, d, 2, d)
@@ -45,7 +45,7 @@ def rll_residual(params, rep, l1, l2, buffer=1):
     m1 = np.einsum("aibj,cd->acibdj", lm1, eye2).reshape(4 * d, 4 * d)
     m2 = np.einsum("aibj,cd->caidbj", lm2, eye2).reshape(4 * d, 4 * d)
     r12 = np.kron(make_r(params, l1 - l2).entries, np.eye(d, dtype=complex))
-    proj = np.kron(np.eye(4, dtype=complex), rep.interior(buffer))
+    proj = np.kron(np.eye(4, dtype=complex), np.diag(rep.interior()))
     return np.linalg.norm((r12 @ m1 @ m2 - m2 @ m1 @ r12) @ proj)
 
 
@@ -144,7 +144,7 @@ def test_crossing_needs_two_dim_aux():
 def test_xxx_unitarity_at_zero():
     rep = rep_for(XXX)
     prod = make_l(XXX, 0.0, rep).entries @ make_l_hat(XXX, 0.0, rep).entries
-    proj = np.kron(np.eye(2), rep.interior(1))
+    proj = np.kron(np.eye(2), np.diag(rep.interior()))
     # scalar i(lam + i) at lam = 0 is -1
     assert np.linalg.norm((prod + np.eye(2 * rep.dim)) @ proj) < 1e-13
 
@@ -155,7 +155,7 @@ def test_xxz_unitarity_scalar_value():
     mu = 1j * NC.eta
     prod = make_l(NC, lam, rep).entries @ make_l_hat(NC, -lam, rep).entries
     scalar = -np.exp(-mu * lam) * (np.exp(mu * lam) - np.exp(-mu * lam))
-    proj = np.kron(np.eye(2), rep.interior(1))
+    proj = np.kron(np.eye(2), np.diag(rep.interior()))
     assert np.linalg.norm((prod - scalar * np.eye(2 * rep.dim)) @ proj) < 1e-12
     assert scalar == pytest.approx(scalar_unitarity(NC, lam))
 
@@ -163,20 +163,21 @@ def test_xxz_unitarity_scalar_value():
 @pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
 def test_unitarity_residuals_on_grid(params):
     rep = rep_for(params)
-    pair = lax_pair(params, rep)
-    grid = [x for x in np.linspace(-2.0, 2.0, 9) if abs(x) > 1e-6]
-    reports = unitarity_residuals(pair, grid)
-    assert reports
-    for rr in reports:
-        assert rr.residual < 1e-11, (rr.identity, rr.params)
+    for lam in np.linspace(-2.0, 2.0, 9):
+        unit, crossing = unitarity_residuals(params, lam, rep)
+        assert unit < 1e-11 and crossing < 1e-11, lam
 
 
-def test_scalar_zero_grid_point_skipped():
-    rep = rep_for(XXX)
-    pair = lax_pair(XXX, rep)
-    reports = unitarity_residuals(pair, [-1j])  # zero of i(lam + i)
-    assert len(reports) == 1
-    assert "skipped" in reports[0].subspace
+@pytest.mark.parametrize("params, zeros", [(XXX, [-1j, 1j]), (CRIT, [0.0]), (NC, [0.0])],
+                         ids=["xxx", "crit", "nc"])
+def test_unitarity_identities_hold_at_scalar_zeros(params, zeros):
+    # s_u(-i) = 0 and s_c(i) = 0 (isotropic), s_u(0) = s_c(0) = 0 (anisotropic):
+    # the products vanish on the interior there, with no division to skip
+    rep = rep_for(params)
+    for lam in zeros:
+        assert min(abs(scalar_unitarity(params, lam)), abs(scalar_crossing(params, lam))) == 0
+        unit, crossing = unitarity_residuals(params, lam, rep)
+        assert unit < 1e-13 and crossing < 1e-13, (lam, unit, crossing)
 
 
 def test_crossing_scalar_xxx():

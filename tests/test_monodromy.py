@@ -4,11 +4,11 @@ import pytest
 from defectchain.lax_defect import RegimeParams, make_l, make_r
 from defectchain.monodromy import (ChainSpec, bae_residual,
                                    bae_residual_breather,
-                                   bae_residual_breather_strings,
+                                   bae_residual_breather_strings, bae_root,
                                    build_monodromy, charge_residual,
                                    charge_vector, commuting_residual,
-                                   reference_eigenvalue, reference_state,
-                                   rtt_residual, sector_projector,
+                                   reference_eigenvalue, reference_residual,
+                                   reference_state, rtt_residual, sector_mask,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 
@@ -56,7 +56,7 @@ def test_rtt_relation_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(3)
     for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-        assert rtt_residual(spec, l1, l2).residual < 1e-10
+        assert rtt_residual(spec, l1, l2) < 1e-10
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -64,7 +64,7 @@ def test_commuting_family_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(5)
     for l1, l2 in rng.uniform(-1.2, 1.2, size=(4, 2)):
-        assert commuting_residual(spec, l1, l2).residual < 1e-10
+        assert commuting_residual(spec, l1, l2) < 1e-10
 
 
 def test_commuting_family_fails_without_projection():
@@ -77,18 +77,30 @@ def test_commuting_family_fails_without_projection():
 
 def test_charge_conservation():
     spec = xxx_chain()
-    assert charge_residual(spec, 0.77).residual < 1e-12
+    assert charge_residual(spec, 0.77) < 1e-12
     # exact commutation on the full space as well (grading is exact)
     t = transfer_matrix(spec, 0.77).entries
     qd = np.diag(charge_vector(spec)).astype(complex)
     assert np.linalg.norm(t @ qd - qd @ t) < 1e-10
 
 
-def test_sector_projector_counts():
+def test_sector_mask_counts():
     spec = xxx_chain()
-    proj = sector_projector(spec)           # Q <= D - 2 = 4
+    keep = sector_mask(spec)                # Q <= D - 2 = 4
     q = charge_vector(spec)
-    assert int(np.trace(proj).real) == int(np.sum(q <= 4))
+    assert set(keep) == {0.0, 1.0}
+    assert int(keep.sum()) == int(np.sum(q <= 4))
+
+
+@pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
+def test_charge_vector_matches_index_loop(chain):
+    # oracle: the grading summed site by site over the unravelled basis index
+    spec = chain(n_sites=3, defect_site=3, d=5)
+    spin = [0.0, 1.0] if spec.params.regime == "XXX" else [1.0, 0.0]
+    gradings = [spin if d == 2 else list(range(d)) for d in spec.dims]
+    want = [sum(g[k] for g, k in zip(gradings, np.unravel_index(i, spec.dims)))
+            for i in range(spec.chain_dim)]
+    np.testing.assert_array_equal(charge_vector(spec), want)
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -99,6 +111,8 @@ def test_reference_state_eigenvalue(chain):
         tv = transfer_matrix(spec, lam).entries @ vec
         ev = reference_eigenvalue(spec, lam)
         assert np.linalg.norm(tv - ev * vec) / abs(ev) < 1e-10
+        t = transfer_matrix(spec, lam).entries
+        assert reference_residual(spec, t, lam) == np.linalg.norm(tv - ev * vec) / abs(ev)
 
 
 def test_xxx_reference_eigenvalue_formula():
@@ -146,10 +160,27 @@ def test_bae_root_from_independent_polynomial_oracle_xxx():
     roots = np.roots([1.0, 1j - th - 1.0, -0.5j * th - 0.25 + 0.5j])
     for r in roots:
         assert abs(bae_residual(spec, "+", [r])[0]) < 1e-10
+    assert bae_root(spec, "+") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
     # minus: (lam + i/2) = (lam - i/2)(lam - th - i/2)
     roots = np.roots([1.0, -(th + 1j + 1.0), 0.5j * th - 0.25 - 0.5j])
     for r in roots:
         assert abs(bae_residual(spec, "-", [r])[0]) < 1e-10
+    assert bae_root(spec, "-") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
+
+
+@pytest.mark.parametrize("params", [RegimeParams.critical(0.7), RegimeParams.noncritical(0.5)],
+                         ids=["crit", "nc"])
+def test_bae_root_rejects_the_pole_root(params):
+    # at theta = 0 clearing the denominators adds a root where sinh (sin) of
+    # mu(lam -+ i/2) vanishes, i.e. lam = -+ i/2 up to the period i pi / mu
+    spec = ChainSpec(n_sites=1, defect_site=1, params=params,
+                     rep=q_oscillator_rep(4, params.q))
+    period = np.pi / params.mu_complex * 1j
+    for sign, pole in (("+", -0.5j), ("-", 0.5j)):
+        root = bae_root(spec, sign)
+        assert abs(bae_residual(spec, sign, [root])[0]) < 1e-13
+        offset = (root - pole) / period
+        assert abs(offset - round(offset.real)) > 1e-3
 
 
 def test_bae_root_noncritical_newton_oracle():

@@ -26,6 +26,13 @@ def test_harmonic_grading_support():
     assert all(rep.a_dag[i, j] == 0 for i in range(6) for j in range(6) if i != j - 1)
 
 
+def test_interior_masks():
+    # the top state is dropped from truncated oscillators; spins keep all
+    np.testing.assert_array_equal(harmonic_rep(4).interior(), [1.0, 1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(q_oscillator_rep(4, 0.6).interior(), [1.0, 1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(spin_rep(1.0).interior(), [1.0, 1.0, 1.0])
+
+
 def test_harmonic_interior_residuals():
     rep = harmonic_rep(8)
     for report in algebra_residuals(rep):
@@ -76,7 +83,7 @@ def test_q_oscillator_ladder_actions(q):
 @pytest.mark.parametrize("q", [0.6, np.exp(0.7j)])
 def test_q_oscillator_weyl_and_algebra(q):
     rep = q_oscillator_rep(8, q)
-    p = rep.interior(1)
+    p = np.diag(rep.interior())
     assert np.linalg.norm((rep.x @ rep.y - q * rep.y @ rep.x) @ p) < 1e-13
     for report in algebra_residuals(rep):
         assert report.residual < 1e-12, report.identity

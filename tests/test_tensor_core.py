@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.tensor_core import (TensorOperator, TensorSpace,
-                                     embed_two_site, exchange_residual,
+                                     commutator_residual, embed_two_site,
+                                     exchange_residual, identity_residual,
                                      partial_transpose, permutation_operator)
 
 
@@ -159,7 +160,7 @@ def test_exchange_residual_failing_rll_matches_oracle(params):
     l1, l2 = 0.63, -0.41
     res, scale = assert_matches_oracle(
         make_r(params, l1 + l2).entries, make_l(params, l1, rep).entries,
-        make_l(params, l2, rep).entries, keep=np.diag(rep.interior(1)).real)
+        make_l(params, l2, rep).entries, keep=rep.interior())
     assert res > 1e-3 * scale > 0
 
 
@@ -194,3 +195,34 @@ def test_exchange_residual_odd_dimension_with_mask():
     res, _ = assert_matches_oracle(r12, m1, m2, keep)
     assert 0.0 < res < exchange_residual(r12, m1, m2)[0]
     assert exchange_residual(r12, m1, m2, keep=np.zeros(d)) == (0.0, 0.0)
+
+
+# ------------------------------------------------------------- masked kernels
+
+@pytest.mark.parametrize("d", [1, 4, 5])
+def test_identity_residual_equals_dense_projector_product(d):
+    rng = np.random.default_rng(20 + d)
+    m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+    s = complex(rng.standard_normal(), rng.standard_normal())
+    keep = (rng.uniform(size=d) < 0.6).astype(float)
+    keep[0] = 1.0
+    proj = np.kron(np.eye(2, dtype=complex), np.diag(keep).astype(complex))
+    want = np.linalg.norm((m - s * np.eye(2 * d, dtype=complex)) @ proj)
+    assert identity_residual(m, s, keep) == want
+    # M = s 1 on the kept columns only: the residual sees none of the rest
+    m_ok = s * np.eye(2 * d, dtype=complex) + m * (1.0 - np.tile(keep, 2))
+    assert identity_residual(m_ok, s, keep) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_commutator_residual_equals_dense_projector_product(n):
+    rng = np.random.default_rng(40 + n)
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2))
+    keep = (rng.uniform(size=n) < 0.5).astype(float)
+    keep[-1] = 1.0
+    proj = np.diag(keep).astype(complex)
+    want = np.linalg.norm(proj @ (a @ b - b @ a) @ proj)
+    assert commutator_residual(a, b, keep) == want
+    assert commutator_residual(a, a @ a, keep) < 1e-12 * np.linalg.norm(a) ** 3
+    assert commutator_residual(a, b, np.zeros(n)) == 0.0
