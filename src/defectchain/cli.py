@@ -8,7 +8,8 @@ verify     run the identity suite for one regime; one structured record per
 amplitude  tabulate transmission amplitudes over a lam_hat grid (csv rows:
            lam_hat, Re T+, Im T+, Re T-, Im T-, route discrepancy).
 spectrum   eigenvalues of the transfer matrix grouped by charge sector,
-           with a reference-eigenvalue check column.
+           with reference-eigenvalue and commutator check columns and an
+           exact flag (1 iff the sector lies below the truncation ceiling).
 bae        solve the one-root Bethe equation (N=1, M=1) exactly and report
            the residuals for both defect orientations.
 
@@ -323,8 +324,8 @@ def cmd_spectrum(args) -> int:
     sectors = [(sector, np.where(np.abs(q - sector) < 1e-9)[0])
                for sector in sorted(set(int(round(x)) for x in q))]
     for lam in np.linspace(start, stop, count):
-        t = mono.transfer_matrix(spec, lam).entries
-        ref_res = mono.reference_residual(spec, t, lam)
+        t = mono.transfer_matrix(spec, lam)
+        ref_res = mono.reference_residual(spec, t.entries, lam)
         # sector-masked commutator with the first grid point: the whole
         # family must commute below the truncation ceiling
         if first_t is None:
@@ -333,13 +334,14 @@ def cmd_spectrum(args) -> int:
         else:
             comm_res = commutator_residual(t, first_t, keep)
         for sector, idx in sectors:
-            block = t[np.ix_(idx, idx)]
+            block = t.entries[np.ix_(idx, idx)]
             for ev in sorted(np.linalg.eigvals(block),
                              key=lambda z: (round(z.real, 10), round(z.imag, 10))):
                 rows.append({"lam": float(lam), "sector": sector,
                              "re_eig": ev.real, "im_eig": ev.imag,
                              "reference_check": ref_res,
-                             "commutator_check": comm_res})
+                             "commutator_check": comm_res,
+                             "exact": int(keep[idx[0]])})
     header = {"command": "spectrum", "regime": args.regime, "sites": args.sites,
               "defect_site": args.defect_site, "fock_dim": args.fock_dim,
               "theta": args.theta}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .lax_defect import CRITICAL, XXX, RegimeParams, make_l, make_r
 from .tensor_core import (TensorOperator, TensorSpace, commutator_residual,
-                          embed_two_site, exchange_residual)
+                          exchange_residual)
 
 __all__ = [
     "ChainSpec",
@@ -90,16 +90,30 @@ def chain_space(spec: ChainSpec, with_aux: bool = True) -> TensorSpace:
 
 
 def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
-    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain."""
-    space = chain_space(spec, with_aux=True)
-    total = TensorOperator.identity(space)
-    for j in range(spec.n_sites + 1, 0, -1):
+    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain.
+
+    Built by local contraction: starting from M_{0,N+1} as a (2, d, 2, d)
+    tensor, each step j = N, ..., 1 contracts the open column-auxiliary index
+    with the row-auxiliary index of M_{0,j} and prepends site j as the
+    slowest chain factor, so the tensor stays in (aux, chain, aux, chain)
+    numpy.kron order and only the last step works at full size.  This is
+    the association ((M_{N+1} M_N) M_{N-1}) ... of the dense left-to-right
+    product, each entry summing the same two nonzero terms.
+    """
+    def local(j):
         if j == spec.defect_site:
-            local = make_l(spec.params, lam - spec.theta, spec.rep)
+            m = make_l(spec.params, lam - spec.theta, spec.rep)
         else:
-            local = make_r(spec.params, lam)
-        total = total @ embed_two_site(local.entries, (0, j), space)
-    return total
+            m = make_r(spec.params, lam)
+        d = spec.dims[j - 1]
+        return m.entries.reshape(2, d, 2, d)
+
+    total = local(spec.n_sites + 1)
+    for j in range(spec.n_sites, 0, -1):
+        total = np.einsum("arbq,bsct->asrctq", total, local(j))
+        total = total.reshape(2, total.shape[1] * total.shape[2], 2, -1)
+    d = 2 * spec.chain_dim
+    return TensorOperator(chain_space(spec), total.reshape(d, d))
 
 
 def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
@@ -202,14 +216,14 @@ def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> float:
 
 def commuting_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> float:
     """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2."""
-    return commutator_residual(transfer_matrix(spec, lam1).entries,
-                               transfer_matrix(spec, lam2).entries, sector_mask(spec))
+    return commutator_residual(transfer_matrix(spec, lam1), transfer_matrix(spec, lam2),
+                               sector_mask(spec))
 
 
 def charge_residual(spec: ChainSpec, lam: complex) -> float:
     """|| [t(lam), Q] || on charge sectors Q <= D - 2."""
-    return commutator_residual(transfer_matrix(spec, lam).entries,
-                               np.diag(charge_vector(spec)), sector_mask(spec))
+    charge = TensorOperator(chain_space(spec, with_aux=False), np.diag(charge_vector(spec)))
+    return commutator_residual(transfer_matrix(spec, lam), charge, sector_mask(spec))
 
 
 # --------------------------------------------------------------------------

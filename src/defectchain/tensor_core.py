@@ -1,14 +1,16 @@
-"""Dense complex linear algebra on explicit tensor-product spaces.
+"""Complex linear algebra on explicit tensor-product spaces.
 
-Every operator in this package is a dense complex matrix acting on an
-ordered tensor product of factor spaces.  The basis ordering convention,
-fixed once here and used everywhere, is row-major with the leftmost
-factor slowest: for factors (d1, d2) the product basis index is
-``i1 * d2 + i2``, which is exactly what ``numpy.kron`` produces.
+Operators are complex matrices acting on an ordered tensor product of
+factor spaces.  The basis ordering convention, fixed once here and used
+everywhere, is row-major with the leftmost factor slowest: for factors
+(d1, d2) the product basis index is ``i1 * d2 + i2``, which is exactly what
+``numpy.kron`` produces.  Values are immutable after construction and all
+operations are pure.
 
-All values are immutable after construction and all operations are pure,
-so independent spectral points can be evaluated in parallel without any
-shared state.
+The module also holds the three masked residual kernels of the operator
+identities: the exchange relation works on (2, d, 2, d) tensors without
+building 4d x 4d products, and the identity and commutator kernels
+multiply by a 0/1 mask in place of a dense projector.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ __all__ = [
     "TensorOperator",
     "permutation_operator",
     "partial_transpose",
-    "embed_two_site",
     "exchange_residual",
     "identity_residual",
     "commutator_residual",
@@ -143,41 +144,6 @@ def _as_matrix(op, expected_dim: int) -> np.ndarray:
     return m
 
 
-def embed_two_site(op, sites: tuple[int, int], space: TensorSpace) -> TensorOperator:
-    """Embed an operator acting on an ordered pair of (not necessarily adjacent) factors.
-
-    ``op`` is a matrix on factor_i (x) factor_j in that order; the result acts on the
-    full space with identity elsewhere.
-    """
-    i, j = sites
-    i = space.check_factor(i)
-    j = space.check_factor(j)
-    if i == j:
-        raise ValueError("two-site embedding needs distinct factors")
-    dims = space.factor_dims
-    di, dj = dims[i], dims[j]
-    m = _as_matrix(op, di * dj).reshape(di, dj, di, dj)
-    n = len(dims)
-    # build as tensor with deltas on the spectator factors
-    row = [f"r{k}" for k in range(n)]
-    col = [f"c{k}" for k in range(n)]
-    tensor = m
-    spectators = [k for k in range(n) if k not in (i, j)]
-    for k in spectators:
-        tensor = np.multiply.outer(tensor, np.eye(dims[k], dtype=np.complex128))
-    # tensor index order: (ri, rj, ci, cj, then pairs (rk, ck) for each spectator)
-    order = {}
-    order[f"r{i}"], order[f"r{j}"], order[f"c{i}"], order[f"c{j}"] = 0, 1, 2, 3
-    pos = 4
-    for k in spectators:
-        order[f"r{k}"] = pos
-        order[f"c{k}"] = pos + 1
-        pos += 2
-    perm = [order[name] for name in row + col]
-    d = space.dim
-    return TensorOperator(space, np.ascontiguousarray(tensor.transpose(perm)).reshape(d, d))
-
-
 def exchange_residual(r12, a1, a2, keep=None) -> tuple[float, float]:
     """The exchange relation R12 A1 A2 = A2 A1 R12 on C^2 (x) C^2 (x) V.
 
@@ -219,7 +185,11 @@ def identity_residual(m, s, keep) -> float:
     return float(np.linalg.norm((m - s * np.eye(len(m), dtype=np.complex128)) * cols))
 
 
-def commutator_residual(a, b, keep) -> float:
-    """|| P [A, B] P || with P = diag(keep) for a 0/1 mask ``keep``."""
-    c = a @ b - b @ a
+def commutator_residual(a: TensorOperator, b: TensorOperator, keep) -> float:
+    """|| P [A, B] P || with P = diag(keep) for a 0/1 mask ``keep``.
+
+    A and B are operators: their two products are the dense chain-size work
+    left in the package (commuting family, charge conservation).
+    """
+    c = (a @ b - b @ a).entries
     return float(np.linalg.norm(c * keep[:, None] * keep[None, :]))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from defectchain.cli import main
+from defectchain.lax_defect import RegimeParams, defect_rep
+from defectchain.monodromy import ChainSpec, sector_mask
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -169,6 +171,18 @@ def test_spectrum_commutator_column(tmp_path):
                  key=key)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_spectrum_exact_column_flags_sectors_below_the_ceiling(tmp_path):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--regime", "xxx", "--sites", "2", "--defect-site", "2",
+                "--fock-dim", "4", "--grid", "0.3:0.3:1", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    spec = ChainSpec(n_sites=2, defect_site=2, params=RegimeParams.xxx(),
+                     rep=defect_rep(RegimeParams.xxx(), 4))
+    assert sum(r["exact"] == "1" for r in rows) == sector_mask(spec).sum()
+    assert {r["sector"] for r in rows} == {str(k) for k in range(6)}
+    assert all(r["exact"] == ("1" if int(r["sector"]) <= 2 else "0") for r in rows)
 
 
 def test_spectrum_oversize_rejected(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from defectchain.lax_defect import RegimeParams, make_l, make_r
+from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (ChainSpec, bae_residual,
                                    bae_residual_breather,
                                    bae_residual_breather_strings, bae_root,
@@ -25,6 +25,73 @@ def nc_chain(n_sites=3, defect_site=2, d=6, theta=0.2, eta=0.5):
     params = RegimeParams.noncritical(eta, theta=theta)
     return ChainSpec(n_sites=n_sites, defect_site=defect_site, params=params,
                      rep=q_oscillator_rep(d, params.q))
+
+
+SZ = np.diag([1.0, -1.0]).astype(complex)
+REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
+           RegimeParams.noncritical(0.5, theta=0.2)]
+
+
+# ------------------------------------------------------------ dense oracle
+
+def embed(m, sites, dims):
+    """m on factors (i, j) of the kron-ordered space with factor dims ``dims``,
+    identity elsewhere: kron(m, 1) on (i, j, rest), then permuted."""
+    i, j = sites
+    rest = [k for k in range(len(dims)) if k not in sites]
+    order = [i, j] + rest
+    full = np.kron(m, np.eye(int(np.prod([dims[k] for k in rest])), dtype=complex))
+    n = len(dims)
+    perm = np.argsort(order)
+    t = full.reshape([dims[k] for k in order] * 2).transpose(list(perm) + list(perm + n))
+    d = int(np.prod(dims))
+    return t.reshape(d, d)
+
+
+def dense_monodromy(spec, lam):
+    """M_{0,N+1} ... M_{0,1} as the left-to-right product of embedded
+    (2 dim) x (2 dim) matrices."""
+    dims = (2,) + spec.dims
+    total = np.eye(int(np.prod(dims)), dtype=complex)
+    for j in range(spec.n_sites + 1, 0, -1):
+        if j == spec.defect_site:
+            local = make_l(spec.params, lam - spec.theta, spec.rep)
+        else:
+            local = make_r(spec.params, lam)
+        total = total @ embed(local.entries, (0, j), dims)
+    return total
+
+
+def test_oracle_embedding_identity_and_kron_ordering():
+    dims = (2, 3, 2)
+    np.testing.assert_array_equal(embed(np.eye(6), (0, 1), dims), np.eye(12))
+    np.testing.assert_array_equal(embed(np.kron(SZ, SZ), (0, 2), dims),
+                                  np.kron(np.kron(SZ, np.eye(3)), SZ))
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # second route: contract by hand with an explicit reordering
+    want = np.einsum("acbd,ef->aecbfd", m.reshape(2, 2, 2, 2), np.eye(3)).reshape(12, 12)
+    np.testing.assert_allclose(embed(m, (0, 2), dims), want)
+
+
+def test_oracle_embedding_on_disjoint_sites_commutes():
+    rng = np.random.default_rng(8)
+    dims = (2, 2, 3, 2)
+    a = embed(rng.standard_normal((4, 4)), (0, 1), dims)
+    b = embed(rng.standard_normal((6, 6)), (2, 3), dims)
+    np.testing.assert_allclose(a @ b, b @ a, atol=1e-12)
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("d", [3, 6])
+def test_monodromy_equals_dense_product_bit_for_bit(params, d):
+    for n_sites in range(5):
+        for site in range(1, n_sites + 2):
+            spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
+                             rep=defect_rep(params, d))
+            for lam in (0.37, -1.2):
+                assert np.array_equal(build_monodromy(spec, lam).entries,
+                                      dense_monodromy(spec, lam))
 
 
 def test_defect_only_chain_is_lax_operator():

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.tensor_core import (TensorOperator, TensorSpace,
-                                     commutator_residual, embed_two_site,
-                                     exchange_residual, identity_residual,
-                                     partial_transpose, permutation_operator)
+                                     commutator_residual, exchange_residual,
+                                     identity_residual, partial_transpose,
+                                     permutation_operator)
 
 
 def op(dims, entries):
@@ -16,9 +16,6 @@ def op(dims, entries):
 
 def random_op(rng, d):
     return op([d], rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_permutation_matrix_d2():
@@ -79,38 +76,6 @@ def test_partial_transpose_bad_index():
     m = TensorOperator.identity(TensorSpace((2, 2)))
     with pytest.raises(IndexError):
         partial_transpose(m, 2)
-
-
-def test_embed_identity_and_kron_ordering():
-    space = TensorSpace((2, 3, 2))
-    ident = embed_two_site(np.eye(6), (0, 1), space)
-    np.testing.assert_allclose(ident.entries, np.eye(12))
-    sz02 = embed_two_site(np.kron(SZ, SZ), (0, 2), space)
-    np.testing.assert_allclose(sz02.entries, np.kron(np.kron(SZ, np.eye(3)), SZ))
-
-
-def test_embed_distinct_sites_commute():
-    rng = np.random.default_rng(8)
-    space = TensorSpace((2, 2, 3, 2))
-    a = embed_two_site(rng.standard_normal((4, 4)), (0, 1), space)
-    b = embed_two_site(rng.standard_normal((6, 6)), (2, 3), space)
-    np.testing.assert_allclose((a @ b).entries, (b @ a).entries, atol=1e-12)
-
-
-def test_embed_dimension_mismatch():
-    with pytest.raises(ValueError):
-        embed_two_site(np.eye(3), (0, 1), TensorSpace((2, 2)))
-
-
-def test_embed_two_site_matches_kron():
-    rng = np.random.default_rng(9)
-    space = TensorSpace((2, 3, 2))
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    built = embed_two_site(m, (0, 2), space)
-    # oracle: contract by hand with an explicit reordering
-    t = m.reshape(2, 2, 2, 2)
-    oracle = np.einsum("acbd,ef->aecbfd", t, np.eye(3)).reshape(12, 12)
-    np.testing.assert_allclose(built.entries, oracle)
 
 
 def test_operator_rejects_nan():
@@ -223,6 +188,7 @@ def test_commutator_residual_equals_dense_projector_product(n):
     keep[-1] = 1.0
     proj = np.diag(keep).astype(complex)
     want = np.linalg.norm(proj @ (a @ b - b @ a) @ proj)
-    assert commutator_residual(a, b, keep) == want
-    assert commutator_residual(a, a @ a, keep) < 1e-12 * np.linalg.norm(a) ** 3
-    assert commutator_residual(a, b, np.zeros(n)) == 0.0
+    a_op, b_op = op([n], a), op([n], b)
+    assert commutator_residual(a_op, b_op, keep) == want
+    assert commutator_residual(a_op, a_op @ a_op, keep) < 1e-12 * np.linalg.norm(a) ** 3
+    assert commutator_residual(a_op, b_op, np.zeros(n)) == 0.0
