@@ -11,6 +11,7 @@ from defectchain.monodromy import (ChainSpec, bae_residual,
                                    reference_state, rtt_residual, sector_mask,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
+from dense_oracle import embed
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -27,26 +28,11 @@ def nc_chain(n_sites=3, defect_site=2, d=6, theta=0.2, eta=0.5):
                      rep=q_oscillator_rep(d, params.q))
 
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
 REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
            RegimeParams.noncritical(0.5, theta=0.2)]
 
 
 # ------------------------------------------------------------ dense oracle
-
-def embed(m, sites, dims):
-    """m on factors (i, j) of the kron-ordered space with factor dims ``dims``,
-    identity elsewhere: kron(m, 1) on (i, j, rest), then permuted."""
-    i, j = sites
-    rest = [k for k in range(len(dims)) if k not in sites]
-    order = [i, j] + rest
-    full = np.kron(m, np.eye(int(np.prod([dims[k] for k in rest])), dtype=complex))
-    n = len(dims)
-    perm = np.argsort(order)
-    t = full.reshape([dims[k] for k in order] * 2).transpose(list(perm) + list(perm + n))
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
-
 
 def dense_monodromy(spec, lam):
     """M_{0,N+1} ... M_{0,1} as the left-to-right product of embedded
@@ -60,18 +46,6 @@ def dense_monodromy(spec, lam):
             local = make_r(spec.params, lam)
         total = total @ embed(local.entries, (0, j), dims)
     return total
-
-
-def test_oracle_embedding_identity_and_kron_ordering():
-    dims = (2, 3, 2)
-    np.testing.assert_array_equal(embed(np.eye(6), (0, 1), dims), np.eye(12))
-    np.testing.assert_array_equal(embed(np.kron(SZ, SZ), (0, 2), dims),
-                                  np.kron(np.kron(SZ, np.eye(3)), SZ))
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    # second route: contract by hand with an explicit reordering
-    want = np.einsum("acbd,ef->aecbfd", m.reshape(2, 2, 2, 2), np.eye(3)).reshape(12, 12)
-    np.testing.assert_allclose(embed(m, (0, 2), dims), want)
 
 
 def test_oracle_embedding_on_disjoint_sites_commutes():

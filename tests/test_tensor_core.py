@@ -8,6 +8,7 @@ from defectchain.tensor_core import (TensorOperator, TensorSpace,
                                      commutator_residual, exchange_residual,
                                      identity_residual, partial_transpose,
                                      permutation_operator)
+from dense_oracle import embed
 
 
 def op(dims, entries):
@@ -16,6 +17,9 @@ def op(dims, entries):
 
 def random_op(rng, d):
     return op([d], rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+
+SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_permutation_matrix_d2():
@@ -76,6 +80,22 @@ def test_partial_transpose_bad_index():
     m = TensorOperator.identity(TensorSpace((2, 2)))
     with pytest.raises(IndexError):
         partial_transpose(m, 2)
+
+
+def test_embed_identity_and_kron_ordering():
+    dims = TensorSpace((2, 3, 2)).factor_dims
+    np.testing.assert_array_equal(embed(np.eye(6), (0, 1), dims), np.eye(12))
+    np.testing.assert_array_equal(embed(np.kron(SZ, SZ), (0, 2), dims),
+                                  np.kron(np.kron(SZ, np.eye(3)), SZ))
+
+
+def test_embed_two_site_matches_kron():
+    rng = np.random.default_rng(9)
+    dims = TensorSpace((2, 3, 2)).factor_dims
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # second route: contract by hand with an explicit reordering
+    want = np.einsum("acbd,ef->aecbfd", m.reshape(2, 2, 2, 2), np.eye(3)).reshape(12, 12)
+    np.testing.assert_allclose(embed(m, (0, 2), dims), want)
 
 
 def test_operator_rejects_nan():
