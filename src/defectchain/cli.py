@@ -212,14 +212,23 @@ def _write_records(records, fmt: str, out, header: dict):
             writer = csv.writer(stream, lineterminator="\n")
             cols = list(records[0].keys())
             writer.writerow(cols)
-            for rec in records:
-                writer.writerow(_fmt_cell(rec[c]) for c in cols)
+            writer.writerows(zip(*(_fmt_column([rec[c] for rec in records]) for c in cols)))
     text = stream.getvalue()
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _fmt_column(values: list) -> list:
+    """The cells of one csv column, each formatted as `_fmt_cell` would."""
+    types = set(map(type, values))
+    if all(issubclass(t, float) for t in types):
+        return [f"{v:.12e}" for v in values]
+    if all(issubclass(t, int) for t in types):
+        return values            # csv writes str(v)
+    return [_fmt_cell(v) for v in values]
 
 
 def _fmt_cell(v):
@@ -322,7 +331,7 @@ def cmd_spectrum(args) -> int:
     keep = mono.sector_mask(spec)
     q = mono.charge_vector(spec)
     sectors = [(sector, np.where(np.abs(q - sector) < 1e-9)[0])
-               for sector in sorted(set(int(round(x)) for x in q))]
+               for sector in sorted(set(int(round(x)) for x in q.tolist()))]
     for lam in np.linspace(start, stop, count):
         t = mono.transfer_matrix(spec, lam)
         ref_res = mono.reference_residual(spec, t.entries, lam)
@@ -335,7 +344,7 @@ def cmd_spectrum(args) -> int:
             comm_res = commutator_residual(t, first_t, keep)
         for sector, idx in sectors:
             block = t.entries[np.ix_(idx, idx)]
-            for ev in sorted(np.linalg.eigvals(block),
+            for ev in sorted(np.linalg.eigvals(block).tolist(),
                              key=lambda z: (round(z.real, 10), round(z.imag, 10))):
                 rows.append({"lam": float(lam), "sector": sector,
                              "re_eig": ev.real, "im_eig": ev.imag,
@@ -392,35 +401,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("amplitude", help="tabulate transmission amplitudes")
     common(p)
     p.add_argument("--family", choices=["type1", "breather", "type2"],
                    default="type1")
     p.add_argument("--breather-n", type=int, default=1, dest="breather_n")
-    p.set_defaults(fn=cmd_amplitude)
 
     p = sub.add_parser("spectrum", help="transfer-matrix spectra by charge sector")
     common(p)
     p.add_argument("--sites", type=int, default=2)
     p.add_argument("--defect-site", type=int, default=1, dest="defect_site")
-    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("bae", help="one-root Bethe equation check")
     common(p)
-    p.set_defaults(fn=cmd_bae)
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        # the handler is looked up per call, not stored in the cached parser,
+        # so a wrapper bound to the module attribute later is still called
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, TypeError, ConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

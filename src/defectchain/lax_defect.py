@@ -125,14 +125,27 @@ _SM = np.array([[0, 0], [1, 0]], dtype=np.complex128)
 _P4 = permutation_operator(2).entries
 
 
+# largest |Re mu lam| the Lax entries e^{+-mu lam} may take (exp overflows past 709)
+_MAX_EXPONENT = 700.0
+
+
+def _exp_pair(params: RegimeParams, lam: complex) -> tuple[complex, complex]:
+    """e^{mu lam} and e^{-mu lam}, or a ValueError where either overflows."""
+    mu = params.mu_complex
+    growth = abs((mu * lam).real)
+    if growth > _MAX_EXPONENT:
+        raise ValueError(f"|Re mu lam| = {growth:.4g} overflows e^(+-mu lam); "
+                         f"keep it below {_MAX_EXPONENT:g}")
+    return np.exp(mu * lam), np.exp(-mu * lam)
+
+
 def make_r(params: RegimeParams, lam: complex) -> TensorOperator:
     """Bulk R-matrix on C^2 (x) C^2 (first factor = block space)."""
     lam = complex(lam)
     if params.regime == XXX:
         return TensorOperator(AUX_SPACE, lam * np.eye(4, dtype=np.complex128) + 1j * _P4)
-    mu = params.mu_complex
     q = params.q
-    ep, em = np.exp(mu * lam), np.exp(-mu * lam)
+    ep, em = _exp_pair(params, lam)
     qsz = np.diag([q ** 0.5, q ** -0.5])
     qszi = np.diag([q ** -0.5, q ** 0.5])
     e11 = ep * q ** 0.5 * qsz - em * q ** -0.5 * qszi
@@ -177,8 +190,8 @@ def make_l(params: RegimeParams, lam: complex, rep) -> TensorOperator:
             [1j * rep.a_dag, 1j * eye],
         ])
     else:
-        mu, q = params.mu_complex, params.q
-        ep, em = np.exp(mu * lam), np.exp(-mu * lam)
+        q = params.q
+        ep, em = _exp_pair(params, lam)
         m = np.block([
             [ep * q ** 0.5 * rep.v - em * q ** -0.5 * rep.v_inv, rep.a_dag],
             [rep.a, -em * q ** -0.5 * rep.v],
@@ -202,8 +215,8 @@ def make_l_hat(params: RegimeParams, lam: complex, rep) -> TensorOperator:
             [-1j * rep.a_dag, -lam * eye + 1j * rep.n_op],
         ])
     else:
-        mu, q = params.mu_complex, params.q
-        ep, em = np.exp(mu * lam), np.exp(-mu * lam)
+        q = params.q
+        ep, em = _exp_pair(params, lam)
         m = np.block([
             [-ep * q ** 0.5 * rep.v, -rep.a_dag],
             [-rep.a, em * q ** -0.5 * rep.v - ep * q ** 0.5 * rep.v_inv],

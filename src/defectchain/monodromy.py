@@ -89,16 +89,17 @@ def chain_space(spec: ChainSpec, with_aux: bool = True) -> TensorSpace:
     return TensorSpace(((2,) + dims) if with_aux else dims)
 
 
-def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
-    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain.
+def _contract(spec: ChainSpec, lam: complex):
+    """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
+    chain) tensors; the product is None for the one-site chain (N = 0).
 
     Built by local contraction: starting from M_{0,N+1} as a (2, d, 2, d)
-    tensor, each step j = N, ..., 1 contracts the open column-auxiliary index
+    tensor, each step j = N, ..., 2 contracts the open column-auxiliary index
     with the row-auxiliary index of M_{0,j} and prepends site j as the
-    slowest chain factor, so the tensor stays in (aux, chain, aux, chain)
-    numpy.kron order and only the last step works at full size.  This is
+    slowest chain factor, so the tensor stays in numpy.kron order.  This is
     the association ((M_{N+1} M_N) M_{N-1}) ... of the dense left-to-right
-    product, each entry summing the same two nonzero terms.
+    product, each entry summing the same two nonzero terms.  The site-1
+    step, the only one at full size, is left to the caller.
     """
     def local(j):
         if j == spec.defect_site:
@@ -108,21 +109,35 @@ def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
         d = spec.dims[j - 1]
         return m.entries.reshape(2, d, 2, d)
 
+    if spec.n_sites == 0:
+        return None, local(1)
     total = local(spec.n_sites + 1)
-    for j in range(spec.n_sites, 0, -1):
+    for j in range(spec.n_sites, 1, -1):
         total = np.einsum("arbq,bsct->asrctq", total, local(j))
         total = total.reshape(2, total.shape[1] * total.shape[2], 2, -1)
+    return total, local(1)
+
+
+def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
+    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain."""
+    total, first = _contract(spec, lam)
+    m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
     d = 2 * spec.chain_dim
-    return TensorOperator(chain_space(spec), total.reshape(d, d))
+    return TensorOperator(chain_space(spec), m.reshape(d, d))
 
 
 def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
-    """Partial trace of the monodromy over the auxiliary factor."""
-    t = build_monodromy(spec, lam)
+    """Trace of the monodromy over the auxiliary factor, taken inside the
+    site-1 step so the (2 dim)^2 monodromy is never formed; each entry sums
+    the same terms in the same order as tracing build_monodromy."""
+    total, first = _contract(spec, lam)
+    if total is None:
+        t = np.einsum("aiaj->ij", first)
+    else:
+        x = np.einsum("arbq,bsat->asrtq", total, first)
+        t = x[0] + x[1]
     d = spec.chain_dim
-    blocks = t.entries.reshape(2, d, 2, d)
-    return TensorOperator(chain_space(spec, with_aux=False),
-                          np.einsum("aiaj->ij", blocks))
+    return TensorOperator(chain_space(spec, with_aux=False), t.reshape(d, d))
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import csv
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from defectchain.cli import main
+from defectchain import cli
+from defectchain.cli import _fmt_cell, _write_records, main
 from defectchain.lax_defect import RegimeParams, defect_rep
 from defectchain.monodromy import ChainSpec, sector_mask
 
@@ -286,3 +288,92 @@ def test_verify_critical_off_zero_theta_without_warnings(tmp_path):
     _, records = read_jsonl(out)
     bae = [r for r in records if r["name"].startswith("bae-residual")]
     assert len(bae) == 2 and all(r["pass"] and r["residual"] <= 1e-10 for r in bae)
+
+
+def test_spectrum_overflowing_exponent_is_a_one_line_error(capsys):
+    # mu lam = 900 overflows e^(mu lam); one error line, no RuntimeWarning,
+    # also with warnings raised as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["spectrum", "--regime", "critical", "--mu", "3", "--sites", "2",
+                    "--grid=300:300:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows" in captured.err
+
+
+# ------------------------------------------------------------ table writer
+
+def per_cell_csv(records, header):
+    """The writer as it was: csv.writer fed one _fmt_cell per cell."""
+    stream = io.StringIO()
+    stream.write("# " + json.dumps(header, sort_keys=True) + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    cols = list(records[0].keys())
+    writer.writerow(cols)
+    for rec in records:
+        writer.writerow(_fmt_cell(rec[c]) for c in cols)
+    return stream.getvalue()
+
+
+def mixed_records():
+    nan = float("nan")
+    params = [json.dumps({"lam1": 0.25, "route": "sum"}, sort_keys=True),
+              json.dumps({"pairs": 6, "seed": 7}), 'say "hi", twice', ""]
+    return [
+        {"py_float": x, "np_float": np.float64(y), "mixed_float": m, "int": i, "flag": b,
+         "np_int": np.int64(i), "int_or_float": iof, "complex": z, "params": p, "note": note}
+        for x, y, m, i, b, iof, z, p, note in zip(
+            [0.1, -0.0, nan, 1e300],
+            [np.pi, -2.5e-17, np.nan, -np.inf],
+            [1.5, np.float64(-3.25), nan, np.float64(7.0)],
+            [0, -3, 12, 2 ** 40],
+            [True, False, True, False],
+            [1, 2.5, 3, nan],
+            [1 + 2j, np.complex128(-0.5j), complex(nan, nan), 0j],
+            params,
+            ["", "pole:lam_hat = 0.5, at a breather pole", "", 'pole:"x"'])
+    ]
+
+
+def test_write_records_csv_matches_per_cell_writer(tmp_path):
+    records = mixed_records()
+    header = {"command": "test", "grid": "-2.0:2.0:4"}
+    out = tmp_path / "t.csv"
+    _write_records(records, "csv", str(out), header)
+    assert out.read_text() == per_cell_csv(records, header)
+
+
+def test_write_records_jsonl_unchanged(tmp_path):
+    records = [{k: v for k, v in rec.items() if k not in ("np_int", "complex")}
+               for rec in mixed_records()]
+    header = {"command": "test"}
+    out = tmp_path / "t.jsonl"
+    _write_records(records, "jsonl", str(out), header)
+    expected = [json.dumps({"header": header}, sort_keys=True)]
+    expected += [json.dumps(rec, sort_keys=True) for rec in records]
+    assert out.read_text() == "\n".join(expected) + "\n"
+
+
+# ------------------------------------------------------------ parser reuse
+
+def test_reused_parser_leaks_nothing(capsys, monkeypatch):
+    argvs = [["amplitude", "--regime", "bogus"], ["--help"],
+             ["amplitude", "--family", "breather", "--regime", "critical"],
+             ["amplitude"]]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        code = main(argv)
+        fresh.append((code, capsys.readouterr().out))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = []
+    for argv in argvs:
+        code = main(argv)
+        reused.append((code, capsys.readouterr().out))
+    assert [code for code, _ in reused] == [2, 0, 0, 0]
+    assert reused == fresh
+    header = json.loads(reused[-1][1].splitlines()[0][2:])
+    assert header["family"] == "type1"

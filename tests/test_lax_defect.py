@@ -205,3 +205,20 @@ def test_s_matrix_yang_baxter(params):
         res = ybe_residual(
             lambda x: make_s_matrix(params, x, trunc=trunc).entries, l1, l2)
         assert res < 1e-10
+
+
+@pytest.mark.parametrize("lam", [300.0, -300.0, 233.0], ids=["pos", "neg", "edge"])
+def test_overflowing_exponent_is_a_value_error(lam):
+    # mu lam past 700 would overflow e^(+-mu lam) into Inf/NaN entries;
+    # 233 * 3 = 699 stays finite (e^-699 underflows harmlessly)
+    params = RegimeParams.critical(3.0)
+    rep = rep_for(params, 4)
+    builders = [lambda x: make_r(params, x), lambda x: make_l(params, x, rep),
+                lambda x: make_l_hat(params, x, rep)]
+    with np.errstate(over="raise", invalid="raise"):
+        for build in builders:
+            if abs(3.0 * lam) > 700:
+                with pytest.raises(ValueError, match="overflows"):
+                    build(lam)
+            else:
+                assert np.isfinite(build(lam).entries).all()

@@ -68,6 +68,22 @@ def test_monodromy_equals_dense_product_bit_for_bit(params, d):
                                       dense_monodromy(spec, lam))
 
 
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("d", [3, 6])
+def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
+    # t(lam) is traced inside the last contraction step; it must equal the
+    # auxiliary trace of the full monodromy exactly, not just to roundoff
+    for n_sites in range(5):
+        for site in range(1, n_sites + 2):
+            spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
+                             rep=defect_rep(params, d))
+            dim = spec.chain_dim
+            for lam in (0.37, -1.2):
+                blocks = build_monodromy(spec, lam).entries.reshape(2, dim, 2, dim)
+                assert np.array_equal(transfer_matrix(spec, lam).entries,
+                                      np.einsum("aiaj->ij", blocks))
+
+
 def test_defect_only_chain_is_lax_operator():
     spec = xxx_chain(n_sites=0, defect_site=1, d=5)
     lam = 0.9
