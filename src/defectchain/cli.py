@@ -34,7 +34,7 @@ from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
                          make_r, unitarity_residuals)
 from .oscillator_reps import algebra_residuals
 from .reporting import ResidualReport
-from .special_functions import ConvergenceError, ProductTruncation
+from .special_functions import ConvergenceError
 from .tensor_core import commutator_residual, exchange_residual
 from .transmission_amplitudes import (amplitude, breather_amplitude,
                                       make_s_matrix, soliton_s_amplitude,
@@ -43,9 +43,6 @@ from .transmission_amplitudes import (amplitude, breather_amplitude,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-# tail tolerance of the S-matrix prefactor products in the verify suite
-S_MATRIX_TRUNC = ProductTruncation(tail_tol=1e-9)
 
 
 def _parse_grid(text: str):
@@ -92,7 +89,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
     add("ybe-r", ybe(lambda x: make_r(params, x).entries), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
-    add("ybe-s", ybe(lambda x: make_s_matrix(params, x, trunc=S_MATRIX_TRUNC).entries),
+    add("ybe-s", ybe(lambda x: make_s_matrix(params, x).entries),
         1e-10, params={"pairs": len(pairs), "seed": seed})
 
     # defect algebra relations
@@ -148,7 +145,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
               for x in lam_grid)
     add("amplitude-unitarity", uni, 1e-10)
     s_second = "sum" if params.regime == NONCRITICAL else "integral"
-    s_disc = max(abs(soliton_s_amplitude(params, x, "closed", trunc=S_MATRIX_TRUNC)
+    s_disc = max(abs(soliton_s_amplitude(params, x, "closed")
                      - soliton_s_amplitude(params, x, s_second)) for x in lam_grid[:3])
     add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": s_second})
 

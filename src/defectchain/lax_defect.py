@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oscillator_reps import HarmonicRep, QOscRep, harmonic_rep, q_oscillator_rep
-from .tensor_core import (TensorOperator, TensorSpace, identity_residual,
+from .tensor_core import (TensorOperator, TensorSpace, block2, identity_residual,
                           partial_transpose, permutation_operator)
 
 __all__ = [
@@ -151,7 +151,7 @@ def make_r(params: RegimeParams, lam: complex) -> TensorOperator:
     e11 = ep * q ** 0.5 * qsz - em * q ** -0.5 * qszi
     e22 = ep * q ** 0.5 * qszi - em * q ** -0.5 * qsz
     off = q - 1.0 / q
-    m = np.block([[e11, off * _SM], [off * _SP, e22]])
+    m = block2(e11, off * _SM, off * _SP, e22)
     return TensorOperator(AUX_SPACE, m)
 
 
@@ -185,17 +185,13 @@ def make_l(params: RegimeParams, lam: complex, rep) -> TensorOperator:
     d = rep.dim
     eye = np.eye(d, dtype=np.complex128)
     if params.regime == XXX:
-        m = np.block([
-            [lam * eye + 1j * rep.n_op + 1j * eye, 1j * rep.a],
-            [1j * rep.a_dag, 1j * eye],
-        ])
+        m = block2(lam * eye + 1j * rep.n_op + 1j * eye, 1j * rep.a,
+                   1j * rep.a_dag, 1j * eye)
     else:
         q = params.q
         ep, em = _exp_pair(params, lam)
-        m = np.block([
-            [ep * q ** 0.5 * rep.v - em * q ** -0.5 * rep.v_inv, rep.a_dag],
-            [rep.a, -em * q ** -0.5 * rep.v],
-        ])
+        m = block2(ep * q ** 0.5 * rep.v - em * q ** -0.5 * rep.v_inv, rep.a_dag,
+                   rep.a, -em * q ** -0.5 * rep.v)
     return TensorOperator(_defect_space(rep), m)
 
 
@@ -210,17 +206,13 @@ def make_l_hat(params: RegimeParams, lam: complex, rep) -> TensorOperator:
     d = rep.dim
     eye = np.eye(d, dtype=np.complex128)
     if params.regime == XXX:
-        m = np.block([
-            [1j * eye, -1j * rep.a],
-            [-1j * rep.a_dag, -lam * eye + 1j * rep.n_op],
-        ])
+        m = block2(1j * eye, -1j * rep.a,
+                   -1j * rep.a_dag, -lam * eye + 1j * rep.n_op)
     else:
         q = params.q
         ep, em = _exp_pair(params, lam)
-        m = np.block([
-            [-ep * q ** 0.5 * rep.v, -rep.a_dag],
-            [-rep.a, em * q ** -0.5 * rep.v - ep * q ** 0.5 * rep.v_inv],
-        ])
+        m = block2(-ep * q ** 0.5 * rep.v, -rep.a_dag,
+                   -rep.a, em * q ** -0.5 * rep.v - ep * q ** 0.5 * rep.v_inv)
     return TensorOperator(_defect_space(rep), m)
 
 

@@ -113,7 +113,7 @@ def _contract(spec: ChainSpec, lam: complex):
         return None, local(1)
     total = local(spec.n_sites + 1)
     for j in range(spec.n_sites, 1, -1):
-        total = np.einsum("arbq,bsct->asrctq", total, local(j))
+        total = np.einsum("arbq,bsct->asrctq", total, local(j), order="C")
         total = total.reshape(2, total.shape[1] * total.shape[2], 2, -1)
     return total, local(1)
 
@@ -123,7 +123,7 @@ def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
     total, first = _contract(spec, lam)
     m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
     d = 2 * spec.chain_dim
-    return TensorOperator(chain_space(spec), m.reshape(d, d))
+    return TensorOperator(chain_space(spec), _finite(spec, lam, m).reshape(d, d))
 
 
 def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
@@ -135,9 +135,19 @@ def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
         t = np.einsum("aiaj->ij", first)
     else:
         x = np.einsum("arbq,bsat->asrtq", total, first)
-        t = x[0] + x[1]
+        with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
+            t = x[0] + x[1]
     d = spec.chain_dim
-    return TensorOperator(chain_space(spec, with_aux=False), t.reshape(d, d))
+    return TensorOperator(chain_space(spec, with_aux=False), _finite(spec, lam, t).reshape(d, d))
+
+
+def _finite(spec: ChainSpec, lam: complex, m: np.ndarray) -> np.ndarray:
+    """m, or a ValueError where the chain product has overflowed: every
+    site's exponent can be in range while their product is not."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"the monodromy of {spec.n_sites + 1} sites overflows at "
+                         f"lam = {lam}: each site's entries are finite, their product is not")
+    return m
 
 
 # --------------------------------------------------------------------------

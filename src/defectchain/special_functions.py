@@ -247,11 +247,36 @@ def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
 # --------------------------------------------------------------------------
 
 
-def _hurwitz_tail(s: float, k0: int) -> float:
-    """sum_{k >= k0} k^-s by Euler-Maclaurin (k0 large)."""
-    k0 = float(k0)
-    return (k0 ** (1 - s) / (s - 1) + 0.5 * k0 ** -s + s / 12.0 * k0 ** (-s - 1)
-            - s * (s + 1) * (s + 2) / 720.0 * k0 ** (-s - 3))
+# below this real part the first terms of a Hurwitz tail are summed directly
+_HURWITZ_DIRECT = 128
+
+
+def _hurwitz_tail(s, k0):
+    """zeta(s, k0) = sum_{k >= 0} (k0 + k)^-s for s >= 1, a float or an
+    array of them, and k0 an integer >= 1 or a complex with Re k0 > 0.  At
+    s = 1 it is the finite part -psi(k0), whose imaginary part is that of
+    the sum.
+
+    An integer k0 >= 2048 takes a four-term Euler-Maclaurin formula, exact
+    to rounding for s <= 15.  Below that the first terms are summed directly
+    until y = k0 + m has Re y >= _HURWITZ_DIRECT, and Euler-Maclaurin with
+    two more corrections takes the rest from y.
+    """
+    if not np.iscomplexobj(k0) and k0 >= 2048:
+        k0 = float(k0)
+        return (k0 ** (1 - s) / (s - 1) + 0.5 * k0 ** -s + s / 12.0 * k0 ** (-s - 1)
+                - s * (s + 1) * (s + 2) / 720.0 * k0 ** (-s - 3))
+    s = np.asarray(s, dtype=float)
+    m = max(0, math.ceil(_HURWITZ_DIRECT - np.real(k0)))
+    y = k0 + m
+    lead = np.where(s > 1.0, y ** (1.0 - s) / np.where(s > 1.0, s - 1.0, 1.0), -np.log(y))
+    rising = s * (s + 1.0) * (s + 2.0)
+    tail = (lead + 0.5 * y ** -s + s / 12.0 * y ** (-s - 1.0)
+            - rising / 720.0 * y ** (-s - 3.0)
+            + rising * (s + 3.0) * (s + 4.0) * (y ** (-s - 5.0) / 30240.0
+                                                 - (s + 5.0) * (s + 6.0) / 1209600.0
+                                                 * y ** (-s - 7.0)))
+    return tail + np.power.outer(k0 + np.arange(m), -s).sum(axis=0)
 
 
 def infinite_gamma_product(term, trunc: ProductTruncation = DEFAULT_TRUNCATION,

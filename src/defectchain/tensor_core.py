@@ -115,6 +115,18 @@ class TensorOperator:
         return self.entries.reshape(dims + dims)
 
 
+def block2(a11, a12, a21, a22) -> np.ndarray:
+    """The block matrix [[a11, a12], [a21, a22]] of four equal square blocks,
+    numpy.block's result assembled by slice assignment."""
+    d = a11.shape[0]
+    m = np.empty((2 * d, 2 * d), dtype=np.result_type(a11, a12, a21, a22))
+    m[:d, :d] = a11
+    m[:d, d:] = a12
+    m[d:, :d] = a21
+    m[d:, d:] = a22
+    return m
+
+
 def permutation_operator(d: int) -> TensorOperator:
     """P on C^d (x) C^d with P(|a> (x) |b>) = |b> (x) |a>."""
     if d < 2:

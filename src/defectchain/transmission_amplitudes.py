@@ -27,18 +27,19 @@ independent evaluations of the lam-dependence.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams, s_matrix_part
-from .special_functions import (BLOCK, DEFAULT_TRUNCATION, AmplitudeResult,
-                                FourierKernel, ProductTruncation,
+from .special_functions import (DEFAULT_TRUNCATION, AmplitudeResult,
+                                ConvergenceError, FourierKernel, ProductTruncation,
                                 amplitude_integral, amplitude_sum, as_grid,
                                 gamma_ratio, gamma_ratio_bound, half_line_sums,
-                                infinite_gamma_product, log_gamma, mode_sums,
-                                q_gamma, _hurwitz_tail)
+                                infinite_gamma_product, mode_sums, q_gamma,
+                                _hurwitz_tail)
 from .tensor_core import TensorOperator
 
 __all__ = [
@@ -572,42 +573,92 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
 # --------------------------------------------------------------------------
 
 
-def _s2_log_factor(k, lam, gamma):
-    """log of the k-th critical S_s factor for real lam, using Schwarz
-    reflection to halve the Gamma evaluations (the -i lam arguments are the
-    conjugates of the +i lam ones)."""
-    x = 2.0 * gamma * np.asarray(k, dtype=float)
-    il = 1j * lam
-    w = (log_gamma(il + x + 2.0 * gamma) + log_gamma(il + x + 1.0)
-         - log_gamma(il + x + gamma) - log_gamma(il + x + gamma + 1.0))
-    return 2j * w.imag
+# critical S_s: the Stirling-Bernoulli series runs over n = 2 .. _S2_ORDER
+# and is used where |Z| >= _S2_REACH max(max|h|, 1)
+_S2_ORDER = 20
+_S2_REACH = 6.0
+
+# the Bernoulli numbers B_0 .. B_(_S2_ORDER + 2); the odd ones past B_1 vanish
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66,
+              0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0, 43867 / 798, 0.0,
+              -174611 / 330, 0.0, 854513 / 138)
+
+
+@lru_cache(maxsize=16)
+def _s2_series(g: float, tail_tol: float) -> tuple[np.ndarray, float]:
+    """The coefficients D_n, n = 2 .. _S2_ORDER, of W(Z) ~ sum_n D_n Z^(1-n)
+    (see _s2_critical_real) and the reach |Z| from which the series is used.
+
+    The reach is _S2_REACH max(max|h|, 1), since the D_n grow like |h|^n
+    and like the Bernoulli numbers, (n-2)! / (2 pi)^n, and at least so far
+    that the first omitted terms, n = _S2_ORDER + 1 and + 2 (with small h
+    the odd D_n nearly vanish), summed over every factor from |Z_K| on,
+    stay below tail_tol: sum_k |Z_k|^(1-n) <= |Z_K|^(2-n) (1/(n-2) + 2g/|Z_K|) / (2g).
+    """
+    n = np.arange(_S2_ORDER + 3)
+    h = np.array([g - 0.5, 0.5 - g, -0.5, 0.5])
+    # B_n(x) = sum_j C(n, j) B_(n-j) x^j at the four shifts
+    coef = np.array([[math.comb(k, j) * _BERNOULLI[k - j] if j <= k else 0.0 for j in n]
+                     for k in n])
+    bern = np.power.outer(h, n) @ coef.T
+    d = np.zeros(n.size)
+    d[2:] = (bern[0] + bern[1] - bern[2] - bern[3])[2:] * (-1.0) ** n[2:] \
+        / (n[2:] * (n[2:] - 1.0))
+    reach = _S2_REACH * max(np.abs(h).max(), 1.0)
+    for m in n[-2:]:
+        omitted = abs(d[m]) * (1.0 / (m - 2) + 2.0 * g / reach) / (2.0 * g)
+        reach = max(reach, (omitted / tail_tol) ** (1.0 / (m - 2)))
+    d = d[2:-2]
+    d.flags.writeable = False
+    return d, float(reach)
 
 
 def _s2_critical_real(lam, g: float, trunc: ProductTruncation):
-    """Critical S_s at real lam (an array).  Schwarz reflection halves the
-    Gamma evaluations, and the log-factor tail c2/k^2 + c3/k^3 with c3 = -c2
-    is completed analytically, so each point's product stops once its
-    next-order remainder falls below the tail bound.  The per-point
-    coefficients are scalar arithmetic, as in a one-point call."""
-    c2 = np.empty(lam.shape, dtype=np.complex128)
-    stops = np.empty(lam.shape, dtype=np.int64)
-    for i, x in enumerate(lam.tolist()):
-        c2[i] = -1j * x * (g - 1.0) / (2.0 * g)
-        c4 = -1j * x * (g - 1.0) * (g * (7.0 * g - 1.0) - 2.0 * x ** 2) / (16.0 * g ** 3)
-        k_stop = 2048
-        while abs(c4) * _hurwitz_tail(4.0, k_stop) > trunc.tail_tol and 2 * k_stop <= trunc.max_terms:
-            k_stop *= 2
-        stops[i] = k_stop
+    """Critical S_s at real lam (an array): exp(2i Im sum_{k>=0} W(Z_k)) with
+
+        W(Z) = sum_i s_i log Gamma(Z + h_i),   Z_k = 2 g k + i lam + g + 1/2,
+        h = (g - 1/2, 1/2 - g, -1/2, 1/2),     s = (+, +, -, -),
+
+    the factors of the Gamma product at the arguments i lam + 2 g k +
+    (2g, 1, g, g+1) (Schwarz reflection gives their -i lam half).  As
+    sum s_i = sum s_i h_i = 0, the Stirling series (DLMF 5.11.8) leaves
+
+        W(Z) ~ sum_{n>=2} D_n Z^(1-n),   D_n = (-1)^n sum_i s_i B_n(h_i) / (n (n-1)),
+
+    with real D_n (_s2_series).  From the first factor K with |Z_K| at the
+    series' reach, the factors sum in closed form to
+
+        sum_n D_n (2g)^(1-n) zeta(n-1, Z_K / (2g)),
+
+    a Hurwitz zeta at a complex offset, whose n = 2 term (zeta(1, y) =
+    -psi(y)) is finite in its imaginary part, the only part used.  The
+    nearer factors k < K are summed exactly: the recurrence log Gamma(x+1)
+    = log Gamma(x) + log x moves each one out by M to the reach,
+
+        W(Z) = W(Z + M) - sum_{j<M} log(1 + g (1-g) / ((Z+j)^2 - 1/4)),
+
+    so no Gamma function is evaluated.  K past trunc.max_terms raises
+    ConvergenceError.  Points are evaluated one by one, so a grid call
+    equals per-point calls.
+    """
+    d, reach = _s2_series(g, trunc.tail_tol)
+    s = np.arange(1.0, d.size + 1.0)        # zeta orders n - 1
+    scale = d * (2.0 * g) ** -s
     out = np.empty(lam.shape, dtype=np.complex128)
-    for k_stop in sorted(set(stops.tolist())):
-        k = np.arange(k_stop, dtype=np.float64)
-        tail = _hurwitz_tail(2.0, int(k_stop)) - _hurwitz_tail(3.0, int(k_stop))
-        where = np.flatnonzero(stops == k_stop)
-        step = max(1, BLOCK // k_stop)
-        for i in range(0, where.size, step):
-            sel = where[i:i + step]
-            total = np.sum(_s2_log_factor(k, lam[sel, None], g), axis=-1)
-            out[sel] = np.exp(total + c2[sel] * tail)
+    for i, x in enumerate(lam.tolist()):
+        z0 = complex(g + 0.5, x)
+        near = math.sqrt(max(reach ** 2 - x ** 2, 0.0)) - z0.real   # Re Z to reach
+        stop = max(0, math.ceil(near / (2.0 * g)))
+        if stop > trunc.max_terms:
+            raise ConvergenceError(
+                f"critical S_s needs {stop} exact factors for tail {trunc.tail_tol}, "
+                f"cap is {trunc.max_terms}")
+        moved = max(0, math.ceil(near))
+        z = z0 + 2.0 * g * np.arange(stop)
+        head = (np.power.outer(z + moved, -s) @ d).sum() - np.log1p(
+            g * (1.0 - g) / (np.add.outer(z, np.arange(moved)) ** 2 - 0.25)).sum()
+        tail = scale @ _hurwitz_tail(s, stop + z0 / (2.0 * g))
+        out[i] = np.exp(2j * (head + tail).imag)
     return out
 
 

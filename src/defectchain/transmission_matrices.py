@@ -33,7 +33,7 @@ import numpy as np
 from .lax_defect import CRITICAL, XXX, RegimeParams, defect_rep, s_matrix_part
 from .oscillator_reps import HarmonicRep, QOscRep, q_oscillator_rep, spin_rep
 from .special_functions import gamma_ratio
-from .tensor_core import (TensorOperator, TensorSpace, exchange_residual,
+from .tensor_core import (TensorOperator, TensorSpace, block2, exchange_residual,
                           identity_residual, partial_transpose)
 from .transmission_amplitudes import amplitude, type2_amplitude
 
@@ -75,8 +75,8 @@ def t_matrix_part(params: RegimeParams, lh: complex, rep, which: str = "t") -> T
             raise TypeError("isotropic transmission matrices need a HarmonicRep")
         eye = np.eye(rep.dim, dtype=np.complex128)
         n_bar = rep.a @ rep.a_dag - 0.5 * eye
-        blocks = ([[1j * lh * eye + eye + n_bar, rep.a], [rep.a_dag, eye]] if which == "t"
-                  else [[eye, -rep.a], [-rep.a_dag, -1j * lh * eye + n_bar]])
+        blocks = ((1j * lh * eye + eye + n_bar, rep.a, rep.a_dag, eye) if which == "t"
+                  else (eye, -rep.a, -rep.a_dag, -1j * lh * eye + n_bar))
     else:
         if not isinstance(rep, QOscRep):
             raise TypeError("anisotropic transmission matrices need a QOscRep")
@@ -91,10 +91,10 @@ def t_matrix_part(params: RegimeParams, lh: complex, rep, which: str = "t") -> T
         else:
             e = np.exp(1j * params.eta * lh)
         q = rep.q
-        blocks = ([[q / e * rep.v - e / q * rep.v_inv, rep.a_dag], [rep.a, -e / q * rep.v]]
+        blocks = ((q / e * rep.v - e / q * rep.v_inv, rep.a_dag, rep.a, -e / q * rep.v)
                   if which == "t"
-                  else [[-rep.v / e, -rep.a_dag], [-rep.a, e * rep.v - rep.v_inv / e]])
-    return TensorOperator(TensorSpace((2, rep.dim)), np.block(blocks))
+                  else (-rep.v / e, -rep.a_dag, -rep.a, e * rep.v - rep.v_inv / e))
+    return TensorOperator(TensorSpace((2, rep.dim)), block2(*blocks))
 
 
 def _critical_elementary(lh: complex, gamma: float, which: str) -> complex:
@@ -200,9 +200,8 @@ def type2_matrix_part(eta: float, spin: float, lh: complex) -> TensorOperator:
     a11 = np.diag(np.sin(eta * (-lh + 1j * sz_diag + 0.5j)))
     a22 = np.diag(np.sin(eta * (-lh - 1j * sz_diag + 0.5j)))
     off = np.sin(1j * eta)
-    return TensorOperator(TensorSpace((2, rep.dim)), np.block([
-        [a11, off * rep.s_minus],
-        [off * rep.s_plus, a22]]))
+    return TensorOperator(TensorSpace((2, rep.dim)),
+                          block2(a11, off * rep.s_minus, off * rep.s_plus, a22))
 
 
 def type2_matrix(eta: float, spin: float, lh: complex) -> TensorOperator:

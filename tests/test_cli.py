@@ -304,6 +304,19 @@ def test_spectrum_overflowing_exponent_is_a_one_line_error(capsys):
     assert "overflows" in captured.err
 
 
+def test_spectrum_overflowing_chain_product_is_a_one_line_error(capsys):
+    # mu lam = 300 is in range at each site, but three sites multiply to e^900
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["spectrum", "--regime", "critical", "--mu", "3", "--sites", "2",
+                    "--grid=100:100:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the monodromy of 3 sites overflows at lam = 100.0: "
+                            "each site's entries are finite, their product is not\n")
+
+
 # ------------------------------------------------------------ table writer
 
 def per_cell_csv(records, header):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defectchain import lax_defect
 from defectchain.lax_defect import (RegimeParams, crossing_transform, make_l,
                                     make_l_hat, make_r, scalar_crossing,
                                     scalar_unitarity, unitarity_residuals)
@@ -222,3 +223,25 @@ def test_overflowing_exponent_is_a_value_error(lam):
                     build(lam)
             else:
                 assert np.isfinite(build(lam).entries).all()
+
+
+def np_block2(a11, a12, a21, a22):
+    """The block assembly as it was written, through numpy.block."""
+    return np.block([[a11, a12], [a21, a22]])
+
+
+@pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
+def test_lax_blocks_match_np_block(params, monkeypatch):
+    rep = rep_for(params, 6)
+
+    def build():
+        out = []
+        for lam in (0.37, -1.2 + 0.3j):
+            out += [make_r(params, lam).entries, make_l(params, lam, rep).entries,
+                    make_l_hat(params, lam, rep).entries]
+        return out
+
+    fast = build()
+    monkeypatch.setattr(lax_defect, "block2", np_block2)
+    for got, want in zip(fast, build()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -387,3 +387,14 @@ def test_breather_string_equation_against_newton_oracle():
     assert abs(f(z)) < 1e-12
     res = bae_residual_breather_strings(params, n, "+", [z], breathers)
     assert abs(res[0]) < 1e-10
+
+
+def test_overflowing_chain_product_is_a_value_error():
+    # e^(mu lam) = e^300 at each of three sites: every site is in range,
+    # their product is not
+    params = RegimeParams.critical(3.0)
+    spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
+    for build in (build_monodromy, transfer_matrix):
+        with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100"):
+            build(spec, 100.0)
+    assert np.isfinite(transfer_matrix(spec, 60.0).entries).all()

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from defectchain.special_functions import (ConvergenceError, FourierKernel,
                                            PoleError, ProductTruncation,
-                                           amplitude_integral, amplitude_sum,
-                                           gamma_ratio, infinite_gamma_product,
-                                           log_gamma, q_gamma)
+                                           _hurwitz_tail, amplitude_integral,
+                                           amplitude_sum, gamma_ratio,
+                                           infinite_gamma_product, log_gamma,
+                                           q_gamma)
 
 mp.mp.dps = 30
 
@@ -169,6 +170,40 @@ def test_infinite_product_nonconvergence_reported():
 
     with pytest.raises(ConvergenceError):
         infinite_gamma_product(term, ProductTruncation(max_terms=2000, tail_tol=1e-12))
+
+
+@pytest.mark.parametrize("k0", [1, 4, 16, 2048])
+def test_hurwitz_tail_matches_mpmath(k0):
+    # mpmath's own zeta(s, a) loses digits at large a below ~60 digits
+    with mp.workdps(60):
+        for s in range(2, 16):
+            want = mp.zeta(s, k0)
+            assert abs(_hurwitz_tail(float(s), k0) - want) <= 1e-15 * want, s
+
+
+def test_hurwitz_tail_array_and_complex_offsets():
+    s = np.arange(1.0, 20.0)
+    with mp.workdps(60):
+        for k0 in (9, 0.547 + 106.4j, 3.99 - 8.0j, 130.5 + 2.0j):
+            got = _hurwitz_tail(s, k0)
+            assert got.shape == s.shape
+            for order, value in zip(range(1, 20), got):
+                if order == 1:   # the finite part -psi(k0), exact in its imaginary part
+                    want = -mp.digamma(k0)
+                    assert abs(value.imag - float(mp.im(want))) <= 1e-15 * abs(want), k0
+                else:
+                    want = mp.zeta(order, k0)
+                    assert abs(value - complex(want)) <= 2e-15 * abs(want), (k0, order)
+
+
+def test_hurwitz_tail_large_offset_keeps_four_terms():
+    # the path behind infinite_gamma_product, bit for bit
+    for s in (2.0, 3.0, 4.0):
+        for k0 in (2048, 4096, 400000):
+            k = float(k0)
+            four = (k ** (1 - s) / (s - 1) + 0.5 * k ** -s + s / 12.0 * k ** (-s - 1)
+                    - s * (s + 1) * (s + 2) / 720.0 * k ** (-s - 3))
+            assert _hurwitz_tail(s, k0) == four
 
 
 def test_zero_kernel_gives_unit_amplitude():

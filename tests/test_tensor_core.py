@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
-from defectchain.tensor_core import (TensorOperator, TensorSpace,
+from defectchain.tensor_core import (TensorOperator, TensorSpace, block2,
                                      commutator_residual, exchange_residual,
                                      identity_residual, partial_transpose,
                                      permutation_operator)
@@ -96,6 +96,17 @@ def test_embed_two_site_matches_kron():
     # second route: contract by hand with an explicit reordering
     want = np.einsum("acbd,ef->aecbfd", m.reshape(2, 2, 2, 2), np.eye(3)).reshape(12, 12)
     np.testing.assert_allclose(embed(m, (0, 2), dims), want)
+
+
+def test_block2_is_np_block():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5):
+        real = [rng.normal(size=(d, d)) for _ in range(4)]
+        mixed = [real[0], real[1] + 1j * real[2], np.eye(d), 1j * real[3]]
+        for blocks in (real, mixed):
+            want = np.block([blocks[:2], blocks[2:]])
+            got = block2(*blocks)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_operator_rejects_nan():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defectchain import transmission_matrices
 from defectchain.lax_defect import RegimeParams, s_matrix_part
 from defectchain.oscillator_reps import spin_rep
 from defectchain.tensor_core import exchange_residual
@@ -146,3 +147,24 @@ def test_type2_pole_reported():
     lh_pole = 1j * (spin - 0.5) + 0.5j   # zero of sin(eta(-lh + i s~ + i/2))
     with pytest.raises(ZeroDivisionError):
         type2_matrix(eta, spin, complex(lh_pole))
+
+
+def np_block2(a11, a12, a21, a22):
+    """The block assembly as it was written, through numpy.block."""
+    return np.block([[a11, a12], [a21, a22]])
+
+
+def test_transmission_blocks_match_np_block(monkeypatch):
+    def build():
+        out = []
+        for params in ALL:
+            rep = default_rep(params, 6)
+            for lh in (0.44, -0.9 + 0.2j):
+                out += [t_matrix_part(params, lh, rep, which).entries
+                        for which in ("t", "t_bar")]
+        return out + [type2_matrix_part(0.35, spin, 0.4).entries for spin in (0.5, 1.0, 1.5)]
+
+    fast = build()
+    monkeypatch.setattr(transmission_matrices, "block2", np_block2)
+    for got, want in zip(fast, build()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
