@@ -257,15 +257,11 @@ def _hurwitz_tail(s, k0):
     s = 1 it is the finite part -psi(k0), whose imaginary part is that of
     the sum.
 
-    An integer k0 >= 2048 takes a four-term Euler-Maclaurin formula, exact
-    to rounding for s <= 15.  Below that the first terms are summed directly
-    until y = k0 + m has Re y >= _HURWITZ_DIRECT, and Euler-Maclaurin with
-    two more corrections takes the rest from y.
+    The first terms are summed directly until y = k0 + m has Re y >=
+    _HURWITZ_DIRECT, and Euler-Maclaurin to the y^(-s-7) term takes the
+    rest from y.  From k0 >= 2048 the last two corrections fall below half
+    an ulp for s <= 15, so there it equals the four-term formula bit for bit.
     """
-    if not np.iscomplexobj(k0) and k0 >= 2048:
-        k0 = float(k0)
-        return (k0 ** (1 - s) / (s - 1) + 0.5 * k0 ** -s + s / 12.0 * k0 ** (-s - 1)
-                - s * (s + 1) * (s + 2) / 720.0 * k0 ** (-s - 3))
     s = np.asarray(s, dtype=float)
     m = max(0, math.ceil(_HURWITZ_DIRECT - np.real(k0)))
     y = k0 + m

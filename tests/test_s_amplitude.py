@@ -8,7 +8,8 @@ import pytest
 import defectchain.transmission_amplitudes as ta
 from defectchain import special_functions
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import ConvergenceError, ProductTruncation
+from defectchain.special_functions import (DEFAULT_TRUNCATION, ConvergenceError,
+                                           ProductTruncation)
 from defectchain.transmission_amplitudes import (_s2_critical_product,
                                                  soliton_s_amplitude)
 
@@ -66,7 +67,7 @@ def test_closed_critical_s_amplitude_matches_literal_product(mu, lam):
     assert abs(soliton_s_amplitude(params, lam) - literal) <= 5e-5
 
 
-def _head_factors(monkeypatch, params, lam) -> tuple[int, int]:
+def _head_factors(monkeypatch, params, lam, trunc=DEFAULT_TRUNCATION) -> tuple[int, int]:
     """(K, log-Gamma points) of one closed S_s call: K is read off the
     offset of the tail's Hurwitz zeta, K + (gamma + 1/2 + i lam) / (2 gamma)."""
     offsets, points = [], []
@@ -81,10 +82,11 @@ def _head_factors(monkeypatch, params, lam) -> tuple[int, int]:
         points.append(np.size(z))
         return log_gamma(z)
 
-    monkeypatch.setattr(ta, "_hurwitz_tail", spy_tail)
-    monkeypatch.setattr(special_functions, "log_gamma", spy_log_gamma)
-    monkeypatch.setattr(ta, "log_gamma", spy_log_gamma, raising=False)
-    soliton_s_amplitude(params, lam)
+    with monkeypatch.context() as m:
+        m.setattr(ta, "_hurwitz_tail", spy_tail)
+        m.setattr(special_functions, "log_gamma", spy_log_gamma)
+        m.setattr(ta, "log_gamma", spy_log_gamma, raising=False)
+        soliton_s_amplitude(params, lam, trunc=trunc)
     g = params.gamma
     (k0,) = offsets
     return round(k0.real - (g + 0.5) / (2.0 * g)), sum(points)
@@ -106,3 +108,16 @@ def test_closed_critical_s_amplitude_cap_raises():
         soliton_s_amplitude(params, 0.3, trunc=ProductTruncation(max_terms=40))
     assert abs(soliton_s_amplitude(params, 0.3, trunc=ProductTruncation(max_terms=64))) \
         == pytest.approx(1.0, abs=1e-15)
+
+
+def test_closed_critical_s_amplitude_tight_tail_tol_adds_factors(monkeypatch):
+    # at the default tail_tol 1e-12 the fixed reach 6 max(max|h|, 1) already
+    # bounds the omitted n = 21, 22 terms for every gamma; a tighter tail_tol
+    # moves the reach out, so more factors are summed exactly
+    params = RegimeParams.critical(2.5)
+    tight = ProductTruncation(tail_tol=1e-16)
+    default, _ = _head_factors(monkeypatch, params, 0.3)
+    more, _ = _head_factors(monkeypatch, params, 0.3, tight)
+    assert more > default
+    assert abs(soliton_s_amplitude(params, 0.3, trunc=tight)
+               - soliton_s_amplitude(params, 0.3)) <= 1e-14
