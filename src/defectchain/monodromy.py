@@ -222,7 +222,12 @@ def reference_residual(spec: ChainSpec, t: np.ndarray, lam: complex) -> float:
     reference state v and its derived eigenvalue e."""
     vec = reference_state(spec)
     ev = reference_eigenvalue(spec, lam)
-    return float(np.linalg.norm(t @ vec - ev * vec) / max(abs(ev), 1e-30))
+    size = max(abs(ev), 1e-30)
+    # scaled by the power of two nearest 1/|e| before the norm squares
+    # entries that may reach ~1e260; the scaling is exact, so the residual
+    # keeps its bits wherever the unscaled norm is finite
+    scale = 2.0 ** -math.frexp(size)[1]
+    return float(np.linalg.norm((t @ vec - ev * vec) * scale) / (size * scale))
 
 
 # --------------------------------------------------------------------------

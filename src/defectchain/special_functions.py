@@ -353,10 +353,17 @@ def _panel_rule(cutoff: float, width: float):
     axis, so a panel as wide as its distance from the origin resolves them,
     and past that the oscillation e^{i lam w} sets the width.
 
-    Returns the nodes (the _PANEL_NODES-point nodes, then the
-    _CHECK_NODES-point nodes on the same panels, then the cutoff itself with
-    zero weight, where callers read the tail) and a (nodes, 2) weight
-    matrix: column 0 is the fine rule, column 1 the comparison rule.
+    Each panel carries the _PANEL_NODES-point fine rule and the
+    _CHECK_NODES-point comparison rule.  The nodes come in groups of
+    (bases, offsets), a node being base + offset, so that _rule_sums takes
+    sin/cos once per base and once per offset:
+      * the equal-width panels: their left edges, and the offsets of the
+        fine then the comparison nodes within one panel, which they share;
+      * the narrower panels near the origin and, last, the cutoff itself
+        with zero weight, where callers read the tail: one base, 0.
+
+    Returns the nodes group by group, a (nodes, 2) weight matrix (column 0
+    the fine rule, column 1 the comparison rule) and the groups.
     """
     edges = [0.0]
     h = min(_FIRST_PANEL, width)
@@ -365,21 +372,26 @@ def _panel_rule(cutoff: float, width: float):
         h = min(2.0 * h, width)
     edges = np.array(edges)
     left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    parts = []
-    for n in (_PANEL_NODES, _CHECK_NODES):
-        x, wx = _legendre(n)
-        parts.append((left + half * (x + 1.0)).ravel())
-        parts.append((half * wx).ravel())
-    nodes = np.concatenate([parts[0], parts[2], [edges[-1]]])
-    weights = np.zeros((nodes.size, 2))
-    weights[:parts[1].size, 0] = parts[1]
-    weights[parts[1].size:-1, 1] = parts[3]
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    (xf, wf), (xc, wc) = _legendre(_PANEL_NODES), _legendre(_CHECK_NODES)
+    offsets = half * (np.concatenate([xf, xc]) + 1.0)
+    panel_weights = np.zeros(offsets.shape + (2,))
+    panel_weights[:, :xf.size, 0] = half * wf
+    panel_weights[:, xf.size:, 1] = half * wc
+    wide = half[:, 0] == 0.5 * width
+    groups = []
+    if wide.any():
+        groups.append((edges[:-1][wide], offsets[wide][0]))
+    groups.append((np.zeros(1), np.append((left + offsets)[~wide].ravel(), edges[-1])))
+    nodes = np.concatenate([(b[:, None] + u).ravel() for b, u in groups])
+    weights = np.concatenate([panel_weights[wide].reshape(-1, 2),
+                              panel_weights[~wide].reshape(-1, 2), np.zeros((1, 2))])
+    for arr in (nodes, weights, *(a for g in groups for a in g)):
+        arr.flags.writeable = False
+    return nodes, weights, tuple(groups)
 
 
 def _half_line_rule(decay: float, lam_max: float = 0.0):
-    """(nodes, weights) of the rule for integrands that decay like
+    """(nodes, weights, groups) of the rule for integrands that decay like
     e^{-decay w} and oscillate like e^{i lam w} with |lam| <= lam_max.
 
     The cutoff leaves a tail below _TAIL; the panel width is the largest
@@ -395,20 +407,54 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     return _panel_rule(float(cutoff), float(width))
 
 
-def _rule_sums(lam, freq, weights, tail_length, a, b, c, c_size=None):
+def _half_sin_cos(x, groups):
+    """sin and cos of x * node for every point of x (a 1-d array) and every
+    node of the (bases, offsets) groups, a node being base + offset.
+
+    sin/cos are taken at x * base, x * -base and x * offset only and
+    combined by angle addition (DLMF 4.21.2) as two stacked products per
+    group, sin = (sb, cb).(cu, su) and cos = (-sb, cb).(su, cu), so a group
+    costs 2 bases + offsets evaluations per point instead of bases * offsets.
+    A single base of 0 gives the offsets' own sin/cos exactly.
+    """
+    angles = np.concatenate([a for b, u in groups for a in (b, -b, u)])
+    trig = np.empty((x.size, 2, angles.size), dtype=x.dtype)    # (sin, cos) per angle
+    h = np.multiply.outer(x, angles)
+    np.sin(h, out=trig[:, 0])
+    np.cos(h, out=trig[:, 1])
+    sin = np.empty((x.size, sum(b.size * u.size for b, u in groups)), dtype=x.dtype)
+    cos = np.empty_like(sin)
+    at = start = 0
+    for bases, offsets in groups:
+        nb, nu = bases.size, offsets.size
+        plus = trig[:, :, at:at + nb].transpose(0, 2, 1)
+        minus = trig[:, :, at + nb:at + 2 * nb].transpose(0, 2, 1)
+        off = trig[:, :, at + 2 * nb:at + 2 * nb + nu]
+        at += 2 * nb + nu
+        stop = start + nb * nu
+        np.matmul(plus, off[:, ::-1], out=sin[:, start:stop].reshape(x.size, nb, nu))
+        np.matmul(minus, off, out=cos[:, start:stop].reshape(x.size, nb, nu))
+        start = stop
+    return sin, cos
+
+
+def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     """sum_j weights_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j + c_j]
     at every lam (a 1-d array) for the first rule, with a bound on its error.
 
-    4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases exact.  weights is
-    (nodes, m), one column per rule, the fine rule first; every rule gives
-    the last node zero weight.  The points are walked in blocks so no
-    temporary exceeds BLOCK elements.  The bound adds
+    freq are the nodes, group by group, of the (bases, offsets) groups (see
+    _half_sin_cos).  4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases
+    exact.  weights is (nodes, m), one column per rule, the fine rule first;
+    every rule gives the last node zero weight.  The points are walked in
+    blocks so no temporary exceeds BLOCK elements.  The bound adds
       * the largest spread between the rules,
       * the tail past the last node: the largest term there, grown by
         e^{|Im lam| freq}, times tail_length,
       * rounding: eps times the summed term sizes, where c_size (default
         |c|) is the size of the operands c was formed from, so a c that
-        cancels near the origin is charged for it.
+        cancels near the origin is charged for it, and where a phase phi
+        = freq lam, whose half is rounded by about eps |phi| / 2, moves the
+        terms by 2 eps |phi| (|a| min(1, |phi|) + |b|) at most.
     """
     real = not np.iscomplexobj(lam)
     growth = 0.0 if real else float(np.abs(lam.imag).max(initial=0.0)) * freq[-1]
@@ -424,8 +470,7 @@ def _rule_sums(lam, freq, weights, tail_length, a, b, c, c_size=None):
     ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
-        half = np.multiply.outer(lam[i:i + step], 0.5 * freq)
-        s, sin_phi = np.sin(half), np.cos(half)
+        s, sin_phi = _half_sin_cos(0.5 * lam[i:i + step], groups)
         sin_phi *= 2.0 * s
         s *= s
         sa, sb = s @ wa, sin_phi @ wb
@@ -438,7 +483,8 @@ def _rule_sums(lam, freq, weights, tail_length, a, b, c, c_size=None):
     last = 4.0 * abs(a[-1]) + 2.0 * abs(b[-1]) + abs(c[-1])
     sizes = (4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0)
              + 2.0 * np.abs(b) * np.minimum(1.0, phase)
-             + (np.abs(c) if c_size is None else c_size))
+             + (np.abs(c) if c_size is None else c_size)
+             + 2.0 * phase * (np.abs(a) * np.minimum(1.0, phase) + np.abs(b)))
     err = last * math.exp(growth) * tail_length + _EPS * float(weights[:, 0] @ sizes)
     if weights.shape[1] > 1:
         return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
@@ -456,8 +502,8 @@ def half_line_sums(lam, decay: float, terms):
     their errors: the gap to the comparison rule, the tail past the cutoff
     and rounding.
     """
-    w, weights = _half_line_rule(decay, float(np.abs(lam).max(initial=0.0)))
-    return _rule_sums(lam, w, weights, 1.0 / decay, *terms(w))
+    w, weights, groups = _half_line_rule(decay, float(np.abs(lam).max(initial=0.0)))
+    return _rule_sums(lam, w, groups, weights, 1.0 / decay, *terms(w))
 
 
 def mode_sums(lam, eta: float, decay: float, terms):
@@ -479,7 +525,9 @@ def mode_sums(lam, eta: float, decay: float, terms):
     k = np.arange(1, k_max + 2, dtype=np.float64)     # mode k_max + 1 reads the tail
     weights = np.ones((k.size, 1))
     weights[-1] = 0.0
-    return _rule_sums(lam, 2.0 * eta * k, weights, 1.0 / -np.expm1(-rate), *terms(k))
+    freq = 2.0 * eta * k
+    return _rule_sums(lam, freq, ((np.zeros(1), freq),), weights, 1.0 / -np.expm1(-rate),
+                      *terms(k))
 
 
 # --------------------------------------------------------------------------

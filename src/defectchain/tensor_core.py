@@ -71,7 +71,7 @@ class TensorOperator:
         d = self.space.dim
         if m.shape != (d, d):
             raise ValueError(f"entries shape {m.shape} does not match space dim {d}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise ValueError("operator entries contain NaN or Inf")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

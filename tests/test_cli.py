@@ -317,6 +317,20 @@ def test_spectrum_overflowing_chain_product_is_a_one_line_error(capsys):
                             "each site's entries are finite, their product is not\n")
 
 
+def test_spectrum_reference_check_near_overflow(tmp_path):
+    # two sites at mu lam = 300: t(lam) and its eigenvalues reach ~1e260, whose
+    # squares overflow; the scaled reference residual stays finite and small
+    out = tmp_path / "spec.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["spectrum", "--regime", "critical", "--mu", "3", "--sites", "1",
+                    "--grid=100:100:1", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows and max(abs(float(r["re_eig"])) for r in rows) > 1e250
+    assert all(float(r["reference_check"]) < 1e-10 for r in rows)
+
+
 # ------------------------------------------------------------ table writer
 
 def per_cell_csv(records, header):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (_LOG_GAMMA_REL, ConvergenceError,
-                                           amplitude_sum, log_gamma, q_gamma)
+from defectchain.special_functions import (_LOG_GAMMA_REL, BLOCK, ConvergenceError,
+                                           _half_line_rule, amplitude_sum, log_gamma,
+                                           q_gamma)
 from defectchain.transmission_amplitudes import (amplitude,
                                                  breather_amplitude, kernel,
                                                  soliton_s_amplitude, type2_amplitude)
@@ -199,3 +201,147 @@ def test_mode_sum_cap_raises_before_allocating():
     kern = kernel(RegimeParams.noncritical(1e-6), "rt_plus")
     with pytest.raises(ConvergenceError, match="modes"):
         amplitude_sum(kern, np.linspace(-2.0, 2.0, 41), 1e-6)
+
+
+# ------------------------------------- angle addition against direct trig
+
+def direct_trig_sums(lam, freq, weights, a, b, c):
+    """The fine rule's sums with sin and cos taken at every (lam, node)
+    pair, in the blocks and products the rule used before it shared them
+    across panels: the oracle for the angle-addition evaluation."""
+    real = not np.iscomplexobj(lam)
+    wa = np.multiply(weights, 4.0 * a[:, None], dtype=np.complex128)
+    wb = np.multiply(weights, 2.0 * b[:, None], dtype=np.complex128)
+    if real:
+        wa, wb = wa.view(float), wb.view(float)
+    ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
+    step = max(1, BLOCK // freq.size)
+    for i in range(0, lam.size, step):
+        half = np.multiply.outer(lam[i:i + step], 0.5 * freq)
+        s, sin_phi = np.sin(half), np.cos(half)
+        sin_phi *= 2.0 * s
+        s *= s
+        sa, sb = s @ wa, sin_phi @ wb
+        if real:
+            sa, sb = sa.view(np.complex128), sb.view(np.complex128)
+        ln[i:i + step] = sa + 1j * sb
+    ln += weights.T @ c
+    return ln[:, 0]
+
+
+def exact_phase_sums(lam, freq, weights, a, b, c):
+    """The fine rule's sums on the same nodes, weights and terms, with the
+    phases, sin and cos and the sums in long double: the rule's value less
+    the float rounding its error estimate must charge."""
+    ld = np.longdouble
+    half = np.multiply.outer(np.asarray(lam, dtype=ld), np.asarray(freq, dtype=ld)) / 2
+    s2, sin_phi = 4 * np.sin(half) ** 2, 2 * np.sin(2 * half)
+    w = weights[:, 0].astype(ld)
+    a, b, c = (np.asarray(t, dtype=np.complex128) for t in (a, b, c))
+    re = s2 @ (w * a.real.astype(ld)) - sin_phi @ (w * b.imag.astype(ld)) + w @ c.real.astype(ld)
+    im = s2 @ (w * a.imag.astype(ld)) + sin_phi @ (w * b.real.astype(ld)) + w @ c.imag.astype(ld)
+    return re.astype(float) + 1j * im.astype(float)
+
+
+def rule_calls(monkeypatch, compute, oracle=direct_trig_sums):
+    """Run compute() and return, for every rule evaluation it made, the
+    values and error bound the rule returned and the oracle's values."""
+    seen = []
+    rule_sums = special_functions._rule_sums
+
+    def spy(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
+        value, err = rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size)
+        seen.append((value, err, oracle(lam, freq, weights, a, b, c)))
+        return value, err
+
+    monkeypatch.setattr(special_functions, "_rule_sums", spy)
+    compute()
+    assert seen
+    return seen
+
+
+CRIT_07 = RegimeParams.critical(0.7)
+ANGLE_CASES = {
+    "1 point": lambda: amplitude(CRIT_07, "+", 0.37, "integral"),
+    "5 points": lambda: amplitude(XXX, "-", np.linspace(-1.0, 1.0, 5), "integral"),
+    "121 points": lambda: amplitude(CRIT_07, "+", np.linspace(-4.0, 4.0, 121), "integral"),
+    "breather 121": lambda: breather_amplitude("+", 1, np.linspace(-4.0, 4.0, 121),
+                                               CRIT_07.gamma, "integral"),
+    # 601 points at |lam| <= 12 walk the rule in 70 blocks of BLOCK elements
+    "601 points": lambda: amplitude(CRIT_07, "-", np.linspace(-12.0, 12.0, 601), "integral"),
+    # the closed route's ratio integral, whose phases grow like e^{|Im lam| w}
+    "complex strip": lambda: amplitude(
+        CRIT_07, "+", np.linspace(-3.0, 3.0, 9) + 1j * np.linspace(-0.94, 0.94, 9)
+        * CRIT_07.gamma / 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(ANGLE_CASES))
+def test_angle_addition_matches_direct_trig(monkeypatch, case):
+    for value, err, direct in rule_calls(monkeypatch, ANGLE_CASES[case]):
+        assert value.shape == direct.shape and np.all(np.isfinite(value))
+        assert np.all(np.abs(value - direct) <= err), case
+
+
+def test_mode_sums_are_bit_identical_to_direct_trig(monkeypatch):
+    # a single group with base 0: sin(0) = 0 and cos(0) = 1 leave the
+    # offsets' sin and cos untouched
+    nc = RegimeParams.noncritical(0.5)
+    for value, _, direct in rule_calls(
+            monkeypatch, lambda: (amplitude(nc, "+", np.linspace(-4.0, 4.0, 121), "sum"),
+                                  amplitude(nc, "-", 0.3, "sum"),
+                                  type2_amplitude(np.linspace(-2.0, 2.0, 41), 0.5, 1.5, "sum"))):
+        assert np.array_equal(value, direct)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+@pytest.mark.parametrize("case", ["mu 2.9", "eta 0.01"])
+def test_estimates_charge_the_phase_rounding(monkeypatch, case):
+    # near mu = pi the cutoff reaches w ~ 900, so the half phases lam w / 2
+    # reach ~1800 and their rounding, ~eps * 1800 each, outweighs the
+    # rounding of the summed terms
+    grid = np.linspace(-4.0, 4.0, 121)
+    if case == "mu 2.9":
+        params = RegimeParams.critical(2.9)
+        compute = lambda: (amplitude(params, "+", grid), amplitude(params, "-", grid))
+    else:
+        params = RegimeParams.noncritical(0.01)
+        compute = lambda: (amplitude(params, "+", grid, "sum"),
+                           type2_amplitude(grid[::3], 0.01, 1.5, "sum"))
+    for value, err, exact in rule_calls(monkeypatch, compute, exact_phase_sums):
+        assert np.all(np.abs(value - exact) <= err), case
+
+
+@pytest.mark.parametrize("decay,lam_max", [(0.5, 4.0), (0.5, 0.7), (0.05, 1.0), (1.0, 60.0),
+                                           (10.0, 1.0), (2.0, 0.0)])
+def test_groups_rebuild_the_panel_nodes(decay, lam_max):
+    nodes, weights, groups = _half_line_rule(decay, lam_max)
+    assert np.array_equal(np.concatenate([(b[:, None] + u).ravel() for b, u in groups]), nodes)
+    # the nodes and weights of the composite rule built panel by panel,
+    # in some order: fine nodes, comparison nodes, then the cutoff
+    cutoff = -np.log(1e-16) / decay
+    width = 8.0 if lam_max * 8.0 <= 24.0 else 2.0 ** np.floor(np.log2(24.0 / lam_max))
+    edges, h = [0.0], min(0.25, width)
+    while edges[-1] < cutoff:
+        edges.append(edges[-1] + h)
+        h = min(2.0 * h, width)
+    edges = np.array(edges)
+    left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    rows = []
+    for col, n in enumerate((32, 24)):
+        x, wx = np.polynomial.legendre.leggauss(n)
+        w = np.zeros((x.size * left.size, 2))
+        w[:, col] = (half * wx).ravel()
+        rows.append(np.column_stack([(left + half * (x + 1.0)).ravel(), w]))
+    rows.append([[edges[-1], 0.0, 0.0]])
+    want = np.concatenate(rows)
+    got = np.column_stack([nodes, weights])
+    assert nodes[-1] == edges[-1]
+    assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
+
+
+def test_table_rule_shares_its_trig_work():
+    # sin and cos at each base (and its negative) and each offset, per point
+    nodes, _, groups = _half_line_rule(0.5, 4.0)
+    assert nodes.size == 1233
+    assert sum(2 * b.size + u.size for b, u in groups) <= nodes.size / 3
