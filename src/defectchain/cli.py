@@ -31,14 +31,13 @@ from . import monodromy as mono
 from . import transmission_matrices as tmat
 from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
                          crossing_transform, defect_rep, make_l, make_l_hat,
-                         make_r, unitarity_residuals)
+                         make_r, s_matrix_part, unitarity_residuals)
 from .oscillator_reps import algebra_residuals
 from .reporting import ResidualReport
 from .special_functions import ConvergenceError
 from .tensor_core import commutator_residual, exchange_residual
 from .transmission_amplitudes import (amplitude, breather_amplitude,
-                                      make_s_matrix, soliton_s_amplitude,
-                                      type2_amplitude)
+                                      soliton_s_amplitude, type2_amplitude)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -81,16 +80,21 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         reports.append(ResidualReport(name, float(residual), tolerance=tol, **kw))
 
     # Yang-Baxter for R and the prefactored S-matrix: the exchange relation
-    # with A = R (or S) on V = C^2
+    # with A = R (or S) on V = C^2, one stacked call over the pairs
     pairs = rng.uniform(-1.5, 1.5, size=(6, 2))
+    args = np.stack([pairs[:, 0] - pairs[:, 1], pairs[:, 0], pairs[:, 1]])   # (R12, A1, A2)
 
-    def ybe(f):
-        return max(exchange_residual(f(l1 - l2), f(l1), f(l2))[0] for l1, l2 in pairs)
+    def stack(f, xs):
+        return np.array([f(x).entries for x in xs])
 
-    add("ybe-r", ybe(lambda x: make_r(params, x).entries), 1e-10,
+    r_args = [stack(lambda x: make_r(params, x), xs) for xs in args]
+    add("ybe-r", exchange_residual(*r_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
-    add("ybe-s", ybe(lambda x: make_s_matrix(params, x).entries),
-        1e-10, params={"pairs": len(pairs), "seed": seed})
+    prefactors = soliton_s_amplitude(params, args.ravel()).reshape(args.shape)
+    s_args = [pre[:, None, None] * stack(lambda x: s_matrix_part(params, x), xs)
+              for pre, xs in zip(prefactors, args)]
+    add("ybe-s", exchange_residual(*s_args)[0].max(), 1e-10,
+        params={"pairs": len(pairs), "seed": seed})
 
     # defect algebra relations
     for rr in algebra_residuals(rep):
@@ -98,10 +102,10 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
     # RLL
     interior_sub = "interior(buffer=1)"
-    rll = max(exchange_residual(make_r(params, l1 - l2).entries,
-                                make_l(params, l1, rep).entries,
-                                make_l(params, l2, rep).entries, keep=rep.interior())[0]
-              for l1, l2 in pairs[:3])
+    l1, l2 = pairs[:3].T
+    rll = exchange_residual(r_args[0][:3], stack(lambda x: make_l(params, x, rep), l1),
+                            stack(lambda x: make_l(params, x, rep), l2),
+                            keep=rep.interior())[0].max()
     add("rll", rll, 1e-11, subspace=interior_sub)
 
     # conjugate operator: explicit vs crossing route, unitarity scalars
@@ -135,19 +139,17 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         second_route, tol_amp = "sum", 1e-8
     else:
         second_route, tol_amp = "integral", 1e-6
+    closed = {sign: amplitude(params, sign, lam_grid).value for sign in ("+", "-")}
     for sign in ("+", "-"):
-        disc = max(abs(amplitude(params, sign, x, "closed").value
-                       - amplitude(params, sign, x, second_route).value)
-                   for x in lam_grid)
+        disc = np.abs(closed[sign] - amplitude(params, sign, lam_grid, second_route).value).max()
         add(f"amplitude-cross-route[{sign}]", disc, tol_amp,
             params={"route": second_route})
-    uni = max(abs(amplitude(params, "-", x).value * amplitude(params, "+", -x).value - 1.0)
-              for x in lam_grid)
+    uni = np.abs(closed["-"] * amplitude(params, "+", -lam_grid).value - 1.0).max()
     add("amplitude-unitarity", uni, 1e-10)
-    s_second = "sum" if params.regime == NONCRITICAL else "integral"
-    s_disc = max(abs(soliton_s_amplitude(params, x, "closed")
-                     - soliton_s_amplitude(params, x, s_second)) for x in lam_grid[:3])
-    add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": s_second})
+    s_grid = lam_grid[:3]
+    s_disc = np.abs(soliton_s_amplitude(params, s_grid, "closed")
+                    - soliton_s_amplitude(params, s_grid, second_route)).max()
+    add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": second_route})
 
     # transmission matrices
     trep = tmat.default_rep(params, 6)
@@ -164,14 +166,12 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     if params.regime == CRITICAL and params.is_attractive():
         g = params.gamma
         th_grid = np.linspace(-1.0, 1.0, 5)
-        crossing = max(
-            abs(breather_amplitude("-", 1, x, g).value
-                - breather_amplitude("+", 1, -x + 1j * g, g).value)  # theta -> -theta + i pi
-            for x in th_grid)
+        # theta -> -theta + i pi
+        crossing = np.abs(breather_amplitude("-", 1, th_grid, g).value
+                          - breather_amplitude("+", 1, -th_grid + 1j * g, g).value).max()
         add("breather-crossing", crossing, 1e-10)
-        disc = max(abs(breather_amplitude("+", 1, x, g).value
-                       - breather_amplitude("+", 1, x, g, route="integral").value)
-                   for x in th_grid)
+        disc = np.abs(breather_amplitude("+", 1, th_grid, g).value
+                      - breather_amplitude("+", 1, th_grid, g, route="integral").value).max()
         add("breather-cross-route", disc, 1e-6)
 
     # Bethe roots for the one-root chain, both defect orientations
@@ -266,6 +266,9 @@ def cmd_amplitude(args) -> int:
     needs = {"breather": "critical", "type2": "noncritical"}.get(args.family, args.regime)
     if args.regime != needs:
         raise ValueError(f"--family {args.family} needs --regime {needs}")
+    if args.family == "breather" and not params.is_attractive():
+        raise ValueError(f"--family breather needs the attractive regime, "
+                         f"mu < pi/2 = {np.pi / 2:.6g}; got mu = {params.mu}")
     # closed(x) -> (T+, T-) and second(x) -> the other route's T+ (and T-)
     if args.family == "type1":
         other = "sum" if params.regime == NONCRITICAL else "integral"

@@ -339,9 +339,37 @@ _MAX_GROWTH = 700.0    # largest exponent |Im lam| w the phases may reach (exp o
 _EPS = float(np.finfo(float).eps)
 
 
+def _legendre_p(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=4)
 def _legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre rule on [-1, 1]: ascending nodes and weights.
+
+    Newton's method on P_n, started from Tricomi's estimates of its roots
+    (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)), and stopped once
+    no node moves by more than a few ulp; the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the final nodes.  numpy.polynomial's
+    leggauss would import that package and make a LAPACK eigenvalue call,
+    which raises a fresh process's peak RSS, for two fixed rules.
+    """
+    k = np.arange(n, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(20):
+        p, dp = _legendre_p(n, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 4.0 * _EPS:
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes for n = {n} did not converge")
+    dp = _legendre_p(n, x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 @lru_cache(maxsize=64)

@@ -150,13 +150,16 @@ def partial_transpose(m: TensorOperator, factor: int) -> TensorOperator:
 
 
 def _as_matrix(op, expected_dim: int) -> np.ndarray:
+    """A matrix, or a stack of them along a leading axis, of the expected
+    size as a 3-d complex array (a lone matrix is a stack of one)."""
     m = op.entries if isinstance(op, TensorOperator) else np.asarray(op, dtype=np.complex128)
-    if m.shape != (expected_dim, expected_dim):
-        raise ValueError(f"local operator shape {m.shape}, expected {(expected_dim,) * 2}")
-    return m
+    if m.ndim not in (2, 3) or m.shape[-2:] != (expected_dim, expected_dim):
+        raise ValueError(f"local operator shape {m.shape}, expected {(expected_dim,) * 2} "
+                         "or a stack of those")
+    return m.reshape(-1, expected_dim, expected_dim)
 
 
-def exchange_residual(r12, a1, a2, keep=None) -> tuple[float, float]:
+def exchange_residual(r12, a1, a2, keep=None):
     """The exchange relation R12 A1 A2 = A2 A1 R12 on C^2 (x) C^2 (x) V.
 
     The arguments are matrices: ``r12`` acts on the two auxiliary factors,
@@ -169,20 +172,29 @@ def exchange_residual(r12, a1, a2, keep=None) -> tuple[float, float]:
     Returns (|| (R12 A1 A2 - A2 A1 R12) P ||, || R12 A1 A2 P ||), computed from
     the (2, d, 2, d) tensors without building 4d x 4d matrices: A1 A2 and
     A2 A1 are batched d x d products of auxiliary blocks, and R12 is
-    contracted into them with einsum.
+    contracted into them with einsum.  The three arguments may instead be
+    stacks of matrices along a leading axis of one length (one relation per
+    sample); the two norms are then arrays over the stack.
     """
-    d = len(a1) // 2
-    r = _as_matrix(r12, 4).reshape(2, 2, 2, 2)
+    stacked = np.ndim(a1) == 3
+    d = np.shape(a1)[-1] // 2
+    r = _as_matrix(r12, 4).reshape(-1, 2, 2, 2, 2)
     # blocks[row aux, col aux] as d x d matrices on V, broadcast so that the
-    # products carry indices (row1, col1, row2, col2, V row, V col)
-    t1 = _as_matrix(a1, 2 * d).reshape(2, d, 2, d).transpose(0, 2, 1, 3)[:, :, None, None]
-    t2 = _as_matrix(a2, 2 * d).reshape(2, d, 2, d).transpose(0, 2, 1, 3)[None, None]
-    lhs = np.einsum("acef,ebfdij->acbdij", r, t1 @ t2)
-    res = lhs - np.einsum("aecfij,efbd->acbdij", t2 @ t1, r)
+    # products carry indices (sample, row1, col1, row2, col2, V row, V col)
+    t1 = _as_matrix(a1, 2 * d).reshape(-1, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
+    t2 = _as_matrix(a2, 2 * d).reshape(-1, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
+    if not len(r) == len(t1) == len(t2):
+        raise ValueError(f"stacks of different lengths: {len(r)}, {len(t1)}, {len(t2)}")
+    t1, t2 = t1[:, :, :, None, None], t2[:, None, None]
+    lhs = np.einsum("nacef,nebfdij->nacbdij", r, t1 @ t2)
+    res = lhs - np.einsum("naecfij,nefbd->nacbdij", t2 @ t1, r)
     if keep is not None:
         lhs = lhs * keep
         res = res * keep
-    return float(np.linalg.norm(res)), float(np.linalg.norm(lhs))
+    # np.linalg.norm of each sample's whole array: a stack of one gives the
+    # lone relation's norms bit for bit
+    norms = [np.array([np.linalg.norm(x) for x in xs]) for xs in (res, lhs)]
+    return tuple(norms) if stacked else (float(norms[0][0]), float(norms[1][0]))
 
 
 def identity_residual(m, s, keep) -> float:

@@ -1,15 +1,22 @@
 import csv
+import inspect
 import io
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from defectchain import cli
 from defectchain.cli import _fmt_cell, _write_records, main
-from defectchain.lax_defect import RegimeParams, defect_rep
+from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
+                                   s_matrix_part)
 from defectchain.monodromy import ChainSpec, sector_mask
+from defectchain.reporting import ResidualReport
+from defectchain.tensor_core import exchange_residual
+from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
+                                                 soliton_s_amplitude)
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -94,6 +101,108 @@ def test_verify_csv_is_well_formed(tmp_path, args):
         assert json.loads(row["params"]) == json.loads(rec["params"])
         assert row["subspace"] == rec["subspace"]
         assert row["pass"] == str(rec["pass"])
+
+
+class SampleLog:
+    """Wraps the sampled functions and counts every sample point they are
+    given, keyed by function, sign and route (exchange relations by the size
+    of A and whether a mask applies), so two evaluation orders can be checked
+    to visit the same points."""
+
+    def __init__(self):
+        self.points = Counter()
+
+    def wrap(self, fn):
+        sig = inspect.signature(fn)
+
+        def logged(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            a = bound.arguments
+            if fn is exchange_residual:
+                d = np.shape(a["a1"])[-1]
+                n = len(a["a1"]) if np.ndim(a["a1"]) == 3 else 1
+                self.points[(fn.__name__, d, a["keep"] is None)] += n
+            else:
+                key = (fn.__name__, a.get("sign"), a["route"])
+                lam = a["lam_hat"] if "lam_hat" in a else a["lam"]
+                self.points.update((key, complex(x)) for x in np.ravel(lam))
+            return fn(*args, **kwargs)
+
+        return logged
+
+
+SAMPLED = (amplitude, breather_amplitude, soliton_s_amplitude, exchange_residual)
+
+
+def per_point_records(params, fock_dim, seed, log):
+    """The records `run_verify` evaluates on sample grids, rebuilt one sample
+    point at a time from scalar calls: the suite's sample points, counts and
+    gates, with every amplitude and every exchange relation taken alone."""
+    amp, breather, s_amp, exchange = (log.wrap(fn) for fn in SAMPLED)
+    rng = np.random.default_rng(seed)
+    rep = defect_rep(params, fock_dim)
+    pairs = rng.uniform(-1.5, 1.5, size=(6, 2))
+    out = []
+
+    def add(name, residuals, tol, **kw):
+        out.append(ResidualReport(name, float(max(residuals)), tolerance=tol, **kw))
+
+    def ybe(f):
+        return [exchange(f(l1 - l2), f(l1), f(l2))[0] for l1, l2 in pairs]
+
+    sample = {"pairs": len(pairs), "seed": seed}
+    add("ybe-r", ybe(lambda x: make_r(params, x).entries), 1e-10, params=sample)
+    add("ybe-s", ybe(lambda x: s_amp(params, x) * s_matrix_part(params, x).entries), 1e-10,
+        params=sample)
+    add("rll", [exchange(make_r(params, l1 - l2).entries, make_l(params, l1, rep).entries,
+                         make_l(params, l2, rep).entries, keep=rep.interior())[0]
+                for l1, l2 in pairs[:3]], 1e-11, subspace="interior(buffer=1)")
+
+    lam_grid = np.linspace(-1.6, 1.6, 5)
+    second, tol = ("sum", 1e-8) if params.regime == NONCRITICAL else ("integral", 1e-6)
+    closed = {sign: [amp(params, sign, x).value for x in lam_grid] for sign in ("+", "-")}
+    for sign in ("+", "-"):
+        add(f"amplitude-cross-route[{sign}]",
+            [abs(t - amp(params, sign, x, second).value) for t, x in zip(closed[sign], lam_grid)],
+            tol, params={"route": second})
+    add("amplitude-unitarity",
+        [abs(t * amp(params, "+", -x).value - 1.0) for t, x in zip(closed["-"], lam_grid)],
+        1e-10)
+    add("s-amplitude-cross-route",
+        [abs(s_amp(params, x) - s_amp(params, x, second)) for x in lam_grid[:3]], tol,
+        params={"route": second})
+
+    if params.is_attractive():
+        g = params.gamma
+        th_grid = np.linspace(-1.0, 1.0, 5)
+        add("breather-crossing",
+            [abs(breather("-", 1, x, g).value - breather("+", 1, -x + 1j * g, g).value)
+             for x in th_grid], 1e-10)
+        add("breather-cross-route",
+            [abs(breather("+", 1, x, g).value - breather("+", 1, x, g, route="integral").value)
+             for x in th_grid], 1e-6)
+    return [r.as_record() for r in out]
+
+
+@pytest.mark.parametrize("params", [RegimeParams.xxx(), RegimeParams.critical(0.7),
+                                    RegimeParams.critical(0.3), RegimeParams.noncritical(0.5)],
+                         ids=["xxx", "crit-0.7", "crit-0.3", "nc"])
+def test_verify_grid_records_match_per_point_oracle(monkeypatch, params):
+    # the suite evaluates each family on its whole sample grid in one call:
+    # it must visit the same sample points as the per-point oracle, keep
+    # every record's name, params, gate and pass flag, and differ in rounding only
+    mine, theirs = SampleLog(), SampleLog()
+    for fn in SAMPLED:
+        monkeypatch.setattr(cli, fn.__name__, mine.wrap(fn))
+    got = {r["name"]: r for r in (rep.as_record() for rep in cli.run_verify(params, 8, 7))}
+    want = per_point_records(params, 8, 7, theirs)
+    assert len(want) == (9 if params.is_attractive() else 7)
+    assert mine.points == theirs.points
+    for rec in want:
+        assert {k: v for k, v in got[rec["name"]].items() if k != "residual"} == \
+            {k: v for k, v in rec.items() if k != "residual"}, rec["name"]
+        assert got[rec["name"]]["residual"] == pytest.approx(rec["residual"], rel=0, abs=1e-13)
 
 
 def test_amplitude_table_xxx(tmp_path):
@@ -247,7 +356,12 @@ def test_convergence_failure_is_a_one_line_error(capsys, command):
     ["--regime", "noncritical", "--family", "breather"],
     ["--regime", "noncritical", "--family", "type2", "--spin", "0.3"],
     ["--regime", "xxx", "--family", "type2"],
-], ids=["xxx-breather", "nc-breather", "type2-bad-spin", "xxx-type2"])
+    # breathers exist for mu < pi/2 only; at mu = 2.9 the quadrature route's
+    # exponent overflows, and from mu = pi/2 on there is no breather to tabulate
+    ["--regime", "critical", "--mu", "2.9", "--family", "breather", "--breather-n", "1"],
+    ["--regime", "critical", "--mu", "1.5708", "--family", "breather", "--breather-n", "2"],
+], ids=["xxx-breather", "nc-breather", "type2-bad-spin", "xxx-type2", "repulsive-breather",
+        "boundary-breather"])
 def test_amplitude_family_outside_its_domain_is_a_usage_error(capsys, argv):
     # no table of NaN rows: one plain error line and exit 2
     code = run(["amplitude", *argv])

@@ -11,8 +11,8 @@ from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
 from defectchain.special_functions import (_LOG_GAMMA_REL, BLOCK, ConvergenceError,
-                                           _half_line_rule, amplitude_sum, log_gamma,
-                                           q_gamma)
+                                           _half_line_rule, _legendre, amplitude_sum,
+                                           log_gamma, q_gamma)
 from defectchain.transmission_amplitudes import (amplitude,
                                                  breather_amplitude, kernel,
                                                  soliton_s_amplitude, type2_amplitude)
@@ -317,8 +317,9 @@ def test_estimates_charge_the_phase_rounding(monkeypatch, case):
 def test_groups_rebuild_the_panel_nodes(decay, lam_max):
     nodes, weights, groups = _half_line_rule(decay, lam_max)
     assert np.array_equal(np.concatenate([(b[:, None] + u).ravel() for b, u in groups]), nodes)
-    # the nodes and weights of the composite rule built panel by panel,
-    # in some order: fine nodes, comparison nodes, then the cutoff
+    # the nodes and weights of the composite rule built panel by panel from
+    # the one-panel rules (checked against mpmath below), in some order:
+    # fine nodes, comparison nodes, then the cutoff
     cutoff = -np.log(1e-16) / decay
     width = 8.0 if lam_max * 8.0 <= 24.0 else 2.0 ** np.floor(np.log2(24.0 / lam_max))
     edges, h = [0.0], min(0.25, width)
@@ -329,7 +330,7 @@ def test_groups_rebuild_the_panel_nodes(decay, lam_max):
     left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     rows = []
     for col, n in enumerate((32, 24)):
-        x, wx = np.polynomial.legendre.leggauss(n)
+        x, wx = _legendre(n)
         w = np.zeros((x.size * left.size, 2))
         w[:, col] = (half * wx).ravel()
         rows.append(np.column_stack([(left + half * (x + 1.0)).ravel(), w]))
@@ -338,6 +339,18 @@ def test_groups_rebuild_the_panel_nodes(decay, lam_max):
     got = np.column_stack([nodes, weights])
     assert nodes[-1] == edges[-1]
     assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_legendre_rule_matches_mpmath(n):
+    x, w = _legendre(n)
+    with mp.workdps(40):
+        nodes, weights = mp.gauss_quadrature(n, "legendre")
+        want = sorted((float(a), float(b)) for a, b in zip(nodes, weights))
+    want_x, want_w = np.array(want).T
+    assert np.all(np.diff(x) > 0)
+    assert np.abs(x - want_x).max() <= 1e-15
+    assert np.abs(w - want_w).max() <= 1e-15
 
 
 def test_table_rule_shares_its_trig_work():

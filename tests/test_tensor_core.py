@@ -143,6 +143,14 @@ def assert_matches_oracle(r12, m1, m2, keep=None):
     want = exchange_oracle(r12, m1, m2, full)
     got = exchange_residual(r12, m1, m2, keep=keep)
     np.testing.assert_allclose(got, want, rtol=1e-12)
+    # the same relation in a stack, between two others: one pair of norms
+    # per sample, each that of the lone call
+    samples = [(r12.conj().T, m2, m1), (r12, m1, m2), (r12, m2, m1)]
+    stacked = exchange_residual(*(np.stack(a) for a in zip(*samples)), keep=keep)
+    assert all(norms.shape == (3,) for norms in stacked)
+    for i, sample in enumerate(samples):
+        np.testing.assert_allclose([norms[i] for norms in stacked],
+                                   exchange_residual(*sample, keep=keep), rtol=1e-15, atol=0)
     return got
 
 
@@ -191,6 +199,8 @@ def test_exchange_residual_odd_dimension_with_mask():
     res, _ = assert_matches_oracle(r12, m1, m2, keep)
     assert 0.0 < res < exchange_residual(r12, m1, m2)[0]
     assert exchange_residual(r12, m1, m2, keep=np.zeros(d)) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="stacks of different lengths"):
+        exchange_residual(np.stack([r12, r12]), m1, m2)
 
 
 # ------------------------------------------------------------- masked kernels
