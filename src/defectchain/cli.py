@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,7 +37,7 @@ from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
 from .oscillator_reps import algebra_residuals
 from .reporting import ResidualReport
 from .special_functions import ConvergenceError
-from .tensor_core import commutator_residual, exchange_residual
+from .tensor_core import exchange_residual
 from .transmission_amplitudes import (amplitude, breather_amplitude,
                                       soliton_s_amplitude, type2_amplitude)
 
@@ -197,25 +199,39 @@ def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
 # --------------------------------------------------------------------------
 
 
-def _write_records(records, fmt: str, out, header: dict):
+def _write_records(tables, fmt: str, out, header: dict):
+    """Write tables of columns one after another under one header.
+
+    A table maps each column name to a list of cells, or to one cell that
+    repeats over the table's rows and is formatted once; every table has the
+    first table's columns in its order.
+    """
     stream = io.StringIO()
     if fmt == "jsonl":
         stream.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for rec in records:
-            stream.write(json.dumps(rec, sort_keys=True) + "\n")
+        for table in tables:
+            cols = [v if isinstance(v, list) else itertools.repeat(v) for v in table.values()]
+            for row in zip(*cols):
+                stream.write(json.dumps(dict(zip(table, row)), sort_keys=True) + "\n")
     else:
         stream.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        if records:
-            writer = csv.writer(stream, lineterminator="\n")
-            cols = list(records[0].keys())
-            writer.writerow(cols)
-            writer.writerows(zip(*(_fmt_column([rec[c] for rec in records]) for c in cols)))
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(list(tables[0]))
+        for table in tables:
+            writer.writerows(zip(*(_fmt_column(v) if isinstance(v, list)
+                                   else itertools.repeat(_fmt_cell(v))
+                                   for v in table.values())))
     text = stream.getvalue()
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _columns(rows: list[dict]) -> dict:
+    """Row dicts with the same keys as one table of columns."""
+    return {k: [row[k] for row in rows] for k in rows[0]}
 
 
 def _fmt_column(values: list) -> list:
@@ -255,7 +271,7 @@ def cmd_verify(args) -> int:
         header["mu"] = args.mu
     if args.regime == "noncritical":
         header["eta"] = args.eta
-    _write_records(records, args.format or "jsonl", args.out, header)
+    _write_records([_columns(records)], args.format or "jsonl", args.out, header)
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_FAIL
 
 
@@ -307,17 +323,15 @@ def cmd_amplitude(args) -> int:
             closed(grid[i])
         except ZeroDivisionError as err:
             notes[i] = f"pole:{err}"
-    rows = []
-    for x, p, m, d, note in zip(grid, tp, tm, disc, notes):
-        if note:
-            p = m = complex(np.nan, np.nan)
-            d = np.nan
-        rows.append({"lam_hat": float(x), "re_t_plus": float(p.real), "im_t_plus": float(p.imag),
-                     "re_t_minus": float(m.real), "im_t_minus": float(m.imag),
-                     "route_discrepancy": float(d), "note": note})
+    pole = np.array([bool(note) for note in notes])
+    tp, tm = (np.where(pole, complex(np.nan, np.nan), x) for x in (tp, tm))
+    table = {"lam_hat": grid.tolist(), "re_t_plus": tp.real.tolist(),
+             "im_t_plus": tp.imag.tolist(), "re_t_minus": tm.real.tolist(),
+             "im_t_minus": tm.imag.tolist(),
+             "route_discrepancy": np.where(pole, np.nan, disc).tolist(), "note": notes}
     header = {"command": "amplitude", "regime": args.regime, "family": args.family,
               "grid": f"{start}:{stop}:{count}", "theta": args.theta}
-    _write_records(rows, args.format or "csv", args.out, header)
+    _write_records([table], args.format or "csv", args.out, header)
     return EXIT_OK
 
 
@@ -326,35 +340,36 @@ def cmd_spectrum(args) -> int:
     spec = mono.ChainSpec(n_sites=args.sites, defect_site=args.defect_site,
                           params=params, rep=defect_rep(params, args.fock_dim))
     start, stop, count = args.grid
-    rows = []
-    first_t = None
-    keep = mono.sector_mask(spec)
-    q = mono.charge_vector(spec)
-    sectors = [(sector, np.where(np.abs(q - sector) < 1e-9)[0])
-               for sector in sorted(set(int(round(x)) for x in q.tolist()))]
+    sectors = mono.sector_blocks(spec)
+    tables = []
+    first = None
     for lam in np.linspace(start, stop, count):
-        t = mono.transfer_matrix(spec, lam)
-        ref_res = mono.reference_residual(spec, t.entries, lam)
-        # sector-masked commutator with the first grid point: the whole
-        # family must commute below the truncation ceiling
-        if first_t is None:
-            first_t = t
-            comm_res = 0.0
+        t = mono.transfer_matrix(spec, lam).entries
+        blocks = mono.diagonal_blocks(t, sectors, lam)
+        # commutator with the first grid point on the sectors below the
+        # truncation ceiling: the whole family must commute there
+        if first is None:
+            first, comm_res = blocks, 0.0
         else:
-            comm_res = commutator_residual(t, first_t, keep)
-        for sector, idx in sectors:
-            block = t.entries[np.ix_(idx, idx)]
-            for ev in sorted(np.linalg.eigvals(block).tolist(),
-                             key=lambda z: (round(z.real, 10), round(z.imag, 10))):
-                rows.append({"lam": float(lam), "sector": sector,
-                             "re_eig": ev.real, "im_eig": ev.imag,
-                             "reference_check": ref_res,
-                             "commutator_check": comm_res,
-                             "exact": int(keep[idx[0]])})
+            comm_res = mono.sector_commutator(spec, blocks, first)
+            if not math.isfinite(comm_res):
+                raise ValueError(f"the commutator check at lam = {lam} is beyond "
+                                 "the float range")
+        table = {"lam": float(lam), "sector": [], "re_eig": [], "im_eig": [],
+                 "reference_check": mono.reference_residual(spec, t, lam),
+                 "commutator_check": comm_res, "exact": []}
+        for sector, block in blocks:
+            evs = sorted(np.linalg.eigvals(block).tolist(),
+                         key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+            table["sector"] += [sector] * len(evs)
+            table["re_eig"] += [z.real for z in evs]
+            table["im_eig"] += [z.imag for z in evs]
+            table["exact"] += [int(sector <= spec.max_exact_charge)] * len(evs)
+        tables.append(table)
     header = {"command": "spectrum", "regime": args.regime, "sites": args.sites,
               "defect_site": args.defect_site, "fock_dim": args.fock_dim,
               "theta": args.theta}
-    _write_records(rows, args.format or "csv", args.out, header)
+    _write_records(tables, args.format or "csv", args.out, header)
     return EXIT_OK
 
 
@@ -364,7 +379,7 @@ def cmd_bae(args) -> int:
             for sign, root, res in _bae_roots(params)]
     worst = max(row["residual"] for row in rows)
     header = {"command": "bae", "regime": args.regime, "theta": args.theta}
-    _write_records(rows, args.format or "csv", args.out, header)
+    _write_records([_columns(rows)], args.format or "csv", args.out, header)
     tol = args.tol if args.tol is not None else 1e-10
     return EXIT_OK if worst < tol else EXIT_FAIL
 

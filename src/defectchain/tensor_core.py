@@ -209,11 +209,24 @@ def identity_residual(m, s, keep) -> float:
     return float(np.linalg.norm((m - s * np.eye(len(m), dtype=np.complex128)) * cols))
 
 
-def commutator_residual(a: TensorOperator, b: TensorOperator, keep) -> float:
-    """|| P [A, B] P || with P = diag(keep) for a 0/1 mask ``keep``.
+def commutator_residual(a, b, keep=None) -> float:
+    """|| P [A, B] P || with P = diag(keep) for a 0/1 mask ``keep`` (all of
+    the space by default); A and B are square matrices or TensorOperators.
 
-    A and B are operators: their two products are the dense chain-size work
-    left in the package (commuting family, charge conservation).
+    Each operand is scaled by the power of two nearest the inverse of its
+    largest entry before the products, and the norm is scaled back after.
+    The scaling is exact, so the value keeps its bits wherever the unscaled
+    products stay in the normal range, while operands near 1e260 give a
+    finite value or, past the float range, inf.
     """
+    mats = [x.entries if isinstance(x, TensorOperator) else np.asarray(x) for x in (a, b)]
+    exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in mats]
+    space = TensorSpace((len(mats[0]),))
+    a, b = (TensorOperator(space, m * 2.0 ** -e) for m, e in zip(mats, exps))
     c = (a @ b - b @ a).entries
-    return float(np.linalg.norm(c * keep[:, None] * keep[None, :]))
+    if keep is not None:
+        c = c * keep[:, None] * keep[None, :]
+    try:
+        return math.ldexp(float(np.linalg.norm(c)), sum(exps))
+    except OverflowError:
+        return math.inf

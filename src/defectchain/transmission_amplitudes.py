@@ -33,14 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams, s_matrix_part
+from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
 from .special_functions import (DEFAULT_TRUNCATION, AmplitudeResult,
                                 ConvergenceError, FourierKernel, ProductTruncation,
                                 amplitude_integral, amplitude_sum, as_grid,
                                 gamma_ratio, gamma_ratio_bound, half_line_sums,
                                 infinite_gamma_product, mode_sums, q_gamma,
                                 _hurwitz_tail)
-from .tensor_core import TensorOperator
 
 __all__ = [
     "AmplitudeResult",
@@ -52,7 +51,6 @@ __all__ = [
     "breather_amplitude",
     "type2_amplitude",
     "soliton_s_amplitude",
-    "make_s_matrix",
     "coupling_map",
 ]
 
@@ -709,11 +707,6 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
         val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
                                 [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4, trunc)
     return complex(val[0]) if scalar else val
-
-
-def make_s_matrix(params: RegimeParams, lam: complex, trunc=None) -> TensorOperator:
-    """Bulk S-matrix including its scalar prefactor."""
-    return soliton_s_amplitude(params, lam, trunc=trunc) * s_matrix_part(params, lam)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Dense two-site embedding used as a test oracle for the monodromy.
+"""Dense two-site embedding and the reference state, used as test oracles
+for the monodromy.
 
 The package builds the monodromy by local contraction and never forms an
-embedded operator; these helpers build the same objects the slow way, in
-the numpy.kron basis order of ``defectchain.tensor_core``.
+embedded operator, and reads the reference check off one column of the
+transfer matrix; these helpers build the same objects the slow way, in the
+numpy.kron basis order of ``defectchain.tensor_core``.
 """
 import numpy as np
 
@@ -19,3 +21,14 @@ def embed(m, sites, dims):
     t = full.reshape([dims[k] for k in order] * 2).transpose(list(perm) + list(perm + n))
     d = int(np.prod(dims))
     return t.reshape(d, d)
+
+
+def reference_state(spec):
+    """All spins in the regime's reference orientation (isotropic: up,
+    anisotropic: down), the defect in its vacuum, as a numpy.kron product."""
+    vec = np.array([1.0 + 0.0j])
+    for d in spec.dims:
+        local = np.zeros(d, dtype=complex)
+        local[1 if d == 2 and spec.params.regime != "XXX" else 0] = 1.0
+        vec = np.kron(vec, local)
+    return vec

@@ -12,11 +12,13 @@ from defectchain import cli
 from defectchain.cli import _fmt_cell, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
-from defectchain.monodromy import ChainSpec, sector_mask
+from defectchain.monodromy import (ChainSpec, charge_vector, reference_eigenvalue,
+                                   sector_mask, transfer_matrix)
 from defectchain.reporting import ResidualReport
-from defectchain.tensor_core import exchange_residual
+from defectchain.tensor_core import commutator_residual, exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
                                                  soliton_s_amplitude)
+from dense_oracle import reference_state
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -445,6 +447,87 @@ def test_spectrum_reference_check_near_overflow(tmp_path):
     assert all(float(r["reference_check"]) < 1e-10 for r in rows)
 
 
+def test_spectrum_commutator_past_the_float_range_is_a_one_line_error(capsys):
+    # t(99) and t(100) reach ~1e258 and ~1e260: the scaled block products
+    # are finite, the commutator's roundoff alone is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["spectrum", "--regime", "critical", "--mu", "3", "--sites", "1",
+                    "--grid=99:100:2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: the commutator check at lam = 100.0 ")
+    assert captured.err.count("\n") == 1
+
+
+def dense_spectrum_rows(spec, grid):
+    """The spectrum rows by the dense route: sectors from the charge vector,
+    the reference check as a mat-vec with the reference state, and the
+    sector-masked commutator of the whole transfer matrices."""
+    q = charge_vector(spec)
+    keep = sector_mask(spec)
+    vec = reference_state(spec)
+    rows, first = [], None
+    for lam in grid:
+        t = transfer_matrix(spec, lam)
+        ev = reference_eigenvalue(spec, lam)
+        scale = 2.0 ** -np.frexp(max(abs(ev), 1e-30))[1]
+        ref = float(np.linalg.norm((t.entries @ vec - ev * vec) * scale) / (abs(ev) * scale))
+        first = first or t
+        comm = commutator_residual(t, first, keep)
+        for sector in sorted(set(int(x) for x in q)):
+            idx = np.flatnonzero(q == sector)
+            for z in sorted(np.linalg.eigvals(t.entries[np.ix_(idx, idx)]).tolist(),
+                            key=lambda z: (round(z.real, 10), round(z.imag, 10))):
+                rows.append({"lam": float(lam), "sector": sector, "re_eig": z.real,
+                             "im_eig": z.imag, "reference_check": ref,
+                             "commutator_check": comm, "exact": int(keep[idx[0]])})
+    return rows
+
+
+@pytest.mark.parametrize("regime, anisotropy, params", [
+    ("xxx", [], RegimeParams.xxx(theta=0.1)),
+    ("critical", ["--mu", "0.7"], RegimeParams.critical(0.7, theta=0.1)),
+    ("noncritical", ["--eta", "0.5"], RegimeParams.noncritical(0.5, theta=0.1)),
+], ids=["xxx", "crit", "nc"])
+def test_spectrum_rows_equal_the_dense_route(tmp_path, regime, anisotropy, params):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--regime", regime, *anisotropy, "--theta", "0.1",
+                "--sites", "3", "--defect-site", "2", "--fock-dim", "5",
+                "--grid=-1.2:0.9:3", "--out", str(out)]) == 0
+    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 5))
+    header, rows = read_csv(out)
+    want_text = per_cell_csv(dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3)), header)
+    want = list(csv.DictReader(want_text.splitlines()[1:]))
+    assert len(rows) == len(want) == 3 * spec.chain_dim
+
+    def scale(lam):
+        return max(abs(complex(float(r["re_eig"]), float(r["im_eig"])))
+                   for r in want if r["lam"] == lam)
+
+    first = want[0]["lam"]
+    for got, row in zip(rows, want):
+        comm = (got.pop("commutator_check"), row.pop("commutator_check"))
+        assert got == row
+        assert abs(float(comm[0]) - float(comm[1])) <= 1e-12 * scale(row["lam"]) * scale(first)
+
+
+def test_spectrum_jsonl_and_out_carry_the_csv_values(tmp_path):
+    argv = ["spectrum", "--regime", "noncritical", "--eta", "0.5", "--sites", "2",
+            "--fock-dim", "4", "--grid=-0.5:0.5:2"]
+    assert run([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+    assert run([*argv, "--format", "jsonl", "--out", str(tmp_path / "s.jsonl")]) == 0
+    csv_header, rows = read_csv(tmp_path / "s.csv")
+    header, records = read_jsonl(tmp_path / "s.jsonl")
+    assert header == csv_header
+    assert len(records) == len(rows) == 2 * 16
+    for rec, row in zip(records, rows):
+        assert set(rec) == set(row)
+        assert isinstance(rec["sector"], int) and isinstance(rec["exact"], int)
+        assert {k: _fmt_cell(v) for k, v in rec.items()} == row
+
+
 # ------------------------------------------------------------ table writer
 
 def per_cell_csv(records, header):
@@ -479,11 +562,15 @@ def mixed_records():
     ]
 
 
+def columns(records):
+    return {k: [rec[k] for rec in records] for k in records[0]}
+
+
 def test_write_records_csv_matches_per_cell_writer(tmp_path):
     records = mixed_records()
     header = {"command": "test", "grid": "-2.0:2.0:4"}
     out = tmp_path / "t.csv"
-    _write_records(records, "csv", str(out), header)
+    _write_records([columns(records)], "csv", str(out), header)
     assert out.read_text() == per_cell_csv(records, header)
 
 
@@ -492,10 +579,30 @@ def test_write_records_jsonl_unchanged(tmp_path):
                for rec in mixed_records()]
     header = {"command": "test"}
     out = tmp_path / "t.jsonl"
-    _write_records(records, "jsonl", str(out), header)
+    _write_records([columns(records)], "jsonl", str(out), header)
     expected = [json.dumps({"header": header}, sort_keys=True)]
     expected += [json.dumps(rec, sort_keys=True) for rec in records]
     assert out.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_records_repeated_cells_and_several_tables(tmp_path, fmt):
+    # a lone cell repeats over its table's rows, and tables follow one
+    # another: the rows, written cell by cell
+    records = [{k: v for k, v in rec.items() if k not in ("np_int", "complex")}
+               for rec in mixed_records()]
+    tables = [columns(records[:1]), columns(records[1:])]
+    tables[0] = {k: v[0] if k in ("py_float", "int", "note") else v
+                 for k, v in tables[0].items()}
+    header = {"command": "test"}
+    out = tmp_path / "t.out"
+    _write_records(tables, fmt, str(out), header)
+    if fmt == "csv":
+        assert out.read_text() == per_cell_csv(records, header)
+    else:
+        expected = [json.dumps({"header": header}, sort_keys=True)]
+        expected += [json.dumps(rec, sort_keys=True) for rec in records]
+        assert out.read_text() == "\n".join(expected) + "\n"
 
 
 # ------------------------------------------------------------ parser reuse

@@ -3,12 +3,13 @@ import pytest
 
 from defectchain import lax_defect
 from defectchain.lax_defect import (RegimeParams, crossing_transform, make_l,
-                                    make_l_hat, make_r, scalar_crossing,
-                                    scalar_unitarity, unitarity_residuals)
+                                    make_l_hat, make_r, s_matrix_part,
+                                    scalar_crossing, scalar_unitarity,
+                                    unitarity_residuals)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import ProductTruncation
 from defectchain.tensor_core import permutation_operator
-from defectchain.transmission_amplitudes import make_s_matrix
+from defectchain.transmission_amplitudes import soliton_s_amplitude
 
 XXX = RegimeParams.xxx()
 CRIT = RegimeParams.critical(0.7)
@@ -187,14 +188,18 @@ def test_crossing_scalar_xxx():
 
 # ------------------------------------------------------------------- S-matrix
 
+def s_matrix(params, lam, trunc=None):
+    """The bulk S-matrix with its scalar prefactor."""
+    return soliton_s_amplitude(params, lam, trunc=trunc) * s_matrix_part(params, lam)
+
+
 def test_xxx_s_matrix_at_zero_is_permutation():
-    s = make_s_matrix(XXX, 0.0)
+    s = s_matrix(XXX, 0.0)
     np.testing.assert_allclose(s.entries, permutation_operator(2).entries,
                                atol=1e-12)
 
 
 def test_critical_s_prefactor_is_one_at_zero():
-    from defectchain.transmission_amplitudes import soliton_s_amplitude
     assert soliton_s_amplitude(CRIT, 0.0) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -204,7 +209,7 @@ def test_s_matrix_yang_baxter(params):
     trunc = ProductTruncation(tail_tol=1e-9)
     for l1, l2 in rng.uniform(-1.2, 1.2, size=(4, 2)):
         res = ybe_residual(
-            lambda x: make_s_matrix(params, x, trunc=trunc).entries, l1, l2)
+            lambda x: s_matrix(params, x, trunc=trunc).entries, l1, l2)
         assert res < 1e-10
 
 

@@ -7,11 +7,13 @@ from defectchain.monodromy import (ChainSpec, bae_residual,
                                    bae_residual_breather_strings, bae_root,
                                    build_monodromy, charge_residual,
                                    charge_vector, commuting_residual,
-                                   reference_eigenvalue, reference_residual,
-                                   reference_state, rtt_residual, sector_mask,
+                                   diagonal_blocks, reference_eigenvalue,
+                                   reference_residual, rtt_residual, sector_blocks,
+                                   sector_commutator, sector_mask,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
-from dense_oracle import embed
+from defectchain.tensor_core import TensorOperator, commutator_residual
+from dense_oracle import embed, reference_state
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -398,3 +400,92 @@ def test_overflowing_chain_product_is_a_value_error():
         with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100"):
             build(spec, 100.0)
     assert np.isfinite(transfer_matrix(spec, 60.0).entries).all()
+
+
+# ------------------------------------------------------------ sector blocks
+
+def every_chain(params, n_max=4, d=4):
+    """Chains of N = 0 ... n_max sites with the defect at every site."""
+    for n in range(n_max + 1):
+        for site in range(1, n + 2):
+            yield ChainSpec(n_sites=n, defect_site=site, params=params,
+                            rep=defect_rep(params, d))
+
+
+def test_sector_blocks_partition_the_basis_by_charge():
+    for params in REGIMES:
+        for spec in every_chain(params):
+            q = charge_vector(spec)
+            sectors = sector_blocks(spec)
+            assert [k for k, _ in sectors] == list(range(len(sectors)))
+            assert sorted(np.concatenate([idx for _, idx in sectors])) == list(range(len(q)))
+            assert all((q[idx] == k).all() for k, idx in sectors)
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+def test_sector_commutator_matches_dense_masked_commutator(params):
+    rng = np.random.default_rng(11)
+    lam, lam0 = 0.63, -0.41
+    for spec in every_chain(params):
+        sectors = sector_blocks(spec)
+        t, t0 = (transfer_matrix(spec, x) for x in (lam, lam0))
+        blocks, blocks0 = (diagonal_blocks(x.entries, sectors, y)
+                           for x, y in ((t, lam), (t0, lam0)))
+        scale = np.linalg.norm(t.entries) * np.linalg.norm(t0.entries)
+        got = sector_commutator(spec, blocks, blocks0)
+        assert abs(got - commutator_residual(t, t0, sector_mask(spec))) <= 1e-12 * scale
+        assert commuting_residual(spec, lam, lam0) == got
+        # a block-diagonal partner that does not commute with t: the blocks
+        # above the ceiling are left out, the others all count
+        other = np.zeros_like(t.entries)
+        for _, idx in sectors:
+            n = len(idx)
+            other[np.ix_(idx, idx)] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = commutator_residual(t, TensorOperator(t.space, other), sector_mask(spec))
+        got = sector_commutator(spec, blocks, diagonal_blocks(other, sectors, 0.0))
+        assert abs(got - want) <= 1e-12 * np.linalg.norm(t.entries) * np.linalg.norm(other)
+
+
+def test_sector_commutator_past_the_float_range_is_inf():
+    spec = xxx_chain(n_sites=2, d=4)
+    sectors = sector_blocks(spec)
+    block = np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e200
+    a = np.zeros((spec.chain_dim,) * 2, dtype=complex)
+    b = np.zeros_like(a)
+    idx = sectors[1][1][:2]
+    a[np.ix_(idx, idx)] = block
+    b[np.ix_(idx, idx)] = block.T
+    got = sector_commutator(spec, diagonal_blocks(a, sectors, 1.0),
+                            diagonal_blocks(b, sectors, 2.0))
+    assert got == np.inf
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+def test_charge_leak_is_a_value_error(params):
+    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 5))
+    sectors = sector_blocks(spec)
+    t = transfer_matrix(spec, 0.37).entries
+    assert len(diagonal_blocks(t, sectors, 0.37)) == len(sectors)
+    (_, rows), (_, cols) = sectors[1], sectors[2]
+    leaky = t.copy()
+    leaky[rows[0], cols[-1]] = 1e-300
+    with pytest.raises(ValueError, match="leaks charge at lam = 0.37"):
+        diagonal_blocks(leaky, sectors, 0.37)
+
+
+@pytest.mark.parametrize("params, n_max, lams", [
+    (REGIMES[0], 4, (0.77, -0.4, 1.3)),
+    (REGIMES[1], 4, (0.77, -0.4, 1.3)),
+    (REGIMES[2], 4, (0.77, -0.4, 1.3)),
+    (RegimeParams.critical(3.0), 1, (100.0, -0.4)),      # entries near 1e260
+], ids=["xxx", "crit", "nc", "crit-mu3"])
+def test_reference_residual_column_equals_matvec_bit_for_bit(params, n_max, lams):
+    for spec in every_chain(params, n_max=n_max):
+        vec = reference_state(spec)
+        for lam in lams:
+            t = transfer_matrix(spec, lam).entries
+            ev = reference_eigenvalue(spec, lam)
+            size = max(abs(ev), 1e-30)
+            scale = 2.0 ** -np.frexp(size)[1]
+            want = float(np.linalg.norm((t @ vec - ev * vec) * scale) / (size * scale))
+            assert reference_residual(spec, t, lam) == want

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,3 +235,21 @@ def test_commutator_residual_equals_dense_projector_product(n):
     assert commutator_residual(a_op, b_op, keep) == want
     assert commutator_residual(a_op, a_op @ a_op, keep) < 1e-12 * np.linalg.norm(a) ** 3
     assert commutator_residual(a_op, b_op, np.zeros(n)) == 0.0
+    assert commutator_residual(a_op, b_op) == np.linalg.norm(a @ b - b @ a)
+
+
+def test_commutator_residual_scales_by_powers_of_two_without_overflow():
+    # entries near 2^520: the unscaled products would overflow, but the
+    # operands are scaled first, so the value is the unit one times 2^1040
+    # for commuting operands and inf for non-commuting ones, without warnings
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    b = a @ a
+    keep = np.ones(6)
+    unit = commutator_residual(op([6], a), op([6], b), keep)
+    big = 2.0 ** 520
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert commutator_residual(op([6], a * big), op([6], b * big), keep) == unit * big * big
+        c = rng.standard_normal((6, 6))
+        assert commutator_residual(op([6], a * big), op([6], c * big), keep) == np.inf
