@@ -54,6 +54,8 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid ends must be finite, got {text!r}")
     return start, stop, count
 
 
@@ -103,7 +105,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         add(f"algebra[{rr.identity}]", rr.residual, 1e-12, subspace=rr.subspace)
 
     # RLL
-    interior_sub = "interior(buffer=1)"
+    interior_sub = "interior"
     l1, l2 = pairs[:3].T
     rll = exchange_residual(r_args[0][:3], stack(lambda x: make_l(params, x, rep), l1),
                             stack(lambda x: make_l(params, x, rep), l2),
@@ -111,9 +113,9 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     add("rll", rll, 1e-11, subspace=interior_sub)
 
     # conjugate operator: explicit vs crossing route, unitarity scalars
-    cross = crossing_transform(lambda x: make_l(params, x, rep))
     lam0 = 0.37
-    two_route = np.abs(cross(lam0).entries - make_l_hat(params, lam0, rep).entries).max()
+    two_route = np.abs(crossing_transform(make_l(params, -lam0 - 1j, rep)).entries
+                       - make_l_hat(params, lam0, rep).entries).max()
     add("lhat-two-route", two_route, 1e-13)
     for lam in np.linspace(-2.0, 2.0, 9):
         if abs(lam) > 1e-6:
@@ -160,6 +162,11 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),
             1e-9, params={"lam1": l1, "lam2": l2, "dim": trep.dim},
             subspace=f"{interior_sub}, relative")
+    if params.regime == NONCRITICAL:
+        # the spin-1 defect's matrix part at the same pair; its
+        # representation is not truncated
+        add("rttb[type2]", tmat.type2_algebra_residual(params.eta, 1.0, l1, l2), 1e-9,
+            params={"lam1": l1, "lam2": l2, "spin": 1.0}, subspace="full, relative")
     unit, crossing = tmat.unitarity_crossing_residual(params, 0.44, trep)
     add("tt-unitarity", unit, 1e-9, subspace=interior_sub)
     add("tt-crossing", crossing, 1e-9, subspace=interior_sub)
@@ -404,32 +411,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, default=0.5,
                        help="anisotropy (non-critical regime)")
         p.add_argument("--theta", type=float, default=0.0, help="defect rapidity")
-        p.add_argument("--fock-dim", type=int, default=8, dest="fock_dim")
-        p.add_argument("--spin", type=float, default=1.0)
-        p.add_argument("--grid", type=_parse_grid, default=(-2.0, 2.0, 41),
-                       help="start:stop:count")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override every record tolerance")
-        p.add_argument("--seed", type=int, default=7)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "jsonl"], default=None)
 
+    # options only the subcommands that read them take
+    def fock_dim(p):
+        p.add_argument("--fock-dim", type=int, default=8, dest="fock_dim")
+
+    def grid(p):
+        p.add_argument("--grid", type=_parse_grid, default=(-2.0, 2.0, 41),
+                       help="start:stop:count")
+
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
+    fock_dim(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="override every record tolerance")
+    p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("amplitude", help="tabulate transmission amplitudes")
     common(p)
+    grid(p)
+    p.add_argument("--spin", type=float, default=1.0, help="defect spin (--family type2)")
     p.add_argument("--family", choices=["type1", "breather", "type2"],
                    default="type1")
     p.add_argument("--breather-n", type=int, default=1, dest="breather_n")
 
     p = sub.add_parser("spectrum", help="transfer-matrix spectra by charge sector")
     common(p)
+    fock_dim(p)
+    grid(p)
     p.add_argument("--sites", type=int, default=2)
     p.add_argument("--defect-site", type=int, default=1, dest="defect_site")
 
     p = sub.add_parser("bae", help="one-root Bethe equation check")
     common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="gate on the worst residual (default 1e-10)")
     return parser
 
 

@@ -198,8 +198,8 @@ def make_l(params: RegimeParams, lam: complex, rep) -> TensorOperator:
 def make_l_hat(params: RegimeParams, lam: complex, rep) -> TensorOperator:
     """Conjugate Lax operator, explicit closed form.
 
-    Must agree entrywise with crossing_transform applied to make_l; the test
-    suite asserts the two routes coincide.
+    Must agree entrywise with crossing_transform applied to make_l at
+    -lam - i; the `lhat-two-route` record of `verify` compares the two.
     """
     _check_rep(params, rep)
     lam = complex(lam)
@@ -219,20 +219,13 @@ def make_l_hat(params: RegimeParams, lam: complex, rep) -> TensorOperator:
 _V1 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=np.complex128)
 
 
-def crossing_transform(l_of_lam):
-    """Given lam -> L(lam) on (C^2 aux) (x) (anything), return
-    lam -> V1 L^{t1}(-lam - i) V1."""
-
-    def l_hat(lam: complex) -> TensorOperator:
-        op = l_of_lam(-complex(lam) - 1j)
-        if op.space.factor_dims[0] != 2:
-            raise ValueError("crossing transform needs a 2-dimensional auxiliary factor")
-        rest = op.space.dim // 2
-        v1 = np.kron(_V1, np.eye(rest, dtype=np.complex128))
-        t1 = partial_transpose(op, 0).entries
-        return TensorOperator(op.space, v1 @ t1 @ v1)
-
-    return l_hat
+def crossing_transform(op: TensorOperator) -> TensorOperator:
+    """V1 L^{t1} V1 for an operator L on (C^2 aux) (x) (anything): given
+    L(-lam - i) it returns the conjugate operator Lhat(lam)."""
+    if op.space.factor_dims[0] != 2:
+        raise ValueError("crossing transform needs a 2-dimensional auxiliary factor")
+    v1 = np.kron(_V1, np.eye(op.space.dim // 2, dtype=np.complex128))
+    return TensorOperator(op.space, v1 @ partial_transpose(op, 0).entries @ v1)
 
 
 def scalar_unitarity(params: RegimeParams, lam: complex) -> complex:

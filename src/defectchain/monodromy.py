@@ -45,22 +45,21 @@ __all__ = [
     "charge_residual",
     "bae_residual",
     "bae_root",
-    "bae_residual_breather_strings",
-    "bae_residual_breather",
 ]
 
-RESOURCE_BOUND_DEFAULT = 4096
+# largest chain dimension 2^N D a ChainSpec accepts
+RESOURCE_BOUND = 4096
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """N bulk sites, defect of dimension rep.dim at site defect_site."""
+    """N bulk sites, defect of dimension rep.dim at site defect_site; the
+    chain dimension 2^N rep.dim is at most RESOURCE_BOUND."""
 
     n_sites: int
     defect_site: int
     params: RegimeParams
     rep: object
-    resource_bound: int = RESOURCE_BOUND_DEFAULT
 
     def __post_init__(self):
         if self.n_sites < 0:
@@ -69,9 +68,8 @@ class ChainSpec:
             raise ValueError(
                 f"defect_site must lie in 1..{self.n_sites + 1}, got {self.defect_site}")
         dim = (2 ** self.n_sites) * self.rep.dim
-        if dim > self.resource_bound:
-            raise ValueError(
-                f"chain dimension {dim} exceeds resource bound {self.resource_bound}")
+        if dim > RESOURCE_BOUND:
+            raise ValueError(f"chain dimension {dim} exceeds resource bound {RESOURCE_BOUND}")
 
     @property
     def theta(self) -> float:
@@ -305,26 +303,17 @@ def _e_fn(params: RegimeParams, n: float):
     return lambda lam: np.sin(eta * (lam + 0.5j * n)) / np.sin(eta * (lam - 0.5j * n))
 
 
-def _g_fn(params: RegimeParams, n: float):
-    if params.regime != CRITICAL:
-        raise ValueError("g-functions exist in the critical regime only")
-    mu = params.mu
-    return lambda lam: np.cosh(mu * (lam + 0.5j * n)) / np.cosh(mu * (lam - 0.5j * n))
-
-
-def _defect_fn(params: RegimeParams, sign: str, string: bool = False):
-    """The defect source factor: plus for L, minus for the conjugate Lhat;
-    the string variant is the negative-parity (attractive ground state) form."""
+def _defect_fn(params: RegimeParams, sign: str):
+    """The defect source factor: plus for L, minus for the conjugate Lhat."""
     if params.regime == XXX:
         if sign == "+":
             return lambda lam: lam + 0.5j
         return lambda lam: 1.0 / (lam - 0.5j)
     if params.regime == CRITICAL:
         mu = params.mu
-        trig = np.cosh if string else np.sinh
         if sign == "+":
-            return lambda lam: np.exp(-mu * lam) / trig(mu * (lam + 0.5j))
-        return lambda lam: np.exp(-mu * lam) * trig(mu * (lam - 0.5j))
+            return lambda lam: np.exp(-mu * lam) / np.sinh(mu * (lam + 0.5j))
+        return lambda lam: np.exp(-mu * lam) * np.sinh(mu * (lam - 0.5j))
     eta = params.eta
     if sign == "+":
         return lambda lam: np.exp(-1j * eta * lam) / np.sin(eta * (lam + 0.5j))
@@ -412,36 +401,3 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
         roots = [to_lam(z) for z in np.roots(np.polysub(num, den))]
         # a root at a pole reads NaN, Inf or O(1); a valid one reads roundoff
         return min(roots, key=lambda lam: (not residual(lam) <= 1e-6, -lam.real))
-
-
-def bae_residual_breather_strings(params: RegimeParams, n_sites: int, sign: str,
-                                  string_roots, breather_roots) -> np.ndarray:
-    """First breather-state set: residuals of the negative-parity string roots
-    in the presence of real-string (breather) rapidities."""
-    g1 = _g_fn(params, 1)
-    g2 = _g_fn(params, 2)
-    e2 = _e_fn(params, 2)
-    src = _defect_fn(params, sign, string=True)
-    string_roots = [complex(r) for r in string_roots]
-    breather_roots = [complex(r) for r in breather_roots]
-    out = []
-    for lam in string_roots:
-        lhs = src(lam - params.theta) * g1(lam) ** n_sites
-        rhs = np.prod([e2(lam - other) for other in string_roots])
-        rhs *= np.prod([g2(lam - b) for b in breather_roots])
-        out.append(lhs + rhs)
-    return np.asarray(out, dtype=np.complex128)
-
-
-def bae_residual_breather(params: RegimeParams, n_sites: int, sign: str,
-                          breather_root, other_breathers, string_roots) -> complex:
-    """Second breather-state set: the residual of one breather rapidity."""
-    e1 = _e_fn(params, 1)
-    e2 = _e_fn(params, 2)
-    g2 = _g_fn(params, 2)
-    src = _defect_fn(params, sign)
-    lam = complex(breather_root)
-    lhs = src(lam - params.theta) * e1(lam) ** n_sites
-    rhs = np.prod([g2(lam - r) for r in string_roots]) if len(list(string_roots)) else 1.0
-    rhs *= np.prod([e2(lam - b) for b in other_breathers]) if len(list(other_breathers)) else 1.0
-    return complex(lhs + rhs)

@@ -188,7 +188,7 @@ def algebra_residuals(rep) -> list[ResidualReport]:
     if isinstance(rep, HarmonicRep):
         keep = rep.interior()
         eye = np.eye(rep.dim, dtype=np.complex128)
-        sub = "interior(buffer=1)"
+        sub = "interior"
         add("[a,a_dag]-1", rep.a @ rep.a_dag - rep.a_dag @ rep.a - eye, keep, sub)
         add("[N,a]+a", rep.n_op @ rep.a - rep.a @ rep.n_op + rep.a, keep, sub)
         add("[N,a_dag]-a_dag", rep.n_op @ rep.a_dag - rep.a_dag @ rep.n_op - rep.a_dag, keep, sub)
@@ -203,7 +203,7 @@ def algebra_residuals(rep) -> list[ResidualReport]:
         keep = rep.interior()
         eye = np.eye(rep.dim, dtype=np.complex128)
         q = rep.q
-        sub = "interior(buffer=1)"
+        sub = "interior"
         add("a_dag.a-(1-qV^2)", rep.a_dag @ rep.a - (eye - q * rep.v @ rep.v), keep, sub)
         add("a.a_dag-(1-V^2/q)", rep.a @ rep.a_dag - (eye - rep.v @ rep.v / q), keep, sub)
         add("Va-qaV", rep.v @ rep.a - q * rep.a @ rep.v, keep, sub)

@@ -40,7 +40,6 @@ __all__ = [
     "ProductTruncation",
     "AmplitudeResult",
     "log_gamma",
-    "gamma",
     "gamma_ratio",
     "gamma_ratio_bound",
     "q_gamma",
@@ -122,10 +121,6 @@ def log_gamma(z):
         out[~right] = (np.log(np.pi) - np.log(np.sin(np.pi * zl))
                        - _log_gamma_right(1.0 - zl))
     return out[0] if scalar else out
-
-
-def gamma(z):
-    return np.exp(log_gamma(z))
 
 
 # the absolute error of one log_gamma value (Lanczos g = 7, nine terms) is
@@ -275,8 +270,12 @@ def _hurwitz_tail(s, k0):
     return tail + np.power.outer(k0 + np.arange(m), -s).sum(axis=0)
 
 
+# factors evaluated per step of infinite_gamma_product
+PRODUCT_BLOCK = 4096
+
+
 def infinite_gamma_product(term, trunc: ProductTruncation = DEFAULT_TRUNCATION,
-                           tail_coefficient=None, block: int = 4096):
+                           tail_coefficient=None):
     """Evaluate prod_{k>=0} of Gamma-ratio factors.
 
     term(k_array) must return (num_args, den_args) where each is a sequence
@@ -292,7 +291,7 @@ def infinite_gamma_product(term, trunc: ProductTruncation = DEFAULT_TRUNCATION,
     k0 = 0
     last = np.inf
     while k0 < trunc.max_terms:
-        k = np.arange(k0, min(k0 + block, trunc.max_terms), dtype=np.float64)
+        k = np.arange(k0, min(k0 + PRODUCT_BLOCK, trunc.max_terms), dtype=np.float64)
         num, den = term(k)
         logf = np.zeros(k.size, dtype=np.complex128)
         for arr in num:

@@ -1,6 +1,6 @@
-"""Scalar thermodynamic objects: Fourier kernels, state densities, defect
-transmission amplitudes (hole, breather, spin-defect), bulk scattering
-amplitudes with the full bulk S-matrix, and the coupling-constant map.
+"""Scalar thermodynamic objects: Fourier kernels, defect transmission
+amplitudes (hole, breather, spin-defect) and the scalar prefactor of the
+bulk S-matrix.
 
 Amplitude routes
 ----------------
@@ -28,7 +28,6 @@ independent evaluations of the lam-dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,25 +37,20 @@ from .special_functions import (DEFAULT_TRUNCATION, AmplitudeResult,
                                 ConvergenceError, FourierKernel, ProductTruncation,
                                 amplitude_integral, amplitude_sum, as_grid,
                                 gamma_ratio, gamma_ratio_bound, half_line_sums,
-                                infinite_gamma_product, mode_sums, q_gamma,
-                                _hurwitz_tail)
+                                infinite_gamma_product, q_gamma, _hurwitz_tail)
 
 __all__ = [
     "AmplitudeResult",
-    "DensityParts",
     "kernel",
-    "kernel_table",
-    "state_density",
     "amplitude",
     "breather_amplitude",
     "type2_amplitude",
     "soliton_s_amplitude",
-    "coupling_map",
 ]
 
 
 # --------------------------------------------------------------------------
-# kernel table
+# kernels
 # --------------------------------------------------------------------------
 
 
@@ -80,22 +74,6 @@ def kernel(params: RegimeParams, name: str, n: int | None = None,
     if params.regime == CRITICAL:
         return _kernel_critical(params, name, n)
     return _kernel_noncritical(params, name, n, spin)
-
-
-def kernel_table(params: RegimeParams, n: int = 2, spin: float = 1.0) -> dict:
-    """Every named kernel of the regime (parametric families at the given
-    n and spin), keyed by name."""
-    if params.regime == XXX:
-        names = ["sigma0", "rt_plus", "rt_minus", "a_n", "frak_a_plus",
-                 "frak_a_minus", "r"]
-    elif params.regime == CRITICAL:
-        names = ["sigma0", "rt_plus", "rt_minus", "a_n", "b_n", "frak_b_plus",
-                 "frak_b_minus", "B_plus", "B_minus", "sigma0_bar", "tb_plus",
-                 "tb_minus", "r"]
-    else:
-        names = ["sigma0", "rt_plus", "rt_minus", "a_n", "frak_a_plus",
-                 "frak_a_minus", "r", "rt_spin"]
-    return {name: kernel(params, name, n=n, spin=spin) for name in names}
 
 
 def _half_line(values, support_sign: float):
@@ -250,62 +228,6 @@ def _kernel_noncritical(params: RegimeParams, name: str, n, spin) -> FourierKern
 
         return FourierKernel("rt_spin", hat, decay=y, discrete=True, eta=eta)
     raise ValueError(f"unknown non-critical kernel {name!r}")
-
-
-# --------------------------------------------------------------------------
-# state densities
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityParts:
-    """sigma(lam) split into the leading bulk part and the 1/N correction."""
-
-    leading: float
-    correction: float
-
-    def total(self, n_sites: int) -> float:
-        return self.leading + self.correction / float(n_sites)
-
-
-def state_density(params: RegimeParams, lam, theta: float | None = None,
-                  holes=(), sign: str = "+") -> DensityParts:
-    """Root density of the one-hole (or multi-hole) state at a real lam.
-
-    Returns the bulk density sigma0(lam) and the 1/N correction
-    sum_j r(lam - hole_j) + rt^{sign}(lam - theta); theta=None omits the
-    defect term.  The formal 1/N is left to the caller via DensityParts.
-    """
-    sgn = "plus" if sign == "+" else "minus"
-    lam = np.array([float(lam)])
-
-    # a real kernel's density is the cosine transform of its even part,
-    # cos = 1 - 2 sin^2 in the rules' terms
-    if params.regime == NONCRITICAL:
-        eta = params.eta
-
-        def invert(kern, x):
-            def terms(k):
-                ke = kern.even_odd(k)[0].real
-                return -ke, np.zeros_like(k), 2.0 * ke
-
-            k0 = kern.hat(np.zeros(1))[0].real
-            return eta / np.pi * (k0 + mode_sums(x, eta, kern.decay, terms)[0].real)
-    else:
-        def invert(kern, x):
-            def terms(w):
-                ke = kern.even_odd(w)[0].real / np.pi
-                return -0.5 * ke, np.zeros_like(w), ke
-
-            return half_line_sums(x, kern.decay, terms)[0].real
-
-    lead = invert(kernel(params, "sigma0"), lam)
-    corr = np.zeros_like(lam)
-    for h in holes:
-        corr += invert(kernel(params, "r"), lam - h)
-    if theta is not None:
-        corr += invert(kernel(params, f"rt_{sgn}"), lam - theta)
-    return DensityParts(float(lead[0]), float(corr[0]))
 
 
 # --------------------------------------------------------------------------
@@ -707,38 +629,3 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
         val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
                                 [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4, trunc)
     return complex(val[0]) if scalar else val
-
-
-# --------------------------------------------------------------------------
-# coupling map
-# --------------------------------------------------------------------------
-
-
-def coupling_map(mu: float) -> dict:
-    """Map the critical anisotropy mu to the boson coupling beta^2.
-
-    Both candidate values are returned with their sector ranges; the sector
-    is selected by whether 8 mu falls in the attractive window (0, 4 pi).
-    At mu = pi/2 the two formulas coincide (boundary).
-    """
-    if not 0.0 < mu < np.pi:
-        raise ValueError(f"mu must lie in (0, pi), got {mu}")
-    attractive = 8.0 * mu
-    repulsive = 8.0 * (np.pi - mu)
-    if abs(mu - np.pi / 2) < 1e-14:
-        sector = "boundary"
-        beta_sq = 4.0 * np.pi
-    elif attractive < 4.0 * np.pi:
-        sector = "attractive"
-        beta_sq = attractive
-    else:
-        sector = "repulsive"
-        beta_sq = repulsive
-    return {
-        "sector": sector,
-        "beta_sq": beta_sq,
-        "candidates": {
-            "attractive": {"beta_sq": attractive, "range": (0.0, 4.0 * np.pi)},
-            "repulsive": {"beta_sq": repulsive, "range": (4.0 * np.pi, 8.0 * np.pi)},
-        },
-    }

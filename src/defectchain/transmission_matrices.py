@@ -2,13 +2,14 @@
 
 Four matrix families are built: the isotropic pair (T, Tbar) over the
 harmonic oscillator, the critical pair over a rescaled-deformation
-oscillator, the non-critical pair over the q-oscillator, and the spin
-(type-II) matrix over the quantum-group spin representation.  Each family
-satisfies the quadratic exchange algebra with its bulk S-matrix,
+oscillator, the non-critical pair over the q-oscillator, and the matrix
+part of the spin (type-II) matrix over the quantum-group spin
+representation, whose scalar prefactor cancels in the exchange algebra.
+Each family satisfies the quadratic exchange algebra with its bulk S-matrix,
 
     S12(l1 - l2) T1(l1) T2(l2) = T2(l2) T1(l1) S12(l1 - l2),
 
-plus the unitarity and crossing identities
+and the three (T, Tbar) pairs also the unitarity and crossing identities
 
     T(l) Tbar(-l) = 1,     Tbar^{t1}(l + i) T^{t1}(-l + i) = 1
 
@@ -35,7 +36,7 @@ from .oscillator_reps import HarmonicRep, QOscRep, q_oscillator_rep, spin_rep
 from .special_functions import gamma_ratio
 from .tensor_core import (TensorOperator, TensorSpace, block2, exchange_residual,
                           identity_residual, partial_transpose)
-from .transmission_amplitudes import amplitude, type2_amplitude
+from .transmission_amplitudes import amplitude
 
 __all__ = [
     "default_rep",
@@ -45,7 +46,6 @@ __all__ = [
     "quadratic_algebra_residual",
     "unitarity_crossing_residual",
     "type2_matrix_part",
-    "type2_matrix",
     "type2_algebra_residual",
 ]
 
@@ -202,16 +202,6 @@ def type2_matrix_part(eta: float, spin: float, lh: complex) -> TensorOperator:
     off = np.sin(1j * eta)
     return TensorOperator(TensorSpace((2, rep.dim)),
                           block2(a11, off * rep.s_minus, off * rep.s_plus, a22))
-
-
-def type2_matrix(eta: float, spin: float, lh: complex) -> TensorOperator:
-    """The spin-defect transmission matrix: the matrix part times
-    T(lam) / sin(eta(-lam + i S~ + i/2)), S~ = S - 1/2."""
-    den = np.sin(eta * (-lh + 1j * (spin - 0.5) + 0.5j))
-    if abs(den) < 1e-12:
-        raise ZeroDivisionError(
-            f"type-II prefactor denominator vanishes at lam_hat = {lh}")
-    return type2_amplitude(lh, eta, spin).value / den * type2_matrix_part(eta, spin, lh)
 
 
 def type2_algebra_residual(eta: float, spin: float, lam1: float, lam2: float) -> float:

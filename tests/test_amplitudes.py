@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import gamma_ratio
+from defectchain.special_functions import gamma_ratio, half_line_sums
 from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
-                                                 coupling_map, kernel,
-                                                 soliton_s_amplitude,
-                                                 state_density, type2_amplitude)
+                                                 kernel, soliton_s_amplitude,
+                                                 type2_amplitude)
 
 mp.mp.dps = 30
 
@@ -26,8 +25,15 @@ GAMMA_QUARTER_RATIO = 2.9586751191886389
 def test_xxx_sigma0_kernel_and_inversion():
     k = kernel(XXX, "sigma0")
     assert k.hat(0.0) == pytest.approx(0.5)
-    dens = state_density(XXX, 0.0)
-    assert dens.leading == pytest.approx(0.5, abs=1e-8)
+
+    # the bulk density sigma0(0) = 1/2 as the cosine transform of the
+    # kernel's even part, int_0^inf K_e(w) dw / pi, on the half-line rule
+    def terms(w):
+        zero = np.zeros_like(w)
+        return zero, zero, k.even_odd(w)[0].real / np.pi
+
+    dens = half_line_sums(np.zeros(1), k.decay, terms)[0].real
+    assert dens[0] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_xxx_rt_kernels_reflection():
@@ -72,25 +78,25 @@ def test_unknown_kernel_rejected():
 
 
 def test_kernel_table_covers_each_regime():
-    from defectchain.transmission_amplitudes import kernel_table
-    assert set(kernel_table(XXX)) >= {"sigma0", "rt_plus", "rt_minus", "r"}
-    crit = kernel_table(CRIT_SAMPLE)
-    assert {"frak_b_plus", "B_minus", "sigma0_bar", "tb_plus"} <= set(crit)
+    names = {
+        XXX: ["sigma0", "rt_plus", "rt_minus", "a_n", "frak_a_plus", "frak_a_minus", "r"],
+        CRIT_SAMPLE: ["sigma0", "rt_plus", "rt_minus", "a_n", "b_n", "frak_b_plus",
+                      "frak_b_minus", "B_plus", "B_minus", "sigma0_bar", "tb_plus",
+                      "tb_minus", "r"],
+        NC: ["sigma0", "rt_plus", "rt_minus", "a_n", "frak_a_plus", "frak_a_minus", "r",
+             "rt_spin"],
+    }
+    table = {params: {name: kernel(params, name, n=2, spin=1.0) for name in regime_names}
+             for params, regime_names in names.items()}
+    crit = table[CRIT_SAMPLE]
     # B and rt coincide as displayed formulas (away from their origin pole)
     w = np.linspace(-2, 2, 9)
     w = w[np.abs(w) > 1e-9]
     np.testing.assert_allclose(crit["B_plus"].hat(w), crit["rt_plus"].hat(w))
-    nc = kernel_table(NC, spin=1.0)
-    assert "rt_spin" in nc and nc["rt_spin"].discrete
+    assert table[NC]["rt_spin"].discrete
 
 
 # ----------------------------------------------------------- state densities
-
-def test_density_no_holes_no_defect_is_sigma0():
-    d = state_density(XXX, 0.3)
-    assert d.correction == 0.0
-    assert d.total(100) == d.leading
-
 
 def test_density_convolution_vs_resolved_fourier():
     # the convolution form of the string density, solved in Fourier space,
@@ -110,12 +116,6 @@ def test_density_convolution_vs_resolved_fourier():
         np.testing.assert_allclose(b1 / denom, sigma_resolved, atol=1e-8)
         np.testing.assert_allclose(fb / denom, rt_resolved, atol=1e-8)
         np.testing.assert_allclose(a2 / denom, r_resolved, atol=1e-8)
-
-
-def test_density_with_hole_and_defect_terms():
-    d = state_density(XXX, 0.4, theta=0.1, holes=[0.7], sign="+")
-    assert d.correction != 0.0
-    assert d.total(10) == pytest.approx(d.leading + d.correction / 10.0)
 
 
 # ------------------------------------------------------------- hole amplitude
@@ -336,23 +336,3 @@ def test_s_amplitude_isotropic_limit():
     got = soliton_s_amplitude(pn, lam, "closed")
     want = soliton_s_amplitude(XXX, lam, "closed")
     assert abs(got - want) / abs(want) < 1e-3
-
-
-# ---------------------------------------------------------------- coupling map
-
-def test_coupling_map_sectors():
-    out = coupling_map(np.pi / 4)
-    assert out["sector"] == "attractive"
-    assert out["beta_sq"] == pytest.approx(2 * np.pi)
-    out = coupling_map(np.pi / 2)
-    assert out["sector"] == "boundary"
-    assert out["beta_sq"] == pytest.approx(4 * np.pi)
-    out = coupling_map(3 * np.pi / 4)
-    assert out["sector"] == "repulsive"
-    assert out["beta_sq"] == pytest.approx(2 * np.pi)
-    assert out["candidates"]["attractive"]["range"] == (0.0, 4 * np.pi)
-
-
-def test_coupling_map_domain():
-    with pytest.raises(ValueError):
-        coupling_map(0.0)

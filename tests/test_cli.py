@@ -159,7 +159,7 @@ def per_point_records(params, fock_dim, seed, log):
         params=sample)
     add("rll", [exchange(make_r(params, l1 - l2).entries, make_l(params, l1, rep).entries,
                          make_l(params, l2, rep).entries, keep=rep.interior())[0]
-                for l1, l2 in pairs[:3]], 1e-11, subspace="interior(buffer=1)")
+                for l1, l2 in pairs[:3]], 1e-11, subspace="interior")
 
     lam_grid = np.linspace(-1.6, 1.6, 5)
     second, tol = ("sum", 1e-8) if params.regime == NONCRITICAL else ("integral", 1e-6)
@@ -318,6 +318,56 @@ def test_usage_errors():
     assert run(["amplitude", "--grid", "nonsense"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("verify", ["--spin", "1"]), ("verify", ["--grid=0:1:2"]),
+    ("amplitude", ["--fock-dim", "4"]), ("amplitude", ["--tol", "1e-3"]),
+    ("amplitude", ["--seed", "3"]),
+    ("spectrum", ["--spin", "1"]), ("spectrum", ["--tol", "1e-3"]),
+    ("spectrum", ["--seed", "3"]),
+    ("bae", ["--fock-dim", "4"]), ("bae", ["--spin", "1"]), ("bae", ["--grid=0:1:2"]),
+    ("bae", ["--seed", "3"]),
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, command, extra):
+    assert run([command, *extra]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fock-dim", "6", "--tol", "1e-3", "--seed", "3"],
+    ["amplitude", "--grid=0:1:2", "--spin", "1.5"],
+    ["spectrum", "--fock-dim", "4", "--grid=0:1:2"],
+    ["bae", "--tol", "1e-3"],
+])
+def test_each_subcommand_takes_the_options_it_reads(argv):
+    args = cli.build_parser().parse_args(argv + ["--regime", "critical", "--mu", "0.5",
+                                                 "--theta", "0.1", "--format", "csv"])
+    assert args.command == argv[0] and args.mu == 0.5
+
+
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:1:3", "0:inf:3"])
+@pytest.mark.parametrize("command", ["amplitude", "spectrum"])
+def test_non_finite_grid_ends_are_usage_errors(capsys, command, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, f"--grid={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert "grid ends must be finite" in captured.err and captured.out == ""
+
+
+def test_verify_noncritical_checks_the_type2_algebra(tmp_path):
+    out = tmp_path / "v.jsonl"
+    assert run(["verify", "--regime", "noncritical", "--eta", "0.5", "--out", str(out)]) == 0
+    _, records = read_jsonl(out)
+    by_name = {r["name"]: r for r in records}
+    rec, pair = by_name["rttb[type2]"], json.loads(by_name["rttb[t]"]["params"])
+    assert rec["pass"] and rec["tolerance"] == 1e-9
+    assert json.loads(rec["params"]) == {"lam1": pair["lam1"], "lam2": pair["lam2"],
+                                         "spin": 1.0}
+    out_xxx = tmp_path / "x.jsonl"
+    run(["verify", "--regime", "xxx", "--out", str(out_xxx)])
+    assert "rttb[type2]" not in {r["name"] for r in read_jsonl(out_xxx)[1]}
 
 
 @pytest.mark.parametrize("args", [

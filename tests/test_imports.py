@@ -1,5 +1,5 @@
-"""The package's intra-package import graph has no cycles, and every import
-sits at module level."""
+"""The package's intra-package import graph has no cycles, every import sits
+at module level, and every public name has a caller inside the package."""
 import ast
 from pathlib import Path
 
@@ -79,3 +79,84 @@ def test_no_function_level_imports():
                 nested += [f"{name}.{node.name}" for inner in ast.walk(node)
                            if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def _public_names(tree):
+    """The names a module lists in __all__ and defines itself."""
+    listed = [e.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+              for e in node.value.elts]
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    return [name for name in listed if name in defined]
+
+
+def _bindings(tree, module, name):
+    """The local name `module.name` is imported as in the tree, and the
+    alias the module itself is imported as (None where it is not)."""
+    local = alias = None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module == module and a.name == name:
+                    local = a.asname or a.name
+                elif node.module is None and a.name == module:
+                    alias = a.asname or a.name
+    return local, alias
+
+
+def _binds(scope, name):
+    """Whether a function binds `name` itself, so that its body means the local."""
+    args = scope.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return (any(a is not None and a.arg == name for a in params)
+            or any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id == name
+                   for n in ast.walk(scope)))
+
+
+def _loads(node, local, alias, name):
+    """Whether the node loads `name` as the bare name `local` or as the
+    attribute `alias.name`."""
+    if isinstance(node, ast.Name):
+        return isinstance(node.ctx, ast.Load) and node.id == local
+    if (alias and isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr == name and getattr(node.value, "id", None) == alias):
+        return True
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)) and local and _binds(node, local):
+        local = None
+    return any(_loads(child, local, alias, name) for child in ast.iter_child_nodes(node))
+
+
+def uncalled_public_names(trees) -> list[str]:
+    """module.name for every public name no package code loads, its own
+    definition (recursion) and its __all__ entry aside."""
+    out = []
+    for module, tree in trees.items():
+        for name in _public_names(tree):
+            own = [node for node in tree.body if getattr(node, "name", None) != name]
+            used = any(_loads(node, name, None, name) for node in own)
+            for other, other_tree in trees.items():
+                local, alias = _bindings(other_tree, module, name)
+                if other != module and (local or alias):
+                    used = used or any(_loads(node, local, alias, name)
+                                       for node in other_tree.body)
+            if not used:
+                out.append(f"{module}.{name}")
+    return out
+
+
+def test_uncalled_public_names_finds_test_only_api():
+    trees = {
+        "a": ast.parse("__all__ = ['f', 'g', 'h', 'k']\n"
+                       "def f(): return f()\ndef g(): pass\ndef h(): pass\n"
+                       "def k(): pass\ndef use(h): return h, use().f\n"),
+        "b": ast.parse("from .a import g as gg\nfrom . import a as mod\n"
+                       "def run(): return gg(), mod.k()\n"),
+    }
+    assert uncalled_public_names(trees) == ["a.f", "a.h"]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert uncalled_public_names(_parse_all()) == []

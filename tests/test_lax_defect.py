@@ -107,19 +107,17 @@ def test_rll_quadratic_algebra(params, d):
 @pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
 def test_l_hat_two_routes_agree(params):
     rep = rep_for(params)
-    cross = crossing_transform(lambda x: make_l(params, x, rep))
     for lam in (0.0, 0.37, -1.1, 0.2 + 0.5j):
         explicit = make_l_hat(params, lam, rep).entries
-        assert np.abs(cross(lam).entries - explicit).max() < 1e-13
+        crossed = crossing_transform(make_l(params, -lam - 1j, rep)).entries
+        assert np.abs(crossed - explicit).max() < 1e-13
 
 
 def test_crossing_is_involution():
     rep = rep_for(XXX)
-    cross1 = crossing_transform(lambda x: make_l(XXX, x, rep))
-    cross2 = crossing_transform(cross1)
-    lam = 0.83
-    np.testing.assert_allclose(cross2(lam).entries,
-                               make_l(XXX, lam, rep).entries, atol=1e-13)
+    op = make_l(XXX, 0.83, rep)
+    np.testing.assert_allclose(crossing_transform(crossing_transform(op)).entries,
+                               op.entries, atol=1e-13)
 
 
 def test_v1_square_and_sign_convention():
@@ -128,17 +126,14 @@ def test_v1_square_and_sign_convention():
     v1 = np.array([[0, 1j], [-1j, 0]])
     np.testing.assert_allclose(v1 @ v1, np.eye(2))
     rep = rep_for(XXX, 4)
-    cross = crossing_transform(lambda x: make_l(XXX, x, rep))
-    np.testing.assert_allclose(cross(0.3).entries,
+    np.testing.assert_allclose(crossing_transform(make_l(XXX, -0.3 - 1j, rep)).entries,
                                make_l_hat(XXX, 0.3, rep).entries, atol=1e-14)
 
 
 def test_crossing_needs_two_dim_aux():
     from defectchain.tensor_core import TensorOperator, TensorSpace
-    bad = crossing_transform(
-        lambda x: TensorOperator.identity(TensorSpace((3, 2))))
     with pytest.raises(ValueError):
-        bad(0.1)
+        crossing_transform(TensorOperator.identity(TensorSpace((3, 2))))
 
 
 # ------------------------------------------------------- unitarity identities

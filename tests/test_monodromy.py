@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
-from defectchain.monodromy import (ChainSpec, bae_residual,
-                                   bae_residual_breather,
-                                   bae_residual_breather_strings, bae_root,
+from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
                                    build_monodromy, charge_residual,
                                    charge_vector, commuting_residual,
                                    diagonal_blocks, reference_eigenvalue,
@@ -294,101 +292,6 @@ def test_bae_two_root_consistency():
         z = z - np.linalg.solve(jac, f)
     res = bae_residual(spec, "+", list(z))
     assert np.abs(res).max() < 1e-9
-
-
-def test_breather_set_residual_functions_evaluate():
-    params = RegimeParams.critical(0.7, theta=0.1)
-    out = bae_residual_breather_strings(params, 2, "+", [0.3 + 0.2j], [0.9, -0.8])
-    assert out.shape == (1,)
-    val = bae_residual_breather(params, 2, "+", 0.9, [-0.8], [0.3 + 0.2j])
-    assert np.isfinite(val.real) and np.isfinite(val.imag)
-
-
-def test_breather_rapidity_equations_against_newton_oracle():
-    # two breathers, no strings: solve the coupled pair of breather
-    # quantisation conditions with a 2d Newton iteration written directly on
-    # the displayed functions, then the packaged residual must vanish
-    mu, th, n = 0.7, 0.1, 2
-    params = RegimeParams.critical(mu, theta=th)
-
-    def e1(lam):
-        return np.sinh(mu * (lam + 0.5j)) / np.sinh(mu * (lam - 0.5j))
-
-    def e2(lam):
-        return np.sinh(mu * (lam + 1j)) / np.sinh(mu * (lam - 1j))
-
-    def src(lam):
-        return np.exp(-mu * lam) / np.sinh(mu * (lam + 0.5j))
-
-    def eqs(z):
-        b1, b2 = z
-        return np.array([
-            src(b1 - th) * e1(b1) ** n + e2(b1 - b2),
-            src(b2 - th) * e1(b2) ** n + e2(b2 - b1),
-        ])
-
-    rng = np.random.default_rng(5)
-    solution = None
-    for _ in range(30):
-        z = rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1.5, 1.5, 2)
-        for _ in range(120):
-            if np.abs(z).max() > 20:
-                break
-            f = eqs(z)
-            if np.abs(f).max() < 1e-13:
-                if abs(z[0] - z[1]) > 1e-6:
-                    solution = z.copy()
-                break
-            jac = np.zeros((2, 2), dtype=complex)
-            h = 1e-7
-            for j in range(2):
-                dz = np.zeros(2, dtype=complex)
-                dz[j] = h
-                jac[:, j] = (eqs(z + dz) - eqs(z - dz)) / (2 * h)
-            step = np.linalg.solve(jac, f)
-            if np.abs(step).max() > 1.0:
-                step = step / np.abs(step).max()
-            z = z - step
-        if solution is not None:
-            break
-    assert solution is not None
-    for b, other in ((solution[0], solution[1]), (solution[1], solution[0])):
-        res = bae_residual_breather(params, n, "+", b, [other], [])
-        assert abs(res) < 1e-10
-
-
-def test_breather_string_equation_against_newton_oracle():
-    # one negative-parity string root in the background of two fixed breather
-    # rapidities: solve the string condition with a scalar Newton iteration
-    # on the displayed g-functions and check the packaged residual
-    mu, th, n = 0.7, 0.1, 2
-    params = RegimeParams.critical(mu, theta=th)
-    breathers = [0.9, -0.8]
-
-    def g1(lam):
-        return np.cosh(mu * (lam + 0.5j)) / np.cosh(mu * (lam - 0.5j))
-
-    def g2(lam):
-        return np.cosh(mu * (lam + 1j)) / np.cosh(mu * (lam - 1j))
-
-    def gsrc(lam):
-        return np.exp(-mu * lam) / np.cosh(mu * (lam + 0.5j))
-
-    def f(lam):
-        # the self factor e2(0) = -1 turns the product over the single
-        # string root into an overall sign
-        rhs = -g2(lam - breathers[0]) * g2(lam - breathers[1])
-        return gsrc(lam - th) * g1(lam) ** n + rhs
-
-    z, h = 0.2 + 0.3j, 1e-7
-    for _ in range(80):
-        fz = f(z)
-        if abs(fz) < 1e-13:
-            break
-        z = z - fz / ((f(z + h) - f(z - h)) / (2 * h))
-    assert abs(f(z)) < 1e-12
-    res = bae_residual_breather_strings(params, n, "+", [z], breathers)
-    assert abs(res[0]) < 1e-10
 
 
 def test_overflowing_chain_product_is_a_value_error():

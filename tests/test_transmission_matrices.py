@@ -5,13 +5,13 @@ from defectchain import transmission_matrices
 from defectchain.lax_defect import RegimeParams, s_matrix_part
 from defectchain.oscillator_reps import spin_rep
 from defectchain.tensor_core import exchange_residual
-from defectchain.transmission_amplitudes import amplitude, type2_amplitude
+from defectchain.transmission_amplitudes import amplitude
 from defectchain.transmission_matrices import (default_rep,
                                                quadratic_algebra_residual,
                                                t_matrix, t_matrix_part,
                                                t_prefactor,
                                                type2_algebra_residual,
-                                               type2_matrix, type2_matrix_part,
+                                               type2_matrix_part,
                                                unitarity_crossing_residual)
 
 XXX = RegimeParams.xxx()
@@ -114,10 +114,6 @@ def test_type2_spin_half_entries():
     part = type2_matrix_part(eta, 0.5, lh).entries
     # S+ entry = sin(i eta) sigma+, lower-left block
     np.testing.assert_allclose(part[2:, :2], np.sin(1j * eta) * s_plus, atol=1e-14)
-    t = type2_matrix(eta, 0.5, lh).entries
-    # S~ = S - 1/2 = 0 in the prefactor's denominator
-    pref = type2_amplitude(lh, eta, 0.5).value / np.sin(eta * (-lh + 0.0j + 0.5j))
-    np.testing.assert_allclose(t[2:, :2], pref * np.sin(1j * eta) * s_plus, atol=1e-13)
 
 
 @pytest.mark.parametrize("spin", [1.0, 1.5])
@@ -140,13 +136,6 @@ def test_type2_isotropic_limit_of_entries():
         [np.diag(-lh + 1j * sz + 0.5j), 1j * rep1.s_minus],
         [1j * rep1.s_plus, np.diag(-lh - 1j * sz + 0.5j)]])
     np.testing.assert_allclose(part, want, atol=1e-4)
-
-
-def test_type2_pole_reported():
-    eta, spin = 0.35, 1.0
-    lh_pole = 1j * (spin - 0.5) + 0.5j   # zero of sin(eta(-lh + i s~ + i/2))
-    with pytest.raises(ZeroDivisionError):
-        type2_matrix(eta, spin, complex(lh_pole))
 
 
 def np_block2(a11, a12, a21, a22):
