@@ -59,6 +59,16 @@ def _parse_grid(text: str):
     return start, stop, count
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _make_params(args) -> RegimeParams:
     if args.regime == "xxx":
         return RegimeParams.xxx(theta=args.theta)
@@ -128,12 +138,12 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params,
                           rep=defect_rep(params, 6))
     l1, l2 = rng.uniform(-1.0, 1.0, size=2)
-    add("rtt", mono.rtt_residual(spec, l1, l2), 1e-10,
-        params={"lam1": l1, "lam2": l2}, subspace="charge sectors")
-    add("commuting-family", mono.commuting_residual(spec, l1, l2), 1e-10,
-        params={"lam1": l1, "lam2": l2}, subspace="charge sectors")
-    add("charge-conservation", mono.charge_residual(spec, l1), 1e-12,
-        subspace="charge sectors")
+    m1, m2 = (mono.build_monodromy(spec, x) for x in (l1, l2))
+    pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
+    add("rtt", mono.rtt_residual(spec, m1, m2, l1, l2), 1e-10, params=pair, subspace=sectors)
+    add("commuting-family", mono.commuting_residual(spec, m1, m2, l1, l2), 1e-10,
+        params=pair, subspace=sectors)
+    add("charge-conservation", mono.charge_residual(spec, m1), 1e-12, subspace=sectors)
     add("reference-eigenvalue",
         mono.reference_residual(spec, mono.transfer_matrix(spec, 0.77).entries, 0.77), 1e-10)
 
@@ -425,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
     fock_dim(p)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_parse_tol, default=None,
                    help="override every record tolerance")
     p.add_argument("--seed", type=int, default=7)
 
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bae", help="one-root Bethe equation check")
     common(p)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_parse_tol, default=None,
                    help="gate on the worst residual (default 1e-10)")
     return parser
 

@@ -52,7 +52,7 @@ class RegimeParams:
     Exactly the fields of the active regime are set: mu for the critical
     chain (q = e^(i mu) on the unit circle), eta for the non-critical one
     (q = e^(-eta) in (0,1)), neither for the isotropic chain.  theta is the
-    defect rapidity.
+    defect rapidity; it and eta must be finite.
     """
 
     regime: str
@@ -72,10 +72,12 @@ class RegimeParams:
         elif self.regime == NONCRITICAL:
             if self.eta is None or self.mu is not None:
                 raise ValueError("non-critical regime needs eta only")
-            if not self.eta > 0:
-                raise ValueError(f"eta must be positive, got {self.eta}")
+            if not 0.0 < self.eta < np.inf:
+                raise ValueError(f"eta must be positive and finite, got {self.eta}")
         else:
             raise ValueError(f"unknown regime {self.regime!r}")
+        if not np.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
     @classmethod
     def xxx(cls, theta: float = 0.0) -> "RegimeParams":

@@ -30,7 +30,6 @@ from .tensor_core import (TensorOperator, TensorSpace, commutator_residual,
 
 __all__ = [
     "ChainSpec",
-    "chain_space",
     "charge_vector",
     "sector_mask",
     "sector_blocks",
@@ -91,11 +90,6 @@ class ChainSpec:
         return self.rep.dim - 2
 
 
-def chain_space(spec: ChainSpec, with_aux: bool = True) -> TensorSpace:
-    dims = spec.dims
-    return TensorSpace(((2,) + dims) if with_aux else dims)
-
-
 def _contract(spec: ChainSpec, lam: complex):
     """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
     chain) tensors; the product is None for the one-site chain (N = 0).
@@ -130,7 +124,7 @@ def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
     total, first = _contract(spec, lam)
     m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
     d = 2 * spec.chain_dim
-    return TensorOperator(chain_space(spec), _finite(spec, lam, m).reshape(d, d))
+    return TensorOperator(TensorSpace((2,) + spec.dims), _finite(spec, lam, m).reshape(d, d))
 
 
 def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
@@ -145,7 +139,7 @@ def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
         with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
             t = x[0] + x[1]
     d = spec.chain_dim
-    return TensorOperator(chain_space(spec, with_aux=False), _finite(spec, lam, t).reshape(d, d))
+    return TensorOperator(TensorSpace(spec.dims), _finite(spec, lam, t).reshape(d, d))
 
 
 def _finite(spec: ChainSpec, lam: complex, m: np.ndarray) -> np.ndarray:
@@ -265,27 +259,33 @@ def reference_residual(spec: ChainSpec, t: np.ndarray, lam: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> float:
-    """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= D - 2."""
-    res, _ = exchange_residual(make_r(spec.params, lam1 - lam2).entries,
-                               build_monodromy(spec, lam1).entries,
-                               build_monodromy(spec, lam2).entries,
-                               keep=sector_mask(spec))
+def _aux_trace(m: TensorOperator) -> np.ndarray:
+    """The auxiliary trace of the monodromy m = T(lam): bit for bit t(lam)."""
+    d = len(m.entries) // 2
+    return m.entries[:d, :d] + m.entries[d:, d:]
+
+
+def rtt_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
+                 lam1: complex, lam2: complex) -> float:
+    """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= D - 2 for the
+    monodromies m1 = T(lam1) and m2 = T(lam2)."""
+    res, _ = exchange_residual(make_r(spec.params, lam1 - lam2).entries, m1.entries,
+                               m2.entries, keep=sector_mask(spec))
     return res
 
 
-def commuting_residual(spec: ChainSpec, lam1: complex, lam2: complex) -> float:
-    """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2, block by block."""
+def commuting_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
+                       lam1: complex, lam2: complex) -> float:
+    """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2, block by block,
+    for t traced from the monodromies m1 = T(lam1) and m2 = T(lam2)."""
     sectors = sector_blocks(spec)
-    a, b = (diagonal_blocks(transfer_matrix(spec, lam).entries, sectors, lam)
-            for lam in (lam1, lam2))
+    a, b = (diagonal_blocks(_aux_trace(m), sectors, lam) for m, lam in ((m1, lam1), (m2, lam2)))
     return sector_commutator(spec, a, b)
 
 
-def charge_residual(spec: ChainSpec, lam: complex) -> float:
-    """|| [t(lam), Q] || on charge sectors Q <= D - 2."""
-    charge = TensorOperator(chain_space(spec, with_aux=False), np.diag(charge_vector(spec)))
-    return commutator_residual(transfer_matrix(spec, lam), charge, sector_mask(spec))
+def charge_residual(spec: ChainSpec, m: TensorOperator) -> float:
+    """|| [t(lam), Q] || on charge sectors Q <= D - 2, t traced from m = T(lam)."""
+    return commutator_residual(_aux_trace(m), np.diag(charge_vector(spec)), sector_mask(spec))
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,9 @@ operations are pure.
 
 The module also holds the three masked residual kernels of the operator
 identities: the exchange relation works on (2, d, 2, d) tensors without
-building 4d x 4d products, and the identity and commutator kernels
-multiply by a 0/1 mask in place of a dense projector.
+building 4d x 4d products and multiplies only the columns its mask keeps,
+and the identity and commutator kernels multiply by a 0/1 mask in place
+of a dense projector.
 """
 from __future__ import annotations
 
@@ -170,11 +171,12 @@ def exchange_residual(r12, a1, a2, keep=None):
     is measured on the subspace it selects (all of V by default).
 
     Returns (|| (R12 A1 A2 - A2 A1 R12) P ||, || R12 A1 A2 P ||), computed from
-    the (2, d, 2, d) tensors without building 4d x 4d matrices: A1 A2 and
-    A2 A1 are batched d x d products of auxiliary blocks, and R12 is
-    contracted into them with einsum.  The three arguments may instead be
-    stacks of matrices along a leading axis of one length (one relation per
-    sample); the two norms are then arrays over the stack.
+    the (2, d, 2, d) tensors without building 4d x 4d matrices: A1 (A2 P) and
+    A2 (A1 P) are batched products of auxiliary blocks on the k kept columns
+    only (d x d times d x k), R12 is contracted into them with einsum, and
+    the norms equal the dense projector product's up to summation order.
+    The arguments may instead be stacks of matrices along a leading axis of
+    one length (one relation per sample); the norms are then arrays over it.
     """
     stacked = np.ndim(a1) == 3
     d = np.shape(a1)[-1] // 2
@@ -185,12 +187,10 @@ def exchange_residual(r12, a1, a2, keep=None):
     t2 = _as_matrix(a2, 2 * d).reshape(-1, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
     if not len(r) == len(t1) == len(t2):
         raise ValueError(f"stacks of different lengths: {len(r)}, {len(t1)}, {len(t2)}")
+    cols = slice(None) if keep is None else np.flatnonzero(keep)
     t1, t2 = t1[:, :, :, None, None], t2[:, None, None]
-    lhs = np.einsum("nacef,nebfdij->nacbdij", r, t1 @ t2)
-    res = lhs - np.einsum("naecfij,nefbd->nacbdij", t2 @ t1, r)
-    if keep is not None:
-        lhs = lhs * keep
-        res = res * keep
+    lhs = np.einsum("nacef,nebfdij->nacbdij", r, t1 @ t2[..., cols])
+    res = lhs - np.einsum("naecfij,nefbd->nacbdij", t2 @ t1[..., cols], r)
     # np.linalg.norm of each sample's whole array: a stack of one gives the
     # lone relation's norms bit for bit
     norms = [np.array([np.linalg.norm(x) for x in xs]) for xs in (res, lhs)]

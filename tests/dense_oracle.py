@@ -1,5 +1,6 @@
-"""Dense two-site embedding and the reference state, used as test oracles
-for the monodromy.
+"""Dense two-site embedding, the reference state and the exchange relation
+on explicit matrices, used as test oracles for the monodromy and the
+residual kernels.
 
 The package builds the monodromy by local contraction and never forms an
 embedded operator, and reads the reference check off one column of the
@@ -32,3 +33,16 @@ def reference_state(spec):
         local[1 if d == 2 and spec.params.regime != "XXX" else 0] = 1.0
         vec = np.kron(vec, local)
     return vec
+
+
+def exchange_oracle(r12, m1, m2, keep):
+    """The relation on explicit 4d x 4d matrices: A1, A2 embedded by einsum
+    with a 2x2 identity, R12 and the projector by kron."""
+    d = m1.shape[0] // 2
+    eye2 = np.eye(2, dtype=complex)
+    a1 = np.einsum("aibj,cd->acibdj", m1.reshape(2, d, 2, d), eye2).reshape(4 * d, 4 * d)
+    a2 = np.einsum("aibj,cd->caidbj", m2.reshape(2, d, 2, d), eye2).reshape(4 * d, 4 * d)
+    r = np.kron(r12, np.eye(d, dtype=complex))
+    proj = np.kron(np.eye(4, dtype=complex), np.diag(keep))
+    return (np.linalg.norm((r @ a1 @ a2 - a2 @ a1 @ r) @ proj),
+            np.linalg.norm(r @ a1 @ a2 @ proj))

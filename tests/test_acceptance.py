@@ -8,7 +8,7 @@ import numpy as np
 from defectchain.lax_defect import (RegimeParams, crossing_transform,
                                     make_l, make_l_hat, make_r,
                                     s_matrix_part, unitarity_residuals)
-from defectchain.monodromy import (ChainSpec, bae_residual,
+from defectchain.monodromy import (ChainSpec, bae_residual, build_monodromy,
                                    commuting_residual, reference_eigenvalue,
                                    rtt_residual, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
@@ -131,8 +131,9 @@ def test_criterion_4_transfer_matrix_structure():
         spec = ChainSpec(n_sites=3, defect_site=2, params=params,
                          rep=rep_for(params, 6))
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-            worst = max(worst, rtt_residual(spec, l1, l2))
-            worst = max(worst, commuting_residual(spec, l1, l2))
+            m1, m2 = (build_monodromy(spec, x) for x in (l1, l2))
+            worst = max(worst, rtt_residual(spec, m1, m2, l1, l2))
+            worst = max(worst, commuting_residual(spec, m1, m2, l1, l2))
         vec = reference_state(spec)
         for lam in (0.77, -0.4):
             ev = reference_eigenvalue(spec, lam)

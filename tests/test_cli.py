@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from defectchain import cli
+from defectchain import monodromy as mono
 from defectchain.cli import _fmt_cell, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
@@ -354,6 +355,44 @@ def test_non_finite_grid_ends_are_usage_errors(capsys, command, grid):
         assert run([command, f"--grid={grid}"]) == 2
     captured = capsys.readouterr()
     assert "grid ends must be finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "bae"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "1e-3x"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, command, value):
+    assert run([command, f"--tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tol: tolerance must be finite and >= 0, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "amplitude", "spectrum", "bae"])
+@pytest.mark.parametrize("argv, message", [
+    (["--regime", "xxx", "--theta", "nan"], "theta must be finite, got nan"),
+    (["--regime", "critical", "--theta", "inf"], "theta must be finite, got inf"),
+    (["--regime", "noncritical", "--theta=-inf"], "theta must be finite, got -inf"),
+    (["--regime", "noncritical", "--eta", "inf"], "eta must be positive and finite, got inf"),
+    (["--regime", "noncritical", "--eta", "nan"], "eta must be positive and finite, got nan"),
+])
+def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_verify_reads_the_chain_records_from_one_monodromy_pair(monkeypatch):
+    # rtt, commuting-family and charge-conservation share one monodromy
+    # pair; only reference-eigenvalue builds a transfer matrix
+    calls = Counter()
+    for name in ("build_monodromy", "transfer_matrix"):
+        def counted(*args, fn=getattr(mono, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(mono, name, counted)
+    cli.run_verify(RegimeParams.xxx(), 8, 7)
+    assert calls == {"build_monodromy": 2, "transfer_matrix": 1}
 
 
 def test_verify_noncritical_checks_the_type2_algebra(tmp_path):

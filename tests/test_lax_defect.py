@@ -53,6 +53,19 @@ def rll_residual(params, rep, l1, l2):
 
 # ------------------------------------------------------------------ R-matrix
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: RegimeParams.xxx(theta=float("nan")), "theta must be finite, got nan"),
+    (lambda: RegimeParams.critical(0.7, theta=float("inf")), "theta must be finite, got inf"),
+    (lambda: RegimeParams.noncritical(0.5, theta=-float("inf")), "theta must be finite"),
+    (lambda: RegimeParams.noncritical(float("inf")), "eta must be positive and finite, got inf"),
+    (lambda: RegimeParams.noncritical(float("nan")), "eta must be positive and finite, got nan"),
+    (lambda: RegimeParams.noncritical(0.0), "eta must be positive and finite, got 0.0"),
+])
+def test_regime_params_reject_non_finite_values(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_xxx_r_at_zero_is_permutation():
     r = make_r(XXX, 0.0)
     np.testing.assert_allclose(r.entries, 1j * permutation_operator(2).entries)

@@ -11,7 +11,7 @@ from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.tensor_core import TensorOperator, commutator_residual
-from dense_oracle import embed, reference_state
+from dense_oracle import embed, exchange_oracle, reference_state
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -30,6 +30,10 @@ def nc_chain(n_sites=3, defect_site=2, d=6, theta=0.2, eta=0.5):
 
 REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
            RegimeParams.noncritical(0.5, theta=0.2)]
+
+
+def monodromy_pair(spec, lam1, lam2):
+    return build_monodromy(spec, lam1), build_monodromy(spec, lam2)
 
 
 # ------------------------------------------------------------ dense oracle
@@ -113,7 +117,7 @@ def test_rtt_relation_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(3)
     for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-        assert rtt_residual(spec, l1, l2) < 1e-10
+        assert rtt_residual(spec, *monodromy_pair(spec, l1, l2), l1, l2) < 1e-10
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -121,7 +125,7 @@ def test_commuting_family_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(5)
     for l1, l2 in rng.uniform(-1.2, 1.2, size=(4, 2)):
-        assert commuting_residual(spec, l1, l2) < 1e-10
+        assert commuting_residual(spec, *monodromy_pair(spec, l1, l2), l1, l2) < 1e-10
 
 
 def test_commuting_family_fails_without_projection():
@@ -134,11 +138,66 @@ def test_commuting_family_fails_without_projection():
 
 def test_charge_conservation():
     spec = xxx_chain()
-    assert charge_residual(spec, 0.77) < 1e-12
+    assert charge_residual(spec, build_monodromy(spec, 0.77)) < 1e-12
     # exact commutation on the full space as well (grading is exact)
     t = transfer_matrix(spec, 0.77).entries
     qd = np.diag(charge_vector(spec)).astype(complex)
     assert np.linalg.norm(t @ qd - qd @ t) < 1e-10
+
+
+def masked_commutator(a, b, keep):
+    """|| P [A, B] P || with the projector P = diag(keep) as a dense matrix."""
+    proj = np.diag(keep).astype(complex)
+    return np.linalg.norm(proj @ (a @ b - b @ a) @ proj)
+
+
+def with_aux_diagonal(m, x):
+    """The monodromy m plus 1 (x) x on aux (x) chain: its trace gains 2 x."""
+    return TensorOperator(m.space, m.entries + np.kron(np.eye(2), x))
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_shared_pair_residuals_match_dense_oracles(params, n_sites):
+    # the three chain residuals read off one monodromy pair, against the
+    # relation on explicit 4 dim x 4 dim matrices with the sector projector
+    # and the sector-masked dense commutators of transfer_matrix
+    rng = np.random.default_rng(n_sites)
+    spec = ChainSpec(n_sites=n_sites, defect_site=2, params=params,
+                     rep=defect_rep(params, 6))
+    keep = sector_mask(spec)
+    dim = spec.chain_dim
+    l1, l2 = 0.58, -0.33
+    m1, m2 = monodromy_pair(spec, l1, l2)
+    t1, t2 = (transfer_matrix(spec, x).entries for x in (l1, l2))
+    # RTT holds: equal to the oracle up to roundoff of the oracle's scale;
+    # R at lam2 - lam1 breaks it at O(1): equal to rtol 1e-12
+    res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1.entries, m2.entries, keep)
+    assert abs(rtt_residual(spec, m1, m2, l1, l2) - res) <= 1e-12 * scale
+    want, scale = exchange_oracle(make_r(params, l2 - l1).entries, m1.entries, m2.entries, keep)
+    assert want > 1e-3 * scale
+    np.testing.assert_allclose(rtt_residual(spec, m1, m2, l2, l1), want, rtol=1e-12)
+    # the commuting family, and a charge-conserving partner that does not
+    # commute with t(lam1): traced from M + 1 (x) x, it is t(lam2) + 2 x
+    scale = np.linalg.norm(t1) * np.linalg.norm(t2)
+    got = commuting_residual(spec, m1, m2, l1, l2)
+    assert abs(got - masked_commutator(t1, t2, keep)) <= 1e-12 * scale
+    x = np.zeros((dim, dim), dtype=complex)
+    for _, idx in sector_blocks(spec):
+        x[np.ix_(idx, idx)] = rng.standard_normal((len(idx),) * 2)
+    want = masked_commutator(t1, t2 + 2 * x, keep)
+    assert want > 1e-3 * scale
+    got = commuting_residual(spec, m1, with_aux_diagonal(m2, x), l1, l2)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    # the charge commutes with t(lam1) exactly; with t(lam1) + 2 x for a
+    # dense x it does not
+    q = np.diag(charge_vector(spec)).astype(complex)
+    assert charge_residual(spec, m1) == masked_commutator(t1, q, keep) == 0.0
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    want = masked_commutator(t1 + 2 * x, q, keep)
+    assert want > 1.0
+    np.testing.assert_allclose(charge_residual(spec, with_aux_diagonal(m1, x)), want,
+                               rtol=1e-12)
 
 
 def test_sector_mask_counts():
@@ -337,7 +396,7 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
         scale = np.linalg.norm(t.entries) * np.linalg.norm(t0.entries)
         got = sector_commutator(spec, blocks, blocks0)
         assert abs(got - commutator_residual(t, t0, sector_mask(spec))) <= 1e-12 * scale
-        assert commuting_residual(spec, lam, lam0) == got
+        assert commuting_residual(spec, *monodromy_pair(spec, lam, lam0), lam, lam0) == got
         # a block-diagonal partner that does not commute with t: the blocks
         # above the ceiling are left out, the others all count
         other = np.zeros_like(t.entries)

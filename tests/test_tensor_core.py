@@ -10,7 +10,7 @@ from defectchain.tensor_core import (TensorOperator, TensorSpace, block2,
                                      commutator_residual, exchange_residual,
                                      identity_residual, partial_transpose,
                                      permutation_operator)
-from dense_oracle import embed
+from dense_oracle import embed, exchange_oracle
 
 
 def op(dims, entries):
@@ -127,19 +127,6 @@ def test_space_mismatch_rejected():
 
 # ------------------------------------------------------------ exchange relation
 
-def exchange_oracle(r12, m1, m2, keep):
-    """The relation on explicit 4d x 4d matrices: A1, A2 embedded by einsum
-    with a 2x2 identity, R12 and the projector by kron."""
-    d = m1.shape[0] // 2
-    eye2 = np.eye(2, dtype=complex)
-    a1 = np.einsum("aibj,cd->acibdj", m1.reshape(2, d, 2, d), eye2).reshape(4 * d, 4 * d)
-    a2 = np.einsum("aibj,cd->caidbj", m2.reshape(2, d, 2, d), eye2).reshape(4 * d, 4 * d)
-    r = np.kron(r12, np.eye(d, dtype=complex))
-    proj = np.kron(np.eye(4, dtype=complex), np.diag(keep))
-    return (np.linalg.norm((r @ a1 @ a2 - a2 @ a1 @ r) @ proj),
-            np.linalg.norm(r @ a1 @ a2 @ proj))
-
-
 def assert_matches_oracle(r12, m1, m2, keep=None):
     full = np.ones(len(m1) // 2) if keep is None else keep
     want = exchange_oracle(r12, m1, m2, full)
@@ -201,8 +188,25 @@ def test_exchange_residual_odd_dimension_with_mask():
     res, _ = assert_matches_oracle(r12, m1, m2, keep)
     assert 0.0 < res < exchange_residual(r12, m1, m2)[0]
     assert exchange_residual(r12, m1, m2, keep=np.zeros(d)) == (0.0, 0.0)
+    assert exchange_residual(r12, m1, m2, keep=np.ones(d)) == exchange_residual(r12, m1, m2)
     with pytest.raises(ValueError, match="stacks of different lengths"):
         exchange_residual(np.stack([r12, r12]), m1, m2)
+
+
+def test_exchange_residual_keep_all_and_keep_none_on_a_stack():
+    # slicing the kept columns: every column kept is the unmasked relation
+    # bit for bit, no column kept gives zero norms, on a stack as on one
+    rng = np.random.default_rng(21)
+    d, n = 4, 3
+    r12, m1, m2 = (rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+                   for k in (4, 2 * d, 2 * d))
+    unmasked = exchange_residual(r12, m1, m2)
+    for got, want in zip(exchange_residual(r12, m1, m2, keep=np.ones(d)), unmasked):
+        assert np.array_equal(got, want)
+    assert all(x.all() for x in unmasked)
+    for norms in exchange_residual(r12, m1, m2, keep=np.zeros(d)):
+        assert norms.shape == (n,) and not norms.any()
+    assert exchange_residual(r12[0], m1[0], m2[0], keep=np.zeros(d)) == (0.0, 0.0)
 
 
 # ------------------------------------------------------------- masked kernels
