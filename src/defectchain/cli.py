@@ -59,14 +59,17 @@ def _parse_grid(text: str):
     return start, stop, count
 
 
-def _parse_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
+def _nonnegative(convert, rule: str):
+    """An argparse type: the text read by `convert`, finite and >= 0, or `rule`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
 
 
 def _make_params(args) -> RegimeParams:
@@ -144,8 +147,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     add("commuting-family", mono.commuting_residual(spec, m1, m2, l1, l2), 1e-10,
         params=pair, subspace=sectors)
     add("charge-conservation", mono.charge_residual(spec, m1), 1e-12, subspace=sectors)
-    add("reference-eigenvalue",
-        mono.reference_residual(spec, mono.transfer_matrix(spec, 0.77).entries, 0.77), 1e-10)
+    blocks = mono.transfer_matrix(spec, 0.77, mono.sector_blocks(spec)[:1])   # charge 0 only
+    add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
 
     # amplitudes: cross-route agreement and unitarity
     lam_grid = np.linspace(-1.6, 1.6, 5)
@@ -361,8 +364,7 @@ def cmd_spectrum(args) -> int:
     tables = []
     first = None
     for lam in np.linspace(start, stop, count):
-        t = mono.transfer_matrix(spec, lam).entries
-        blocks = mono.diagonal_blocks(t, sectors, lam)
+        blocks = mono.transfer_matrix(spec, lam, sectors)
         # commutator with the first grid point on the sectors below the
         # truncation ceiling: the whole family must commute there
         if first is None:
@@ -373,7 +375,7 @@ def cmd_spectrum(args) -> int:
                 raise ValueError(f"the commutator check at lam = {lam} is beyond "
                                  "the float range")
         table = {"lam": float(lam), "sector": [], "re_eig": [], "im_eig": [],
-                 "reference_check": mono.reference_residual(spec, t, lam),
+                 "reference_check": mono.reference_residual(spec, blocks, lam),
                  "commutator_check": comm_res, "exact": []}
         for sector, block in blocks:
             evs = sorted(np.linalg.eigvals(block).tolist(),
@@ -435,9 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
     fock_dim(p)
-    p.add_argument("--tol", type=_parse_tol, default=None,
-                   help="override every record tolerance")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--tol", type=_nonnegative(float, "tolerance must be finite and >= 0"),
+                   default=None, help="override every record tolerance")
+    p.add_argument("--seed", type=_nonnegative(int, "seed must be an integer >= 0"), default=7)
 
     p = sub.add_parser("amplitude", help="tabulate transmission amplitudes")
     common(p)
@@ -456,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bae", help="one-root Bethe equation check")
     common(p)
-    p.add_argument("--tol", type=_parse_tol, default=None,
-                   help="gate on the worst residual (default 1e-10)")
+    p.add_argument("--tol", type=_nonnegative(float, "tolerance must be finite and >= 0"),
+                   default=None, help="gate on the worst residual (default 1e-10)")
     return parser
 
 

@@ -19,6 +19,7 @@ block on t(lam), which the charge makes block-diagonal (commuting family).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,7 +101,9 @@ def _contract(spec: ChainSpec, lam: complex):
     slowest chain factor, so the tensor stays in numpy.kron order.  This is
     the association ((M_{N+1} M_N) M_{N-1}) ... of the dense left-to-right
     product, each entry summing the same two nonzero terms.  The site-1
-    step, the only one at full size, is left to the caller.
+    step, the only one at full size, is left to the caller.  A local tensor
+    that moves the charge is a ValueError naming lam, so a finite t(lam) is
+    exactly 0 between charge sectors.
     """
     def local(j):
         if j == spec.defect_site:
@@ -108,7 +111,11 @@ def _contract(spec: ChainSpec, lam: complex):
         else:
             m = make_r(spec.params, lam)
         d = spec.dims[j - 1]
-        return m.entries.reshape(2, d, 2, d)
+        m = m.entries.reshape(2, d, 2, d)
+        if np.count_nonzero(m[_moves_charge(spec.params.regime, d)]):
+            raise ValueError(f"the transfer matrix leaks charge at lam = {lam}: the local "
+                             f"operator of site {j} has a nonzero entry between charge sectors")
+        return m
 
     if spec.n_sites == 0:
         return None, local(1)
@@ -127,19 +134,29 @@ def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
     return TensorOperator(TensorSpace((2,) + spec.dims), _finite(spec, lam, m).reshape(d, d))
 
 
-def transfer_matrix(spec: ChainSpec, lam: complex) -> TensorOperator:
-    """Trace of the monodromy over the auxiliary factor, taken inside the
-    site-1 step so the (2 dim)^2 monodromy is never formed; each entry sums
-    the same terms in the same order as tracing build_monodromy."""
+def transfer_matrix(spec: ChainSpec, lam: complex, sectors) -> list[tuple[int, np.ndarray]]:
+    """(charge, block) of the transfer matrix t(lam) on each of the given
+    `sector_blocks`; the dense t(lam) is never formed.  With the chain index
+    s R + r (s at site 1), a block gathers the product of sites N+1 ... 2 at
+    its r's and the site-1 tensor at its s's and traces the auxiliary space
+    in the site-1 step: bit for bit the blocks of tracing build_monodromy.
+    """
     total, first = _contract(spec, lam)
-    if total is None:
-        t = np.einsum("aiaj->ij", first)
-    else:
-        x = np.einsum("arbq,bsat->asrtq", total, first)
-        with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
-            t = x[0] + x[1]
-    d = spec.chain_dim
-    return TensorOperator(TensorSpace(spec.dims), _finite(spec, lam, t).reshape(d, d))
+    if total is not None:
+        _finite(spec, lam, total)
+    rest = spec.chain_dim // spec.dims[0]       # R, the dimension of sites N+1 ... 2
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
+        for sector, idx in sectors:
+            s, r = np.divmod(idx, rest)
+            f = first[:, s][:, :, :, s]
+            if total is None:
+                block = np.einsum("aiaj->ij", f)
+            else:
+                x = np.einsum("aibj,biaj->aij", total[:, r][:, :, :, r], f)
+                block = x[0] + x[1]
+            blocks.append((sector, _finite(spec, lam, block)))
+    return blocks
 
 
 def _finite(spec: ChainSpec, lam: complex, m: np.ndarray) -> np.ndarray:
@@ -156,18 +173,29 @@ def _finite(spec: ChainSpec, lam: complex, m: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _grading(regime: str, d: int) -> list[float]:
+    """The charge of each state of a site of dimension d: the defect's
+    occupation, or a spin flipped from the reference (isotropic: up, else down)."""
+    return [float(k) for k in range(d)] if d > 2 else [0.0, 1.0] if regime == XXX else [1.0, 0.0]
+
+
+@functools.lru_cache(maxsize=None)
+def _moves_charge(regime: str, d: int) -> np.ndarray:
+    """The entries of a local (2, d, 2, d) tensor whose row and column
+    charges differ, the auxiliary space graded like a spin site."""
+    q = np.add.outer(_grading(regime, 2), _grading(regime, d))
+    return np.not_equal.outer(q, q)
+
+
 def charge_vector(spec: ChainSpec) -> np.ndarray:
     """Diagonal of the conserved charge: site grading plus defect occupation.
 
-    The site grading counts spins flipped away from the regime's reference
-    orientation (isotropic reference: spin up; anisotropic: spin down), so
-    the off-diagonal Lax entries shift Q by exactly +-1 and sectors below
+    The off-diagonal Lax entries shift Q by exactly +-1, so sectors below
     the truncation ceiling are exact.
     """
-    spin = [0.0, 1.0] if spec.params.regime == XXX else [1.0, 0.0]  # reference: 0
     q = np.zeros(())
     for d in spec.dims:
-        q = np.add.outer(q, spin if d == 2 else np.arange(d, dtype=float))
+        q = np.add.outer(q, _grading(spec.params.regime, d))
     return q.ravel()
 
 
@@ -232,20 +260,15 @@ def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
     return a_bulk ** n * a_def + d_bulk ** n * d_def
 
 
-def reference_residual(spec: ChainSpec, t: np.ndarray, lam: complex) -> float:
-    """|| t v - e v || / |e| for the transfer matrix t = t(lam), the
-    reference state v and its derived eigenvalue e.
-
-    v has all sites in their local reference state (isotropic: spin up;
-    anisotropic: spin down) and the defect in its vacuum, the state
-    annihilated by a_dag.  It is one basis vector, so t v is one column of
-    t, bit for bit the mat-vec.
+def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
+    """|| t v - e v || / |e| for the transfer matrix t = t(lam) given by its
+    `transfer_matrix` blocks, the reference state v and its derived
+    eigenvalue e.  v has every site in its reference orientation and the
+    defect in its vacuum (annihilated by a_dag): the one state of charge 0,
+    so t v is the 1 x 1 block of that sector, bit for bit the mat-vec.
     """
-    local = [1 if d == 2 and spec.params.regime != XXX else 0 for d in spec.dims]
-    i0 = int(np.ravel_multi_index(local, spec.dims))
     ev = reference_eigenvalue(spec, lam)
-    res = t[:, i0].copy()
-    res[i0] -= ev
+    res = blocks[0][1][:, 0] - ev
     size = max(abs(ev), 1e-30)
     # scaled by the power of two nearest 1/|e| before the norm squares
     # entries that may reach ~1e260; the scaling is exact, so the residual

@@ -468,7 +468,7 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
     Closed form: Gamma_{q^4} ratios with the shifted spin S~ = S - 1/2; sum
     route: the even kernel e^{-eta y|k|} / (1 + e^{-2 eta |k|}), y = 2S.
     """
-    two_s = round(2 * spin)
+    two_s = round(2 * spin) if np.isfinite(spin) else 0
     if abs(2 * spin - two_s) > 1e-12 or two_s < 1:
         raise ValueError(f"2*spin must be a positive integer, got {spin}")
     if not eta > 0:

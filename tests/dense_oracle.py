@@ -1,13 +1,16 @@
-"""Dense two-site embedding, the reference state and the exchange relation
-on explicit matrices, used as test oracles for the monodromy and the
-residual kernels.
+"""Dense two-site embedding, the dense transfer matrix, the reference state
+and the exchange relation on explicit matrices, used as test oracles for
+the monodromy and the residual kernels.
 
 The package builds the monodromy by local contraction and never forms an
-embedded operator, and reads the reference check off one column of the
-transfer matrix; these helpers build the same objects the slow way, in the
-numpy.kron basis order of ``defectchain.tensor_core``.
+embedded operator, builds the transfer matrix sector block by sector block
+and reads the reference check off its charge-0 block; these helpers build
+the same objects the slow way, in the numpy.kron basis order of
+``defectchain.tensor_core``.
 """
 import numpy as np
+
+from defectchain.monodromy import build_monodromy
 
 
 def embed(m, sites, dims):
@@ -22,6 +25,14 @@ def embed(m, sites, dims):
     t = full.reshape([dims[k] for k in order] * 2).transpose(list(perm) + list(perm + n))
     d = int(np.prod(dims))
     return t.reshape(d, d)
+
+
+def dense_transfer(spec, lam):
+    """t(lam) as a dense dim x dim array: the auxiliary trace of the whole
+    monodromy of build_monodromy, summed in the order the package sums it."""
+    m = build_monodromy(spec, lam).entries
+    d = spec.chain_dim
+    return m[:d, :d] + m[d:, d:]
 
 
 def reference_state(spec):

@@ -10,7 +10,7 @@ from defectchain.lax_defect import (RegimeParams, crossing_transform,
                                     s_matrix_part, unitarity_residuals)
 from defectchain.monodromy import (ChainSpec, bae_residual, build_monodromy,
                                    commuting_residual, reference_eigenvalue,
-                                   rtt_residual, transfer_matrix)
+                                   rtt_residual)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import ProductTruncation, gamma_ratio
 from defectchain.transmission_amplitudes import (amplitude,
@@ -21,7 +21,7 @@ from defectchain.transmission_matrices import (default_rep,
                                                quadratic_algebra_residual,
                                                type2_algebra_residual,
                                                unitarity_crossing_residual)
-from dense_oracle import reference_state
+from dense_oracle import dense_transfer, reference_state
 
 XXX = RegimeParams.xxx()
 CRIT = RegimeParams.critical(0.7)            # attractive, gamma ~ 3.488
@@ -137,7 +137,7 @@ def test_criterion_4_transfer_matrix_structure():
         vec = reference_state(spec)
         for lam in (0.77, -0.4):
             ev = reference_eigenvalue(spec, lam)
-            tv = transfer_matrix(spec, lam).entries @ vec
+            tv = dense_transfer(spec, lam) @ vec
             worst_ref = max(worst_ref, float(np.linalg.norm(tv - ev * vec) / abs(ev)))
     _report("4a", "RTT and commuting family on sectors Q <= D-2 (N=3, D=6)",
             worst, 1e-10)

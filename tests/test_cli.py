@@ -13,13 +13,12 @@ from defectchain import monodromy as mono
 from defectchain.cli import _fmt_cell, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
-from defectchain.monodromy import (ChainSpec, charge_vector, reference_eigenvalue,
-                                   sector_mask, transfer_matrix)
+from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
 from defectchain.reporting import ResidualReport
 from defectchain.tensor_core import commutator_residual, exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
                                                  soliton_s_amplitude)
-from dense_oracle import reference_state
+from dense_oracle import dense_transfer, reference_state
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -366,6 +365,29 @@ def test_tolerance_must_be_finite_and_non_negative(capsys, command, value):
     assert f"argument --tol: tolerance must be finite and >= 0, got '{value}'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "7x", "nan"])
+def test_seed_must_be_a_non_negative_integer(capsys, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", f"--seed={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert f"argument --seed: seed must be an integer >= 0, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("spin", ["inf", "-inf", "nan"])
+def test_non_finite_spin_is_a_one_line_usage_error(capsys, spin):
+    # the spin is checked before 2 spin is rounded: no OverflowError
+    # traceback for inf, and the message names the spin for nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["amplitude", "--regime", "noncritical", "--family", "type2",
+                    f"--spin={spin}", "--grid=0:1:2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: 2*spin must be a positive integer, got {float(spin)}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "amplitude", "spectrum", "bae"])
 @pytest.mark.parametrize("argv, message", [
     (["--regime", "xxx", "--theta", "nan"], "theta must be finite, got nan"),
@@ -536,6 +558,23 @@ def test_spectrum_reference_check_near_overflow(tmp_path):
     assert all(float(r["reference_check"]) < 1e-10 for r in rows)
 
 
+def test_spectrum_charge_leak_is_a_one_line_error_naming_lam(monkeypatch, capsys):
+    # a bulk R with one entry that raises the charge: the blocks would miss
+    # it, so the local check stops the command at the first grid point
+    def leaky(params, lam):
+        op = make_r(params, lam)
+        m = op.entries.copy()
+        m[0, 1] = 1e-300
+        return type(op)(op.space, m)
+
+    monkeypatch.setattr(mono, "make_r", leaky)
+    code = run(["spectrum", "--sites", "2", "--fock-dim", "4", "--grid=0.25:1:2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: the transfer matrix leaks charge at lam = 0.25: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_spectrum_commutator_past_the_float_range_is_a_one_line_error(capsys):
     # t(99) and t(100) reach ~1e258 and ~1e260: the scaled block products
     # are finite, the commutator's roundoff alone is past the float range
@@ -559,15 +598,15 @@ def dense_spectrum_rows(spec, grid):
     vec = reference_state(spec)
     rows, first = [], None
     for lam in grid:
-        t = transfer_matrix(spec, lam)
+        t = dense_transfer(spec, lam)
         ev = reference_eigenvalue(spec, lam)
         scale = 2.0 ** -np.frexp(max(abs(ev), 1e-30))[1]
-        ref = float(np.linalg.norm((t.entries @ vec - ev * vec) * scale) / (abs(ev) * scale))
-        first = first or t
+        ref = float(np.linalg.norm((t @ vec - ev * vec) * scale) / (abs(ev) * scale))
+        first = t if first is None else first
         comm = commutator_residual(t, first, keep)
         for sector in sorted(set(int(x) for x in q)):
             idx = np.flatnonzero(q == sector)
-            for z in sorted(np.linalg.eigvals(t.entries[np.ix_(idx, idx)]).tolist(),
+            for z in sorted(np.linalg.eigvals(t[np.ix_(idx, idx)]).tolist(),
                             key=lambda z: (round(z.real, 10), round(z.imag, 10))):
                 rows.append({"lam": float(lam), "sector": sector, "re_eig": z.real,
                              "im_eig": z.imag, "reference_check": ref,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
                                    build_monodromy, charge_residual,
@@ -11,7 +12,7 @@ from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.tensor_core import TensorOperator, commutator_residual
-from dense_oracle import embed, exchange_oracle, reference_state
+from dense_oracle import dense_transfer, embed, exchange_oracle, reference_state
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -34,6 +35,11 @@ REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
 
 def monodromy_pair(spec, lam1, lam2):
     return build_monodromy(spec, lam1), build_monodromy(spec, lam2)
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: equal values with equal signed zeros."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------------ dense oracle
@@ -75,17 +81,24 @@ def test_monodromy_equals_dense_product_bit_for_bit(params, d):
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("d", [3, 6])
 def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
-    # t(lam) is traced inside the last contraction step; it must equal the
-    # auxiliary trace of the full monodromy exactly, not just to roundoff
+    # t(lam) is built sector block by sector block, traced inside the last
+    # contraction step; each block must equal the block of the auxiliary
+    # trace of the full monodromy exactly, signed zeros included, and the
+    # trace must vanish between the blocks (diagonal_blocks checks it)
     for n_sites in range(5):
         for site in range(1, n_sites + 2):
             spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
                              rep=defect_rep(params, d))
             dim = spec.chain_dim
+            sectors = sector_blocks(spec)
             for lam in (0.37, -1.2):
                 blocks = build_monodromy(spec, lam).entries.reshape(2, dim, 2, dim)
-                assert np.array_equal(transfer_matrix(spec, lam).entries,
-                                      np.einsum("aiaj->ij", blocks))
+                t = np.einsum("aiaj->ij", blocks)
+                assert same_bits(dense_transfer(spec, lam), t)
+                got = transfer_matrix(spec, lam, sectors)
+                want = diagonal_blocks(t, sectors, lam)
+                assert [k for k, _ in got] == [k for k, _ in want]
+                assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, want))
 
 
 def test_defect_only_chain_is_lax_operator():
@@ -131,8 +144,8 @@ def test_commuting_family_on_sectors(chain):
 def test_commuting_family_fails_without_projection():
     # the truncation leak is real: the unprojected commutator is large
     spec = xxx_chain()
-    t1 = transfer_matrix(spec, 0.63).entries
-    t2 = transfer_matrix(spec, -0.82).entries
+    t1 = dense_transfer(spec, 0.63)
+    t2 = dense_transfer(spec, -0.82)
     assert np.linalg.norm(t1 @ t2 - t2 @ t1) > 1.0
 
 
@@ -140,7 +153,7 @@ def test_charge_conservation():
     spec = xxx_chain()
     assert charge_residual(spec, build_monodromy(spec, 0.77)) < 1e-12
     # exact commutation on the full space as well (grading is exact)
-    t = transfer_matrix(spec, 0.77).entries
+    t = dense_transfer(spec, 0.77)
     qd = np.diag(charge_vector(spec)).astype(complex)
     assert np.linalg.norm(t @ qd - qd @ t) < 1e-10
 
@@ -169,7 +182,7 @@ def test_shared_pair_residuals_match_dense_oracles(params, n_sites):
     dim = spec.chain_dim
     l1, l2 = 0.58, -0.33
     m1, m2 = monodromy_pair(spec, l1, l2)
-    t1, t2 = (transfer_matrix(spec, x).entries for x in (l1, l2))
+    t1, t2 = (dense_transfer(spec, x) for x in (l1, l2))
     # RTT holds: equal to the oracle up to roundoff of the oracle's scale;
     # R at lam2 - lam1 breaks it at O(1): equal to rtol 1e-12
     res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1.entries, m2.entries, keep)
@@ -224,11 +237,11 @@ def test_reference_state_eigenvalue(chain):
     spec = chain()
     vec = reference_state(spec)
     for lam in (0.77, -0.4, 1.3):
-        tv = transfer_matrix(spec, lam).entries @ vec
+        tv = dense_transfer(spec, lam) @ vec
         ev = reference_eigenvalue(spec, lam)
         assert np.linalg.norm(tv - ev * vec) / abs(ev) < 1e-10
-        t = transfer_matrix(spec, lam).entries
-        assert reference_residual(spec, t, lam) == np.linalg.norm(tv - ev * vec) / abs(ev)
+        blocks = transfer_matrix(spec, lam, sector_blocks(spec))
+        assert reference_residual(spec, blocks, lam) == np.linalg.norm(tv - ev * vec) / abs(ev)
 
 
 def test_xxx_reference_eigenvalue_formula():
@@ -358,10 +371,11 @@ def test_overflowing_chain_product_is_a_value_error():
     # their product is not
     params = RegimeParams.critical(3.0)
     spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
-    for build in (build_monodromy, transfer_matrix):
+    sectors = sector_blocks(spec)
+    for build in (build_monodromy, lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100"):
             build(spec, 100.0)
-    assert np.isfinite(transfer_matrix(spec, 60.0).entries).all()
+    assert all(np.isfinite(block).all() for _, block in transfer_matrix(spec, 60.0, sectors))
 
 
 # ------------------------------------------------------------ sector blocks
@@ -390,22 +404,21 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
     lam, lam0 = 0.63, -0.41
     for spec in every_chain(params):
         sectors = sector_blocks(spec)
-        t, t0 = (transfer_matrix(spec, x) for x in (lam, lam0))
-        blocks, blocks0 = (diagonal_blocks(x.entries, sectors, y)
-                           for x, y in ((t, lam), (t0, lam0)))
-        scale = np.linalg.norm(t.entries) * np.linalg.norm(t0.entries)
+        t, t0 = (dense_transfer(spec, x) for x in (lam, lam0))
+        blocks, blocks0 = (transfer_matrix(spec, x, sectors) for x in (lam, lam0))
+        scale = np.linalg.norm(t) * np.linalg.norm(t0)
         got = sector_commutator(spec, blocks, blocks0)
         assert abs(got - commutator_residual(t, t0, sector_mask(spec))) <= 1e-12 * scale
         assert commuting_residual(spec, *monodromy_pair(spec, lam, lam0), lam, lam0) == got
         # a block-diagonal partner that does not commute with t: the blocks
         # above the ceiling are left out, the others all count
-        other = np.zeros_like(t.entries)
+        other = np.zeros_like(t)
         for _, idx in sectors:
             n = len(idx)
             other[np.ix_(idx, idx)] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        want = commutator_residual(t, TensorOperator(t.space, other), sector_mask(spec))
+        want = commutator_residual(t, other, sector_mask(spec))
         got = sector_commutator(spec, blocks, diagonal_blocks(other, sectors, 0.0))
-        assert abs(got - want) <= 1e-12 * np.linalg.norm(t.entries) * np.linalg.norm(other)
+        assert abs(got - want) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(other)
 
 
 def test_sector_commutator_past_the_float_range_is_inf():
@@ -426,13 +439,41 @@ def test_sector_commutator_past_the_float_range_is_inf():
 def test_charge_leak_is_a_value_error(params):
     spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 5))
     sectors = sector_blocks(spec)
-    t = transfer_matrix(spec, 0.37).entries
+    t = dense_transfer(spec, 0.37)
     assert len(diagonal_blocks(t, sectors, 0.37)) == len(sectors)
     (_, rows), (_, cols) = sectors[1], sectors[2]
     leaky = t.copy()
     leaky[rows[0], cols[-1]] = 1e-300
     with pytest.raises(ValueError, match="leaks charge at lam = 0.37"):
         diagonal_blocks(leaky, sectors, 0.37)
+
+
+def with_leak(make):
+    """`make` with one more entry, 1e-300 at (aux 0, state 0; aux 0, state
+    1): it raises the charge by one, from row to column."""
+    def leaky(*args):
+        op = make(*args)
+        m = op.entries.copy()
+        m[0, 1] = 1e-300
+        return TensorOperator(op.space, m)
+    return leaky
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("name, defect_site, site", [
+    ("make_r", 2, 4), ("make_l", 2, 2), ("make_l", 1, 1)])
+def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name,
+                                                       defect_site, site):
+    # the block route forms no entry between sectors, so every local R and
+    # L is checked before it is contracted, the site-1 tensor included
+    spec = ChainSpec(n_sites=3, defect_site=defect_site, params=params,
+                     rep=defect_rep(params, 5))
+    sectors = sector_blocks(spec)
+    monkeypatch.setattr(monodromy, name, with_leak(getattr(monodromy, name)))
+    message = f"leaks charge at lam = 0.37: the local operator of site {site} "
+    for build in (build_monodromy, lambda *args: transfer_matrix(*args, sectors)):
+        with pytest.raises(ValueError, match=message):
+            build(spec, 0.37)
 
 
 @pytest.mark.parametrize("params, n_max, lams", [
@@ -444,10 +485,14 @@ def test_charge_leak_is_a_value_error(params):
 def test_reference_residual_column_equals_matvec_bit_for_bit(params, n_max, lams):
     for spec in every_chain(params, n_max=n_max):
         vec = reference_state(spec)
+        sectors = sector_blocks(spec)
         for lam in lams:
-            t = transfer_matrix(spec, lam).entries
+            t = dense_transfer(spec, lam)
             ev = reference_eigenvalue(spec, lam)
             size = max(abs(ev), 1e-30)
             scale = 2.0 ** -np.frexp(size)[1]
             want = float(np.linalg.norm((t @ vec - ev * vec) * scale) / (size * scale))
-            assert reference_residual(spec, t, lam) == want
+            blocks = transfer_matrix(spec, lam, sectors)
+            assert reference_residual(spec, blocks, lam) == want
+            # the charge-0 block alone is the reference state's column
+            assert reference_residual(spec, blocks[:1], lam) == want
