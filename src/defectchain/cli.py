@@ -38,7 +38,7 @@ from .oscillator_reps import algebra_residuals
 from .reporting import ResidualReport
 from .special_functions import ConvergenceError
 from .tensor_core import exchange_residual
-from .transmission_amplitudes import (amplitude, breather_amplitude,
+from .transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                       soliton_s_amplitude, type2_amplitude)
 
 EXIT_OK = 0
@@ -156,12 +156,12 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         second_route, tol_amp = "sum", 1e-8
     else:
         second_route, tol_amp = "integral", 1e-6
-    closed = {sign: amplitude(params, sign, lam_grid).value for sign in ("+", "-")}
-    for sign in ("+", "-"):
-        disc = np.abs(closed[sign] - amplitude(params, sign, lam_grid, second_route).value).max()
+    closed = amplitude_pair(params, lam_grid)
+    for sign, mine, theirs in zip("+-", closed, amplitude_pair(params, lam_grid, second_route)):
+        disc = np.abs(mine.value - theirs.value).max()
         add(f"amplitude-cross-route[{sign}]", disc, tol_amp,
             params={"route": second_route})
-    uni = np.abs(closed["-"] * amplitude(params, "+", -lam_grid).value - 1.0).max()
+    uni = np.abs(closed[1].value * amplitude(params, "+", -lam_grid).value - 1.0).max()
     add("amplitude-unitarity", uni, 1e-10)
     s_grid = lam_grid[:3]
     s_disc = np.abs(soliton_s_amplitude(params, s_grid, "closed")
@@ -310,10 +310,10 @@ def cmd_amplitude(args) -> int:
         other = "sum" if params.regime == NONCRITICAL else "integral"
 
         def closed(x):
-            return amplitude(params, "+", x).value, amplitude(params, "-", x).value
+            return tuple(res.value for res in amplitude_pair(params, x))
 
         def second(x):
-            return amplitude(params, "+", x, other).value, amplitude(params, "-", x, other).value
+            return tuple(res.value for res in amplitude_pair(params, x, other))
     elif args.family == "breather":
         n = args.breather_n
 

@@ -37,6 +37,7 @@ import numpy as np
 __all__ = [
     "PoleError",
     "ConvergenceError",
+    "FloatRangeError",
     "ProductTruncation",
     "AmplitudeResult",
     "log_gamma",
@@ -64,6 +65,16 @@ class ConvergenceError(RuntimeError):
     """A truncated product or sum failed to reach its tail tolerance."""
 
 
+class FloatRangeError(ValueError):
+    """An amplitude lies outside the normal float range: location is the
+    first lam_hat where it does, column the amplitude's column there."""
+
+    def __init__(self, message, location=None, column=0):
+        super().__init__(message)
+        self.location = location
+        self.column = column
+
+
 # --------------------------------------------------------------------------
 # complex log-Gamma, Lanczos g=7 with reflection for Re z < 1/2
 # --------------------------------------------------------------------------
@@ -82,6 +93,9 @@ _LANCZOS_C = np.array([
 ])
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_LOG_2 = math.log(2.0)
+# the reflection formula takes log(sin(pi z)) as it is up to this |Im z|
+_SIN_DIRECT = 100.0
 
 
 def _log_gamma_right(z):
@@ -98,8 +112,14 @@ def log_gamma(z):
     """Principal branch of log Gamma(z) for complex z (scalar or array).
 
     Uses a Lanczos approximation on Re z >= 1/2 and the reflection formula
-    elsewhere.  Raises PoleError if any argument sits at a non-positive
-    integer.  exp(log_gamma(x)) matches Gamma(x) on the real axis.
+    elsewhere.  There log sin(pi z) is log(sin(pi z)) up to |Im z| =
+    _SIN_DIRECT.  Past it, where sin(pi z) would overflow from |Im z| ~ 226
+    on, it is i pi s (1/2 - z) - log 2 with s the sign of Im z: sin(pi z) =
+    e^{i pi s (1/2 - z)} (1 - e^{2 i pi s z}) / 2 (DLMF 4.14.1), and
+    |e^{2 i pi s z}| < 1e-272 there; it equals log(sin(pi z)) modulo
+    2 pi i.  Raises PoleError if any argument sits
+    at a non-positive integer.  exp(log_gamma(x)) matches Gamma(x) on the
+    real axis.
     """
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
@@ -117,9 +137,12 @@ def log_gamma(z):
         out[right] = _log_gamma_right(z[right])
     if np.any(~right):
         zl = z[~right]
+        log_sin = np.empty_like(zl)
+        far = np.abs(zl.imag) > _SIN_DIRECT
+        log_sin[~far] = np.log(np.sin(np.pi * zl[~far]))
+        log_sin[far] = 1j * np.pi * np.sign(zl.imag[far]) * (0.5 - zl[far]) - _LOG_2
         # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
-        out[~right] = (np.log(np.pi) - np.log(np.sin(np.pi * zl))
-                       - _log_gamma_right(1.0 - zl))
+        out[~right] = np.log(np.pi) - log_sin - _log_gamma_right(1.0 - zl)
     return out[0] if scalar else out
 
 
@@ -423,15 +446,23 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
 
     The cutoff leaves a tail below _TAIL; the panel width is the largest
     power of two that keeps lam_max * width <= _PANEL_PHASE, at most
-    _MAX_WIDTH.  See _panel_rule for the layout.
+    _MAX_WIDTH.  See _panel_rule for the layout.  A rule of more than
+    ProductTruncation.max_terms nodes (counting cutoff / width panels, a
+    few short of the doubling panels near the origin) raises
+    ConvergenceError before anything is allocated, as mode_sums does.
     """
     if not decay > 0:
         raise ValueError(f"decay rate must be positive, got {decay}")
-    cutoff = -np.log(_TAIL) / decay
+    cutoff = float(-np.log(_TAIL) / decay)
     width = _MAX_WIDTH
     if lam_max * width > _PANEL_PHASE:
-        width = 2.0 ** np.floor(np.log2(_PANEL_PHASE / lam_max))
-    return _panel_rule(float(cutoff), float(width))
+        width = float(2.0 ** np.floor(np.log2(_PANEL_PHASE / lam_max)))
+    size = (_PANEL_NODES + _CHECK_NODES) * math.ceil(cutoff / width) + 1
+    if size > DEFAULT_TRUNCATION.max_terms:
+        raise ConvergenceError(f"the half-line rule needs {size} nodes at max|lam_hat| = "
+                               f"{lam_max:.6g} and decay rate {decay:.6g}, "
+                               f"cap is {DEFAULT_TRUNCATION.max_terms}")
+    return _panel_rule(cutoff, width)
 
 
 def _half_sin_cos(x, groups):
@@ -467,13 +498,20 @@ def _half_sin_cos(x, groups):
 
 def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     """sum_j weights_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j + c_j]
-    at every lam (a 1-d array) for the first rule, with a bound on its error.
+    at every lam (a 1-d array) for the first rule and every column of the
+    terms, with a bound on the error of each value.
 
-    freq are the nodes, group by group, of the (bases, offsets) groups (see
-    _half_sin_cos).  4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases
-    exact.  weights is (nodes, m), one column per rule, the fine rule first;
-    every rule gives the last node zero weight.  The points are walked in
-    blocks so no temporary exceeds BLOCK elements.  The bound adds
+    a, b, c (and c_size) are (nodes, k): k integrands on the same nodes.
+    Every block of points takes its sin/cos table once (_half_sin_cos, with
+    freq the nodes, group by group, of the (bases, offsets) groups) and
+    folds all k integrands of all rules into the same two stacked products,
+    one (nodes, m) weight matrix per integrand, so that a column's value is
+    the one it gets alone, bit for bit; the values and bounds are
+    (points, k).  4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases
+    exact.  weights is (nodes, m), one column per rule, the fine rule
+    first; every rule gives the last node zero weight.  The points are
+    walked in blocks so no temporary exceeds BLOCK elements.  The bound of
+    a column adds
       * the largest spread between the rules,
       * the tail past the last node: the largest term there, grown by
         e^{|Im lam| freq}, times tail_length,
@@ -489,12 +527,15 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         raise ValueError(f"|Im lam| = {np.abs(lam.imag).max():.4g} lets the phases overflow "
                          f"before the last node {freq[-1]:.4g}; keep it below "
                          f"{_MAX_GROWTH / freq[-1]:.4g}")
-    wa = np.multiply(weights, 4.0 * a[:, None], dtype=np.complex128)
-    wb = np.multiply(weights, 2.0 * b[:, None], dtype=np.complex128)
+    rules, cols = weights.shape[1], a.shape[1]
+    # (k, nodes, rules), C-ordered so that every column's matrix is the
+    # contiguous one a single column would have
+    wa = np.multiply(weights, 4.0 * a.T[:, :, None], dtype=np.complex128, order="C")
+    wb = np.multiply(weights, 2.0 * b.T[:, :, None], dtype=np.complex128, order="C")
     if real:
         # complex columns as pairs of real columns: one real product each
         wa, wb = wa.view(float), wb.view(float)
-    ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
+    ln = np.empty((cols, lam.size, rules), dtype=np.complex128)
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
         s, sin_phi = _half_sin_cos(0.5 * lam[i:i + step], groups)
@@ -503,19 +544,20 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         sa, sb = s @ wa, sin_phi @ wb
         if real:
             sa, sb = sa.view(np.complex128), sb.view(np.complex128)
-        ln[i:i + step] = sa + 1j * sb
-    ln += weights.T @ c
+        ln[:, i:i + step] = sa + 1j * sb
+    ln += (weights.T @ np.ascontiguousarray(c.T)[..., None]).transpose(0, 2, 1)
+    ln = ln.transpose(1, 2, 0)      # (points, rules, k)
 
-    phase = freq * float(np.abs(lam).max(initial=0.0))
-    last = 4.0 * abs(a[-1]) + 2.0 * abs(b[-1]) + abs(c[-1])
+    phase = freq[:, None] * float(np.abs(lam).max(initial=0.0))
+    last = 4.0 * np.abs(a[-1]) + 2.0 * np.abs(b[-1]) + np.abs(c[-1])
     sizes = (4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0)
              + 2.0 * np.abs(b) * np.minimum(1.0, phase)
              + (np.abs(c) if c_size is None else c_size)
              + 2.0 * phase * (np.abs(a) * np.minimum(1.0, phase) + np.abs(b)))
-    err = last * math.exp(growth) * tail_length + _EPS * float(weights[:, 0] @ sizes)
-    if weights.shape[1] > 1:
+    err = last * math.exp(growth) * tail_length + _EPS * (weights[:, 0] @ sizes)
+    if rules > 1:
         return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
-    return ln[:, 0], np.full(lam.size, err)
+    return ln[:, 0], np.full((lam.size, cols), err)
 
 
 def half_line_sums(lam, decay: float, terms):
@@ -523,11 +565,11 @@ def half_line_sums(lam, decay: float, terms):
 
         int_0^inf dw [4 sin^2(w lam / 2) a(w) + 2i sin(w lam) b(w) + c(w)]
 
-    for an integrand that decays like e^{-decay w}; terms(w) returns a, b
-    and c at the rule's nodes (and optionally the size of the operands c
-    was formed from, see _rule_sums).  Returns the values and a bound on
-    their errors: the gap to the comparison rule, the tail past the cutoff
-    and rounding.
+    for k integrands that decay like e^{-decay w}; terms(w) returns a, b
+    and c at the rule's nodes, each (nodes, k), and optionally the size of
+    the operands c was formed from (see _rule_sums).  Returns the (points,
+    k) values and a bound on each one's error: the gap to the comparison
+    rule, the tail past the cutoff and rounding.
     """
     w, weights, groups = _half_line_rule(decay, float(np.abs(lam).max(initial=0.0)))
     return _rule_sums(lam, w, groups, weights, 1.0 / decay, *terms(w))
@@ -539,10 +581,13 @@ def mode_sums(lam, eta: float, decay: float, terms):
 
         sum_{k >= 1} [4 sin^2(eta k lam) a(k) + 2i sin(2 eta k lam) b(k) + c(k)]
 
-    The mode count leaves a tail below _TAIL; more modes than
-    ProductTruncation.max_terms raise ConvergenceError before anything is
-    allocated.  The error bound is the tail, read at the next mode and
-    summed geometrically, plus rounding.
+    terms(k) returns a, b and c at the modes, each (modes, columns) with
+    one column per integrand, and the values and bounds are (points,
+    columns).  The mode count
+    leaves a tail below _TAIL; more modes than ProductTruncation.max_terms
+    raise ConvergenceError before anything is allocated.  The error bound
+    is the tail, read at the next mode and summed geometrically, plus
+    rounding.
     """
     rate = decay * eta
     k_max = int(np.ceil(-np.log(_TAIL) / rate)) + 8
@@ -628,72 +673,112 @@ class FourierKernel:
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
-    """exp of the regularised 1/w-weighted Fourier transform of the kernel,
-    at a real lam_hat or a real grid of them.
+# the exponents whose exp is a normal float
+_LN_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
-    The half-line rule is sized from the kernel's decay (cutoff) and from
-    max|lam_hat| (panel width); its error estimate is the gap to the
-    comparison rule on the same panels plus the measured tail.  Analytic
-    continuation is handled in closed form by the callers that need it.
-    """
+
+def _exp_in_range(ln, lam):
+    """exp(ln) for (points, columns) exponents ln at the points lam;
+    FloatRangeError names the first point and column whose exp would leave
+    the normal float range (or whose exponent is NaN)."""
+    outside = ~((ln.real >= _LN_RANGE[0]) & (ln.real <= _LN_RANGE[1]))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise FloatRangeError(f"an amplitude at lam_hat = {lam[i]:.10g} is outside the "
+                              f"float range: ln|T| = {ln[i, j].real:.6g}",
+                              location=lam[i].item(), column=int(j))
+    return np.exp(ln)
+
+
+def _kernel_results(kernels, single: bool, ln, lam, err, route: str, scalar: bool):
+    """exp(ln) per kernel column as AmplitudeResults, with error |value| err:
+    the one result of a single kernel, else a tuple of them."""
+    value = _exp_in_range(ln, lam)
+    out = tuple(AmplitudeResult.on_grid(value[:, j], route, np.abs(value[:, j]) * err[:, j],
+                                        scalar) for j in range(len(kernels)))
+    return out[0] if single else out
+
+
+def _origin_prescription(kernel: FourierKernel):
+    """(decay rate the rule needs, constant shift, counterterm(w)) of a
+    continuous kernel's odd part at the origin."""
     if kernel.discrete:
         raise ValueError("discrete kernel passed to amplitude_integral")
-    lam, scalar = as_grid(lam_hat, real=True)
-    rate = kernel.decay
-    shift = 0.0
+    p = kernel.odd_origin
     if kernel.odd_kind == "none":
-        def counter(w):
-            return np.zeros_like(w)
-    elif kernel.odd_kind == "jump":
-        rate = min(rate, 2.0)
+        return kernel.decay, 0.0, np.zeros_like
+    if kernel.odd_kind == "jump":
+        return min(kernel.decay, 2.0), 0.0, lambda w: p * np.exp(-2.0 * w)
+    if kernel.odd_kind == "pole":
+        # p / (2 sinh(w/2))
+        return (min(kernel.decay, 0.5), p * np.log(2.0),
+                lambda w: -p * np.exp(-w / 2.0) / np.expm1(-w))
+    raise ValueError(
+        f"kernel {kernel.name!r}: no finite origin prescription ({kernel.odd_kind!r})")
 
-        def counter(w):
-            return kernel.odd_origin * np.exp(-2.0 * w)
-    elif kernel.odd_kind == "pole":
-        rate = min(rate, 0.5)
-        shift = kernel.odd_origin * np.log(2.0)
 
-        def counter(w):
-            return -kernel.odd_origin * np.exp(-w / 2.0) / np.expm1(-w)   # p / (2 sinh(w/2))
-    else:
-        raise ValueError(
-            f"kernel {kernel.name!r}: no finite origin prescription ({kernel.odd_kind!r})")
+def amplitude_integral(kernels, lam_hat):
+    """exp of the regularised 1/w-weighted Fourier transform of a kernel,
+    at a real lam_hat or a real grid of them.
+
+    kernels is one FourierKernel, giving one AmplitudeResult, or a sequence
+    of them, giving a tuple: the kernels are columns of one half-line rule,
+    which is sized from their slowest decay (cutoff) and from max|lam_hat|
+    (panel width).  Each error estimate is its column's gap to the
+    comparison rule on the same panels plus the measured tail and rounding.
+    An amplitude outside the normal float range raises FloatRangeError.
+    Analytic continuation is handled in closed form by the callers that
+    need it.
+    """
+    single = isinstance(kernels, FourierKernel)
+    kernels = (kernels,) if single else tuple(kernels)
+    rates, shifts, counters = zip(*map(_origin_prescription, kernels))
+    lam, scalar = as_grid(lam_hat, real=True)
 
     def terms(w):
-        ke, ko = kernel.even_odd(w)
-        cw = counter(w)
-        return ko / w, ke / w, -2.0 * (ko - cw) / w, 2.0 * (np.abs(ko) + np.abs(cw)) / w
+        cols = []
+        for kern, counter in zip(kernels, counters):
+            ke, ko = kern.even_odd(w)
+            cw = counter(w)
+            cols.append((ko / w, ke / w, -2.0 * (ko - cw) / w,
+                         2.0 * (np.abs(ko) + np.abs(cw)) / w))
+        return [np.array(parts).T for parts in zip(*cols)]
 
-    ln, err = half_line_sums(lam, rate, terms)
-    value = np.exp(ln + shift)
-    return AmplitudeResult.on_grid(value, "integral", np.abs(value) * err, scalar)
+    ln, err = half_line_sums(lam, min(rates), terms)
+    return _kernel_results(kernels, single, ln + np.array(shifts), lam, err, "integral", scalar)
 
 
-def amplitude_sum(kernel: FourierKernel, lam_hat, eta: float) -> AmplitudeResult:
+def amplitude_sum(kernels, lam_hat, eta: float):
     """Discrete analogue: exp[-sum_{k != 0} (1/k) e^{-2i eta k lam} K(k)] at a
     real lam_hat or a real grid of them.
 
-    The k = 0 term is excluded by the 1/k weight.  The modes run out where
-    the kernel has decayed (see mode_sums, which also caps their number);
-    the error estimate is the tail past the last mode plus rounding.
+    kernels is one discrete FourierKernel or a sequence of them, as in
+    amplitude_integral: the kernels are columns of one mode sum.  The k = 0
+    term is excluded by the 1/k weight.  The modes run out where the
+    slowest kernel has decayed (see mode_sums, which also caps their
+    number); each error estimate is its column's tail past the last mode
+    plus rounding.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if not kernel.discrete:
-        raise ValueError("continuous kernel passed to amplitude_sum")
-    if kernel.odd_kind == "pole":
-        raise ValueError("pole-type discrete kernels are not defined")
+    single = isinstance(kernels, FourierKernel)
+    kernels = (kernels,) if single else tuple(kernels)
+    for kern in kernels:
+        if not kern.discrete:
+            raise ValueError("continuous kernel passed to amplitude_sum")
+        if kern.odd_kind == "pole":
+            raise ValueError("pole-type discrete kernels are not defined")
     lam, scalar = as_grid(lam_hat, real=True)
-    decay = kernel.decay
-    if kernel.odd_kind == "jump":
-        decay = min(decay, 4.0)
+    decay = min(min(kern.decay, 4.0) if kern.odd_kind == "jump" else kern.decay
+                for kern in kernels)
 
     def terms(k):
-        ke, ko = kernel.even_odd(k)
-        counter = kernel.odd_origin * np.exp(-4.0 * eta * k) if kernel.odd_kind == "jump" else 0.0
-        return ko / k, ke / k, -2.0 * (ko - counter) / k
+        cols = []
+        for kern in kernels:
+            ke, ko = kern.even_odd(k)
+            counter = kern.odd_origin * np.exp(-4.0 * eta * k) if kern.odd_kind == "jump" else 0.0
+            cols.append((ko / k, ke / k, -2.0 * (ko - counter) / k))
+        return [np.array(parts).T for parts in zip(*cols)]
 
     ln, err = mode_sums(lam, eta, decay, terms)
-    value = np.exp(ln)
-    return AmplitudeResult.on_grid(value, "sum", np.abs(value) * err, scalar)
+    return _kernel_results(kernels, single, ln, lam, err, "sum", scalar)

@@ -34,15 +34,17 @@ import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
 from .special_functions import (DEFAULT_TRUNCATION, AmplitudeResult,
-                                ConvergenceError, FourierKernel, ProductTruncation,
-                                amplitude_integral, amplitude_sum, as_grid,
-                                gamma_ratio, gamma_ratio_bound, half_line_sums,
-                                infinite_gamma_product, q_gamma, _hurwitz_tail)
+                                ConvergenceError, FloatRangeError, FourierKernel,
+                                ProductTruncation, amplitude_integral, amplitude_sum,
+                                as_grid, gamma_ratio, gamma_ratio_bound, half_line_sums,
+                                infinite_gamma_product, q_gamma, _exp_in_range,
+                                _hurwitz_tail)
 
 __all__ = [
     "AmplitudeResult",
     "kernel",
     "amplitude",
+    "amplitude_pair",
     "breather_amplitude",
     "type2_amplitude",
     "soliton_s_amplitude",
@@ -253,24 +255,26 @@ def _critical_anchor(gamma: float) -> tuple[float, float]:
         rho_o = (0.5 * np.sign(gamma - 1.0) * np.exp(-np.minimum(u, v))
                  * np.expm1(-(u + v)) * np.expm1(-np.abs(v - u))
                  / (-np.expm1(-2.0 * u) * (1.0 + np.exp(-2.0 * v))))
-        zero = np.zeros_like(w)
-        return zero, zero, -2.0 * rho_o / w
+        zero = np.zeros((w.size, 1))
+        return zero, zero, (-2.0 * rho_o / w)[:, None]
 
     ln, err = half_line_sums(np.zeros(1), min(gamma, 1.0) / 2.0, terms)
-    return float(ln[0].real - 0.5 * np.log(2.0)), float(err[0])
+    return float(ln[0, 0].real - 0.5 * np.log(2.0)), float(err[0, 0])
 
 
-def _critical_ln_ratio(lam, gamma: float):
-    """ln prod_k [f_k(lam)/f_k(0)] for the critical T+ Gamma-ratio product at
-    every lam, resummed as one absolutely convergent Malmsten-type integral,
-    and a bound on its error:
+def _critical_ln_ratio(lam, gamma: float, sides):
+    """ln prod_k [f_k(s lam)/f_k(0)] for the critical T+ Gamma-ratio product at
+    every lam and each s in sides (+1 or -1, a column each), resummed as one
+    absolutely convergent Malmsten-type integral, and a bound on its error:
 
         int_0^inf dt [e^{-g t/2} (e^{-i lam t} - 1) + e^{-(g/2+1) t} (e^{i lam t} - 1)]
                      (1 - e^{-g t}) / ((1 - e^{-t}) (1 - e^{-2 g t}) t)
 
-    The integrand decays like e^{-(g/2 - |Im lam|) t}.  Its phases grow like
-    e^{|Im lam| t} out to the rule's cutoff, so the rule reaches |Im lam| up
-    to about 0.95 g/2 and raises ValueError beyond.
+    The bracket is 4 sin^2(lam t/2) a(t) + 2i sin(lam t) b(t), even and odd
+    in lam, so the column at -lam is the one at lam with b negated, in the
+    complex strip too.  The integrand decays like e^{-(g/2 - |Im lam|) t}.
+    Its phases grow like e^{|Im lam| t} out to the rule's cutoff, so the
+    rule reaches |Im lam| up to about 0.95 g/2 and raises ValueError beyond.
     """
     rate = gamma / 2.0 - float(np.abs(np.imag(lam)).max(initial=0.0))
     if not rate > 0:
@@ -281,7 +285,9 @@ def _critical_ln_ratio(lam, gamma: float):
         b_t = a_t * np.exp(-t)
         g_t = -np.expm1(-gamma * t) / (np.expm1(-t) * np.expm1(-2.0 * gamma * t) * t)
         # the bracket is -2 sin^2(lam t/2) (A + B) + i sin(lam t) (B - A)
-        return -0.5 * (a_t + b_t) * g_t, 0.5 * a_t * np.expm1(-t) * g_t, np.zeros_like(t)
+        a = (-0.5 * (a_t + b_t) * g_t)[:, None].repeat(sides.size, axis=1)
+        b = np.multiply.outer(0.5 * a_t * np.expm1(-t) * g_t, sides)
+        return a, b, np.zeros(a.shape)
 
     return half_line_sums(lam, rate, terms)
 
@@ -322,6 +328,11 @@ def _q_gamma_ratio(num, den, q: float, trunc: ProductTruncation):
 # --------------------------------------------------------------------------
 
 
+_ROUTES = {XXX: ("isotropic", ("closed", "integral")),
+           CRITICAL: ("critical", ("closed", "product", "integral")),
+           NONCRITICAL: ("non-critical", ("closed", "sum"))}
+
+
 def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
               trunc: ProductTruncation = DEFAULT_TRUNCATION) -> AmplitudeResult:
     """Hole-defect transmission amplitude T^{sign}(lam_hat) at a scalar or on
@@ -332,66 +343,79 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
     "product" additionally gives the literal Gamma-ratio product in the
     critical regime.  Closed routes accept complex lam_hat (the critical
     one inside its strip |Im lam_hat| < gamma/2, up to about 0.95 gamma/2,
-    see _critical_ln_ratio); the quadrature routes require it real.
+    see _critical_ln_ratio); the quadrature routes require it real.  An
+    amplitude outside the normal float range raises FloatRangeError naming
+    lam_hat and the anisotropy.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    kern_name = "rt_plus" if sign == "+" else "rt_minus"
+    return _hole_amplitudes(params, sign, lam_hat, route, trunc)[0]
 
-    if params.regime == XXX:
-        if route == "closed":
-            lam, scalar = as_grid(lam_hat)
-            if sign == "+":
-                val, err = gamma_ratio_bound([-1j * lam / 2 + 0.25], [-1j * lam / 2 + 0.75])
-            else:
-                val, err = gamma_ratio_bound([1j * lam / 2 + 0.75], [1j * lam / 2 + 0.25])
-            return AmplitudeResult.on_grid(val, "closed", err, scalar)
-        if route == "integral":
-            return amplitude_integral(kernel(params, kern_name), lam_hat)
-        raise ValueError(f"route {route!r} not available in the isotropic regime")
 
-    if params.regime == CRITICAL:
-        g = params.gamma
-        if route == "closed":
-            lam, scalar = as_grid(lam_hat)
-            ln_a, err_a = _critical_anchor(g)
-            ln_r, err_r = _critical_ln_ratio(lam if sign == "+" else -lam, g)
-            val = np.exp(ln_a + ln_r)
-            if sign == "-":
-                val = 1.0 / val
-            return AmplitudeResult.on_grid(val, "closed", np.abs(val) * (err_a + err_r), scalar)
-        if route == "product":
-            # past ~1e4 factors the float noise of the summed log-Gammas
-            # dominates the analytically completed 1/k^2 tail, so the literal
-            # product stops earlier than the generic default
-            ptrunc = trunc if trunc is not DEFAULT_TRUNCATION else \
-                ProductTruncation(max_terms=trunc.max_terms, tail_tol=1e-9)
-            lam, scalar = as_grid(lam_hat)
-            anchor = np.exp(_critical_anchor(g)[0])
-            val = np.empty(lam.shape, dtype=np.complex128)
-            err = np.empty(lam.shape)
-            for i, x in enumerate(lam):
-                prod, tail = _critical_ratio_product(x if sign == "+" else -x, g, ptrunc)
-                val[i] = anchor * prod if sign == "+" else 1.0 / (anchor * prod)
-                err[i] = tail * abs(val[i])
-            return AmplitudeResult.on_grid(val, "product", err, scalar)
-        if route == "integral":
-            return amplitude_integral(kernel(params, kern_name), lam_hat)
-        raise ValueError(f"route {route!r} not available in the critical regime")
+def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed",
+                   trunc: ProductTruncation = DEFAULT_TRUNCATION
+                   ) -> tuple[AmplitudeResult, AmplitudeResult]:
+    """(T+, T-) of `amplitude` on the same lam_hat and route, from one pass:
+    the quadrature and sum routes take both as columns of one rule, and the
+    critical closed route reads its ratio integral at +lam_hat and -lam_hat
+    as two columns of one rule."""
+    return _hole_amplitudes(params, "+-", lam_hat, route, trunc)
 
-    # non-critical
-    eta = params.eta
-    if route == "closed":
+
+def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str,
+                     trunc: ProductTruncation) -> tuple[AmplitudeResult, ...]:
+    """T^s(lam_hat) for each sign s in signs, each computed once."""
+    regime, routes = _ROUTES[params.regime]
+    if route not in routes:
+        raise ValueError(f"route {route!r} not available in the {regime} regime")
+    try:
+        if route in ("integral", "sum"):
+            kernels = [kernel(params, "rt_plus" if s == "+" else "rt_minus") for s in signs]
+            return (amplitude_integral(kernels, lam_hat) if route == "integral"
+                    else amplitude_sum(kernels, lam_hat, params.eta))
         lam, scalar = as_grid(lam_hat)
-        q4 = float(np.exp(-4.0 * eta))
-        if sign == "+":
-            val, err = _q_gamma_ratio([-1j * lam / 2 + 0.75], [-1j * lam / 2 + 0.25], q4, trunc)
-        else:
-            val, err = _q_gamma_ratio([1j * lam / 2 + 0.25], [1j * lam / 2 + 0.75], q4, trunc)
-        return AmplitudeResult.on_grid(val, "closed", err, scalar)
-    if route == "sum":
-        return amplitude_sum(kernel(params, kern_name), lam_hat, eta)
-    raise ValueError(f"route {route!r} not available in the non-critical regime")
+        columns = _closed_amplitudes(params, signs, lam, route, trunc)
+    except FloatRangeError as exc:
+        where = {CRITICAL: f"mu = {params.mu}",
+                 NONCRITICAL: f"eta = {params.eta}"}.get(params.regime, "the isotropic point")
+        raise FloatRangeError(f"T{signs[exc.column]} at lam_hat = {exc.location:.10g} is "
+                              f"outside the float range at {where}",
+                              location=exc.location, column=exc.column) from None
+    return tuple(AmplitudeResult.on_grid(val, route, err, scalar) for val, err in columns)
+
+
+def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str,
+                       trunc: ProductTruncation):
+    """(values, errors) per sign of the closed (or, critical, the literal
+    product) route.  xxx: Gamma ratios; non-critical: q-Gamma ratios;
+    critical: T+(lam) = A r(lam) and T-(lam) = 1 / T+(-lam), with A the
+    anchor and r the ratio product."""
+    if params.regime != CRITICAL:
+        out = []
+        for s in signs:
+            z = (-1j if s == "+" else 1j) * lam / 2
+            a, b = (0.25, 0.75) if (s == "+") == (params.regime == XXX) else (0.75, 0.25)
+            out.append(gamma_ratio_bound([z + a], [z + b]) if params.regime == XXX else
+                       _q_gamma_ratio([z + a], [z + b], float(np.exp(-4.0 * params.eta)), trunc))
+        return out
+    sides = np.array([1.0 if s == "+" else -1.0 for s in signs])
+    ln_a, err_a = _critical_anchor(params.gamma)
+    if route == "closed":
+        ln_r, err_r = _critical_ln_ratio(lam, params.gamma, sides)
+        val = _exp_in_range(sides * (ln_a + ln_r), lam)
+        err = np.abs(val) * (err_a + err_r)
+    else:
+        # past ~1e4 factors the float noise of the summed log-Gammas
+        # dominates the analytically completed 1/k^2 tail, so the literal
+        # product stops earlier than the generic default
+        ptrunc = trunc if trunc is not DEFAULT_TRUNCATION else \
+            ProductTruncation(max_terms=trunc.max_terms, tail_tol=1e-9)
+        prods = np.array([[_critical_ratio_product(side * x, params.gamma, ptrunc)
+                           for side in sides] for x in lam]).reshape(lam.size, sides.size, 2)
+        val = np.exp(ln_a) * prods[..., 0]
+        val[:, sides < 0] = 1.0 / val[:, sides < 0]
+        err = prods[..., 1].real * np.abs(val)
+    return [(val[:, j], err[:, j]) for j in range(sides.size)]
 
 
 # --------------------------------------------------------------------------

@@ -29,11 +29,11 @@ def test_xxx_sigma0_kernel_and_inversion():
     # the bulk density sigma0(0) = 1/2 as the cosine transform of the
     # kernel's even part, int_0^inf K_e(w) dw / pi, on the half-line rule
     def terms(w):
-        zero = np.zeros_like(w)
-        return zero, zero, k.even_odd(w)[0].real / np.pi
+        zero = np.zeros((w.size, 1))
+        return zero, zero, (k.even_odd(w)[0].real / np.pi)[:, None]
 
     dens = half_line_sums(np.zeros(1), k.decay, terms)[0].real
-    assert dens[0] == pytest.approx(0.5, abs=1e-8)
+    assert dens[0, 0] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_xxx_rt_kernels_reflection():

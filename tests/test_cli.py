@@ -16,7 +16,7 @@ from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
 from defectchain.reporting import ResidualReport
 from defectchain.tensor_core import commutator_residual, exchange_residual
-from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
+from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  soliton_s_amplitude)
 from dense_oracle import dense_transfer, reference_state
 
@@ -108,8 +108,9 @@ def test_verify_csv_is_well_formed(tmp_path, args):
 class SampleLog:
     """Wraps the sampled functions and counts every sample point they are
     given, keyed by function, sign and route (exchange relations by the size
-    of A and whether a mask applies), so two evaluation orders can be checked
-    to visit the same points."""
+    of A and whether a mask applies; a pair of hole amplitudes as the points
+    of both signs), so two evaluation orders can be checked to visit the
+    same points."""
 
     def __init__(self):
         self.points = Counter()
@@ -126,22 +127,24 @@ class SampleLog:
                 n = len(a["a1"]) if np.ndim(a["a1"]) == 3 else 1
                 self.points[(fn.__name__, d, a["keep"] is None)] += n
             else:
-                key = (fn.__name__, a.get("sign"), a["route"])
                 lam = a["lam_hat"] if "lam_hat" in a else a["lam"]
-                self.points.update((key, complex(x)) for x in np.ravel(lam))
+                keys = ([("amplitude", sign, a["route"]) for sign in "+-"]
+                        if fn is amplitude_pair else [(fn.__name__, a.get("sign"), a["route"])])
+                for key in keys:
+                    self.points.update((key, complex(x)) for x in np.ravel(lam))
             return fn(*args, **kwargs)
 
         return logged
 
 
-SAMPLED = (amplitude, breather_amplitude, soliton_s_amplitude, exchange_residual)
+SAMPLED = (amplitude, breather_amplitude, soliton_s_amplitude, exchange_residual, amplitude_pair)
 
 
 def per_point_records(params, fock_dim, seed, log):
     """The records `run_verify` evaluates on sample grids, rebuilt one sample
     point at a time from scalar calls: the suite's sample points, counts and
     gates, with every amplitude and every exchange relation taken alone."""
-    amp, breather, s_amp, exchange = (log.wrap(fn) for fn in SAMPLED)
+    amp, breather, s_amp, exchange = (log.wrap(fn) for fn in SAMPLED[:4])
     rng = np.random.default_rng(seed)
     rep = defect_rep(params, fock_dim)
     pairs = rng.uniform(-1.5, 1.5, size=(6, 2))

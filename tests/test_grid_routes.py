@@ -1,6 +1,13 @@
 """Grid evaluation of the amplitude routes: a grid call equals per-point
-scalar calls, every error estimate is measured and bounds the observed
-error, and the critical anchor holds out to slowly decaying kernels."""
+scalar calls, a pair of signs equals two single-sign calls, every error
+estimate is measured and bounds the observed error, and the critical anchor
+holds out to slowly decaying kernels."""
+import os
+import resource
+import subprocess
+import sys
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -11,9 +18,9 @@ from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
 from defectchain.special_functions import (_LOG_GAMMA_REL, BLOCK, ConvergenceError,
-                                           _half_line_rule, _legendre, amplitude_sum,
-                                           log_gamma, q_gamma)
-from defectchain.transmission_amplitudes import (amplitude,
+                                           FloatRangeError, _half_line_rule, _legendre,
+                                           amplitude_sum, log_gamma, q_gamma)
+from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
                                                  breather_amplitude, kernel,
                                                  soliton_s_amplitude, type2_amplitude)
 
@@ -208,13 +215,16 @@ def test_mode_sum_cap_raises_before_allocating():
 def direct_trig_sums(lam, freq, weights, a, b, c):
     """The fine rule's sums with sin and cos taken at every (lam, node)
     pair, in the blocks and products the rule used before it shared them
-    across panels: the oracle for the angle-addition evaluation."""
+    across panels, for every column of the (nodes, k) terms: the oracle for
+    the angle-addition evaluation."""
     real = not np.iscomplexobj(lam)
-    wa = np.multiply(weights, 4.0 * a[:, None], dtype=np.complex128)
-    wb = np.multiply(weights, 2.0 * b[:, None], dtype=np.complex128)
+    rules, cols = weights.shape[1], a.shape[1]
+    wa = np.multiply(weights[:, :, None], 4.0 * a[:, None], dtype=np.complex128)
+    wb = np.multiply(weights[:, :, None], 2.0 * b[:, None], dtype=np.complex128)
+    wa, wb = wa.reshape(freq.size, -1), wb.reshape(freq.size, -1)
     if real:
         wa, wb = wa.view(float), wb.view(float)
-    ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
+    ln = np.empty((lam.size, rules * cols), dtype=np.complex128)
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
         half = np.multiply.outer(lam[i:i + step], 0.5 * freq)
@@ -225,27 +235,30 @@ def direct_trig_sums(lam, freq, weights, a, b, c):
         if real:
             sa, sb = sa.view(np.complex128), sb.view(np.complex128)
         ln[i:i + step] = sa + 1j * sb
-    ln += weights.T @ c
-    return ln[:, 0]
+    ln += (weights.T @ c).ravel()
+    return ln.reshape(lam.size, rules, cols)[:, 0]
 
 
 def exact_phase_sums(lam, freq, weights, a, b, c):
-    """The fine rule's sums on the same nodes, weights and terms, with the
-    phases, sin and cos and the sums in long double: the rule's value less
-    the float rounding its error estimate must charge."""
+    """The fine rule's sums on the same nodes, weights and (nodes, k) terms,
+    with the phases, sin and cos and the sums in long double: the rule's
+    value less the float rounding its error estimate must charge."""
     ld = np.longdouble
     half = np.multiply.outer(np.asarray(lam, dtype=ld), np.asarray(freq, dtype=ld)) / 2
     s2, sin_phi = 4 * np.sin(half) ** 2, 2 * np.sin(2 * half)
-    w = weights[:, 0].astype(ld)
+    w = weights[:, :1].astype(ld)
     a, b, c = (np.asarray(t, dtype=np.complex128) for t in (a, b, c))
-    re = s2 @ (w * a.real.astype(ld)) - sin_phi @ (w * b.imag.astype(ld)) + w @ c.real.astype(ld)
-    im = s2 @ (w * a.imag.astype(ld)) + sin_phi @ (w * b.real.astype(ld)) + w @ c.imag.astype(ld)
+    re = (s2 @ (w * a.real.astype(ld)) - sin_phi @ (w * b.imag.astype(ld))
+          + (w * c.real.astype(ld)).sum(axis=0))
+    im = (s2 @ (w * a.imag.astype(ld)) + sin_phi @ (w * b.real.astype(ld))
+          + (w * c.imag.astype(ld)).sum(axis=0))
     return re.astype(float) + 1j * im.astype(float)
 
 
 def rule_calls(monkeypatch, compute, oracle=direct_trig_sums):
     """Run compute() and return, for every rule evaluation it made, the
-    values and error bound the rule returned and the oracle's values."""
+    (points, k) values and error bounds the rule returned and the oracle's
+    values."""
     seen = []
     rule_sums = special_functions._rule_sums
 
@@ -291,7 +304,9 @@ def test_mode_sums_are_bit_identical_to_direct_trig(monkeypatch):
             monkeypatch, lambda: (amplitude(nc, "+", np.linspace(-4.0, 4.0, 121), "sum"),
                                   amplitude(nc, "-", 0.3, "sum"),
                                   type2_amplitude(np.linspace(-2.0, 2.0, 41), 0.5, 1.5, "sum"))):
-        assert np.array_equal(value, direct)
+        assert value.shape == direct.shape
+        for col in range(value.shape[1]):
+            assert np.array_equal(value[:, col], direct[:, col])
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
@@ -358,3 +373,127 @@ def test_table_rule_shares_its_trig_work():
     nodes, _, groups = _half_line_rule(0.5, 4.0)
     assert nodes.size == 1233
     assert sum(2 * b.size + u.size for b, u in groups) <= nodes.size / 3
+
+
+# ------------------------------------------------ both signs from one pass
+
+CRIT_STRIP = (np.linspace(-3.0, 3.0, 9)
+              + 1j * np.linspace(-0.94, 0.94, 9) * CRIT_07.gamma / 2.0)
+PAIR_CASES = [(XXX, "closed", np.linspace(-4.0, 4.0, 121)),
+              (XXX, "integral", np.linspace(-4.0, 4.0, 121)),
+              (CRIT_07, "closed", np.linspace(-4.0, 4.0, 121)),
+              (CRIT_07, "integral", np.linspace(-4.0, 4.0, 121)),
+              (RegimeParams.critical(2.9), "integral", np.linspace(-4.0, 4.0, 41)),
+              (CRIT_07, "closed", CRIT_STRIP),
+              (RegimeParams.noncritical(0.5), "closed", np.linspace(-4.0, 4.0, 121)),
+              (RegimeParams.noncritical(0.5), "sum", np.linspace(-4.0, 4.0, 121)),
+              (RegimeParams.noncritical(0.01), "sum", np.linspace(-4.0, 4.0, 41)),
+              (XXX, "integral", 0.37)]
+
+
+@pytest.mark.parametrize("params,route,grid", PAIR_CASES,
+                         ids=["xxx-closed", "xxx-integral", "crit-closed", "crit-integral",
+                              "mu2.9-integral", "crit-strip", "nc-closed", "nc-sum",
+                              "eta0.01-sum", "scalar"])
+def test_pair_equals_single_sign_calls(params, route, grid):
+    pair = amplitude_pair(params, grid, route)
+    assert len(pair) == 2
+    for sign, res in zip("+-", pair):
+        one = amplitude(params, sign, grid, route)
+        assert res.route == one.route
+        assert np.shape(res.value) == np.shape(one.value) == np.shape(grid)
+        gap = np.abs(res.value - one.value)
+        assert np.all(gap <= 1e-14 * np.abs(one.value)), sign
+        assert np.all(gap <= res.error_estimate), sign
+
+
+def test_critical_pair_includes_the_product_route():
+    grid = np.array([0.3, -1.2])
+    for sign, res in zip("+-", amplitude_pair(CRIT_07, grid, "product")):
+        one = amplitude(CRIT_07, sign, grid, "product")
+        assert np.array_equal(res.value, one.value) and res.route == "product"
+
+
+@pytest.mark.parametrize("args,rules", [(["--regime", "xxx"], 1),
+                                        (["--regime", "critical", "--mu", "0.7"], 2),
+                                        (["--regime", "noncritical", "--eta", "0.5"], 1)],
+                         ids=["xxx", "critical", "noncritical"])
+def test_type1_table_takes_one_trig_pass_per_block_per_rule(monkeypatch, tmp_path, args, rules):
+    # T+ and T- are columns of one rule: the sin/cos table of each block of
+    # points is built once per rule (the critical closed route's ratio
+    # integral and the quadrature route are one rule each, never shared)
+    calls, passes = [], []
+    rule_sums, half_sin_cos = special_functions._rule_sums, special_functions._half_sin_cos
+
+    def rule_spy(lam, freq, *rest):
+        calls.append((lam.size, freq.size))
+        return rule_sums(lam, freq, *rest)
+
+    def trig_spy(x, groups):
+        passes.append(x.size)
+        return half_sin_cos(x, groups)
+
+    monkeypatch.setattr(special_functions, "_rule_sums", rule_spy)
+    monkeypatch.setattr(special_functions, "_half_sin_cos", trig_spy)
+    _critical_anchor.cache_clear()      # its one-point rule runs in the table too
+    assert main(["amplitude", *args, "--grid=-4:4:121", "--out", str(tmp_path / "t.csv")]) == 0
+    table = [size for size, _ in calls if size == 121]
+    assert len(table) == rules
+    assert len(calls) - len(table) == (1 if "critical" in args else 0)
+    assert len(passes) == sum(-(-size // max(1, BLOCK // nodes)) for size, nodes in calls)
+    assert sum(passes) == sum(size for size, _ in calls)
+
+
+# ------------------------------------------------ the amplitude domain
+
+def test_xxx_routes_agree_where_sin_pi_z_overflows():
+    # the closed route's Gamma arguments reach |Im z| = 500, where
+    # log(sin(pi z)) itself overflows
+    grid = np.array([-1000.0, -460.0, 460.0, 1000.0])
+    for closed, quad in zip(amplitude_pair(XXX, grid), amplitude_pair(XXX, grid, "integral")):
+        assert np.all(np.isfinite(closed.value)) and np.all(np.abs(closed.value) > 0.04)
+        assert np.all(np.abs(closed.value - quad.value)
+                      <= closed.error_estimate + quad.error_estimate)
+
+
+@pytest.mark.parametrize("params,sign,lam,route",
+                         [(CRIT_07, "-", 455.0, "closed"), (CRIT_07, "-", -455.0, "integral"),
+                          (CRIT_07, "+", 460.0, "closed"),
+                          (RegimeParams.critical(1e-3), "+", 0.0, "closed"),
+                          (RegimeParams.critical(1e-3), "-", 0.0, "integral")])
+def test_amplitude_outside_the_float_range_raises(params, sign, lam, route):
+    with pytest.raises(FloatRangeError, match=rf"T\{sign} at lam_hat = {lam:g} is outside the "
+                                              rf"float range at mu = {params.mu}"):
+        amplitude(params, sign, lam, route)
+
+
+@pytest.mark.parametrize("args", [["--mu", "0.7", "--grid=-1000:1000:3"],
+                                  ["--mu", "1e-3", "--grid=0:0:1"]])
+def test_amplitude_table_outside_the_float_range_is_one_error_line(capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["amplitude", "--regime", "critical", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: T") and "float range" in err
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_half_line_rule_cap_raises_before_allocating():
+    # 2.7e8 nodes would take several GB: under a 1 GB address space a
+    # missing cap fails fast with a MemoryError traceback instead
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "defectchain", "amplitude",
+                           "--regime", "xxx", "--grid=-1e6:1e6:3"], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: the half-line rule needs 270416777 nodes")
+    with pytest.raises(ConvergenceError, match="cap is 400000"):
+        amplitude(XXX, "+", 1600.0, "integral")
+    assert np.isfinite(amplitude(XXX, "+", 1536.0, "integral").value)

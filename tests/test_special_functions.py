@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectchain.special_functions import (ConvergenceError, FourierKernel,
-                                           PoleError, ProductTruncation,
-                                           _hurwitz_tail, amplitude_integral,
+from defectchain.special_functions import (_LOG_GAMMA_REL, _SIN_DIRECT, ConvergenceError,
+                                           FourierKernel, PoleError, ProductTruncation,
+                                           _hurwitz_tail, _log_gamma_right, amplitude_integral,
                                            amplitude_sum, gamma_ratio,
                                            infinite_gamma_product, log_gamma,
                                            q_gamma)
@@ -64,6 +64,34 @@ def test_reflection_formula(re, im):
         return
     lhs = np.exp(log_gamma(z)) * np.exp(log_gamma(1 - z)) * np.sin(np.pi * z)
     assert abs(lhs - np.pi) < 1e-10 * abs(np.pi)
+
+
+def _mod_2pi_i(d: complex) -> complex:
+    return complex(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi)
+
+
+@pytest.mark.parametrize("im", [230.0, 1e3, 1e4])
+def test_log_gamma_far_from_the_real_axis(im):
+    # the reflection side at |Im z| past ~226, where sin(pi z) overflows
+    for re in (-3.3, -0.25, 0.25, 0.49):
+        for z in (complex(re, im), complex(re, -im)):
+            lg = complex(log_gamma(z))
+            d = _mod_2pi_i(lg - complex(mp.loggamma(z)))
+            assert abs(d) <= _LOG_GAMMA_REL * (1.0 + abs(lg)), z
+
+
+def test_log_gamma_reflection_keeps_log_sin_where_it_is_finite():
+    # log pi - log(sin(pi z)) - log Gamma(1 - z) as it stands: the same
+    # bits up to |Im z| = _SIN_DIRECT, the same value modulo 2 pi i beyond
+    re, im = np.meshgrid(np.linspace(-4.9, 0.45, 23), np.linspace(-225.0, 225.0, 91))
+    z = (re + 1j * im).ravel()
+    literal = np.log(np.pi) - np.log(np.sin(np.pi * z)) - _log_gamma_right(1.0 - z)
+    got = log_gamma(z)
+    near = np.abs(z.imag) <= _SIN_DIRECT
+    assert near.any() and not near.all()
+    assert np.array_equal(got[near], literal[near])
+    for g, want in zip(got[~near], literal[~near]):
+        assert abs(_mod_2pi_i(g - want)) <= 4e-16 * abs(want)
 
 
 def test_log_gamma_pole_reported():
