@@ -13,9 +13,11 @@ spectrum   eigenvalues of the transfer matrix grouped by charge sector,
 bae        solve the one-root Bethe equation (N=1, M=1) exactly and report
            the residuals for both defect orientations.
 
-Outputs are deterministic: random spectral points come from a seeded
-generator recorded in the output header, and records are sorted before
-writing.  Formats: csv (tables) or jsonl (one JSON record per line).
+Outputs are deterministic: `verify`'s random sample points come from a
+pure-Python PCG64 that reproduces numpy.random.default_rng(seed).uniform bit
+for bit, with the seed recorded in the output header, and records are sorted
+before writing.  Every header also names the package and numpy versions.
+Formats: csv (tables) or jsonl (one JSON record per line).
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import monodromy as mono
 from . import transmission_matrices as tmat
 from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
@@ -80,15 +83,69 @@ def _make_params(args) -> RegimeParams:
     return RegimeParams.noncritical(args.eta, theta=args.theta)
 
 
+def _header(args, **fields) -> dict:
+    """The output header: the command, its regime and theta, the package and
+    numpy versions, and the command's own fields."""
+    return {"command": args.command, "regime": args.regime, "theta": args.theta,
+            "version": __version__, "numpy": np.__version__, **fields}
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_uniform(seed: int):
+    """uniform(low, high, size) whose successive calls return those of
+    numpy.random.default_rng(seed).uniform bit for bit, without numpy.random:
+    SeedSequence hashes the seed's 32-bit words into a pool of four, the pool
+    into PCG64's 128-bit state and increment, and each draw is low + (high -
+    low) * (x >> 11) * 2**-53 of the next XSL-RR output x (O'Neill, 2014)."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashed(value, mult=0x931E8875):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mixed(x, y):
+        x = 0xCA01F9DD * x - 0x4973F715 * hashed(y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashed(word) for word in (words + [0, 0, 0])[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mixed(pool[dst], pool[src])
+    for word in words[4:]:
+        pool = [mixed(x, word) for x in pool]
+    const = 0x8B51F9DD
+    half = [hashed(pool[i % 4], 0x58F38DED) for i in range(8)]
+    u64 = [half[k] | half[k + 1] << 32 for k in (0, 2, 4, 6)]
+    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _M128
+    state = ((u64[0] << 64 | u64[1]) + inc) * _PCG64_MULT + inc & _M128
+
+    def uniform(low: float, high: float, size) -> np.ndarray:
+        nonlocal state
+        out = np.empty(size)
+        for k in range(out.size):
+            state = state * _PCG64_MULT + inc & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            x = (x >> rot | x << 64 - rot) & _M64
+            out.flat[k] = low + (high - low) * ((x >> 11) * 2.0 ** -53)
+        return out
+
+    return uniform
 
 
 def run_verify(params: RegimeParams, fock_dim: int, seed: int,
                tol_override: float | None = None) -> list[ResidualReport]:
     """The full identity suite for one regime."""
-    rng = np.random.default_rng(seed)
+    uniform = _seeded_uniform(seed)
     rep = defect_rep(params, fock_dim)
     reports: list[ResidualReport] = []
 
@@ -98,7 +155,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
     # Yang-Baxter for R and the prefactored S-matrix: the exchange relation
     # with A = R (or S) on V = C^2, one stacked call over the pairs
-    pairs = rng.uniform(-1.5, 1.5, size=(6, 2))
+    pairs = uniform(-1.5, 1.5, (6, 2))
     args = np.stack([pairs[:, 0] - pairs[:, 1], pairs[:, 0], pairs[:, 1]])   # (R12, A1, A2)
 
     def stack(f, xs):
@@ -140,7 +197,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     # monodromy-level checks at desk scale
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params,
                           rep=defect_rep(params, 6))
-    l1, l2 = rng.uniform(-1.0, 1.0, size=2)
+    l1, l2 = uniform(-1.0, 1.0, 2)
     m1, m2 = (mono.build_monodromy(spec, x) for x in (l1, l2))
     pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
     add("rtt", mono.rtt_residual(spec, m1, m2, l1, l2), 1e-10, params=pair, subspace=sectors)
@@ -170,7 +227,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
     # transmission matrices
     trep = tmat.default_rep(params, 6)
-    l1, l2 = rng.uniform(-1.2, 1.2, size=2)
+    l1, l2 = uniform(-1.2, 1.2, 2)
     for which in ("t", "t_bar"):
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),
             1e-9, params={"lam1": l1, "lam2": l2, "dim": trep.dim},
@@ -285,8 +342,7 @@ def cmd_verify(args) -> int:
                 "residual": r["residual"], "tolerance": r.get("tolerance", float("nan")),
                 "pass": r.get("pass", True), "subspace": r["subspace"]}
                for r in records]
-    header = {"command": "verify", "regime": args.regime, "seed": args.seed,
-              "fock_dim": args.fock_dim, "theta": args.theta}
+    header = _header(args, seed=args.seed, fock_dim=args.fock_dim, sampler="pcg64")
     if args.regime == "critical":
         header["mu"] = args.mu
     if args.regime == "noncritical":
@@ -349,8 +405,7 @@ def cmd_amplitude(args) -> int:
              "im_t_plus": tp.imag.tolist(), "re_t_minus": tm.real.tolist(),
              "im_t_minus": tm.imag.tolist(),
              "route_discrepancy": np.where(pole, np.nan, disc).tolist(), "note": notes}
-    header = {"command": "amplitude", "regime": args.regime, "family": args.family,
-              "grid": f"{start}:{stop}:{count}", "theta": args.theta}
+    header = _header(args, family=args.family, grid=f"{start}:{stop}:{count}")
     _write_records([table], args.format or "csv", args.out, header)
     return EXIT_OK
 
@@ -385,9 +440,8 @@ def cmd_spectrum(args) -> int:
             table["im_eig"] += [z.imag for z in evs]
             table["exact"] += [int(sector <= spec.max_exact_charge)] * len(evs)
         tables.append(table)
-    header = {"command": "spectrum", "regime": args.regime, "sites": args.sites,
-              "defect_site": args.defect_site, "fock_dim": args.fock_dim,
-              "theta": args.theta}
+    header = _header(args, sites=args.sites, defect_site=args.defect_site,
+                     fock_dim=args.fock_dim)
     _write_records(tables, args.format or "csv", args.out, header)
     return EXIT_OK
 
@@ -397,7 +451,7 @@ def cmd_bae(args) -> int:
     rows = [{"sign": sign, "re_root": root.real, "im_root": root.imag, "residual": res}
             for sign, root, res in _bae_roots(params)]
     worst = max(row["residual"] for row in rows)
-    header = {"command": "bae", "regime": args.regime, "theta": args.theta}
+    header = _header(args)
     _write_records([_columns(rows)], args.format or "csv", args.out, header)
     tol = args.tol if args.tol is not None else 1e-10
     return EXIT_OK if worst < tol else EXIT_FAIL

@@ -62,20 +62,20 @@ def _sech2(x):
     return np.exp(-ax) / (1.0 + np.exp(-2.0 * ax))
 
 
-def kernel(params: RegimeParams, name: str, n: int | None = None,
-           spin: float | None = None) -> FourierKernel:
-    """Named Fourier kernel of the regime.
+def kernel(params: RegimeParams, name: str, spin: float | None = None) -> FourierKernel:
+    """Named Fourier kernel of the regime: the hole kernels rt_plus and
+    rt_minus, the bulk kernel r, and in the critical regime the breather
+    kernels tb_plus and tb_minus, in the non-critical one the spin-defect
+    kernel rt_spin (which takes ``spin``).
 
     Continuous regimes (isotropic, critical) give functions of a real
     frequency w; the non-critical regime gives discrete integer-mode kernels.
-    Parametric families take ``n`` (a_n, b_n) or ``spin`` (the spin-defect
-    kernel rt).
     """
     if params.regime == XXX:
-        return _kernel_xxx(name, n)
+        return _kernel_xxx(name)
     if params.regime == CRITICAL:
-        return _kernel_critical(params, name, n)
-    return _kernel_noncritical(params, name, n, spin)
+        return _kernel_critical(params, name)
+    return _kernel_noncritical(params, name, spin)
 
 
 def _half_line(values, support_sign: float):
@@ -91,36 +91,23 @@ def _half_line(values, support_sign: float):
     return hat
 
 
-def _kernel_xxx(name: str, n) -> FourierKernel:
-    if name == "sigma0":
-        return FourierKernel("sigma0", lambda w: _sech2(w / 2.0), decay=0.5)
+def _kernel_xxx(name: str) -> FourierKernel:
     if name in ("rt_plus", "rt_minus"):
         support = -1.0 if name == "rt_plus" else 1.0
         hat = _half_line(lambda w: _sech2(w / 2.0), support)
         return FourierKernel(name, hat, odd_kind="jump",
                              odd_origin=support * 0.25, decay=0.5)
-    if name == "a_n":
-        if n is None:
-            raise ValueError("a_n needs n")
-        return FourierKernel(f"a_{n}", lambda w: np.exp(-n * np.abs(w) / 2.0), decay=n / 2.0)
-    if name in ("frak_a_plus", "frak_a_minus"):
-        sgn = 1.0 if name.endswith("plus") else -1.0
-        hat = _half_line(lambda w, sgn=sgn: np.exp(sgn * w / 2.0), -sgn)
-        return FourierKernel(name, hat, odd_kind="jump",
-                             odd_origin=-sgn * 0.5, decay=0.5)
     if name == "r":
         return FourierKernel(
             "r", lambda w: np.exp(-np.abs(w)) / (1.0 + np.exp(-np.abs(w))), decay=1.0)
     raise ValueError(f"unknown isotropic kernel {name!r}")
 
 
-def _kernel_critical(params: RegimeParams, name: str, n) -> FourierKernel:
+def _kernel_critical(params: RegimeParams, name: str) -> FourierKernel:
     nu = params.nu
     g = params.gamma
 
-    if name == "sigma0":
-        return FourierKernel("sigma0", lambda w: _sech2(g * w / 2.0), decay=g / 2.0)
-    if name in ("rt_plus", "rt_minus", "B_plus", "B_minus"):
+    if name in ("rt_plus", "rt_minus"):
         sgn = 1.0 if name.endswith("plus") else -1.0
 
         def hat(w, sgn=sgn):
@@ -133,31 +120,6 @@ def _kernel_critical(params: RegimeParams, name: str, n) -> FourierKernel:
         # odd-part Laurent coefficient: K_o ~ (-sgn/2) / w near the origin
         return FourierKernel(name, hat, odd_kind="pole", odd_origin=-0.5 * sgn,
                              decay=min(g, 1.0) / 2.0)
-    if name in ("frak_b_plus", "frak_b_minus"):
-        sgn = 1.0 if name.endswith("plus") else -1.0
-
-        def hat(w, sgn=sgn):
-            w = np.asarray(w, dtype=float)
-            return sgn * np.exp(sgn * w / 2.0) / (2.0 * np.sinh(nu * w / 2.0))
-
-        return FourierKernel(name, hat, odd_kind="pole", odd_origin=sgn / nu,
-                             decay=(nu - 1.0) / 2.0)
-    if name == "a_n":
-        if n is None or not 0 < n < 2 * nu:
-            raise ValueError(f"a_n needs 0 < n < 2*nu = {2 * nu}, got {n}")
-        return FourierKernel(
-            f"a_{n}", lambda w: _sinh_ratio((nu - n) / 2.0, nu / 2.0, w), decay=min(n, 2 * nu - n) / 2.0)
-    if name == "b_n":
-        if n is None or not 0 < n < 2 * nu or n == nu:
-            raise ValueError(f"b_n needs 0 < n < 2*nu, n != nu, got {n}")
-        a = n / 2.0 if n < nu else (n - 2 * nu) / 2.0
-        return FourierKernel(
-            f"b_{n}", lambda w: -_sinh_ratio(a, nu / 2.0, w), decay=nu / 2.0 - abs(a))
-    if name == "sigma0_bar":
-        return FourierKernel(
-            "sigma0_bar",
-            lambda w: np.cosh((nu - 2.0) * w / 2.0) / np.cosh((nu - 1.0) * w / 2.0),
-            decay=0.5)
     if name in ("tb_plus", "tb_minus"):
         sgn = 1.0 if name.endswith("plus") else -1.0
 
@@ -179,39 +141,14 @@ def _kernel_critical(params: RegimeParams, name: str, n) -> FourierKernel:
     raise ValueError(f"unknown critical kernel {name!r}")
 
 
-def _sinh_ratio(a: float, b: float, w):
-    """sinh(a w) / sinh(b w) with the w -> 0 limit a/b filled in."""
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-12
-    out[small] = a / b
-    ws = w[~small]
-    out[~small] = np.sinh(a * ws) / np.sinh(b * ws)
-    return out
-
-
-def _kernel_noncritical(params: RegimeParams, name: str, n, spin) -> FourierKernel:
+def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
     eta = params.eta
 
-    if name == "sigma0":
-        return FourierKernel("sigma0", lambda k: _sech2(eta * np.asarray(k, dtype=float)),
-                             decay=1.0, discrete=True, eta=eta)
     if name in ("rt_plus", "rt_minus"):
         support = -1.0 if name == "rt_plus" else 1.0
         hat = _half_line(lambda k: -_sech2(eta * k), support)
         return FourierKernel(name, hat, odd_kind="jump", odd_origin=support * -0.25,
                              decay=1.0, discrete=True, eta=eta)
-    if name == "a_n":
-        if n is None:
-            raise ValueError("a_n needs n")
-        return FourierKernel(f"a_{n}", lambda k: np.exp(-n * eta * np.abs(np.asarray(k, dtype=float))),
-                             decay=float(n), discrete=True, eta=eta)
-    if name in ("frak_a_plus", "frak_a_minus"):
-        sgn = 1.0 if name.endswith("plus") else -1.0
-        hat = _half_line(lambda k, sgn=sgn: -np.exp(sgn * eta * k), -sgn)
-        return FourierKernel(name, hat, odd_kind="jump",
-                             odd_origin=sgn * 0.5, decay=1.0,
-                             discrete=True, eta=eta)
     if name == "r":
 
         def hat(k):

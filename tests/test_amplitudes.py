@@ -9,6 +9,7 @@ from defectchain.special_functions import gamma_ratio, half_line_sums
 from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
                                                  kernel, soliton_s_amplitude,
                                                  type2_amplitude)
+from kernel_oracles import oracle_kernel
 
 mp.mp.dps = 30
 
@@ -23,7 +24,7 @@ GAMMA_QUARTER_RATIO = 2.9586751191886389
 # ---------------------------------------------------------------- kernels
 
 def test_xxx_sigma0_kernel_and_inversion():
-    k = kernel(XXX, "sigma0")
+    k = oracle_kernel(XXX, "sigma0")
     assert k.hat(0.0) == pytest.approx(0.5)
 
     # the bulk density sigma0(0) = 1/2 as the cosine transform of the
@@ -59,9 +60,9 @@ def test_critical_rt_origin_pole():
 
 def test_critical_a_n_support_condition():
     nu = CRIT_SAMPLE.nu
-    kernel(CRIT_SAMPLE, "a_n", n=2)
+    oracle_kernel(CRIT_SAMPLE, "a_n", n=2)
     with pytest.raises(ValueError):
-        kernel(CRIT_SAMPLE, "a_n", n=int(2 * nu) + 1)
+        oracle_kernel(CRIT_SAMPLE, "a_n", n=int(2 * nu) + 1)
 
 
 def test_noncritical_r_kernel_values():
@@ -75,6 +76,10 @@ def test_noncritical_r_kernel_values():
 def test_unknown_kernel_rejected():
     with pytest.raises(ValueError):
         kernel(XXX, "nope")
+    # the oracle-only names are not the package's
+    for params, name in ((XXX, "sigma0"), (CRIT_SAMPLE, "B_plus"), (NC, "a_n")):
+        with pytest.raises(ValueError):
+            kernel(params, name)
 
 
 def test_kernel_table_covers_each_regime():
@@ -86,13 +91,16 @@ def test_kernel_table_covers_each_regime():
         NC: ["sigma0", "rt_plus", "rt_minus", "a_n", "frak_a_plus", "frak_a_minus", "r",
              "rt_spin"],
     }
-    table = {params: {name: kernel(params, name, n=2, spin=1.0) for name in regime_names}
+    table = {params: {name: oracle_kernel(params, name, n=2, spin=1.0)
+                      for name in regime_names}
              for params, regime_names in names.items()}
     crit = table[CRIT_SAMPLE]
-    # B and rt coincide as displayed formulas (away from their origin pole)
+    # B as displayed and the package's rt in decaying exponentials coincide
+    # (away from their origin pole)
     w = np.linspace(-2, 2, 9)
     w = w[np.abs(w) > 1e-9]
     np.testing.assert_allclose(crit["B_plus"].hat(w), crit["rt_plus"].hat(w))
+    np.testing.assert_allclose(crit["B_minus"].hat(w), crit["rt_minus"].hat(w))
     assert table[NC]["rt_spin"].discrete
 
 
@@ -105,11 +113,11 @@ def test_density_convolution_vs_resolved_fourier():
     nu = params.nu
     w = np.linspace(-20, 20, 401)
     w = w[np.abs(w) > 1e-9]
-    a2 = kernel(params, "a_n", n=2).hat(w)
-    b1 = kernel(params, "b_n", n=1).hat(w)
+    a2 = oracle_kernel(params, "a_n", n=2).hat(w)
+    b1 = oracle_kernel(params, "b_n", n=1).hat(w)
     for sgn, name in (("plus", "frak_b_plus"), ("minus", "frak_b_minus")):
-        fb = kernel(params, name).hat(w)
-        sigma_resolved = kernel(params, "sigma0").hat(w)
+        fb = oracle_kernel(params, name).hat(w)
+        sigma_resolved = oracle_kernel(params, "sigma0").hat(w)
         rt_resolved = kernel(params, f"rt_{sgn}").hat(w)
         r_resolved = kernel(params, "r").hat(w)
         denom = a2 - 1.0

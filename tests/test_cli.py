@@ -2,15 +2,20 @@ import csv
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import defectchain
 from defectchain import cli
 from defectchain import monodromy as mono
-from defectchain.cli import _fmt_cell, _write_records, main
+from defectchain.cli import _fmt_cell, _seeded_uniform, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
@@ -376,6 +381,69 @@ def test_seed_must_be_a_non_negative_integer(capsys, value):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("error:") == 1
     assert f"argument --seed: seed must be an integer >= 0, got '{value}'" in captured.err
+
+
+# verify's draws: (low, high, size) in its call order
+VERIFY_DRAWS = [(-1.5, 1.5, (6, 2)), (-1.0, 1.0, 2), (-1.2, 1.2, 2)]
+
+
+def test_verify_draws_its_points_in_order(monkeypatch):
+    calls = []
+
+    def logged(seed):
+        uniform = _seeded_uniform(seed)
+
+        def draw(low, high, size):
+            calls.append((seed, low, high, size))
+            return uniform(low, high, size)
+        return draw
+
+    monkeypatch.setattr(cli, "_seeded_uniform", logged)
+    cli.run_verify(RegimeParams.xxx(), 8, 46)
+    assert calls == [(46, *draw) for draw in VERIFY_DRAWS]
+
+
+def test_seeded_uniform_is_numpy_default_rng_bit_for_bit():
+    # one-, two-, three- and four-word seeds; numpy.random is the oracle
+    for seed in [*range(3000), 2**32, 2**64 + 3, 10**30]:
+        uniform, rng = _seeded_uniform(seed), np.random.default_rng(seed)
+        for low, high, size in VERIFY_DRAWS:
+            mine, want = uniform(low, high, size), rng.uniform(low, high, size=size)
+            assert mine.dtype == want.dtype and mine.shape == want.shape
+            assert mine.tobytes() == want.tobytes(), (seed, size)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--regime", "critical"], ["bae"], ["amplitude", "--grid=0:1:2"],
+    ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"],
+], ids=["verify", "bae", "amplitude", "spectrum"])
+def test_subcommands_load_neither_numpy_random_nor_hashlib(argv):
+    # a fresh interpreter per subcommand: this one has numpy.random loaded
+    script = ("import contextlib, io, sys\n"
+              "from defectchain.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(code, [m for m in ('numpy.random', 'hashlib') if m in sys.modules])\n")
+    src = str(Path(defectchain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.stdout == "0 []\n", done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["amplitude", "--grid=0:1:2"],
+    ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"], ["bae"],
+], ids=["verify", "amplitude", "spectrum", "bae"])
+def test_every_header_names_the_versions(tmp_path, argv):
+    out = tmp_path / "out.jsonl"
+    assert run([*argv, "--format", "jsonl", "--out", str(out)]) == 0
+    header, _ = read_jsonl(out)
+    assert header["command"] == argv[0]
+    assert header["version"] == defectchain.__version__
+    assert header["numpy"] == np.__version__
+    assert header.get("sampler") == ("pcg64" if argv[0] == "verify" else None)
 
 
 @pytest.mark.parametrize("spin", ["inf", "-inf", "nan"])

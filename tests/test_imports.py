@@ -1,5 +1,6 @@
 """The package's intra-package import graph has no cycles, every import sits
-at module level, and every public name has a caller inside the package."""
+at module level, every public name has a caller inside the package, and no
+module imports a random generator."""
 import ast
 from pathlib import Path
 
@@ -160,3 +161,38 @@ def test_uncalled_public_names_finds_test_only_api():
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert uncalled_public_names(_parse_all()) == []
+
+
+def random_imports(trees) -> list[str]:
+    """module: name for every import of the stdlib random or numpy.random
+    and every np.random / numpy.random attribute."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "random":
+                names = [f"{getattr(node.value, 'id', '')}.random"]
+            else:
+                continue
+            found += [f"{module}: {n}" for n in names
+                      if n == "random" or n.split(".")[:2] in (["numpy", "random"],
+                                                               ["np", "random"])]
+    return found
+
+
+def test_random_imports_finds_each_form():
+    tree = ast.parse("import random\nimport numpy.random\nfrom numpy import random\n"
+                     "import numpy as np\nx = np.random.default_rng(0)\n"
+                     "from numpy.random import default_rng\nimport randomness\n")
+    assert sorted(random_imports({"m": tree})) == [
+        "m: np.random", "m: numpy.random", "m: numpy.random", "m: numpy.random",
+        "m: numpy.random.default_rng", "m: random"]
+
+
+def test_no_module_imports_a_random_generator():
+    # verify draws its points from cli's own PCG64: numpy.random would load
+    # hashlib and OpenSSL in every cold process
+    assert random_imports(_parse_all()) == []
