@@ -21,8 +21,6 @@ Conventions used throughout (validated numerically by the test suite):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .oscillator_reps import HarmonicRep, QOscRep, harmonic_rep, q_oscillator_rep
@@ -45,7 +43,6 @@ CRITICAL = "XXZ_critical"
 NONCRITICAL = "XXZ_noncritical"
 
 
-@dataclass(frozen=True)
 class RegimeParams:
     """Regime tag plus the anisotropy data that selects every formula variant.
 
@@ -55,29 +52,28 @@ class RegimeParams:
     defect rapidity; it and eta must be finite.
     """
 
-    regime: str
-    mu: float | None = None
-    eta: float | None = None
-    theta: float = 0.0
+    __slots__ = ("regime", "mu", "eta", "theta")
 
-    def __post_init__(self):
-        if self.regime == XXX:
-            if self.mu is not None or self.eta is not None:
+    def __init__(self, regime: str, mu: float | None = None, eta: float | None = None,
+                 theta: float = 0.0):
+        if regime == XXX:
+            if mu is not None or eta is not None:
                 raise ValueError("isotropic regime takes no anisotropy parameter")
-        elif self.regime == CRITICAL:
-            if self.mu is None or self.eta is not None:
+        elif regime == CRITICAL:
+            if mu is None or eta is not None:
                 raise ValueError("critical regime needs mu only")
-            if not 0.0 < self.mu < np.pi:
-                raise ValueError(f"mu must lie in (0, pi), got {self.mu}")
-        elif self.regime == NONCRITICAL:
-            if self.eta is None or self.mu is not None:
+            if not 0.0 < mu < np.pi:
+                raise ValueError(f"mu must lie in (0, pi), got {mu}")
+        elif regime == NONCRITICAL:
+            if eta is None or mu is not None:
                 raise ValueError("non-critical regime needs eta only")
-            if not 0.0 < self.eta < np.inf:
-                raise ValueError(f"eta must be positive and finite, got {self.eta}")
+            if not 0.0 < eta < np.inf:
+                raise ValueError(f"eta must be positive and finite, got {eta}")
         else:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if not np.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+            raise ValueError(f"unknown regime {regime!r}")
+        if not np.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        self.regime, self.mu, self.eta, self.theta = regime, mu, eta, theta
 
     @classmethod
     def xxx(cls, theta: float = 0.0) -> "RegimeParams":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,25 +50,21 @@ __all__ = [
 RESOURCE_BOUND = 4096
 
 
-@dataclass(frozen=True)
 class ChainSpec:
     """N bulk sites, defect of dimension rep.dim at site defect_site; the
     chain dimension 2^N rep.dim is at most RESOURCE_BOUND."""
 
-    n_sites: int
-    defect_site: int
-    params: RegimeParams
-    rep: object
+    __slots__ = ("n_sites", "defect_site", "params", "rep")
 
-    def __post_init__(self):
-        if self.n_sites < 0:
+    def __init__(self, n_sites: int, defect_site: int, params: RegimeParams, rep):
+        if n_sites < 0:
             raise ValueError("n_sites must be >= 0")
-        if not 1 <= self.defect_site <= self.n_sites + 1:
-            raise ValueError(
-                f"defect_site must lie in 1..{self.n_sites + 1}, got {self.defect_site}")
-        dim = (2 ** self.n_sites) * self.rep.dim
+        if not 1 <= defect_site <= n_sites + 1:
+            raise ValueError(f"defect_site must lie in 1..{n_sites + 1}, got {defect_site}")
+        dim = (2 ** n_sites) * rep.dim
         if dim > RESOURCE_BOUND:
             raise ValueError(f"chain dimension {dim} exceeds resource bound {RESOURCE_BOUND}")
+        self.n_sites, self.defect_site, self.params, self.rep = n_sites, defect_site, params, rep
 
     @property
     def theta(self) -> float:

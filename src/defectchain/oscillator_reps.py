@@ -28,7 +28,6 @@ V |0> = q^(1/2) |0>.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,12 +50,11 @@ def _below_top(dim: int) -> np.ndarray:
     return keep
 
 
-@dataclass(frozen=True, eq=False)
 class HarmonicRep:
-    dim: int
-    a: np.ndarray = field(repr=False)
-    a_dag: np.ndarray = field(repr=False)
-    n_op: np.ndarray = field(repr=False)
+    __slots__ = ("dim", "a", "a_dag", "n_op")
+
+    def __init__(self, dim: int, a: np.ndarray, a_dag: np.ndarray, n_op: np.ndarray):
+        self.dim, self.a, self.a_dag, self.n_op = dim, a, a_dag, n_op
 
     def interior(self) -> np.ndarray:
         """0/1 mask of the basis states below the top one, where every
@@ -64,29 +62,26 @@ class HarmonicRep:
         return _below_top(self.dim)
 
 
-@dataclass(frozen=True, eq=False)
 class QOscRep:
-    dim: int
-    q: complex
-    v: np.ndarray = field(repr=False)
-    v_inv: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)
-    a_dag: np.ndarray = field(repr=False)
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    root_of_unity_order: int | None = None
+    __slots__ = ("dim", "q", "v", "v_inv", "a", "a_dag", "x", "y", "root_of_unity_order")
+
+    def __init__(self, dim: int, q: complex, v: np.ndarray, v_inv: np.ndarray, a: np.ndarray,
+                 a_dag: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 root_of_unity_order: int | None = None):
+        self.dim, self.q, self.v, self.v_inv = dim, q, v, v_inv
+        self.a, self.a_dag, self.x, self.y = a, a_dag, x, y
+        self.root_of_unity_order = root_of_unity_order
 
     def interior(self) -> np.ndarray:
         return _below_top(self.dim)
 
 
-@dataclass(frozen=True, eq=False)
 class SpinRep:
-    spin: float
-    q: complex
-    s_z: np.ndarray = field(repr=False)
-    s_plus: np.ndarray = field(repr=False)
-    s_minus: np.ndarray = field(repr=False)
+    __slots__ = ("spin", "q", "s_z", "s_plus", "s_minus")
+
+    def __init__(self, spin: float, q: complex, s_z: np.ndarray, s_plus: np.ndarray,
+                 s_minus: np.ndarray):
+        self.spin, self.q, self.s_z, self.s_plus, self.s_minus = spin, q, s_z, s_plus, s_minus
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 
 def _json_value(v):
@@ -19,7 +18,6 @@ def _json_value(v):
     return repr(v)
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """One measured identity residual.
 
@@ -30,11 +28,13 @@ class ResidualReport:
     tolerance  -- pass threshold, if one applies
     """
 
-    identity: str
-    residual: float
-    params: dict = field(default_factory=dict)
-    subspace: str = "full"
-    tolerance: float | None = None
+    __slots__ = ("identity", "residual", "params", "subspace", "tolerance")
+
+    def __init__(self, identity: str, residual: float, params: dict | None = None,
+                 subspace: str = "full", tolerance: float | None = None):
+        self.identity, self.residual = identity, residual
+        self.params = {} if params is None else params
+        self.subspace, self.tolerance = subspace, tolerance
 
     @property
     def passed(self) -> bool | None:

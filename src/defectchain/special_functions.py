@@ -28,7 +28,6 @@ against independent high-precision oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -182,19 +181,18 @@ def gamma_ratio(num, den):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ProductTruncation:
     """Stopping data for infinite products: hard term cap and a tail bound
     on |log factor|."""
 
-    max_terms: int = 400_000
-    tail_tol: float = 1e-12
+    __slots__ = ("max_terms", "tail_tol")
 
-    def __post_init__(self):
-        if self.max_terms < 1:
+    def __init__(self, max_terms: int = 400_000, tail_tol: float = 1e-12):
+        if max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if not self.tail_tol > 0:
+        if not tail_tol > 0:
             raise ValueError("tail_tol must be positive")
+        self.max_terms, self.tail_tol = max_terms, tail_tol
 
 
 DEFAULT_TRUNCATION = ProductTruncation()
@@ -607,19 +605,16 @@ def mode_sums(lam, eta: float, decay: float, terms):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AmplitudeResult:
     """An amplitude (scalar or per grid point), the route that produced it
     and a measured bound on its absolute error."""
 
-    value: complex
-    route: str
-    error_estimate: float = 0.0
+    __slots__ = ("value", "route", "error_estimate")
 
-    def __post_init__(self):
-        err = self.error_estimate
-        if (np.min(err) if np.ndim(err) else err) < 0:
+    def __init__(self, value: complex, route: str, error_estimate: float = 0.0):
+        if (np.min(error_estimate) if np.ndim(error_estimate) else error_estimate) < 0:
             raise ValueError("error_estimate must be >= 0")
+        self.value, self.route, self.error_estimate = value, route, error_estimate
 
     @classmethod
     def on_grid(cls, value, route: str, error, scalar: bool) -> AmplitudeResult:
@@ -646,7 +641,6 @@ def as_grid(lam, real: bool = False):
     return arr, scalar
 
 
-@dataclass(frozen=True)
 class FourierKernel:
     """A scattering kernel in frequency space.
 
@@ -659,13 +653,13 @@ class FourierKernel:
     discrete   -- True for integer-mode kernels (uses eta)
     """
 
-    name: str
-    hat: Callable
-    odd_kind: str = "none"
-    odd_origin: complex = 0.0
-    decay: float = 0.5
-    discrete: bool = False
-    eta: float | None = None
+    __slots__ = ("name", "hat", "odd_kind", "odd_origin", "decay", "discrete", "eta")
+
+    def __init__(self, name: str, hat: Callable, odd_kind: str = "none",
+                 odd_origin: complex = 0.0, decay: float = 0.5, discrete: bool = False,
+                 eta: float | None = None):
+        self.name, self.hat, self.odd_kind, self.odd_origin = name, hat, odd_kind, odd_origin
+        self.decay, self.discrete, self.eta = decay, discrete, eta
 
     def even_odd(self, w):
         plus = np.asarray(self.hat(w), dtype=np.complex128)

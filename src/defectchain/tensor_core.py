@@ -4,8 +4,8 @@ Operators are complex matrices acting on an ordered tensor product of
 factor spaces.  The basis ordering convention, fixed once here and used
 everywhere, is row-major with the leftmost factor slowest: for factors
 (d1, d2) the product basis index is ``i1 * d2 + i2``, which is exactly what
-``numpy.kron`` produces.  Values are immutable after construction and all
-operations are pure.
+``numpy.kron`` produces.  Values are never modified after construction and
+all operations are pure.
 
 The module also holds the three masked residual kernels of the operator
 identities: the exchange relation works on (2, d, 2, d) tensors without
@@ -16,7 +16,6 @@ of a dense projector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,17 +30,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TensorSpace:
     """An ordered list of factor dimensions (auxiliary spaces listed explicitly)."""
 
-    factor_dims: tuple[int, ...]
+    __slots__ = ("factor_dims",)
+
+    def __init__(self, factor_dims: tuple[int, ...]):
+        self.factor_dims = factor_dims
+        self.__post_init__()  # a method of its own: clibench/tracer.py wraps it by name
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.factor_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be positive, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
+        self.factor_dims = dims
 
     @property
     def dim(self) -> int:
@@ -60,12 +62,14 @@ class TensorSpace:
         return TensorSpace(self.factor_dims + other.factor_dims)
 
 
-@dataclass(frozen=True, eq=False)
 class TensorOperator:
     """A square complex matrix acting on a TensorSpace."""
 
-    space: TensorSpace
-    entries: np.ndarray = field(repr=False)
+    __slots__ = ("space", "entries")
+
+    def __init__(self, space: TensorSpace, entries: np.ndarray):
+        self.space, self.entries = space, entries
+        self.__post_init__()  # a method of its own: clibench/tracer.py wraps it by name
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.entries, dtype=np.complex128)
@@ -75,7 +79,7 @@ class TensorOperator:
         if not np.isfinite(m).all():
             raise ValueError("operator entries contain NaN or Inf")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        self.entries = m
 
     @classmethod
     def identity(cls, space: TensorSpace) -> "TensorOperator":

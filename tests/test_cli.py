@@ -417,13 +417,14 @@ def test_seeded_uniform_is_numpy_default_rng_bit_for_bit():
     ["verify", "--regime", "critical"], ["bae"], ["amplitude", "--grid=0:1:2"],
     ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"],
 ], ids=["verify", "bae", "amplitude", "spectrum"])
-def test_subcommands_load_neither_numpy_random_nor_hashlib(argv):
+def test_subcommands_load_no_numpy_random_hashlib_or_dataclasses(argv):
     # a fresh interpreter per subcommand: this one has numpy.random loaded
     script = ("import contextlib, io, sys\n"
               "from defectchain.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(sys.argv[1:])\n"
-              "print(code, [m for m in ('numpy.random', 'hashlib') if m in sys.modules])\n")
+              "print(code, [m for m in ('numpy.random', 'hashlib', 'dataclasses')\n"
+              "             if m in sys.modules])\n")
     src = str(Path(defectchain.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

@@ -1,6 +1,6 @@
 """The package's intra-package import graph has no cycles, every import sits
 at module level, every public name has a caller inside the package, and no
-module imports a random generator."""
+module imports a random generator or dataclasses."""
 import ast
 from pathlib import Path
 
@@ -196,3 +196,32 @@ def test_no_module_imports_a_random_generator():
     # verify draws its points from cli's own PCG64: numpy.random would load
     # hashlib and OpenSSL in every cold process
     assert random_imports(_parse_all()) == []
+
+
+def dataclasses_imports(trees) -> list[str]:
+    """module: name for every import of dataclasses or a name from it."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{module}: {n}" for n in names if n.split(".")[0] == "dataclasses"]
+    return found
+
+
+def test_dataclasses_imports_finds_each_form():
+    tree = ast.parse("import dataclasses\nimport dataclasses as dc\n"
+                     "from dataclasses import dataclass, field\nimport dataclasses_json\n"
+                     "from .dataclasses import x\n")
+    assert sorted(dataclasses_imports({"m": tree})) == [
+        "m: dataclasses", "m: dataclasses", "m: dataclasses.dataclass", "m: dataclasses.field"]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses builds each class's methods by exec of generated source in
+    # every fresh process; the value classes are plain __slots__ classes
+    assert dataclasses_imports(_parse_all()) == []
