@@ -1,19 +1,4 @@
 """Verification and computation engine for oscillator-type integrable
 defects in Heisenberg spin chains."""
 
-from .lax_defect import RegimeParams
-from .oscillator_reps import harmonic_rep, q_oscillator_rep, spin_rep
-from .reporting import ResidualReport
-from .tensor_core import TensorOperator, TensorSpace
-
-__all__ = [
-    "RegimeParams",
-    "ResidualReport",
-    "TensorOperator",
-    "TensorSpace",
-    "harmonic_rep",
-    "q_oscillator_rep",
-    "spin_rep",
-]
-
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ __all__ = [
     "charge_vector",
     "sector_mask",
     "sector_blocks",
-    "diagonal_blocks",
     "sector_commutator",
     "build_monodromy",
     "transfer_matrix",
@@ -205,27 +204,12 @@ def sector_blocks(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
     return [(sector, np.flatnonzero(q == sector)) for sector in range(int(q.max()) + 1)]
 
 
-def diagonal_blocks(t: np.ndarray, sectors, lam: complex) -> list[tuple[int, np.ndarray]]:
-    """(charge, block) of the transfer matrix t = t(lam) on each of the
-    sectors of `sector_blocks`.
-
-    Every block result (eigenvalues, commutators) is exact only for a
-    block-diagonal t, so a nonzero entry outside the blocks is a ValueError
-    naming lam; the check compares nonzero counts and needs no dim^2
-    temporary.
-    """
-    blocks = [(sector, t[np.ix_(idx, idx)]) for sector, idx in sectors]
-    if sum(np.count_nonzero(block) for _, block in blocks) != np.count_nonzero(t):
-        raise ValueError(f"the transfer matrix leaks charge at lam = {lam}: it has "
-                         "nonzero entries between charge sectors")
-    return blocks
-
-
 def sector_commutator(spec: ChainSpec, a_blocks, b_blocks) -> float:
     """|| [A, B] || on the charge sectors Q <= D - 2 of two block-diagonal
-    operators given by their `diagonal_blocks`: the root of the sum of the
-    kept blocks' squared `commutator_residual`s, the sector-masked dense
-    commutator up to roundoff.  Past the float range it reads inf."""
+    operators given by their (charge, block) pairs on `sector_blocks`: the
+    root of the sum of the kept blocks' squared `commutator_residual`s, the
+    sector-masked dense commutator up to roundoff.  Past the float range it
+    reads inf."""
     return math.hypot(*(commutator_residual(a, b)
                         for (sector, a), (_, b) in zip(a_blocks, b_blocks)
                         if sector <= spec.max_exact_charge))
@@ -292,12 +276,16 @@ def rtt_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
     return res
 
 
-def commuting_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
-                       lam1: complex, lam2: complex) -> float:
+def commuting_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator) -> float:
     """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2, block by block,
-    for t traced from the monodromies m1 = T(lam1) and m2 = T(lam2)."""
+    for t traced from the monodromies m1 = T(lam1) and m2 = T(lam2).
+
+    The entries of t between sectors are exact zeros: build_monodromy's
+    local tensors pass _contract's charge-leak guard and _finite rejects
+    Inf and NaN, so the blocks are gathered without a check."""
     sectors = sector_blocks(spec)
-    a, b = (diagonal_blocks(_aux_trace(m), sectors, lam) for m, lam in ((m1, lam1), (m2, lam2)))
+    a, b = ([(sector, t[np.ix_(idx, idx)]) for sector, idx in sectors]
+            for t in (_aux_trace(m1), _aux_trace(m2)))
     return sector_commutator(spec, a, b)
 
 

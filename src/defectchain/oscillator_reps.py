@@ -31,8 +31,6 @@ import warnings
 
 import numpy as np
 
-from .reporting import ResidualReport
-
 __all__ = [
     "HarmonicRep",
     "QOscRep",
@@ -170,15 +168,13 @@ def spin_rep(spin: float, q: complex = 1.0) -> SpinRep:
     return SpinRep(spin=spin, q=q, s_z=s_z, s_plus=s_plus, s_minus=s_minus)
 
 
-def algebra_residuals(rep) -> list[ResidualReport]:
-    """Frobenius residual of every defining relation, measured on the
-    columns the interior mask keeps."""
+def algebra_residuals(rep) -> list[tuple[str, float, str]]:
+    """(relation, Frobenius residual, subspace) of every defining relation,
+    measured on the columns the interior mask keeps."""
     reports = []
 
     def add(name, lhs_minus_rhs, keep, subspace):
-        reports.append(ResidualReport(
-            identity=name, residual=float(np.linalg.norm(lhs_minus_rhs * keep)),
-            subspace=subspace, params={"dim": getattr(rep, "dim", None)}))
+        reports.append((name, float(np.linalg.norm(lhs_minus_rhs * keep)), subspace))
 
     if isinstance(rep, HarmonicRep):
         keep = rep.interior()
@@ -190,10 +186,8 @@ def algebra_residuals(rep) -> list[ResidualReport]:
         add("N-a.a_dag", rep.n_op - rep.a @ rep.a_dag, keep, sub)
         ref = np.zeros(rep.dim, dtype=np.complex128)
         ref[0] = 1.0
-        reports.append(ResidualReport("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)),
-                                      subspace="reference state"))
-        reports.append(ResidualReport("N|0>", float(np.linalg.norm(rep.n_op @ ref)),
-                                      subspace="reference state"))
+        reports.append(("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)), "reference state"))
+        reports.append(("N|0>", float(np.linalg.norm(rep.n_op @ ref)), "reference state"))
     elif isinstance(rep, QOscRep):
         keep = rep.interior()
         eye = np.eye(rep.dim, dtype=np.complex128)
@@ -210,11 +204,9 @@ def algebra_residuals(rep) -> list[ResidualReport]:
         add("a_dagY-(X^-1-qX)", rep.a_dag @ rep.y - (rep.v_inv - q * rep.x), keep, sub)
         ref = np.zeros(rep.dim, dtype=np.complex128)
         ref[0] = 1.0
-        reports.append(ResidualReport("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)),
-                                      subspace="reference state"))
-        reports.append(ResidualReport(
-            "V|0>-q^(1/2)|0>",
-            float(np.linalg.norm(rep.v @ ref - q ** 0.5 * ref)), subspace="reference state"))
+        reports.append(("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)), "reference state"))
+        reports.append(("V|0>-q^(1/2)|0>", float(np.linalg.norm(rep.v @ ref - q ** 0.5 * ref)),
+                        "reference state"))
     elif isinstance(rep, SpinRep):
         keep = rep.interior()
         sub = "full (no truncation)"

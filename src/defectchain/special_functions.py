@@ -37,7 +37,6 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "FloatRangeError",
-    "ProductTruncation",
     "AmplitudeResult",
     "log_gamma",
     "gamma_ratio",
@@ -181,21 +180,10 @@ def gamma_ratio(num, den):
 # --------------------------------------------------------------------------
 
 
-class ProductTruncation:
-    """Stopping data for infinite products: hard term cap and a tail bound
-    on |log factor|."""
-
-    __slots__ = ("max_terms", "tail_tol")
-
-    def __init__(self, max_terms: int = 400_000, tail_tol: float = 1e-12):
-        if max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-        self.max_terms, self.tail_tol = max_terms, tail_tol
-
-
-DEFAULT_TRUNCATION = ProductTruncation()
+# hard cap on the terms of a product or sum, and on the nodes of a rule
+MAX_TERMS = 400_000
+# a product stops once a factor's |log| (or its tail bound) drops below this
+TAIL_TOL = 1e-12
 
 # elements per (points x nodes) temporary: grids are walked in blocks of
 # max(1, BLOCK // nodes) points so no temporary outgrows this
@@ -217,12 +205,12 @@ def _q_powers(q: float, n: int):
     return q_j, head
 
 
-def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
+def q_gamma(x, q: float):
     """Gamma_q(x) = (1-q)^(1-x) prod_{j>=0} (1-q^(1+j))/(1-q^(x+j)),  0 < q < 1.
 
     x may be a scalar or an array.  The tail of each log-product is bounded
     geometrically; a point's truncation stops once its bound drops below
-    trunc.tail_tol, so every point sums the terms it would sum on its own.
+    TAIL_TOL, so every point sums the terms it would sum on its own.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
@@ -233,12 +221,11 @@ def q_gamma(x, q: float, trunc: ProductTruncation = DEFAULT_TRUNCATION):
     # |log term_j| <= C q^j with C ~ |q^x - q| / (1 - q); solve for j
     q_x = np.exp(flat * lq)
     c = np.maximum(np.abs(q_x - q), 1e-30) / (1.0 - q)
-    j_needed = np.maximum(np.ceil((np.log(trunc.tail_tol) - np.log(c)) / lq), 6.0) + 2.0
+    j_needed = np.maximum(np.ceil((np.log(TAIL_TOL) - np.log(c)) / lq), 6.0) + 2.0
     n_max = int(j_needed.max(initial=0.0))
-    if n_max > trunc.max_terms:
+    if n_max > MAX_TERMS:
         raise ConvergenceError(
-            f"q_gamma needs ~{n_max} terms for tail {trunc.tail_tol}, "
-            f"cap is {trunc.max_terms}")
+            f"q_gamma needs ~{n_max} terms for tail {TAIL_TOL}, cap is {MAX_TERMS}")
 
     q_j, head = _q_powers(q, n_max)
     ragged = flat.size > 1 and j_needed.min() < n_max
@@ -295,31 +282,30 @@ def _hurwitz_tail(s, k0):
 PRODUCT_BLOCK = 4096
 
 
-def infinite_gamma_product(term, trunc: ProductTruncation = DEFAULT_TRUNCATION,
-                           tail_coefficient=None):
+def infinite_gamma_product(term, tail_coefficient, tail_tol: float = TAIL_TOL):
     """Evaluate prod_{k>=0} of Gamma-ratio factors.
 
     term(k_array) must return (num_args, den_args) where each is a sequence
     of arrays of Gamma arguments; factor_k = prod Gamma(num)/prod Gamma(den).
-    Stops once |log factor_k| < trunc.tail_tol (or at max_terms, reporting
-    failure).  If ``tail_coefficient`` c2 is given, the neglected tail is
-    completed analytically as sum_{k>K} c2/k^2; the returned tail estimate
-    is then the size of the next (1/k^3) correction.
+    Stops once |log factor_k| < tail_tol, or at MAX_TERMS factors.  The
+    neglected tail is completed analytically as sum_{k>K} c2/k^2 with c2 =
+    ``tail_coefficient``; the returned tail estimate is then the size of the
+    next (1/k^3) correction.
 
     Returns (value, tail_estimate).
     """
     total = 0.0 + 0.0j
     k0 = 0
     last = np.inf
-    while k0 < trunc.max_terms:
-        k = np.arange(k0, min(k0 + PRODUCT_BLOCK, trunc.max_terms), dtype=np.float64)
+    while k0 < MAX_TERMS:
+        k = np.arange(k0, min(k0 + PRODUCT_BLOCK, MAX_TERMS), dtype=np.float64)
         num, den = term(k)
         logf = np.zeros(k.size, dtype=np.complex128)
         for arr in num:
             logf += log_gamma(np.asarray(arr, dtype=np.complex128))
         for arr in den:
             logf -= log_gamma(np.asarray(arr, dtype=np.complex128))
-        small = np.abs(logf) < trunc.tail_tol
+        small = np.abs(logf) < tail_tol
         if np.any(small):
             stop = int(np.argmax(small))
             total += np.sum(logf[:stop + 1])
@@ -329,13 +315,8 @@ def infinite_gamma_product(term, trunc: ProductTruncation = DEFAULT_TRUNCATION,
         total += np.sum(logf)
         k0 += k.size
         last = abs(logf[-1])
-    else:
-        if tail_coefficient is None:
-            raise ConvergenceError(
-                f"gamma product not converged after {trunc.max_terms} factors "
-                f"(last |log factor| = {last:.3e})")
 
-    if tail_coefficient is not None and k0 > 2:
+    if k0 > 2:
         c2 = complex(tail_coefficient)
         total += c2 * _hurwitz_tail(2.0, k0)
         tail_est = abs(c2) / k0 ** 2  # size of the first neglected correction
@@ -445,8 +426,8 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     The cutoff leaves a tail below _TAIL; the panel width is the largest
     power of two that keeps lam_max * width <= _PANEL_PHASE, at most
     _MAX_WIDTH.  See _panel_rule for the layout.  A rule of more than
-    ProductTruncation.max_terms nodes (counting cutoff / width panels, a
-    few short of the doubling panels near the origin) raises
+    MAX_TERMS nodes (counting cutoff / width panels, a few short of the
+    doubling panels near the origin) raises
     ConvergenceError before anything is allocated, as mode_sums does.
     """
     if not decay > 0:
@@ -456,10 +437,9 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     if lam_max * width > _PANEL_PHASE:
         width = float(2.0 ** np.floor(np.log2(_PANEL_PHASE / lam_max)))
     size = (_PANEL_NODES + _CHECK_NODES) * math.ceil(cutoff / width) + 1
-    if size > DEFAULT_TRUNCATION.max_terms:
+    if size > MAX_TERMS:
         raise ConvergenceError(f"the half-line rule needs {size} nodes at max|lam_hat| = "
-                               f"{lam_max:.6g} and decay rate {decay:.6g}, "
-                               f"cap is {DEFAULT_TRUNCATION.max_terms}")
+                               f"{lam_max:.6g} and decay rate {decay:.6g}, cap is {MAX_TERMS}")
     return _panel_rule(cutoff, width)
 
 
@@ -581,17 +561,16 @@ def mode_sums(lam, eta: float, decay: float, terms):
 
     terms(k) returns a, b and c at the modes, each (modes, columns) with
     one column per integrand, and the values and bounds are (points,
-    columns).  The mode count
-    leaves a tail below _TAIL; more modes than ProductTruncation.max_terms
-    raise ConvergenceError before anything is allocated.  The error bound
-    is the tail, read at the next mode and summed geometrically, plus
-    rounding.
+    columns).  The mode count leaves a tail below _TAIL; more modes than
+    MAX_TERMS raise ConvergenceError before anything is allocated.  The
+    error bound is the tail, read at the next mode and summed
+    geometrically, plus rounding.
     """
     rate = decay * eta
     k_max = int(np.ceil(-np.log(_TAIL) / rate)) + 8
-    if k_max > DEFAULT_TRUNCATION.max_terms:
+    if k_max > MAX_TERMS:
         raise ConvergenceError(f"a mode sum needs {k_max} modes at eta = {eta}, "
-                               f"cap is {DEFAULT_TRUNCATION.max_terms}")
+                               f"cap is {MAX_TERMS}")
     k = np.arange(1, k_max + 2, dtype=np.float64)     # mode k_max + 1 reads the tail
     weights = np.ones((k.size, 1))
     weights[-1] = 0.0
@@ -650,16 +629,15 @@ class FourierKernel:
                   limit), "pole" (simple pole)
     odd_origin -- the jump value K_o(0+) or the pole coefficient p
     decay      -- asymptotic decay rate r: |hat(w)| <~ e^{-r |w|}
-    discrete   -- True for integer-mode kernels (uses eta)
+    discrete   -- True for integer-mode kernels (summed by amplitude_sum)
     """
 
-    __slots__ = ("name", "hat", "odd_kind", "odd_origin", "decay", "discrete", "eta")
+    __slots__ = ("name", "hat", "odd_kind", "odd_origin", "decay", "discrete")
 
     def __init__(self, name: str, hat: Callable, odd_kind: str = "none",
-                 odd_origin: complex = 0.0, decay: float = 0.5, discrete: bool = False,
-                 eta: float | None = None):
+                 odd_origin: complex = 0.0, decay: float = 0.5, discrete: bool = False):
         self.name, self.hat, self.odd_kind, self.odd_origin = name, hat, odd_kind, odd_origin
-        self.decay, self.discrete, self.eta = decay, discrete, eta
+        self.decay, self.discrete = decay, discrete
 
     def even_odd(self, w):
         plus = np.asarray(self.hat(w), dtype=np.complex128)

@@ -33,12 +33,11 @@ from functools import lru_cache
 import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
-from .special_functions import (DEFAULT_TRUNCATION, AmplitudeResult,
-                                ConvergenceError, FloatRangeError, FourierKernel,
-                                ProductTruncation, amplitude_integral, amplitude_sum,
-                                as_grid, gamma_ratio, gamma_ratio_bound, half_line_sums,
-                                infinite_gamma_product, q_gamma, _exp_in_range,
-                                _hurwitz_tail)
+from .special_functions import (MAX_TERMS, TAIL_TOL, AmplitudeResult, ConvergenceError,
+                                FloatRangeError, FourierKernel, amplitude_integral,
+                                amplitude_sum, as_grid, gamma_ratio, gamma_ratio_bound,
+                                half_line_sums, infinite_gamma_product, q_gamma,
+                                _exp_in_range, _hurwitz_tail)
 
 __all__ = [
     "AmplitudeResult",
@@ -148,14 +147,14 @@ def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
         support = -1.0 if name == "rt_plus" else 1.0
         hat = _half_line(lambda k: -_sech2(eta * k), support)
         return FourierKernel(name, hat, odd_kind="jump", odd_origin=support * -0.25,
-                             decay=1.0, discrete=True, eta=eta)
+                             decay=1.0, discrete=True)
     if name == "r":
 
         def hat(k):
             u = np.abs(np.asarray(k, dtype=float))
             return np.exp(-2.0 * eta * u) / (1.0 + np.exp(-2.0 * eta * u))
 
-        return FourierKernel("r", hat, decay=2.0, discrete=True, eta=eta)
+        return FourierKernel("r", hat, decay=2.0, discrete=True)
     if name == "rt_spin":
         if spin is None:
             raise ValueError("rt_spin needs spin")
@@ -165,7 +164,7 @@ def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
             u = np.abs(np.asarray(k, dtype=float))
             return np.exp(-eta * y * u) / (1.0 + np.exp(-2.0 * eta * u))
 
-        return FourierKernel("rt_spin", hat, decay=y, discrete=True, eta=eta)
+        return FourierKernel("rt_spin", hat, decay=y, discrete=True)
     raise ValueError(f"unknown non-critical kernel {name!r}")
 
 
@@ -229,8 +228,7 @@ def _critical_ln_ratio(lam, gamma: float, sides):
     return half_line_sums(lam, rate, terms)
 
 
-def _critical_ratio_product(lam_hat: float, gamma: float,
-                            trunc: ProductTruncation) -> tuple[complex, float]:
+def _critical_ratio_product(lam_hat: float, gamma: float) -> tuple[complex, float]:
     """The same ratio product evaluated literally, factor by factor."""
 
     def term(k):
@@ -244,7 +242,10 @@ def _critical_ratio_product(lam_hat: float, gamma: float,
         return num, den
 
     c2 = -(lam_hat ** 2 + 1j * lam_hat) / (4.0 * gamma)
-    return infinite_gamma_product(term, trunc, tail_coefficient=c2)
+    # past ~1e4 factors the float noise of the summed log-Gammas dominates
+    # the analytically completed 1/k^2 tail, so this product stops earlier
+    # than the generic TAIL_TOL
+    return infinite_gamma_product(term, c2, tail_tol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -252,12 +253,12 @@ def _critical_ratio_product(lam_hat: float, gamma: float,
 # --------------------------------------------------------------------------
 
 
-def _q_gamma_ratio(num, den, q: float, trunc: ProductTruncation):
+def _q_gamma_ratio(num, den, q: float):
     """prod Gamma_q(num_i) / prod Gamma_q(den_j) at every point, with the
     truncation bounds of the products as its error."""
-    factors = q_gamma(np.array(num + den), q, trunc)
+    factors = q_gamma(np.array(num + den), q)
     value = factors[:len(num)].prod(axis=0) / factors[len(num):].prod(axis=0)
-    return value, len(factors) * trunc.tail_tol * np.abs(value)
+    return value, len(factors) * TAIL_TOL * np.abs(value)
 
 
 # --------------------------------------------------------------------------
@@ -270,8 +271,8 @@ _ROUTES = {XXX: ("isotropic", ("closed", "integral")),
            NONCRITICAL: ("non-critical", ("closed", "sum"))}
 
 
-def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
-              trunc: ProductTruncation = DEFAULT_TRUNCATION) -> AmplitudeResult:
+def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed"
+              ) -> AmplitudeResult:
     """Hole-defect transmission amplitude T^{sign}(lam_hat) at a scalar or on
     a grid (value and error_estimate then have the grid's length).
 
@@ -286,21 +287,20 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed",
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return _hole_amplitudes(params, sign, lam_hat, route, trunc)[0]
+    return _hole_amplitudes(params, sign, lam_hat, route)[0]
 
 
-def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed",
-                   trunc: ProductTruncation = DEFAULT_TRUNCATION
+def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
                    ) -> tuple[AmplitudeResult, AmplitudeResult]:
     """(T+, T-) of `amplitude` on the same lam_hat and route, from one pass:
     the quadrature and sum routes take both as columns of one rule, and the
     critical closed route reads its ratio integral at +lam_hat and -lam_hat
     as two columns of one rule."""
-    return _hole_amplitudes(params, "+-", lam_hat, route, trunc)
+    return _hole_amplitudes(params, "+-", lam_hat, route)
 
 
-def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str,
-                     trunc: ProductTruncation) -> tuple[AmplitudeResult, ...]:
+def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str
+                     ) -> tuple[AmplitudeResult, ...]:
     """T^s(lam_hat) for each sign s in signs, each computed once."""
     regime, routes = _ROUTES[params.regime]
     if route not in routes:
@@ -311,7 +311,7 @@ def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str,
             return (amplitude_integral(kernels, lam_hat) if route == "integral"
                     else amplitude_sum(kernels, lam_hat, params.eta))
         lam, scalar = as_grid(lam_hat)
-        columns = _closed_amplitudes(params, signs, lam, route, trunc)
+        columns = _closed_amplitudes(params, signs, lam, route)
     except FloatRangeError as exc:
         where = {CRITICAL: f"mu = {params.mu}",
                  NONCRITICAL: f"eta = {params.eta}"}.get(params.regime, "the isotropic point")
@@ -321,8 +321,7 @@ def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str,
     return tuple(AmplitudeResult.on_grid(val, route, err, scalar) for val, err in columns)
 
 
-def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str,
-                       trunc: ProductTruncation):
+def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str):
     """(values, errors) per sign of the closed (or, critical, the literal
     product) route.  xxx: Gamma ratios; non-critical: q-Gamma ratios;
     critical: T+(lam) = A r(lam) and T-(lam) = 1 / T+(-lam), with A the
@@ -333,7 +332,7 @@ def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str,
             z = (-1j if s == "+" else 1j) * lam / 2
             a, b = (0.25, 0.75) if (s == "+") == (params.regime == XXX) else (0.75, 0.25)
             out.append(gamma_ratio_bound([z + a], [z + b]) if params.regime == XXX else
-                       _q_gamma_ratio([z + a], [z + b], float(np.exp(-4.0 * params.eta)), trunc))
+                       _q_gamma_ratio([z + a], [z + b], float(np.exp(-4.0 * params.eta))))
         return out
     sides = np.array([1.0 if s == "+" else -1.0 for s in signs])
     ln_a, err_a = _critical_anchor(params.gamma)
@@ -342,12 +341,7 @@ def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str,
         val = _exp_in_range(sides * (ln_a + ln_r), lam)
         err = np.abs(val) * (err_a + err_r)
     else:
-        # past ~1e4 factors the float noise of the summed log-Gammas
-        # dominates the analytically completed 1/k^2 tail, so the literal
-        # product stops earlier than the generic default
-        ptrunc = trunc if trunc is not DEFAULT_TRUNCATION else \
-            ProductTruncation(max_terms=trunc.max_terms, tail_tol=1e-9)
-        prods = np.array([[_critical_ratio_product(side * x, params.gamma, ptrunc)
+        prods = np.array([[_critical_ratio_product(side * x, params.gamma)
                            for side in sides] for x in lam]).reshape(lam.size, sides.size, 2)
         val = np.exp(ln_a) * prods[..., 0]
         val[:, sides < 0] = 1.0 / val[:, sides < 0]
@@ -421,8 +415,8 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
 # --------------------------------------------------------------------------
 
 
-def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
-                    trunc: ProductTruncation = DEFAULT_TRUNCATION) -> AmplitudeResult:
+def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
+                    ) -> AmplitudeResult:
     """Transmission amplitude of the spin-S defect in the non-critical regime,
     at a scalar or on a grid.
 
@@ -441,7 +435,7 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed",
         val, err = _q_gamma_ratio(
             [-1j * lam / 2 + s_tilde / 2 + 0.25, 1j * lam / 2 + s_tilde / 2 + 0.75],
             [-1j * lam / 2 + s_tilde / 2 + 0.75, 1j * lam / 2 + s_tilde / 2 + 0.25],
-            q4, trunc)
+            q4)
         return AmplitudeResult.on_grid(val, "closed", err, scalar)
     if route == "sum":
         params = RegimeParams.noncritical(eta)
@@ -475,8 +469,8 @@ def _s2_series(g: float, tail_tol: float) -> tuple[np.ndarray, float]:
     that the first omitted terms, n = _S2_ORDER + 1 and + 2 (with small h
     the odd D_n nearly vanish), summed over every factor from |Z_K| on,
     stay below tail_tol: sum_k |Z_k|^(1-n) <= |Z_K|^(2-n) (1/(n-2) + 2g/|Z_K|) / (2g).
-    At the default tail_tol 1e-12 the fixed reach already does so for every
-    0 < mu < pi; from about 1e-15 the bound moves it out.
+    At tail_tol = TAIL_TOL = 1e-12 the fixed reach already does so for
+    every 0 < mu < pi; only a tail_tol below about 1e-15 moves it out.
     """
     h = (g - 0.5, 0.5 - g, -0.5, 0.5)
     sign = (1.0, 1.0, -1.0, -1.0)
@@ -495,7 +489,7 @@ def _s2_series(g: float, tail_tol: float) -> tuple[np.ndarray, float]:
     return d, reach
 
 
-def _s2_critical_real(lam, g: float, trunc: ProductTruncation):
+def _s2_critical_real(lam, g: float):
     """Critical S_s at real lam (an array): exp(2i Im sum_{k>=0} W(Z_k)) with
 
         W(Z) = sum_i s_i log Gamma(Z + h_i),   Z_k = 2 g k + i lam + g + 1/2,
@@ -519,11 +513,11 @@ def _s2_critical_real(lam, g: float, trunc: ProductTruncation):
 
         W(Z) = W(Z + M) - sum_{j<M} log(1 + g (1-g) / ((Z+j)^2 - 1/4)),
 
-    so no Gamma function is evaluated.  K past trunc.max_terms raises
+    so no Gamma function is evaluated.  K past MAX_TERMS raises
     ConvergenceError.  Points are evaluated one by one, so a grid call
     equals per-point calls.
     """
-    d, reach = _s2_series(g, trunc.tail_tol)
+    d, reach = _s2_series(g, TAIL_TOL)
     s = np.arange(1.0, d.size + 1.0)        # zeta orders n - 1
     scale = d * (2.0 * g) ** -s
     out = np.empty(lam.shape, dtype=np.complex128)
@@ -531,10 +525,10 @@ def _s2_critical_real(lam, g: float, trunc: ProductTruncation):
         z0 = complex(g + 0.5, x)
         near = math.sqrt(max(reach ** 2 - x ** 2, 0.0)) - z0.real   # Re Z to reach
         stop = max(0, math.ceil(near / (2.0 * g)))
-        if stop > trunc.max_terms:
+        if stop > MAX_TERMS:
             raise ConvergenceError(
-                f"critical S_s needs {stop} exact factors for tail {trunc.tail_tol}, "
-                f"cap is {trunc.max_terms}")
+                f"critical S_s needs {stop} exact factors for tail {TAIL_TOL}, "
+                f"cap is {MAX_TERMS}")
         moved = max(0, math.ceil(near))
         z = z0 + 2.0 * g * np.arange(stop)
         # elementwise sums, not `@`: a BLAS product here touches BLAS code and
@@ -546,7 +540,7 @@ def _s2_critical_real(lam, g: float, trunc: ProductTruncation):
     return out
 
 
-def _s2_critical_product(lam: complex, g: float, trunc: ProductTruncation) -> complex:
+def _s2_critical_product(lam: complex, g: float) -> complex:
     """Critical S_s at one complex lam, as the literal Gamma-ratio product."""
 
     def term(kk):
@@ -557,16 +551,14 @@ def _s2_critical_product(lam: complex, g: float, trunc: ProductTruncation) -> co
         return num, den
 
     c2 = -1j * lam * (g - 1.0) / (2.0 * g)
-    return infinite_gamma_product(term, trunc, tail_coefficient=c2)[0]
+    return infinite_gamma_product(term, c2)[0]
 
 
-def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
-                        trunc: ProductTruncation | None = None):
+def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
     """Scalar prefactor of the bulk S-matrix, at a scalar lam (a complex is
     returned) or on a grid (an array)."""
-    trunc = trunc or DEFAULT_TRUNCATION
     second = "sum" if params.regime == NONCRITICAL else "integral"
-    if route not in ("closed", "product", second):
+    if route not in ("closed", second):
         regime = {XXX: "isotropic", CRITICAL: "critical"}.get(params.regime, "non-critical")
         raise ValueError(f"route {route!r} not available for the {regime} S_s")
     if route == "sum":
@@ -582,11 +574,11 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed",
         val = np.empty(grid.shape, dtype=np.complex128)
         near_real = np.abs(np.imag(grid)) < 1e-14
         if np.any(near_real):
-            val[near_real] = _s2_critical_real(np.real(grid[near_real]), params.gamma, trunc)
+            val[near_real] = _s2_critical_real(np.real(grid[near_real]), params.gamma)
         for i in np.flatnonzero(~near_real):
-            val[i] = _s2_critical_product(complex(grid[i]), params.gamma, trunc)
+            val[i] = _s2_critical_product(complex(grid[i]), params.gamma)
     else:
         q4 = float(np.exp(-4.0 * params.eta))
         val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
-                                [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4, trunc)
+                                [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4)
     return complex(val[0]) if scalar else val

@@ -87,18 +87,18 @@ def _oracle_noncritical(params, name, n):
     eta = params.eta
     if name == "sigma0":
         return FourierKernel("sigma0", lambda k: _sech2(eta * np.asarray(k, dtype=float)),
-                             decay=1.0, discrete=True, eta=eta)
+                             decay=1.0, discrete=True)
     if name == "a_n":
         if n is None:
             raise ValueError("a_n needs n")
         return FourierKernel(f"a_{n}",
                              lambda k: np.exp(-n * eta * np.abs(np.asarray(k, dtype=float))),
-                             decay=float(n), discrete=True, eta=eta)
+                             decay=float(n), discrete=True)
     if name in ("frak_a_plus", "frak_a_minus"):
         sgn = 1.0 if name.endswith("plus") else -1.0
         hat = _half_line(lambda k, sgn=sgn: -np.exp(sgn * eta * k), -sgn)
         return FourierKernel(name, hat, odd_kind="jump", odd_origin=sgn * 0.5, decay=1.0,
-                             discrete=True, eta=eta)
+                             discrete=True)
     return None
 
 

@@ -12,7 +12,7 @@ from defectchain.monodromy import (ChainSpec, bae_residual, build_monodromy,
                                    commuting_residual, reference_eigenvalue,
                                    rtt_residual)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
-from defectchain.special_functions import ProductTruncation, gamma_ratio
+from defectchain.special_functions import gamma_ratio
 from defectchain.transmission_amplitudes import (amplitude,
                                                  breather_amplitude,
                                                  soliton_s_amplitude,
@@ -66,7 +66,6 @@ def test_criterion_1_yang_baxter():
     Yang-Baxter equation at 20 seeded random spectral pairs each."""
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    strunc = ProductTruncation(tail_tol=1e-12)
     for params in REGIMES:
         pairs = rng.uniform(-1.5, 1.5, size=(20, 2))
         for l1, l2 in pairs:
@@ -74,7 +73,7 @@ def test_criterion_1_yang_baxter():
                 lambda x: make_r(params, x).entries, l1, l2))
         for l1, l2 in pairs:
             worst = max(worst, ybe_residual(
-                lambda x: (soliton_s_amplitude(params, x, trunc=strunc)
+                lambda x: (soliton_s_amplitude(params, x)
                            * s_matrix_part(params, x)).entries, l1, l2))
     _report(1, "Yang-Baxter for R and S, 20 seeded pairs per regime", worst, 1e-10)
 
@@ -133,7 +132,7 @@ def test_criterion_4_transfer_matrix_structure():
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
             m1, m2 = (build_monodromy(spec, x) for x in (l1, l2))
             worst = max(worst, rtt_residual(spec, m1, m2, l1, l2))
-            worst = max(worst, commuting_residual(spec, m1, m2, l1, l2))
+            worst = max(worst, commuting_residual(spec, m1, m2))
         vec = reference_state(spec)
         for lam in (0.77, -0.4):
             ev = reference_eigenvalue(spec, lam)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import io
@@ -19,7 +20,6 @@ from defectchain.cli import _fmt_cell, _seeded_uniform, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
-from defectchain.reporting import ResidualReport
 from defectchain.tensor_core import commutator_residual, exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  soliton_s_amplitude)
@@ -155,8 +155,11 @@ def per_point_records(params, fock_dim, seed, log):
     pairs = rng.uniform(-1.5, 1.5, size=(6, 2))
     out = []
 
-    def add(name, residuals, tol, **kw):
-        out.append(ResidualReport(name, float(max(residuals)), tolerance=tol, **kw))
+    def add(name, residuals, tol, params=None, subspace="full"):
+        residual = float(max(residuals))
+        out.append({"name": name, "params": json.dumps(params or {}, sort_keys=True),
+                    "residual": residual, "tolerance": tol, "pass": residual < tol,
+                    "subspace": subspace})
 
     def ybe(f):
         return [exchange(f(l1 - l2), f(l1), f(l2))[0] for l1, l2 in pairs]
@@ -192,7 +195,7 @@ def per_point_records(params, fock_dim, seed, log):
         add("breather-cross-route",
             [abs(breather("+", 1, x, g).value - breather("+", 1, x, g, route="integral").value)
              for x in th_grid], 1e-6)
-    return [r.as_record() for r in out]
+    return out
 
 
 @pytest.mark.parametrize("params", [RegimeParams.xxx(), RegimeParams.critical(0.7),
@@ -205,7 +208,7 @@ def test_verify_grid_records_match_per_point_oracle(monkeypatch, params):
     mine, theirs = SampleLog(), SampleLog()
     for fn in SAMPLED:
         monkeypatch.setattr(cli, fn.__name__, mine.wrap(fn))
-    got = {r["name"]: r for r in (rep.as_record() for rep in cli.run_verify(params, 8, 7))}
+    got = {r["name"]: r for r in cli.run_verify(params, 8, 7)}
     want = per_point_records(params, 8, 7, theirs)
     assert len(want) == (9 if params.is_attractive() else 7)
     assert mine.points == theirs.points
@@ -214,6 +217,24 @@ def test_verify_grid_records_match_per_point_oracle(monkeypatch, params):
             {k: v for k, v in rec.items() if k != "residual"}, rec["name"]
         assert got[rec["name"]]["residual"] == pytest.approx(rec["residual"], rel=0, abs=1e-13)
 
+
+
+@pytest.mark.parametrize("params", [RegimeParams.xxx(), RegimeParams.critical(0.7),
+                                    RegimeParams.noncritical(0.4, theta=0.2)],
+                         ids=["xxx", "crit", "nc"])
+def test_verify_records_are_six_fields_in_order(params):
+    # run_verify builds each written record itself: the six fields in this
+    # order, params as canonical JSON, and pass read from residual < tolerance
+    records = cli.run_verify(params, 8, 7)
+    assert len({(r["name"], r["params"], r["subspace"]) for r in records}) == len(records) > 25
+    for rec in records:
+        assert list(rec) == ["name", "params", "residual", "tolerance", "pass", "subspace"]
+        assert rec["params"] == json.dumps(json.loads(rec["params"]), sort_keys=True)
+        assert type(rec["residual"]) is float and type(rec["tolerance"]) is float
+        assert rec["pass"] is (rec["residual"] < rec["tolerance"])
+        assert isinstance(rec["subspace"], str) and rec["subspace"]
+    for rec in cli.run_verify(params, 8, 7, tol_override=1e-300):
+        assert rec["tolerance"] == 1e-300 and rec["pass"] is (rec["residual"] < 1e-300)
 
 def test_amplitude_table_xxx(tmp_path):
     out = tmp_path / "amp.csv"
@@ -362,6 +383,25 @@ def test_non_finite_grid_ends_are_usage_errors(capsys, command, grid):
         assert run([command, f"--grid={grid}"]) == 2
     captured = capsys.readouterr()
     assert "grid ends must be finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["amplitude", "spectrum"])
+def test_grid_count_past_the_cap_is_a_usage_error(capsys, command):
+    # rejected while parsing: the grid itself would need 8 TB
+    assert run([command, "--grid=0:1:1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "grid count must be <= 1000000, got 1000000000000" in captured.err
+
+
+@pytest.mark.parametrize("count, accepted", [(1_000_000, True), (1_000_001, False)])
+def test_grid_count_cap_is_inclusive(count, accepted):
+    assert cli.MAX_GRID_POINTS == 1_000_000
+    if accepted:
+        assert cli._parse_grid(f"-2:2:{count}") == (-2.0, 2.0, count)
+    else:
+        with pytest.raises(argparse.ArgumentTypeError, match=f"<= 1000000, got {count}"):
+            cli._parse_grid(f"-2:2:{count}")
 
 
 @pytest.mark.parametrize("command", ["verify", "bae"])

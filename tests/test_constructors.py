@@ -9,8 +9,7 @@ from defectchain.lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
 from defectchain.monodromy import ChainSpec
 from defectchain.oscillator_reps import (HarmonicRep, QOscRep, SpinRep, harmonic_rep,
                                          q_oscillator_rep, spin_rep)
-from defectchain.reporting import ResidualReport
-from defectchain.special_functions import AmplitudeResult, FourierKernel, ProductTruncation
+from defectchain.special_functions import AmplitudeResult, FourierKernel
 from defectchain.tensor_core import TensorOperator, TensorSpace
 
 CRIT = RegimeParams.critical(0.7)
@@ -40,9 +39,6 @@ def _eye_with(value):
     (lambda: AmplitudeResult(1.0, "closed", -1e-3), "error_estimate must be >= 0"),
     (lambda: AmplitudeResult(np.ones(2), "sum", np.array([0.0, -1e-300])),
      "error_estimate must be >= 0"),
-    (lambda: ProductTruncation(max_terms=0), "max_terms must be >= 1"),
-    (lambda: ProductTruncation(tail_tol=0.0), "tail_tol must be positive"),
-    (lambda: ProductTruncation(10, float("nan")), "tail_tol must be positive"),
     (lambda: ChainSpec(-1, 1, CRIT, harmonic_rep(4)), "n_sites must be >= 0"),
     (lambda: ChainSpec(2, 0, CRIT, harmonic_rep(4)), "defect_site must lie in 1..3, got 0"),
     (lambda: ChainSpec(2, 4, CRIT, harmonic_rep(4)), "defect_site must lie in 1..3, got 4"),
@@ -74,19 +70,11 @@ HARM = harmonic_rep(3)
     (RegimeParams, (CRITICAL, 0.7, None, 0.25),
      dict(regime=CRITICAL, mu=0.7, eta=None, theta=0.25)),
     (ChainSpec, (2, 3, CRIT, HARM), dict(n_sites=2, defect_site=3, params=CRIT, rep=HARM)),
-    (ResidualReport, ("rll", 0.5),
-     dict(identity="rll", residual=0.5, params={}, subspace="full", tolerance=None)),
-    (ResidualReport, ("rll", 0.5, {"d": 4}, "interior", 1e-9),
-     dict(identity="rll", residual=0.5, params={"d": 4}, subspace="interior", tolerance=1e-9)),
-    (ProductTruncation, (), dict(max_terms=400_000, tail_tol=1e-12)),
-    (ProductTruncation, (7, 1e-3), dict(max_terms=7, tail_tol=1e-3)),
     (AmplitudeResult, (1j, "closed"), dict(value=1j, route="closed", error_estimate=0.0)),
     (FourierKernel, ("k", _hat),
-     dict(name="k", hat=_hat, odd_kind="none", odd_origin=0.0, decay=0.5, discrete=False,
-          eta=None)),
-    (FourierKernel, ("k", _hat, "jump", 0.5j, 1.5, True, 0.3),
-     dict(name="k", hat=_hat, odd_kind="jump", odd_origin=0.5j, decay=1.5, discrete=True,
-          eta=0.3)),
+     dict(name="k", hat=_hat, odd_kind="none", odd_origin=0.0, decay=0.5, discrete=False)),
+    (FourierKernel, ("k", _hat, "jump", 0.5j, 1.5, True),
+     dict(name="k", hat=_hat, odd_kind="jump", odd_origin=0.5j, decay=1.5, discrete=True)),
     (HarmonicRep, (3, HARM.a, HARM.a_dag, HARM.n_op),
      dict(dim=3, a=HARM.a, a_dag=HARM.a_dag, n_op=HARM.n_op)),
     (QOscRep, (4, QOSC.q, QOSC.v, QOSC.v_inv, QOSC.a, QOSC.a_dag, QOSC.x, QOSC.y),
@@ -103,12 +91,6 @@ def test_constructors_take_fields_in_order_with_defaults(cls, args, fields):
             assert getattr(obj, name) is value or getattr(obj, name) == value, name
     with pytest.raises(AttributeError):
         by_position.not_a_field = 1
-
-
-def test_residual_report_params_default_is_a_fresh_dict():
-    a, b = ResidualReport("x", 0.0), ResidualReport("y", 1.0)
-    assert a.params == {} and a.params is not b.params
-    assert a.as_record() == {"name": "x", "params": {}, "residual": 0.0, "subspace": "full"}
 
 
 def test_tensor_space_normalises_dims_to_an_int_tuple():

@@ -1,6 +1,7 @@
 """The package's intra-package import graph has no cycles, every import sits
-at module level, every public name has a caller inside the package, and no
-module imports a random generator or dataclasses."""
+at module level, every public name has a caller inside the package, every
+defaulted parameter of a public function is passed inside the package, and
+no module imports a random generator or dataclasses."""
 import ast
 from pathlib import Path
 
@@ -161,6 +162,83 @@ def test_uncalled_public_names_finds_test_only_api():
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert uncalled_public_names(_parse_all()) == []
+
+
+# defaulted parameters that no package call passes, each with its reason
+UNPASSED_DEFAULTS = {
+    # clibench's tracer counts amplitude calls per route, reading `route`
+    # by name from the signature of every function in its ROUTED list
+    "transmission_amplitudes.amplitude(route)",
+}
+
+
+def _calls(nodes, local, alias, name):
+    """The calls among the nodes whose callee is `name`, as the bare name
+    `local` or the attribute `alias.name`."""
+    def callee(func):
+        if isinstance(func, ast.Name):
+            return func.id == local
+        return (alias is not None and isinstance(func, ast.Attribute) and func.attr == name
+                and getattr(func.value, "id", None) == alias)
+    return [node for top in nodes for node in ast.walk(top)
+            if isinstance(node, ast.Call) and callee(node.func)]
+
+
+def _passes(call, position, param):
+    """Whether the call passes the parameter at `position` (None for a
+    keyword-only one) named `param`, by position, by name or by unpacking."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_defaults(trees) -> list[str]:
+    """module.function(param) for every defaulted parameter of a public
+    module-level function that no call in the package passes."""
+    out = []
+    for module, tree in trees.items():
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in _public_names(tree):
+            if name not in functions:
+                continue
+            calls = _calls(tree.body, name, None, name)
+            for other, other_tree in trees.items():
+                local, alias = _bindings(other_tree, module, name)
+                if other != module and (local or alias):
+                    calls += _calls(other_tree.body, local, alias, name)
+            args = functions[name].args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            out += [f"{module}.{name}({param})" for position, param in defaulted
+                    if not any(_passes(call, position, param) for call in calls)]
+    return out
+
+
+def test_unpassed_defaults_finds_test_only_options():
+    trees = {
+        "a": ast.parse("__all__ = ['f', 'g', 'h']\n"
+                       "def f(x, y=1, z=2, *, w=3): pass\n"
+                       "def g(x, y=1): pass\ndef h(x=0): pass\n"
+                       "def _private(x=0): pass\ndef use(): return f(0, w=1), h(*[])\n"),
+        "b": ast.parse("from . import a as mod\nfrom .a import f as ff\n"
+                       "def run(): return mod.f(0, 1), ff(0, **{}), mod.g(0, y=2)\n"),
+    }
+    assert unpassed_defaults({"a": trees["a"]}) == ["a.f(y)", "a.f(z)", "a.g(y)"]
+    assert unpassed_defaults(trees) == []
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    # an option that only tests set is test-only API: it goes, or the
+    # setting becomes a module constant that tests monkeypatch; an
+    # allow-list entry that a package call now passes is stale
+    found = set(unpassed_defaults(_parse_all()))
+    assert sorted(found - UNPASSED_DEFAULTS) == []
+    assert sorted(UNPASSED_DEFAULTS - found) == []
 
 
 def random_imports(trees) -> list[str]:

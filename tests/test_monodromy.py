@@ -5,8 +5,7 @@ from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
                                    build_monodromy, charge_residual,
-                                   charge_vector, commuting_residual,
-                                   diagonal_blocks, reference_eigenvalue,
+                                   charge_vector, commuting_residual, reference_eigenvalue,
                                    reference_residual, rtt_residual, sector_blocks,
                                    sector_commutator, sector_mask,
                                    transfer_matrix)
@@ -16,6 +15,14 @@ from dense_oracle import dense_transfer, embed, exchange_oracle, reference_state
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
+
+
+def diagonal_blocks(t, sectors):
+    """(charge, block) of t on each of the sectors, with the check that t is
+    exactly 0 between them."""
+    blocks = [(sector, t[np.ix_(idx, idx)]) for sector, idx in sectors]
+    assert sum(np.count_nonzero(block) for _, block in blocks) == np.count_nonzero(t)
+    return blocks
 
 
 def xxx_chain(n_sites=3, defect_site=2, d=6, theta=0.2):
@@ -84,7 +91,7 @@ def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
     # t(lam) is built sector block by sector block, traced inside the last
     # contraction step; each block must equal the block of the auxiliary
     # trace of the full monodromy exactly, signed zeros included, and the
-    # trace must vanish between the blocks (diagonal_blocks checks it)
+    # trace must vanish between the blocks
     for n_sites in range(5):
         for site in range(1, n_sites + 2):
             spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
@@ -96,7 +103,7 @@ def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
                 t = np.einsum("aiaj->ij", blocks)
                 assert same_bits(dense_transfer(spec, lam), t)
                 got = transfer_matrix(spec, lam, sectors)
-                want = diagonal_blocks(t, sectors, lam)
+                want = diagonal_blocks(t, sectors)
                 assert [k for k, _ in got] == [k for k, _ in want]
                 assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, want))
 
@@ -138,7 +145,7 @@ def test_commuting_family_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(5)
     for l1, l2 in rng.uniform(-1.2, 1.2, size=(4, 2)):
-        assert commuting_residual(spec, *monodromy_pair(spec, l1, l2), l1, l2) < 1e-10
+        assert commuting_residual(spec, *monodromy_pair(spec, l1, l2)) < 1e-10
 
 
 def test_commuting_family_fails_without_projection():
@@ -193,14 +200,14 @@ def test_shared_pair_residuals_match_dense_oracles(params, n_sites):
     # the commuting family, and a charge-conserving partner that does not
     # commute with t(lam1): traced from M + 1 (x) x, it is t(lam2) + 2 x
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
-    got = commuting_residual(spec, m1, m2, l1, l2)
+    got = commuting_residual(spec, m1, m2)
     assert abs(got - masked_commutator(t1, t2, keep)) <= 1e-12 * scale
     x = np.zeros((dim, dim), dtype=complex)
     for _, idx in sector_blocks(spec):
         x[np.ix_(idx, idx)] = rng.standard_normal((len(idx),) * 2)
     want = masked_commutator(t1, t2 + 2 * x, keep)
     assert want > 1e-3 * scale
-    got = commuting_residual(spec, m1, with_aux_diagonal(m2, x), l1, l2)
+    got = commuting_residual(spec, m1, with_aux_diagonal(m2, x))
     np.testing.assert_allclose(got, want, rtol=1e-12)
     # the charge commutes with t(lam1) exactly; with t(lam1) + 2 x for a
     # dense x it does not
@@ -409,7 +416,7 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
         scale = np.linalg.norm(t) * np.linalg.norm(t0)
         got = sector_commutator(spec, blocks, blocks0)
         assert abs(got - commutator_residual(t, t0, sector_mask(spec))) <= 1e-12 * scale
-        assert commuting_residual(spec, *monodromy_pair(spec, lam, lam0), lam, lam0) == got
+        assert commuting_residual(spec, *monodromy_pair(spec, lam, lam0)) == got
         # a block-diagonal partner that does not commute with t: the blocks
         # above the ceiling are left out, the others all count
         other = np.zeros_like(t)
@@ -417,7 +424,7 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
             n = len(idx)
             other[np.ix_(idx, idx)] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         want = commutator_residual(t, other, sector_mask(spec))
-        got = sector_commutator(spec, blocks, diagonal_blocks(other, sectors, 0.0))
+        got = sector_commutator(spec, blocks, diagonal_blocks(other, sectors))
         assert abs(got - want) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(other)
 
 
@@ -430,22 +437,8 @@ def test_sector_commutator_past_the_float_range_is_inf():
     idx = sectors[1][1][:2]
     a[np.ix_(idx, idx)] = block
     b[np.ix_(idx, idx)] = block.T
-    got = sector_commutator(spec, diagonal_blocks(a, sectors, 1.0),
-                            diagonal_blocks(b, sectors, 2.0))
+    got = sector_commutator(spec, diagonal_blocks(a, sectors), diagonal_blocks(b, sectors))
     assert got == np.inf
-
-
-@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
-def test_charge_leak_is_a_value_error(params):
-    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 5))
-    sectors = sector_blocks(spec)
-    t = dense_transfer(spec, 0.37)
-    assert len(diagonal_blocks(t, sectors, 0.37)) == len(sectors)
-    (_, rows), (_, cols) = sectors[1], sectors[2]
-    leaky = t.copy()
-    leaky[rows[0], cols[-1]] = 1e-300
-    with pytest.raises(ValueError, match="leaks charge at lam = 0.37"):
-        diagonal_blocks(leaky, sectors, 0.37)
 
 
 def with_leak(make):

@@ -8,8 +8,7 @@ import pytest
 import defectchain.transmission_amplitudes as ta
 from defectchain import special_functions
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (DEFAULT_TRUNCATION, ConvergenceError,
-                                           ProductTruncation)
+from defectchain.special_functions import ConvergenceError
 from defectchain.transmission_amplitudes import (_s2_critical_product,
                                                  soliton_s_amplitude)
 
@@ -62,12 +61,11 @@ def test_closed_critical_s_amplitude_matches_literal_product(mu, lam):
     # the rounding of its ~3e6 complex log-Gammas leaves it up to ~1.3e-5
     # from the mpmath sum (mu = 0.3, lam = -10), so the gate is 5e-5
     params = RegimeParams.critical(mu)
-    literal = _s2_critical_product(complex(lam), params.gamma,
-                                   ProductTruncation(tail_tol=1e-12))
+    literal = _s2_critical_product(complex(lam), params.gamma)
     assert abs(soliton_s_amplitude(params, lam) - literal) <= 5e-5
 
 
-def _head_factors(monkeypatch, params, lam, trunc=DEFAULT_TRUNCATION) -> tuple[int, int]:
+def _head_factors(monkeypatch, params, lam) -> tuple[int, int]:
     """(K, log-Gamma points) of one closed S_s call: K is read off the
     offset of the tail's Hurwitz zeta, K + (gamma + 1/2 + i lam) / (2 gamma)."""
     offsets, points = [], []
@@ -86,7 +84,7 @@ def _head_factors(monkeypatch, params, lam, trunc=DEFAULT_TRUNCATION) -> tuple[i
         m.setattr(ta, "_hurwitz_tail", spy_tail)
         m.setattr(special_functions, "log_gamma", spy_log_gamma)
         m.setattr(ta, "log_gamma", spy_log_gamma, raising=False)
-        soliton_s_amplitude(params, lam, trunc=trunc)
+        soliton_s_amplitude(params, lam)
     g = params.gamma
     (k0,) = offsets
     return round(k0.real - (g + 0.5) / (2.0 * g)), sum(points)
@@ -102,22 +100,31 @@ def test_closed_critical_s_amplitude_work_bound(monkeypatch):
             assert points == 0
 
 
-def test_closed_critical_s_amplitude_cap_raises():
+def test_closed_critical_s_amplitude_cap_raises(monkeypatch):
     params = RegimeParams.critical(3.0)      # K = 58 at lam = 0.3
+    monkeypatch.setattr(ta, "MAX_TERMS", 40)
     with pytest.raises(ConvergenceError, match="cap is 40"):
-        soliton_s_amplitude(params, 0.3, trunc=ProductTruncation(max_terms=40))
-    assert abs(soliton_s_amplitude(params, 0.3, trunc=ProductTruncation(max_terms=64))) \
-        == pytest.approx(1.0, abs=1e-15)
+        soliton_s_amplitude(params, 0.3)
+    monkeypatch.setattr(ta, "MAX_TERMS", 64)
+    assert abs(soliton_s_amplitude(params, 0.3)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_closed_critical_s_amplitude_tight_tail_tol_adds_factors(monkeypatch):
-    # at the default tail_tol 1e-12 the fixed reach 6 max(max|h|, 1) already
-    # bounds the omitted n = 21, 22 terms for every gamma; a tighter tail_tol
-    # moves the reach out, so more factors are summed exactly
+    # at TAIL_TOL 1e-12 the fixed reach 6 max(max|h|, 1) already bounds the
+    # omitted n = 21, 22 terms for every gamma; a tighter TAIL_TOL moves the
+    # reach out, so more factors are summed exactly
     params = RegimeParams.critical(2.5)
-    tight = ProductTruncation(tail_tol=1e-16)
     default, _ = _head_factors(monkeypatch, params, 0.3)
-    more, _ = _head_factors(monkeypatch, params, 0.3, tight)
+    value = soliton_s_amplitude(params, 0.3)
+    monkeypatch.setattr(ta, "TAIL_TOL", 1e-16)
+    more, _ = _head_factors(monkeypatch, params, 0.3)
     assert more > default
-    assert abs(soliton_s_amplitude(params, 0.3, trunc=tight)
-               - soliton_s_amplitude(params, 0.3)) <= 1e-14
+    assert abs(soliton_s_amplitude(params, 0.3) - value) <= 1e-14
+
+
+@pytest.mark.parametrize("params", [RegimeParams.xxx(), RegimeParams.critical(0.7),
+                                    RegimeParams.noncritical(0.5)])
+def test_s_amplitude_has_no_product_route(params):
+    # S_s has no literal-product route at real lam, so no regime offers one
+    with pytest.raises(ValueError, match="route 'product' not available"):
+        soliton_s_amplitude(params, 0.3, route="product")

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectchain import special_functions
 from defectchain.special_functions import (_LOG_GAMMA_REL, _SIN_DIRECT, ConvergenceError,
-                                           FourierKernel, PoleError, ProductTruncation,
-                                           _hurwitz_tail, _log_gamma_right, amplitude_integral,
+                                           FourierKernel, PoleError, _hurwitz_tail,
+                                           _log_gamma_right, amplitude_integral,
                                            amplitude_sum, gamma_ratio,
                                            infinite_gamma_product, log_gamma,
                                            q_gamma)
@@ -139,11 +140,12 @@ def test_q_gamma_classical_limit():
     assert val == pytest.approx(np.sqrt(np.pi), rel=1e-3)
 
 
-def test_q_gamma_monotone_refinement():
+def test_q_gamma_monotone_refinement(monkeypatch):
     # refining the truncation converges toward the Gamma value
     errs = []
     for tol in (1e-4, 1e-8, 1e-12):
-        val = q_gamma(0.5, 1.0 - 1e-3, ProductTruncation(tail_tol=tol))
+        monkeypatch.setattr(special_functions, "TAIL_TOL", tol)
+        val = q_gamma(0.5, 1.0 - 1e-3)
         errs.append(abs(val - np.sqrt(np.pi)))
     assert errs[2] <= errs[1] + 1e-12 <= errs[0] + 2e-12
 
@@ -156,20 +158,21 @@ def test_q_gamma_recurrence():
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
-def test_q_gamma_pole_and_domain():
+def test_q_gamma_pole_and_domain(monkeypatch):
     with pytest.raises(PoleError):
         q_gamma(0.0, 0.5)
     with pytest.raises(ValueError):
         q_gamma(0.5, 1.5)
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 100)
     with pytest.raises(ConvergenceError):
-        q_gamma(0.5, 1 - 1e-6, ProductTruncation(max_terms=100))
+        q_gamma(0.5, 1 - 1e-6)
 
 
 def test_infinite_product_of_ones():
     def term(k):
         return [k + 1.0], [k + 1.0]
 
-    val, tail = infinite_gamma_product(term)
+    val, tail = infinite_gamma_product(term, 0.0)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
@@ -184,21 +187,50 @@ def test_infinite_product_classical_value():
                [k + a, k + b, k + c + 1, k + d + 1]
 
     c2 = -(a * a + b * b - c * c - d * d) / 2.0
-    val, tail = infinite_gamma_product(
-        term, ProductTruncation(max_terms=400000, tail_tol=1e-12),
-        tail_coefficient=c2)
+    val, tail = infinite_gamma_product(term, c2)
     want = 4.0 / (3.0 * np.pi)   # Gamma(1)Gamma(2) / (Gamma(1/2)Gamma(5/2))
     assert val == pytest.approx(want, rel=1e-7)
     assert tail < 1e-9
 
 
-def test_infinite_product_nonconvergence_reported():
+
+def _classical_product_term(seen):
+    """The factors of test_infinite_product_classical_value, with the last
+    index of each block asked for appended to `seen`."""
+    a, b, c, d = 0.5, 2.5, 1.0, 2.0
+
     def term(k):
-        return [k + 3.0], [k + 1.0]   # factors grow like k^2
+        seen.append(int(k[-1]))
+        return [k + a + 1, k + b + 1, k + c, k + d], [k + a, k + b, k + c + 1, k + d + 1]
+    return term, -(a * a + b * b - c * c - d * d) / 2.0
 
-    with pytest.raises(ConvergenceError):
-        infinite_gamma_product(term, ProductTruncation(max_terms=2000, tail_tol=1e-12))
 
+def test_infinite_product_tail_tol_sets_where_it_stops():
+    # a looser tail_tol (the critical T+- product passes 1e-9) stops at an
+    # earlier factor; the completed tail keeps each value within a few
+    # times its tail estimate
+    want = 4.0 / (3.0 * np.pi)
+    reach = []
+    for tol in (1e-6, 1e-9, 1e-12):
+        seen = []
+        term, c2 = _classical_product_term(seen)
+        val, tail = infinite_gamma_product(term, c2, tol)
+        reach.append(seen[-1])
+        assert 0 < tail < 1e3 * tol
+        assert abs(val / want - 1) <= 3 * tail, tol
+    assert reach[0] < reach[1] < reach[2]
+
+
+def test_infinite_product_completes_the_tail_with_its_coefficient():
+    # with the true c2 the truncated product is completed; with c2 = 0 the
+    # same factors leave the neglected tail, orders of magnitude larger
+    want = 4.0 / (3.0 * np.pi)
+    term, c2 = _classical_product_term([])
+    completed, _ = infinite_gamma_product(term, c2, 1e-9)
+    bare, bare_tail = infinite_gamma_product(term, 0.0, 1e-9)
+    assert bare_tail == 0.0
+    assert abs(completed / want - 1) < 1e-8
+    assert abs(bare / want - 1) > 1e3 * abs(completed / want - 1)
 
 @pytest.mark.parametrize("k0", [1, 4, 16, 2048])
 def test_hurwitz_tail_matches_mpmath(k0):
@@ -239,7 +271,7 @@ def test_zero_kernel_gives_unit_amplitude():
                          decay=1.0)
     assert amplitude_integral(zero, 0.7).value == pytest.approx(1.0, abs=1e-14)
     zero_d = FourierKernel("zero", lambda k: np.zeros_like(np.asarray(k, dtype=float)),
-                           decay=1.0, discrete=True, eta=0.5)
+                           decay=1.0, discrete=True)
     assert amplitude_sum(zero_d, 0.7, 0.5).value == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         amplitude_sum(zero_d, 0.7, -0.5)
@@ -259,5 +291,3 @@ def test_quadrature_spec_validation():
                          decay=0.0)
     with pytest.raises(ValueError, match="decay"):
         amplitude_integral(flat, 0.7)
-    with pytest.raises(ValueError):
-        ProductTruncation(max_terms=0)
