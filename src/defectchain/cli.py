@@ -22,8 +22,7 @@ Formats: csv (tables) or jsonl (one JSON record per line).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import itertools
 import json
 import math
@@ -302,49 +301,67 @@ def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
 # --------------------------------------------------------------------------
 
 
-def _write_records(tables, fmt: str, out, header: dict):
-    """Write tables of columns one after another under one header.
+_BLOCK_ROWS = 4096    # rows formatted and written at a time
 
-    A table maps each column name to a list of cells, or to one cell that
-    repeats over the table's rows and is formatted once; every table has the
-    first table's columns in its order.
-    """
-    stream = io.StringIO()
-    if fmt == "jsonl":
-        stream.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+
+def _write_records(tables, fmt: str, out, header: dict):
+    """Write tables of columns one after another under one header to the
+    file `out` or to stdout, _BLOCK_ROWS rows at a time.  A table maps each
+    column name to a list or 1-d array of cells (an array reads as its
+    tolist()), or to one cell that repeats over the table's rows; every
+    table has the first table's columns in its order.  A csv table is one
+    `%` row template (see `_csv_field`) filled a block at a time."""
+    try:
+        target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        raise ValueError(f"cannot write --out {out}: {err.strerror}") from None
+    lone = len(tables[0]) == 1
+    with target as stream:
+        stream.write(json.dumps({"header": header}, sort_keys=True) + "\n" if fmt == "jsonl"
+                     else "# " + json.dumps(header, sort_keys=True) + "\n"
+                     + ",".join(_csv_cell(name, lone) for name in tables[0]) + "\n")
         for table in tables:
-            cols = [v if isinstance(v, list) else itertools.repeat(v) for v in table.values()]
-            for row in zip(*cols):
-                stream.write(json.dumps(dict(zip(table, row)), sort_keys=True) + "\n")
-    else:
-        stream.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(list(tables[0]))
-        for table in tables:
-            writer.writerows(zip(*(_fmt_column(v) if isinstance(v, list)
-                                   else itertools.repeat(_fmt_cell(v))
-                                   for v in table.values())))
-    text = stream.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fields = {k: _csv_field(v, lone) for k, v in table.items()}
+            template = ",".join(fields.values()) + "\n"
+            cols = [k for k, v in table.items() if isinstance(v, (list, np.ndarray))]
+            for at in range(0, min((len(table[k]) for k in cols), default=0), _BLOCK_ROWS):
+                block = {k: table[k][at:at + _BLOCK_ROWS] for k in cols}
+                block = {k: v if isinstance(v, list) else v.tolist() for k, v in block.items()}
+                if fmt == "jsonl":
+                    rows = zip(*(block.get(k, itertools.repeat(v)) for k, v in table.items()))
+                    stream.writelines(json.dumps(dict(zip(table, row)), sort_keys=True) + "\n"
+                                      for row in rows)
+                else:
+                    rows = zip(*(block[k] if fields[k] != "%s"
+                                 else [_csv_cell(_fmt_cell(v), lone) for v in block[k]]
+                                 for k in cols))
+                    stream.write(template * len(block[cols[0]])
+                                 % tuple(itertools.chain.from_iterable(rows)))
+
+
+def _csv_field(v, lone: bool) -> str:
+    """v's part of a csv row template: a repeated cell baked in (% doubled),
+    or %.12e, %d or %s for a column of floats, of ints or of other cells."""
+    if isinstance(v, np.ndarray):
+        return {"f": "%.12e", "i": "%d", "u": "%d"}.get(v.dtype.kind, "%s")
+    if not isinstance(v, list):
+        return _csv_cell(_fmt_cell(v), lone).replace("%", "%%")
+    types = set(map(type, v))
+    return ("%.12e" if all(issubclass(t, float) for t in types)
+            else "%d" if types == {int} else "%s")
+
+
+def _csv_cell(text: str, lone: bool) -> str:
+    """text as csv.writer (line terminator "\\n") writes it: quoted, quotes
+    doubled, if it holds `,`, `"` or "\\n", or is empty and its row's only field."""
+    if "," in text or '"' in text or "\n" in text or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _columns(rows: list[dict]) -> dict:
     """Row dicts with the same keys as one table of columns."""
     return {k: [row[k] for row in rows] for k in rows[0]}
-
-
-def _fmt_column(values: list) -> list:
-    """The cells of one csv column, each formatted as `_fmt_cell` would."""
-    types = set(map(type, values))
-    if all(issubclass(t, float) for t in types):
-        return [f"{v:.12e}" for v in values]
-    if all(issubclass(t, int) for t in types):
-        return values            # csv writes str(v)
-    return [_fmt_cell(v) for v in values]
 
 
 def _fmt_cell(v):
@@ -353,6 +370,23 @@ def _fmt_cell(v):
     if isinstance(v, complex):
         return f"{v.real:.12e}{v.imag:+.12e}j"
     return str(v)
+
+
+def _sector_order(evs: np.ndarray, sizes: list[int]) -> list[int]:
+    """The indices that sort each sector (of the given sizes) of the complex128
+    evs as sorted() keyed by (round(re, 10), round(im, 10)) does.  round(v, 10)
+    is the double nearest to n 10^-10, n = v 10^10 rounded half-even; so is
+    rint(y) / 1e10 for y = 1e10 v where y's rounding cannot move rint(y), and
+    round keys the rest."""
+    x = evs.view(float)       # re, im, re, im, ...
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e10
+        slow = ~(np.abs(y - np.rint(y)) < 0.5 - np.abs(y) * 2.0 ** -50)
+    keys = np.rint(y) / 1e10
+    keys[slow] = [round(v, 10) for v in x[slow].tolist()]
+    keys = keys.reshape(-1, 2).tolist()
+    return [i for start, n in zip(itertools.accumulate(sizes, initial=0), sizes)
+            for i in sorted(range(start, start + n), key=keys.__getitem__)]
 
 
 # --------------------------------------------------------------------------
@@ -423,10 +457,10 @@ def cmd_amplitude(args) -> int:
             notes[i] = f"pole:{err}"
     pole = np.array([bool(note) for note in notes])
     tp, tm = (np.where(pole, complex(np.nan, np.nan), x) for x in (tp, tm))
-    table = {"lam_hat": grid.tolist(), "re_t_plus": tp.real.tolist(),
-             "im_t_plus": tp.imag.tolist(), "re_t_minus": tm.real.tolist(),
-             "im_t_minus": tm.imag.tolist(),
-             "route_discrepancy": np.where(pole, np.nan, disc).tolist(), "note": notes}
+    table = {"lam_hat": grid, "re_t_plus": tp.real, "im_t_plus": tp.imag,
+             "re_t_minus": tm.real, "im_t_minus": tm.imag,
+             "route_discrepancy": np.where(pole, np.nan, disc),
+             "note": notes if any(notes) else ""}
     header = _header(args, family=args.family, grid=f"{start}:{stop}:{count}")
     _write_records([table], args.format or "csv", args.out, header)
     return EXIT_OK
@@ -438,6 +472,11 @@ def cmd_spectrum(args) -> int:
                           params=params, rep=defect_rep(params, args.fock_dim))
     start, stop, count = args.grid
     sectors = mono.sector_blocks(spec)
+    sizes = [len(idx) for _, idx in sectors]
+    charge = np.repeat([sector for sector, _ in sectors], sizes)
+    exact = np.repeat([int(sector <= spec.max_exact_charge) for sector, _ in sectors], sizes)
+    # the blocks by size: one eigvals call per size
+    groups = [[k for k, size in enumerate(sizes) if size == n] for n in set(sizes)]
     tables = []
     first = None
     for lam in np.linspace(start, stop, count):
@@ -451,17 +490,14 @@ def cmd_spectrum(args) -> int:
             if not math.isfinite(comm_res):
                 raise ValueError(f"the commutator check at lam = {lam} is beyond "
                                  "the float range")
-        table = {"lam": float(lam), "sector": [], "re_eig": [], "im_eig": [],
-                 "reference_check": mono.reference_residual(spec, blocks, lam),
-                 "commutator_check": comm_res, "exact": []}
-        for sector, block in blocks:
-            evs = sorted(np.linalg.eigvals(block).tolist(),
-                         key=lambda z: (round(z.real, 10), round(z.imag, 10)))
-            table["sector"] += [sector] * len(evs)
-            table["re_eig"] += [z.real for z in evs]
-            table["im_eig"] += [z.imag for z in evs]
-            table["exact"] += [int(sector <= spec.max_exact_charge)] * len(evs)
-        tables.append(table)
+        evs = {k: ev for pick in groups
+               for k, ev in zip(pick, np.linalg.eigvals(np.stack([blocks[k][1] for k in pick])))}
+        evs = np.concatenate([evs[k] for k in range(len(blocks))])
+        evs = evs[_sector_order(evs, sizes)]
+        tables.append({"lam": float(lam), "sector": charge, "re_eig": evs.real,
+                       "im_eig": evs.imag,
+                       "reference_check": mono.reference_residual(spec, blocks, lam),
+                       "commutator_check": comm_res, "exact": exact})
     header = _header(args, sites=args.sites, defect_site=args.defect_site,
                      fock_dim=args.fock_dim)
     _write_records(tables, args.format or "csv", args.out, header)

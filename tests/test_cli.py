@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import inspect
 import io
@@ -12,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defectchain
 from defectchain import cli
 from defectchain import monodromy as mono
-from defectchain.cli import _fmt_cell, _seeded_uniform, _write_records, main
+from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
@@ -458,12 +461,13 @@ def test_seeded_uniform_is_numpy_default_rng_bit_for_bit():
     ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"],
 ], ids=["verify", "bae", "amplitude", "spectrum"])
 def test_subcommands_load_no_numpy_random_hashlib_or_dataclasses(argv):
-    # a fresh interpreter per subcommand: this one has numpy.random loaded
+    # a fresh interpreter per subcommand: this one has numpy.random loaded;
+    # csv is not loaded either, since the tables are written by template
     script = ("import contextlib, io, sys\n"
               "from defectchain.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(sys.argv[1:])\n"
-              "print(code, [m for m in ('numpy.random', 'hashlib', 'dataclasses')\n"
+              "print(code, [m for m in ('numpy.random', 'hashlib', 'dataclasses', 'csv')\n"
               "             if m in sys.modules])\n")
     src = str(Path(defectchain.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -843,6 +847,177 @@ def test_write_records_repeated_cells_and_several_tables(tmp_path, fmt):
         expected = [json.dumps({"header": header}, sort_keys=True)]
         expected += [json.dumps(rec, sort_keys=True) for rec in records]
         assert out.read_text() == "\n".join(expected) + "\n"
+
+
+# csv-special text: quoting, quote doubling, `%` in a row template, and a
+# lone carriage return, which csv.writer leaves unquoted under "\n" lines
+TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "%", "s", "d", " ", "é"]),
+               max_size=5)
+CELLS = {
+    "float": st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]),
+    "np_float": st.floats().map(np.float64),
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "np_int": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "complex": st.complex_numbers(),
+    "text": TEXT,
+}
+ARRAY_DTYPES = {"float": float, "np_float": float, "np_int": np.int64, "bool": bool,
+                "complex": complex}
+
+
+@st.composite
+def tables_and_records(draw):
+    """Tables of list, array and repeated columns (several tables, one set
+    of names) and their rows as records, arrays read through tolist()."""
+    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from([*CELLS, "mixed"])) for _ in names]
+    tables, records = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(1, 7))
+        table = {}
+        for name, kind in zip(names, kinds):
+            cell = st.one_of(*CELLS.values()) if kind == "mixed" else CELLS[kind]
+            shape = draw(st.sampled_from(["list", "array", "repeated"]))
+            if shape == "repeated":
+                table[name] = draw(cell)
+            else:
+                table[name] = draw(st.lists(cell, min_size=rows, max_size=rows))
+                if shape == "array" and kind in ARRAY_DTYPES:
+                    table[name] = np.array(table[name], dtype=ARRAY_DTYPES[kind])
+        if all(not isinstance(v, (list, np.ndarray)) for v in table.values()):
+            table[names[0]] = [table[names[0]]] * rows
+        tables.append(table)
+        cols = [v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list)
+                else [v] * rows for v in table.values()]
+        records += [dict(zip(names, row)) for row in zip(*cols)]
+    return tables, records
+
+
+@given(tables_and_records(), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_write_records_csv_is_the_per_cell_writer(tables_records, block_rows):
+    # any table, cut into blocks of any size, reads as csv.writer writes
+    # the _fmt_cell of every cell; JSON lines as json.dumps writes each row
+    tables, records = tables_records
+    header = {"command": "test", "grid": "0:1:2"}
+    saved = cli._BLOCK_ROWS
+    cli._BLOCK_ROWS = block_rows
+    try:
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            _write_records(tables, "csv", None, header)
+        assert got.getvalue() == per_cell_csv(records, header)
+        try:
+            want = [json.dumps({"header": header}, sort_keys=True)]
+            want += [json.dumps(rec, sort_keys=True) for rec in records]
+        except TypeError:       # complex and np.int64 cells are not JSON
+            return
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            _write_records(tables, "jsonl", None, header)
+        assert got.getvalue() == "\n".join(want) + "\n"
+    finally:
+        cli._BLOCK_ROWS = saved
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--regime", "xxx"], ["amplitude", "--grid=0:1:2"],
+    ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"], ["bae"],
+], ids=["verify", "amplitude", "spectrum", "bae"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_out_that_cannot_be_opened_is_a_one_line_usage_error(tmp_path, capsys, argv, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_failing_stdout_is_not_an_out_error(monkeypatch):
+    # only opening --out maps to the error line; a write that fails, as on
+    # a closed pipe, propagates
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["bae"])
+
+
+def test_large_amplitude_table_is_written_in_bounded_memory():
+    # 100000 rows: the whole table as Python lists and its text peaked at
+    # 146 MB (x86-64, numpy 2.4); block by block it peaks near 60 MB
+    script = ("import resource, sys\n"
+              "from defectchain.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+    src = str(Path(defectchain.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, "amplitude", "--regime", "xxx",
+                           "--grid=-2:2:100000"], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=600)
+    code, max_rss_kb = done.stderr.split()[-2:]
+    assert code == "0", done.stderr[-2000:]
+    assert int(max_rss_kb) < 100 * 1024
+
+
+# ------------------------------------------------------------ spectrum order
+
+def builtin_order(evs, sizes):
+    """Each sector sorted as the spectrum rows always were."""
+    out, start = [], 0
+    for n in sizes:
+        out += sorted(evs[start:start + n].tolist(),
+                      key=lambda z: (round(z.real, 10), round(z.imag, 10)))
+        start += n
+    return np.array(out, dtype=complex)
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_sector_order_where_numpy_round_is_not_the_builtin():
+    # parts v near a half-way point (k + 1/2) 1e-10, and past 2**49 1e-10,
+    # where np.round(v, 10) (rint(1e10 v) / 1e10) is not round(v, 10): next
+    # to round(v, 10) itself, with the imaginary parts set so that the two
+    # keys order the pair differently, _sector_order keeps the builtin order
+    k = np.arange(10 ** 8, 10 ** 8 + 400)
+    parts = np.concatenate([(k + 0.5) * 1e-10, -(k + 0.5) * 1e-10,
+                            [-124874.88903344155, 186075.24641720066, 28701.66275975515]])
+    parts = parts[np.round(parts, 10) != [round(v, 10) for v in parts.tolist()]]
+    assert len(parts) >= 50
+    for v in parts.tolist():
+        im = 1.0 if np.round([v], 10)[0] < round(v, 10) else -1.0
+        evs = np.array([complex(v, im), complex(round(v, 10), 0.0)])
+        numpy_keys = np.round(evs.view(float), 10).reshape(-1, 2).tolist()
+        want = builtin_order(evs, [2])
+        assert not same_bits(evs[sorted(range(2), key=numpy_keys.__getitem__)], want)
+        assert same_bits(evs[_sector_order(evs, [2])], want)
+
+
+def near_tie_parts():
+    half_way = st.integers(-10 ** 12, 10 ** 12).map(lambda k: (k + 0.5) * 1e-10)
+    return st.one_of(
+        st.tuples(half_way, st.integers(-3, 3)).map(lambda p: p[0] + p[1] * np.spacing(p[0])),
+        st.integers(-10 ** 12, 10 ** 12).map(lambda k: k * 1e-10),
+        st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+        st.sampled_from([0.0, -0.0, 5e-324, float("inf"), -float("inf"), float("nan")]))
+
+
+@given(st.lists(near_tie_parts(), min_size=1, max_size=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sector_order_is_sorted_by_builtin_round(pool, data):
+    # few distinct parts, a few ulps apart, give many ties and near-ties
+    parts = st.sampled_from(pool).flatmap(
+        lambda v: st.integers(-1, 1).map(lambda j: v + j * np.spacing(v) if np.isfinite(v) else v))
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    evs = np.array([complex(data.draw(parts), data.draw(parts)) for _ in range(sum(sizes))])
+    assert same_bits(evs[_sector_order(evs, sizes)], builtin_order(evs, sizes))
 
 
 # ------------------------------------------------------------ parser reuse
