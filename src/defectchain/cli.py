@@ -219,17 +219,20 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
             add("lax-crossing-unitarity", crossing, 1e-11, params={"lam": complex(lam)},
                 subspace=interior_sub)
 
-    # monodromy-level checks at desk scale
+    # monodromy-level checks at desk scale: RTT on the monodromy pair, the
+    # rest on the blocks of t(lam) as `spectrum` reads them
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params,
                           rep=defect_rep(params, 6))
     l1, l2 = uniform(-1.0, 1.0, 2)
     m1, m2 = (mono.build_monodromy(spec, x) for x in (l1, l2))
     pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
     add("rtt", mono.rtt_residual(spec, m1, m2, l1, l2), 1e-10, params=pair, subspace=sectors)
-    add("commuting-family", mono.commuting_residual(spec, m1, m2), 1e-10,
+    exact = mono.sector_blocks(spec)[:spec.max_exact_charge + 1]
+    t1, t2 = (mono.transfer_matrix(spec, x, exact) for x in (l1, l2))
+    add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
         params=pair, subspace=sectors)
-    add("charge-conservation", mono.charge_residual(spec, m1), 1e-12, subspace=sectors)
-    blocks = mono.transfer_matrix(spec, 0.77, mono.sector_blocks(spec)[:1])   # charge 0 only
+    add("charge-conservation", mono.charge_leak(spec, l1), 1e-12, subspace=sectors)
+    blocks = mono.transfer_matrix(spec, 0.77, exact[:1])   # charge 0 only
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
 
     # amplitudes: cross-route agreement and unitarity
@@ -352,9 +355,10 @@ def _csv_field(v, lone: bool) -> str:
 
 
 def _csv_cell(text: str, lone: bool) -> str:
-    """text as csv.writer (line terminator "\\n") writes it: quoted, quotes
-    doubled, if it holds `,`, `"` or "\\n", or is empty and its row's only field."""
-    if "," in text or '"' in text or "\n" in text or (lone and not text):
+    """text as a csv cell that csv.reader reads back: quoted, quotes doubled,
+    if it holds `,`, `"`, "\\n" or "\\r", or is empty and its row's only field
+    (csv.writer with the line terminator "\\n" leaves a "\\r" unquoted)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text or (lone and not text):
         return '"' + text.replace('"', '""') + '"'
     return text
 

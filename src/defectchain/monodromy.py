@@ -14,8 +14,9 @@ Truncation-leak policy: the defect occupation together with the site
 grading defines a conserved charge Q; on charge sectors whose occupation
 never reaches the truncation ceiling the transfer matrix acts exactly as in
 the untruncated representation, so all operator identities are measured on
-the sectors Q <= D - 2: as a 0/1 mask (RTT, charge conservation), or block by
-block on t(lam), which the charge makes block-diagonal (commuting family).
+the sectors Q <= D - 2: as a 0/1 mask (RTT), or block by block on t(lam),
+which the charge makes block-diagonal (commuting family).  The charge itself
+is checked on the local tensors (`charge_leak`), before any contraction.
 """
 from __future__ import annotations
 
@@ -39,8 +40,7 @@ __all__ = [
     "reference_eigenvalue",
     "reference_residual",
     "rtt_residual",
-    "commuting_residual",
-    "charge_residual",
+    "charge_leak",
     "bae_residual",
     "bae_root",
 ]
@@ -85,6 +85,15 @@ class ChainSpec:
         return self.rep.dim - 2
 
 
+def _local_tensors(spec: ChainSpec, lam: complex) -> list[np.ndarray]:
+    """M_{0,j}(lam) for the sites j = N+1, ..., 1 as (aux, site, aux, site)
+    tensors: the bulk R, or L(lam - theta) at the defect site."""
+    dims = spec.dims
+    return [(make_l(spec.params, lam - spec.theta, spec.rep) if j == spec.defect_site
+             else make_r(spec.params, lam)).entries.reshape(2, dims[j - 1], 2, dims[j - 1])
+            for j in range(spec.n_sites + 1, 0, -1)]
+
+
 def _contract(spec: ChainSpec, lam: complex):
     """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
     chain) tensors; the product is None for the one-site chain (N = 0).
@@ -96,28 +105,21 @@ def _contract(spec: ChainSpec, lam: complex):
     the association ((M_{N+1} M_N) M_{N-1}) ... of the dense left-to-right
     product, each entry summing the same two nonzero terms.  The site-1
     step, the only one at full size, is left to the caller.  A local tensor
-    that moves the charge is a ValueError naming lam, so a finite t(lam) is
+    with a nonzero `_leak` is a ValueError naming lam, so a finite t(lam) is
     exactly 0 between charge sectors.
     """
-    def local(j):
-        if j == spec.defect_site:
-            m = make_l(spec.params, lam - spec.theta, spec.rep)
-        else:
-            m = make_r(spec.params, lam)
-        d = spec.dims[j - 1]
-        m = m.entries.reshape(2, d, 2, d)
-        if np.count_nonzero(m[_moves_charge(spec.params.regime, d)]):
+    local = _local_tensors(spec, lam)
+    for j, m in zip(range(spec.n_sites + 1, 0, -1), local):
+        if _leak(spec.params.regime, m) > 0:
             raise ValueError(f"the transfer matrix leaks charge at lam = {lam}: the local "
                              f"operator of site {j} has a nonzero entry between charge sectors")
-        return m
-
+    total, first = local[0], local[-1]
     if spec.n_sites == 0:
-        return None, local(1)
-    total = local(spec.n_sites + 1)
-    for j in range(spec.n_sites, 1, -1):
-        total = np.einsum("arbq,bsct->asrctq", total, local(j), order="C")
+        return None, first
+    for m in local[1:-1]:
+        total = np.einsum("arbq,bsct->asrctq", total, m, order="C")
         total = total.reshape(2, total.shape[1] * total.shape[2], 2, -1)
-    return total, local(1)
+    return total, first
 
 
 def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
@@ -179,6 +181,20 @@ def _moves_charge(regime: str, d: int) -> np.ndarray:
     charges differ, the auxiliary space graded like a spin site."""
     q = np.add.outer(_grading(regime, 2), _grading(regime, d))
     return np.not_equal.outer(q, q)
+
+
+def _leak(regime: str, m: np.ndarray) -> float:
+    """The largest |entry| of the local (2, d, 2, d) tensor m that moves the
+    charge, relative to m's largest |entry|: 0 iff no entry moves it, and
+    floored at the smallest positive float where the ratio would round to 0."""
+    moving = float(np.abs(m[_moves_charge(regime, m.shape[1])]).max())
+    return max(moving / float(np.abs(m).max()), math.ulp(0.0)) if moving else 0.0
+
+
+def charge_leak(spec: ChainSpec, lam: complex) -> float:
+    """The largest `_leak` of the chain's local tensors at lam: what
+    `_contract`'s guard tests, so 0 wherever t(lam) can be built."""
+    return max(_leak(spec.params.regime, m) for m in _local_tensors(spec, lam))
 
 
 def charge_vector(spec: ChainSpec) -> np.ndarray:
@@ -261,12 +277,6 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def _aux_trace(m: TensorOperator) -> np.ndarray:
-    """The auxiliary trace of the monodromy m = T(lam): bit for bit t(lam)."""
-    d = len(m.entries) // 2
-    return m.entries[:d, :d] + m.entries[d:, d:]
-
-
 def rtt_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
                  lam1: complex, lam2: complex) -> float:
     """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= D - 2 for the
@@ -274,24 +284,6 @@ def rtt_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
     res, _ = exchange_residual(make_r(spec.params, lam1 - lam2).entries, m1.entries,
                                m2.entries, keep=sector_mask(spec))
     return res
-
-
-def commuting_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator) -> float:
-    """|| [t(lam1), t(lam2)] || on charge sectors Q <= D - 2, block by block,
-    for t traced from the monodromies m1 = T(lam1) and m2 = T(lam2).
-
-    The entries of t between sectors are exact zeros: build_monodromy's
-    local tensors pass _contract's charge-leak guard and _finite rejects
-    Inf and NaN, so the blocks are gathered without a check."""
-    sectors = sector_blocks(spec)
-    a, b = ([(sector, t[np.ix_(idx, idx)]) for sector, idx in sectors]
-            for t in (_aux_trace(m1), _aux_trace(m2)))
-    return sector_commutator(spec, a, b)
-
-
-def charge_residual(spec: ChainSpec, m: TensorOperator) -> float:
-    """|| [t(lam), Q] || on charge sectors Q <= D - 2, t traced from m = T(lam)."""
-    return commutator_residual(_aux_trace(m), np.diag(charge_vector(spec)), sector_mask(spec))
 
 
 # --------------------------------------------------------------------------

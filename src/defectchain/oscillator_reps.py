@@ -6,10 +6,11 @@ Three families are built here:
 * the q-deformed oscillator parametrised by a Weyl pair X Y = q Y X,
 * the (2S+1)-dimensional quantum-group spin representations.
 
-Truncation to D levels breaks some defining relations on the top basis
-state; the ``interior`` 0/1 mask (every state below the top one) selects
-the subspace where they hold exactly, and ``algebra_residuals`` measures
-each relation on it.
+Truncation to D levels breaks some defining relations of the oscillators
+on the top basis state; the ``interior`` 0/1 mask (every state below the
+top one) selects the subspace where they hold exactly, and
+``algebra_residuals`` measures each relation on it.  The spin
+representations are not truncated.
 
 Sign conventions.  The harmonic representation is fixed by requiring
 a_dag |0> = 0 together with [a, a_dag] = 1, which forces
@@ -61,14 +62,12 @@ class HarmonicRep:
 
 
 class QOscRep:
-    __slots__ = ("dim", "q", "v", "v_inv", "a", "a_dag", "x", "y", "root_of_unity_order")
+    __slots__ = ("dim", "q", "v", "v_inv", "a", "a_dag", "x", "y")
 
     def __init__(self, dim: int, q: complex, v: np.ndarray, v_inv: np.ndarray, a: np.ndarray,
-                 a_dag: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 root_of_unity_order: int | None = None):
+                 a_dag: np.ndarray, x: np.ndarray, y: np.ndarray):
         self.dim, self.q, self.v, self.v_inv = dim, q, v, v_inv
         self.a, self.a_dag, self.x, self.y = a, a_dag, x, y
-        self.root_of_unity_order = root_of_unity_order
 
     def interior(self) -> np.ndarray:
         return _below_top(self.dim)
@@ -84,10 +83,6 @@ class SpinRep:
     @property
     def dim(self) -> int:
         return self.s_z.shape[0]
-
-    def interior(self) -> np.ndarray:
-        # finite-dimensional, no truncation: the full space is exact
-        return np.ones(self.dim)
 
 
 def harmonic_rep(d: int) -> HarmonicRep:
@@ -130,17 +125,14 @@ def q_oscillator_rep(d: int, q: complex) -> QOscRep:
     for m in range(1, d):
         a_dag[m - 1, m] = q ** (-m + 0.5) - q ** (m + 0.5)
 
-    order = None
     if on_circle:
         for m in range(1, d):
             if abs(q ** m - 1.0) < 1e-9:
-                order = m
                 warnings.warn(
                     f"q is a root of unity of order {m} < D={d}: "
                     "the spectrum of X degenerates", stacklevel=2)
                 break
-    return QOscRep(dim=d, q=q, v=x, v_inv=x_inv, a=a, a_dag=a_dag, x=x, y=y,
-                   root_of_unity_order=order)
+    return QOscRep(dim=d, q=q, v=x, v_inv=x_inv, a=a, a_dag=a_dag, x=x, y=y)
 
 
 def _q_number(z, q: complex):
@@ -169,8 +161,9 @@ def spin_rep(spin: float, q: complex = 1.0) -> SpinRep:
 
 
 def algebra_residuals(rep) -> list[tuple[str, float, str]]:
-    """(relation, Frobenius residual, subspace) of every defining relation,
-    measured on the columns the interior mask keeps."""
+    """(relation, Frobenius residual, subspace) of every defining relation
+    of an oscillator representation, measured on the columns the interior
+    mask keeps."""
     reports = []
 
     def add(name, lhs_minus_rhs, keep, subspace):
@@ -207,24 +200,6 @@ def algebra_residuals(rep) -> list[tuple[str, float, str]]:
         reports.append(("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)), "reference state"))
         reports.append(("V|0>-q^(1/2)|0>", float(np.linalg.norm(rep.v @ ref - q ** 0.5 * ref)),
                         "reference state"))
-    elif isinstance(rep, SpinRep):
-        keep = rep.interior()
-        sub = "full (no truncation)"
-        two_sz = 2.0 * rep.s_z
-        q = rep.q
-        if abs(q - 1.0) < 1e-14:
-            qnum = two_sz
-        else:
-            qnum = (_matrix_power_diag(q, two_sz) - _matrix_power_diag(q, -two_sz)) / (q - 1.0 / q)
-        add("[S+,S-]-[2Sz]_q", rep.s_plus @ rep.s_minus - rep.s_minus @ rep.s_plus - qnum,
-            keep, sub)
-        add("[Sz,S+]-S+", rep.s_z @ rep.s_plus - rep.s_plus @ rep.s_z - rep.s_plus, keep, sub)
-        add("[Sz,S-]+S-", rep.s_z @ rep.s_minus - rep.s_minus @ rep.s_z + rep.s_minus, keep, sub)
     else:
         raise TypeError(f"unknown representation type {type(rep)!r}")
     return reports
-
-
-def _matrix_power_diag(q: complex, diag_op: np.ndarray) -> np.ndarray:
-    """q ** M for diagonal M."""
-    return np.diag(q ** np.diag(diag_op)).astype(np.complex128)

@@ -7,11 +7,11 @@ everywhere, is row-major with the leftmost factor slowest: for factors
 ``numpy.kron`` produces.  Values are never modified after construction and
 all operations are pure.
 
-The module also holds the three masked residual kernels of the operator
+The module also holds the three residual kernels of the operator
 identities: the exchange relation works on (2, d, 2, d) tensors without
 building 4d x 4d products and multiplies only the columns its mask keeps,
-and the identity and commutator kernels multiply by a 0/1 mask in place
-of a dense projector.
+the identity kernel multiplies by a 0/1 mask in place of a dense
+projector, and the commutator kernel scales its operands by powers of two.
 """
 from __future__ import annotations
 
@@ -213,9 +213,8 @@ def identity_residual(m, s, keep) -> float:
     return float(np.linalg.norm((m - s * np.eye(len(m), dtype=np.complex128)) * cols))
 
 
-def commutator_residual(a, b, keep=None) -> float:
-    """|| P [A, B] P || with P = diag(keep) for a 0/1 mask ``keep`` (all of
-    the space by default); A and B are square matrices or TensorOperators.
+def commutator_residual(a, b) -> float:
+    """|| [A, B] || for square matrices or TensorOperators A and B.
 
     Each operand is scaled by the power of two nearest the inverse of its
     largest entry before the products, and the norm is scaled back after.
@@ -228,8 +227,6 @@ def commutator_residual(a, b, keep=None) -> float:
     space = TensorSpace((len(mats[0]),))
     a, b = (TensorOperator(space, m * 2.0 ** -e) for m, e in zip(mats, exps))
     c = (a @ b - b @ a).entries
-    if keep is not None:
-        c = c * keep[:, None] * keep[None, :]
     try:
         return math.ldexp(float(np.linalg.norm(c)), sum(exps))
     except OverflowError:

@@ -1,6 +1,6 @@
-"""Dense two-site embedding, the dense transfer matrix, the reference state
-and the exchange relation on explicit matrices, used as test oracles for
-the monodromy and the residual kernels.
+"""Dense two-site embedding, the dense transfer matrix, the projected
+commutator, the reference state and the exchange relation on explicit
+matrices, used as test oracles for the monodromy and the residual kernels.
 
 The package builds the monodromy by local contraction and never forms an
 embedded operator, builds the transfer matrix sector block by sector block
@@ -33,6 +33,12 @@ def dense_transfer(spec, lam):
     m = build_monodromy(spec, lam).entries
     d = spec.chain_dim
     return m[:d, :d] + m[d:, d:]
+
+
+def masked_commutator(a, b, keep):
+    """|| P [A, B] P || with the projector P = diag(keep) as a dense matrix."""
+    proj = np.diag(keep).astype(complex)
+    return np.linalg.norm(proj @ (a @ b - b @ a) @ proj)
 
 
 def reference_state(spec):

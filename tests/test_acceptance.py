@@ -9,8 +9,8 @@ from defectchain.lax_defect import (RegimeParams, crossing_transform,
                                     make_l, make_l_hat, make_r,
                                     s_matrix_part, unitarity_residuals)
 from defectchain.monodromy import (ChainSpec, bae_residual, build_monodromy,
-                                   commuting_residual, reference_eigenvalue,
-                                   rtt_residual)
+                                   reference_eigenvalue, rtt_residual, sector_blocks,
+                                   sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import gamma_ratio
 from defectchain.transmission_amplitudes import (amplitude,
@@ -129,10 +129,12 @@ def test_criterion_4_transfer_matrix_structure():
     for params in REGIMES:
         spec = ChainSpec(n_sites=3, defect_site=2, params=params,
                          rep=rep_for(params, 6))
+        sectors = sector_blocks(spec)
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
             m1, m2 = (build_monodromy(spec, x) for x in (l1, l2))
             worst = max(worst, rtt_residual(spec, m1, m2, l1, l2))
-            worst = max(worst, commuting_residual(spec, m1, m2))
+            t1, t2 = (transfer_matrix(spec, x, sectors) for x in (l1, l2))
+            worst = max(worst, sector_commutator(spec, t1, t2))
         vec = reference_state(spec)
         for lam in (0.77, -0.4):
             ev = reference_eigenvalue(spec, lam)

@@ -23,10 +23,10 @@ from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_re
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
-from defectchain.tensor_core import commutator_residual, exchange_residual
+from defectchain.tensor_core import exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  soliton_s_amplitude)
-from dense_oracle import dense_transfer, reference_state
+from dense_oracle import dense_transfer, masked_commutator, reference_state
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -520,17 +520,60 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_verify_reads_the_chain_records_from_one_monodromy_pair(monkeypatch):
-    # rtt, commuting-family and charge-conservation share one monodromy
-    # pair; only reference-eigenvalue builds a transfer matrix
-    calls = Counter()
+def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
+    # rtt alone takes the monodromy pair; commuting-family reads the blocks
+    # of t(lam1) and t(lam2), and reference-eigenvalue the charge-0 block
+    # of t(0.77), each on the exact sectors only
+    calls, sectors = Counter(), []
     for name in ("build_monodromy", "transfer_matrix"):
         def counted(*args, fn=getattr(mono, name), name=name):
             calls[name] += 1
+            if name == "transfer_matrix":
+                sectors.append([k for k, _ in args[2]])
             return fn(*args)
         monkeypatch.setattr(mono, name, counted)
     cli.run_verify(RegimeParams.xxx(), 8, 7)
-    assert calls == {"build_monodromy": 2, "transfer_matrix": 1}
+    assert calls == {"build_monodromy": 2, "transfer_matrix": 3}
+    assert sectors == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0]]
+
+
+@pytest.mark.parametrize("params", [RegimeParams.xxx(theta=0.1), RegimeParams.critical(0.7),
+                                    RegimeParams.noncritical(0.5, theta=-0.2)],
+                         ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_verify_commuting_family_is_the_dense_masked_commutator(params, seed):
+    # the record at its printed pair, against the sector-masked commutator
+    # of the dense auxiliary traces of the two monodromies
+    rec = next(r for r in cli.run_verify(params, 8, seed) if r["name"] == "commuting-family")
+    pair = json.loads(rec["params"])
+    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    t1, t2 = (dense_transfer(spec, pair[k]) for k in ("lam1", "lam2"))
+    want = masked_commutator(t1, t2, sector_mask(spec))
+    assert abs(rec["residual"] - want) <= 1e-12 * np.linalg.norm(t1) * np.linalg.norm(t2)
+    assert rec["pass"] and rec["subspace"] == "charge sectors" and rec["tolerance"] == 1e-10
+
+
+def leaky_make_r(params, lam):
+    """The bulk R with one entry that raises the charge."""
+    op = make_r(params, lam)
+    m = op.entries.copy()
+    m[0, 1] = 1e-300
+    return type(op)(op.space, m)
+
+
+def test_verify_charge_leak_is_a_one_line_error(monkeypatch, capsys):
+    # charge-conservation's measure reads the leak, and the guard stops
+    # verify at its first chain record
+    params = RegimeParams.xxx()
+    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    assert mono.charge_leak(spec, 0.3) == 0.0
+    monkeypatch.setattr(mono, "make_r", leaky_make_r)
+    assert mono.charge_leak(spec, 0.3) > 0
+    code = run(["verify"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: the transfer matrix leaks charge at lam = ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_noncritical_checks_the_type2_algebra(tmp_path):
@@ -677,13 +720,7 @@ def test_spectrum_reference_check_near_overflow(tmp_path):
 def test_spectrum_charge_leak_is_a_one_line_error_naming_lam(monkeypatch, capsys):
     # a bulk R with one entry that raises the charge: the blocks would miss
     # it, so the local check stops the command at the first grid point
-    def leaky(params, lam):
-        op = make_r(params, lam)
-        m = op.entries.copy()
-        m[0, 1] = 1e-300
-        return type(op)(op.space, m)
-
-    monkeypatch.setattr(mono, "make_r", leaky)
+    monkeypatch.setattr(mono, "make_r", leaky_make_r)
     code = run(["spectrum", "--sites", "2", "--fock-dim", "4", "--grid=0.25:1:2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -719,7 +756,7 @@ def dense_spectrum_rows(spec, grid):
         scale = 2.0 ** -np.frexp(max(abs(ev), 1e-30))[1]
         ref = float(np.linalg.norm((t @ vec - ev * vec) * scale) / (abs(ev) * scale))
         first = t if first is None else first
-        comm = commutator_residual(t, first, keep)
+        comm = masked_commutator(t, first, keep)
         for sector in sorted(set(int(x) for x in q)):
             idx = np.flatnonzero(q == sector)
             for z in sorted(np.linalg.eigvals(t[np.ix_(idx, idx)]).tolist(),
@@ -775,14 +812,16 @@ def test_spectrum_jsonl_and_out_carry_the_csv_values(tmp_path):
 # ------------------------------------------------------------ table writer
 
 def per_cell_csv(records, header):
-    """The writer as it was: csv.writer fed one _fmt_cell per cell."""
+    """csv.writer fed one _fmt_cell per cell, a lone "\\r" quoted as well:
+    csv.writer quotes the characters of its line terminator, so each row is
+    written with "\\r\\n" and ended with "\\n" instead."""
     stream = io.StringIO()
     stream.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    writer = csv.writer(stream, lineterminator="\n")
     cols = list(records[0].keys())
-    writer.writerow(cols)
-    for rec in records:
-        writer.writerow(_fmt_cell(rec[c]) for c in cols)
+    for row in [cols] + [[_fmt_cell(rec[c]) for c in cols] for rec in records]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        stream.write(line.getvalue()[:-2] + "\n")
     return stream.getvalue()
 
 
@@ -850,7 +889,7 @@ def test_write_records_repeated_cells_and_several_tables(tmp_path, fmt):
 
 
 # csv-special text: quoting, quote doubling, `%` in a row template, and a
-# lone carriage return, which csv.writer leaves unquoted under "\n" lines
+# lone carriage return, which csv.reader reads as a line end unless quoted
 TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", "%", "s", "d", " ", "é"]),
                max_size=5)
 CELLS = {
@@ -898,7 +937,8 @@ def tables_and_records(draw):
 @settings(max_examples=300, deadline=None)
 def test_write_records_csv_is_the_per_cell_writer(tables_records, block_rows):
     # any table, cut into blocks of any size, reads as csv.writer writes
-    # the _fmt_cell of every cell; JSON lines as json.dumps writes each row
+    # the _fmt_cell of every cell, and csv.reader reads every row back, a
+    # cell holding "\r" included; JSON lines as json.dumps writes each row
     tables, records = tables_records
     header = {"command": "test", "grid": "0:1:2"}
     saved = cli._BLOCK_ROWS
@@ -908,6 +948,10 @@ def test_write_records_csv_is_the_per_cell_writer(tables_records, block_rows):
         with contextlib.redirect_stdout(got):
             _write_records(tables, "csv", None, header)
         assert got.getvalue() == per_cell_csv(records, header)
+        body = got.getvalue().split("\n", 1)[1]
+        cols = list(records[0])
+        assert list(csv.reader(io.StringIO(body, newline=""))) == \
+            [cols] + [[_fmt_cell(rec[c]) for c in cols] for rec in records]
         try:
             want = [json.dumps({"header": header}, sort_keys=True)]
             want += [json.dumps(rec, sort_keys=True) for rec in records]

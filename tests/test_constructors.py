@@ -79,7 +79,7 @@ HARM = harmonic_rep(3)
      dict(dim=3, a=HARM.a, a_dag=HARM.a_dag, n_op=HARM.n_op)),
     (QOscRep, (4, QOSC.q, QOSC.v, QOSC.v_inv, QOSC.a, QOSC.a_dag, QOSC.x, QOSC.y),
      dict(dim=4, q=QOSC.q, v=QOSC.v, v_inv=QOSC.v_inv, a=QOSC.a, a_dag=QOSC.a_dag,
-          x=QOSC.x, y=QOSC.y, root_of_unity_order=None)),
+          x=QOSC.x, y=QOSC.y)),
     (SpinRep, (1.0, 1.0, SPIN.s_z, SPIN.s_plus, SPIN.s_minus),
      dict(spin=1.0, q=1.0, s_z=SPIN.s_z, s_plus=SPIN.s_plus, s_minus=SPIN.s_minus)),
 ])

@@ -1,7 +1,8 @@
 """The package's intra-package import graph has no cycles, every import sits
 at module level, every public name has a caller inside the package, every
-defaulted parameter of a public function is passed inside the package, and
-no module imports a random generator or dataclasses."""
+defaulted parameter of a public function is passed inside the package, every
+__slots__ field of a package class is read inside the package, and no module
+imports a random generator or dataclasses."""
 import ast
 from pathlib import Path
 
@@ -239,6 +240,57 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     found = set(unpassed_defaults(_parse_all()))
     assert sorted(found - UNPASSED_DEFAULTS) == []
     assert sorted(UNPASSED_DEFAULTS - found) == []
+
+
+# __slots__ fields that no package code reads, each with its reason
+UNREAD_FIELDS = {
+    # the route that produced an amplitude: the label the route-agreement
+    # tests compare, one result per route
+    "special_functions.AmplitudeResult.route",
+    # the measured bound on an amplitude's error, which the tests hold
+    # against the gap between the routes and against exact values
+    "special_functions.AmplitudeResult.error_estimate",
+}
+
+
+def unread_fields(trees) -> list[str]:
+    """module.Class.field for every __slots__ field of a module-level class
+    that no package code loads as an attribute `x.field` (by name: a field
+    of one class counts as read where an attribute of that name is read)."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__" for t in node.targets)):
+                    out += [f"{module}.{cls.name}.{e.value}" for e in node.value.elts
+                            if e.value not in read]
+    return out
+
+
+def test_unread_fields_finds_write_only_slots():
+    trees = {
+        "a": ast.parse("class A:\n    __slots__ = ('x', 'y', 'z')\n"
+                       "    def __init__(self, x, y, z):\n"
+                       "        self.x, self.y, self.z = x, y, z\n"
+                       "    def get(self):\n        return self.x\n"
+                       "class B:\n    pass\n"),
+        "b": ast.parse("def use(a):\n    return a.y\ny = 1\n"),
+    }
+    assert unread_fields({"a": trees["a"]}) == ["a.A.y", "a.A.z"]
+    assert unread_fields(trees) == ["a.A.z"]
+
+
+def test_every_slots_field_is_read_in_the_package():
+    # a field that only tests read is test-only API; an allow-list entry
+    # that package code now reads is stale
+    found = set(unread_fields(_parse_all()))
+    assert sorted(found - UNREAD_FIELDS) == []
+    assert sorted(UNREAD_FIELDS - found) == []
 
 
 def random_imports(trees) -> list[str]:

@@ -4,14 +4,14 @@ import pytest
 from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
-                                   build_monodromy, charge_residual,
-                                   charge_vector, commuting_residual, reference_eigenvalue,
-                                   reference_residual, rtt_residual, sector_blocks,
-                                   sector_commutator, sector_mask,
+                                   build_monodromy, charge_leak, charge_vector,
+                                   reference_eigenvalue, reference_residual, rtt_residual,
+                                   sector_blocks, sector_commutator, sector_mask,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
-from defectchain.tensor_core import TensorOperator, commutator_residual
-from dense_oracle import dense_transfer, embed, exchange_oracle, reference_state
+from defectchain.tensor_core import TensorOperator
+from dense_oracle import (dense_transfer, embed, exchange_oracle, masked_commutator,
+                          reference_state)
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -42,6 +42,13 @@ REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
 
 def monodromy_pair(spec, lam1, lam2):
     return build_monodromy(spec, lam1), build_monodromy(spec, lam2)
+
+
+def commuting_family(spec, lam1, lam2):
+    """verify's commuting-family residual: the commutator of t(lam1) and
+    t(lam2) on the blocks of the exact sectors."""
+    exact = sector_blocks(spec)[:spec.max_exact_charge + 1]
+    return sector_commutator(spec, *(transfer_matrix(spec, x, exact) for x in (lam1, lam2)))
 
 
 def same_bits(a, b):
@@ -145,7 +152,7 @@ def test_commuting_family_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(5)
     for l1, l2 in rng.uniform(-1.2, 1.2, size=(4, 2)):
-        assert commuting_residual(spec, *monodromy_pair(spec, l1, l2)) < 1e-10
+        assert commuting_family(spec, l1, l2) < 1e-10
 
 
 def test_commuting_family_fails_without_projection():
@@ -158,30 +165,20 @@ def test_commuting_family_fails_without_projection():
 
 def test_charge_conservation():
     spec = xxx_chain()
-    assert charge_residual(spec, build_monodromy(spec, 0.77)) < 1e-12
+    assert charge_leak(spec, 0.77) == 0.0
     # exact commutation on the full space as well (grading is exact)
     t = dense_transfer(spec, 0.77)
     qd = np.diag(charge_vector(spec)).astype(complex)
     assert np.linalg.norm(t @ qd - qd @ t) < 1e-10
 
 
-def masked_commutator(a, b, keep):
-    """|| P [A, B] P || with the projector P = diag(keep) as a dense matrix."""
-    proj = np.diag(keep).astype(complex)
-    return np.linalg.norm(proj @ (a @ b - b @ a) @ proj)
-
-
-def with_aux_diagonal(m, x):
-    """The monodromy m plus 1 (x) x on aux (x) chain: its trace gains 2 x."""
-    return TensorOperator(m.space, m.entries + np.kron(np.eye(2), x))
-
-
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
-def test_shared_pair_residuals_match_dense_oracles(params, n_sites):
-    # the three chain residuals read off one monodromy pair, against the
-    # relation on explicit 4 dim x 4 dim matrices with the sector projector
-    # and the sector-masked dense commutators of transfer_matrix
+def test_chain_residuals_match_dense_oracles(params, n_sites):
+    # RTT on the monodromy pair, against the relation on explicit 4 dim x
+    # 4 dim matrices with the sector projector; the commuting family on the
+    # exact-sector blocks of transfer_matrix, against the sector-masked dense
+    # commutator; and the charge measure, 0 on every local tensor
     rng = np.random.default_rng(n_sites)
     spec = ChainSpec(n_sites=n_sites, defect_site=2, params=params,
                      rep=defect_rep(params, 6))
@@ -197,27 +194,20 @@ def test_shared_pair_residuals_match_dense_oracles(params, n_sites):
     want, scale = exchange_oracle(make_r(params, l2 - l1).entries, m1.entries, m2.entries, keep)
     assert want > 1e-3 * scale
     np.testing.assert_allclose(rtt_residual(spec, m1, m2, l2, l1), want, rtol=1e-12)
-    # the commuting family, and a charge-conserving partner that does not
-    # commute with t(lam1): traced from M + 1 (x) x, it is t(lam2) + 2 x
+    # the commuting family, and a block-diagonal partner t(lam2) + x that
+    # does not commute with t(lam1)
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
-    got = commuting_residual(spec, m1, m2)
-    assert abs(got - masked_commutator(t1, t2, keep)) <= 1e-12 * scale
+    assert abs(commuting_family(spec, l1, l2) - masked_commutator(t1, t2, keep)) <= 1e-12 * scale
     x = np.zeros((dim, dim), dtype=complex)
     for _, idx in sector_blocks(spec):
         x[np.ix_(idx, idx)] = rng.standard_normal((len(idx),) * 2)
-    want = masked_commutator(t1, t2 + 2 * x, keep)
+    want = masked_commutator(t1, t2 + x, keep)
     assert want > 1e-3 * scale
-    got = commuting_residual(spec, m1, with_aux_diagonal(m2, x))
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    # the charge commutes with t(lam1) exactly; with t(lam1) + 2 x for a
-    # dense x it does not
-    q = np.diag(charge_vector(spec)).astype(complex)
-    assert charge_residual(spec, m1) == masked_commutator(t1, q, keep) == 0.0
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    want = masked_commutator(t1 + 2 * x, q, keep)
-    assert want > 1.0
-    np.testing.assert_allclose(charge_residual(spec, with_aux_diagonal(m1, x)), want,
-                               rtol=1e-12)
+    exact = sector_blocks(spec)[:spec.max_exact_charge + 1]
+    b1, b2 = (transfer_matrix(spec, lam, exact) for lam in (l1, l2))
+    partner = [(k, b + x[np.ix_(idx, idx)]) for (k, b), (_, idx) in zip(b2, exact)]
+    np.testing.assert_allclose(sector_commutator(spec, b1, partner), want, rtol=1e-12)
+    assert charge_leak(spec, l1) == charge_leak(spec, l2) == 0.0
 
 
 def test_sector_mask_counts():
@@ -415,15 +405,19 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
         blocks, blocks0 = (transfer_matrix(spec, x, sectors) for x in (lam, lam0))
         scale = np.linalg.norm(t) * np.linalg.norm(t0)
         got = sector_commutator(spec, blocks, blocks0)
-        assert abs(got - commutator_residual(t, t0, sector_mask(spec))) <= 1e-12 * scale
-        assert commuting_residual(spec, *monodromy_pair(spec, lam, lam0)) == got
+        assert abs(got - masked_commutator(t, t0, sector_mask(spec))) <= 1e-12 * scale
+        # the blocks of the dense trace, and the exact sectors' blocks alone,
+        # give the same bits
+        assert sector_commutator(spec, diagonal_blocks(t, sectors),
+                                 diagonal_blocks(t0, sectors)) == got
+        assert commuting_family(spec, lam, lam0) == got
         # a block-diagonal partner that does not commute with t: the blocks
         # above the ceiling are left out, the others all count
         other = np.zeros_like(t)
         for _, idx in sectors:
             n = len(idx)
             other[np.ix_(idx, idx)] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        want = commutator_residual(t, other, sector_mask(spec))
+        want = masked_commutator(t, other, sector_mask(spec))
         got = sector_commutator(spec, blocks, diagonal_blocks(other, sectors))
         assert abs(got - want) <= 1e-12 * np.linalg.norm(t) * np.linalg.norm(other)
 
@@ -462,11 +456,35 @@ def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name
     spec = ChainSpec(n_sites=3, defect_site=defect_site, params=params,
                      rep=defect_rep(params, 5))
     sectors = sector_blocks(spec)
-    monkeypatch.setattr(monodromy, name, with_leak(getattr(monodromy, name)))
+    make = getattr(monodromy, name)
+    monkeypatch.setattr(monodromy, name, with_leak(make))
     message = f"leaks charge at lam = 0.37: the local operator of site {site} "
     for build in (build_monodromy, lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match=message):
             build(spec, 0.37)
+    # the charge measure reads the leak the guard stopped at, relative to
+    # the leaky tensor's largest entry
+    args = (params, 0.37 - spec.theta, spec.rep) if name == "make_l" else (params, 0.37)
+    assert charge_leak(spec, 0.37) == 1e-300 / np.abs(make(*args).entries).max() > 0
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+def test_charge_leak_below_the_float_range_still_reads_and_stops(monkeypatch, params):
+    # a leak of 1e-300 beside entries of 1e300: the ratio rounds to 0, so
+    # it reads the smallest positive float, and the guard still stops
+    spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
+    assert charge_leak(spec, 0.37) == 0.0
+    make = monodromy.make_r
+
+    def loud(*args):
+        op = make(*args)
+        return TensorOperator(op.space, op.entries * 1e300)
+
+    monkeypatch.setattr(monodromy, "make_r", with_leak(loud))
+    assert charge_leak(spec, 0.37) == 5e-324
+    with pytest.raises(ValueError, match="leaks charge at lam = 0.37: the local operator of "
+                                         "site 3 "):
+        transfer_matrix(spec, 0.37, sector_blocks(spec))
 
 
 @pytest.mark.parametrize("params, n_max, lams", [

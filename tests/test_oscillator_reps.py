@@ -3,6 +3,7 @@ import pytest
 
 from defectchain.oscillator_reps import (algebra_residuals, harmonic_rep,
                                          q_oscillator_rep, spin_rep)
+from spin_oracle import spin_algebra_residuals
 
 
 def test_harmonic_number_operator_spectrum():
@@ -27,10 +28,13 @@ def test_harmonic_grading_support():
 
 
 def test_interior_masks():
-    # the top state is dropped from truncated oscillators; spins keep all
+    # the top state is dropped from truncated oscillators; spins are not
+    # truncated, and their relations are measured on the full space
     np.testing.assert_array_equal(harmonic_rep(4).interior(), [1.0, 1.0, 1.0, 0.0])
     np.testing.assert_array_equal(q_oscillator_rep(4, 0.6).interior(), [1.0, 1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(spin_rep(1.0).interior(), [1.0, 1.0, 1.0])
+    assert {sub for _, _, sub in spin_algebra_residuals(spin_rep(1.0))} == {"full (no truncation)"}
+    with pytest.raises(TypeError, match="unknown representation type"):
+        algebra_residuals(spin_rep(1.0))
 
 
 def test_harmonic_interior_residuals():
@@ -109,9 +113,8 @@ def test_harmonic_boundary_confined_to_top_state():
 
 
 def test_q_oscillator_root_of_unity_flagged():
-    with pytest.warns(UserWarning, match="root of unity"):
-        rep = q_oscillator_rep(6, np.exp(2j * np.pi / 4))
-    assert rep.root_of_unity_order == 4
+    with pytest.warns(UserWarning, match="root of unity of order 4 < D=6"):
+        q_oscillator_rep(6, np.exp(2j * np.pi / 4))
 
 
 def test_q_oscillator_domain():
@@ -131,7 +134,7 @@ def test_spin_relations_exact():
     rep = spin_rep(1.0, q)
     comm = rep.s_z @ rep.s_plus - rep.s_plus @ rep.s_z
     np.testing.assert_allclose(comm, rep.s_plus, atol=1e-14)
-    for relation, residual, _ in algebra_residuals(rep):
+    for relation, residual, _ in spin_algebra_residuals(rep):
         assert residual < 1e-13, relation
 
 
