@@ -31,17 +31,14 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import ConvergenceError, __version__
 from . import monodromy as mono
 from . import transmission_matrices as tmat
 from .lax_defect import (CRITICAL, NONCRITICAL, RegimeParams,
                          crossing_transform, defect_rep, make_l, make_l_hat,
                          make_r, s_matrix_part, unitarity_residuals)
 from .oscillator_reps import algebra_residuals
-from .special_functions import ConvergenceError
 from .tensor_core import exchange_residual
-from .transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
-                                      soliton_s_amplitude, type2_amplitude)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,6 +47,11 @@ EXIT_USAGE = 2
 # most points a --grid may ask for: a larger count is a usage error before
 # any array is allocated
 MAX_GRID_POINTS = 1_000_000
+
+# largest --fock-dim of verify, checked the same way: at D = 256 the suite
+# takes about 1.5 s and 220 MB, at 512 about 7 s and 0.7 GB, at 1024 about
+# 60 s and 2.8 GB.  spectrum's is the one-site chain's mono.RESOURCE_BOUND.
+MAX_VERIFY_FOCK_DIM = 256
 
 
 def _parse_grid(text: str):
@@ -65,6 +67,19 @@ def _parse_grid(text: str):
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError(f"grid ends must be finite, got {text!r}")
     return start, stop, count
+
+
+def _fock_dim(cap: int):
+    """An argparse type: an integer --fock-dim of at most `cap`."""
+    def parse(text: str) -> int:
+        try:
+            dim = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if dim > cap:
+            raise argparse.ArgumentTypeError(f"fock dimension must be <= {cap}, got {dim}")
+        return dim
+    return parse
 
 
 def _nonnegative(convert, rule: str):
@@ -166,6 +181,10 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     """The full identity suite for one regime: one record per identity,
     with its name, params (a sorted JSON object), residual, tolerance,
     pass flag and the subspace it was measured on."""
+    # imported here, as in cmd_amplitude, so that spectrum and bae do not
+    # compile the amplitude layer
+    from .transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
+                                          soliton_s_amplitude)
     uniform = _seeded_uniform(seed)
     rep = defect_rep(params, fock_dim)
     reports: list[dict] = []
@@ -224,14 +243,15 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params,
                           rep=defect_rep(params, 6))
     l1, l2 = uniform(-1.0, 1.0, 2)
-    m1, m2 = (mono.build_monodromy(spec, x) for x in (l1, l2))
+    local = [mono.local_tensors(spec, x) for x in (l1, l2)]     # once per lam
+    m1, m2 = (mono.build_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
     pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
     add("rtt", mono.rtt_residual(spec, m1, m2, l1, l2), 1e-10, params=pair, subspace=sectors)
     exact = mono.sector_blocks(spec)[:spec.max_exact_charge + 1]
-    t1, t2 = (mono.transfer_matrix(spec, x, exact) for x in (l1, l2))
+    t1, t2 = (mono.transfer_matrix(spec, x, exact, t) for x, t in zip((l1, l2), local))
     add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
         params=pair, subspace=sectors)
-    add("charge-conservation", mono.charge_leak(spec, l1), 1e-12, subspace=sectors)
+    add("charge-conservation", mono.charge_leak(spec, local[0]), 1e-12, subspace=sectors)
     blocks = mono.transfer_matrix(spec, 0.77, exact[:1])   # charge 0 only
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
 
@@ -412,6 +432,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_amplitude(args) -> int:
+    from .transmission_amplitudes import amplitude_pair, breather_amplitude, type2_amplitude
     params = _make_params(args)
     start, stop, count = args.grid
     grid = np.linspace(start, stop, count)
@@ -543,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "jsonl"], default=None)
 
     # options only the subcommands that read them take
-    def fock_dim(p):
-        p.add_argument("--fock-dim", type=int, default=8, dest="fock_dim")
+    def fock_dim(p, cap):
+        p.add_argument("--fock-dim", type=_fock_dim(cap), default=8, dest="fock_dim")
 
     def grid(p):
         p.add_argument("--grid", type=_parse_grid, default=(-2.0, 2.0, 41),
@@ -552,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
-    fock_dim(p)
+    fock_dim(p, MAX_VERIFY_FOCK_DIM)
     p.add_argument("--tol", type=_nonnegative(float, "tolerance must be finite and >= 0"),
                    default=None, help="override every record tolerance")
     p.add_argument("--seed", type=_nonnegative(int, "seed must be an integer >= 0"), default=7)
@@ -567,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="transfer-matrix spectra by charge sector")
     common(p)
-    fock_dim(p)
+    fock_dim(p, mono.RESOURCE_BOUND)
     grid(p)
     p.add_argument("--sites", type=int, default=2)
     p.add_argument("--defect-site", type=int, default=1, dest="defect_site")

@@ -17,6 +17,8 @@ the untruncated representation, so all operator identities are measured on
 the sectors Q <= D - 2: as a 0/1 mask (RTT), or block by block on t(lam),
 which the charge makes block-diagonal (commuting family).  The charge itself
 is checked on the local tensors (`charge_leak`), before any contraction.
+The local tensors at one lam (`local_tensors`) can be built once and passed
+to every contraction at that lam.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .tensor_core import (TensorOperator, TensorSpace, commutator_residual,
 
 __all__ = [
     "ChainSpec",
+    "local_tensors",
     "charge_vector",
     "sector_mask",
     "sector_blocks",
@@ -85,16 +88,19 @@ class ChainSpec:
         return self.rep.dim - 2
 
 
-def _local_tensors(spec: ChainSpec, lam: complex) -> list[np.ndarray]:
+def local_tensors(spec: ChainSpec, lam: complex) -> list[np.ndarray]:
     """M_{0,j}(lam) for the sites j = N+1, ..., 1 as (aux, site, aux, site)
-    tensors: the bulk R, or L(lam - theta) at the defect site."""
-    dims = spec.dims
-    return [(make_l(spec.params, lam - spec.theta, spec.rep) if j == spec.defect_site
-             else make_r(spec.params, lam)).entries.reshape(2, dims[j - 1], 2, dims[j - 1])
-            for j in range(spec.n_sites + 1, 0, -1)]
+    tensors: the bulk R, built once and shared by every bulk site, or
+    L(lam - theta) at the defect site."""
+    d = spec.rep.dim
+    # built at the first bulk site, so the sites are built (and an overflow
+    # is reported) in their order
+    bulk = functools.cache(lambda: make_r(spec.params, lam).entries.reshape(2, 2, 2, 2))
+    return [make_l(spec.params, lam - spec.theta, spec.rep).entries.reshape(2, d, 2, d)
+            if j == spec.defect_site else bulk() for j in range(spec.n_sites + 1, 0, -1)]
 
 
-def _contract(spec: ChainSpec, lam: complex):
+def _contract(spec: ChainSpec, lam: complex, local):
     """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
     chain) tensors; the product is None for the one-site chain (N = 0).
 
@@ -106,9 +112,11 @@ def _contract(spec: ChainSpec, lam: complex):
     product, each entry summing the same two nonzero terms.  The site-1
     step, the only one at full size, is left to the caller.  A local tensor
     with a nonzero `_leak` is a ValueError naming lam, so a finite t(lam) is
-    exactly 0 between charge sectors.
+    exactly 0 between charge sectors.  `local` is `local_tensors(spec, lam)`,
+    or None to build it.
     """
-    local = _local_tensors(spec, lam)
+    if local is None:
+        local = local_tensors(spec, lam)
     for j, m in zip(range(spec.n_sites + 1, 0, -1), local):
         if _leak(spec.params.regime, m) > 0:
             raise ValueError(f"the transfer matrix leaks charge at lam = {lam}: the local "
@@ -122,22 +130,25 @@ def _contract(spec: ChainSpec, lam: complex):
     return total, first
 
 
-def build_monodromy(spec: ChainSpec, lam: complex) -> TensorOperator:
-    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain."""
-    total, first = _contract(spec, lam)
+def build_monodromy(spec: ChainSpec, lam: complex, local=None) -> TensorOperator:
+    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain,
+    from the `local_tensors` at lam (built here where `local` is None)."""
+    total, first = _contract(spec, lam, local)
     m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
     d = 2 * spec.chain_dim
     return TensorOperator(TensorSpace((2,) + spec.dims), _finite(spec, lam, m).reshape(d, d))
 
 
-def transfer_matrix(spec: ChainSpec, lam: complex, sectors) -> list[tuple[int, np.ndarray]]:
+def transfer_matrix(spec: ChainSpec, lam: complex, sectors,
+                    local=None) -> list[tuple[int, np.ndarray]]:
     """(charge, block) of the transfer matrix t(lam) on each of the given
-    `sector_blocks`; the dense t(lam) is never formed.  With the chain index
+    `sector_blocks`, from the `local_tensors` at lam (built here where
+    `local` is None); the dense t(lam) is never formed.  With the chain index
     s R + r (s at site 1), a block gathers the product of sites N+1 ... 2 at
     its r's and the site-1 tensor at its s's and traces the auxiliary space
     in the site-1 step: bit for bit the blocks of tracing build_monodromy.
     """
-    total, first = _contract(spec, lam)
+    total, first = _contract(spec, lam, local)
     if total is not None:
         _finite(spec, lam, total)
     rest = spec.chain_dim // spec.dims[0]       # R, the dimension of sites N+1 ... 2
@@ -191,10 +202,10 @@ def _leak(regime: str, m: np.ndarray) -> float:
     return max(moving / float(np.abs(m).max()), math.ulp(0.0)) if moving else 0.0
 
 
-def charge_leak(spec: ChainSpec, lam: complex) -> float:
-    """The largest `_leak` of the chain's local tensors at lam: what
+def charge_leak(spec: ChainSpec, local) -> float:
+    """The largest `_leak` of the chain's `local_tensors` at one lam: what
     `_contract`'s guard tests, so 0 wherever t(lam) can be built."""
-    return max(_leak(spec.params.regime, m) for m in _local_tensors(spec, lam))
+    return max(_leak(spec.params.regime, m) for m in local)
 
 
 def charge_vector(spec: ChainSpec) -> np.ndarray:

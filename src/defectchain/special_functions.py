@@ -33,6 +33,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import ConvergenceError
+
 __all__ = [
     "PoleError",
     "ConvergenceError",
@@ -57,10 +59,6 @@ class PoleError(ValueError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
-
-
-class ConvergenceError(RuntimeError):
-    """A truncated product or sum failed to reach its tail tolerance."""
 
 
 class FloatRangeError(ValueError):
@@ -212,6 +210,14 @@ def q_gamma(x, q: float):
     geometrically; a point's truncation stops once its bound drops below
     TAIL_TOL, so every point sums the terms it would sum on its own.
     """
+    x = np.asarray(x, dtype=np.complex128)
+    out = np.exp(_log_q_gamma(x, q))
+    return complex(out) if x.ndim == 0 else out
+
+
+def _log_q_gamma(x, q: float) -> np.ndarray:
+    """log Gamma_q(x) as an array of x's shape: the exponent q_gamma takes
+    exp of, finite where Gamma_q(x) itself is past the float range."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     x = np.asarray(x, dtype=np.complex128)
@@ -241,8 +247,8 @@ def q_gamma(x, q: float):
         terms = head - np.log1p(-qx)
         if ragged:
             terms[np.arange(n_max) >= j_needed[i:i + step, None]] = 0.0   # each point's own terms
-        out[i:i + step] = np.exp((1.0 - flat[i:i + step]) * np.log1p(-q) + terms.sum(axis=-1))
-    return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        out[i:i + step] = (1.0 - flat[i:i + step]) * np.log1p(-q) + terms.sum(axis=-1)
+    return out.reshape(x.shape)
 
 
 # --------------------------------------------------------------------------

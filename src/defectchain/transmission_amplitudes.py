@@ -37,7 +37,7 @@ from .special_functions import (MAX_TERMS, TAIL_TOL, AmplitudeResult, Convergenc
                                 FloatRangeError, FourierKernel, amplitude_integral,
                                 amplitude_sum, as_grid, gamma_ratio, gamma_ratio_bound,
                                 half_line_sums, infinite_gamma_product, q_gamma,
-                                _exp_in_range, _hurwitz_tail)
+                                _exp_in_range, _hurwitz_tail, _log_q_gamma)
 
 __all__ = [
     "AmplitudeResult",
@@ -253,12 +253,26 @@ def _critical_ratio_product(lam_hat: float, gamma: float) -> tuple[complex, floa
 # --------------------------------------------------------------------------
 
 
-def _q_gamma_ratio(num, den, q: float):
-    """prod Gamma_q(num_i) / prod Gamma_q(den_j) at every point, with the
-    truncation bounds of the products as its error."""
-    factors = q_gamma(np.array(num + den), q)
-    value = factors[:len(num)].prod(axis=0) / factors[len(num):].prod(axis=0)
-    return value, len(factors) * TAIL_TOL * np.abs(value)
+def _q_gamma_ratio(num, den, q: float, lam):
+    """prod Gamma_q(num_i) / prod Gamma_q(den_j) at every point lam, with the
+    truncation bounds of the products as its error.  Where the factors or
+    their products leave the float range (the spin-S amplitude from S ~ 4900
+    at eta = 0.5) the ratio is the exp of the log-Gamma_q sum, whose
+    rounding joins the error; a ratio past the float range itself raises
+    FloatRangeError naming lam."""
+    args = np.array(num + den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = q_gamma(args, q)
+        value = factors[:len(num)].prod(axis=0) / factors[len(num):].prod(axis=0)
+    err = len(factors) * TAIL_TOL * np.abs(value)
+    far = ~np.isfinite(value)
+    if far.any():
+        logs = _log_q_gamma(args[:, far], q)
+        ln = logs[:len(num)].sum(axis=0) - logs[len(num):].sum(axis=0)
+        value[far] = _exp_in_range(ln[:, None], lam[far])[:, 0]
+        err[far] = (len(logs) * TAIL_TOL + np.finfo(float).eps * np.abs(logs).sum(axis=0)
+                    ) * np.abs(value[far])
+    return value, err
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +346,7 @@ def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str):
             z = (-1j if s == "+" else 1j) * lam / 2
             a, b = (0.25, 0.75) if (s == "+") == (params.regime == XXX) else (0.75, 0.25)
             out.append(gamma_ratio_bound([z + a], [z + b]) if params.regime == XXX else
-                       _q_gamma_ratio([z + a], [z + b], float(np.exp(-4.0 * params.eta))))
+                       _q_gamma_ratio([z + a], [z + b], float(np.exp(-4.0 * params.eta)), lam))
         return out
     sides = np.array([1.0 if s == "+" else -1.0 for s in signs])
     ln_a, err_a = _critical_anchor(params.gamma)
@@ -435,7 +449,7 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
         val, err = _q_gamma_ratio(
             [-1j * lam / 2 + s_tilde / 2 + 0.25, 1j * lam / 2 + s_tilde / 2 + 0.75],
             [-1j * lam / 2 + s_tilde / 2 + 0.75, 1j * lam / 2 + s_tilde / 2 + 0.25],
-            q4)
+            q4, lam)
         return AmplitudeResult.on_grid(val, "closed", err, scalar)
     if route == "sum":
         params = RegimeParams.noncritical(eta)
@@ -580,5 +594,5 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
     else:
         q4 = float(np.exp(-4.0 * params.eta))
         val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
-                                [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4)
+                                [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4, grid)
     return complex(val[0]) if scalar else val

@@ -33,10 +33,8 @@ import numpy as np
 
 from .lax_defect import CRITICAL, XXX, RegimeParams, defect_rep, s_matrix_part
 from .oscillator_reps import HarmonicRep, QOscRep, q_oscillator_rep, spin_rep
-from .special_functions import gamma_ratio
 from .tensor_core import (TensorOperator, TensorSpace, block2, exchange_residual,
                           identity_residual, partial_transpose)
-from .transmission_amplitudes import amplitude
 
 __all__ = [
     "default_rep",
@@ -112,6 +110,9 @@ def _critical_elementary(lh: complex, gamma: float, which: str) -> complex:
 def t_prefactor(params: RegimeParams, lh: complex, which: str = "t") -> complex:
     """Scalar prefactor of T (or Tbar): the elementary factor of each regime
     times the hole amplitude, as displayed."""
+    # imported here so that a command that builds no prefactor (spectrum,
+    # bae) does not compile the amplitude layer
+    from .transmission_amplitudes import amplitude
     if params.regime == XXX:
         if which == "t":
             return amplitude(params, "-", lh).value / (1j * lh + 0.5)
@@ -154,6 +155,7 @@ def quadratic_algebra_residual(params: RegimeParams, lam1: float, lam2: float,
 def _critical_crossing_scalar(lam: float, gamma: float) -> complex:
     """T+(lam + i gamma) T-(-lam + i gamma), telescoped to an elementary
     Gamma ratio (valid in any normalisation with T-(x) = 1/T+(-x))."""
+    from .special_functions import gamma_ratio     # see t_prefactor
     return gamma_ratio(
         [1j * lam - gamma / 2.0, -1j * lam + gamma / 2.0 + 1.0],
         [1j * lam + gamma / 2.0, -1j * lam - gamma / 2.0 + 1.0])

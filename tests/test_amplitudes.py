@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import gamma_ratio, half_line_sums
+from defectchain.special_functions import FloatRangeError, gamma_ratio, half_line_sums
 from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
                                                  kernel, soliton_s_amplitude,
-                                                 type2_amplitude)
+                                                 type2_amplitude, _q_gamma_ratio)
 from kernel_oracles import oracle_kernel
 
 mp.mp.dps = 30
@@ -316,6 +318,32 @@ def test_type2_domain():
         type2_amplitude(0.3, 0.5, 0.3)
     with pytest.raises(ValueError):
         type2_amplitude(0.3, -0.5, 1.0)
+
+
+@pytest.mark.parametrize("spin", [2000.0, 5000.0, 20000.0])
+def test_type2_large_spin_is_finite_and_agrees_with_the_sum(spin):
+    # at eta = 0.5 the two numerator q-Gamma factors overflow together from
+    # S ~ 4900, and each alone from S ~ 9800: the ratio comes from their logs
+    lam = np.linspace(-4.0, 4.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = type2_amplitude(lam, 0.5, spin)
+        summed = type2_amplitude(lam, 0.5, spin, "sum")
+        mirrored = type2_amplitude(-lam, 0.5, spin)
+    assert np.all(np.isfinite(closed.value)) and np.all(closed.error_estimate < 1e-11)
+    assert np.abs(closed.value - summed.value).max() < 1e-10
+    assert np.abs(closed.value * mirrored.value - 1.0).max() < 1e-10
+
+
+def test_q_gamma_ratio_past_the_float_range_of_its_factors():
+    # Gamma_q(x + 1) / Gamma_q(x) = (1 - q^x) / (1 - q), which is 2 at q = 1/2
+    # and x = 2000, where each factor is about 2^2000
+    lam = np.zeros(1)
+    value, err = _q_gamma_ratio([np.array([2001.0 + 0j])], [np.array([2000.0 + 0j])], 0.5, lam)
+    assert abs(value[0] - 2.0) <= err[0] < 1e-11
+    # about 2^2000 itself: one error naming the point
+    with pytest.raises(FloatRangeError, match="lam_hat = 0 is outside the float range"):
+        _q_gamma_ratio([np.array([2001.0 + 0j])], [np.array([1.0 + 0j])], 0.5, lam)
 
 
 # ------------------------------------------------------------ bulk amplitude

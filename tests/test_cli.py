@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import defectchain
 from defectchain import cli
 from defectchain import monodromy as mono
+from defectchain import transmission_amplitudes as ta
+from defectchain import transmission_matrices as tmat
 from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
@@ -208,10 +210,16 @@ def test_verify_grid_records_match_per_point_oracle(monkeypatch, params):
     # the suite evaluates each family on its whole sample grid in one call:
     # it must visit the same sample points as the per-point oracle, keep
     # every record's name, params, gate and pass flag, and differ in rounding only
+    # the amplitude layer's spies sit on its own module, which run_verify
+    # imports from when it runs; so they also see the amplitude calls of
+    # the transmission-matrix prefactors, which the oracle repeats
     mine, theirs = SampleLog(), SampleLog()
     for fn in SAMPLED:
-        monkeypatch.setattr(cli, fn.__name__, mine.wrap(fn))
+        owner = cli if fn is exchange_residual else ta
+        monkeypatch.setattr(owner, fn.__name__, mine.wrap(fn))
     got = {r["name"]: r for r in cli.run_verify(params, 8, 7)}
+    monkeypatch.setattr(ta, "amplitude", theirs.wrap(amplitude))
+    tmat.unitarity_crossing_residual(params, 0.44, tmat.default_rep(params, 6))
     want = per_point_records(params, 8, 7, theirs)
     assert len(want) == (9 if params.is_attractive() else 7)
     assert mine.points == theirs.points
@@ -407,6 +415,34 @@ def test_grid_count_cap_is_inclusive(count, accepted):
             cli._parse_grid(f"-2:2:{count}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--fock-dim", "100000"], "must be <= 256, got 100000"),
+    (["verify", "--fock-dim", "2048"], "must be <= 256, got 2048"),
+    (["verify", "--fock-dim=257"], "must be <= 256, got 257"),
+    (["spectrum", "--sites", "0", "--fock-dim", "5000"], "must be <= 4096, got 5000"),
+    (["spectrum", "--sites", "0", "--fock-dim", "100000"], "must be <= 4096, got 100000"),
+])
+def test_fock_dim_past_the_cap_is_a_usage_error(monkeypatch, capsys, argv, message):
+    # rejected while parsing, before any representation is built: verify
+    # at D = 2048 would need several GB
+    def unreachable(*args):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(cli, "defect_rep", unreachable)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert f"argument --fock-dim: fock dimension {message}\n" in captured.err
+
+
+@pytest.mark.parametrize("command, cap", [("verify", cli.MAX_VERIFY_FOCK_DIM),
+                                          ("spectrum", mono.RESOURCE_BOUND)])
+def test_fock_dim_cap_is_inclusive(command, cap):
+    assert cli.build_parser().parse_args([command, f"--fock-dim={cap}"]).fock_dim == cap
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, f"--fock-dim={cap + 1}"])
+
+
 @pytest.mark.parametrize("command", ["verify", "bae"])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "1e-3x"])
 def test_tolerance_must_be_finite_and_non_negative(capsys, command, value):
@@ -456,25 +492,69 @@ def test_seeded_uniform_is_numpy_default_rng_bit_for_bit():
             assert mine.tobytes() == want.tobytes(), (seed, size)
 
 
+# the package modules every command loads, and the amplitude layer, which
+# only verify and amplitude load
+CORE_MODULES = ["cli", "lax_defect", "monodromy", "oscillator_reps", "tensor_core",
+                "transmission_matrices"]
+AMPLITUDE_LAYER = ["special_functions", "transmission_amplitudes"]
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(defectchain.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--regime", "critical"], ["bae"], ["amplitude", "--grid=0:1:2"],
-    ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"],
-], ids=["verify", "bae", "amplitude", "spectrum"])
+    ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"], [],
+], ids=["verify", "bae", "amplitude", "spectrum", "import"])
 def test_subcommands_load_no_numpy_random_hashlib_or_dataclasses(argv):
     # a fresh interpreter per subcommand: this one has numpy.random loaded;
-    # csv is not loaded either, since the tables are written by template
+    # csv is not loaded either, since the tables are written by template;
+    # and of the package, spectrum, bae and the bare import load only
+    # CORE_MODULES
     script = ("import contextlib, io, sys\n"
               "from defectchain.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = main(sys.argv[1:])\n"
+              "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
               "print(code, [m for m in ('numpy.random', 'hashlib', 'dataclasses', 'csv')\n"
-              "             if m in sys.modules])\n")
-    src = str(Path(defectchain.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+              "             if m in sys.modules])\n"
+              "print(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+              "             if m.startswith('defectchain.')))\n")
+    env = child_env()
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=env, timeout=300)
-    assert done.stdout == "0 []\n", done.stderr[-2000:]
+    want = sorted(CORE_MODULES + (AMPLITUDE_LAYER if argv[:1] in (["verify"], ["amplitude"])
+                                  else []))
+    assert done.stdout == f"0 []\n{want}\n", done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("argv", [["bae"], ["amplitude", "--grid=0:1:2"]],
+                         ids=["bae", "amplitude"])
+def test_entry_point_compiles_the_amplitude_layer_first_where_it_is_read(argv):
+    # python -m defectchain imports the amplitude layer before the rest of
+    # the package for verify and amplitude (the smaller peak RSS), and not
+    # at all for spectrum and bae
+    env = child_env()
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "defectchain", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:") and "defectchain." in line]
+    if argv[0] == "bae":
+        assert not {f"defectchain.{m}" for m in AMPLITUDE_LAYER} & set(loaded), loaded
+    else:
+        assert loaded.index("defectchain.transmission_amplitudes") < loaded.index(
+            "defectchain.monodromy") < loaded.index("defectchain.cli"), loaded
+
+
+def test_convergence_error_is_the_package_class():
+    # cli reports it without importing special_functions, which raises it
+    from defectchain import special_functions
+    assert special_functions.ConvergenceError is defectchain.ConvergenceError
+    assert cli.ConvergenceError is defectchain.ConvergenceError
 
 
 @pytest.mark.parametrize("argv", [
@@ -502,6 +582,18 @@ def test_non_finite_spin_is_a_one_line_usage_error(capsys, spin):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: 2*spin must be a positive integer, got {float(spin)}\n"
+
+
+def test_large_spin_type2_table_is_finite(tmp_path):
+    # spin 5000 once printed NaN in every amplitude column with exit 0
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["amplitude", "--regime", "noncritical", "--eta", "0.5", "--family", "type2",
+                    "--spin", "5000", "--grid=-4:4:5", "--out", str(out)])
+    _, rows = read_csv(out)
+    assert code == 0 and len(rows) == 5
+    assert all(np.isfinite(float(v)) for row in rows for k, v in row.items() if k != "note")
 
 
 @pytest.mark.parametrize("command", ["verify", "amplitude", "spectrum", "bae"])
@@ -566,9 +658,9 @@ def test_verify_charge_leak_is_a_one_line_error(monkeypatch, capsys):
     # verify at its first chain record
     params = RegimeParams.xxx()
     spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
-    assert mono.charge_leak(spec, 0.3) == 0.0
+    assert mono.charge_leak(spec, mono.local_tensors(spec, 0.3)) == 0.0
     monkeypatch.setattr(mono, "make_r", leaky_make_r)
-    assert mono.charge_leak(spec, 0.3) > 0
+    assert mono.charge_leak(spec, mono.local_tensors(spec, 0.3)) > 0
     code = run(["verify"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

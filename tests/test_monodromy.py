@@ -5,8 +5,8 @@ from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
                                    build_monodromy, charge_leak, charge_vector,
-                                   reference_eigenvalue, reference_residual, rtt_residual,
-                                   sector_blocks, sector_commutator, sector_mask,
+                                   local_tensors, reference_eigenvalue, reference_residual,
+                                   rtt_residual, sector_blocks, sector_commutator, sector_mask,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.tensor_core import TensorOperator
@@ -163,9 +163,36 @@ def test_commuting_family_fails_without_projection():
     assert np.linalg.norm(t1 @ t2 - t2 @ t1) > 1.0
 
 
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("n_sites, defect_site", [(3, 2), (3, 4), (0, 1)])
+def test_local_tensors_build_r_once_and_feed_every_contraction(monkeypatch, params, n_sites,
+                                                               defect_site):
+    # one make_r per lam, shared by the bulk sites; handing the tensors to
+    # the contractions gives the bits of building them there
+    spec = ChainSpec(n_sites=n_sites, defect_site=defect_site, params=params,
+                     rep=defect_rep(params, 5))
+    built = []
+
+    def counted(*args, make=make_r):
+        built.append(args[1])
+        return make(*args)
+
+    monkeypatch.setattr(monodromy, "make_r", counted)
+    local = local_tensors(spec, 0.41)
+    assert built == ([0.41] if n_sites else [])
+    bulk = [m for j, m in zip(range(n_sites + 1, 0, -1), local) if j != defect_site]
+    assert len(local) == n_sites + 1 and all(m is bulk[0] for m in bulk)
+    sectors = sector_blocks(spec)
+    for (_, mine), (_, theirs) in zip(transfer_matrix(spec, 0.41, sectors, local),
+                                      transfer_matrix(spec, 0.41, sectors)):
+        assert same_bits(mine, theirs)
+    assert same_bits(build_monodromy(spec, 0.41, local).entries,
+                     build_monodromy(spec, 0.41).entries)
+
+
 def test_charge_conservation():
     spec = xxx_chain()
-    assert charge_leak(spec, 0.77) == 0.0
+    assert charge_leak(spec, local_tensors(spec, 0.77)) == 0.0
     # exact commutation on the full space as well (grading is exact)
     t = dense_transfer(spec, 0.77)
     qd = np.diag(charge_vector(spec)).astype(complex)
@@ -207,7 +234,7 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     b1, b2 = (transfer_matrix(spec, lam, exact) for lam in (l1, l2))
     partner = [(k, b + x[np.ix_(idx, idx)]) for (k, b), (_, idx) in zip(b2, exact)]
     np.testing.assert_allclose(sector_commutator(spec, b1, partner), want, rtol=1e-12)
-    assert charge_leak(spec, l1) == charge_leak(spec, l2) == 0.0
+    assert all(charge_leak(spec, local_tensors(spec, x)) == 0.0 for x in (l1, l2))
 
 
 def test_sector_mask_counts():
@@ -465,7 +492,8 @@ def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name
     # the charge measure reads the leak the guard stopped at, relative to
     # the leaky tensor's largest entry
     args = (params, 0.37 - spec.theta, spec.rep) if name == "make_l" else (params, 0.37)
-    assert charge_leak(spec, 0.37) == 1e-300 / np.abs(make(*args).entries).max() > 0
+    leak = charge_leak(spec, local_tensors(spec, 0.37))
+    assert leak == 1e-300 / np.abs(make(*args).entries).max() > 0
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
@@ -473,7 +501,7 @@ def test_charge_leak_below_the_float_range_still_reads_and_stops(monkeypatch, pa
     # a leak of 1e-300 beside entries of 1e300: the ratio rounds to 0, so
     # it reads the smallest positive float, and the guard still stops
     spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
-    assert charge_leak(spec, 0.37) == 0.0
+    assert charge_leak(spec, local_tensors(spec, 0.37)) == 0.0
     make = monodromy.make_r
 
     def loud(*args):
@@ -481,7 +509,7 @@ def test_charge_leak_below_the_float_range_still_reads_and_stops(monkeypatch, pa
         return TensorOperator(op.space, op.entries * 1e300)
 
     monkeypatch.setattr(monodromy, "make_r", with_leak(loud))
-    assert charge_leak(spec, 0.37) == 5e-324
+    assert charge_leak(spec, local_tensors(spec, 0.37)) == 5e-324
     with pytest.raises(ValueError, match="leaks charge at lam = 0.37: the local operator of "
                                          "site 3 "):
         transfer_matrix(spec, 0.37, sector_blocks(spec))
