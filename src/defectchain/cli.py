@@ -69,16 +69,16 @@ def _parse_grid(text: str):
     return start, stop, count
 
 
-def _fock_dim(cap: int):
-    """An argparse type: an integer --fock-dim of at most `cap`."""
+def _at_most(cap: int, what: str):
+    """An argparse type: an integer of at most `cap`, called `what` if not."""
     def parse(text: str) -> int:
         try:
-            dim = int(text)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if dim > cap:
-            raise argparse.ArgumentTypeError(f"fock dimension must be <= {cap}, got {dim}")
-        return dim
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{what} must be <= {cap}, got {value}")
+        return value
     return parse
 
 
@@ -201,15 +201,11 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     # with A = R (or S) on V = C^2, one stacked call over the pairs
     pairs = uniform(-1.5, 1.5, (6, 2))
     args = np.stack([pairs[:, 0] - pairs[:, 1], pairs[:, 0], pairs[:, 1]])   # (R12, A1, A2)
-
-    def stack(f, xs):
-        return np.array([f(x).entries for x in xs])
-
-    r_args = [stack(lambda x: make_r(params, x), xs) for xs in args]
+    r_args = [make_r(params, xs) for xs in args]
     add("ybe-r", exchange_residual(*r_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
     prefactors = soliton_s_amplitude(params, args.ravel()).reshape(args.shape)
-    s_args = [pre[:, None, None] * stack(lambda x: s_matrix_part(params, x), xs)
+    s_args = [pre[:, None, None] * np.array([s_matrix_part(params, x).entries for x in xs])
               for pre, xs in zip(prefactors, args)]
     add("ybe-s", exchange_residual(*s_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
@@ -219,39 +215,35 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         add(f"algebra[{relation}]", residual, 1e-12, subspace=subspace)
 
     # RLL
-    interior_sub = "interior"
     l1, l2 = pairs[:3].T
-    rll = exchange_residual(r_args[0][:3], stack(lambda x: make_l(params, x, rep), l1),
-                            stack(lambda x: make_l(params, x, rep), l2),
+    rll = exchange_residual(r_args[0][:3], make_l(params, l1, rep), make_l(params, l2, rep),
                             keep=rep.interior())[0].max()
-    add("rll", rll, 1e-11, subspace=interior_sub)
+    add("rll", rll, 1e-11, subspace="interior")
 
     # conjugate operator: explicit vs crossing route, unitarity scalars
     lam0 = 0.37
     two_route = np.abs(crossing_transform(make_l(params, -lam0 - 1j, rep)).entries
                        - make_l_hat(params, lam0, rep).entries).max()
     add("lhat-two-route", two_route, 1e-13)
-    for lam in np.linspace(-2.0, 2.0, 9):
-        if abs(lam) > 1e-6:
-            unit, crossing = unitarity_residuals(params, lam, rep)
-            add("lax-unitarity", unit, 1e-11, params={"lam": complex(lam)}, subspace=interior_sub)
-            add("lax-crossing-unitarity", crossing, 1e-11, params={"lam": complex(lam)},
-                subspace=interior_sub)
+    grid = np.delete(np.linspace(-2.0, 2.0, 9), 4)     # all but lam = 0
+    for lam, unit, crossing in zip(grid, *unitarity_residuals(params, grid, rep)):
+        add("lax-unitarity", unit, 1e-11, params={"lam": complex(lam)}, subspace="interior")
+        add("lax-crossing-unitarity", crossing, 1e-11, params={"lam": complex(lam)},
+            subspace="interior")
 
-    # monodromy-level checks at desk scale: RTT on the monodromy pair, the
-    # rest on the blocks of t(lam) as `spectrum` reads them
-    spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params,
-                          rep=defect_rep(params, 6))
+    # monodromy-level checks at desk scale, on charge-sector blocks: RTT on
+    # those of T(lam), the rest on those of t(lam) as `spectrum` reads them
+    spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
     l1, l2 = uniform(-1.0, 1.0, 2)
     local = [mono.local_tensors(spec, x) for x in (l1, l2)]     # once per lam
-    m1, m2 = (mono.build_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
     pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
-    add("rtt", mono.rtt_residual(spec, m1, m2, l1, l2), 1e-10, params=pair, subspace=sectors)
+    add("rtt", mono.rtt_residual(spec, l1, l2, local), 1e-10, params=pair, subspace=sectors)
     exact = mono.sector_blocks(spec)[:spec.max_exact_charge + 1]
     t1, t2 = (mono.transfer_matrix(spec, x, exact, t) for x, t in zip((l1, l2), local))
     add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
         params=pair, subspace=sectors)
-    add("charge-conservation", mono.charge_leak(spec, local[0]), 1e-12, subspace=sectors)
+    add("charge-conservation", mono.charge_leak(spec, local[0]), 1e-12,
+        subspace="local tensors, relative")
     blocks = mono.transfer_matrix(spec, 0.77, exact[:1])   # charge 0 only
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
 
@@ -279,15 +271,15 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     for which in ("t", "t_bar"):
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),
             1e-9, params={"lam1": l1, "lam2": l2, "dim": trep.dim},
-            subspace=f"{interior_sub}, relative")
+            subspace="interior, relative")
     if params.regime == NONCRITICAL:
         # the spin-1 defect's matrix part at the same pair; its
         # representation is not truncated
         add("rttb[type2]", tmat.type2_algebra_residual(params.eta, 1.0, l1, l2), 1e-9,
             params={"lam1": l1, "lam2": l2, "spin": 1.0}, subspace="full, relative")
     unit, crossing = tmat.unitarity_crossing_residual(params, 0.44, trep)
-    add("tt-unitarity", unit, 1e-9, subspace=interior_sub)
-    add("tt-crossing", crossing, 1e-9, subspace=interior_sub)
+    add("tt-unitarity", unit, 1e-9, subspace="interior")
+    add("tt-crossing", crossing, 1e-9, subspace="interior")
 
     # breathers (critical only)
     if params.regime == CRITICAL and params.is_attractive():
@@ -310,13 +302,10 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
     """(sign, root, residual) of the N=1, M=1 Bethe equation for both defect
     orientations."""
-    spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params,
-                          rep=defect_rep(params, 4))
-    out = []
-    for sign in ("+", "-"):
-        root = mono.bae_root(spec, sign)
-        out.append((sign, root, float(np.abs(mono.bae_residual(spec, sign, [root])).max())))
-    return out
+    spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params, rep=defect_rep(params, 4))
+    roots = [(sign, mono.bae_root(spec, sign)) for sign in "+-"]
+    return [(sign, root, float(np.abs(mono.bae_residual(spec, sign, [root])).max()))
+            for sign, root in roots]
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +482,7 @@ def cmd_amplitude(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = _make_params(args)
+    mono.ChainSpec.check_dim(args.sites, args.fock_dim)     # before the representation
     spec = mono.ChainSpec(n_sites=args.sites, defect_site=args.defect_site,
                           params=params, rep=defect_rep(params, args.fock_dim))
     start, stop, count = args.grid
@@ -534,8 +524,7 @@ def cmd_bae(args) -> int:
     rows = [{"sign": sign, "re_root": root.real, "im_root": root.imag, "residual": res}
             for sign, root, res in _bae_roots(params)]
     worst = max(row["residual"] for row in rows)
-    header = _header(args)
-    _write_records([_columns(rows)], args.format or "csv", args.out, header)
+    _write_records([_columns(rows)], args.format or "csv", args.out, _header(args))
     tol = args.tol if args.tol is not None else 1e-10
     return EXIT_OK if worst < tol else EXIT_FAIL
 
@@ -565,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options only the subcommands that read them take
     def fock_dim(p, cap):
-        p.add_argument("--fock-dim", type=_fock_dim(cap), default=8, dest="fock_dim")
+        p.add_argument("--fock-dim", type=_at_most(cap, "fock dimension"), default=8,
+                       dest="fock_dim")
 
     def grid(p):
         p.add_argument("--grid", type=_parse_grid, default=(-2.0, 2.0, 41),
@@ -590,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     fock_dim(p, mono.RESOURCE_BOUND)
     grid(p)
-    p.add_argument("--sites", type=int, default=2)
+    p.add_argument("--sites", type=_at_most(mono.RESOURCE_BOUND.bit_length() - 1, "sites"),
+                   default=2)
     p.add_argument("--defect-site", type=int, default=1, dest="defect_site")
 
     p = sub.add_parser("bae", help="one-root Bethe equation check")

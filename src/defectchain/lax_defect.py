@@ -127,21 +127,34 @@ _P4 = permutation_operator(2).entries
 _MAX_EXPONENT = 700.0
 
 
-def _exp_pair(params: RegimeParams, lam: complex) -> tuple[complex, complex]:
+def _exp_pair(params: RegimeParams, lam):
     """e^{mu lam} and e^{-mu lam}, or a ValueError where either overflows."""
     mu = params.mu_complex
-    growth = abs((mu * lam).real)
+    growth = max(np.abs((mu * lam).real).flat)
     if growth > _MAX_EXPONENT:
         raise ValueError(f"|Re mu lam| = {growth:.4g} overflows e^(+-mu lam); "
                          f"keep it below {_MAX_EXPONENT:g}")
     return np.exp(mu * lam), np.exp(-mu * lam)
 
 
-def make_r(params: RegimeParams, lam: complex) -> TensorOperator:
-    """Bulk R-matrix on C^2 (x) C^2 (first factor = block space)."""
-    lam = complex(lam)
+def _lams(lam):
+    """lam as a complex, or a 1-d array of lams as (n, 1, 1): make_r, make_l and
+    make_l_hat then broadcast over it and return an (n, dim, dim) stack."""
+    return lam.astype(np.complex128)[:, None, None] if isinstance(lam, np.ndarray) else complex(lam)
+
+
+def _operator(space: TensorSpace, m: np.ndarray):
+    """m as an operator on space, or a stack of them as an array checked finite."""
+    if m.ndim == 3 and not np.isfinite(m).all():
+        raise ValueError("operator entries contain NaN or Inf")
+    return m if m.ndim == 3 else TensorOperator(space, m)
+
+
+def make_r(params: RegimeParams, lam) -> TensorOperator | np.ndarray:
+    """Bulk R-matrix on C^2 (x) C^2 (first factor = block space), or a stack."""
+    lam = _lams(lam)
     if params.regime == XXX:
-        return TensorOperator(AUX_SPACE, lam * np.eye(4, dtype=np.complex128) + 1j * _P4)
+        return _operator(AUX_SPACE, lam * np.eye(4, dtype=np.complex128) + 1j * _P4)
     q = params.q
     ep, em = _exp_pair(params, lam)
     qsz = np.diag([q ** 0.5, q ** -0.5])
@@ -149,39 +162,29 @@ def make_r(params: RegimeParams, lam: complex) -> TensorOperator:
     e11 = ep * q ** 0.5 * qsz - em * q ** -0.5 * qszi
     e22 = ep * q ** 0.5 * qszi - em * q ** -0.5 * qsz
     off = q - 1.0 / q
-    m = block2(e11, off * _SM, off * _SP, e22)
-    return TensorOperator(AUX_SPACE, m)
+    return _operator(AUX_SPACE, block2(e11, off * _SM, off * _SP, e22))
 
 
 def defect_rep(params: RegimeParams, dim: int):
     """The D-level defect representation the regime's Lax operator acts on."""
-    if params.regime == XXX:
-        return harmonic_rep(dim)
-    return q_oscillator_rep(dim, params.q)
-
-
-def _defect_space(rep) -> TensorSpace:
-    return TensorSpace((2, rep.dim))
+    return harmonic_rep(dim) if params.regime == XXX else q_oscillator_rep(dim, params.q)
 
 
 def _check_rep(params: RegimeParams, rep):
     if params.regime == XXX:
         if not isinstance(rep, HarmonicRep):
             raise TypeError("isotropic defect needs a HarmonicRep")
-    else:
-        if not isinstance(rep, QOscRep):
-            raise TypeError("anisotropic defect needs a QOscRep")
-        if abs(rep.q - params.q) > 1e-12:
-            raise ValueError(
-                f"representation deformation {rep.q} does not match regime q {params.q}")
+    elif not isinstance(rep, QOscRep):
+        raise TypeError("anisotropic defect needs a QOscRep")
+    elif abs(rep.q - params.q) > 1e-12:
+        raise ValueError(f"representation deformation {rep.q} does not match regime q {params.q}")
 
 
-def make_l(params: RegimeParams, lam: complex, rep) -> TensorOperator:
-    """Defect Lax operator on (aux C^2) (x) (defect space)."""
+def make_l(params: RegimeParams, lam, rep) -> TensorOperator | np.ndarray:
+    """Defect Lax operator on (aux C^2) (x) (defect space), or a stack."""
     _check_rep(params, rep)
-    lam = complex(lam)
-    d = rep.dim
-    eye = np.eye(d, dtype=np.complex128)
+    lam = _lams(lam)
+    eye = np.eye(rep.dim, dtype=np.complex128)
     if params.regime == XXX:
         m = block2(lam * eye + 1j * rep.n_op + 1j * eye, 1j * rep.a,
                    1j * rep.a_dag, 1j * eye)
@@ -190,19 +193,18 @@ def make_l(params: RegimeParams, lam: complex, rep) -> TensorOperator:
         ep, em = _exp_pair(params, lam)
         m = block2(ep * q ** 0.5 * rep.v - em * q ** -0.5 * rep.v_inv, rep.a_dag,
                    rep.a, -em * q ** -0.5 * rep.v)
-    return TensorOperator(_defect_space(rep), m)
+    return _operator(TensorSpace((2, rep.dim)), m)
 
 
-def make_l_hat(params: RegimeParams, lam: complex, rep) -> TensorOperator:
-    """Conjugate Lax operator, explicit closed form.
+def make_l_hat(params: RegimeParams, lam, rep) -> TensorOperator | np.ndarray:
+    """Conjugate Lax operator, explicit closed form, or a stack.
 
     Must agree entrywise with crossing_transform applied to make_l at
     -lam - i; the `lhat-two-route` record of `verify` compares the two.
     """
     _check_rep(params, rep)
-    lam = complex(lam)
-    d = rep.dim
-    eye = np.eye(d, dtype=np.complex128)
+    lam = _lams(lam)
+    eye = np.eye(rep.dim, dtype=np.complex128)
     if params.regime == XXX:
         m = block2(1j * eye, -1j * rep.a,
                    -1j * rep.a_dag, -lam * eye + 1j * rep.n_op)
@@ -211,7 +213,7 @@ def make_l_hat(params: RegimeParams, lam: complex, rep) -> TensorOperator:
         ep, em = _exp_pair(params, lam)
         m = block2(-ep * q ** 0.5 * rep.v, -rep.a_dag,
                    -rep.a, em * q ** -0.5 * rep.v - ep * q ** 0.5 * rep.v_inv)
-    return TensorOperator(_defect_space(rep), m)
+    return _operator(TensorSpace((2, rep.dim)), m)
 
 
 _V1 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=np.complex128)
@@ -226,37 +228,36 @@ def crossing_transform(op: TensorOperator) -> TensorOperator:
     return TensorOperator(op.space, v1 @ partial_transpose(op, 0).entries @ v1)
 
 
-def scalar_unitarity(params: RegimeParams, lam: complex) -> complex:
-    lam = complex(lam)
+def scalar_unitarity(params: RegimeParams, lam):
+    lam = _lams(lam)
     if params.regime == XXX:
         return 1j * (lam + 1j)
     mu = params.mu_complex
     return -np.exp(-mu * lam) * (np.exp(mu * lam) - np.exp(-mu * lam))
 
 
-def scalar_crossing(params: RegimeParams, lam: complex) -> complex:
-    lam = complex(lam)
+def scalar_crossing(params: RegimeParams, lam):
+    lam = _lams(lam)
     if params.regime == XXX:
         return -1j * (lam - 1j)
     mu = params.mu_complex
     return np.exp(mu * lam) * (np.exp(mu * lam) - np.exp(-mu * lam))
 
 
-def unitarity_residuals(params: RegimeParams, lam: complex, rep) -> tuple[float, float]:
+def unitarity_residuals(params: RegimeParams, lams, rep) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of scalar unitarity L(lam) Lhat(-lam) = s_u(lam) I and
-    crossing-unitarity L^{t1}(-lam-i) Lhat^{t1}(lam-i) = s_c(lam) I, measured
-    on the interior of the defect space.
+    crossing-unitarity L^{t1}(-lam-i) Lhat^{t1}(lam-i) = s_c(lam) I at each
+    lam of the 1-d array lams, on the interior of the defect space.
 
     Nothing divides by the scalars, so the identities are checked at their
     zeros too (lam = -i and i for the isotropic chain, lam = 0 otherwise).
     """
-    lam = complex(lam)
-    keep = rep.interior()
-    unit = make_l(params, lam, rep).entries @ make_l_hat(params, -lam, rep).entries
-    lt = partial_transpose(make_l(params, -lam - 1j, rep), 0).entries
-    lht = partial_transpose(make_l_hat(params, lam - 1j, rep), 0).entries
-    return (identity_residual(unit, scalar_unitarity(params, lam), keep),
-            identity_residual(lt @ lht, scalar_crossing(params, lam), keep))
+    lams, keep, d = np.asarray(lams, dtype=np.complex128), rep.interior(), rep.dim
+    unit = make_l(params, lams, rep) @ make_l_hat(params, -lams, rep)
+    lt, lht = (m.reshape(-1, 2, d, 2, d).swapaxes(1, 3).reshape(m.shape)    # transposed in aux
+               for m in (make_l(params, -lams - 1j, rep), make_l_hat(params, lams - 1j, rep)))
+    return (identity_residual(unit, scalar_unitarity(params, lams), keep),
+            identity_residual(lt @ lht, scalar_crossing(params, lams), keep))
 
 
 def s_matrix_part(params: RegimeParams, lam: complex) -> TensorOperator:

@@ -14,31 +14,29 @@ Truncation-leak policy: the defect occupation together with the site
 grading defines a conserved charge Q; on charge sectors whose occupation
 never reaches the truncation ceiling the transfer matrix acts exactly as in
 the untruncated representation, so all operator identities are measured on
-the sectors Q <= D - 2: as a 0/1 mask (RTT), or block by block on t(lam),
-which the charge makes block-diagonal (commuting family).  The charge itself
-is checked on the local tensors (`charge_leak`), before any contraction.
-The local tensors at one lam (`local_tensors`) can be built once and passed
-to every contraction at that lam.
+the sectors Q <= D - 2, on blocks, never on a dense T(lam) or t(lam): the
+sector blocks of T(lam) (RTT) and the diagonal blocks of t(lam) (commuting
+family).  The charge itself is checked on the local tensors (`charge_leak`),
+before any contraction.  The local tensors at one lam (`local_tensors`) can
+be built once and passed to every contraction at that lam.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .lax_defect import CRITICAL, XXX, RegimeParams, make_l, make_r
-from .tensor_core import (TensorOperator, TensorSpace, commutator_residual,
-                          exchange_residual)
+from .tensor_core import commutator_residual
 
 __all__ = [
     "ChainSpec",
     "local_tensors",
     "charge_vector",
-    "sector_mask",
     "sector_blocks",
     "sector_commutator",
-    "build_monodromy",
     "transfer_matrix",
     "reference_eigenvalue",
     "reference_residual",
@@ -63,10 +61,14 @@ class ChainSpec:
             raise ValueError("n_sites must be >= 0")
         if not 1 <= defect_site <= n_sites + 1:
             raise ValueError(f"defect_site must lie in 1..{n_sites + 1}, got {defect_site}")
-        dim = (2 ** n_sites) * rep.dim
-        if dim > RESOURCE_BOUND:
-            raise ValueError(f"chain dimension {dim} exceeds resource bound {RESOURCE_BOUND}")
+        self.check_dim(n_sites, rep.dim)
         self.n_sites, self.defect_site, self.params, self.rep = n_sites, defect_site, params, rep
+
+    @staticmethod
+    def check_dim(n_sites: int, d: int):
+        """A ValueError where the chain dimension 2^N d passes RESOURCE_BOUND."""
+        if (dim := 2 ** n_sites * d) > RESOURCE_BOUND:
+            raise ValueError(f"chain dimension {dim} exceeds resource bound {RESOURCE_BOUND}")
 
     @property
     def theta(self) -> float:
@@ -130,15 +132,6 @@ def _contract(spec: ChainSpec, lam: complex, local):
     return total, first
 
 
-def build_monodromy(spec: ChainSpec, lam: complex, local=None) -> TensorOperator:
-    """Ordered product of bulk R's with the defect L inserted, on aux (x) chain,
-    from the `local_tensors` at lam (built here where `local` is None)."""
-    total, first = _contract(spec, lam, local)
-    m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
-    d = 2 * spec.chain_dim
-    return TensorOperator(TensorSpace((2,) + spec.dims), _finite(spec, lam, m).reshape(d, d))
-
-
 def transfer_matrix(spec: ChainSpec, lam: complex, sectors,
                     local=None) -> list[tuple[int, np.ndarray]]:
     """(charge, block) of the transfer matrix t(lam) on each of the given
@@ -146,7 +139,7 @@ def transfer_matrix(spec: ChainSpec, lam: complex, sectors,
     `local` is None); the dense t(lam) is never formed.  With the chain index
     s R + r (s at site 1), a block gathers the product of sites N+1 ... 2 at
     its r's and the site-1 tensor at its s's and traces the auxiliary space
-    in the site-1 step: bit for bit the blocks of tracing build_monodromy.
+    in the site-1 step: the blocks of the auxiliary trace of the monodromy.
     """
     total, first = _contract(spec, lam, local)
     if total is not None:
@@ -220,11 +213,6 @@ def charge_vector(spec: ChainSpec) -> np.ndarray:
     return q.ravel()
 
 
-def sector_mask(spec: ChainSpec) -> np.ndarray:
-    """0/1 mask of the charge sectors Q <= D - 2."""
-    return (charge_vector(spec) <= spec.max_exact_charge).astype(float)
-
-
 def sector_blocks(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
     """(charge, basis indices) of every charge sector, by increasing charge."""
     q = charge_vector(spec)
@@ -262,8 +250,7 @@ def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
         d_bulk = 2.0 * np.sinh(mu * (lam + 1j))
         a_def = 2.0 * np.sinh(mu * (lam - th + 1j))
         d_def = -np.exp(-mu * (lam - th))
-    n = spec.n_sites
-    return a_bulk ** n * a_def + d_bulk ** n * d_def
+    return a_bulk ** spec.n_sites * a_def + d_bulk ** spec.n_sites * d_def
 
 
 def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
@@ -288,13 +275,48 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
-                 lam1: complex, lam2: complex) -> float:
-    """|| R12 T1 T2 - T2 T1 R12 || on charge sectors Q <= D - 2 for the
-    monodromies m1 = T(lam1) and m2 = T(lam2)."""
-    res, _ = exchange_residual(make_r(spec.params, lam1 - lam2).entries, m1.entries,
-                               m2.entries, keep=sector_mask(spec))
-    return res
+def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, local=(None, None)) -> float:
+    """|| (R12 T1 T2 - T2 T1 R12) P || for the monodromies T1 = T(lam1), T2 =
+    T(lam2) and the projector P on the sectors Q <= D - 2, from the
+    `local_tensors` at lam1 and lam2 (built here where None).  `_contract`'s
+    leak guard makes the auxiliary block T_ab map sector Q into Q + g_b - g_a
+    (g the auxiliary grading) and vanish elsewhere, and R12 conserves
+    g_1 + g_2, so each term of entry (a c, b d) maps sector Q into
+    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector blocks.
+    """
+    g = np.array(_grading(spec.params.regime, 2), dtype=int)
+    shift, d, sectors = g - g[:, None], spec.rep.dim, sector_blocks(spec)
+    # the basis indices of the sectors -2 ... D, padded with the index past the chain
+    idx = np.full((d + 3, max(len(i) for _, i in sectors)), spec.chain_dim)
+    for q, i in sectors[:d + 1]:
+        idx[q + 2, :len(i)] = i
+    # block k = 0 ... D: T_ac from the sector k - 1 into the sector k - 1 + shift[a, c]
+    rows = idx[np.arange(1, d + 2)[:, None, None] + shift][..., None]
+    b1, b2 = (_charge_blocks(spec, x, t, rows, idx[1:-1, None, None, None])
+              for x, t in zip((lam1, lam2), local))
+    k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
+    r = make_r(spec.params, lam1 - lam2).entries.reshape(2, 2, 2, 2)
+    lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
+    rhs = np.tensordot(b2[k] @ b1[1:d, :, :, None, None], r, ([2, 4], [0, 1]))
+    return float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs))
+
+
+def _charge_blocks(spec: ChainSpec, lam: complex, local, rows, cols) -> np.ndarray:
+    """T(lam)'s auxiliary blocks [k, a, c] at the chain indices rows[k, a, c, :]
+    and cols[k, :], gathered from `_contract`'s pair as in `transfer_matrix`;
+    the index past the chain reads a zero state appended to site 1."""
+    total, first = _contract(spec, lam, local)
+    total = np.eye(2).reshape(2, 1, 2, 1) if total is None else _finite(spec, lam, total)
+    n, m = total.shape[1], first.shape[1] + 1
+    padded = np.zeros((2, m, 2, m), dtype=complex)
+    padded[:, :-1, :, :-1] = first
+    (s, r), (t, u) = np.divmod(rows, n), np.divmod(cols, n)
+    a = np.arange(2)[:, None, None, None]
+    x = total.transpose(0, 1, 3, 2).reshape(-1, 2).take((a * n + r) * n + u, axis=0)
+    y = padded.transpose(2, 1, 3, 0).reshape(-1, 2).take((a[..., 0] * m + s) * m + t, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
+        blocks = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+    return _finite(spec, lam, blocks)
 
 
 # --------------------------------------------------------------------------
@@ -305,19 +327,14 @@ def rtt_residual(spec: ChainSpec, m1: TensorOperator, m2: TensorOperator,
 def _e_fn(params: RegimeParams, n: float):
     if params.regime == XXX:
         return lambda lam: (lam + 0.5j * n) / (lam - 0.5j * n)
-    if params.regime == CRITICAL:
-        mu = params.mu
-        return lambda lam: np.sinh(mu * (lam + 0.5j * n)) / np.sinh(mu * (lam - 0.5j * n))
-    eta = params.eta
-    return lambda lam: np.sin(eta * (lam + 0.5j * n)) / np.sin(eta * (lam - 0.5j * n))
+    f, k = (np.sinh, params.mu) if params.regime == CRITICAL else (np.sin, params.eta)
+    return lambda lam: f(k * (lam + 0.5j * n)) / f(k * (lam - 0.5j * n))
 
 
 def _defect_fn(params: RegimeParams, sign: str):
     """The defect source factor: plus for L, minus for the conjugate Lhat."""
     if params.regime == XXX:
-        if sign == "+":
-            return lambda lam: lam + 0.5j
-        return lambda lam: 1.0 / (lam - 0.5j)
+        return (lambda lam: lam + 0.5j) if sign == "+" else (lambda lam: 1.0 / (lam - 0.5j))
     if params.regime == CRITICAL:
         mu = params.mu
         if sign == "+":
@@ -343,21 +360,12 @@ def bae_residual(spec: ChainSpec, sign: str, roots) -> np.ndarray:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     roots = [complex(r) for r in roots]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < 1e-12:
-                raise ValueError("coincident Bethe roots")
-    if not roots:
-        return np.zeros(0, dtype=np.complex128)
-    e1 = _e_fn(spec.params, 1)
-    e2 = _e_fn(spec.params, 2)
-    src = _defect_fn(spec.params, sign)
-    out = []
-    for lam in roots:
-        lhs = src(lam - spec.theta) * e1(lam) ** spec.n_sites
-        rhs = np.prod([e2(lam - other) for other in roots])
-        out.append(lhs + rhs)
-    return np.asarray(out, dtype=np.complex128)
+    if any(abs(a - b) < 1e-12 for a, b in itertools.combinations(roots, 2)):
+        raise ValueError("coincident Bethe roots")
+    e1, e2, src = _e_fn(spec.params, 1), _e_fn(spec.params, 2), _defect_fn(spec.params, sign)
+    return np.array([src(lam - spec.theta) * e1(lam) ** spec.n_sites
+                     + np.prod([e2(lam - other) for other in roots]) for lam in roots],
+                    dtype=np.complex128)
 
 
 def bae_root(spec: ChainSpec, sign: str) -> complex:

@@ -122,13 +122,15 @@ class TensorOperator:
 
 def block2(a11, a12, a21, a22) -> np.ndarray:
     """The block matrix [[a11, a12], [a21, a22]] of four equal square blocks,
-    numpy.block's result assembled by slice assignment."""
-    d = a11.shape[0]
-    m = np.empty((2 * d, 2 * d), dtype=np.result_type(a11, a12, a21, a22))
-    m[:d, :d] = a11
-    m[:d, d:] = a12
-    m[d:, :d] = a21
-    m[d:, d:] = a22
+    numpy.block's result assembled by slice assignment.  Blocks may be
+    stacks along a leading axis, of one length; the others broadcast."""
+    d = a11.shape[-1]
+    lead = max(a11.shape, a12.shape, a21.shape, a22.shape, key=len)[:-2]
+    m = np.empty(lead + (2 * d, 2 * d), dtype=np.result_type(a11, a12, a21, a22))
+    m[..., :d, :d] = a11
+    m[..., :d, d:] = a12
+    m[..., d:, :d] = a21
+    m[..., d:, d:] = a22
     return m
 
 
@@ -169,10 +171,11 @@ def exchange_residual(r12, a1, a2, keep=None):
 
     The arguments are matrices: ``r12`` acts on the two auxiliary factors,
     ``a1`` and ``a2`` act on (auxiliary C^2) (x) V and sit at auxiliary
-    factor 1 and 2.  Yang-Baxter (A = R, V = C^2), RLL (A = L), RTT (A = the
-    monodromy) and the transmission-matrix exchange algebra (R = S) are all
-    this relation.  ``keep`` is a 0/1 mask over the basis of V: the residual
-    is measured on the subspace it selects (all of V by default).
+    factor 1 and 2.  Yang-Baxter (A = R, V = C^2), RLL (A = L) and the
+    transmission-matrix exchange algebra (R = S) are this relation; RTT (A =
+    the monodromy) is measured on its charge blocks instead
+    (`monodromy.rtt_residual`).  ``keep`` is a 0/1 mask over the basis of V:
+    the residual is measured on the subspace it selects (all of V by default).
 
     Returns (|| (R12 A1 A2 - A2 A1 R12) P ||, || R12 A1 A2 P ||), computed from
     the (2, d, 2, d) tensors without building 4d x 4d matrices: A1 (A2 P) and
@@ -201,16 +204,22 @@ def exchange_residual(r12, a1, a2, keep=None):
     return tuple(norms) if stacked else (float(norms[0][0]), float(norms[1][0]))
 
 
-def identity_residual(m, s, keep) -> float:
+def identity_residual(m, s, keep):
     """|| (M - s 1) P || for M on C^n (x) V and P = 1 (x) diag(keep).
 
     Unitarity and crossing-unitarity of the Lax and transmission matrices
     are this relation; ``keep`` is the 0/1 mask over the basis of V.
     Multiplying by the mask (instead of slicing) keeps the zeros in place,
     so the norm equals the one of the dense projector product bit for bit.
+    ``m`` may instead be a stack of matrices along a leading axis, with
+    ``s`` an (n, 1, 1) array over it; the residuals are then an array, each
+    the lone relation's bit for bit.
     """
-    cols = np.tile(keep, len(m) // len(keep))
-    return float(np.linalg.norm((m - s * np.eye(len(m), dtype=np.complex128)) * cols))
+    size = m.shape[-1]
+    res = (m - s * np.eye(size, dtype=np.complex128)) * np.tile(keep, size // len(keep))
+    if res.ndim == 2:
+        return float(np.linalg.norm(res))
+    return np.array([np.linalg.norm(x) for x in res])
 
 
 def commutator_residual(a, b) -> float:

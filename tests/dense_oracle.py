@@ -1,16 +1,18 @@
-"""Dense two-site embedding, the dense transfer matrix, the projected
-commutator, the reference state and the exchange relation on explicit
-matrices, used as test oracles for the monodromy and the residual kernels.
+"""Dense two-site embedding, the dense monodromy and transfer matrix, the
+projected commutator, the reference state and the exchange relation on
+explicit matrices, used as test oracles for the monodromy and the residual
+kernels.
 
-The package builds the monodromy by local contraction and never forms an
-embedded operator, builds the transfer matrix sector block by sector block
-and reads the reference check off its charge-0 block; these helpers build
-the same objects the slow way, in the numpy.kron basis order of
-``defectchain.tensor_core``.
+The package never forms an embedded operator or the dense monodromy: it
+contracts the local tensors site by site, gathers the monodromy's charge
+blocks for the RTT relation, builds the transfer matrix sector block by
+sector block and reads the reference check off its charge-0 block; these
+helpers build the same objects the slow way, in the numpy.kron basis order
+of ``defectchain.tensor_core``.
 """
 import numpy as np
 
-from defectchain.monodromy import build_monodromy
+from defectchain.monodromy import charge_vector, local_tensors
 
 
 def embed(m, sites, dims):
@@ -27,12 +29,30 @@ def embed(m, sites, dims):
     return t.reshape(d, d)
 
 
+def dense_monodromy(spec, lam, local=None):
+    """M_{0,N+1} ... M_{0,1} as the left-to-right product of embedded
+    (2 dim) x (2 dim) matrices, from the chain's local tensors at lam (those
+    of `local_tensors` where `local` is None)."""
+    dims = (2,) + spec.dims
+    total = np.eye(int(np.prod(dims)), dtype=complex)
+    sites = range(spec.n_sites + 1, 0, -1)
+    for j, m in zip(sites, local_tensors(spec, lam) if local is None else local):
+        n = 2 * dims[j]
+        total = total @ embed(m.reshape(n, n), (0, j), dims)
+    return total
+
+
 def dense_transfer(spec, lam):
-    """t(lam) as a dense dim x dim array: the auxiliary trace of the whole
-    monodromy of build_monodromy, summed in the order the package sums it."""
-    m = build_monodromy(spec, lam).entries
+    """t(lam) as a dense dim x dim array: the auxiliary trace of
+    dense_monodromy."""
+    m = dense_monodromy(spec, lam)
     d = spec.chain_dim
     return m[:d, :d] + m[d:, d:]
+
+
+def sector_mask(spec):
+    """0/1 mask of the charge sectors Q <= D - 2 over the chain basis."""
+    return (charge_vector(spec) <= spec.max_exact_charge).astype(float)
 
 
 def masked_commutator(a, b, keep):

@@ -8,9 +8,9 @@ import numpy as np
 from defectchain.lax_defect import (RegimeParams, crossing_transform,
                                     make_l, make_l_hat, make_r,
                                     s_matrix_part, unitarity_residuals)
-from defectchain.monodromy import (ChainSpec, bae_residual, build_monodromy,
-                                   reference_eigenvalue, rtt_residual, sector_blocks,
-                                   sector_commutator, transfer_matrix)
+from defectchain.monodromy import (ChainSpec, bae_residual, reference_eigenvalue,
+                                   rtt_residual, sector_blocks, sector_commutator,
+                                   transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.special_functions import gamma_ratio
 from defectchain.transmission_amplitudes import (amplitude,
@@ -21,7 +21,8 @@ from defectchain.transmission_matrices import (default_rep,
                                                quadratic_algebra_residual,
                                                type2_algebra_residual,
                                                unitarity_crossing_residual)
-from dense_oracle import dense_transfer, reference_state
+from dense_oracle import (dense_monodromy, dense_transfer, exchange_oracle, reference_state,
+                          sector_mask)
 
 XXX = RegimeParams.xxx()
 CRIT = RegimeParams.critical(0.7)            # attractive, gamma ~ 3.488
@@ -111,8 +112,7 @@ def test_criterion_3_conjugate_and_unitarity():
             diff = np.abs(crossing_transform(make_l(params, -lam - 1j, rep)).entries
                           - make_l_hat(params, lam, rep).entries).max()
             worst_two_route = max(worst_two_route, diff)
-        for lam in grid:
-            worst_scalar = max(worst_scalar, *unitarity_residuals(params, lam, rep))
+        worst_scalar = max(worst_scalar, *map(np.max, unitarity_residuals(params, grid, rep)))
     print(f"ACCEPTANCE 3a: {'PASS' if worst_two_route < 1e-13 else 'FAIL'}  "
           f"conjugate operator two-route agreement (worst {worst_two_route:.3e} < 1e-13)")
     assert worst_two_route < 1e-13
@@ -121,8 +121,9 @@ def test_criterion_3_conjugate_and_unitarity():
 
 
 def test_criterion_4_transfer_matrix_structure():
-    """Commuting family and RTT on charge sectors Q <= D-2 for N=3, D=6;
-    the reference state is an eigenvector with the derived eigenvalue."""
+    """Commuting family and RTT on charge sectors Q <= D-2 for N=3, D=6,
+    RTT equal to the relation on the dense monodromy pair; the reference
+    state is an eigenvector with the derived eigenvalue."""
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
     worst_ref = 0.0
@@ -131,8 +132,12 @@ def test_criterion_4_transfer_matrix_structure():
                          rep=rep_for(params, 6))
         sectors = sector_blocks(spec)
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-            m1, m2 = (build_monodromy(spec, x) for x in (l1, l2))
-            worst = max(worst, rtt_residual(spec, m1, m2, l1, l2))
+            rtt = rtt_residual(spec, l1, l2)
+            m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
+            dense, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2,
+                                           sector_mask(spec))
+            assert abs(rtt - dense) <= 1e-12 * scale
+            worst = max(worst, rtt)
             t1, t2 = (transfer_matrix(spec, x, sectors) for x in (l1, l2))
             worst = max(worst, sector_commutator(spec, t1, t2))
         vec = reference_state(spec)

@@ -24,11 +24,12 @@ from defectchain import transmission_matrices as tmat
 from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
                                    s_matrix_part)
-from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue, sector_mask
+from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue
 from defectchain.tensor_core import exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  soliton_s_amplitude)
-from dense_oracle import dense_transfer, masked_commutator, reference_state
+from dense_oracle import (dense_monodromy, dense_transfer, exchange_oracle, masked_commutator,
+                          reference_state, sector_mask)
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -344,6 +345,26 @@ def test_spectrum_oversize_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--sites", "1000000000"], "argument --sites: sites must be <= 12, got 1000000000\n"),
+    (["--sites", "13", "--fock-dim", "3"], "argument --sites: sites must be <= 12, got 13\n"),
+    (["--sites", "3", "--fock-dim", "4096"],
+     "error: chain dimension 32768 exceeds resource bound 4096\n"),
+], ids=["sites-1e9", "sites-13", "dim-32768"])
+def test_spectrum_oversize_is_rejected_before_any_representation(monkeypatch, capsys, argv,
+                                                                  message):
+    # --sites is bounded while parsing and 2^N D before the representation:
+    # no 4096-level representation, and no 2^(10^9) to format
+    def unreachable(*args):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(cli, "defect_rep", unreachable)
+    assert run(["spectrum", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert captured.err.endswith(message)
+
+
 def test_bae_command(tmp_path):
     out = tmp_path / "bae.csv"
     code = run(["bae", "--regime", "xxx", "--theta", "0.3", "--out", str(out)])
@@ -613,11 +634,13 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
 
 
 def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
-    # rtt alone takes the monodromy pair; commuting-family reads the blocks
-    # of t(lam1) and t(lam2), and reference-eigenvalue the charge-0 block
-    # of t(0.77), each on the exact sectors only
+    # no dense monodromy: rtt reads the charge blocks of T(lam1) and
+    # T(lam2) once; commuting-family reads the blocks of t(lam1) and
+    # t(lam2), and reference-eigenvalue the charge-0 block of t(0.77), each
+    # on the exact sectors only
+    assert not hasattr(mono, "build_monodromy")
     calls, sectors = Counter(), []
-    for name in ("build_monodromy", "transfer_matrix"):
+    for name in ("rtt_residual", "transfer_matrix"):
         def counted(*args, fn=getattr(mono, name), name=name):
             calls[name] += 1
             if name == "transfer_matrix":
@@ -625,7 +648,7 @@ def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(mono, name, counted)
     cli.run_verify(RegimeParams.xxx(), 8, 7)
-    assert calls == {"build_monodromy": 2, "transfer_matrix": 3}
+    assert calls == {"rtt_residual": 1, "transfer_matrix": 3}
     assert sectors == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0]]
 
 
@@ -642,6 +665,23 @@ def test_verify_commuting_family_is_the_dense_masked_commutator(params, seed):
     t1, t2 = (dense_transfer(spec, pair[k]) for k in ("lam1", "lam2"))
     want = masked_commutator(t1, t2, sector_mask(spec))
     assert abs(rec["residual"] - want) <= 1e-12 * np.linalg.norm(t1) * np.linalg.norm(t2)
+    assert rec["pass"] and rec["subspace"] == "charge sectors" and rec["tolerance"] == 1e-10
+
+
+@pytest.mark.parametrize("params", [RegimeParams.xxx(theta=0.1), RegimeParams.critical(0.7),
+                                    RegimeParams.noncritical(0.5, theta=-0.2)],
+                         ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_verify_rtt_is_the_dense_exchange_relation(params, seed):
+    # the record at its printed pair, against the relation on the dense
+    # monodromy pair with the sector projector, relative to its scale
+    rec = next(r for r in cli.run_verify(params, 8, seed) if r["name"] == "rtt")
+    pair = json.loads(rec["params"])
+    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    l1, l2 = pair["lam1"], pair["lam2"]
+    m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
+    want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, sector_mask(spec))
+    assert abs(rec["residual"] - want) <= 1e-12 * scale
     assert rec["pass"] and rec["subspace"] == "charge sectors" and rec["tolerance"] == 1e-10
 
 

@@ -7,7 +7,7 @@ from defectchain.lax_defect import (RegimeParams, crossing_transform, make_l,
                                     scalar_crossing, scalar_unitarity,
                                     unitarity_residuals)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
-from defectchain.tensor_core import permutation_operator
+from defectchain.tensor_core import identity_residual, partial_transpose, permutation_operator
 from defectchain.transmission_amplitudes import soliton_s_amplitude
 
 XXX = RegimeParams.xxx()
@@ -172,21 +172,71 @@ def test_xxz_unitarity_scalar_value():
 @pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
 def test_unitarity_residuals_on_grid(params):
     rep = rep_for(params)
-    for lam in np.linspace(-2.0, 2.0, 9):
-        unit, crossing = unitarity_residuals(params, lam, rep)
-        assert unit < 1e-11 and crossing < 1e-11, lam
+    unit, crossing = unitarity_residuals(params, np.linspace(-2.0, 2.0, 9), rep)
+    assert unit.shape == crossing.shape == (9,)
+    assert (unit < 1e-11).all() and (crossing < 1e-11).all()
 
 
-@pytest.mark.parametrize("params, zeros", [(XXX, [-1j, 1j]), (CRIT, [0.0]), (NC, [0.0])],
-                         ids=["xxx", "crit", "nc"])
+ZEROS = [(XXX, [-1j, 1j]), (CRIT, [0.0]), (NC, [0.0])]
+
+
+@pytest.mark.parametrize("params, zeros", ZEROS, ids=["xxx", "crit", "nc"])
 def test_unitarity_identities_hold_at_scalar_zeros(params, zeros):
     # s_u(-i) = 0 and s_c(i) = 0 (isotropic), s_u(0) = s_c(0) = 0 (anisotropic):
     # the products vanish on the interior there, with no division to skip
     rep = rep_for(params)
     for lam in zeros:
         assert min(abs(scalar_unitarity(params, lam)), abs(scalar_crossing(params, lam))) == 0
-        unit, crossing = unitarity_residuals(params, lam, rep)
-        assert unit < 1e-13 and crossing < 1e-13, (lam, unit, crossing)
+    unit, crossing = unitarity_residuals(params, zeros, rep)
+    assert (unit < 1e-13).all() and (crossing < 1e-13).all(), (unit, crossing)
+
+
+def unitarity_oracle(params, lam, rep):
+    """(residual, scale) of unitarity and of crossing-unitarity at one lam,
+    from one operator each: the products of make_l and make_l_hat, their
+    auxiliary transposes by partial_transpose, and the scales the norms of
+    the products."""
+    keep = rep.interior()
+    unit = (make_l(params, lam, rep) @ make_l_hat(params, -lam, rep)).entries
+    lt = partial_transpose(make_l(params, -lam - 1j, rep), 0)
+    lht = partial_transpose(make_l_hat(params, lam - 1j, rep), 0)
+    crossing = (lt @ lht).entries
+    return ((identity_residual(unit, scalar_unitarity(params, lam), keep),
+             np.linalg.norm(unit)),
+            (identity_residual(crossing, scalar_crossing(params, lam), keep),
+             np.linalg.norm(crossing)))
+
+
+@pytest.mark.parametrize("params, zeros", ZEROS, ids=["xxx", "crit", "nc"])
+def test_stacked_unitarity_equals_per_lam_calls(params, zeros):
+    # the whole grid and the scalar zeros in one pass, against one call per
+    # lam and against the one-operator oracle, to 1e-13 of the products
+    rep = rep_for(params)
+    lams = np.concatenate([np.linspace(-2.0, 2.0, 9), zeros])
+    stacked = unitarity_residuals(params, lams, rep)
+    for k, lam in enumerate(lams):
+        alone = unitarity_residuals(params, [lam], rep)
+        for got, one, (want, scale) in zip(stacked, alone, unitarity_oracle(params, lam, rep)):
+            assert abs(got[k] - one[0]) <= 1e-13 * scale
+            assert abs(got[k] - want) <= 1e-13 * scale, (lam, got[k], want)
+
+
+@pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
+def test_operator_stacks_are_the_scalar_operators(params):
+    # make_r, make_l and make_l_hat at a 1-d array of lams: the stack of the
+    # operators at each lam, bit for bit at real lams; the overflow guard
+    # applies to every lam of the array
+    rep = rep_for(params)
+    lams = np.linspace(-2.0, 2.0, 7)
+    for make, args in ((make_r, ()), (make_l, (rep,)), (make_l_hat, (rep,))):
+        stack = make(params, lams, *args)
+        assert stack.shape == (7,) + make(params, 0.3, *args).entries.shape
+        for lam, m in zip(lams, stack):
+            assert m.tobytes() == make(params, lam, *args).entries.tobytes()
+        if params is not XXX:
+            far = np.array([0.0, 701.0 / params.mu_complex])     # mu lam = 701
+            with pytest.raises(ValueError, match="overflows"):
+                make(params, far, *args)
 
 
 def test_crossing_scalar_xxx():

@@ -3,15 +3,14 @@ import pytest
 
 from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
-from defectchain.monodromy import (ChainSpec, bae_residual, bae_root,
-                                   build_monodromy, charge_leak, charge_vector,
-                                   local_tensors, reference_eigenvalue, reference_residual,
-                                   rtt_residual, sector_blocks, sector_commutator, sector_mask,
-                                   transfer_matrix)
+from defectchain.monodromy import (ChainSpec, _contract, bae_residual, bae_root, charge_leak,
+                                   charge_vector, local_tensors, reference_eigenvalue,
+                                   reference_residual, rtt_residual, sector_blocks,
+                                   sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.tensor_core import TensorOperator
-from dense_oracle import (dense_transfer, embed, exchange_oracle, masked_commutator,
-                          reference_state)
+from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
+                          masked_commutator, reference_state, sector_mask)
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -40,8 +39,13 @@ REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
            RegimeParams.noncritical(0.5, theta=0.2)]
 
 
-def monodromy_pair(spec, lam1, lam2):
-    return build_monodromy(spec, lam1), build_monodromy(spec, lam2)
+def contracted_monodromy(spec, lam):
+    """The whole monodromy the package's contraction implies: `_contract`'s
+    pair, multiplied out over the site-1 step by einsum."""
+    total, first = _contract(spec, lam, None)
+    m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
+    d = 2 * spec.chain_dim
+    return m.reshape(d, d)
 
 
 def commuting_family(spec, lam1, lam2):
@@ -57,20 +61,6 @@ def same_bits(a, b):
 
 
 # ------------------------------------------------------------ dense oracle
-
-def dense_monodromy(spec, lam):
-    """M_{0,N+1} ... M_{0,1} as the left-to-right product of embedded
-    (2 dim) x (2 dim) matrices."""
-    dims = (2,) + spec.dims
-    total = np.eye(int(np.prod(dims)), dtype=complex)
-    for j in range(spec.n_sites + 1, 0, -1):
-        if j == spec.defect_site:
-            local = make_l(spec.params, lam - spec.theta, spec.rep)
-        else:
-            local = make_r(spec.params, lam)
-        total = total @ embed(local.entries, (0, j), dims)
-    return total
-
 
 def test_oracle_embedding_on_disjoint_sites_commutes():
     rng = np.random.default_rng(8)
@@ -88,7 +78,7 @@ def test_monodromy_equals_dense_product_bit_for_bit(params, d):
             spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
                              rep=defect_rep(params, d))
             for lam in (0.37, -1.2):
-                assert np.array_equal(build_monodromy(spec, lam).entries,
+                assert np.array_equal(contracted_monodromy(spec, lam),
                                       dense_monodromy(spec, lam))
 
 
@@ -97,8 +87,8 @@ def test_monodromy_equals_dense_product_bit_for_bit(params, d):
 def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
     # t(lam) is built sector block by sector block, traced inside the last
     # contraction step; each block must equal the block of the auxiliary
-    # trace of the full monodromy exactly, signed zeros included, and the
-    # trace must vanish between the blocks
+    # trace of the whole contracted monodromy exactly, signed zeros
+    # included, and the trace must vanish between the blocks
     for n_sites in range(5):
         for site in range(1, n_sites + 2):
             spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
@@ -106,9 +96,9 @@ def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
             dim = spec.chain_dim
             sectors = sector_blocks(spec)
             for lam in (0.37, -1.2):
-                blocks = build_monodromy(spec, lam).entries.reshape(2, dim, 2, dim)
+                blocks = contracted_monodromy(spec, lam).reshape(2, dim, 2, dim)
                 t = np.einsum("aiaj->ij", blocks)
-                assert same_bits(dense_transfer(spec, lam), t)
+                assert np.array_equal(dense_transfer(spec, lam), t)
                 got = transfer_matrix(spec, lam, sectors)
                 want = diagonal_blocks(t, sectors)
                 assert [k for k, _ in got] == [k for k, _ in want]
@@ -118,9 +108,9 @@ def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
 def test_defect_only_chain_is_lax_operator():
     spec = xxx_chain(n_sites=0, defect_site=1, d=5)
     lam = 0.9
-    t = build_monodromy(spec, lam)
+    t = contracted_monodromy(spec, lam)
     l = make_l(spec.params, lam - spec.theta, spec.rep)
-    np.testing.assert_allclose(t.entries, l.entries, atol=1e-14)
+    np.testing.assert_allclose(t, l.entries, atol=1e-14)
 
 
 def test_monodromy_matches_hand_composed_contraction():
@@ -135,8 +125,7 @@ def test_monodromy_matches_hand_composed_contraction():
     oracle = np.einsum("aubv,bwcx,cyez->auwyevxz", r, l, r)
     # reorder chain indices to (site1, defect, site3)
     oracle = oracle.transpose(0, 3, 2, 1, 4, 7, 6, 5).reshape(2 * 2 * d * 2, 2 * 2 * d * 2)
-    built = build_monodromy(spec, lam).entries
-    np.testing.assert_allclose(built, oracle, atol=1e-13)
+    np.testing.assert_allclose(contracted_monodromy(spec, lam), oracle, atol=1e-13)
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -144,7 +133,7 @@ def test_rtt_relation_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(3)
     for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-        assert rtt_residual(spec, *monodromy_pair(spec, l1, l2), l1, l2) < 1e-10
+        assert rtt_residual(spec, l1, l2) < 1e-10
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -186,8 +175,7 @@ def test_local_tensors_build_r_once_and_feed_every_contraction(monkeypatch, para
     for (_, mine), (_, theirs) in zip(transfer_matrix(spec, 0.41, sectors, local),
                                       transfer_matrix(spec, 0.41, sectors)):
         assert same_bits(mine, theirs)
-    assert same_bits(build_monodromy(spec, 0.41, local).entries,
-                     build_monodromy(spec, 0.41).entries)
+    assert rtt_residual(spec, 0.41, -0.3, (local, None)) == rtt_residual(spec, 0.41, -0.3)
 
 
 def test_charge_conservation():
@@ -202,25 +190,28 @@ def test_charge_conservation():
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_chain_residuals_match_dense_oracles(params, n_sites):
-    # RTT on the monodromy pair, against the relation on explicit 4 dim x
-    # 4 dim matrices with the sector projector; the commuting family on the
-    # exact-sector blocks of transfer_matrix, against the sector-masked dense
-    # commutator; and the charge measure, 0 on every local tensor
+    # RTT on the charge blocks of the monodromy pair, against the relation
+    # on the explicit 4 dim x 4 dim dense pair with the sector projector;
+    # the commuting family on the exact-sector blocks of transfer_matrix,
+    # against the sector-masked dense commutator; and the charge measure,
+    # 0 on every local tensor
     rng = np.random.default_rng(n_sites)
     spec = ChainSpec(n_sites=n_sites, defect_site=2, params=params,
                      rep=defect_rep(params, 6))
     keep = sector_mask(spec)
     dim = spec.chain_dim
     l1, l2 = 0.58, -0.33
-    m1, m2 = monodromy_pair(spec, l1, l2)
+    local = [local_tensors(spec, x) for x in (l1, l2)]
+    m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
     t1, t2 = (dense_transfer(spec, x) for x in (l1, l2))
     # RTT holds: equal to the oracle up to roundoff of the oracle's scale;
-    # R at lam2 - lam1 breaks it at O(1): equal to rtol 1e-12
-    res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1.entries, m2.entries, keep)
-    assert abs(rtt_residual(spec, m1, m2, l1, l2) - res) <= 1e-12 * scale
-    want, scale = exchange_oracle(make_r(params, l2 - l1).entries, m1.entries, m2.entries, keep)
+    # T(lam2) and T(lam1) in the places of T1 and T2 break it at O(1):
+    # equal to rtol 1e-12
+    res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, keep)
+    assert abs(rtt_residual(spec, l1, l2, local) - res) <= 1e-12 * scale
+    want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m2, m1, keep)
     assert want > 1e-3 * scale
-    np.testing.assert_allclose(rtt_residual(spec, m1, m2, l2, l1), want, rtol=1e-12)
+    np.testing.assert_allclose(rtt_residual(spec, l1, l2, local[::-1]), want, rtol=1e-12)
     # the commuting family, and a block-diagonal partner t(lam2) + x that
     # does not commute with t(lam1)
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
@@ -238,11 +229,31 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
 
 
 def test_sector_mask_counts():
+    # the oracle's mask of the sectors the chain residuals keep
     spec = xxx_chain()
     keep = sector_mask(spec)                # Q <= D - 2 = 4
     q = charge_vector(spec)
     assert set(keep) == {0.0, 1.0}
     assert int(keep.sum()) == int(np.sum(q <= 4))
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
+    # one charge-conserving entry of the defect tensor at lam2, scaled by
+    # 1 + 1e-9: RTT breaks by far more than its 1e-10 gate, and the block
+    # route reads what the dense pair of the same local tensors reads
+    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    l1, l2 = 0.58, -0.33
+    local = [local_tensors(spec, x) for x in (l1, l2)]
+    at = spec.n_sites + 1 - spec.defect_site       # the defect's place in the list
+    local[1][at] = local[1][at].copy()
+    local[1][at][0, 1, 0, 1] *= 1 + 1e-9
+    assert charge_leak(spec, local[1]) == 0.0
+    got = rtt_residual(spec, l1, l2, local)
+    m1, m2 = (dense_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
+    want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, sector_mask(spec))
+    assert got > 1e-9
+    assert abs(got - want) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -396,7 +407,8 @@ def test_overflowing_chain_product_is_a_value_error():
     params = RegimeParams.critical(3.0)
     spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
     sectors = sector_blocks(spec)
-    for build in (build_monodromy, lambda *args: transfer_matrix(*args, sectors)):
+    for build in (lambda *args: rtt_residual(*args, 0.0),
+                  lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100"):
             build(spec, 100.0)
     assert all(np.isfinite(block).all() for _, block in transfer_matrix(spec, 60.0, sectors))
@@ -486,7 +498,8 @@ def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name
     make = getattr(monodromy, name)
     monkeypatch.setattr(monodromy, name, with_leak(make))
     message = f"leaks charge at lam = 0.37: the local operator of site {site} "
-    for build in (build_monodromy, lambda *args: transfer_matrix(*args, sectors)):
+    for build in (lambda *args: rtt_residual(*args, 0.0),
+                  lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match=message):
             build(spec, 0.37)
     # the charge measure reads the leak the guard stopped at, relative to
