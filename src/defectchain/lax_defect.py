@@ -130,7 +130,7 @@ _MAX_EXPONENT = 700.0
 def _exp_pair(params: RegimeParams, lam):
     """e^{mu lam} and e^{-mu lam}, or a ValueError where either overflows."""
     mu = params.mu_complex
-    growth = max(np.abs((mu * lam).real).flat)
+    growth = abs((mu * lam).real).max() if isinstance(lam, np.ndarray) else abs((mu * lam).real)
     if growth > _MAX_EXPONENT:
         raise ValueError(f"|Re mu lam| = {growth:.4g} overflows e^(+-mu lam); "
                          f"keep it below {_MAX_EXPONENT:g}")

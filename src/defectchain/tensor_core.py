@@ -122,10 +122,10 @@ class TensorOperator:
 
 def block2(a11, a12, a21, a22) -> np.ndarray:
     """The block matrix [[a11, a12], [a21, a22]] of four equal square blocks,
-    numpy.block's result assembled by slice assignment.  Blocks may be
-    stacks along a leading axis, of one length; the others broadcast."""
+    numpy.block's result assembled by slice assignment.  a11 or a22 may be
+    a stack along a leading axis; the other blocks broadcast against it."""
     d = a11.shape[-1]
-    lead = max(a11.shape, a12.shape, a21.shape, a22.shape, key=len)[:-2]
+    lead = (a11 if a11.ndim > 2 else a22).shape[:-2]
     m = np.empty(lead + (2 * d, 2 * d), dtype=np.result_type(a11, a12, a21, a22))
     m[..., :d, :d] = a11
     m[..., :d, d:] = a12
