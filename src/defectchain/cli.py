@@ -50,8 +50,12 @@ MAX_GRID_POINTS = 1_000_000
 
 # largest --fock-dim of verify, checked the same way: at D = 256 the suite
 # takes about 1.5 s and 220 MB, at 512 about 7 s and 0.7 GB, at 1024 about
-# 60 s and 2.8 GB.  spectrum's is the one-site chain's mono.RESOURCE_BOUND.
+# 60 s and 2.8 GB.
 MAX_VERIFY_FOCK_DIM = 256
+# and of spectrum, whose one-site chain at D = 1024 takes about 0.8 s and
+# 240 MB, at 2048 about 2.6 s and 0.9 GB, at 4096 (mono.RESOURCE_BOUND)
+# about 11 s and 3.4 GB
+MAX_SPECTRUM_FOCK_DIM = 2048
 
 
 def _parse_grid(text: str):
@@ -236,10 +240,13 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
     l1, l2 = uniform(-1.0, 1.0, 2)
     local = [mono.local_tensors(spec, x) for x in (l1, l2)]     # once per lam
+    chains = [mono.contract(spec, x, t) for x, t in zip((l1, l2), local)]   # likewise
+    all_sectors = mono.sector_blocks(spec)
     pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
-    add("rtt", mono.rtt_residual(spec, l1, l2, local), 1e-10, params=pair, subspace=sectors)
-    exact = mono.sector_blocks(spec)[:spec.max_exact_charge + 1]
-    t1, t2 = (mono.transfer_matrix(spec, x, exact, t) for x, t in zip((l1, l2), local))
+    add("rtt", mono.rtt_residual(spec, l1, l2, chains, all_sectors), 1e-10, params=pair,
+        subspace=sectors)
+    exact = all_sectors[:spec.max_exact_charge + 1]
+    t1, t2 = (mono.transfer_matrix(spec, x, exact, c) for x, c in zip((l1, l2), chains))
     add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
         params=pair, subspace=sectors)
     add("charge-conservation", mono.charge_leak(spec, local[0]), 1e-12,
@@ -578,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="transfer-matrix spectra by charge sector")
     common(p)
-    fock_dim(p, mono.RESOURCE_BOUND)
+    fock_dim(p, MAX_SPECTRUM_FOCK_DIM)
     grid(p)
     p.add_argument("--sites", type=_at_most(mono.RESOURCE_BOUND.bit_length() - 1, "sites"),
                    default=2)

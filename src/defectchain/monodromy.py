@@ -18,7 +18,8 @@ the sectors Q <= D - 2, on blocks, never on a dense T(lam) or t(lam): the
 sector blocks of T(lam) (RTT) and the diagonal blocks of t(lam) (commuting
 family).  The charge itself is checked on the local tensors (`charge_leak`),
 before any contraction.  The local tensors at one lam (`local_tensors`) can
-be built once and passed to every contraction at that lam.
+be built once and contracted once (`contract`), and the contracted pair
+passed to every residual at that lam.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .tensor_core import commutator_residual
 __all__ = [
     "ChainSpec",
     "local_tensors",
+    "contract",
     "charge_vector",
     "sector_blocks",
     "sector_commutator",
@@ -102,7 +104,7 @@ def local_tensors(spec: ChainSpec, lam: complex) -> list[np.ndarray]:
             if j == spec.defect_site else bulk() for j in range(spec.n_sites + 1, 0, -1)]
 
 
-def _contract(spec: ChainSpec, lam: complex, local):
+def contract(spec: ChainSpec, lam: complex, local=None):
     """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
     chain) tensors; the product is None for the one-site chain (N = 0).
 
@@ -114,8 +116,8 @@ def _contract(spec: ChainSpec, lam: complex, local):
     product, each entry summing the same two nonzero terms.  The site-1
     step, the only one at full size, is left to the caller.  A local tensor
     with a nonzero `_leak` is a ValueError naming lam, so a finite t(lam) is
-    exactly 0 between charge sectors.  `local` is `local_tensors(spec, lam)`,
-    or None to build it.
+    exactly 0 between charge sectors; a product that overflows is one too
+    (`_finite`).  `local` is `local_tensors(spec, lam)`, or None to build it.
     """
     if local is None:
         local = local_tensors(spec, lam)
@@ -129,21 +131,19 @@ def _contract(spec: ChainSpec, lam: complex, local):
     for m in local[1:-1]:
         total = np.einsum("arbq,bsct->asrctq", total, m, order="C")
         total = total.reshape(2, total.shape[1] * total.shape[2], 2, -1)
-    return total, first
+    return _finite(spec, lam, total), first
 
 
 def transfer_matrix(spec: ChainSpec, lam: complex, sectors,
-                    local=None) -> list[tuple[int, np.ndarray]]:
+                    pair=None) -> list[tuple[int, np.ndarray]]:
     """(charge, block) of the transfer matrix t(lam) on each of the given
-    `sector_blocks`, from the `local_tensors` at lam (built here where
-    `local` is None); the dense t(lam) is never formed.  With the chain index
+    `sector_blocks`, from the `contract`ed pair at lam (built here where
+    `pair` is None); the dense t(lam) is never formed.  With the chain index
     s R + r (s at site 1), a block gathers the product of sites N+1 ... 2 at
     its r's and the site-1 tensor at its s's and traces the auxiliary space
     in the site-1 step: the blocks of the auxiliary trace of the monodromy.
     """
-    total, first = _contract(spec, lam, local)
-    if total is not None:
-        _finite(spec, lam, total)
+    total, first = contract(spec, lam) if pair is None else pair
     rest = spec.chain_dim // spec.dims[0]       # R, the dimension of sites N+1 ... 2
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
@@ -197,7 +197,7 @@ def _leak(regime: str, m: np.ndarray) -> float:
 
 def charge_leak(spec: ChainSpec, local) -> float:
     """The largest `_leak` of the chain's `local_tensors` at one lam: what
-    `_contract`'s guard tests, so 0 wherever t(lam) can be built."""
+    `contract`'s guard tests, so 0 wherever t(lam) can be built."""
     return max(_leak(spec.params.regime, m) for m in local)
 
 
@@ -275,17 +275,20 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, local=(None, None)) -> float:
+def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs=(None, None),
+                 sectors=None) -> float:
     """|| (R12 T1 T2 - T2 T1 R12) P || for the monodromies T1 = T(lam1), T2 =
     T(lam2) and the projector P on the sectors Q <= D - 2, from the
-    `local_tensors` at lam1 and lam2 (built here where None).  `_contract`'s
-    leak guard makes the auxiliary block T_ab map sector Q into Q + g_b - g_a
-    (g the auxiliary grading) and vanish elsewhere, and R12 conserves
-    g_1 + g_2, so each term of entry (a c, b d) maps sector Q into
-    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector blocks.
+    `contract`ed pairs at lam1 and lam2 (built here where None) and the
+    `sector_blocks` (likewise).  `contract`'s leak guard makes the auxiliary
+    block T_ab map sector Q into Q + g_b - g_a (g the auxiliary grading) and
+    vanish elsewhere, and R12 conserves g_1 + g_2, so each term of entry
+    (a c, b d) maps sector Q into Q + g_b + g_d - g_a - g_c: batched products
+    of zero-padded sector blocks.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
-    shift, d, sectors = g - g[:, None], spec.rep.dim, sector_blocks(spec)
+    shift, d = g - g[:, None], spec.rep.dim
+    sectors = sector_blocks(spec) if sectors is None else sectors
     # the basis indices of the sectors -2 ... D, padded with the index past the chain
     idx = np.full((d + 3, max(len(i) for _, i in sectors)), spec.chain_dim)
     for q, i in sectors[:d + 1]:
@@ -293,7 +296,7 @@ def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, local=(None, Non
     # block k = 0 ... D: T_ac from the sector k - 1 into the sector k - 1 + shift[a, c]
     rows = idx[np.arange(1, d + 2)[:, None, None] + shift][..., None]
     b1, b2 = (_charge_blocks(spec, x, t, rows, idx[1:-1, None, None, None])
-              for x, t in zip((lam1, lam2), local))
+              for x, t in zip((lam1, lam2), pairs))
     k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
     r = make_r(spec.params, lam1 - lam2).entries.reshape(2, 2, 2, 2)
     lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
@@ -301,12 +304,14 @@ def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, local=(None, Non
     return float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs))
 
 
-def _charge_blocks(spec: ChainSpec, lam: complex, local, rows, cols) -> np.ndarray:
+def _charge_blocks(spec: ChainSpec, lam: complex, pair, rows, cols) -> np.ndarray:
     """T(lam)'s auxiliary blocks [k, a, c] at the chain indices rows[k, a, c, :]
-    and cols[k, :], gathered from `_contract`'s pair as in `transfer_matrix`;
-    the index past the chain reads a zero state appended to site 1."""
-    total, first = _contract(spec, lam, local)
-    total = np.eye(2).reshape(2, 1, 2, 1) if total is None else _finite(spec, lam, total)
+    and cols[k, :], gathered from the `contract`ed pair at lam (built here
+    where None) as in `transfer_matrix`; the index past the chain reads a
+    zero state appended to site 1."""
+    total, first = contract(spec, lam) if pair is None else pair
+    if total is None:
+        total = np.eye(2).reshape(2, 1, 2, 1)
     n, m = total.shape[1], first.shape[1] + 1
     padded = np.zeros((2, m, 2, m), dtype=complex)
     padded[:, :-1, :, :-1] = first

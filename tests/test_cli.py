@@ -348,13 +348,13 @@ def test_spectrum_oversize_rejected(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--sites", "1000000000"], "argument --sites: sites must be <= 12, got 1000000000\n"),
     (["--sites", "13", "--fock-dim", "3"], "argument --sites: sites must be <= 12, got 13\n"),
-    (["--sites", "3", "--fock-dim", "4096"],
+    (["--sites", "4", "--fock-dim", "2048"],
      "error: chain dimension 32768 exceeds resource bound 4096\n"),
 ], ids=["sites-1e9", "sites-13", "dim-32768"])
 def test_spectrum_oversize_is_rejected_before_any_representation(monkeypatch, capsys, argv,
                                                                   message):
     # --sites is bounded while parsing and 2^N D before the representation:
-    # no 4096-level representation, and no 2^(10^9) to format
+    # no 2048-level representation, and no 2^(10^9) to format
     def unreachable(*args):
         raise AssertionError("a representation was built")
 
@@ -440,8 +440,11 @@ def test_grid_count_cap_is_inclusive(count, accepted):
     (["verify", "--fock-dim", "100000"], "must be <= 256, got 100000"),
     (["verify", "--fock-dim", "2048"], "must be <= 256, got 2048"),
     (["verify", "--fock-dim=257"], "must be <= 256, got 257"),
-    (["spectrum", "--sites", "0", "--fock-dim", "5000"], "must be <= 4096, got 5000"),
-    (["spectrum", "--sites", "0", "--fock-dim", "100000"], "must be <= 4096, got 100000"),
+    (["spectrum", "--sites", "0", "--fock-dim", "5000"], "must be <= 2048, got 5000"),
+    (["spectrum", "--sites", "0", "--fock-dim", "100000"], "must be <= 2048, got 100000"),
+    # within the chain-dimension bound, but about 11 s and 3.4 GB at N = 0
+    (["spectrum", "--sites", "0", "--fock-dim", "4096"], "must be <= 2048, got 4096"),
+    (["spectrum", "--sites", "3", "--fock-dim", "4096"], "must be <= 2048, got 4096"),
 ])
 def test_fock_dim_past_the_cap_is_a_usage_error(monkeypatch, capsys, argv, message):
     # rejected while parsing, before any representation is built: verify
@@ -457,7 +460,7 @@ def test_fock_dim_past_the_cap_is_a_usage_error(monkeypatch, capsys, argv, messa
 
 
 @pytest.mark.parametrize("command, cap", [("verify", cli.MAX_VERIFY_FOCK_DIM),
-                                          ("spectrum", mono.RESOURCE_BOUND)])
+                                          ("spectrum", cli.MAX_SPECTRUM_FOCK_DIM)])
 def test_fock_dim_cap_is_inclusive(command, cap):
     assert cli.build_parser().parse_args([command, f"--fock-dim={cap}"]).fock_dim == cap
     with pytest.raises(SystemExit):
@@ -571,6 +574,61 @@ def test_entry_point_compiles_the_amplitude_layer_first_where_it_is_read(argv):
             "defectchain.monodromy") < loaded.index("defectchain.cli"), loaded
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--regime", "critical"], 0), (["verify", "--tol", "0"], 1),
+    (["amplitude", "--regime", "noncritical", "--grid=-1:1:5", "--out"], 0),
+    (["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.2:0.5:2"], 0),
+    (["bae", "--regime", "critical", "--theta", "0.1"], 0), (["spectrum", "--grid=0:1"], 2),
+], ids=["verify", "verify-tol-0", "amplitude-out", "spectrum", "bae", "usage"])
+def test_entry_point_writes_what_cli_main_writes(tmp_path, capsys, argv, code):
+    # python -m defectchain freezes the heap once main has returned, so the
+    # interpreter's last collections skip it: every byte is written by then
+    def with_out(name):
+        return [*argv, str(tmp_path / name)] if argv[-1] == "--out" else argv
+
+    assert main(with_out("main.csv")) == code
+    want = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-m", "defectchain", *with_out("child.csv")],
+                          capture_output=True, env=child_env(), timeout=300)
+    assert done.returncode == code, done.stderr[-2000:]
+    assert (done.stdout.decode(), done.stderr.decode()) == (want.out, want.err)
+    if argv[-1] == "--out":
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [(["bae"], 0), (["bae", "--tol", "0"], 1),
+                                        (["bae", "--grid=0:1:2"], 2)],
+                         ids=["pass", "fail", "usage"])
+def test_entry_point_freezes_the_heap_after_main(argv, code):
+    script = ("import contextlib, gc, io, runpy, sys\n"
+              "sys.argv = ['defectchain', *sys.argv[1:]]\n"
+              "before = gc.get_freeze_count()\n"
+              "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "        contextlib.redirect_stderr(io.StringIO()):\n"
+              "    try:\n"
+              "        runpy.run_module('defectchain', run_name='__main__')\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              "print(before, code, gc.get_freeze_count() > 0)\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=300)
+    assert done.stdout == f"0 {code} True\n", done.stderr[-2000:]
+
+
+def test_the_package_leaves_the_collector_alone():
+    # importing the package and calling cli.main, as library callers and
+    # the benchmark's warm worker do, freezes nothing and disables nothing
+    script = ("import contextlib, gc, io\n"
+              "import defectchain.cli\n"
+              "print(gc.get_freeze_count(), gc.isenabled())\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = defectchain.cli.main(['verify'])\n"
+              "print(code, gc.get_freeze_count(), gc.isenabled())\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=300)
+    assert done.stdout == "0 True\n0 0 True\n", done.stderr[-2000:]
+
+
 def test_convergence_error_is_the_package_class():
     # cli reports it without importing special_functions, which raises it
     from defectchain import special_functions
@@ -637,10 +695,11 @@ def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
     # no dense monodromy: rtt reads the charge blocks of T(lam1) and
     # T(lam2) once; commuting-family reads the blocks of t(lam1) and
     # t(lam2), and reference-eigenvalue the charge-0 block of t(0.77), each
-    # on the exact sectors only
+    # on the exact sectors only; the chain is contracted once per lam and
+    # its sectors are listed once
     assert not hasattr(mono, "build_monodromy")
     calls, sectors = Counter(), []
-    for name in ("rtt_residual", "transfer_matrix"):
+    for name in ("rtt_residual", "transfer_matrix", "contract", "sector_blocks"):
         def counted(*args, fn=getattr(mono, name), name=name):
             calls[name] += 1
             if name == "transfer_matrix":
@@ -648,7 +707,7 @@ def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(mono, name, counted)
     cli.run_verify(RegimeParams.xxx(), 8, 7)
-    assert calls == {"rtt_residual": 1, "transfer_matrix": 3}
+    assert calls == {"rtt_residual": 1, "transfer_matrix": 3, "contract": 3, "sector_blocks": 1}
     assert sectors == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0]]
 
 

@@ -3,7 +3,8 @@ the amplitude layer's deferred ones sits at module level, every public name
 has a caller inside the package (through an import at module level or inside
 a function), every defaulted parameter of a public function is passed inside
 the package, every __slots__ field of a package class is read inside the
-package, and no module imports a random generator or dataclasses."""
+package, no module imports a random generator or dataclasses, and only
+the entry point imports gc."""
 import ast
 from pathlib import Path
 
@@ -362,8 +363,8 @@ def test_no_module_imports_a_random_generator():
     assert random_imports(_parse_all()) == []
 
 
-def dataclasses_imports(trees) -> list[str]:
-    """module: name for every import of dataclasses or a name from it."""
+def imports_of(top: str, trees) -> list[str]:
+    """module: name for every import of the module `top` or a name from it."""
     found = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -373,7 +374,7 @@ def dataclasses_imports(trees) -> list[str]:
                 names = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            found += [f"{module}: {n}" for n in names if n.split(".")[0] == "dataclasses"]
+            found += [f"{module}: {n}" for n in names if n.split(".")[0] == top]
     return found
 
 
@@ -381,11 +382,17 @@ def test_dataclasses_imports_finds_each_form():
     tree = ast.parse("import dataclasses\nimport dataclasses as dc\n"
                      "from dataclasses import dataclass, field\nimport dataclasses_json\n"
                      "from .dataclasses import x\n")
-    assert sorted(dataclasses_imports({"m": tree})) == [
+    assert sorted(imports_of("dataclasses", {"m": tree})) == [
         "m: dataclasses", "m: dataclasses", "m: dataclasses.dataclass", "m: dataclasses.field"]
 
 
 def test_no_module_imports_dataclasses():
     # dataclasses builds each class's methods by exec of generated source in
     # every fresh process; the value classes are plain __slots__ classes
-    assert dataclasses_imports(_parse_all()) == []
+    assert imports_of("dataclasses", _parse_all()) == []
+
+
+def test_only_the_entry_point_imports_gc():
+    # python -m defectchain freezes the heap once main has returned; no
+    # module touches the collector at import or inside cli.main
+    assert imports_of("gc", _parse_all()) == ["__main__: gc"]

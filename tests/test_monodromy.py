@@ -3,8 +3,8 @@ import pytest
 
 from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
-from defectchain.monodromy import (ChainSpec, _contract, bae_residual, bae_root, charge_leak,
-                                   charge_vector, local_tensors, reference_eigenvalue,
+from defectchain.monodromy import (ChainSpec, bae_residual, bae_root, charge_leak,
+                                   charge_vector, contract, local_tensors, reference_eigenvalue,
                                    reference_residual, rtt_residual, sector_blocks,
                                    sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
@@ -40,9 +40,9 @@ REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
 
 
 def contracted_monodromy(spec, lam):
-    """The whole monodromy the package's contraction implies: `_contract`'s
+    """The whole monodromy the package's contraction implies: `contract`'s
     pair, multiplied out over the site-1 step by einsum."""
-    total, first = _contract(spec, lam, None)
+    total, first = contract(spec, lam)
     m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
     d = 2 * spec.chain_dim
     return m.reshape(d, d)
@@ -172,10 +172,12 @@ def test_local_tensors_build_r_once_and_feed_every_contraction(monkeypatch, para
     bulk = [m for j, m in zip(range(n_sites + 1, 0, -1), local) if j != defect_site]
     assert len(local) == n_sites + 1 and all(m is bulk[0] for m in bulk)
     sectors = sector_blocks(spec)
-    for (_, mine), (_, theirs) in zip(transfer_matrix(spec, 0.41, sectors, local),
+    pair = contract(spec, 0.41, local)
+    for (_, mine), (_, theirs) in zip(transfer_matrix(spec, 0.41, sectors, pair),
                                       transfer_matrix(spec, 0.41, sectors)):
         assert same_bits(mine, theirs)
-    assert rtt_residual(spec, 0.41, -0.3, (local, None)) == rtt_residual(spec, 0.41, -0.3)
+    assert (rtt_residual(spec, 0.41, -0.3, (pair, None), sectors)
+            == rtt_residual(spec, 0.41, -0.3))
 
 
 def test_charge_conservation():
@@ -207,11 +209,12 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     # RTT holds: equal to the oracle up to roundoff of the oracle's scale;
     # T(lam2) and T(lam1) in the places of T1 and T2 break it at O(1):
     # equal to rtol 1e-12
+    pairs = [contract(spec, x, t) for x, t in zip((l1, l2), local)]
     res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, keep)
-    assert abs(rtt_residual(spec, l1, l2, local) - res) <= 1e-12 * scale
+    assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
     want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m2, m1, keep)
     assert want > 1e-3 * scale
-    np.testing.assert_allclose(rtt_residual(spec, l1, l2, local[::-1]), want, rtol=1e-12)
+    np.testing.assert_allclose(rtt_residual(spec, l1, l2, pairs[::-1]), want, rtol=1e-12)
     # the commuting family, and a block-diagonal partner t(lam2) + x that
     # does not commute with t(lam1)
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
@@ -249,7 +252,7 @@ def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
     local[1][at] = local[1][at].copy()
     local[1][at][0, 1, 0, 1] *= 1 + 1e-9
     assert charge_leak(spec, local[1]) == 0.0
-    got = rtt_residual(spec, l1, l2, local)
+    got = rtt_residual(spec, l1, l2, [contract(spec, x, t) for x, t in zip((l1, l2), local)])
     m1, m2 = (dense_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
     want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, sector_mask(spec))
     assert got > 1e-9
