@@ -238,9 +238,10 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     # monodromy-level checks at desk scale, on charge-sector blocks: RTT on
     # those of T(lam), the rest on those of t(lam) as `spectrum` reads them
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
-    l1, l2 = uniform(-1.0, 1.0, 2)
-    local = [mono.local_tensors(spec, x) for x in (l1, l2)]     # once per lam
-    chains = [mono.contract(spec, x, t) for x, t in zip((l1, l2), local)]   # likewise
+    lams = uniform(-1.0, 1.0, 2)
+    (l1, l2), local = lams, mono.local_tensors(spec, lams)     # both lams at once
+    total, first = mono.contract(spec, lams, local)             # likewise
+    chains = [(total[k], first[k]) for k in range(2)]
     all_sectors = mono.sector_blocks(spec)
     pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
     add("rtt", mono.rtt_residual(spec, l1, l2, chains, all_sectors), 1e-10, params=pair,
@@ -249,7 +250,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     t1, t2 = (mono.transfer_matrix(spec, x, exact, c) for x, c in zip((l1, l2), chains))
     add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
         params=pair, subspace=sectors)
-    add("charge-conservation", mono.charge_leak(spec, local[0]), 1e-12,
+    add("charge-conservation", mono.charge_leak(spec, [m[0] for m in local]), 1e-12,
         subspace="local tensors, relative")
     blocks = mono.transfer_matrix(spec, 0.77, exact[:1])   # charge 0 only
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
@@ -497,29 +498,38 @@ def cmd_spectrum(args) -> int:
     sizes = [len(idx) for _, idx in sectors]
     charge = np.repeat([sector for sector, _ in sectors], sizes)
     exact = np.repeat([int(sector <= spec.max_exact_charge) for sector, _ in sectors], sizes)
-    # the blocks by size: one eigvals call per size
+    # the blocks by size: one eigvals call per size and batch
     groups = [[k for k, size in enumerate(sizes) if size == n] for n in set(sizes)]
-    tables = []
-    first = None
-    for lam in np.linspace(start, stop, count):
-        blocks = mono.transfer_matrix(spec, lam, sectors)
+
+    def rows(lams):     # the tables of a batch of lams
+        nonlocal first
+        blocks = mono.transfer_matrix(spec, lams, sectors)
         # commutator with the first grid point on the sectors below the
         # truncation ceiling: the whole family must commute there
-        if first is None:
-            first, comm_res = blocks, 0.0
-        else:
-            comm_res = mono.sector_commutator(spec, blocks, first)
-            if not math.isfinite(comm_res):
-                raise ValueError(f"the commutator check at lam = {lam} is beyond "
-                                 "the float range")
-        evs = {k: ev for pick in groups
-               for k, ev in zip(pick, np.linalg.eigvals(np.stack([blocks[k][1] for k in pick])))}
-        evs = np.concatenate([evs[k] for k in range(len(blocks))])
-        evs = evs[_sector_order(evs, sizes)]
-        tables.append({"lam": float(lam), "sector": charge, "re_eig": evs.real,
-                       "im_eig": evs.imag,
-                       "reference_check": mono.reference_residual(spec, blocks, lam),
-                       "commutator_check": comm_res, "exact": exact})
+        lead = first is None      # the first point reads 0; a copy frees the batch
+        first = first or [(q, block[0].copy()) for q, block in blocks]
+        comm = [0.0] * lead + mono.sector_commutator(spec, [(q, b[lead:]) for q, b in blocks],
+                                                     first)
+        for lam, value in zip(lams, comm):
+            if not math.isfinite(value):
+                raise ValueError(f"the commutator check at lam = {lam} is beyond the float range")
+        evs = {k: ev for pick in groups for k, ev in zip(pick, np.linalg.eigvals(
+            np.stack([blocks[k][1] for k in pick], axis=1)).swapaxes(0, 1))}
+        evs = np.concatenate([evs[k] for k in range(len(sectors))], axis=1).ravel()
+        evs = evs[_sector_order(evs, sizes * len(lams))].reshape(len(lams), -1)
+        return [{"lam": float(lam), "sector": charge, "re_eig": ev.real, "im_eig": ev.imag,
+                 "reference_check": mono.reference_residual(spec, [(0, block)], lam),
+                 "commutator_check": value, "exact": exact}
+                for lam, block, value, ev in zip(lams, blocks[0][1], comm, evs)]
+
+    tables, first = [], None
+    for lams in np.split(np.linspace(start, stop, count), range(spec.batch, count, spec.batch)):
+        try:
+            tables += rows(lams)
+        except ValueError:      # run again lam by lam: the first failing lam's error
+            for k in range(len(lams)):
+                rows(lams[k:k + 1])
+            raise
     header = _header(args, sites=args.sites, defect_site=args.defect_site,
                      fock_dim=args.fock_dim)
     _write_records(tables, args.format or "csv", args.out, header)

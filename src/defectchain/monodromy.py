@@ -19,7 +19,10 @@ sector blocks of T(lam) (RTT) and the diagonal blocks of t(lam) (commuting
 family).  The charge itself is checked on the local tensors (`charge_leak`),
 before any contraction.  The local tensors at one lam (`local_tensors`) can
 be built once and contracted once (`contract`), and the contracted pair
-passed to every residual at that lam.
+passed to every residual at that lam.  They also take a 1-d grid of lams,
+adding a leading lam axis (each slice the lone lam's bits), in batches of
+`ChainSpec.batch` lams: at most BATCH_ENTRIES complex entries (2 MB) of
+running product, so chains of dimension 2048 and more take one lam a batch.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ __all__ = [
 
 # largest chain dimension 2^N D a ChainSpec accepts
 RESOURCE_BOUND = 4096
+BATCH_ENTRIES = 2 ** 17    # most running-product entries of one batch of lams
 
 
 class ChainSpec:
@@ -86,27 +90,36 @@ class ChainSpec:
         return math.prod(self.dims)
 
     @property
+    def batch(self) -> int:
+        """Lams a batch: as many products of sites N+1 ... 2 (and site-1
+        tensors), each 4 max(R, d_1)^2 entries, as fit in BATCH_ENTRIES."""
+        size = max(self.chain_dim // self.dims[0], self.dims[0])
+        return max(1, BATCH_ENTRIES // (4 * size * size))
+
+    @property
     def max_exact_charge(self) -> int:
         """D - 2: the charge sectors up to it never reach the truncation
         ceiling of the defect, so t(lam) acts on them exactly."""
         return self.rep.dim - 2
 
 
-def local_tensors(spec: ChainSpec, lam: complex) -> list[np.ndarray]:
+def local_tensors(spec: ChainSpec, lam) -> list[np.ndarray]:
     """M_{0,j}(lam) for the sites j = N+1, ..., 1 as (aux, site, aux, site)
-    tensors: the bulk R, built once and shared by every bulk site, or
-    L(lam - theta) at the defect site."""
-    d = spec.rep.dim
+    tensors (or their stacks): the bulk R, built once and shared by every
+    bulk site, or L(lam - theta) at the defect site."""
+    def tensor(m, n):       # an operator at a lam, a stack at a grid
+        return getattr(m, "entries", m).reshape(np.shape(lam) + (2, n, 2, n))
+
     # built at the first bulk site, so the sites are built (and an overflow
     # is reported) in their order
-    bulk = functools.cache(lambda: make_r(spec.params, lam).entries.reshape(2, 2, 2, 2))
-    return [make_l(spec.params, lam - spec.theta, spec.rep).entries.reshape(2, d, 2, d)
+    bulk = functools.cache(lambda: tensor(make_r(spec.params, lam), 2))
+    return [tensor(make_l(spec.params, lam - spec.theta, spec.rep), spec.rep.dim)
             if j == spec.defect_site else bulk() for j in range(spec.n_sites + 1, 0, -1)]
 
 
-def contract(spec: ChainSpec, lam: complex, local=None):
+def contract(spec: ChainSpec, lam, local=None):
     """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
-    chain) tensors; the product is None for the one-site chain (N = 0).
+    chain) tensors (or their stacks); the product is None for N = 0.
 
     Built by local contraction: starting from M_{0,N+1} as a (2, d, 2, d)
     tensor, each step j = N, ..., 2 contracts the open column-auxiliary index
@@ -121,27 +134,29 @@ def contract(spec: ChainSpec, lam: complex, local=None):
     """
     if local is None:
         local = local_tensors(spec, lam)
-    for j, m in zip(range(spec.n_sites + 1, 0, -1), local):
-        if _leak(spec.params.regime, m) > 0:
-            raise ValueError(f"the transfer matrix leaks charge at lam = {lam}: the local "
-                             f"operator of site {j} has a nonzero entry between charge sectors")
+    leaks = np.array([_leak(spec.params.regime, m) for m in local]).reshape(len(local), -1)
+    if leaks.any():
+        k, j = np.argwhere(leaks.T)[0]      # the first lam, then its first site
+        raise ValueError(f"the transfer matrix leaks charge at lam = {np.atleast_1d(lam)[k]}: "
+                         f"the local operator of site {spec.n_sites + 1 - j} has a nonzero "
+                         "entry between charge sectors")
     total, first = local[0], local[-1]
     if spec.n_sites == 0:
         return None, first
     for m in local[1:-1]:
-        total = np.einsum("arbq,bsct->asrctq", total, m, order="C")
-        total = total.reshape(2, total.shape[1] * total.shape[2], 2, -1)
+        total = np.einsum("...arbq,...bsct->...asrctq", total, m, order="C")
+        total = total.reshape(total.shape[:-6] + (2, total.shape[-5] * total.shape[-4], 2, -1))
     return _finite(spec, lam, total), first
 
 
-def transfer_matrix(spec: ChainSpec, lam: complex, sectors,
-                    pair=None) -> list[tuple[int, np.ndarray]]:
-    """(charge, block) of the transfer matrix t(lam) on each of the given
-    `sector_blocks`, from the `contract`ed pair at lam (built here where
-    `pair` is None); the dense t(lam) is never formed.  With the chain index
-    s R + r (s at site 1), a block gathers the product of sites N+1 ... 2 at
-    its r's and the site-1 tensor at its s's and traces the auxiliary space
-    in the site-1 step: the blocks of the auxiliary trace of the monodromy.
+def transfer_matrix(spec: ChainSpec, lam, sectors, pair=None) -> list[tuple[int, np.ndarray]]:
+    """(charge, block) of the transfer matrix t(lam) (or block stacks) on
+    each of the given `sector_blocks`, from the `contract`ed pair at lam
+    (built here where `pair` is None); the dense t(lam) is never formed.
+    With the chain index s R + r (s at site 1), a block gathers the product
+    of sites N+1 ... 2 at its r's and the site-1 tensor at its s's and traces
+    the auxiliary space in the site-1 step: the blocks of the auxiliary
+    trace of the monodromy.
     """
     total, first = contract(spec, lam) if pair is None else pair
     rest = spec.chain_dim // spec.dims[0]       # R, the dimension of sites N+1 ... 2
@@ -149,22 +164,24 @@ def transfer_matrix(spec: ChainSpec, lam: complex, sectors,
     with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
         for sector, idx in sectors:
             s, r = np.divmod(idx, rest)
-            f = first[:, s][:, :, :, s]
+            f = first.take(s, -3).take(s, -1)
             if total is None:
-                block = np.einsum("aiaj->ij", f)
+                block = np.einsum("...aiaj->...ij", f)
             else:
-                x = np.einsum("aibj,biaj->aij", total[:, r][:, :, :, r], f)
-                block = x[0] + x[1]
+                x = np.einsum("...aibj,...biaj->...aij", total.take(r, -3).take(r, -1), f)
+                block = x[..., 0, :, :] + x[..., 1, :, :]
             blocks.append((sector, _finite(spec, lam, block)))
     return blocks
 
 
-def _finite(spec: ChainSpec, lam: complex, m: np.ndarray) -> np.ndarray:
-    """m, or a ValueError where the chain product has overflowed: every
-    site's exponent can be in range while their product is not."""
+def _finite(spec: ChainSpec, lam, m: np.ndarray) -> np.ndarray:
+    """m, or a ValueError naming the first lam where the chain product has
+    overflowed: every site's exponent can be in range, their product not."""
     if not np.isfinite(m).all():
-        raise ValueError(f"the monodromy of {spec.n_sites + 1} sites overflows at "
-                         f"lam = {lam}: each site's entries are finite, their product is not")
+        bad = ~np.isfinite(m).reshape(np.shape(lam) + (-1,)).all(-1)
+        raise ValueError(f"the monodromy of {spec.n_sites + 1} sites overflows at lam = "
+                         f"{np.atleast_1d(lam)[bad.argmax()]}: each site's entries are finite, "
+                         "their product is not")
     return m
 
 
@@ -187,18 +204,22 @@ def _moves_charge(regime: str, d: int) -> np.ndarray:
     return np.not_equal.outer(q, q)
 
 
-def _leak(regime: str, m: np.ndarray) -> float:
+def _leak(regime: str, m: np.ndarray):
     """The largest |entry| of the local (2, d, 2, d) tensor m that moves the
     charge, relative to m's largest |entry|: 0 iff no entry moves it, and
-    floored at the smallest positive float where the ratio would round to 0."""
-    moving = float(np.abs(m[_moves_charge(regime, m.shape[1])]).max())
-    return max(moving / float(np.abs(m).max()), math.ulp(0.0)) if moving else 0.0
+    floored at the smallest positive float where the ratio would round to 0.
+    At a stack of tensors, the leak of each."""
+    moving = np.abs(m[..., _moves_charge(regime, m.shape[-3])]).max(-1)
+    if not moving.any():
+        return moving
+    largest = np.abs(m).reshape(moving.shape + (-1,)).max(-1)    # > 0: no R or L is 0
+    return np.where(moving > 0, np.maximum(moving / largest, math.ulp(0.0)), 0.0)
 
 
 def charge_leak(spec: ChainSpec, local) -> float:
     """The largest `_leak` of the chain's `local_tensors` at one lam: what
     `contract`'s guard tests, so 0 wherever t(lam) can be built."""
-    return max(_leak(spec.params.regime, m) for m in local)
+    return float(max(_leak(spec.params.regime, m) for m in local))
 
 
 def charge_vector(spec: ChainSpec) -> np.ndarray:
@@ -219,15 +240,15 @@ def sector_blocks(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
     return [(sector, np.flatnonzero(q == sector)) for sector in range(int(q.max()) + 1)]
 
 
-def sector_commutator(spec: ChainSpec, a_blocks, b_blocks) -> float:
+def sector_commutator(spec: ChainSpec, a_blocks, b_blocks):
     """|| [A, B] || on the charge sectors Q <= D - 2 of two block-diagonal
     operators given by their (charge, block) pairs on `sector_blocks`: the
     root of the sum of the kept blocks' squared `commutator_residual`s, the
-    sector-masked dense commutator up to roundoff.  Past the float range it
-    reads inf."""
-    return math.hypot(*(commutator_residual(a, b)
-                        for (sector, a), (_, b) in zip(a_blocks, b_blocks)
-                        if sector <= spec.max_exact_charge))
+    sector-masked dense commutator up to roundoff (inf past the float
+    range), or a list of them where A's blocks are stacks over a grid."""
+    terms = [commutator_residual(a, b) for (sector, a), (_, b) in zip(a_blocks, b_blocks)
+             if sector <= spec.max_exact_charge]        # sector 0 at least
+    return math.hypot(*terms) if np.ndim(terms[0]) == 0 else list(map(math.hypot, *terms))
 
 
 # --------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class TensorSpace:
 
 
 class TensorOperator:
-    """A square complex matrix acting on a TensorSpace."""
+    """A square complex matrix, or a stack of them, acting on a TensorSpace."""
 
     __slots__ = ("space", "entries")
 
@@ -74,7 +74,7 @@ class TensorOperator:
     def __post_init__(self):
         m = np.ascontiguousarray(self.entries, dtype=np.complex128)
         d = self.space.dim
-        if m.shape != (d, d):
+        if m.shape != (d, d) and m.shape[1:] != (d, d):
             raise ValueError(f"entries shape {m.shape} does not match space dim {d}")
         if not np.isfinite(m).all():
             raise ValueError("operator entries contain NaN or Inf")
@@ -222,21 +222,23 @@ def identity_residual(m, s, keep):
     return np.array([np.linalg.norm(x) for x in res])
 
 
-def commutator_residual(a, b) -> float:
+def commutator_residual(a, b):
     """|| [A, B] || for square matrices or TensorOperators A and B.
 
     Each operand is scaled by the power of two nearest the inverse of its
     largest entry before the products, and the norm is scaled back after.
     The scaling is exact, so the value keeps its bits wherever the unscaled
     products stay in the normal range, while operands near 1e260 give a
-    finite value or, past the float range, inf.
+    finite value or, past the float range, inf.  At a stack A, the norms
+    are an array over it, each the lone call's bit for bit.
     """
     mats = [x.entries if isinstance(x, TensorOperator) else np.asarray(x) for x in (a, b)]
-    exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in mats]
-    space = TensorSpace((len(mats[0]),))
-    a, b = (TensorOperator(space, m * 2.0 ** -e) for m, e in zip(mats, exps))
-    c = (a @ b - b @ a).entries
-    try:
-        return math.ldexp(float(np.linalg.norm(c)), sum(exps))
-    except OverflowError:
-        return math.inf
+    exps = [np.frexp(np.maximum(np.abs(m).max((-2, -1)), 1e-30))[1] for m in mats]
+    space = TensorSpace((mats[1].shape[-1],))
+    a, b = (TensorOperator(space, m * np.ldexp(1.0, -e)[..., None, None])
+            for m, e in zip(mats, exps))
+    c = (a @ b).entries - (b @ a).entries
+    with np.errstate(over="ignore"):        # inf past the float range
+        norms = np.ldexp([np.linalg.norm(x) for x in c.reshape(-1, *c.shape[-2:])],
+                         exps[0] + exps[1])
+    return norms if c.ndim == 3 else float(norms[0])

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -615,6 +616,27 @@ def test_entry_point_freezes_the_heap_after_main(argv, code):
     assert done.stdout == f"0 {code} True\n", done.stderr[-2000:]
 
 
+@pytest.mark.parametrize("argv, code", [(["bae"], 0), (["bae", "--tol", "0"], 1),
+                                        (["bae", "--grid=0:1:2"], 2)],
+                         ids=["pass", "fail", "usage"])
+def test_installed_script_freezes_the_heap_after_main(argv, code):
+    # the [project.scripts] entry point, called as the console script calls
+    # it, freezes the heap once main has returned, as python -m does
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, func = re.search(r'^defectchain = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = ("import contextlib, gc, importlib, io, sys\n"
+              "sys.argv = ['defectchain', *sys.argv[1:]]\n"
+              f"entry = importlib.import_module({module!r}).{func}\n"
+              "before = gc.get_freeze_count()\n"
+              "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "        contextlib.redirect_stderr(io.StringIO()):\n"
+              "    code = entry()\n"
+              "print(before, code, gc.get_freeze_count() > 0)\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=300)
+    assert done.stdout == f"0 {code} True\n", done.stderr[-2000:]
+
+
 def test_the_package_leaves_the_collector_alone():
     # importing the package and calling cli.main, as library callers and
     # the benchmark's warm worker do, freezes nothing and disables nothing
@@ -695,20 +717,23 @@ def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
     # no dense monodromy: rtt reads the charge blocks of T(lam1) and
     # T(lam2) once; commuting-family reads the blocks of t(lam1) and
     # t(lam2), and reference-eigenvalue the charge-0 block of t(0.77), each
-    # on the exact sectors only; the chain is contracted once per lam and
-    # its sectors are listed once
+    # on the exact sectors only; the chain is contracted once per lam, lam1
+    # and lam2 in one call, and its sectors are listed once
     assert not hasattr(mono, "build_monodromy")
-    calls, sectors = Counter(), []
+    calls, sectors, grids = Counter(), [], []
     for name in ("rtt_residual", "transfer_matrix", "contract", "sector_blocks"):
         def counted(*args, fn=getattr(mono, name), name=name):
             calls[name] += 1
             if name == "transfer_matrix":
                 sectors.append([k for k, _ in args[2]])
+            if name == "contract":
+                grids.append(np.shape(args[1]))
             return fn(*args)
         monkeypatch.setattr(mono, name, counted)
     cli.run_verify(RegimeParams.xxx(), 8, 7)
-    assert calls == {"rtt_residual": 1, "transfer_matrix": 3, "contract": 3, "sector_blocks": 1}
+    assert calls == {"rtt_residual": 1, "transfer_matrix": 3, "contract": 2, "sector_blocks": 1}
     assert sectors == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0]]
+    assert grids == [(2,), ()]
 
 
 @pytest.mark.parametrize("params", [RegimeParams.xxx(theta=0.1), RegimeParams.critical(0.7),
@@ -744,12 +769,15 @@ def test_verify_rtt_is_the_dense_exchange_relation(params, seed):
     assert rec["pass"] and rec["subspace"] == "charge sectors" and rec["tolerance"] == 1e-10
 
 
-def leaky_make_r(params, lam):
-    """The bulk R with one entry that raises the charge."""
+def leaky_make_r(params, lam, where=lambda lam: True):
+    """The bulk R, or its stack at a grid, with one entry that raises the
+    charge at the lams `where` picks."""
     op = make_r(params, lam)
-    m = op.entries.copy()
-    m[0, 1] = 1e-300
-    return type(op)(op.space, m)
+    m = getattr(op, "entries", op).copy()
+    for k, x in enumerate(np.atleast_1d(lam)):
+        if where(x):
+            m.reshape(-1, 4, 4)[k, 0, 1] = 1e-300
+    return m if m.ndim == 3 else type(op)(op.space, m)
 
 
 def test_verify_charge_leak_is_a_one_line_error(monkeypatch, capsys):
@@ -931,6 +959,82 @@ def test_spectrum_commutator_past_the_float_range_is_a_one_line_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: the commutator check at lam = 100.0 ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, leak_at, message", [
+    # the exponent guard at the second lam names that lam's growth, not the
+    # batch's largest
+    (["--regime", "critical", "--mu", "3", "--sites", "2", "--grid=250:300:2"], None,
+     "|Re mu lam| = 750 overflows e^(+-mu lam); keep it below 700"),
+    (["--sites", "2", "--fock-dim", "4", "--grid=0.25:1:2"], 1.0,
+     "the transfer matrix leaks charge at lam = 1.0: the local operator of site 3 has a "
+     "nonzero entry between charge sectors"),
+    # the block product overflows at the second lam, the exponent at the third
+    (["--regime", "critical", "--mu", "3", "--sites", "1", "--grid=98:300:3"], None,
+     "the monodromy of 2 sites overflows at lam = 199.0: each site's entries are finite, "
+     "their product is not"),
+    # the commutator at the second lam is past the float range, the third leaks
+    (["--regime", "critical", "--mu", "3", "--sites", "1", "--grid=98:100:3"], 100.0,
+     "the commutator check at lam = 99.0 is beyond the float range"),
+    # two lams a batch: the second batch overflows
+    (["--regime", "critical", "--mu", "3", "--sites", "5", "--fock-dim", "8",
+      "--defect-site", "4", "--grid=0:40:3"], None,
+     "the monodromy of 6 sites overflows at lam = 40.0: each site's entries are finite, "
+     "their product is not"),
+], ids=["exponent", "leak", "product-then-exponent", "commutator-then-leak", "second-batch"])
+def test_spectrum_grid_reports_the_first_error_of_the_lam_by_lam_loop(monkeypatch, capsys, argv,
+                                                                      leak_at, message):
+    # a batch of lams fails with the error the lams raise one at a time,
+    # the first lam's first error
+    if leak_at is not None:
+        monkeypatch.setattr(mono, "make_r",
+                            lambda params, lam: leaky_make_r(params, lam, leak_at.__eq__))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["spectrum", *argv])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("regime, anisotropy", [
+    ("xxx", []), ("critical", ["--mu", "0.7"]), ("noncritical", ["--eta", "0.5"])],
+    ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("sites, defect_site, fock_dim", [
+    (0, 1, 5), (1, 1, 5), (1, 2, 5), (3, 1, 5), (3, 4, 5), (5, 4, 8)])
+def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotropy, sites,
+                                                     defect_site, fock_dim):
+    # every lam of a grid, in one batch or (N = 5, D = 8) in two, prints
+    # the rows of the one-point grid at that lam, all but the commutator
+    argv = ["spectrum", "--regime", regime, *anisotropy, "--theta", "0.1", "--sites",
+            str(sites), "--defect-site", str(defect_site), "--fock-dim", str(fock_dim)]
+    grid = np.linspace(-1.1, 0.7, 4)
+    assert run([*argv, "--grid=-1.1:0.7:4", "--out", str(tmp_path / "grid.csv")]) == 0
+    _, rows = read_csv(tmp_path / "grid.csv")
+    for lam in grid.tolist():
+        out = tmp_path / f"{lam}.csv"
+        assert run([*argv, f"--grid={lam!r}:{lam!r}:1", "--out", str(out)]) == 0
+        _, want = read_csv(out)
+        got = [row for row in rows if row["lam"] == f"{lam:.12e}"]
+        assert len(got) == len(want) == 2 ** sites * fock_dim
+        for row in got + want:
+            row.pop("commutator_check")
+        assert got == want
+    assert (mono.ChainSpec(sites, defect_site, RegimeParams.xxx(), defect_rep(
+        RegimeParams.xxx(), fock_dim)).batch < len(grid)) == (sites == 5)
+
+
+def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_block_size(monkeypatch):
+    calls = Counter()
+    for owner, name in ((mono, "transfer_matrix"), (np.linalg, "eigvals")):
+        def counted(*args, fn=getattr(owner, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["spectrum", "--sites", "3", "--fock-dim", "5", "--grid=-2:2:41"]) == 0
+    params = RegimeParams.xxx()
+    spec = ChainSpec(3, 1, params, defect_rep(params, 5))
+    sizes = {len(idx) for _, idx in mono.sector_blocks(spec)}
+    assert spec.batch >= 41 and calls == {"transfer_matrix": 1, "eigvals": len(sizes)}
 
 
 def dense_spectrum_rows(spec, grid):

@@ -1,12 +1,14 @@
+import types
+
 import numpy as np
 import pytest
 
 from defectchain import monodromy
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
-from defectchain.monodromy import (ChainSpec, bae_residual, bae_root, charge_leak,
-                                   charge_vector, contract, local_tensors, reference_eigenvalue,
-                                   reference_residual, rtt_residual, sector_blocks,
-                                   sector_commutator, transfer_matrix)
+from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_root,
+                                   charge_leak, charge_vector, contract, local_tensors,
+                                   reference_eigenvalue, reference_residual, rtt_residual,
+                                   sector_blocks, sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.tensor_core import TensorOperator
 from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
@@ -415,6 +417,85 @@ def test_overflowing_chain_product_is_a_value_error():
         with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100"):
             build(spec, 100.0)
     assert all(np.isfinite(block).all() for _, block in transfer_matrix(spec, 60.0, sectors))
+
+
+# ------------------------------------------------------------ lam grids
+
+def grid_chains(params, d=4):
+    """Chains of N = 0, 1 and 3 sites with the defect at site 1 and at N + 1."""
+    for n in (0, 1, 3):
+        for site in sorted({1, n + 1}):
+            yield ChainSpec(n_sites=n, defect_site=site, params=params,
+                            rep=defect_rep(params, d))
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+def test_grid_blocks_equal_the_scalar_blocks_bit_for_bit(params):
+    # one contraction for the whole grid, every slice the lone lam's
+    grid = np.linspace(-1.3, 0.9, 4)
+    for spec in grid_chains(params):
+        sectors = sector_blocks(spec)
+        local = local_tensors(spec, grid)
+        total, first = contract(spec, grid, local)
+        blocks = transfer_matrix(spec, grid, sectors, (total, first))
+        assert [k for k, _ in blocks] == [k for k, _ in sectors]
+        for k, lam in enumerate(grid):
+            assert all(same_bits(m[k], lone) for m, lone in zip(local, local_tensors(spec, lam)))
+            lone_total, lone_first = contract(spec, lam)
+            assert same_bits(first[k], lone_first)
+            if spec.n_sites:
+                assert same_bits(total[k], lone_total)
+            else:
+                assert total is lone_total is None
+            for (_, mine), (_, theirs) in zip(blocks, transfer_matrix(spec, lam, sectors)):
+                assert same_bits(mine[k], theirs)
+        # the commutators of the grid's blocks with one lam's, lam by lam
+        one = [(sector, block[0]) for sector, block in blocks]
+        want = [sector_commutator(spec, [(q, b[k]) for q, b in blocks], one)
+                for k in range(len(grid))]
+        assert sector_commutator(spec, blocks, one) == want and want[0] == 0.0
+
+
+def test_grid_guards_name_the_first_lam_they_stop_at(monkeypatch):
+    params = RegimeParams.critical(3.0)
+    spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
+    sectors = sector_blocks(spec)
+    # each guard names the first lam it fails at: the blocks overflow from
+    # lam = 100, the product of sites 3 and 2 from lam = 120
+    with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100.0: "):
+        transfer_matrix(spec, np.array([60.0, 100.0]), sectors)
+    with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 120.0: "):
+        contract(spec, np.array([60.0, 100.0, 120.0]))
+    # a leak at the second lam of a grid, at every bulk site
+    make = monodromy.make_r
+
+    def leaky(params, lam):
+        m = make(params, lam).copy()
+        m[1, 0, 1] = 1e-300
+        return m
+
+    monkeypatch.setattr(monodromy, "make_r", leaky)
+    grid = np.array([0.25, 0.5, 0.75])
+    with pytest.raises(ValueError, match="leaks charge at lam = 0.5: the local operator of "
+                                         "site 3 "):
+        contract(spec, grid)
+    local = local_tensors(spec, grid)
+    assert [charge_leak(spec, [m[k] for m in local]) > 0 for k in range(3)] == [
+        False, True, False]
+
+
+@pytest.mark.parametrize("n_sites, defect_site, d, batch", [
+    (4, 1, 6, 128), (4, 3, 8, 8), (5, 1, 8, 32), (5, 4, 8, 2), (6, 1, 8, 8), (6, 4, 8, 1),
+    (8, 1, 8, 1), (0, 1, 8, 512), (0, 1, 2048, 1)])
+def test_a_batch_holds_at_most_batch_entries(n_sites, defect_site, d, batch):
+    # the products of sites N+1 ... 2, and the site-1 tensors, of a batch
+    # fit in BATCH_ENTRIES complex entries, or the batch is one lam
+    spec = ChainSpec(n_sites=n_sites, defect_site=defect_site, params=XXX,
+                     rep=types.SimpleNamespace(dim=d))
+    assert spec.batch == batch
+    rest, site1 = spec.chain_dim // spec.dims[0], spec.dims[0]
+    per_lam = 4 * max(rest, site1) ** 2
+    assert batch * per_lam <= BATCH_ENTRIES < (batch + 1) * per_lam or batch == 1
 
 
 # ------------------------------------------------------------ sector blocks

@@ -252,3 +252,20 @@ def test_commutator_residual_scales_by_powers_of_two_without_overflow():
         assert commutator_residual(op([6], a * big), op([6], b * big)) == unit * big * big
         c = rng.standard_normal((6, 6))
         assert commutator_residual(op([6], a * big), op([6], c * big)) == np.inf
+
+
+def test_commutator_residual_of_a_stack_is_each_lone_call():
+    # a stack of A against one B: each value is the lone call's bit for bit,
+    # scaled by its own power of two, up to inf past the float range
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    b = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) * 2.0 ** 520
+    a[1] = np.linalg.matrix_power(b * 2.0 ** -520, 2)      # commutes with b
+    a[2] *= 2.0 ** -600
+    a[3] *= 2.0 ** 520
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = commutator_residual(a, op([6], b))
+    want = [commutator_residual(x, b) for x in a]
+    assert got.shape == (4,) and got.tolist() == want and want[3] == np.inf
+    assert commutator_residual(a[:0], b).shape == (0,)
