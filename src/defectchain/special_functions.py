@@ -286,6 +286,8 @@ def _hurwitz_tail(s, k0):
 
 # factors evaluated per step of infinite_gamma_product
 PRODUCT_BLOCK = 4096
+# factors over which infinite_gamma_product measures the decay of its factors
+_PRODUCT_RUN = 64
 
 
 def infinite_gamma_product(term, tail_coefficient, tail_tol: float = TAIL_TOL):
@@ -293,51 +295,50 @@ def infinite_gamma_product(term, tail_coefficient, tail_tol: float = TAIL_TOL):
 
     term(k_array) must return (num_args, den_args) where each is a sequence
     of arrays of Gamma arguments; factor_k = prod Gamma(num)/prod Gamma(den).
-    Stops once |log factor_k| < tail_tol, or at MAX_TERMS factors.  The
-    neglected tail is completed analytically as sum_{k>K} c2/k^2 with c2 =
-    ``tail_coefficient``; the returned tail estimate is then the size of the
-    next (1/k^3) correction.
+    Far out the factors' logs follow c2/k^2, c2 = ``tail_coefficient``, and
+    the tail from the first factor not taken, K, is completed analytically
+    as c2 zeta(2, K).  What the completion leaves is bounded from the
+    residuals r_k = log factor_k - c2/k^2 of the _PRODUCT_RUN factors before
+    K: as long as they decay at least like 1/k^2, the tail of |r_k| is at
+    most max |r_k| k^2 / (K - 1).  Each factor's log is charged
+    _LOG_GAMMA_REL plus 2 eps |log Gamma| per Gamma value, summed over the
+    factors taken: the rounding of values of size |log Gamma| stays in the
+    factor's sum however much the values cancel.  The product stops at
+    the first K, after a whole run, where the tail bound falls below
+    tail_tol or below the rounding charged so far (from there on another
+    factor adds more rounding than it removes tail), or at MAX_TERMS
+    factors.
 
-    Returns (value, tail_estimate).
+    Returns (value, error estimate): the estimate bounds the error of the
+    value's log, the tail bound plus the rounding.
     """
-    total = 0.0 + 0.0j
-    k0 = 0
-    last = np.inf
+    c2 = complex(tail_coefficient)
+    total, rounding, k0 = 0.0 + 0.0j, 0.0, 0
+    run = np.full(_PRODUCT_RUN - 1, np.inf)      # |r_k| k^2 before the block: none yet
     while k0 < MAX_TERMS:
         k = np.arange(k0, min(k0 + PRODUCT_BLOCK, MAX_TERMS), dtype=np.float64)
         num, den = term(k)
-        logf = np.zeros(k.size, dtype=np.complex128)
-        for arr in num:
-            logf += log_gamma(np.asarray(arr, dtype=np.complex128))
-        for arr in den:
-            logf -= log_gamma(np.asarray(arr, dtype=np.complex128))
-        small = np.abs(logf) < tail_tol
-        if np.any(small):
-            stop = int(np.argmax(small))
-            total += np.sum(logf[:stop + 1])
-            k0 += stop + 1
-            last = abs(logf[stop])
+        lg = [log_gamma(np.asarray(arr, dtype=np.complex128)) for arr in (*num, *den)]
+        logf = sum(lg[:len(num)]) - sum(lg[len(num):])
+        charged = rounding + np.cumsum(sum(_LOG_GAMMA_REL + 2.0 * _EPS * np.abs(v) for v in lg))
+        kk = np.maximum(k, 1.0)
+        run = np.concatenate([run, np.where(k > 0, np.abs(logf - c2 / kk ** 2) * kk ** 2, np.inf)])
+        tail = np.lib.stride_tricks.sliding_window_view(run, _PRODUCT_RUN).max(axis=1) / kk
+        run = run[1 - _PRODUCT_RUN:]
+        done = np.flatnonzero(tail <= np.maximum(tail_tol, charged))
+        stop = int(done[0]) if done.size else k.size - 1
+        total += np.sum(logf[:stop + 1])
+        rounding, k0 = float(charged[stop]), k0 + stop + 1
+        if done.size:
             break
-        total += np.sum(logf)
-        k0 += k.size
-        last = abs(logf[-1])
-
-    if k0 > 2:
-        c2 = complex(tail_coefficient)
-        total += c2 * _hurwitz_tail(2.0, k0)
-        tail_est = abs(c2) / k0 ** 2  # size of the first neglected correction
-    else:
-        # plain integral-test bound on the neglected 1/k^2-type tail
-        tail_est = last * k0 if np.isfinite(last) else np.inf
-    return complex(np.exp(total)), float(tail_est)
+    total += c2 * _hurwitz_tail(2.0, k0)
+    return complex(np.exp(total)), float(tail[stop]) + rounding
 
 
 # --------------------------------------------------------------------------
 # half-line quadrature
 # --------------------------------------------------------------------------
 
-_PANEL_NODES = 32      # Gauss-Legendre nodes per panel
-_CHECK_NODES = 24      # nodes of the comparison rule on the same panels
 _FIRST_PANEL = 0.25    # panel at the origin; widths double from it
 _MAX_WIDTH = 8.0       # widest panel
 _PANEL_PHASE = 24.0    # largest phase max|lam| * width one panel carries
@@ -345,60 +346,65 @@ _TAIL = 1e-16          # the cutoff (or last mode) leaves at most this much of e
 _MAX_GROWTH = 700.0    # largest exponent |Im lam| w the phases may reach (exp overflows past 709)
 _EPS = float(np.finfo(float).eps)
 
-
-def _legendre_p(n: int, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-
-@lru_cache(maxsize=4)
-def _legendre(n: int):
-    """The n-point Gauss-Legendre rule on [-1, 1]: ascending nodes and weights.
-
-    Newton's method on P_n, started from Tricomi's estimates of its roots
-    (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)), and stopped once
-    no node moves by more than a few ulp; the weights are
-    2 / ((1 - x^2) P_n'(x)^2) at the final nodes.  numpy.polynomial's
-    leggauss would import that package and make a LAPACK eigenvalue call,
-    which raises a fresh process's peak RSS, for two fixed rules.
-    """
-    k = np.arange(n, 0, -1)
-    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(20):
-        p, dp = _legendre_p(n, x)
-        step = p / dp
-        x = x - step
-        if np.abs(step).max() <= 4.0 * _EPS:
-            break
-    else:
-        raise ConvergenceError(f"Gauss-Legendre nodes for n = {n} did not converge")
-    dp = _legendre_p(n, x)[1]
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+# The 41-point Gauss-Kronrod rule on [-1, 1] and its embedded 20-point Gauss
+# rule (QUADPACK's qk41; Piessens et al. 1983, Laurie 1997): the
+# non-negative nodes, descending, each with its Kronrod weight and, at every
+# second node, its Gauss weight, correctly rounded to double; the tests
+# check them against mpmath.
+_KRONROD_HALF = np.array([
+    (0.9988590315882777, 0.0030735837185205317, 0.0),
+    (0.9931285991850949, 0.008600269855642943, 0.017614007139152118),
+    (0.9815078774502503, 0.014626169256971253, 0.0),
+    (0.9639719272779138, 0.020388373461266523, 0.04060142980038694),
+    (0.9408226338317548, 0.02588213360495116, 0.0),
+    (0.912234428251326, 0.0312873067770328, 0.06267204833410907),
+    (0.878276811252282, 0.036600169758200796, 0.0),
+    (0.8391169718222188, 0.041668873327973685, 0.08327674157670475),
+    (0.7950414288375512, 0.04643482186749767, 0.0),
+    (0.7463319064601508, 0.05094457392372869, 0.10193011981724044),
+    (0.6932376563347514, 0.05519510534828599, 0.0),
+    (0.636053680726515, 0.05911140088063957, 0.11819453196151841),
+    (0.5751404468197103, 0.06265323755478117, 0.0),
+    (0.5108670019508271, 0.06583459713361842, 0.13168863844917664),
+    (0.4435931752387251, 0.06864867292852161, 0.0),
+    (0.37370608871541955, 0.07105442355344407, 0.14209610931838204),
+    (0.301627868114913, 0.07303069033278667, 0.0),
+    (0.22778585114164507, 0.07458287540049918, 0.14917298647260374),
+    (0.15260546524092267, 0.07570449768455667, 0.0),
+    (0.07652652113349734, 0.07637786767208074, 0.15275338713072584),
+    (0.0, 0.07660071191799965, 0.0),
+])
+# ascending nodes and their (41, 2) weights: the Kronrod rule, then Gauss
+_KRONROD = np.concatenate([_KRONROD_HALF[:-1] * (-1.0, 1.0, 1.0), _KRONROD_HALF[::-1]])
+_KRONROD.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
 def _panel_rule(cutoff: float, width: float):
-    """Composite Gauss-Legendre rule on (0, cutoff].
+    """Composite Gauss-Kronrod rule on (0, cutoff].
 
     Panels start at (0, _FIRST_PANEL] and double in width up to ``width``,
     then stay that wide: the kernels' singularities lie on the imaginary
     axis, so a panel as wide as its distance from the origin resolves them,
     and past that the oscillation e^{i lam w} sets the width.
 
-    Each panel carries the _PANEL_NODES-point fine rule and the
-    _CHECK_NODES-point comparison rule.  The nodes come in groups of
-    (bases, offsets), a node being base + offset, so that _rule_sums takes
-    sin/cos once per base and once per offset:
-      * the equal-width panels: their left edges, and the offsets of the
-        fine then the comparison nodes within one panel, which they share;
-      * the narrower panels near the origin and, last, the cutoff itself
-        with zero weight, where callers read the tail: one base, 0.
+    Each panel carries the 41-point Kronrod rule, whose value is the fine
+    one, and the 20-point Gauss rule on 20 of the same nodes, the
+    comparison: node j of a panel is left + half (x_j + 1).  All but the
+    last node come in (bases, offsets) groups, a node being base + offset,
+    so that _rule_sums takes sin/cos once per base and once per offset row:
+      * the equal-width panels: their left edges and the offsets within one
+        panel, which they share;
+      * last, the narrower panels near the origin: their left edges and one
+        row of offsets each.  Panel k is 2^k times as wide as panel 0, so
+        its row is exactly 2^k times panel 0's, and _half_sin_cos takes only
+        panel 0's sin/cos and doubles the angles.
+    The last node, the cutoff itself with zero weight, is where callers read
+    the tail.
 
-    Returns the nodes group by group, a (nodes, 2) weight matrix (column 0
-    the fine rule, column 1 the comparison rule) and the groups.
+    Returns the nodes group by group, then the cutoff, a (nodes, 2) weight
+    matrix (column 0 the Kronrod rule, column 1 the Gauss rule) and the
+    groups.
     """
     edges = [0.0]
     h = min(_FIRST_PANEL, width)
@@ -406,18 +412,14 @@ def _panel_rule(cutoff: float, width: float):
         edges.append(edges[-1] + h)
         h = min(2.0 * h, width)
     edges = np.array(edges)
-    left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    (xf, wf), (xc, wc) = _legendre(_PANEL_NODES), _legendre(_CHECK_NODES)
-    offsets = half * (np.concatenate([xf, xc]) + 1.0)
-    panel_weights = np.zeros(offsets.shape + (2,))
-    panel_weights[:, :xf.size, 0] = half * wf
-    panel_weights[:, xf.size:, 1] = half * wc
+    left, half = edges[:-1], 0.5 * np.diff(edges)[:, None]
+    offsets = half * (_KRONROD[:, 0] + 1.0)
+    panel_weights = half[:, :, None] * _KRONROD[:, 1:]
     wide = half[:, 0] == 0.5 * width
-    groups = []
-    if wide.any():
-        groups.append((edges[:-1][wide], offsets[wide][0]))
-    groups.append((np.zeros(1), np.append((left + offsets)[~wide].ravel(), edges[-1])))
-    nodes = np.concatenate([(b[:, None] + u).ravel() for b, u in groups])
+    groups = [(left[wide], offsets[wide][0])] if wide.any() else []
+    if not wide.all():
+        groups.append((left[~wide], offsets[~wide]))
+    nodes = np.concatenate([(b[:, None] + u).ravel() for b, u in groups] + [edges[-1:]])
     weights = np.concatenate([panel_weights[wide].reshape(-1, 2),
                               panel_weights[~wide].reshape(-1, 2), np.zeros((1, 2))])
     for arr in (nodes, weights, *(a for g in groups for a in g)):
@@ -432,8 +434,8 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     The cutoff leaves a tail below _TAIL; the panel width is the largest
     power of two that keeps lam_max * width <= _PANEL_PHASE, at most
     _MAX_WIDTH.  See _panel_rule for the layout.  A rule of more than
-    MAX_TERMS nodes (counting cutoff / width panels, a few short of the
-    doubling panels near the origin) raises
+    MAX_TERMS nodes (counting 41 nodes on each of cutoff / width panels,
+    a few panels short of the doubling ones near the origin) raises
     ConvergenceError before anything is allocated, as mode_sums does.
     """
     if not decay > 0:
@@ -442,7 +444,7 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     width = _MAX_WIDTH
     if lam_max * width > _PANEL_PHASE:
         width = float(2.0 ** np.floor(np.log2(_PANEL_PHASE / lam_max)))
-    size = (_PANEL_NODES + _CHECK_NODES) * math.ceil(cutoff / width) + 1
+    size = len(_KRONROD) * math.ceil(cutoff / width) + 1
     if size > MAX_TERMS:
         raise ConvergenceError(f"the half-line rule needs {size} nodes at max|lam_hat| = "
                                f"{lam_max:.6g} and decay rate {decay:.6g}, cap is {MAX_TERMS}")
@@ -455,27 +457,43 @@ def _half_sin_cos(x, groups):
 
     sin/cos are taken at x * base, x * -base and x * offset only and
     combined by angle addition (DLMF 4.21.2) as two stacked products per
-    group, sin = (sb, cb).(cu, su) and cos = (-sb, cb).(su, cu), so a group
+    group, sin = (sb, cb).(cu, su) and cos = (cb, -sb).(cu, su), so a group
     costs 2 bases + offsets evaluations per point instead of bases * offsets.
-    A single base of 0 gives the offsets' own sin/cos exactly.
+    A base of 0 gives the offsets' own sin/cos exactly.  The offsets of the
+    last group may be a 2-d array, one row per base, each row exactly twice
+    the one before, so that x * row k is 2 (x * row k-1) in floating point:
+    at real x only the first row is evaluated, and each further row is the
+    square of the one before as cos + i sin.
     """
-    angles = np.concatenate([a for b, u in groups for a in (b, -b, u)])
-    trig = np.empty((x.size, 2, angles.size), dtype=x.dtype)    # (sin, cos) per angle
-    h = np.multiply.outer(x, angles)
-    np.sin(h, out=trig[:, 0])
-    np.cos(h, out=trig[:, 1])
-    sin = np.empty((x.size, sum(b.size * u.size for b, u in groups)), dtype=x.dtype)
+    angles = np.concatenate([a for b, u in groups for a in (b, -b, u.ravel())])
+    last = groups[-1][1]
+    step = last.shape[-1]
+    direct = angles.size - (0 if np.iscomplexobj(x) else last.size - step)
+    # (cos, sin) per angle and point: angle-major, so that each row of
+    # offsets is one contiguous block of complex numbers cos + i sin
+    pairs = np.empty((angles.size, x.size, 2), dtype=x.dtype)
+    h = np.multiply.outer(angles[:direct], x)
+    np.cos(h, out=pairs[:direct, :, 0])
+    np.sin(h, out=pairs[:direct, :, 1])
+    if direct < angles.size:
+        z = pairs.view(np.complex128)[..., 0]
+        for k in range(direct, angles.size, step):
+            np.square(z[k - step:k], out=z[k:k + step])
+    sin = np.empty((x.size, sum(b.size * u.shape[-1] for b, u in groups)), dtype=x.dtype)
     cos = np.empty_like(sin)
     at = start = 0
     for bases, offsets in groups:
-        nb, nu = bases.size, offsets.size
-        plus = trig[:, :, at:at + nb].transpose(0, 2, 1)
-        minus = trig[:, :, at + nb:at + 2 * nb].transpose(0, 2, 1)
-        off = trig[:, :, at + 2 * nb:at + 2 * nb + nu]
-        at += 2 * nb + nu
+        nb, nu = bases.size, offsets.shape[-1]
+        rows = offsets.size // nu
+        shape = (x.size, rows, nb // rows)
+        plus = pairs[at:at + nb, :, ::-1].transpose(1, 0, 2).reshape(shape + (2,))
+        minus = pairs[at + nb:at + 2 * nb].transpose(1, 0, 2).reshape(shape + (2,))
+        off = pairs[at + 2 * nb:at + 2 * nb + offsets.size].reshape(
+            rows, nu, x.size, 2).transpose(2, 0, 3, 1)
+        at += 2 * nb + offsets.size
         stop = start + nb * nu
-        np.matmul(plus, off[:, ::-1], out=sin[:, start:stop].reshape(x.size, nb, nu))
-        np.matmul(minus, off, out=cos[:, start:stop].reshape(x.size, nb, nu))
+        np.matmul(plus, off, out=sin[:, start:stop].reshape(shape + (nu,)))
+        np.matmul(minus, off, out=cos[:, start:stop].reshape(shape + (nu,)))
         start = stop
     return sin, cos
 
@@ -486,14 +504,15 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     terms, with a bound on the error of each value.
 
     a, b, c (and c_size) are (nodes, k): k integrands on the same nodes.
-    Every block of points takes its sin/cos table once (_half_sin_cos, with
-    freq the nodes, group by group, of the (bases, offsets) groups) and
-    folds all k integrands of all rules into the same two stacked products,
-    one (nodes, m) weight matrix per integrand, so that a column's value is
-    the one it gets alone, bit for bit; the values and bounds are
-    (points, k).  4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases
-    exact.  weights is (nodes, m), one column per rule, the fine rule
-    first; every rule gives the last node zero weight.  The points are
+    weights is (nodes, m), one column per rule, the fine rule first; every
+    rule gives the last node zero weight, and only its terms are read
+    there.  Every block of points takes its sin/cos table once
+    (_half_sin_cos, with freq, but for its last node, the nodes, group by
+    group, of the (bases, offsets) groups) and folds all k integrands of
+    all rules into the same two stacked products, one (nodes, m) weight
+    matrix per integrand, so that a column's value is the one it gets
+    alone, bit for bit; the values and bounds are (points, k).
+    4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases exact.  The points are
     walked in blocks so no temporary exceeds BLOCK elements.  The bound of
     a column adds
       * the largest spread between the rules,
@@ -502,8 +521,13 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
       * rounding: eps times the summed term sizes, where c_size (default
         |c|) is the size of the operands c was formed from, so a c that
         cancels near the origin is charged for it, and where a phase phi
-        = freq lam, whose half is rounded by about eps |phi| / 2, moves the
-        terms by 2 eps |phi| (|a| min(1, |phi|) + |b|) at most.
+        = freq lam, whose half is off by eps slip, with slip about |phi| / 2
+        and, on row k of a doubled group (see _half_sin_cos), up to
+        2^k min(1, |phi|) more, moves the terms by
+        4 eps slip (|a| min(1, |phi|) + |b|) at most; and the sum itself:
+        eps sqrt(nodes) times the summed magnitudes of the terms, as the
+        rounding of a sum of n terms grows like sqrt(n) eps times their
+        sizes (the tests compare with long-double sums).
     """
     real = not np.iscomplexobj(lam)
     growth = 0.0 if real else float(np.abs(lam.imag).max(initial=0.0)) * freq[-1]
@@ -514,8 +538,8 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     rules, cols = weights.shape[1], a.shape[1]
     # (k, nodes, rules), C-ordered so that every column's matrix is the
     # contiguous one a single column would have
-    wa = np.multiply(weights, 4.0 * a.T[:, :, None], dtype=np.complex128, order="C")
-    wb = np.multiply(weights, 2.0 * b.T[:, :, None], dtype=np.complex128, order="C")
+    wa = np.multiply(weights[:-1], 4.0 * a[:-1].T[:, :, None], dtype=np.complex128, order="C")
+    wb = np.multiply(weights[:-1], 2.0 * b[:-1].T[:, :, None], dtype=np.complex128, order="C")
     if real:
         # complex columns as pairs of real columns: one real product each
         wa, wb = wa.view(float), wb.view(float)
@@ -533,11 +557,16 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     ln = ln.transpose(1, 2, 0)      # (points, rules, k)
 
     phase = freq[:, None] * float(np.abs(lam).max(initial=0.0))
+    turn = np.minimum(1.0, phase)
+    slip = 0.5 * phase
+    rows = groups[-1][1]
+    if rows.ndim == 2:
+        slip[-1 - rows.size:-1] += (rows / rows[0]).reshape(-1, 1) * turn[-1 - rows.size:-1]
     last = 4.0 * np.abs(a[-1]) + 2.0 * np.abs(b[-1]) + np.abs(c[-1])
-    sizes = (4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0)
-             + 2.0 * np.abs(b) * np.minimum(1.0, phase)
-             + (np.abs(c) if c_size is None else c_size)
-             + 2.0 * phase * (np.abs(a) * np.minimum(1.0, phase) + np.abs(b)))
+    terms = 4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0) + 2.0 * np.abs(b) * turn
+    sizes = (terms + (np.abs(c) if c_size is None else c_size)
+             + 4.0 * slip * (np.abs(a) * turn + np.abs(b))
+             + math.sqrt(freq.size) * (terms + np.abs(c)))
     err = last * math.exp(growth) * tail_length + _EPS * (weights[:, 0] @ sizes)
     if rules > 1:
         return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
@@ -569,20 +598,28 @@ def mode_sums(lam, eta: float, decay: float, terms):
     one column per integrand, and the values and bounds are (points,
     columns).  The mode count leaves a tail below _TAIL; more modes than
     MAX_TERMS raise ConvergenceError before anything is allocated.  The
-    error bound is the tail, read at the next mode and summed
-    geometrically, plus rounding.
+    modes k = B i + j, i < R, j = 1, ..., B, are one (bases, offsets)
+    group: each frequency is 2 eta B i + 2 eta j, so _half_sin_cos takes
+    2 R + B, about 2 sqrt(2 K), sin/cos per point for the K modes the tail
+    needs, which R B rounds up by less than R.  The error bound is the
+    tail, read at the next mode and summed geometrically, plus rounding.
     """
     rate = decay * eta
-    k_max = int(np.ceil(-np.log(_TAIL) / rate)) + 8
+    need = math.ceil(-math.log(_TAIL) / rate) + 8
+    rows = -(-need // math.ceil(math.sqrt(2.0 * need)))
+    cols = -(-need // rows)
+    k_max = rows * cols
     if k_max > MAX_TERMS:
         raise ConvergenceError(f"a mode sum needs {k_max} modes at eta = {eta}, "
                                f"cap is {MAX_TERMS}")
-    k = np.arange(1, k_max + 2, dtype=np.float64)     # mode k_max + 1 reads the tail
-    weights = np.ones((k.size, 1))
+    bases = 2.0 * eta * cols * np.arange(rows)
+    offsets = 2.0 * eta * np.arange(1, cols + 1)
+    # mode k_max + 1 reads the tail
+    freq = np.concatenate([(bases[:, None] + offsets).ravel(), [2.0 * eta * (k_max + 1)]])
+    weights = np.ones((k_max + 1, 1))
     weights[-1] = 0.0
-    freq = 2.0 * eta * k
-    return _rule_sums(lam, freq, ((np.zeros(1), freq),), weights, 1.0 / -np.expm1(-rate),
-                      *terms(k))
+    return _rule_sums(lam, freq, ((bases, offsets),), weights, 1.0 / -np.expm1(-rate),
+                      *terms(np.arange(1, k_max + 2, dtype=np.float64)))
 
 
 # --------------------------------------------------------------------------

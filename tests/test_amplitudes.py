@@ -172,6 +172,19 @@ def test_critical_product_route_matches_closed():
         assert abs(a - b) < 1e-6
 
 
+@pytest.mark.parametrize("mu", [0.3, 0.7, 2.0])
+def test_critical_product_estimate_bounds_the_route_gap(mu):
+    # the literal product's estimate (tail past c2/k^2 plus the rounding of
+    # its summed log-Gammas) covers its distance to the closed route, whose
+    # own estimate is a million times smaller
+    params = RegimeParams.critical(mu)
+    for lh in (-10.0, -2.5, 0.4):
+        product = amplitude(params, "+", lh, "product")
+        closed = amplitude(params, "+", lh, "closed")
+        gap = abs(product.value - closed.value)
+        assert gap <= product.error_estimate + closed.error_estimate, lh
+
+
 def test_critical_sample_cross_route_spotcheck():
     # gamma = 1.5, lam_hat = 0.5: Gamma-product route vs quadrature route
     a = amplitude(CRIT_SAMPLE, "+", 0.5, "product").value

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (_LOG_GAMMA_REL, BLOCK, ConvergenceError,
-                                           FloatRangeError, _half_line_rule, _legendre,
+from defectchain.special_functions import (_KRONROD, _LOG_GAMMA_REL, BLOCK, ConvergenceError,
+                                           FloatRangeError, _half_line_rule, _half_sin_cos,
                                            amplitude_sum, log_gamma, q_gamma)
 from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
                                                  breather_amplitude, kernel,
@@ -280,12 +280,16 @@ ANGLE_CASES = {
     "121 points": lambda: amplitude(CRIT_07, "+", np.linspace(-4.0, 4.0, 121), "integral"),
     "breather 121": lambda: breather_amplitude("+", 1, np.linspace(-4.0, 4.0, 121),
                                                CRIT_07.gamma, "integral"),
-    # 601 points at |lam| <= 12 walk the rule in 70 blocks of BLOCK elements
+    # 601 points at |lam| <= 12 walk the rule in 61 blocks of BLOCK elements
     "601 points": lambda: amplitude(CRIT_07, "-", np.linspace(-12.0, 12.0, 601), "integral"),
     # the closed route's ratio integral, whose phases grow like e^{|Im lam| w}
     "complex strip": lambda: amplitude(
         CRIT_07, "+", np.linspace(-3.0, 3.0, 9) + 1j * np.linspace(-0.94, 0.94, 9)
         * CRIT_07.gamma / 2.0),
+    "mode sums": lambda: (
+        amplitude(RegimeParams.noncritical(0.5), "+", np.linspace(-4.0, 4.0, 121), "sum"),
+        amplitude(RegimeParams.noncritical(0.01), "-", 0.3, "sum"),
+        type2_amplitude(np.linspace(-2.0, 2.0, 41), 0.5, 1.5, "sum")),
 }
 
 
@@ -296,83 +300,157 @@ def test_angle_addition_matches_direct_trig(monkeypatch, case):
         assert np.all(np.abs(value - direct) <= err), case
 
 
-def test_mode_sums_are_bit_identical_to_direct_trig(monkeypatch):
-    # a single group with base 0: sin(0) = 0 and cos(0) = 1 leave the
-    # offsets' sin and cos untouched
-    nc = RegimeParams.noncritical(0.5)
-    for value, _, direct in rule_calls(
-            monkeypatch, lambda: (amplitude(nc, "+", np.linspace(-4.0, 4.0, 121), "sum"),
-                                  amplitude(nc, "-", 0.3, "sum"),
-                                  type2_amplitude(np.linspace(-2.0, 2.0, 41), 0.5, 1.5, "sum"))):
-        assert value.shape == direct.shape
-        for col in range(value.shape[1]):
-            assert np.array_equal(value[:, col], direct[:, col])
+def test_mode_groups_rebuild_the_frequencies(monkeypatch):
+    # the modes k = B i + j are one (bases, offsets) group whose sums
+    # rebuild the frequencies 2 eta k to an ulp or two, with about
+    # 2 sqrt(2 K) sin/cos per point for K modes
+    seen = []
+    rule_sums = special_functions._rule_sums
+
+    def spy(lam, freq, groups, *rest):
+        value, err = rule_sums(lam, freq, groups, *rest)
+        seen.append((freq, groups))
+        return value, err
+
+    monkeypatch.setattr(special_functions, "_rule_sums", spy)
+    for eta in (0.5, 0.01):
+        seen.clear()
+        nc = RegimeParams.noncritical(eta)
+        amplitude(nc, "+", np.linspace(-4.0, 4.0, 121), "sum")
+        type2_amplitude(np.linspace(-2.0, 2.0, 41), eta, 1.5, "sum")
+        assert len(seen) == 2
+        for freq, groups in seen:
+            ((bases, offsets),) = groups
+            assert np.array_equal((bases[:, None] + offsets).ravel(), freq[:-1])
+            k = np.arange(1, freq.size + 1)
+            assert np.all(np.abs(freq - 2.0 * eta * k) <= 4.0 * np.spacing(2.0 * eta * k))
+            modes = freq.size - 1
+            assert modes % offsets.size == 0
+            assert 2 * bases.size + offsets.size <= 3.0 * np.sqrt(modes) + 2.0
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
-@pytest.mark.parametrize("case", ["mu 2.9", "eta 0.01"])
+@pytest.mark.parametrize("case", ["mu 2.9", "eta 0.01", "eta 0.5", "phase 24", "lam 0"])
 def test_estimates_charge_the_phase_rounding(monkeypatch, case):
     # near mu = pi the cutoff reaches w ~ 900, so the half phases lam w / 2
     # reach ~1800 and their rounding, ~eps * 1800 each, outweighs the
-    # rounding of the summed terms
+    # rounding of the summed terms; at max|lam| = 6 every panel of 4 carries
+    # the largest phase, 24, and the doubled angles of the narrow panels
+    # reach theirs.  The critical anchors are one-point rules at lam = 0
+    # summing thousands of terms of one sign, whose rounding outgrows eps
+    # times their sizes (2.4 times at mu = 2.5)
     grid = np.linspace(-4.0, 4.0, 121)
-    if case == "mu 2.9":
+    if case in ("phase 24", "lam 0"):
+        grid = np.linspace(-6.0, 6.0, 121) if case == "phase 24" else np.zeros(1)
+        _critical_anchor.cache_clear()
+        compute = lambda: ([amplitude(RegimeParams.critical(mu), "+", grid)
+                            for mu in (0.7, 1.0, 2.5, 2.9)],
+                           amplitude(CRIT_07, "-", grid, "integral"),
+                           amplitude(XXX, "+", grid, "integral"),
+                           breather_amplitude("+", 1, grid + 0.1, CRIT_07.gamma, "integral"))
+    elif case == "mu 2.9":
         params = RegimeParams.critical(2.9)
         compute = lambda: (amplitude(params, "+", grid), amplitude(params, "-", grid))
     else:
-        params = RegimeParams.noncritical(0.01)
+        eta = float(case.split()[1])
+        params = RegimeParams.noncritical(eta)
         compute = lambda: (amplitude(params, "+", grid, "sum"),
-                           type2_amplitude(grid[::3], 0.01, 1.5, "sum"))
+                           type2_amplitude(grid[::3], eta, 1.5, "sum"))
     for value, err, exact in rule_calls(monkeypatch, compute, exact_phase_sums):
         assert np.all(np.abs(value - exact) <= err), case
 
 
-@pytest.mark.parametrize("decay,lam_max", [(0.5, 4.0), (0.5, 0.7), (0.05, 1.0), (1.0, 60.0),
-                                           (10.0, 1.0), (2.0, 0.0)])
-def test_groups_rebuild_the_panel_nodes(decay, lam_max):
-    nodes, weights, groups = _half_line_rule(decay, lam_max)
-    assert np.array_equal(np.concatenate([(b[:, None] + u).ravel() for b, u in groups]), nodes)
-    # the nodes and weights of the composite rule built panel by panel from
-    # the one-panel rules (checked against mpmath below), in some order:
-    # fine nodes, comparison nodes, then the cutoff
+RULE_CASES = [(0.5, 4.0), (0.5, 0.7), (0.05, 1.0), (1.0, 60.0), (10.0, 1.0), (2.0, 0.0),
+              (0.5, 6.0), (0.5, 48.0)]
+
+
+def _direct_panels(decay, lam_max):
+    """The panel edges of the rule, from its own formula."""
     cutoff = -np.log(1e-16) / decay
     width = 8.0 if lam_max * 8.0 <= 24.0 else 2.0 ** np.floor(np.log2(24.0 / lam_max))
     edges, h = [0.0], min(0.25, width)
     while edges[-1] < cutoff:
         edges.append(edges[-1] + h)
         h = min(2.0 * h, width)
-    edges = np.array(edges)
+    return np.array(edges)
+
+
+@pytest.mark.parametrize("decay,lam_max", RULE_CASES)
+def test_groups_rebuild_the_panel_nodes(decay, lam_max):
+    nodes, weights, groups = _half_line_rule(decay, lam_max)
+    assert np.array_equal(np.concatenate([(b[:, None] + u).ravel() for b, u in groups]),
+                          nodes[:-1])
+    # the nodes and weights of the composite rule built panel by panel from
+    # the one-panel rule (checked against mpmath below), in some order, then
+    # the cutoff with zero weight
+    edges = _direct_panels(decay, lam_max)
     left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    rows = []
-    for col, n in enumerate((32, 24)):
-        x, wx = _legendre(n)
-        w = np.zeros((x.size * left.size, 2))
-        w[:, col] = (half * wx).ravel()
-        rows.append(np.column_stack([(left + half * (x + 1.0)).ravel(), w]))
-    rows.append([[edges[-1], 0.0, 0.0]])
-    want = np.concatenate(rows)
-    got = np.column_stack([nodes, weights])
-    assert nodes[-1] == edges[-1]
+    want = np.column_stack([(left + half * (_KRONROD[:, 0] + 1.0)).ravel(),
+                            (half[:, :, None] * _KRONROD[:, 1:]).reshape(-1, 2)])
+    got = np.column_stack([nodes, weights])[:-1]
+    assert nodes[-1] == edges[-1] and not weights[-1].any()
     assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
 
 
-@pytest.mark.parametrize("n", [24, 32])
-def test_legendre_rule_matches_mpmath(n):
-    x, w = _legendre(n)
+@pytest.mark.parametrize("decay,lam_max", RULE_CASES)
+def test_doubled_panels_match_the_direct_ones(decay, lam_max):
+    # the narrow panels' offset rows double exactly, so x * row k is 2^k
+    # times x * row 0 bit for bit, and their sin/cos by doubling stay within
+    # a few ulp (per doubling) of the direct ones
+    nodes, _, groups = _half_line_rule(decay, lam_max)
+    rows = groups[-1][1]
+    if rows.ndim == 1:      # every panel as wide as the first
+        assert lam_max * 0.25 > 24.0 / 2.0
+        return
+    x = 0.5 * np.linspace(-lam_max, lam_max, 7)
+    assert np.array_equal(rows[1:], 2.0 * rows[:-1])
+    assert np.array_equal(np.multiply.outer(x, rows[1:]), 2.0 * np.multiply.outer(x, rows[:-1]))
+    sin, cos = _half_sin_cos(x, groups)
+    narrow = slice(sin.shape[1] - rows.size, sin.shape[1])
+    phase = np.multiply.outer(x, nodes[:-1][narrow])
+    depth = 1.0 + np.arange(rows.shape[0]).repeat(rows.shape[1])
+    tol = 8.0 * depth * np.finfo(float).eps * (1.0 + np.abs(phase))
+    assert np.all(np.abs(sin[:, narrow] - np.sin(phase)) <= tol)
+    assert np.all(np.abs(cos[:, narrow] - np.cos(phase)) <= tol)
+
+
+def test_legendre_rule_matches_mpmath():
+    # the 20 nodes that carry a Gauss weight are the 20-point Gauss-Legendre
+    # rule, nodes and weights correctly rounded
+    x, kronrod, gauss = _KRONROD.T
+    assert x.size == 41 and np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
     with mp.workdps(40):
-        nodes, weights = mp.gauss_quadrature(n, "legendre")
+        nodes, weights = mp.gauss_quadrature(20, "legendre")
         want = sorted((float(a), float(b)) for a, b in zip(nodes, weights))
     want_x, want_w = np.array(want).T
-    assert np.all(np.diff(x) > 0)
-    assert np.abs(x - want_x).max() <= 1e-15
-    assert np.abs(w - want_w).max() <= 1e-15
+    assert np.array_equal(x[gauss > 0], want_x)
+    assert np.array_equal(gauss[gauss > 0], want_w)
+
+
+@pytest.mark.parametrize("col,degree", [(1, 61), (2, 39)], ids=["kronrod41", "gauss20"])
+def test_kronrod_rule_integrates_monomials(col, degree):
+    # 41 Kronrod nodes are exact to degree 3 * 20 + 1, the 20 embedded Gauss
+    # nodes to 2 * 20 - 1: the sums at 40 digits of the float nodes and
+    # weights miss 2 / (m + 1) by their rounding only
+    with mp.workdps(40):
+        x = [mp.mpf(float(v)) for v in _KRONROD[:, 0]]
+        w = [mp.mpf(float(v)) for v in _KRONROD[:, col]]
+        for m in range(degree + 1):
+            terms = [wi * xi ** m for wi, xi in zip(w, x)]
+            want = mp.mpf(2) / (m + 1) if m % 2 == 0 else mp.mpf(0)
+            size = mp.fsum(abs(t) for t in terms)
+            assert abs(mp.fsum(terms) - want) <= (m + 1) * np.finfo(float).eps * size, m
 
 
 def test_table_rule_shares_its_trig_work():
-    # sin and cos at each base (and its negative) and each offset, per point
+    # 22 panels of 4 at the 0.5 decay rate's cutoff: 41 nodes each and the
+    # cutoff, with sin and cos per point at each panel's left edge (and its
+    # negative), the wide panels' offsets and the first narrow panel's
     nodes, _, groups = _half_line_rule(0.5, 4.0)
-    assert nodes.size == 1233
-    assert sum(2 * b.size + u.size for b, u in groups) <= nodes.size / 3
+    panels = _direct_panels(0.5, 4.0).size - 1
+    assert panels == 22
+    assert nodes.size == 41 * panels + 1
+    assert sum(2 * b.size + u.shape[-1] for b, u in groups) == 2 * panels + 2 * 41
 
 
 # ------------------------------------------------ both signs from one pass
@@ -484,8 +562,12 @@ def _limit_address_space():
 
 
 def test_half_line_rule_cap_raises_before_allocating():
-    # 2.7e8 nodes would take several GB: under a 1 GB address space a
-    # missing cap fails fast with a MemoryError traceback instead
+    # 2.0e8 nodes would take several GB: under a 1 GB address space a
+    # missing cap fails fast with a MemoryError traceback instead.  The xxx
+    # kernels decay like e^{-w/2}, so the cutoff is -ln(1e-16) / 0.5 = 73.7
+    # and the rule has 41 ceil(73.7 / width) + 1 nodes: 4828871 panels of
+    # 2^-16 at lam = 1e6, 18862 of 2^-8 past lam = 3072 (773343 nodes)
+    # and 9431 of 2^-7 at lam = 3072 (386672 nodes)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-W", "error", "-m", "defectchain", "amplitude",
                            "--regime", "xxx", "--grid=-1e6:1e6:3"], capture_output=True,
@@ -493,7 +575,7 @@ def test_half_line_rule_cap_raises_before_allocating():
     assert done.returncode == 2, done.stderr[-2000:]
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1
-    assert done.stderr.startswith("error: the half-line rule needs 270416777 nodes")
+    assert done.stderr.startswith("error: the half-line rule needs 197983712 nodes")
     with pytest.raises(ConvergenceError, match="cap is 400000"):
-        amplitude(XXX, "+", 1600.0, "integral")
-    assert np.isfinite(amplitude(XXX, "+", 1536.0, "integral").value)
+        amplitude(XXX, "+", 3200.0, "integral")
+    assert np.isfinite(amplitude(XXX, "+", 3072.0, "integral").value)
