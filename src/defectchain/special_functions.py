@@ -94,14 +94,19 @@ _LOG_2 = math.log(2.0)
 _SIN_DIRECT = 100.0
 
 
+def _lanczos_series(zm1):
+    """The Lanczos series c_0 + sum_i c_i / (z - 1 + i), from zm1 = z - 1."""
+    series = np.full_like(zm1, _LANCZOS_C[0])
+    for i in range(1, len(_LANCZOS_C)):
+        series = series + _LANCZOS_C[i] / (zm1 + i)
+    return series
+
+
 def _log_gamma_right(z):
     """Lanczos sum, valid for Re z >= 0.5."""
     zm1 = z - 1.0
-    series = np.full_like(z, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[i] / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(series)
+    return _HALF_LOG_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(_lanczos_series(zm1))
 
 
 def log_gamma(z):
@@ -146,6 +151,7 @@ def log_gamma(z):
 # below _LOG_GAMMA_REL * (1 + |log Gamma|) on the arguments the amplitudes
 # use; the tests measure it against mpmath (about 4.6e-15 at worst)
 _LOG_GAMMA_REL = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 def gamma_ratio_bound(num, den):
@@ -284,55 +290,129 @@ def _hurwitz_tail(s, k0):
     return tail + np.power.outer(k0 + np.arange(m), -s).sum(axis=0)
 
 
-# factors evaluated per step of infinite_gamma_product
+# factors evaluated in the first step of infinite_gamma_product; each
+# further step doubles that, up to PRODUCT_BLOCK
+_PRODUCT_FIRST = 512
 PRODUCT_BLOCK = 4096
-# factors over which infinite_gamma_product measures the decay of its factors
-_PRODUCT_RUN = 64
+# factors over which infinite_gamma_product averages the residuals of its
+# factors
+_PRODUCT_RUN = 256
+# from this shift x on, a factor's log-Gammas are summed in balanced form
+_PRODUCT_BALANCED = 1.0
 
 
-def infinite_gamma_product(term, tail_coefficient, tail_tol: float = TAIL_TOL):
-    """Evaluate prod_{k>=0} of Gamma-ratio factors.
+def _log_gamma_balanced(x, a):
+    """log Gamma(x + a) less 1/2 log 2 pi + (x - 1/2) log x - x + a (log x - 1),
+    for real x >= 1 and Re(x + a) >= 1/2, and the size of its parts.
 
-    term(k_array) must return (num_args, den_args) where each is a sequence
-    of arrays of Gamma arguments; factor_k = prod Gamma(num)/prod Gamma(den).
-    Far out the factors' logs follow c2/k^2, c2 = ``tail_coefficient``, and
-    the tail from the first factor not taken, K, is completed analytically
-    as c2 zeta(2, K).  What the completion leaves is bounded from the
-    residuals r_k = log factor_k - c2/k^2 of the _PRODUCT_RUN factors before
-    K: as long as they decay at least like 1/k^2, the tail of |r_k| is at
-    most max |r_k| k^2 / (K - 1).  Each factor's log is charged
-    _LOG_GAMMA_REL plus 2 eps |log Gamma| per Gamma value, summed over the
-    factors taken: the rounding of values of size |log Gamma| stays in the
-    factor's sum however much the values cancel.  The product stops at
-    the first K, after a whole run, where the tail bound falls below
-    tail_tol or below the rounding charged so far (from there on another
-    factor adds more rounding than it removes tail), or at MAX_TERMS
-    factors.
+    It is log_gamma's Lanczos sum with log t = log x + log(1 + u), u = (a +
+    g - 1/2) / x, and log(1 + u) taken to relative precision: what is left
+    is of the size of a, not of x log x, so the parts that grow with x
+    cancel exactly between factors with as many Gammas above as below.
+    """
+    z = x + a
+    u = (a + (_LANCZOS_G - 0.5)) / x
+    log1p_u = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag)
+               + 1j * np.arctan2(u.imag, 1.0 + u.real))
+    head, log_s = (z - 0.5) * log1p_u, np.log(_lanczos_series(z - 1.0))
+    return head + log_s - (_LANCZOS_G - 0.5), np.abs(head) + np.abs(log_s) + _LANCZOS_G
+
+
+def _factor_logs(x, num, den):
+    """log of prod Gamma(x + num_i) / prod Gamma(x + den_j) at every x, for
+    complex offsets num and den, as many of each, and a bound on each
+    value's rounding; the mask of the values summed in balanced form (see
+    _log_gamma_balanced), where x >= _PRODUCT_BALANCED and every argument
+    has Re >= 1/2, the rest by log_gamma.  The offsets' shift sum(num) -
+    sum(den) is summed exactly.  The balanced form errs by at most 0.31 eps
+    times the size of its parts on the test and amplitude products (against
+    40-digit mpmath); it is charged 2 eps.
+    """
+    shift = complex(math.fsum(np.concatenate([num.real, -den.real])),
+                    math.fsum(np.concatenate([num.imag, -den.imag])))
+    far = x >= _PRODUCT_BALANCED
+    for a in (*num, *den):
+        far &= x + a.real >= 0.5
+    logf = np.empty(x.shape, dtype=np.complex128)
+    err = np.empty(x.shape)
+    xf = x[far]
+    logf[far] = shift * (np.log(xf) - 1.0)
+    size = abs(shift) * (np.log(xf) + 1.0)
+    for sign, offsets in ((1.0, num), (-1.0, den)):
+        for a in offsets:
+            rest, part = _log_gamma_balanced(xf, a)
+            logf[far] += sign * rest
+            size += part
+    err[far] = 2.0 * _EPS * size
+    xn = x[~far]
+    lg = [log_gamma(xn + a) for a in (*num, *den)]
+    logf[~far] = sum(lg[:len(num)]) - sum(lg[len(num):])
+    err[~far] = sum(_LOG_GAMMA_REL * (1.0 + np.abs(v)) for v in lg)
+    return logf, err, far
+
+
+def infinite_gamma_product(scale: float, num, den, tail_coefficient,
+                           tail_tol: float = TAIL_TOL):
+    """prod_{k>=0} prod_i Gamma(x_k + num_i) / prod_j Gamma(x_k + den_j),
+    x_k = scale k, for complex offsets num and den, as many of each.
+
+    Taking the offsets apart from x_k keeps each factor's log accurate to
+    the size of the offsets, not of x_k log x_k (see _factor_logs).  Far
+    out the factors' logs follow c2/k^2, c2 = ``tail_coefficient``, and the
+    tail from the first factor not taken, K, is completed analytically as
+    c2 zeta(2, K).  What the completion leaves is bounded from the
+    residuals rho_k = (log factor_k - c2/k^2) k^2: as long as |rho_k|
+    falls from K on, the tail is at most |rho_K| / (K - 1), and |rho_K|
+    is taken as the modulus of their mean over the last _PRODUCT_RUN
+    factors plus the rounding of that mean.  The product stops at the
+    first K where that bound falls below tail_tol, or where the mean sinks
+    below its own rounding (past it another factor only adds rounding), or
+    at MAX_TERMS factors.  The rounding of the summed logs is charged
+    linearly for the factors taken by log_gamma and as the root of the
+    summed squares for the balanced ones, whose rounding errors are
+    independent.
 
     Returns (value, error estimate): the estimate bounds the error of the
     value's log, the tail bound plus the rounding.
     """
+    if len(num) != len(den):
+        raise ValueError(f"a Gamma-ratio product needs as many Gammas above as below, "
+                         f"got {len(num)} and {len(den)}")
+    num, den = np.asarray(num, dtype=np.complex128), np.asarray(den, dtype=np.complex128)
     c2 = complex(tail_coefficient)
-    total, rounding, k0 = 0.0 + 0.0j, 0.0, 0
-    run = np.full(_PRODUCT_RUN - 1, np.inf)      # |r_k| k^2 before the block: none yet
+    total, linear, squares, k0 = 0.0 + 0.0j, 0.0, 0.0, 0
+    # rho_k and the square of its rounding for the factors before the block
+    rho_run = np.zeros(_PRODUCT_RUN - 1, dtype=np.complex128)
+    noise_run = np.zeros(_PRODUCT_RUN - 1)
+    size = _PRODUCT_FIRST
     while k0 < MAX_TERMS:
-        k = np.arange(k0, min(k0 + PRODUCT_BLOCK, MAX_TERMS), dtype=np.float64)
-        num, den = term(k)
-        lg = [log_gamma(np.asarray(arr, dtype=np.complex128)) for arr in (*num, *den)]
-        logf = sum(lg[:len(num)]) - sum(lg[len(num):])
-        charged = rounding + np.cumsum(sum(_LOG_GAMMA_REL + 2.0 * _EPS * np.abs(v) for v in lg))
-        kk = np.maximum(k, 1.0)
-        run = np.concatenate([run, np.where(k > 0, np.abs(logf - c2 / kk ** 2) * kk ** 2, np.inf)])
-        tail = np.lib.stride_tricks.sliding_window_view(run, _PRODUCT_RUN).max(axis=1) / kk
-        run = run[1 - _PRODUCT_RUN:]
-        done = np.flatnonzero(tail <= np.maximum(tail_tol, charged))
-        stop = int(done[0]) if done.size else k.size - 1
-        total += np.sum(logf[:stop + 1])
-        rounding, k0 = float(charged[stop]), k0 + stop + 1
+        k = np.arange(k0, min(k0 + size, MAX_TERMS), dtype=np.float64)
+        logf, err, far = _factor_logs(scale * k, num, den)
+        kk = np.maximum(k, 1.0) ** 2
+        rho_run = np.concatenate([rho_run, (logf - c2 / kk) * kk])
+        noise_run = np.concatenate([noise_run, (err * kk) ** 2])
+        mean = np.abs(_run_sums(rho_run)) / _PRODUCT_RUN
+        noise = np.sqrt(np.maximum(_run_sums(noise_run), 0.0)) / _PRODUCT_RUN
+        rho_run, noise_run = rho_run[1 - _PRODUCT_RUN:], noise_run[1 - _PRODUCT_RUN:]
+        tail = (mean + noise) / np.maximum(k, 1.0)
+        done = np.flatnonzero((k >= _PRODUCT_RUN) & ((tail <= tail_tol) | (mean <= noise)))
+        stop = int(done[0]) + 1 if done.size else k.size
+        total += np.sum(logf[:stop])
+        linear += float(err[:stop][~far[:stop]].sum())
+        squares += float(np.square(err[:stop][far[:stop]]).sum())
+        k0 += stop
+        size = min(2 * size, PRODUCT_BLOCK)
         if done.size:
             break
     total += c2 * _hurwitz_tail(2.0, k0)
-    return complex(np.exp(total)), float(tail[stop]) + rounding
+    return complex(np.exp(total)), float(tail[stop - 1]) + linear + math.sqrt(squares)
+
+
+def _run_sums(values):
+    """Sums of every _PRODUCT_RUN consecutive values, the window ending at
+    each of the last values.size - _PRODUCT_RUN + 1."""
+    csum = np.cumsum(values)
+    return csum[_PRODUCT_RUN - 1:] - np.concatenate([[0.0], csum[:-_PRODUCT_RUN]])
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +424,6 @@ _MAX_WIDTH = 8.0       # widest panel
 _PANEL_PHASE = 24.0    # largest phase max|lam| * width one panel carries
 _TAIL = 1e-16          # the cutoff (or last mode) leaves at most this much of e^{-decay w}
 _MAX_GROWTH = 700.0    # largest exponent |Im lam| w the phases may reach (exp overflows past 709)
-_EPS = float(np.finfo(float).eps)
 
 # The 41-point Gauss-Kronrod rule on [-1, 1] and its embedded 20-point Gauss
 # rule (QUADPACK's qk41; Piessens et al. 1983, Laurie 1997): the
@@ -391,14 +470,13 @@ def _panel_rule(cutoff: float, width: float):
     Each panel carries the 41-point Kronrod rule, whose value is the fine
     one, and the 20-point Gauss rule on 20 of the same nodes, the
     comparison: node j of a panel is left + half (x_j + 1).  All but the
-    last node come in (bases, offsets) groups, a node being base + offset,
-    so that _rule_sums takes sin/cos once per base and once per offset row:
+    last node come in (bases, offsets, scales) groups (see _half_sin_cos),
+    so that _rule_sums takes sin/cos once per base and once per offset:
       * the equal-width panels: their left edges and the offsets within one
-        panel, which they share;
-      * last, the narrower panels near the origin: their left edges and one
-        row of offsets each.  Panel k is 2^k times as wide as panel 0, so
-        its row is exactly 2^k times panel 0's, and _half_sin_cos takes only
-        panel 0's sin/cos and doubles the angles.
+        panel, which they share; no scales;
+      * last, the narrower panels near the origin: their left edges, one
+        row of offsets each, and the scales 2^k: panel k is 2^k times as
+        wide as panel 0, so its row is exactly 2^k times panel 0's.
     The last node, the cutoff itself with zero weight, is where callers read
     the tail.
 
@@ -416,13 +494,13 @@ def _panel_rule(cutoff: float, width: float):
     offsets = half * (_KRONROD[:, 0] + 1.0)
     panel_weights = half[:, :, None] * _KRONROD[:, 1:]
     wide = half[:, 0] == 0.5 * width
-    groups = [(left[wide], offsets[wide][0])] if wide.any() else []
+    groups = [(left[wide], offsets[wide][0], None)] if wide.any() else []
     if not wide.all():
-        groups.append((left[~wide], offsets[~wide]))
-    nodes = np.concatenate([(b[:, None] + u).ravel() for b, u in groups] + [edges[-1:]])
+        groups.append((left[~wide], offsets[~wide], half[~wide, 0] / half[0, 0]))
+    nodes = np.concatenate([(b[:, None] + u).ravel() for b, u, _ in groups] + [edges[-1:]])
     weights = np.concatenate([panel_weights[wide].reshape(-1, 2),
                               panel_weights[~wide].reshape(-1, 2), np.zeros((1, 2))])
-    for arr in (nodes, weights, *(a for g in groups for a in g)):
+    for arr in (nodes, weights, *(a for g in groups for a in g if a is not None)):
         arr.flags.writeable = False
     return nodes, weights, tuple(groups)
 
@@ -453,22 +531,28 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
 
 def _half_sin_cos(x, groups):
     """sin and cos of x * node for every point of x (a 1-d array) and every
-    node of the (bases, offsets) groups, a node being base + offset.
+    node of the (bases, offsets, scales) groups, a node being base +
+    offset.
 
     sin/cos are taken at x * base, x * -base and x * offset only and
     combined by angle addition (DLMF 4.21.2) as two stacked products per
     group, sin = (sb, cb).(cu, su) and cos = (cb, -sb).(cu, su), so a group
     costs 2 bases + offsets evaluations per point instead of bases * offsets.
-    A base of 0 gives the offsets' own sin/cos exactly.  The offsets of the
-    last group may be a 2-d array, one row per base, each row exactly twice
-    the one before, so that x * row k is 2 (x * row k-1) in floating point:
-    at real x only the first row is evaluated, and each further row is the
-    square of the one before as cos + i sin.
+    A base of 0 gives the offsets' own sin/cos exactly.  Scales, if a group
+    has them (only the last group may), are 1, 2, 4, ...: the offsets are
+    then one row per base, row k exactly scales[k] times row 0, so that
+    x * row k is 2 (x * row k-1) in floating point, and at real x only the
+    first row is evaluated: each further row is the square of the one
+    before as cos + i sin.
     """
-    angles = np.concatenate([a for b, u in groups for a in (b, -b, u.ravel())])
-    last = groups[-1][1]
+    if any(scales is not None for _, _, scales in groups[:-1]):
+        raise ValueError("only the last group of a rule may have scales")
+    angles = np.concatenate([a for b, u, _ in groups for a in (b, -b, u.ravel())])
+    _, last, scales = groups[-1]
     step = last.shape[-1]
-    direct = angles.size - (0 if np.iscomplexobj(x) else last.size - step)
+    direct = angles.size
+    if scales is not None and not np.iscomplexobj(x):
+        direct -= last.size - step
     # (cos, sin) per angle and point: angle-major, so that each row of
     # offsets is one contiguous block of complex numbers cos + i sin
     pairs = np.empty((angles.size, x.size, 2), dtype=x.dtype)
@@ -479,10 +563,10 @@ def _half_sin_cos(x, groups):
         z = pairs.view(np.complex128)[..., 0]
         for k in range(direct, angles.size, step):
             np.square(z[k - step:k], out=z[k:k + step])
-    sin = np.empty((x.size, sum(b.size * u.shape[-1] for b, u in groups)), dtype=x.dtype)
+    sin = np.empty((x.size, sum(b.size * u.shape[-1] for b, u, _ in groups)), dtype=x.dtype)
     cos = np.empty_like(sin)
     at = start = 0
-    for bases, offsets in groups:
+    for bases, offsets, _ in groups:
         nb, nu = bases.size, offsets.shape[-1]
         rows = offsets.size // nu
         shape = (x.size, rows, nb // rows)
@@ -508,13 +592,12 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     rule gives the last node zero weight, and only its terms are read
     there.  Every block of points takes its sin/cos table once
     (_half_sin_cos, with freq, but for its last node, the nodes, group by
-    group, of the (bases, offsets) groups) and folds all k integrands of
-    all rules into the same two stacked products, one (nodes, m) weight
-    matrix per integrand, so that a column's value is the one it gets
-    alone, bit for bit; the values and bounds are (points, k).
-    4 sin^2(phi/2) = 2 (1 - cos phi) keeps small phases exact.  The points are
-    walked in blocks so no temporary exceeds BLOCK elements.  The bound of
-    a column adds
+    group, of the groups) and folds all k integrands of all rules into the
+    same two stacked products, one (nodes, m) weight matrix per integrand,
+    so that a column's value is the one it gets alone, bit for bit; the
+    values and bounds are (points, k).  4 sin^2(phi/2) = 2 (1 - cos phi)
+    keeps small phases exact.  The points are walked in blocks so no
+    temporary exceeds BLOCK elements.  The bound of a column adds
       * the largest spread between the rules,
       * the tail past the last node: the largest term there, grown by
         e^{|Im lam| freq}, times tail_length,
@@ -522,8 +605,8 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         |c|) is the size of the operands c was formed from, so a c that
         cancels near the origin is charged for it, and where a phase phi
         = freq lam, whose half is off by eps slip, with slip about |phi| / 2
-        and, on row k of a doubled group (see _half_sin_cos), up to
-        2^k min(1, |phi|) more, moves the terms by
+        and, on a node of a group with scales (see _half_sin_cos), its
+        scale times min(1, |phi|) more, moves the terms by
         4 eps slip (|a| min(1, |phi|) + |b|) at most; and the sum itself:
         eps sqrt(nodes) times the summed magnitudes of the terms, as the
         rounding of a sum of n terms grows like sqrt(n) eps times their
@@ -559,9 +642,10 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     phase = freq[:, None] * float(np.abs(lam).max(initial=0.0))
     turn = np.minimum(1.0, phase)
     slip = 0.5 * phase
-    rows = groups[-1][1]
-    if rows.ndim == 2:
-        slip[-1 - rows.size:-1] += (rows / rows[0]).reshape(-1, 1) * turn[-1 - rows.size:-1]
+    _, rows, scales = groups[-1]
+    if scales is not None:
+        doubled = slice(-1 - rows.size, -1)
+        slip[doubled] += scales.repeat(rows.shape[1])[:, None] * turn[doubled]
     last = 4.0 * np.abs(a[-1]) + 2.0 * np.abs(b[-1]) + np.abs(c[-1])
     terms = 4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0) + 2.0 * np.abs(b) * turn
     sizes = (terms + (np.abs(c) if c_size is None else c_size)
@@ -588,6 +672,34 @@ def half_line_sums(lam, decay: float, terms):
     return _rule_sums(lam, w, groups, weights, 1.0 / decay, *terms(w))
 
 
+# a mode sum of fewer modes takes sin/cos at every mode: grouping them
+# saves too few evaluations to pay for the products that add the angles
+_GROUPED_MODES = 512
+
+
+@lru_cache(maxsize=16)
+def _mode_rule(eta: float, rate: float):
+    """(modes, frequencies, weights, groups) of mode_sums at eta and decay
+    rate per mode, the mode past the last one included to read the tail."""
+    need = math.ceil(-math.log(_TAIL) / rate) + 8
+    rows = 1 if need < _GROUPED_MODES else -(-need // math.ceil(math.sqrt(2.0 * need)))
+    cols = -(-need // rows)
+    k_max = rows * cols
+    if k_max > MAX_TERMS:
+        raise ConvergenceError(f"a mode sum needs {k_max} modes at eta = {eta}, "
+                               f"cap is {MAX_TERMS}")
+    bases = 2.0 * eta * cols * np.arange(rows)
+    offsets = 2.0 * eta * np.arange(1, cols + 1)
+    groups = ((bases, offsets, None),)
+    freq = np.concatenate([(bases[:, None] + offsets).ravel(), [2.0 * eta * (k_max + 1)]])
+    weights = np.ones((k_max + 1, 1))
+    weights[-1] = 0.0
+    modes = np.arange(1, k_max + 2, dtype=np.float64)
+    for arr in (modes, freq, weights, bases, offsets):
+        arr.flags.writeable = False
+    return modes, freq, weights, groups
+
+
 def mode_sums(lam, eta: float, decay: float, terms):
     """The discrete analogue of half_line_sums over the modes k = 1, 2, ...
     at frequencies 2 eta k, for terms that decay like e^{-decay eta k}:
@@ -597,29 +709,17 @@ def mode_sums(lam, eta: float, decay: float, terms):
     terms(k) returns a, b and c at the modes, each (modes, columns) with
     one column per integrand, and the values and bounds are (points,
     columns).  The mode count leaves a tail below _TAIL; more modes than
-    MAX_TERMS raise ConvergenceError before anything is allocated.  The
-    modes k = B i + j, i < R, j = 1, ..., B, are one (bases, offsets)
-    group: each frequency is 2 eta B i + 2 eta j, so _half_sin_cos takes
-    2 R + B, about 2 sqrt(2 K), sin/cos per point for the K modes the tail
-    needs, which R B rounds up by less than R.  The error bound is the
+    MAX_TERMS raise ConvergenceError before anything is allocated.  From
+    _GROUPED_MODES modes on, the modes k = B i + j, i < R, j = 1, ..., B,
+    are one (bases, offsets) group: each frequency is 2 eta B i + 2 eta j,
+    so _half_sin_cos takes 2 R + B, about 2 sqrt(2 K), sin/cos per point
+    for the K modes the tail needs, which R B rounds up by less than R;
+    fewer modes are one group with the base 0.  The error bound is the
     tail, read at the next mode and summed geometrically, plus rounding.
     """
     rate = decay * eta
-    need = math.ceil(-math.log(_TAIL) / rate) + 8
-    rows = -(-need // math.ceil(math.sqrt(2.0 * need)))
-    cols = -(-need // rows)
-    k_max = rows * cols
-    if k_max > MAX_TERMS:
-        raise ConvergenceError(f"a mode sum needs {k_max} modes at eta = {eta}, "
-                               f"cap is {MAX_TERMS}")
-    bases = 2.0 * eta * cols * np.arange(rows)
-    offsets = 2.0 * eta * np.arange(1, cols + 1)
-    # mode k_max + 1 reads the tail
-    freq = np.concatenate([(bases[:, None] + offsets).ravel(), [2.0 * eta * (k_max + 1)]])
-    weights = np.ones((k_max + 1, 1))
-    weights[-1] = 0.0
-    return _rule_sums(lam, freq, ((bases, offsets),), weights, 1.0 / -np.expm1(-rate),
-                      *terms(np.arange(1, k_max + 2, dtype=np.float64)))
+    modes, freq, weights, groups = _mode_rule(eta, rate)
+    return _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
 
 
 # --------------------------------------------------------------------------

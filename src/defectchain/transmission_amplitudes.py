@@ -230,22 +230,17 @@ def _critical_ln_ratio(lam, gamma: float, sides):
 
 def _critical_ratio_product(lam_hat: float, gamma: float) -> tuple[complex, float]:
     """The same ratio product evaluated literally, factor by factor."""
-
-    def term(k):
-        x = 2.0 * gamma * k
-        a = gamma / 2.0 + 1j * lam_hat
-        b = gamma / 2.0 + 1.0 - 1j * lam_hat
-        a0 = gamma / 2.0
-        b0 = gamma / 2.0 + 1.0
-        num = [a + x, b + x, a0 + gamma + x, b0 + gamma + x]
-        den = [a + gamma + x, b + gamma + x, a0 + x, b0 + x]
-        return num, den
-
+    a = gamma / 2.0 + 1j * lam_hat
+    b = gamma / 2.0 + 1.0 - 1j * lam_hat
+    a0 = gamma / 2.0
+    b0 = gamma / 2.0 + 1.0
     c2 = -(lam_hat ** 2 + 1j * lam_hat) / (4.0 * gamma)
-    # past ~1e4 factors the float noise of the summed log-Gammas dominates
-    # the analytically completed 1/k^2 tail, so this product stops earlier
-    # than the generic TAIL_TOL
-    return infinite_gamma_product(term, c2, tail_tol=1e-9)
+    # the tail bound falls like 1/K^2, so K grows like tail_tol^(-1/2): at
+    # 1e-9 this oracle takes 3e3 to 2e5 factors on mu in [0.3, 2], lam_hat in
+    # [-10, 0.4], where the generic TAIL_TOL would run into its rounding
+    # floor or MAX_TERMS
+    return infinite_gamma_product(2.0 * gamma, [a, b, a0 + gamma, b0 + gamma],
+                                  [a + gamma, b + gamma, a0, b0], c2, tail_tol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -556,16 +551,10 @@ def _s2_critical_real(lam, g: float):
 
 def _s2_critical_product(lam: complex, g: float) -> complex:
     """Critical S_s at one complex lam, as the literal Gamma-ratio product."""
-
-    def term(kk):
-        x = 2.0 * g * kk
-        il = 1j * lam
-        num = [il + x + 2 * g, il + x + 1, -il + x + g, -il + x + g + 1]
-        den = [il + x + g, il + x + g + 1, -il + x + 2 * g, -il + x + 1]
-        return num, den
-
+    il = 1j * lam
     c2 = -1j * lam * (g - 1.0) / (2.0 * g)
-    return infinite_gamma_product(term, c2)[0]
+    return infinite_gamma_product(2.0 * g, [il + 2 * g, il + 1, -il + g, -il + g + 1],
+                                  [il + g, il + g + 1, -il + 2 * g, -il + 1], c2)[0]
 
 
 def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (_KRONROD, _LOG_GAMMA_REL, BLOCK, ConvergenceError,
+from defectchain.special_functions import (_GROUPED_MODES, _KRONROD, _LOG_GAMMA_REL, BLOCK,
+                                           ConvergenceError,
                                            FloatRangeError, _half_line_rule, _half_sin_cos,
                                            amplitude_sum, log_gamma, q_gamma)
 from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
@@ -300,10 +301,24 @@ def test_angle_addition_matches_direct_trig(monkeypatch, case):
         assert np.all(np.abs(value - direct) <= err), case
 
 
+def test_mode_sums_are_bit_identical_to_direct_trig(monkeypatch):
+    # a single group with base 0: sin(0) = 0 and cos(0) = 1 leave the
+    # offsets' sin and cos untouched
+    nc = RegimeParams.noncritical(0.5)
+    for value, _, direct in rule_calls(
+            monkeypatch, lambda: (amplitude(nc, "+", np.linspace(-4.0, 4.0, 121), "sum"),
+                                  amplitude(nc, "-", 0.3, "sum"),
+                                  type2_amplitude(np.linspace(-2.0, 2.0, 41), 0.5, 1.5, "sum"))):
+        assert value.shape == direct.shape
+        for col in range(value.shape[1]):
+            assert np.array_equal(value[:, col], direct[:, col])
+
+
 def test_mode_groups_rebuild_the_frequencies(monkeypatch):
-    # the modes k = B i + j are one (bases, offsets) group whose sums
-    # rebuild the frequencies 2 eta k to an ulp or two, with about
-    # 2 sqrt(2 K) sin/cos per point for K modes
+    # from _GROUPED_MODES modes on (eta 0.01) the modes k = B i + j are one
+    # (bases, offsets) group whose sums rebuild the frequencies 2 eta k to
+    # an ulp or two, with about 2 sqrt(2 K) sin/cos per point for K modes;
+    # fewer (eta 0.5) are one group with the base 0
     seen = []
     rule_sums = special_functions._rule_sums
 
@@ -320,13 +335,17 @@ def test_mode_groups_rebuild_the_frequencies(monkeypatch):
         type2_amplitude(np.linspace(-2.0, 2.0, 41), eta, 1.5, "sum")
         assert len(seen) == 2
         for freq, groups in seen:
-            ((bases, offsets),) = groups
+            ((bases, offsets, scales),) = groups
+            assert scales is None
             assert np.array_equal((bases[:, None] + offsets).ravel(), freq[:-1])
             k = np.arange(1, freq.size + 1)
             assert np.all(np.abs(freq - 2.0 * eta * k) <= 4.0 * np.spacing(2.0 * eta * k))
             modes = freq.size - 1
             assert modes % offsets.size == 0
-            assert 2 * bases.size + offsets.size <= 3.0 * np.sqrt(modes) + 2.0
+            if modes < _GROUPED_MODES:
+                assert eta == 0.5 and not bases.any() and bases.size == 1
+            else:
+                assert eta == 0.01 and 2 * bases.size + offsets.size <= 3.0 * np.sqrt(modes) + 2.0
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
@@ -378,7 +397,7 @@ def _direct_panels(decay, lam_max):
 @pytest.mark.parametrize("decay,lam_max", RULE_CASES)
 def test_groups_rebuild_the_panel_nodes(decay, lam_max):
     nodes, weights, groups = _half_line_rule(decay, lam_max)
-    assert np.array_equal(np.concatenate([(b[:, None] + u).ravel() for b, u in groups]),
+    assert np.array_equal(np.concatenate([(b[:, None] + u).ravel() for b, u, _ in groups]),
                           nodes[:-1])
     # the nodes and weights of the composite rule built panel by panel from
     # the one-panel rule (checked against mpmath below), in some order, then
@@ -394,16 +413,19 @@ def test_groups_rebuild_the_panel_nodes(decay, lam_max):
 
 @pytest.mark.parametrize("decay,lam_max", RULE_CASES)
 def test_doubled_panels_match_the_direct_ones(decay, lam_max):
-    # the narrow panels' offset rows double exactly, so x * row k is 2^k
-    # times x * row 0 bit for bit, and their sin/cos by doubling stay within
-    # a few ulp (per doubling) of the direct ones
+    # the narrow panels are the last group, with scales 1, 2, 4, ...: their
+    # offset rows double exactly, so x * row k is 2^k times x * row 0 bit
+    # for bit, and their sin/cos by doubling stay within a few ulp (per
+    # doubling) of the direct ones; no other group has scales
     nodes, _, groups = _half_line_rule(decay, lam_max)
-    rows = groups[-1][1]
-    if rows.ndim == 1:      # every panel as wide as the first
+    assert all(scales is None for _, _, scales in groups[:-1])
+    _, rows, scales = groups[-1]
+    if scales is None:      # every panel as wide as the first
         assert lam_max * 0.25 > 24.0 / 2.0
         return
+    assert np.array_equal(scales, 2.0 ** np.arange(rows.shape[0]))
+    assert np.array_equal(rows, np.multiply.outer(scales, rows[0]))
     x = 0.5 * np.linspace(-lam_max, lam_max, 7)
-    assert np.array_equal(rows[1:], 2.0 * rows[:-1])
     assert np.array_equal(np.multiply.outer(x, rows[1:]), 2.0 * np.multiply.outer(x, rows[:-1]))
     sin, cos = _half_sin_cos(x, groups)
     narrow = slice(sin.shape[1] - rows.size, sin.shape[1])
@@ -450,7 +472,7 @@ def test_table_rule_shares_its_trig_work():
     panels = _direct_panels(0.5, 4.0).size - 1
     assert panels == 22
     assert nodes.size == 41 * panels + 1
-    assert sum(2 * b.size + u.shape[-1] for b, u in groups) == 2 * panels + 2 * 41
+    assert sum(2 * b.size + u.shape[-1] for b, u, _ in groups) == 2 * panels + 2 * 41
 
 
 # ------------------------------------------------ both signs from one pass

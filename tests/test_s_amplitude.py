@@ -57,9 +57,9 @@ def test_closed_critical_s_amplitude_matches_mpmath(mu):
 
 @pytest.mark.parametrize("mu, lam", [(0.3, -10.0), (1.5, -1.7), (3.0, 0.45)])
 def test_closed_critical_s_amplitude_matches_literal_product(mu, lam):
-    # at tail_tol 1e-12 the literal product runs to its 400000-factor cap;
-    # the rounding of its ~3e6 complex log-Gammas leaves it up to ~1.3e-5
-    # from the mpmath sum (mu = 0.3, lam = -10), so the gate is 5e-5
+    # at tail_tol 1e-12 the literal product runs until its residuals sink
+    # into their rounding, 3e4 to 1.2e5 factors here, and lands within
+    # 2e-10 of the closed value; the gate is 5e-5
     params = RegimeParams.critical(mu)
     literal = _s2_critical_product(complex(lam), params.gamma)
     assert abs(soliton_s_amplitude(params, lam) - literal) <= 5e-5

@@ -169,72 +169,60 @@ def test_q_gamma_pole_and_domain(monkeypatch):
 
 
 def test_infinite_product_of_ones():
-    def term(k):
-        return [k + 1.0], [k + 1.0]
-
-    val, tail = infinite_gamma_product(term, 0.0)
+    val, tail = infinite_gamma_product(1.0, [1.0], [1.0], 0.0)
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
+# prod_{k>=0} (k+a)(k+b) / ((k+c)(k+d)) with a+b = c+d equals
+# Gamma(c) Gamma(d) / (Gamma(a) Gamma(b)); written in Gamma-ratio factors
+# the log terms decay like c2/k^2 with c2 = -(a^2+b^2-c^2-d^2)/2
+_A, _B, _C, _D = 0.5, 2.5, 1.0, 2.0
+CLASSICAL = ([_A + 1, _B + 1, _C, _D], [_A, _B, _C + 1, _D + 1],
+             -(_A * _A + _B * _B - _C * _C - _D * _D) / 2.0)
+CLASSICAL_VALUE = 4.0 / (3.0 * np.pi)   # Gamma(1)Gamma(2) / (Gamma(1/2)Gamma(5/2))
+
+
 def test_infinite_product_classical_value():
-    # prod_{k>=0} (k+a)(k+b) / ((k+c)(k+d)) with a+b = c+d equals
-    # Gamma(c) Gamma(d) / (Gamma(a) Gamma(b)); written in Gamma-ratio factors
-    # the log terms decay like c2/k^2 with c2 = -(a^2+b^2-c^2-d^2)/2.  Each
-    # factor's log is a difference of log-Gammas of size k log k, so the
-    # product cannot stop on |log factor| < tail_tol: that fires on
-    # cancellation noise long before the factors are that small
-    a, b, c, d = 0.5, 2.5, 1.0, 2.0
-
-    def term(k):
-        return [k + a + 1, k + b + 1, k + c, k + d], \
-               [k + a, k + b, k + c + 1, k + d + 1]
-
-    c2 = -(a * a + b * b - c * c - d * d) / 2.0
-    val, tail = infinite_gamma_product(term, c2, 1e-12)
-    want = 4.0 / (3.0 * np.pi)   # Gamma(1)Gamma(2) / (Gamma(1/2)Gamma(5/2))
-    assert val == pytest.approx(want, rel=1e-7)
-    assert abs(np.log(val / want)) <= tail < 1e-6
+    # each log-Gamma is of size k log k; only the balanced sum of a
+    # factor's log-Gammas keeps its log to the rounding of the offsets
+    val, tail = infinite_gamma_product(1.0, *CLASSICAL)
+    assert val == pytest.approx(CLASSICAL_VALUE, rel=1e-7)
+    assert tail < 1e-9
+    assert abs(np.log(val / CLASSICAL_VALUE)) <= tail
 
 
-def _classical_product_term(seen):
-    """The factors of test_infinite_product_classical_value, with the last
-    index of each block asked for appended to `seen`."""
-    a, b, c, d = 0.5, 2.5, 1.0, 2.0
-
-    def term(k):
-        seen.append(int(k[-1]))
-        return [k + a + 1, k + b + 1, k + c, k + d], [k + a, k + b, k + c + 1, k + d + 1]
-    return term, -(a * a + b * b - c * c - d * d) / 2.0
+def test_infinite_product_rejects_unbalanced_factors():
+    with pytest.raises(ValueError, match="as many"):
+        infinite_gamma_product(1.0, [1.0, 2.0], [1.5], 0.0)
 
 
-def test_infinite_product_tail_tol_sets_where_it_stops():
-    # a looser tail_tol stops at an earlier factor, until the rounding the
-    # product charges for its summed logs outweighs the tail it would remove:
-    # from there on tail_tol no longer matters.  Every value lies within its
-    # estimate
-    want = 4.0 / (3.0 * np.pi)
+def test_infinite_product_tail_tol_sets_where_it_stops(monkeypatch):
+    # a looser tail_tol (the critical T+- product passes 1e-9) stops at an
+    # earlier factor; the completed tail keeps each value within its
+    # estimate.  The tail is completed from the first factor not taken
     reach = []
+    tail_from = special_functions._hurwitz_tail
+    monkeypatch.setattr(special_functions, "_hurwitz_tail",
+                        lambda s, k0: reach.append(k0) or tail_from(s, k0))
     for tol in (1e-6, 1e-9, 1e-12):
-        seen = []
-        term, c2 = _classical_product_term(seen)
-        val, tail = infinite_gamma_product(term, c2, tol)
-        reach.append(seen[-1])
-        assert abs(np.log(val / want)) <= tail, tol
-    assert reach[0] < reach[1] == reach[2]
+        val, tail = infinite_gamma_product(1.0, *CLASSICAL, tol)
+        assert 0 < tail < 1e3 * tol
+        assert abs(val / CLASSICAL_VALUE - 1) <= 3 * tail, tol
+        assert abs(np.log(val / CLASSICAL_VALUE)) <= tail, tol
+    assert reach[0] < reach[1] < reach[2]
 
 
 def test_infinite_product_completes_the_tail_with_its_coefficient():
     # with the true c2 the truncated product is completed; with c2 = 0 the
-    # factors' logs are their own residuals, which decay only like 1/k^2:
-    # the product runs on and leaves a neglected tail orders of magnitude
-    # larger, which its estimate still bounds
-    want = 4.0 / (3.0 * np.pi)
-    term, c2 = _classical_product_term([])
-    completed, tail = infinite_gamma_product(term, c2, 1e-9)
-    bare, bare_tail = infinite_gamma_product(term, 0.0, 1e-9)
-    assert abs(np.log(completed / want)) <= tail
-    assert abs(np.log(bare / want)) <= bare_tail
-    assert abs(bare / want - 1) > 1e2 * abs(completed / want - 1)
+    # same factors leave the neglected tail, orders of magnitude larger,
+    # which its estimate still bounds
+    num, den, c2 = CLASSICAL
+    completed, tail = infinite_gamma_product(1.0, num, den, c2, 1e-9)
+    bare, bare_tail = infinite_gamma_product(1.0, num, den, 0.0, 1e-9)
+    assert abs(completed / CLASSICAL_VALUE - 1) < 1e-8
+    assert abs(np.log(completed / CLASSICAL_VALUE)) <= tail
+    assert abs(np.log(bare / CLASSICAL_VALUE)) <= bare_tail
+    assert abs(bare / CLASSICAL_VALUE - 1) > 1e3 * abs(completed / CLASSICAL_VALUE - 1)
 
 
 @pytest.mark.parametrize("k0", [1, 4, 16, 2048])
