@@ -236,7 +236,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
             subspace="interior")
 
     # monodromy-level checks at desk scale, on charge-sector blocks: RTT on
-    # those of T(lam), the rest on those of t(lam) as `spectrum` reads them
+    # those of T(lam) read from the defect (sites 2, 3, 4, 1), the rest on
+    # those of t(lam) as `spectrum` reads them
     spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
     lams = uniform(-1.0, 1.0, 2)
     (l1, l2), local = lams, mono.local_tensors(spec, lams)     # both lams at once
@@ -522,8 +523,8 @@ def cmd_spectrum(args) -> int:
                  "commutator_check": value, "exact": exact}
                 for lam, block, value, ev in zip(lams, blocks[0][1], comm, evs)]
 
-    tables, first = [], None
-    for lams in np.split(np.linspace(start, stop, count), range(spec.batch, count, spec.batch)):
+    tables, first, batch = [], None, spec.batch
+    for lams in np.split(np.linspace(start, stop, count), range(batch, count, batch)):
         try:
             tables += rows(lams)
         except ValueError:      # run again lam by lam: the first failing lam's error

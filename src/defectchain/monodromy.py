@@ -10,6 +10,20 @@ position n (1-based, 1 <= n <= N+1); the monodromy is the ordered product
 over the auxiliary space 0, where M is the bulk R-matrix except at the
 defect site, which contributes L(lam - theta).
 
+The transfer matrix t(lam) = tr_0 T(lam) is built from the chain read from
+its defect.  Write T = A B, A = M_{0,N+1} ... M_{0,n} and B = M_{0,n-1} ...
+M_{0,1}, as A = sum e_ab (x) A_ab and B = sum e_ab (x) B_ab over the
+auxiliary matrix units.  A_ab and B_ba act on disjoint sites and commute,
+so tr_0[A B] = sum A_ab B_ba = tr_0[B A] = tr_0[M_{0,n-1} ... M_{0,1}
+M_{0,N+1} ... M_{0,n}]: the sites in the cyclic order n ... N+1, 1 ... n-1,
+which is the chain with the defect at site 1, as every bulk site carries
+the same R.  So t(lam) = P t_1(lam) P^T, P a permutation of the tensor
+factors, and `defect_site` only relabels the basis: the chain basis is the
+numpy.kron basis of the sites in that order (`ChainSpec.dims`), the running
+product covers the N bulk sites and the defect enters in the last step,
+the same bits at every defect site.  RTT is measured on B A.  Error
+messages name the sites 1 ... N+1 in the user's order.
+
 Truncation-leak policy: the defect occupation together with the site
 grading defines a conserved charge Q; on charge sectors whose occupation
 never reaches the truncation ceiling the transfer matrix acts exactly as in
@@ -22,7 +36,7 @@ be built once and contracted once (`contract`), and the contracted pair
 passed to every residual at that lam.  They also take a 1-d grid of lams,
 adding a leading lam axis (each slice the lone lam's bits), in batches of
 `ChainSpec.batch` lams: at most BATCH_ENTRIES complex entries (2 MB) of
-running product, so chains of dimension 2048 and more take one lam a batch.
+what a batch holds, so chains of N >= 7 bulk sites take one lam a batch.
 """
 from __future__ import annotations
 
@@ -53,7 +67,7 @@ __all__ = [
 
 # largest chain dimension 2^N D a ChainSpec accepts
 RESOURCE_BOUND = 4096
-BATCH_ENTRIES = 2 ** 17    # most running-product entries of one batch of lams
+BATCH_ENTRIES = 2 ** 17    # most complex entries one batch of lams holds (`ChainSpec.batch`)
 
 
 class ChainSpec:
@@ -82,8 +96,8 @@ class ChainSpec:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(self.rep.dim if j == self.defect_site else 2
-                     for j in range(1, self.n_sites + 2))
+        """The site dimensions in chain-basis order: n ... N+1, 1 ... n-1."""
+        return (self.rep.dim,) + (2,) * self.n_sites
 
     @property
     def chain_dim(self) -> int:
@@ -91,10 +105,14 @@ class ChainSpec:
 
     @property
     def batch(self) -> int:
-        """Lams a batch: as many products of sites N+1 ... 2 (and site-1
-        tensors), each 4 max(R, d_1)^2 entries, as fit in BATCH_ENTRIES."""
-        size = max(self.chain_dim // self.dims[0], self.dims[0])
-        return max(1, BATCH_ENTRIES // (4 * size * size))
+        """Lams a batch: as many as fit in BATCH_ENTRIES, one `spectrum` lam
+        holding 4 R^2 entries of bulk product (R = 2^N), 8 D^2 of defect tensor
+        and its build, 4 n R of the largest sector's gather, 2 sum n^2 of blocks
+        and eigvals stacks, 8 R D of eigenvalues and sort keys, 64 of its row."""
+        n = np.bincount(charge_vector(self).astype(int))
+        r, d = 2 ** self.n_sites, self.rep.dim
+        held = 4 * r * r + 8 * d * d + 4 * n.max() * r + 2 * n @ n + 8 * r * d + 64
+        return max(1, BATCH_ENTRIES // int(held))
 
     @property
     def max_exact_charge(self) -> int:
@@ -118,19 +136,22 @@ def local_tensors(spec: ChainSpec, lam) -> list[np.ndarray]:
 
 
 def contract(spec: ChainSpec, lam, local=None):
-    """M_{0,N+1}(lam) ... M_{0,2}(lam) and M_{0,1}(lam) as (aux, chain, aux,
-    chain) tensors (or their stacks); the product is None for N = 0.
+    """M_{0,n-1}(lam) ... M_{0,1}(lam) M_{0,N+1}(lam) ... M_{0,n+1}(lam), the
+    bulk sites read cyclically from the defect site n (site 0 is N+1), and
+    M_{0,n}(lam), as (aux, chain, aux, chain) tensors (or their stacks); the
+    product is None for N = 0.
 
-    Built by local contraction: starting from M_{0,N+1} as a (2, d, 2, d)
-    tensor, each step j = N, ..., 2 contracts the open column-auxiliary index
-    with the row-auxiliary index of M_{0,j} and prepends site j as the
-    slowest chain factor, so the tensor stays in numpy.kron order.  This is
-    the association ((M_{N+1} M_N) M_{N-1}) ... of the dense left-to-right
-    product, each entry summing the same two nonzero terms.  The site-1
-    step, the only one at full size, is left to the caller.  A local tensor
-    with a nonzero `_leak` is a ValueError naming lam, so a finite t(lam) is
-    exactly 0 between charge sectors; a product that overflows is one too
-    (`_finite`).  `local` is `local_tensors(spec, lam)`, or None to build it.
+    Built by local contraction: starting from M_{0,n-1}, each step contracts
+    the open column-auxiliary index with the row-auxiliary index of the next
+    tensor and prepends its site as the slowest chain factor, so the tensor
+    stays in numpy.kron order.  This is the association ((M_{n-1} M_{n-2})
+    M_{n-3}) ... of the dense left-to-right product, each entry summing the
+    same two nonzero terms.  The defect step, the only one at full size, is
+    left to the caller.  A local tensor with a nonzero `_leak` is a
+    ValueError naming lam and its site (the first in the order N+1 ... 1),
+    so a finite t(lam) is exactly 0 between charge sectors; a product that
+    overflows is one too (`_finite`).  `local` is `local_tensors(spec, lam)`,
+    or None to build it.
     """
     if local is None:
         local = local_tensors(spec, lam)
@@ -140,30 +161,30 @@ def contract(spec: ChainSpec, lam, local=None):
         raise ValueError(f"the transfer matrix leaks charge at lam = {np.atleast_1d(lam)[k]}: "
                          f"the local operator of site {spec.n_sites + 1 - j} has a nonzero "
                          "entry between charge sectors")
-    total, first = local[0], local[-1]
+    at = spec.n_sites + 1 - spec.defect_site        # the defect's place in `local`
     if spec.n_sites == 0:
-        return None, first
-    for m in local[1:-1]:
+        return None, local[at]
+    total, *bulk = [*local[at + 1:], *local[:at]]   # the sites n-1 ... 1, N+1 ... n+1
+    for m in bulk:
         total = np.einsum("...arbq,...bsct->...asrctq", total, m, order="C")
         total = total.reshape(total.shape[:-6] + (2, total.shape[-5] * total.shape[-4], 2, -1))
-    return _finite(spec, lam, total), first
+    return _finite(spec, lam, total), local[at]
 
 
 def transfer_matrix(spec: ChainSpec, lam, sectors, pair=None) -> list[tuple[int, np.ndarray]]:
     """(charge, block) of the transfer matrix t(lam) (or block stacks) on
     each of the given `sector_blocks`, from the `contract`ed pair at lam
     (built here where `pair` is None); the dense t(lam) is never formed.
-    With the chain index s R + r (s at site 1), a block gathers the product
-    of sites N+1 ... 2 at its r's and the site-1 tensor at its s's and traces
-    the auxiliary space in the site-1 step: the blocks of the auxiliary
-    trace of the monodromy.
+    With the chain index s R + r (s the defect's state, R = 2^N), a block
+    gathers the product of the bulk sites at its r's and the defect tensor
+    at its s's and traces the auxiliary space in the defect step: the
+    blocks of the auxiliary trace of the monodromy.
     """
     total, first = contract(spec, lam) if pair is None else pair
-    rest = spec.chain_dim // spec.dims[0]       # R, the dimension of sites N+1 ... 2
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
         for sector, idx in sectors:
-            s, r = np.divmod(idx, rest)
+            s, r = np.divmod(idx, 2 ** spec.n_sites)
             f = first.take(s, -3).take(s, -1)
             if total is None:
                 block = np.einsum("...aiaj->...ij", f)
@@ -299,13 +320,13 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
 def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs=(None, None),
                  sectors=None) -> float:
     """|| (R12 T1 T2 - T2 T1 R12) P || for the monodromies T1 = T(lam1), T2 =
-    T(lam2) and the projector P on the sectors Q <= D - 2, from the
-    `contract`ed pairs at lam1 and lam2 (built here where None) and the
-    `sector_blocks` (likewise).  `contract`'s leak guard makes the auxiliary
-    block T_ab map sector Q into Q + g_b - g_a (g the auxiliary grading) and
-    vanish elsewhere, and R12 conserves g_1 + g_2, so each term of entry
-    (a c, b d) maps sector Q into Q + g_b + g_d - g_a - g_c: batched products
-    of zero-padded sector blocks.
+    T(lam2) read from the defect and the projector P on the sectors
+    Q <= D - 2, from the `contract`ed pairs at lam1 and lam2 (built here
+    where None) and the `sector_blocks` (likewise).  `contract`'s leak guard
+    makes the auxiliary block T_ab map sector Q into Q + g_b - g_a (g the
+    auxiliary grading) and vanish elsewhere, and R12 conserves g_1 + g_2, so
+    each term of entry (a c, b d) maps sector Q into Q + g_b + g_d - g_a -
+    g_c: batched products of zero-padded sector blocks.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
     shift, d = g - g[:, None], spec.rep.dim
@@ -329,7 +350,7 @@ def _charge_blocks(spec: ChainSpec, lam: complex, pair, rows, cols) -> np.ndarra
     """T(lam)'s auxiliary blocks [k, a, c] at the chain indices rows[k, a, c, :]
     and cols[k, :], gathered from the `contract`ed pair at lam (built here
     where None) as in `transfer_matrix`; the index past the chain reads a
-    zero state appended to site 1."""
+    zero state appended to the defect."""
     total, first = contract(spec, lam) if pair is None else pair
     if total is None:
         total = np.eye(2).reshape(2, 1, 2, 1)

@@ -74,11 +74,10 @@ class QOscRep:
 
 
 class SpinRep:
-    __slots__ = ("spin", "q", "s_z", "s_plus", "s_minus")
+    __slots__ = ("s_z", "s_plus", "s_minus")
 
-    def __init__(self, spin: float, q: complex, s_z: np.ndarray, s_plus: np.ndarray,
-                 s_minus: np.ndarray):
-        self.spin, self.q, self.s_z, self.s_plus, self.s_minus = spin, q, s_z, s_plus, s_minus
+    def __init__(self, s_z: np.ndarray, s_plus: np.ndarray, s_minus: np.ndarray):
+        self.s_z, self.s_plus, self.s_minus = s_z, s_plus, s_minus
 
     @property
     def dim(self) -> int:
@@ -157,7 +156,7 @@ def spin_rep(spin: float, q: complex = 1.0) -> SpinRep:
         mm = m[i]
         s_plus[i - 1, i] = np.sqrt(_q_number(spin - mm, q) * _q_number(spin + mm + 1, q))
     s_minus = s_plus.T.copy()
-    return SpinRep(spin=spin, q=q, s_z=s_z, s_plus=s_plus, s_minus=s_minus)
+    return SpinRep(s_z=s_z, s_plus=s_plus, s_minus=s_minus)
 
 
 def algebra_residuals(rep) -> list[tuple[str, float, str]]:

@@ -233,12 +233,19 @@ def commutator_residual(a, b):
     are an array over it, each the lone call's bit for bit.
     """
     mats = [x.entries if isinstance(x, TensorOperator) else np.asarray(x) for x in (a, b)]
-    exps = [np.frexp(np.maximum(np.abs(m).max((-2, -1)), 1e-30))[1] for m in mats]
+    if mats[0].ndim == mats[1].ndim == 2:       # a lone pair: scales as Python numbers
+        exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in mats]
+        scales = [math.ldexp(1.0, -e) for e in exps]
+    else:
+        exps = [np.frexp(np.maximum(np.abs(m).max((-2, -1)), 1e-30))[1] for m in mats]
+        scales = [np.ldexp(1.0, -e)[..., None, None] for e in exps]
     space = TensorSpace((mats[1].shape[-1],))
-    a, b = (TensorOperator(space, m * np.ldexp(1.0, -e)[..., None, None])
-            for m, e in zip(mats, exps))
+    a, b = (TensorOperator(space, m * scale) for m, scale in zip(mats, scales))
     c = (a @ b).entries - (b @ a).entries
+    if c.ndim == 2:
+        try:
+            return math.ldexp(float(np.linalg.norm(c)), exps[0] + exps[1])
+        except OverflowError:               # past the float range
+            return math.inf
     with np.errstate(over="ignore"):        # inf past the float range
-        norms = np.ldexp([np.linalg.norm(x) for x in c.reshape(-1, *c.shape[-2:])],
-                         exps[0] + exps[1])
-    return norms if c.ndim == 3 else float(norms[0])
+        return np.ldexp([np.linalg.norm(x) for x in c], exps[0] + exps[1])

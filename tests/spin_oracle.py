@@ -16,12 +16,11 @@ def _matrix_power_diag(q: complex, diag_op: np.ndarray) -> np.ndarray:
     return np.diag(q ** np.diag(diag_op)).astype(np.complex128)
 
 
-def spin_algebra_residuals(rep) -> list[tuple[str, float, str]]:
+def spin_algebra_residuals(rep, q=1.0) -> list[tuple[str, float, str]]:
     """(relation, Frobenius residual, subspace) of every defining relation
-    of the spin representation `rep`: [S+, S-] = [2 Sz]_q and the Sz
-    ladder relations."""
+    of the spin representation `rep` at deformation q: [S+, S-] = [2 Sz]_q
+    and the Sz ladder relations."""
     two_sz = 2.0 * rep.s_z
-    q = rep.q
     if abs(q - 1.0) < 1e-14:
         qnum = two_sz
     else:

@@ -30,7 +30,7 @@ from defectchain.tensor_core import exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  soliton_s_amplitude)
 from dense_oracle import (dense_monodromy, dense_transfer, exchange_oracle, masked_commutator,
-                          reference_state, sector_mask)
+                          reference_state, rotated_transfer, sector_mask)
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -995,15 +995,30 @@ def test_spectrum_grid_reports_the_first_error_of_the_lam_by_lam_loop(monkeypatc
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
+def test_spectrum_error_in_a_later_batch_names_its_lam(capsys):
+    # one lam a batch at N = 6, D = 8: the first two batches pass, the
+    # third overflows
+    argv = ["spectrum", "--regime", "critical", "--mu", "3", "--sites", "6", "--fock-dim", "8",
+            "--defect-site", "4", "--grid=0:40:3"]
+    params = RegimeParams.critical(3.0)
+    assert ChainSpec(6, 4, params, defect_rep(params, 8)).batch == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: the monodromy of 7 sites overflows at lam = 40.0: each site's entries "
+        "are finite, their product is not\n")
+
+
 @pytest.mark.parametrize("regime, anisotropy", [
     ("xxx", []), ("critical", ["--mu", "0.7"]), ("noncritical", ["--eta", "0.5"])],
     ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("sites, defect_site, fock_dim", [
-    (0, 1, 5), (1, 1, 5), (1, 2, 5), (3, 1, 5), (3, 4, 5), (5, 4, 8)])
+    (0, 1, 5), (1, 1, 5), (1, 2, 5), (3, 1, 5), (3, 4, 5), (5, 4, 8), (6, 4, 8)])
 def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotropy, sites,
                                                      defect_site, fock_dim):
-    # every lam of a grid, in one batch or (N = 5, D = 8) in two, prints
-    # the rows of the one-point grid at that lam, all but the commutator
+    # every lam of a grid, in one batch or (N = 6, D = 8) one lam a batch,
+    # prints the rows of the one-point grid at that lam, all but the commutator
     argv = ["spectrum", "--regime", regime, *anisotropy, "--theta", "0.1", "--sites",
             str(sites), "--defect-site", str(defect_site), "--fock-dim", str(fock_dim)]
     grid = np.linspace(-1.1, 0.7, 4)
@@ -1019,7 +1034,7 @@ def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotrop
             row.pop("commutator_check")
         assert got == want
     assert (mono.ChainSpec(sites, defect_site, RegimeParams.xxx(), defect_rep(
-        RegimeParams.xxx(), fock_dim)).batch < len(grid)) == (sites == 5)
+        RegimeParams.xxx(), fock_dim)).batch < len(grid)) == (sites == 6)
 
 
 def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_block_size(monkeypatch):
@@ -1037,16 +1052,17 @@ def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_block_size(mon
     assert spec.batch >= 41 and calls == {"transfer_matrix": 1, "eigvals": len(sizes)}
 
 
-def dense_spectrum_rows(spec, grid):
+def dense_spectrum_rows(spec, grid, transfer=rotated_transfer):
     """The spectrum rows by the dense route: sectors from the charge vector,
     the reference check as a mat-vec with the reference state, and the
-    sector-masked commutator of the whole transfer matrices."""
+    sector-masked commutator of the whole transfer matrices, built by
+    `transfer` (by default read from the defect, as the package does)."""
     q = charge_vector(spec)
     keep = sector_mask(spec)
     vec = reference_state(spec)
     rows, first = [], None
     for lam in grid:
-        t = dense_transfer(spec, lam)
+        t = transfer(spec, lam)
         ev = reference_eigenvalue(spec, lam)
         scale = 2.0 ** -np.frexp(max(abs(ev), 1e-30))[1]
         ref = float(np.linalg.norm((t @ vec - ev * vec) * scale) / (abs(ev) * scale))
@@ -1087,6 +1103,69 @@ def test_spectrum_rows_equal_the_dense_route(tmp_path, regime, anisotropy, param
         comm = (got.pop("commutator_check"), row.pop("commutator_check"))
         assert got == row
         assert abs(float(comm[0]) - float(comm[1])) <= 1e-12 * scale(row["lam"]) * scale(first)
+    # and the trace in the order N+1 ... 1 at the actual site, up to roundoff
+    assert_rows_close(rows, dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3), dense_transfer))
+
+
+def assert_rows_close(rows, want):
+    """Each printed row as the dense row of its lam and sector up to
+    roundoff: every eigenvalue within 1e-12 of the lam's largest |eigenvalue|
+    of one of the sector's dense ones, and back (the 12-digit print alone is
+    up to 5e-13 off; eigvals read from the defect differ by at most 2.9e-13
+    from the dense trace in the order N+1 ... 1), and the reference check
+    within 1e-15 (measured: 3.1e-16)."""
+    def key(row):
+        return f"{float(row['lam']):.12e}", int(row["sector"])
+
+    def eig(row):
+        return complex(float(row["re_eig"]), float(row["im_eig"]))
+
+    assert sorted(map(key, rows)) == sorted(map(key, want))
+    groups = {}
+    for side, table in enumerate((rows, want)):
+        for row in table:
+            groups.setdefault(key(row), ([], []))[side].append(row)
+    for (lam, _), (got, dense) in groups.items():
+        scale = max(abs(eig(r)) for r in want if key(r)[0] == lam)
+        dist = np.abs(np.subtract.outer([eig(r) for r in got], [eig(r) for r in dense]))
+        assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-12 * scale
+        assert all(abs(float(r["reference_check"]) - dense[0]["reference_check"]) <= 1e-15
+                   for r in got)
+        assert [r["exact"] for r in got] == [str(r["exact"]) for r in dense]
+
+
+SPECTRUM_REGIMES = [("xxx", [], RegimeParams.xxx),
+                    ("critical", ["--mu", "0.7"], lambda theta: RegimeParams.critical(0.7, theta)),
+                    ("noncritical", ["--eta", "0.5"],
+                     lambda theta: RegimeParams.noncritical(0.5, theta))]
+
+
+@pytest.mark.parametrize("regime, anisotropy, make", SPECTRUM_REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("sites", range(5))
+@given(st.integers(3, 6), st.sampled_from([0.0, 0.1, -0.35]),
+       st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+@settings(max_examples=6, deadline=None)
+def test_spectrum_at_every_defect_site_is_the_site_1_spectrum(regime, anisotropy, make, sites,
+                                                              fock_dim, theta, ends):
+    # t(lam) at the defect site k is P t_1(lam) P^T, so every site prints
+    # the site-1 rows byte for byte, and those are the rows of the dense
+    # trace in the order N+1 ... 1 at the actual site up to roundoff
+    grid = f"--grid={ends[0]!r}:{ends[1]!r}:3"
+    params = make(theta)
+    texts = []
+    for site in range(1, sites + 2):
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert run(["spectrum", "--regime", regime, *anisotropy, "--theta", repr(theta),
+                        "--sites", str(sites), "--defect-site", str(site),
+                        "--fock-dim", str(fock_dim), grid]) == 0
+        texts.append(stream.getvalue().split("\n", 1)[1])
+        spec = ChainSpec(n_sites=sites, defect_site=site, params=params,
+                         rep=defect_rep(params, fock_dim))
+        rows = list(csv.DictReader(texts[-1].splitlines()))
+        want = dense_spectrum_rows(spec, np.linspace(*ends, 3), dense_transfer)
+        assert_rows_close(rows, want)
+    assert all(text == texts[0] for text in texts)
 
 
 def test_spectrum_jsonl_and_out_carry_the_csv_values(tmp_path):

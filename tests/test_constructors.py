@@ -80,8 +80,8 @@ HARM = harmonic_rep(3)
     (QOscRep, (4, QOSC.q, QOSC.v, QOSC.v_inv, QOSC.a, QOSC.a_dag, QOSC.x, QOSC.y),
      dict(dim=4, q=QOSC.q, v=QOSC.v, v_inv=QOSC.v_inv, a=QOSC.a, a_dag=QOSC.a_dag,
           x=QOSC.x, y=QOSC.y)),
-    (SpinRep, (1.0, 1.0, SPIN.s_z, SPIN.s_plus, SPIN.s_minus),
-     dict(spin=1.0, q=1.0, s_z=SPIN.s_z, s_plus=SPIN.s_plus, s_minus=SPIN.s_minus)),
+    (SpinRep, (SPIN.s_z, SPIN.s_plus, SPIN.s_minus),
+     dict(s_z=SPIN.s_z, s_plus=SPIN.s_plus, s_minus=SPIN.s_minus)),
 ])
 def test_constructors_take_fields_in_order_with_defaults(cls, args, fields):
     by_position = cls(*args)

@@ -288,12 +288,99 @@ UNREAD_FIELDS = {
 }
 
 
+def _class_names(annotation, classes) -> set[str]:
+    """The package classes an annotation names (`X`, `"X"` or `X | None`)."""
+    if annotation is None:
+        return set()
+    text = annotation.value if isinstance(annotation, ast.Constant) else ast.unparse(annotation)
+    return {part.strip().strip("'\"") for part in str(text).split("|")} & set(classes)
+
+
+def typed_reads(trees) -> set[tuple[str, str]]:
+    """(class, attribute) for every attribute load `x.attr` whose receiver x
+    is known to be an instance of a package class: `self` in a method, a
+    parameter annotated with the class, a name assigned from a call to the
+    class or to a function annotated to return it, a name an isinstance
+    check names it for, or an attribute of a known receiver typed by the
+    class's __init__ parameter or property annotation.  A receiver of
+    unknown type reads no class's field."""
+    classes = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    returns, attrs = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                returns.setdefault(node.name, set()).update(_class_names(node.returns, classes))
+    for name, cls in classes.items():
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for a in node.args.args[1:] + node.args.kwonlyargs:
+                    attrs[name, a.arg] = _class_names(a.annotation, classes)
+            elif isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "id", None) == "property" for d in node.decorator_list):
+                attrs[name, node.name] = _class_names(node.returns, classes)
+
+    def typeof(expr, env) -> set[str]:
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id, set())
+        if isinstance(expr, ast.Attribute):
+            owners = typeof(expr.value, env)
+            return set().union(*(attrs.get((c, expr.attr), set()) for c in owners))
+        if isinstance(expr, ast.Call):
+            name = getattr(expr.func, "id", getattr(expr.func, "attr", None))
+            return {name} if name in classes else set(returns.get(name, ()))
+        return set()
+
+    read = set()
+
+    def visit(fn, env, owner):
+        env = dict(env)
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        for i, a in enumerate(args):
+            env[a.arg] = _class_names(a.annotation, classes) or (
+                {owner} if owner and i == 0 else set())
+        nodes = [n for stmt in (fn.body if isinstance(fn.body, list) else [fn.body])
+                 for n in ast.walk(stmt)]
+        for node in nodes:
+            pairs = []
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                if isinstance(target, ast.Name):
+                    pairs = [(target, value)]
+                elif (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                      and len(target.elts) == len(value.elts)):
+                    pairs = zip(target.elts, value.elts)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and isinstance(node.args[0], ast.Name)):
+                kinds = getattr(node.args[1], "elts", [node.args[1]])
+                env[node.args[0].id] = env.get(node.args[0].id, set()) | {
+                    k.id for k in kinds if getattr(k, "id", None) in classes}
+            for target, value in pairs:
+                if isinstance(target, ast.Name):
+                    env[target.id] = env.get(target.id, set()) | typeof(value, env)
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.update((c, node.attr) for c in typeof(node.value, env))
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                visit(node, env, None)
+
+    for tree in trees.values():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                visit(top, {}, None)
+            elif isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef):
+                        visit(node, {}, top.name)
+    return read
+
+
 def unread_fields(trees) -> list[str]:
     """module.Class.field for every __slots__ field of a module-level class
-    that no package code loads as an attribute `x.field` (by name: a field
-    of one class counts as read where an attribute of that name is read)."""
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    that no package code loads as an attribute of an instance of that class
+    (`typed_reads`): a field of one name in another class, or of an object
+    of unknown type, does not count."""
+    read = typed_reads(trees)
     out = []
     for module, tree in trees.items():
         for cls in tree.body:
@@ -303,21 +390,29 @@ def unread_fields(trees) -> list[str]:
                 if (isinstance(node, ast.Assign)
                         and any(getattr(t, "id", None) == "__slots__" for t in node.targets)):
                     out += [f"{module}.{cls.name}.{e.value}" for e in node.value.elts
-                            if e.value not in read]
+                            if (cls.name, e.value) not in read]
     return out
 
 
 def test_unread_fields_finds_write_only_slots():
     trees = {
-        "a": ast.parse("class A:\n    __slots__ = ('x', 'y', 'z')\n"
-                       "    def __init__(self, x, y, z):\n"
-                       "        self.x, self.y, self.z = x, y, z\n"
+        "a": ast.parse("class A:\n    __slots__ = ('x', 'y', 'z', 'w')\n"
+                       "    def __init__(self, x, y, z, w):\n"
+                       "        self.x, self.y, self.z, self.w = x, y, z, w\n"
                        "    def get(self):\n        return self.x\n"
-                       "class B:\n    pass\n"),
-        "b": ast.parse("def use(a):\n    return a.y\ny = 1\n"),
+                       "class B:\n    __slots__ = ('z',)\n"
+                       "    def __init__(self, z):\n        self.z = z\n"
+                       "def make() -> A:\n    return A(1, 2, 3, 4)\n"),
+        "b": ast.parse("from .a import A, B, make\n"
+                       "def use(a: A, b: B, other):\n"
+                       "    return a.y, b.z, other.w, make().w if isinstance(other, B) else 0\n"
+                       "y = 1\n"),
     }
-    assert unread_fields({"a": trees["a"]}) == ["a.A.y", "a.A.z"]
+    assert unread_fields({"a": trees["a"]}) == ["a.A.y", "a.A.z", "a.A.w", "a.B.z"]
+    # A.z is read only as B's field, and other.w on an object of unknown type
     assert unread_fields(trees) == ["a.A.z"]
+    trees["b"] = ast.parse("def use(args, a):\n    return args.y, a.z\n")
+    assert unread_fields(trees) == ["a.A.y", "a.A.z", "a.A.w", "a.B.z"]
 
 
 def test_every_slots_field_is_read_in_the_package():

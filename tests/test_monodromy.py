@@ -1,9 +1,13 @@
+import contextlib
+import io
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 from defectchain import monodromy
+from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_root,
                                    charge_leak, charge_vector, contract, local_tensors,
@@ -12,7 +16,8 @@ from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_r
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from defectchain.tensor_core import TensorOperator
 from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
-                          masked_commutator, reference_state, sector_mask)
+                          masked_commutator, reference_state, rotated_monodromy,
+                          rotated_transfer, sector_mask)
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -43,11 +48,18 @@ REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
 
 def contracted_monodromy(spec, lam):
     """The whole monodromy the package's contraction implies: `contract`'s
-    pair, multiplied out over the site-1 step by einsum."""
+    pair, multiplied out over the defect step by einsum."""
     total, first = contract(spec, lam)
     m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
     d = 2 * spec.chain_dim
     return m.reshape(d, d)
+
+
+def assert_roundoff_close(got, want):
+    """Entrywise within 8 eps of the largest |entry| of want: t(lam) read
+    from the defect against the product in the order N+1 ... 1 (measured:
+    at most 2.7 eps over N <= 4, D = 3 ... 6, every defect site and regime)."""
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
 
 
 def commuting_family(spec, lam1, lam2):
@@ -75,13 +87,18 @@ def test_oracle_embedding_on_disjoint_sites_commutes():
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("d", [3, 6])
 def test_monodromy_equals_dense_product_bit_for_bit(params, d):
+    # the product read from the defect, M_{n-1} ... M_1 M_{N+1} ... M_n,
+    # against the dense product in that order; at the defect site 1 it is
+    # the product in the order N+1 ... 1
     for n_sites in range(5):
         for site in range(1, n_sites + 2):
             spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
                              rep=defect_rep(params, d))
             for lam in (0.37, -1.2):
-                assert np.array_equal(contracted_monodromy(spec, lam),
-                                      dense_monodromy(spec, lam))
+                m = contracted_monodromy(spec, lam)
+                assert np.array_equal(m, rotated_monodromy(spec, lam))
+                if site == 1:
+                    assert np.array_equal(m, dense_monodromy(spec, lam))
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
@@ -100,7 +117,10 @@ def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
             for lam in (0.37, -1.2):
                 blocks = contracted_monodromy(spec, lam).reshape(2, dim, 2, dim)
                 t = np.einsum("aiaj->ij", blocks)
-                assert np.array_equal(dense_transfer(spec, lam), t)
+                assert np.array_equal(rotated_transfer(spec, lam), t)
+                # the cyclic trace: the trace of the product in the order
+                # N+1 ... 1, up to roundoff
+                assert_roundoff_close(t, dense_transfer(spec, lam))
                 got = transfer_matrix(spec, lam, sectors)
                 want = diagonal_blocks(t, sectors)
                 assert [k for k, _ in got] == [k for k, _ in want]
@@ -121,13 +141,22 @@ def test_monodromy_matches_hand_composed_contraction():
     d = spec.rep.dim
     r = make_r(spec.params, lam).entries.reshape(2, 2, 2, 2)
     l = make_l(spec.params, lam - spec.theta, spec.rep).entries.reshape(2, d, 2, d)
-    # T = R_{0,3} L_{0,2} R_{0,1}; auxiliary index chains through the product:
-    # T^{a e}_{(s3 s2 s1),(t3 t2 t1)} = R^{ab}_{s3 t3} L^{bc}_{s2 t2} R^{ce}_{s1 t1}
-    # with chain factors ordered (site1, site2, site3)
-    oracle = np.einsum("aubv,bwcx,cyez->auwyevxz", r, l, r)
-    # reorder chain indices to (site1, defect, site3)
-    oracle = oracle.transpose(0, 3, 2, 1, 4, 7, 6, 5).reshape(2 * 2 * d * 2, 2 * 2 * d * 2)
+    # read from the defect, T = R_{0,1} R_{0,3} L_{0,2}; the auxiliary index
+    # chains through the product:
+    # T^{a e}_{(s1 s3 s2),(t1 t3 t2)} = R^{ab}_{s1 t1} R^{bc}_{s3 t3} L^{ce}_{s2 t2}
+    oracle = np.einsum("aubv,bwcx,cyez->auwyevxz", r, r, l)
+    # reorder chain indices to the chain basis (defect, site3, site1)
+    dim = 2 * 2 * d * 2
+    oracle = oracle.transpose(0, 3, 2, 1, 4, 7, 6, 5).reshape(dim, dim)
     np.testing.assert_allclose(contracted_monodromy(spec, lam), oracle, atol=1e-13)
+    # in the order 3, 2, 1, R_{0,3} L_{0,2} R_{0,1}, the monodromy differs,
+    # its auxiliary trace does not
+    ordered = np.einsum("aubv,bwcx,cyez->auwyevxz", r, l, r)
+    ordered = ordered.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(dim, dim)
+    assert np.abs(ordered - oracle).max() > 0.1
+    half = dim // 2
+    np.testing.assert_allclose(oracle[:half, :half] + oracle[half:, half:],
+                               ordered[:half, :half] + ordered[half:, half:], atol=1e-13)
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -194,11 +223,11 @@ def test_charge_conservation():
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_chain_residuals_match_dense_oracles(params, n_sites):
-    # RTT on the charge blocks of the monodromy pair, against the relation
-    # on the explicit 4 dim x 4 dim dense pair with the sector projector;
-    # the commuting family on the exact-sector blocks of transfer_matrix,
-    # against the sector-masked dense commutator; and the charge measure,
-    # 0 on every local tensor
+    # RTT on the charge blocks of the monodromy pair read from the defect,
+    # against the relation on the explicit 4 dim x 4 dim dense pair in that
+    # order with the sector projector; the commuting family on the
+    # exact-sector blocks of transfer_matrix, against the sector-masked
+    # dense commutator; and the charge measure, 0 on every local tensor
     rng = np.random.default_rng(n_sites)
     spec = ChainSpec(n_sites=n_sites, defect_site=2, params=params,
                      rep=defect_rep(params, 6))
@@ -206,13 +235,16 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     dim = spec.chain_dim
     l1, l2 = 0.58, -0.33
     local = [local_tensors(spec, x) for x in (l1, l2)]
-    m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
-    t1, t2 = (dense_transfer(spec, x) for x in (l1, l2))
-    # RTT holds: equal to the oracle up to roundoff of the oracle's scale;
-    # T(lam2) and T(lam1) in the places of T1 and T2 break it at O(1):
-    # equal to rtol 1e-12
+    m1, m2 = (rotated_monodromy(spec, x) for x in (l1, l2))
+    t1, t2 = (rotated_transfer(spec, x) for x in (l1, l2))
+    # RTT holds: equal to the oracle up to roundoff of the oracle's scale,
+    # in either site order; T(lam2) and T(lam1) in the places of T1 and T2
+    # break it at O(1): equal to rtol 1e-12
     pairs = [contract(spec, x, t) for x, t in zip((l1, l2), local)]
     res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, keep)
+    assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
+    res, scale = exchange_oracle(make_r(params, l1 - l2).entries,
+                                 *(dense_monodromy(spec, x) for x in (l1, l2)), keep)
     assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
     want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m2, m1, keep)
     assert want > 1e-3 * scale
@@ -221,6 +253,8 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     # does not commute with t(lam1)
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
     assert abs(commuting_family(spec, l1, l2) - masked_commutator(t1, t2, keep)) <= 1e-12 * scale
+    dense = [dense_transfer(spec, x) for x in (l1, l2)]
+    assert abs(commuting_family(spec, l1, l2) - masked_commutator(*dense, keep)) <= 1e-12 * scale
     x = np.zeros((dim, dim), dtype=complex)
     for _, idx in sector_blocks(spec):
         x[np.ix_(idx, idx)] = rng.standard_normal((len(idx),) * 2)
@@ -255,7 +289,7 @@ def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
     local[1][at][0, 1, 0, 1] *= 1 + 1e-9
     assert charge_leak(spec, local[1]) == 0.0
     got = rtt_residual(spec, l1, l2, [contract(spec, x, t) for x, t in zip((l1, l2), local)])
-    m1, m2 = (dense_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
+    m1, m2 = (rotated_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
     want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, sector_mask(spec))
     assert got > 1e-9
     assert abs(got - want) <= 1e-12 * scale
@@ -281,6 +315,8 @@ def test_reference_state_eigenvalue(chain):
         ev = reference_eigenvalue(spec, lam)
         assert np.linalg.norm(tv - ev * vec) / abs(ev) < 1e-10
         blocks = transfer_matrix(spec, lam, sector_blocks(spec))
+        assert_roundoff_close(blocks[0][1][:, 0], tv @ vec)
+        tv = rotated_transfer(spec, lam) @ vec
         assert reference_residual(spec, blocks, lam) == np.linalg.norm(tv - ev * vec) / abs(ev)
 
 
@@ -484,18 +520,33 @@ def test_grid_guards_name_the_first_lam_they_stop_at(monkeypatch):
         False, True, False]
 
 
+def traced_peak(argv):
+    """The largest traced allocation of a `spectrum` run, in bytes."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n_sites, defect_site, d, batch", [
-    (4, 1, 6, 128), (4, 3, 8, 8), (5, 1, 8, 32), (5, 4, 8, 2), (6, 1, 8, 8), (6, 4, 8, 1),
-    (8, 1, 8, 1), (0, 1, 8, 512), (0, 1, 2048, 1)])
+    (4, 1, 6, 23), (4, 3, 8, 18), (5, 1, 8, 5), (5, 4, 8, 5), (6, 1, 8, 1), (6, 4, 8, 1),
+    (8, 1, 8, 1), (0, 1, 8, 197), (2, 1, 4, 237), (3, 2, 5, 81), (0, 1, 2048, 1)])
 def test_a_batch_holds_at_most_batch_entries(n_sites, defect_site, d, batch):
-    # the products of sites N+1 ... 2, and the site-1 tensors, of a batch
-    # fit in BATCH_ENTRIES complex entries, or the batch is one lam
+    # what a spectrum batch holds beyond a one-lam run, every array traced
+    # (product, gathers, blocks, eigvals stacks, commutator temporaries and
+    # sort keys), fits in BATCH_ENTRIES complex entries, or the batch is one
+    # lam (measured: 0.68 to 0.90 of it)
     spec = ChainSpec(n_sites=n_sites, defect_site=defect_site, params=XXX,
                      rep=types.SimpleNamespace(dim=d))
     assert spec.batch == batch
-    rest, site1 = spec.chain_dim // spec.dims[0], spec.dims[0]
-    per_lam = 4 * max(rest, site1) ** 2
-    assert batch * per_lam <= BATCH_ENTRIES < (batch + 1) * per_lam or batch == 1
+    if batch > 1:
+        argv = ["spectrum", "--sites", str(n_sites), "--defect-site", str(defect_site),
+                "--fock-dim", str(d)]
+        one, full = (traced_peak([*argv, f"--grid=-1:1:{k}"]) for k in (1, batch))
+        assert full - one <= BATCH_ENTRIES * 16
 
 
 # ------------------------------------------------------------ sector blocks
@@ -524,11 +575,14 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
     lam, lam0 = 0.63, -0.41
     for spec in every_chain(params):
         sectors = sector_blocks(spec)
-        t, t0 = (dense_transfer(spec, x) for x in (lam, lam0))
+        t, t0 = (rotated_transfer(spec, x) for x in (lam, lam0))
         blocks, blocks0 = (transfer_matrix(spec, x, sectors) for x in (lam, lam0))
         scale = np.linalg.norm(t) * np.linalg.norm(t0)
         got = sector_commutator(spec, blocks, blocks0)
         assert abs(got - masked_commutator(t, t0, sector_mask(spec))) <= 1e-12 * scale
+        # and the traces in the order N+1 ... 1
+        dense = [dense_transfer(spec, x) for x in (lam, lam0)]
+        assert abs(got - masked_commutator(*dense, sector_mask(spec))) <= 1e-12 * scale
         # the blocks of the dense trace, and the exact sectors' blocks alone,
         # give the same bits
         assert sector_commutator(spec, diagonal_blocks(t, sectors),
@@ -623,7 +677,7 @@ def test_reference_residual_column_equals_matvec_bit_for_bit(params, n_max, lams
         vec = reference_state(spec)
         sectors = sector_blocks(spec)
         for lam in lams:
-            t = dense_transfer(spec, lam)
+            t = rotated_transfer(spec, lam)
             ev = reference_eigenvalue(spec, lam)
             size = max(abs(ev), 1e-30)
             scale = 2.0 ** -np.frexp(size)[1]
@@ -632,3 +686,5 @@ def test_reference_residual_column_equals_matvec_bit_for_bit(params, n_max, lams
             assert reference_residual(spec, blocks, lam) == want
             # the charge-0 block alone is the reference state's column
             assert reference_residual(spec, blocks[:1], lam) == want
+            # which is t v in the order N+1 ... 1 up to roundoff
+            assert_roundoff_close(blocks[0][1][:, 0], dense_transfer(spec, lam) @ vec @ vec)

@@ -134,7 +134,7 @@ def test_spin_relations_exact():
     rep = spin_rep(1.0, q)
     comm = rep.s_z @ rep.s_plus - rep.s_plus @ rep.s_z
     np.testing.assert_allclose(comm, rep.s_plus, atol=1e-14)
-    for relation, residual, _ in spin_algebra_residuals(rep):
+    for relation, residual, _ in spin_algebra_residuals(rep, q):
         assert residual < 1e-13, relation
 
 
