@@ -186,7 +186,7 @@ def gamma_ratio(num, den):
 
 # hard cap on the terms of a product or sum, and on the nodes of a rule
 MAX_TERMS = 400_000
-# a product stops once a factor's |log| (or its tail bound) drops below this
+# a truncated product or series leaves at most about this much of its log
 TAIL_TOL = 1e-12
 
 # elements per (points x nodes) temporary: grids are walked in blocks of
@@ -267,18 +267,20 @@ _HURWITZ_DIRECT = 128
 
 
 def _hurwitz_tail(s, k0):
-    """zeta(s, k0) = sum_{k >= 0} (k0 + k)^-s for s >= 1, a float or an
-    array of them, and k0 an integer >= 1 or a complex with Re k0 > 0.  At
-    s = 1 it is the finite part -psi(k0), whose imaginary part is that of
-    the sum.
+    """zeta(s, k0) = sum_{k >= 0} (k0 + k)^-s for integer orders s >= 1 (a
+    float or a 1-d array, the result's first axis) and each k0, an integer
+    >= 1 or a complex with Re k0 > 0 (or an array, the other axes).  At s =
+    1 it is the finite part -psi(k0), whose imaginary part is the sum's.
 
-    The first terms are summed directly until y = k0 + m has Re y >=
-    _HURWITZ_DIRECT, and Euler-Maclaurin to the y^(-s-7) term takes the
-    rest from y.  From k0 >= 2048 the last two corrections fall below half
-    an ulp for s <= 15, so there it equals the four-term formula bit for bit.
+    The terms are summed directly, as running products of 1 / (k0 + k), a
+    BLOCK at a time, until every y = k0 + m has Re y >= _HURWITZ_DIRECT;
+    Euler-Maclaurin to the y^(-s-7) term takes the rest.  From k0 >= 2048
+    the last two corrections fall below half an ulp for s <= 15, so there it
+    equals the four-term formula bit for bit.
     """
-    s = np.asarray(s, dtype=float)
-    m = max(0, math.ceil(_HURWITZ_DIRECT - np.real(k0)))
+    k0 = np.asarray(k0)
+    s = np.asarray(s, dtype=float).reshape(np.shape(s) + (1,) * k0.ndim)
+    m = max(0, math.ceil(_HURWITZ_DIRECT - np.real(k0).min(initial=_HURWITZ_DIRECT)))
     y = k0 + m
     lead = np.where(s > 1.0, y ** (1.0 - s) / np.where(s > 1.0, s - 1.0, 1.0), -np.log(y))
     rising = s * (s + 1.0) * (s + 2.0)
@@ -287,132 +289,118 @@ def _hurwitz_tail(s, k0):
             + rising * (s + 3.0) * (s + 4.0) * (y ** (-s - 5.0) / 30240.0
                                                  - (s + 5.0) * (s + 6.0) / 1209600.0
                                                  * y ** (-s - 7.0)))
-    return tail + np.power.outer(k0 + np.arange(m), -s).sum(axis=0)
+    flat, top = k0.reshape(-1), int(s.max(initial=1.0))
+    direct = np.zeros((top, flat.size), dtype=tail.dtype)
+    step = max(1, BLOCK // max(m, 1))
+    for i in range(0, flat.size, step):
+        power = inverse = 1.0 / np.add.outer(flat[i:i + step], np.arange(m))
+        for n in range(top):
+            direct[n, i:i + step] = power.sum(axis=-1)
+            power = power * inverse
+    return tail + direct[s.astype(int).ravel() - 1].reshape(tail.shape)
 
 
-# factors evaluated in the first step of infinite_gamma_product; each
-# further step doubles that, up to PRODUCT_BLOCK
-_PRODUCT_FIRST = 512
-PRODUCT_BLOCK = 4096
-# factors over which infinite_gamma_product averages the residuals of its
-# factors
-_PRODUCT_RUN = 256
-# from this shift x on, a factor's log-Gammas are summed in balanced form
-_PRODUCT_BALANCED = 1.0
+# the Stirling-Bernoulli series of infinite_gamma_product runs over n = 2 ..
+# _STIRLING_ORDER and is used where |Z| >= _STIRLING_REACH max(max|h|, 1)
+_STIRLING_ORDER = 20
+_STIRLING_REACH = 6.0
+# the Bernoulli numbers B_0 .. B_(_STIRLING_ORDER + 2); the odd ones past B_1 vanish
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66,
+              0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0, 43867 / 798, 0.0,
+              -174611 / 330, 0.0, 854513 / 138)
 
 
-def _log_gamma_balanced(x, a):
-    """log Gamma(x + a) less 1/2 log 2 pi + (x - 1/2) log x - x + a (log x - 1),
-    for real x >= 1 and Re(x + a) >= 1/2, and the size of its parts.
+def infinite_gamma_product(scale: float, num, den):
+    """sum_{k>=0} [sum_i log Gamma(x_k + num_i) - sum_j log Gamma(x_k + den_j)],
+    x_k = scale k, the log (modulo 2 pi i) of a Gamma-ratio product with as
+    many Gammas above as below, and a bound on its error, for offsets that
+    are scalars or arrays of one shape (a grid of points; so are the results).
 
-    It is log_gamma's Lanczos sum with log t = log x + log(1 + u), u = (a +
-    g - 1/2) / x, and log(1 + u) taken to relative precision: what is left
-    is of the size of a, not of x log x, so the parts that grow with x
-    cancel exactly between factors with as many Gammas above as below.
-    """
-    z = x + a
-    u = (a + (_LANCZOS_G - 0.5)) / x
-    log1p_u = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag)
-               + 1j * np.arctan2(u.imag, 1.0 + u.real))
-    head, log_s = (z - 0.5) * log1p_u, np.log(_lanczos_series(z - 1.0))
-    return head + log_s - (_LANCZOS_G - 0.5), np.abs(head) + np.abs(log_s) + _LANCZOS_G
-
-
-def _factor_logs(x, num, den):
-    """log of prod Gamma(x + num_i) / prod Gamma(x + den_j) at every x, for
-    complex offsets num and den, as many of each, and a bound on each
-    value's rounding; the mask of the values summed in balanced form (see
-    _log_gamma_balanced), where x >= _PRODUCT_BALANCED and every argument
-    has Re >= 1/2, the rest by log_gamma.  The offsets' shift sum(num) -
-    sum(den) is summed exactly.  The balanced form errs by at most 0.31 eps
-    times the size of its parts on the test and amplitude products (against
-    40-digit mpmath); it is charged 2 eps.
-    """
-    shift = complex(math.fsum(np.concatenate([num.real, -den.real])),
-                    math.fsum(np.concatenate([num.imag, -den.imag])))
-    far = x >= _PRODUCT_BALANCED
-    for a in (*num, *den):
-        far &= x + a.real >= 0.5
-    logf = np.empty(x.shape, dtype=np.complex128)
-    err = np.empty(x.shape)
-    xf = x[far]
-    logf[far] = shift * (np.log(xf) - 1.0)
-    size = abs(shift) * (np.log(xf) + 1.0)
-    for sign, offsets in ((1.0, num), (-1.0, den)):
-        for a in offsets:
-            rest, part = _log_gamma_balanced(xf, a)
-            logf[far] += sign * rest
-            size += part
-    err[far] = 2.0 * _EPS * size
-    xn = x[~far]
-    lg = [log_gamma(xn + a) for a in (*num, *den)]
-    logf[~far] = sum(lg[:len(num)]) - sum(lg[len(num):])
-    err[~far] = sum(_LOG_GAMMA_REL * (1.0 + np.abs(v)) for v in lg)
-    return logf, err, far
-
-
-def infinite_gamma_product(scale: float, num, den, tail_coefficient,
-                           tail_tol: float = TAIL_TOL):
-    """prod_{k>=0} prod_i Gamma(x_k + num_i) / prod_j Gamma(x_k + den_j),
-    x_k = scale k, for complex offsets num and den, as many of each.
-
-    Taking the offsets apart from x_k keeps each factor's log accurate to
-    the size of the offsets, not of x_k log x_k (see _factor_logs).  Far
-    out the factors' logs follow c2/k^2, c2 = ``tail_coefficient``, and the
-    tail from the first factor not taken, K, is completed analytically as
-    c2 zeta(2, K).  What the completion leaves is bounded from the
-    residuals rho_k = (log factor_k - c2/k^2) k^2: as long as |rho_k|
-    falls from K on, the tail is at most |rho_K| / (K - 1), and |rho_K|
-    is taken as the modulus of their mean over the last _PRODUCT_RUN
-    factors plus the rounding of that mean.  The product stops at the
-    first K where that bound falls below tail_tol, or where the mean sinks
-    below its own rounding (past it another factor only adds rounding), or
-    at MAX_TERMS factors.  The rounding of the summed logs is charged
-    linearly for the factors taken by log_gamma and as the root of the
-    summed squares for the balanced ones, whose rounding errors are
-    independent.
-
-    Returns (value, error estimate): the estimate bounds the error of the
-    value's log, the tail bound plus the rounding.
+    With the offsets' mean m (Re m > 0), h_i = c_i - m, s_i = +1 above and -1
+    below, factor k is W(Z_k) = sum_i s_i log Gamma(Z_k + h_i), Z_k = x_k + m.
+    As sum_i s_i h_i = 0 (else ValueError), W(Z) ~ sum_{n>=2} D_n Z^(1-n),
+    D_n = (-1)^n sum_i s_i B_n(h_i) / (n (n-1)) (DLMF 5.11.8), taken to
+    _STIRLING_ORDER once |Z_k| >= R = _STIRLING_REACH max(max|h|, 1), or
+    farther if the omitted terms would pass TAIL_TOL.  The factors from K on
+    sum to Hurwitz zetas, sum_n D_n scale^(1-n) zeta(n-1, Z_K / scale), the
+    n = 2 term taken as its finite part -psi where D_2 != 0 (its imaginary
+    part is the sum's for a real D_2); the K before are moved out by M,
+    W(Z) = W(Z + M) - sum_{j<M} sum_i s_i log1p(h_i / (Z + j)), so no Gamma
+    is evaluated.  The estimate adds the omitted terms and the rounding of
+    every term.  K M past MAX_TERMS raises ConvergenceError before any term
+    is summed; a Gamma at a pole raises PoleError located at the grid index.
     """
     if len(num) != len(den):
         raise ValueError(f"a Gamma-ratio product needs as many Gammas above as below, "
                          f"got {len(num)} and {len(den)}")
-    num, den = np.asarray(num, dtype=np.complex128), np.asarray(den, dtype=np.complex128)
-    c2 = complex(tail_coefficient)
-    total, linear, squares, k0 = 0.0 + 0.0j, 0.0, 0.0, 0
-    # rho_k and the square of its rounding for the factors before the block
-    rho_run = np.zeros(_PRODUCT_RUN - 1, dtype=np.complex128)
-    noise_run = np.zeros(_PRODUCT_RUN - 1)
-    size = _PRODUCT_FIRST
-    while k0 < MAX_TERMS:
-        k = np.arange(k0, min(k0 + size, MAX_TERMS), dtype=np.float64)
-        logf, err, far = _factor_logs(scale * k, num, den)
-        kk = np.maximum(k, 1.0) ** 2
-        rho_run = np.concatenate([rho_run, (logf - c2 / kk) * kk])
-        noise_run = np.concatenate([noise_run, (err * kk) ** 2])
-        mean = np.abs(_run_sums(rho_run)) / _PRODUCT_RUN
-        noise = np.sqrt(np.maximum(_run_sums(noise_run), 0.0)) / _PRODUCT_RUN
-        rho_run, noise_run = rho_run[1 - _PRODUCT_RUN:], noise_run[1 - _PRODUCT_RUN:]
-        tail = (mean + noise) / np.maximum(k, 1.0)
-        done = np.flatnonzero((k >= _PRODUCT_RUN) & ((tail <= tail_tol) | (mean <= noise)))
-        stop = int(done[0]) + 1 if done.size else k.size
-        total += np.sum(logf[:stop])
-        linear += float(err[:stop][~far[:stop]].sum())
-        squares += float(np.square(err[:stop][far[:stop]]).sum())
-        k0 += stop
-        size = min(2 * size, PRODUCT_BLOCK)
-        if done.size:
-            break
-    total += c2 * _hurwitz_tail(2.0, k0)
-    return complex(np.exp(total)), float(tail[stop - 1]) + linear + math.sqrt(squares)
+    offsets = np.array(np.broadcast_arrays(*num, *den), dtype=np.complex128)
+    shape, offsets = offsets.shape[1:], offsets.reshape(len(offsets), -1)
+    sign = np.repeat([1.0, -1.0], len(num))[:, None]
+    mean = offsets.mean(axis=0)
+    h = offsets - mean
+    # rounding leaves sum_i s_i c_i near eps sum_i |c_i|
+    if np.any(np.abs((sign * offsets).sum(axis=0)) > 1e-12 * np.abs(offsets).sum(axis=0)):
+        raise ValueError("a Gamma-ratio product diverges: its offsets above and below differ")
+    if not np.all(mean.real > 0):
+        raise ValueError("the offsets of a Gamma-ratio product need a mean with Re > 0")
 
+    # D_n = (-1)^n (n-2)! sum_j B_(n-j) p_j / ((n-j)! j!), n = 2 .. top, from
+    # the power sums p_j = sum_i s_i h_i^j (p_0 = 0), and bounds on their sizes
+    top = _STIRLING_ORDER + 2
+    factorial = np.concatenate([[1.0], np.cumprod(np.arange(1.0, top + 1.0))])
+    n, j = np.arange(2, top + 1)[:, None], np.arange(1, top + 1)
+    table = np.where(j <= n, (-1.0) ** n * factorial[n - 2] * np.array(_BERNOULLI)[n - j]
+                     / (factorial[n - j] * factorial[j]), 0.0)
+    # elementwise, not `@` or einsum: they add ~0.2 MB to a critical verify's peak RSS
+    power, d = np.ones_like(h), np.zeros((top - 1,) + mean.shape, dtype=complex)
+    for i in range(top):
+        power = power * h
+        d += table[:, i, None] * (sign * power).sum(axis=0)
+    hmax = np.abs(h).max(axis=0, initial=0.0)
+    size = 2 * len(h) * np.abs(table).sum(axis=1)[:, None] * hmax * np.maximum(hmax, 1) ** (n - 1)
+    d[0, np.abs(d[0]) <= 32.0 * _EPS * size[0]] = 0.0    # D_2 = 0 but for rounding
+    # an omitted D_n Z^(1-n), n = 21, 22, summed over all factors, is at
+    # most 2 |D_n| R^(2-n) (1 + scale / R) / scale
+    reach = _STIRLING_REACH * np.maximum(hmax, 1.0)
+    omitted = 2.0 * np.abs(d[-2:]) * (1.0 + scale / reach) / scale
+    decay = np.array([[_STIRLING_ORDER - 1.0], [_STIRLING_ORDER]])
+    reach = np.maximum(reach, ((omitted / TAIL_TOL) ** (1.0 / decay)).max(axis=0))
+    omitted = (omitted * reach ** -decay).sum(axis=0)
+    d, size = d[:-2], size[:-2]
+    level = (np.sqrt(np.maximum(reach * reach - mean.imag ** 2, 0.0)) - mean.real).max(initial=0)
+    count, moved = max(0, math.ceil(level / scale)), max(0, math.ceil(level))
+    if count * moved > MAX_TERMS:
+        raise ConvergenceError(f"a Gamma-ratio product needs {count} near factors moved "
+                               f"out by {moved}, cap is {MAX_TERMS}")
 
-def _run_sums(values):
-    """Sums of every _PRODUCT_RUN consecutive values, the window ending at
-    each of the last values.size - _PRODUCT_RUN + 1."""
-    csum = np.cumsum(values)
-    return csum[_PRODUCT_RUN - 1:] - np.concatenate([[0.0], csum[:-_PRODUCT_RUN]])
+    # the near factors' log1p terms and their rounding, and the series at Z_k
+    # + M, by blocks of (k, j); a Gamma within 1e-13 |Z + j| of 0, -1, ... is a pole
+    orders = np.arange(1.0, _STIRLING_ORDER)             # zeta orders n - 1
+    summing = math.log2(count * moved * len(h) + 2) + 1.0
+    partials = [np.zeros((3, mean.size), dtype=complex)]
+    step = max(1, BLOCK // (max(len(h), orders.size) * max(mean.size, 1)))
+    for start in range(0, count * moved, step):
+        k, j = np.divmod(np.arange(start, min(start + step, count * moved)), moved)
+        w = mean[:, None] + (scale * k + j)             # Z_k + j at every point
+        arg = np.abs(w + h[:, :, None])
+        if np.any(arg < 1e-13 * np.abs(w)):
+            _, point, at = np.argwhere(arg < 1e-13 * np.abs(w))[0]
+            raise PoleError(f"a Gamma of factor {k[at]} has a pole at {-j[at]}",
+                            location=np.unravel_index(point, shape))
+        logs = np.log1p(h[:, :, None] / w)
+        inverse = np.power.outer(w[:, j == 0] + moved, -orders)
+        # each (k, j) is summed over i first: the log1p terms cancel there
+        partials.append(np.stack([
+            -(sign[:, :, None] * logs).sum(axis=0).sum(axis=-1),
+            (4.0 * np.abs(h)[:, :, None] / arg + summing * np.abs(logs)).sum(axis=0).sum(axis=-1),
+            (inverse * d.T[:, None]).sum(axis=(1, 2))]))
+    near = np.sum(partials, axis=0)
+    tail = scale ** -orders[:, None] * _hurwitz_tail(orders, count + mean / scale)
+    # the series terms at the K points Z_k + M, |Z_k + M| >= R, and the tail
+    rounding = near[1].real + 32.0 * (size * (count * reach ** -orders[:, None]
+                                              + np.abs(tail))).sum(axis=0)
+    ln = near[0] + near[2] + (d * tail).sum(axis=0)
+    return ln.reshape(shape)[()], (_EPS * rounding + omitted).reshape(shape)[()]
 
 
 # --------------------------------------------------------------------------

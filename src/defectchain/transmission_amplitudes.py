@@ -19,25 +19,26 @@ its absolutely convergent part is the ratio-product
     T+(x) = A(gamma) * prod_k [ f_k(x) / f_k(0) ],
 
 which this module evaluates exactly through an equivalent single Malmsten-type
-integral (route ``closed``) or through the literal Gamma-ratio product with an
-analytic 1/k^2 tail completion (route ``product``).  The normalisation
-A(gamma) = T+(0) is fixed by the same origin prescription the quadrature route
-uses, so the two routes share only that one constant and are otherwise
-independent evaluations of the lam-dependence.
+integral (route ``closed``) or through the literal Gamma-ratio product (route
+``product``).  The normalisation A(gamma) = T+(0) is fixed by the same origin
+prescription the quadrature route uses, so the two routes share only that one
+constant and are otherwise independent evaluations of the lam-dependence.
+
+The critical bulk prefactor S_s is an infinite Gamma-ratio product too; one
+engine, ``special_functions.infinite_gamma_product``, sums both products.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
-from .special_functions import (MAX_TERMS, TAIL_TOL, AmplitudeResult, ConvergenceError,
-                                FloatRangeError, FourierKernel, amplitude_integral,
-                                amplitude_sum, as_grid, gamma_ratio, gamma_ratio_bound,
-                                half_line_sums, infinite_gamma_product, q_gamma,
-                                _exp_in_range, _hurwitz_tail, _log_q_gamma)
+from .special_functions import (TAIL_TOL, AmplitudeResult, FloatRangeError, FourierKernel,
+                                PoleError, amplitude_integral, amplitude_sum, as_grid,
+                                gamma_ratio, gamma_ratio_bound, half_line_sums,
+                                infinite_gamma_product, q_gamma, _exp_in_range,
+                                _log_q_gamma)
 
 __all__ = [
     "AmplitudeResult",
@@ -228,19 +229,19 @@ def _critical_ln_ratio(lam, gamma: float, sides):
     return half_line_sums(lam, rate, terms)
 
 
-def _critical_ratio_product(lam_hat: float, gamma: float) -> tuple[complex, float]:
-    """The same ratio product evaluated literally, factor by factor."""
-    a = gamma / 2.0 + 1j * lam_hat
-    b = gamma / 2.0 + 1.0 - 1j * lam_hat
-    a0 = gamma / 2.0
-    b0 = gamma / 2.0 + 1.0
-    c2 = -(lam_hat ** 2 + 1j * lam_hat) / (4.0 * gamma)
-    # the tail bound falls like 1/K^2, so K grows like tail_tol^(-1/2): at
-    # 1e-9 this oracle takes 3e3 to 2e5 factors on mu in [0.3, 2], lam_hat in
-    # [-10, 0.4], where the generic TAIL_TOL would run into its rounding
-    # floor or MAX_TERMS
-    return infinite_gamma_product(2.0 * gamma, [a, b, a0 + gamma, b0 + gamma],
-                                  [a + gamma, b + gamma, a0, b0], c2, tail_tol=1e-9)
+def _critical_ln_product(lam, gamma: float, sides):
+    """_critical_ln_ratio's ln prod_k [f_k(s lam)/f_k(0)] and its error bound
+    from the literal Gamma-ratio product; a pole raises PoleError naming lam."""
+    x = 1j * np.multiply.outer(lam, sides)
+    half = gamma / 2.0
+    try:
+        return infinite_gamma_product(2.0 * gamma,
+                                      [half + x, half + 1.0 - x, 3.0 * half, 3.0 * half + 1.0],
+                                      [3.0 * half + x, 3.0 * half + 1.0 - x, half, half + 1.0])
+    except PoleError as exc:
+        at = lam[exc.location[0]]
+        raise PoleError(f"a Gamma of the product has a pole at lam_hat = {at:.10g}",
+                        location=at) from None
 
 
 # --------------------------------------------------------------------------
@@ -290,9 +291,10 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed"
     "product" additionally gives the literal Gamma-ratio product in the
     critical regime.  Closed routes accept complex lam_hat (the critical
     one inside its strip |Im lam_hat| < gamma/2, up to about 0.95 gamma/2,
-    see _critical_ln_ratio); the quadrature routes require it real.  An
-    amplitude outside the normal float range raises FloatRangeError naming
-    lam_hat and the anisotropy.
+    see _critical_ln_ratio), the product route any complex lam_hat off the
+    poles of its Gammas (PoleError names lam_hat); the quadrature routes
+    require it real.  An amplitude outside the normal float range raises
+    FloatRangeError naming lam_hat and the anisotropy.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
@@ -345,16 +347,10 @@ def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str):
         return out
     sides = np.array([1.0 if s == "+" else -1.0 for s in signs])
     ln_a, err_a = _critical_anchor(params.gamma)
-    if route == "closed":
-        ln_r, err_r = _critical_ln_ratio(lam, params.gamma, sides)
-        val = _exp_in_range(sides * (ln_a + ln_r), lam)
-        err = np.abs(val) * (err_a + err_r)
-    else:
-        prods = np.array([[_critical_ratio_product(side * x, params.gamma)
-                           for side in sides] for x in lam]).reshape(lam.size, sides.size, 2)
-        val = np.exp(ln_a) * prods[..., 0]
-        val[:, sides < 0] = 1.0 / val[:, sides < 0]
-        err = prods[..., 1].real * np.abs(val)
+    ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
+    ln_r, err_r = ratio(lam, params.gamma, sides)
+    val = _exp_in_range(sides * (ln_a + ln_r), lam)
+    err = np.abs(val) * (err_a + err_r)
     return [(val[:, j], err[:, j]) for j in range(sides.size)]
 
 
@@ -457,104 +453,25 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
 # --------------------------------------------------------------------------
 
 
-# critical S_s: the Stirling-Bernoulli series runs over n = 2 .. _S2_ORDER
-# and is used where |Z| >= _S2_REACH max(max|h|, 1)
-_S2_ORDER = 20
-_S2_REACH = 6.0
-
-# the Bernoulli numbers B_0 .. B_(_S2_ORDER + 2); the odd ones past B_1 vanish
-_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66,
-              0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0, 43867 / 798, 0.0,
-              -174611 / 330, 0.0, 854513 / 138)
-
-
-@lru_cache(maxsize=16)
-def _s2_series(g: float, tail_tol: float) -> tuple[np.ndarray, float]:
-    """The coefficients D_n, n = 2 .. _S2_ORDER, of W(Z) ~ sum_n D_n Z^(1-n)
-    (see _s2_critical_real) and the reach |Z| from which the series is used.
-
-    The reach is _S2_REACH max(max|h|, 1), since the D_n grow like |h|^n
-    and like the Bernoulli numbers, (n-2)! / (2 pi)^n, and at least so far
-    that the first omitted terms, n = _S2_ORDER + 1 and + 2 (with small h
-    the odd D_n nearly vanish), summed over every factor from |Z_K| on,
-    stay below tail_tol: sum_k |Z_k|^(1-n) <= |Z_K|^(2-n) (1/(n-2) + 2g/|Z_K|) / (2g).
-    At tail_tol = TAIL_TOL = 1e-12 the fixed reach already does so for
-    every 0 < mu < pi; only a tail_tol below about 1e-15 moves it out.
-    """
-    h = (g - 0.5, 0.5 - g, -0.5, 0.5)
-    sign = (1.0, 1.0, -1.0, -1.0)
-
-    def bernoulli_poly(n, x):      # B_n(x) = sum_j C(n, j) B_(n-j) x^j
-        return sum(math.comb(n, j) * _BERNOULLI[n - j] * x ** j for j in range(n + 1))
-
-    d = [(-1) ** n * sum(s * bernoulli_poly(n, x) for s, x in zip(sign, h)) / (n * (n - 1))
-         for n in range(2, _S2_ORDER + 3)]
-    reach = _S2_REACH * max(abs(g - 0.5), 1.0)      # max|h| = max(|g - 1/2|, 1/2)
-    for n in (_S2_ORDER + 1, _S2_ORDER + 2):
-        omitted = abs(d[n - 2]) * (1.0 / (n - 2) + 2.0 * g / reach) / (2.0 * g)
-        reach = max(reach, (omitted / tail_tol) ** (1.0 / (n - 2)))
-    d = np.array(d[:-2])
-    d.flags.writeable = False
-    return d, reach
-
-
-def _s2_critical_real(lam, g: float):
-    """Critical S_s at real lam (an array): exp(2i Im sum_{k>=0} W(Z_k)) with
-
-        W(Z) = sum_i s_i log Gamma(Z + h_i),   Z_k = 2 g k + i lam + g + 1/2,
-        h = (g - 1/2, 1/2 - g, -1/2, 1/2),     s = (+, +, -, -),
-
-    the factors of the Gamma product at the arguments i lam + 2 g k +
-    (2g, 1, g, g+1) (Schwarz reflection gives their -i lam half).  As
-    sum s_i = sum s_i h_i = 0, the Stirling series (DLMF 5.11.8) leaves
-
-        W(Z) ~ sum_{n>=2} D_n Z^(1-n),   D_n = (-1)^n sum_i s_i B_n(h_i) / (n (n-1)),
-
-    with real D_n (_s2_series).  From the first factor K with |Z_K| at the
-    series' reach, the factors sum in closed form to
-
-        sum_n D_n (2g)^(1-n) zeta(n-1, Z_K / (2g)),
-
-    a Hurwitz zeta at a complex offset, whose n = 2 term (zeta(1, y) =
-    -psi(y)) is finite in its imaginary part, the only part used.  The
-    nearer factors k < K are summed exactly: the recurrence log Gamma(x+1)
-    = log Gamma(x) + log x moves each one out by M to the reach,
-
-        W(Z) = W(Z + M) - sum_{j<M} log(1 + g (1-g) / ((Z+j)^2 - 1/4)),
-
-    so no Gamma function is evaluated.  K past MAX_TERMS raises
-    ConvergenceError.  Points are evaluated one by one, so a grid call
-    equals per-point calls.
-    """
-    d, reach = _s2_series(g, TAIL_TOL)
-    s = np.arange(1.0, d.size + 1.0)        # zeta orders n - 1
-    scale = d * (2.0 * g) ** -s
-    out = np.empty(lam.shape, dtype=np.complex128)
-    for i, x in enumerate(lam.tolist()):
-        z0 = complex(g + 0.5, x)
-        near = math.sqrt(max(reach ** 2 - x ** 2, 0.0)) - z0.real   # Re Z to reach
-        stop = max(0, math.ceil(near / (2.0 * g)))
-        if stop > MAX_TERMS:
-            raise ConvergenceError(
-                f"critical S_s needs {stop} exact factors for tail {TAIL_TOL}, "
-                f"cap is {MAX_TERMS}")
-        moved = max(0, math.ceil(near))
-        z = z0 + 2.0 * g * np.arange(stop)
-        # elementwise sums, not `@`: a BLAS product here touches BLAS code and
-        # buffers the rest of a critical verify does not (~0.2 MB peak RSS)
-        head = (np.power.outer(z + moved, -s) * d).sum() - np.log1p(
-            g * (1.0 - g) / (np.add.outer(z, np.arange(moved)) ** 2 - 0.25)).sum()
-        tail = (scale * _hurwitz_tail(s, stop + z0 / (2.0 * g))).sum()
-        out[i] = np.exp(2j * (head + tail).imag)
-    return out
-
-
-def _s2_critical_product(lam: complex, g: float) -> complex:
-    """Critical S_s at one complex lam, as the literal Gamma-ratio product."""
-    il = 1j * lam
-    c2 = -1j * lam * (g - 1.0) / (2.0 * g)
-    return infinite_gamma_product(2.0 * g, [il + 2 * g, il + 1, -il + g, -il + g + 1],
-                                  [il + g, il + g + 1, -il + 2 * g, -il + 1], c2)[0]
+def _s_critical(lam, g: float):
+    """Critical S_s = prod_k G(2 g k + i lam) / G(2 g k - i lam) at every lam,
+    G(z) = Gamma(z + 2g) Gamma(z + 1) / (Gamma(z + g) Gamma(z + g + 1)); at
+    real lam, where the halves are conjugate, exp(2i Im log) of the first."""
+    val = np.empty(lam.shape, dtype=np.complex128)
+    near_real = np.abs(np.imag(lam)) < 1e-14
+    il = 1j * np.real(lam[near_real])
+    half, _ = infinite_gamma_product(2 * g, [il + 2 * g, il + 1], [il + g, il + g + 1])
+    val[near_real] = np.exp(2j * half.imag)
+    if not near_real.all():
+        il = 1j * lam[~near_real]
+        try:
+            full, _ = infinite_gamma_product(2 * g, [il + 2 * g, il + 1, g - il, g + 1 - il],
+                                             [il + g, il + g + 1, 2 * g - il, 1 - il])
+        except PoleError as exc:
+            at = lam[~near_real][exc.location]
+            raise PoleError(f"S_s: a Gamma pole at lam = {at:.10g}", location=at) from None
+        val[~near_real] = np.exp(full)
+    return val
 
 
 def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
@@ -574,12 +491,7 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
         val = gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
                           [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5])
     elif params.regime == CRITICAL:
-        val = np.empty(grid.shape, dtype=np.complex128)
-        near_real = np.abs(np.imag(grid)) < 1e-14
-        if np.any(near_real):
-            val[near_real] = _s2_critical_real(np.real(grid[near_real]), params.gamma)
-        for i in np.flatnonzero(~near_real):
-            val[i] = _s2_critical_product(complex(grid[i]), params.gamma)
+        val = _s_critical(grid, params.gamma)
     else:
         q4 = float(np.exp(-4.0 * params.eta))
         val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import FloatRangeError, gamma_ratio, half_line_sums
-from defectchain.transmission_amplitudes import (amplitude, breather_amplitude,
+from defectchain.special_functions import (FloatRangeError, PoleError, gamma_ratio,
+                                           half_line_sums)
+from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  kernel, soliton_s_amplitude,
                                                  type2_amplitude, _q_gamma_ratio)
 from kernel_oracles import oracle_kernel
@@ -183,6 +184,37 @@ def test_critical_product_estimate_bounds_the_route_gap(mu):
         closed = amplitude(params, "+", lh, "closed")
         gap = abs(product.value - closed.value)
         assert gap <= product.error_estimate + closed.error_estimate, lh
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.7, 1.2])
+def test_critical_product_route_breather_bootstrap(mu):
+    # the lightest breather is a bound state of two holes: at x = lam_hat -
+    # i (gamma - 1)/2, T+(x) T-(x) = T+(x) / T+(-x) is the hyperbolic
+    # breather amplitude, which shares no code with the Gamma product; the
+    # product meets it to 6e-15 here, inside its estimates of about 1e-12
+    params = RegimeParams.critical(mu)
+    g = params.gamma
+    lam = np.linspace(-2.0, 2.0, 9)
+    plus, minus = amplitude_pair(params, lam - 0.5j * (g - 1.0), "product")
+    breather = breather_amplitude("+", 1, lam, g)
+    gap = np.abs(plus.value * minus.value - breather.value)
+    bound = (np.abs(minus.value) * plus.error_estimate + np.abs(plus.value) * minus.error_estimate
+             + breather.error_estimate)
+    assert np.all(gap <= bound), gap / bound
+    assert np.all(gap <= 1e-13 * np.abs(breather.value))
+
+
+@pytest.mark.parametrize("lam_hat", ["i gamma/2", "5i gamma/2", "-i (gamma/2 + 1)"])
+def test_critical_product_route_pole_names_lam_hat(lam_hat):
+    # a Gamma of the product at 0 (k = 0) or at 0 after one step (k = 1):
+    # a PoleError naming lam_hat, with no division by zero or other warning
+    g = CRIT.gamma
+    x = {"i gamma/2": 0.5j * g, "5i gamma/2": 2.5j * g, "-i (gamma/2 + 1)": -1j * (g / 2 + 1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="has a pole at lam_hat = ") as info:
+            amplitude(CRIT, "+", np.array([0.4, x[lam_hat]]), "product")
+    assert info.value.location == pytest.approx(x[lam_hat])
 
 
 def test_critical_sample_cross_route_spotcheck():

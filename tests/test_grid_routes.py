@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from product_oracle import log_gamma_product
 
 from defectchain import special_functions
 from defectchain.cli import main
@@ -143,9 +144,11 @@ def test_critical_closed_route_in_the_complex_strip():
     half = params.gamma / 2.0
     z = np.array([0.3 + 0.2j, -1.1 + 0.9j, 0.3 + 0.94j * half])
     closed = amplitude(params, "+", z)
-    product = amplitude(params, "+", z, "product").value
+    product = amplitude(params, "+", z, "product")
     assert np.all(np.isfinite(closed.value)) and np.all(np.isfinite(closed.error_estimate))
-    assert np.all(np.abs(closed.value - product) < 1e-6 * np.abs(product))
+    gap = np.abs(closed.value - product.value)
+    assert np.all(gap < 1e-6 * np.abs(product.value))
+    assert np.all(gap <= product.error_estimate + closed.error_estimate)
     # nearer the edge the phases e^{|Im lam| t} would overflow before the
     # rule's cutoff: a clear error, not a NaN
     with pytest.raises(ValueError, match="overflow"):
@@ -192,6 +195,22 @@ def test_each_estimate_bounds_its_own_error(mu):
         for route in ("closed", "integral"):
             res = amplitude(params, "+", x, route)
             assert abs(res.value - exact) <= res.error_estimate, (route, x)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.7, 2.0])
+def test_product_route_matches_mpmath(mu):
+    # the literal product route at lam_hat = -10, -2.5, 0.4 against T+ = A r from a
+    # 30-digit anchor and a 30-digit sum of the product's log-Gammas
+    params = RegimeParams.critical(mu)
+    g = mp.mpf(params.gamma)
+    ln_a = _crit_ln_anchor(params.gamma)
+    for x in (-10.0, -2.5, 0.4):
+        il = 1j * mp.mpf(x)
+        ln_r = log_gamma_product(2 * g, [g / 2 + il, g / 2 + 1 - il, 3 * g / 2, 3 * g / 2 + 1],
+                                 [3 * g / 2 + il, 3 * g / 2 + 1 - il, g / 2, g / 2 + 1])
+        exact = complex(mp.exp(ln_a + ln_r))
+        res = amplitude(params, "+", x, "product")
+        assert abs(res.value - exact) <= min(res.error_estimate, 1e-13 * abs(exact)), x
 
 
 def test_log_gamma_error_model():

@@ -1,16 +1,19 @@
-"""The closed route of the critical bulk S-matrix prefactor S_s at real lam:
-a short exact head and a Stirling-Bernoulli tail, checked against an mpmath
-sum of the exact log-factors and against the literal Gamma product."""
+"""The closed route of the critical bulk S-matrix prefactor S_s: its Gamma
+product summed by infinite_gamma_product (a short exact head and a
+Stirling-Bernoulli tail), the i lam half at real lam and the whole product
+at complex lam, checked against mpmath sums of the exact log-factors and
+against each other."""
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
+from product_oracle import log_gamma_product
 
-import defectchain.transmission_amplitudes as ta
 from defectchain import special_functions
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import ConvergenceError
-from defectchain.transmission_amplitudes import (_s2_critical_product,
-                                                 soliton_s_amplitude)
+from defectchain.special_functions import ConvergenceError, PoleError, infinite_gamma_product
+from defectchain.transmission_amplitudes import soliton_s_amplitude
 
 
 def _log_factor(k, lam, g):
@@ -55,25 +58,59 @@ def test_closed_critical_s_amplitude_matches_mpmath(mu):
             assert abs(got - w) <= 1e-13 * abs(w), (mu, x, abs(got - w))
 
 
+def _full_product(g, lam):
+    """The whole S_s Gamma product at lam, i lam half over -i lam half, as
+    offsets above and below (il = i lam)."""
+    il = 1j * lam
+    return ([il + 2 * g, il + 1, -il + g, -il + g + 1],
+            [il + g, il + g + 1, -il + 2 * g, -il + 1])
+
+
 @pytest.mark.parametrize("mu, lam", [(0.3, -10.0), (1.5, -1.7), (3.0, 0.45)])
 def test_closed_critical_s_amplitude_matches_literal_product(mu, lam):
-    # at tail_tol 1e-12 the literal product runs until its residuals sink
-    # into their rounding, 3e4 to 1.2e5 factors here, and lands within
-    # 2e-10 of the closed value; the gate is 5e-5
+    # at real lam the route sums the i lam half alone; the whole product,
+    # both halves, lands within 6.0e-15 of it here
     params = RegimeParams.critical(mu)
-    literal = _s2_critical_product(complex(lam), params.gamma)
-    assert abs(soliton_s_amplitude(params, lam) - literal) <= 5e-5
+    full, _ = infinite_gamma_product(2.0 * params.gamma, *_full_product(params.gamma, lam))
+    assert abs(soliton_s_amplitude(params, lam) - np.exp(full)) <= 2e-14
+
+
+@pytest.mark.parametrize("mu, lam", [(0.3, 0.4 + 0.3j), (0.7, -1.3 + 1.1j), (1.5, 2.0 - 0.2j)])
+def test_complex_critical_s_amplitude_matches_mpmath(mu, lam):
+    # the whole product at complex lam against a 30-digit sum of its
+    # log-Gammas, built from the same gamma and lam so that they balance
+    params = RegimeParams.critical(mu)
+    g = params.gamma
+    ln, err = infinite_gamma_product(2.0 * g, *_full_product(g, lam))
+    with mp.workdps(30):
+        gap = abs(complex(ln - log_gamma_product(2 * mp.mpf(g),
+                                                 *_full_product(mp.mpf(g), mp.mpc(lam)))))
+    assert gap <= 1e-14 and gap <= err, (gap, err)
+    assert soliton_s_amplitude(params, lam) == np.exp(ln)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_complex_critical_s_amplitude_pole_names_lam(shift):
+    # at lam = i (gamma + shift) a Gamma below sits at 0 or -1: a PoleError
+    # naming lam, with no division by zero or other warning
+    params = RegimeParams.critical(0.7)
+    lam = 1j * (params.gamma + shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError, match="S_s: a Gamma pole at lam = ") as info:
+            soliton_s_amplitude(params, np.array([0.3, lam]))
+    assert info.value.location == pytest.approx(lam)
 
 
 def _head_factors(monkeypatch, params, lam) -> tuple[int, int]:
     """(K, log-Gamma points) of one closed S_s call: K is read off the
     offset of the tail's Hurwitz zeta, K + (gamma + 1/2 + i lam) / (2 gamma)."""
     offsets, points = [], []
-    tail = ta._hurwitz_tail
+    tail = special_functions._hurwitz_tail
     log_gamma = special_functions.log_gamma
 
     def spy_tail(s, k0):
-        offsets.append(k0)
+        offsets.extend(np.ravel(k0))
         return tail(s, k0)
 
     def spy_log_gamma(z):
@@ -81,9 +118,8 @@ def _head_factors(monkeypatch, params, lam) -> tuple[int, int]:
         return log_gamma(z)
 
     with monkeypatch.context() as m:
-        m.setattr(ta, "_hurwitz_tail", spy_tail)
+        m.setattr(special_functions, "_hurwitz_tail", spy_tail)
         m.setattr(special_functions, "log_gamma", spy_log_gamma)
-        m.setattr(ta, "log_gamma", spy_log_gamma, raising=False)
         soliton_s_amplitude(params, lam)
     g = params.gamma
     (k0,) = offsets
@@ -101,11 +137,12 @@ def test_closed_critical_s_amplitude_work_bound(monkeypatch):
 
 
 def test_closed_critical_s_amplitude_cap_raises(monkeypatch):
-    params = RegimeParams.critical(3.0)      # K = 58 at lam = 0.3
-    monkeypatch.setattr(ta, "MAX_TERMS", 40)
-    with pytest.raises(ConvergenceError, match="cap is 40"):
+    # K = 58 near factors at lam = 0.3, each moved out by M = 6
+    params = RegimeParams.critical(3.0)
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 347)
+    with pytest.raises(ConvergenceError, match="cap is 347"):
         soliton_s_amplitude(params, 0.3)
-    monkeypatch.setattr(ta, "MAX_TERMS", 64)
+    monkeypatch.setattr(special_functions, "MAX_TERMS", 348)
     assert abs(soliton_s_amplitude(params, 0.3)) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -116,7 +153,7 @@ def test_closed_critical_s_amplitude_tight_tail_tol_adds_factors(monkeypatch):
     params = RegimeParams.critical(2.5)
     default, _ = _head_factors(monkeypatch, params, 0.3)
     value = soliton_s_amplitude(params, 0.3)
-    monkeypatch.setattr(ta, "TAIL_TOL", 1e-16)
+    monkeypatch.setattr(special_functions, "TAIL_TOL", 1e-16)
     more, _ = _head_factors(monkeypatch, params, 0.3)
     assert more > default
     assert abs(soliton_s_amplitude(params, 0.3) - value) <= 1e-14
