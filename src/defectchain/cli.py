@@ -209,8 +209,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     add("ybe-r", exchange_residual(*r_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
     prefactors = soliton_s_amplitude(params, args.ravel()).reshape(args.shape)
-    s_args = [pre[:, None, None] * np.array([s_matrix_part(params, x).entries for x in xs])
-              for pre, xs in zip(prefactors, args)]
+    s_parts = s_matrix_part(params, args.ravel()).reshape(args.shape + (4, 4))
+    s_args = prefactors[..., None, None] * s_parts
     add("ybe-s", exchange_residual(*s_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
 
@@ -226,8 +226,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
     # conjugate operator: explicit vs crossing route, unitarity scalars
     lam0 = 0.37
-    two_route = np.abs(crossing_transform(make_l(params, -lam0 - 1j, rep)).entries
-                       - make_l_hat(params, lam0, rep).entries).max()
+    two_route = np.abs(crossing_transform(make_l(params, -lam0 - 1j, rep))
+                       - make_l_hat(params, lam0, rep)).max()
     add("lhat-two-route", two_route, 1e-13)
     grid = np.delete(np.linspace(-2.0, 2.0, 9), 4)     # all but lam = 0
     for lam, unit, crossing in zip(grid, *unitarity_residuals(params, grid, rep)):

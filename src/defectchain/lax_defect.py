@@ -1,6 +1,15 @@
 """R-matrices, defect representations and Lax operators, crossing, and the
 matrix part of the bulk S-matrix.
 
+Two block formulas serve every anisotropic operator, each written in the
+deformation q and x = e^(mu (lam + i/2)): six_vertex builds R, q_lax builds
+L and Lhat.  The bulk S-matrix part is R(-lam) / R_11 and the
+transmission matrices T, Tbar are L, Lhat at shifted arguments; in the
+critical regime both are taken at q~ = e^(i pi gamma), whose angle pi gamma
+may exceed pi, so the helpers take q and x rather than a RegimeParams.
+Every builder returns a plain complex array: a matrix at a scalar lam, an
+(n, dim, dim) stack at a 1-d array of lams.
+
 Conventions used throughout (validated numerically by the test suite):
 
 * the isotropic R-matrix is R(lam) = lam I + i P on C^2 (x) C^2;
@@ -24,12 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from .oscillator_reps import HarmonicRep, QOscRep, harmonic_rep, q_oscillator_rep
-from .tensor_core import (TensorOperator, TensorSpace, block2, identity_residual,
-                          partial_transpose, permutation_operator)
+from .tensor_core import aux_transpose, block2, identity_residual
 
 __all__ = [
     "RegimeParams",
     "defect_rep",
+    "six_vertex",
+    "q_lax",
     "make_r",
     "make_l",
     "make_l_hat",
@@ -116,53 +126,57 @@ class RegimeParams:
         return self.regime == CRITICAL and self.mu < np.pi / 2
 
 
-AUX_SPACE = TensorSpace((2, 2))
-
 _SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 _SM = np.array([[0, 0], [1, 0]], dtype=np.complex128)
-_P4 = permutation_operator(2).entries
+_P4 = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]     # P (|a> (x) |b>) = |b> (x) |a>
 
 
 # largest |Re mu lam| the Lax entries e^{+-mu lam} may take (exp overflows past 709)
 _MAX_EXPONENT = 700.0
 
 
-def _exp_pair(params: RegimeParams, lam):
-    """e^{mu lam} and e^{-mu lam}, or a ValueError where either overflows."""
-    mu = params.mu_complex
-    growth = abs((mu * lam).real).max() if isinstance(lam, np.ndarray) else abs((mu * lam).real)
+def _x_pair(mu: complex, lam):
+    """q = e^(i mu), x = e^(mu (lam + i/2)) and 1/x (as e^(+-mu lam) q^(+-1/2)),
+    or a ValueError where e^(+-mu lam) overflows."""
+    growth = np.abs((mu * lam).real).max()
     if growth > _MAX_EXPONENT:
         raise ValueError(f"|Re mu lam| = {growth:.4g} overflows e^(+-mu lam); "
                          f"keep it below {_MAX_EXPONENT:g}")
-    return np.exp(mu * lam), np.exp(-mu * lam)
+    q = complex(np.exp(1j * mu))
+    return q, np.exp(mu * lam) * q ** 0.5, np.exp(-mu * lam) * q ** -0.5
 
 
 def _lams(lam):
-    """lam as a complex, or a 1-d array of lams as (n, 1, 1): make_r, make_l and
-    make_l_hat then broadcast over it and return an (n, dim, dim) stack."""
+    """lam as a complex, or a 1-d array of lams as (n, 1, 1): every builder
+    then broadcasts over it and returns an (n, dim, dim) stack."""
     return lam.astype(np.complex128)[:, None, None] if isinstance(lam, np.ndarray) else complex(lam)
 
 
-def _operator(space: TensorSpace, m: np.ndarray):
-    """m as an operator on space, or a stack of them as an array checked finite."""
-    if m.ndim == 3 and not np.isfinite(m).all():
-        raise ValueError("operator entries contain NaN or Inf")
-    return m if m.ndim == 3 else TensorOperator(space, m)
+def six_vertex(q: complex, x, x_inv) -> np.ndarray:
+    """The symmetric six-vertex R-matrix at deformation q in 2x2 auxiliary
+    blocks, x q^(+-sigma_z/2) - q^(-+sigma_z/2) / x on the diagonal and
+    q - 1/q off it (x may be an (n, 1, 1) stack)."""
+    qsz = np.diag([q ** 0.5, q ** -0.5])
+    qszi = np.diag([q ** -0.5, q ** 0.5])
+    off = q - 1.0 / q
+    return block2(x * qsz - x_inv * qszi, off * _SM, off * _SP, x * qszi - x_inv * qsz)
 
 
-def make_r(params: RegimeParams, lam) -> TensorOperator | np.ndarray:
+def q_lax(rep: QOscRep, x, x_inv, hat: bool) -> np.ndarray:
+    """The q-oscillator Lax operator L = [[x V - V^-1/x, a_dag], [a, -V/x]]
+    or (hat) its conjugate Lhat = [[-x V, -a_dag], [-a, V/x - x V^-1]] over
+    rep (x may be an (n, 1, 1) stack)."""
+    if hat:
+        return block2(-x * rep.v, -rep.a_dag, -rep.a, x_inv * rep.v - x * rep.v_inv)
+    return block2(x * rep.v - x_inv * rep.v_inv, rep.a_dag, rep.a, -x_inv * rep.v)
+
+
+def make_r(params: RegimeParams, lam) -> np.ndarray:
     """Bulk R-matrix on C^2 (x) C^2 (first factor = block space), or a stack."""
     lam = _lams(lam)
     if params.regime == XXX:
-        return _operator(AUX_SPACE, lam * np.eye(4, dtype=np.complex128) + 1j * _P4)
-    q = params.q
-    ep, em = _exp_pair(params, lam)
-    qsz = np.diag([q ** 0.5, q ** -0.5])
-    qszi = np.diag([q ** -0.5, q ** 0.5])
-    e11 = ep * q ** 0.5 * qsz - em * q ** -0.5 * qszi
-    e22 = ep * q ** 0.5 * qszi - em * q ** -0.5 * qsz
-    off = q - 1.0 / q
-    return _operator(AUX_SPACE, block2(e11, off * _SM, off * _SP, e22))
+        return lam * np.eye(4, dtype=np.complex128) + 1j * _P4
+    return six_vertex(*_x_pair(params.mu_complex, lam))
 
 
 def defect_rep(params: RegimeParams, dim: int):
@@ -180,23 +194,17 @@ def _check_rep(params: RegimeParams, rep):
         raise ValueError(f"representation deformation {rep.q} does not match regime q {params.q}")
 
 
-def make_l(params: RegimeParams, lam, rep) -> TensorOperator | np.ndarray:
+def make_l(params: RegimeParams, lam, rep) -> np.ndarray:
     """Defect Lax operator on (aux C^2) (x) (defect space), or a stack."""
     _check_rep(params, rep)
     lam = _lams(lam)
-    eye = np.eye(rep.dim, dtype=np.complex128)
     if params.regime == XXX:
-        m = block2(lam * eye + 1j * rep.n_op + 1j * eye, 1j * rep.a,
-                   1j * rep.a_dag, 1j * eye)
-    else:
-        q = params.q
-        ep, em = _exp_pair(params, lam)
-        m = block2(ep * q ** 0.5 * rep.v - em * q ** -0.5 * rep.v_inv, rep.a_dag,
-                   rep.a, -em * q ** -0.5 * rep.v)
-    return _operator(TensorSpace((2, rep.dim)), m)
+        eye = np.eye(rep.dim, dtype=np.complex128)
+        return block2(lam * eye + 1j * rep.n_op + 1j * eye, 1j * rep.a, 1j * rep.a_dag, 1j * eye)
+    return q_lax(rep, *_x_pair(params.mu_complex, lam)[1:], False)
 
 
-def make_l_hat(params: RegimeParams, lam, rep) -> TensorOperator | np.ndarray:
+def make_l_hat(params: RegimeParams, lam, rep) -> np.ndarray:
     """Conjugate Lax operator, explicit closed form, or a stack.
 
     Must agree entrywise with crossing_transform applied to make_l at
@@ -204,28 +212,22 @@ def make_l_hat(params: RegimeParams, lam, rep) -> TensorOperator | np.ndarray:
     """
     _check_rep(params, rep)
     lam = _lams(lam)
-    eye = np.eye(rep.dim, dtype=np.complex128)
     if params.regime == XXX:
-        m = block2(1j * eye, -1j * rep.a,
-                   -1j * rep.a_dag, -lam * eye + 1j * rep.n_op)
-    else:
-        q = params.q
-        ep, em = _exp_pair(params, lam)
-        m = block2(-ep * q ** 0.5 * rep.v, -rep.a_dag,
-                   -rep.a, em * q ** -0.5 * rep.v - ep * q ** 0.5 * rep.v_inv)
-    return _operator(TensorSpace((2, rep.dim)), m)
+        eye = np.eye(rep.dim, dtype=np.complex128)
+        return block2(1j * eye, -1j * rep.a, -1j * rep.a_dag, -lam * eye + 1j * rep.n_op)
+    return q_lax(rep, *_x_pair(params.mu_complex, lam)[1:], True)
 
 
 _V1 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=np.complex128)
 
 
-def crossing_transform(op: TensorOperator) -> TensorOperator:
-    """V1 L^{t1} V1 for an operator L on (C^2 aux) (x) (anything): given
-    L(-lam - i) it returns the conjugate operator Lhat(lam)."""
-    if op.space.factor_dims[0] != 2:
+def crossing_transform(m: np.ndarray) -> np.ndarray:
+    """V1 L^{t1} V1 for a matrix L on (C^2 aux) (x) (anything), or a stack:
+    given L(-lam - i) it returns the conjugate operator Lhat(lam)."""
+    if m.shape[-1] % 2:
         raise ValueError("crossing transform needs a 2-dimensional auxiliary factor")
-    v1 = np.kron(_V1, np.eye(op.space.dim // 2, dtype=np.complex128))
-    return TensorOperator(op.space, v1 @ partial_transpose(op, 0).entries @ v1)
+    v1 = np.kron(_V1, np.eye(m.shape[-1] // 2, dtype=np.complex128))
+    return v1 @ aux_transpose(m) @ v1
 
 
 def scalar_unitarity(params: RegimeParams, lam):
@@ -252,34 +254,21 @@ def unitarity_residuals(params: RegimeParams, lams, rep) -> tuple[np.ndarray, np
     Nothing divides by the scalars, so the identities are checked at their
     zeros too (lam = -i and i for the isotropic chain, lam = 0 otherwise).
     """
-    lams, keep, d = np.asarray(lams, dtype=np.complex128), rep.interior(), rep.dim
+    lams, keep = np.asarray(lams, dtype=np.complex128), rep.interior()
     unit = make_l(params, lams, rep) @ make_l_hat(params, -lams, rep)
-    lt, lht = (m.reshape(-1, 2, d, 2, d).swapaxes(1, 3).reshape(m.shape)    # transposed in aux
-               for m in (make_l(params, -lams - 1j, rep), make_l_hat(params, lams - 1j, rep)))
+    lt = aux_transpose(make_l(params, -lams - 1j, rep))
+    lht = aux_transpose(make_l_hat(params, lams - 1j, rep))
     return (identity_residual(unit, scalar_unitarity(params, lams), keep),
             identity_residual(lt @ lht, scalar_crossing(params, lams), keep))
 
 
-def s_matrix_part(params: RegimeParams, lam: complex) -> TensorOperator:
-    """Matrix part of the bulk S-matrix (scalar prefactor normalised away so
-    that the (1,1) entry is 1)."""
-    lam = complex(lam)
-    m = np.zeros((4, 4), dtype=np.complex128)
-    if params.regime == XXX:
-        aw = 1j * lam + 1.0
-        bw = 1j * lam
-        cw = 1.0
-    elif params.regime == CRITICAL:
+def s_matrix_part(params: RegimeParams, lam) -> np.ndarray:
+    """Matrix part of the bulk S-matrix, or a stack: the chain's R-matrix at
+    -lam (critical: at q~ = e^(i pi gamma) and -lam/gamma) divided by its
+    (1,1) entry."""
+    if params.regime == CRITICAL:
         g = params.gamma
-        aw = np.sin(np.pi * (1j * lam + g))
-        bw = np.sin(1j * np.pi * lam)
-        cw = np.sin(np.pi * g)
+        m = six_vertex(*_x_pair(np.pi * g, -_lams(lam) / g))
     else:
-        eta = params.eta
-        aw = np.sin(eta * (-lam + 1j))
-        bw = -np.sin(eta * lam)
-        cw = np.sin(1j * eta)
-    m[0, 0] = m[3, 3] = aw
-    m[1, 1] = m[2, 2] = bw
-    m[1, 2] = m[2, 1] = cw
-    return TensorOperator(AUX_SPACE, m / aw)
+        m = make_r(params, -lam)
+    return m / m[..., :1, :1]

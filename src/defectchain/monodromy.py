@@ -125,8 +125,8 @@ def local_tensors(spec: ChainSpec, lam) -> list[np.ndarray]:
     """M_{0,j}(lam) for the sites j = N+1, ..., 1 as (aux, site, aux, site)
     tensors (or their stacks): the bulk R, built once and shared by every
     bulk site, or L(lam - theta) at the defect site."""
-    def tensor(m, n):       # an operator at a lam, a stack at a grid
-        return getattr(m, "entries", m).reshape(np.shape(lam) + (2, n, 2, n))
+    def tensor(m, n):       # a matrix at a lam, a stack at a grid
+        return m.reshape(np.shape(lam) + (2, n, 2, n))
 
     # built at the first bulk site, so the sites are built (and an overflow
     # is reported) in their order
@@ -340,7 +340,7 @@ def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs=(None, Non
     b1, b2 = (_charge_blocks(spec, x, t, rows, idx[1:-1, None, None, None])
               for x, t in zip((lam1, lam2), pairs))
     k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
-    r = make_r(spec.params, lam1 - lam2).entries.reshape(2, 2, 2, 2)
+    r = make_r(spec.params, lam1 - lam2).reshape(2, 2, 2, 2)
     lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
     rhs = np.tensordot(b2[k] @ b1[1:d, :, :, None, None], r, ([2, 4], [0, 1]))
     return float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs))

@@ -62,12 +62,12 @@ class HarmonicRep:
 
 
 class QOscRep:
-    __slots__ = ("dim", "q", "v", "v_inv", "a", "a_dag", "x", "y")
+    __slots__ = ("dim", "q", "v", "v_inv", "a", "a_dag", "y")
 
     def __init__(self, dim: int, q: complex, v: np.ndarray, v_inv: np.ndarray, a: np.ndarray,
-                 a_dag: np.ndarray, x: np.ndarray, y: np.ndarray):
+                 a_dag: np.ndarray, y: np.ndarray):
         self.dim, self.q, self.v, self.v_inv = dim, q, v, v_inv
-        self.a, self.a_dag, self.x, self.y = a, a_dag, x, y
+        self.a, self.a_dag, self.y = a, a_dag, y
 
     def interior(self) -> np.ndarray:
         return _below_top(self.dim)
@@ -131,7 +131,7 @@ def q_oscillator_rep(d: int, q: complex) -> QOscRep:
                     f"q is a root of unity of order {m} < D={d}: "
                     "the spectrum of X degenerates", stacklevel=2)
                 break
-    return QOscRep(dim=d, q=q, v=x, v_inv=x_inv, a=a, a_dag=a_dag, x=x, y=y)
+    return QOscRep(dim=d, q=q, v=x, v_inv=x_inv, a=a, a_dag=a_dag, y=y)
 
 
 def _q_number(z, q: complex):
@@ -189,11 +189,11 @@ def algebra_residuals(rep) -> list[tuple[str, float, str]]:
         add("a.a_dag-(1-V^2/q)", rep.a @ rep.a_dag - (eye - rep.v @ rep.v / q), keep, sub)
         add("Va-qaV", rep.v @ rep.a - q * rep.a @ rep.v, keep, sub)
         add("Va_dag-a_dagV/q", rep.v @ rep.a_dag - rep.a_dag @ rep.v / q, keep, sub)
-        add("XY-qYX", rep.x @ rep.y - q * rep.y @ rep.x, keep, sub)
-        add("a-YX", rep.a - rep.y @ rep.x, keep, sub)
+        add("XY-qYX", rep.v @ rep.y - q * rep.y @ rep.v, keep, sub)
+        add("a-YX", rep.a - rep.y @ rep.v, keep, sub)
         # a_dag = (X^-1 - qX) Y^-1 checked as a_dag Y = X^-1 - qX (Y is a
         # truncated shift, so its inverse never appears as a matrix)
-        add("a_dagY-(X^-1-qX)", rep.a_dag @ rep.y - (rep.v_inv - q * rep.x), keep, sub)
+        add("a_dagY-(X^-1-qX)", rep.a_dag @ rep.y - (rep.v_inv - q * rep.v), keep, sub)
         ref = np.zeros(rep.dim, dtype=np.complex128)
         ref[0] = 1.0
         reports.append(("a_dag|0>", float(np.linalg.norm(rep.a_dag @ ref)), "reference state"))

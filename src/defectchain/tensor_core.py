@@ -1,17 +1,23 @@
 """Complex linear algebra on explicit tensor-product spaces.
 
-Operators are complex matrices acting on an ordered tensor product of
-factor spaces.  The basis ordering convention, fixed once here and used
-everywhere, is row-major with the leftmost factor slowest: for factors
-(d1, d2) the product basis index is ``i1 * d2 + i2``, which is exactly what
-``numpy.kron`` produces.  Values are never modified after construction and
-all operations are pure.
+Operators are plain complex arrays: a matrix, or a stack of them along a
+leading axis, acting on an ordered tensor product of factor spaces.  The
+basis ordering convention, fixed once here and used everywhere, is
+row-major with the leftmost factor slowest: for factors (d1, d2) the
+product basis index is ``i1 * d2 + i2``, which is exactly what
+``numpy.kron`` produces.  ``aux_transpose`` transposes the leading C^2
+factor, the auxiliary space of every R, Lax and transmission matrix.
 
 The module also holds the three residual kernels of the operator
 identities: the exchange relation works on (2, d, 2, d) tensors without
 building 4d x 4d products and multiplies only the columns its mask keeps,
 the identity kernel multiplies by a 0/1 mask in place of a dense
 projector, and the commutator kernel scales its operands by powers of two.
+
+``TensorSpace`` and ``TensorOperator`` remain only for the commutator
+kernel's product: clibench/tracer.py wraps their methods by name and counts
+the flops of ``TensorOperator.__matmul__``, the one operator product of a
+`spectrum` run it sees.  No other module names them.
 """
 from __future__ import annotations
 
@@ -22,8 +28,7 @@ import numpy as np
 __all__ = [
     "TensorSpace",
     "TensorOperator",
-    "permutation_operator",
-    "partial_transpose",
+    "aux_transpose",
     "exchange_residual",
     "identity_residual",
     "commutator_residual",
@@ -134,32 +139,17 @@ def block2(a11, a12, a21, a22) -> np.ndarray:
     return m
 
 
-def permutation_operator(d: int) -> TensorOperator:
-    """P on C^d (x) C^d with P(|a> (x) |b>) = |b> (x) |a>."""
-    if d < 2:
-        raise ValueError(f"permutation operator needs dimension >= 2, got {d}")
-    p = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            p[b * d + a, a * d + b] = 1.0
-    return TensorOperator(TensorSpace((d, d)), p)
-
-
-def partial_transpose(m: TensorOperator, factor: int) -> TensorOperator:
-    """Transpose in the indicated factor only."""
-    f = m.space.check_factor(factor)
-    n = m.space.n_factors
-    t = m.reshaped()
-    axes = list(range(2 * n))
-    axes[f], axes[n + f] = axes[n + f], axes[f]
-    d = m.space.dim
-    return TensorOperator(m.space, np.ascontiguousarray(t.transpose(axes)).reshape(d, d))
+def aux_transpose(m: np.ndarray) -> np.ndarray:
+    """m^{t1}: the transpose in the leading C^2 factor of a matrix on
+    C^2 (x) V, or of each matrix of a stack."""
+    d = m.shape[-1] // 2
+    return m.reshape(-1, 2, d, 2, d).swapaxes(1, 3).reshape(m.shape)
 
 
 def _as_matrix(op, expected_dim: int) -> np.ndarray:
     """A matrix, or a stack of them along a leading axis, of the expected
     size as a 3-d complex array (a lone matrix is a stack of one)."""
-    m = op.entries if isinstance(op, TensorOperator) else np.asarray(op, dtype=np.complex128)
+    m = np.asarray(op, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2:] != (expected_dim, expected_dim):
         raise ValueError(f"local operator shape {m.shape}, expected {(expected_dim,) * 2} "
                          "or a stack of those")
@@ -223,7 +213,7 @@ def identity_residual(m, s, keep):
 
 
 def commutator_residual(a, b):
-    """|| [A, B] || for square matrices or TensorOperators A and B.
+    """|| [A, B] || for square matrices A and B.
 
     Each operand is scaled by the power of two nearest the inverse of its
     largest entry before the products, and the norm is scaled back after.
@@ -232,7 +222,7 @@ def commutator_residual(a, b):
     finite value or, past the float range, inf.  At a stack A, the norms
     are an array over it, each the lone call's bit for bit.
     """
-    mats = [x.entries if isinstance(x, TensorOperator) else np.asarray(x) for x in (a, b)]
+    mats = [np.asarray(x) for x in (a, b)]
     if mats[0].ndim == mats[1].ndim == 2:       # a lone pair: scales as Python numbers
         exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in mats]
         scales = [math.ldexp(1.0, -e) for e in exps]

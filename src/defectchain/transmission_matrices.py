@@ -16,9 +16,13 @@ and the three (T, Tbar) pairs also the unitarity and crossing identities
 (the critical family in the rescaled variable u = lam / gamma, so crossing
 shifts lam by i*gamma there).
 
-The critical matrices use a fresh oscillator representation at the rescaled
-deformation q~ = e^{i pi gamma}: the displayed entries close the exchange
-algebra with the critical bulk S-matrix only under the q~-algebra.  For the
+No matrix here has a formula of its own: the S-matrix part is the chain's
+R-matrix and T, Tbar are its Lax operators L, Lhat, each at a shifted
+argument (lax_defect.s_matrix_part, t_matrix_part).  The critical ones
+are those of the chain at the rescaled deformation q~ = e^{i pi gamma},
+over a fresh oscillator representation at q~: the displayed entries close
+the exchange algebra with the critical bulk S-matrix only under the
+q~-algebra.  For the
 crossing check the two amplitude prefactors enter only through the product
 T+(lam + i gamma) T-(-lam + i gamma), which telescopes to the elementary
 ratio Gamma(i lam - g/2) Gamma(-i lam + g/2 + 1) / [Gamma(i lam + g/2)
@@ -31,10 +35,10 @@ import warnings
 
 import numpy as np
 
-from .lax_defect import CRITICAL, XXX, RegimeParams, defect_rep, s_matrix_part
-from .oscillator_reps import HarmonicRep, QOscRep, q_oscillator_rep, spin_rep
-from .tensor_core import (TensorOperator, TensorSpace, block2, exchange_residual,
-                          identity_residual, partial_transpose)
+from .lax_defect import (CRITICAL, XXX, RegimeParams, _lams, defect_rep, make_l, make_l_hat,
+                         q_lax, s_matrix_part)
+from .oscillator_reps import QOscRep, q_oscillator_rep, spin_rep
+from .tensor_core import aux_transpose, block2, exchange_residual, identity_residual
 
 __all__ = [
     "default_rep",
@@ -60,39 +64,32 @@ def default_rep(params: RegimeParams, dim: int):
         return q_oscillator_rep(dim, q_tilde)
 
 
-def t_matrix_part(params: RegimeParams, lh: complex, rep, which: str = "t") -> TensorOperator:
+def t_matrix_part(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray:
     """Matrix part of T (``which="t"``) or Tbar (``"t_bar"``) at lam_hat on
-    (aux C^2) (x) (defect space); complex lam_hat is allowed.
+    (aux C^2) (x) (defect space), or a stack; complex lam_hat is allowed.
 
-    The anisotropic parts are one block formula in q = rep.q and
-    e = e^{mu~ u} (critical, u = lam_hat / gamma, mu~ = pi gamma) or
-    e = e^{i eta lam_hat} (non-critical).
+    Each is the chain's Lax operator at a shifted argument: T = -i L(-lam_hat
+    - i/2) and Tbar = -i Lhat(-lam_hat + i/2) in the isotropic regime, else
+    T = L(-lam_hat + i/2) and Tbar = Lhat(-lam_hat - i/2) over rep (critical:
+    at q~ and u = lam_hat / gamma), i.e. q_lax at x = q/e and x = 1/e with
+    q = rep.q and e = e^{pi lam_hat} (critical) or e = e^{i eta lam_hat}.
     """
+    hat = which != "t"
     if params.regime == XXX:
-        if not isinstance(rep, HarmonicRep):
-            raise TypeError("isotropic transmission matrices need a HarmonicRep")
-        eye = np.eye(rep.dim, dtype=np.complex128)
-        n_bar = rep.a @ rep.a_dag - 0.5 * eye
-        blocks = ((1j * lh * eye + eye + n_bar, rep.a, rep.a_dag, eye) if which == "t"
-                  else (eye, -rep.a, -rep.a_dag, -1j * lh * eye + n_bar))
+        lax = make_l_hat if hat else make_l
+        return -1j * lax(params, -lh + (0.5j if hat else -0.5j), rep)
+    if not isinstance(rep, QOscRep):
+        raise TypeError("anisotropic transmission matrices need a QOscRep")
+    if params.regime == CRITICAL:
+        q_t = complex(np.exp(1j * np.pi * params.gamma))
+        if abs(rep.q - q_t) > 1e-9:
+            raise ValueError(
+                "critical transmission matrices need the rescaled-deformation "
+                f"oscillator with q = e^(i pi gamma) = {q_t}, got {rep.q}")
+        e = np.exp(np.pi * _lams(lh))
     else:
-        if not isinstance(rep, QOscRep):
-            raise TypeError("anisotropic transmission matrices need a QOscRep")
-        if params.regime == CRITICAL:
-            g = params.gamma
-            q_t = complex(np.exp(1j * np.pi * g))
-            if abs(rep.q - q_t) > 1e-9:
-                raise ValueError(
-                    "critical transmission matrices need the rescaled-deformation "
-                    f"oscillator with q = e^(i pi gamma) = {q_t}, got {rep.q}")
-            e = np.exp(np.pi * g * (lh / g))
-        else:
-            e = np.exp(1j * params.eta * lh)
-        q = rep.q
-        blocks = ((q / e * rep.v - e / q * rep.v_inv, rep.a_dag, rep.a, -e / q * rep.v)
-                  if which == "t"
-                  else (-rep.v / e, -rep.a_dag, -rep.a, e * rep.v - rep.v_inv / e))
-    return TensorOperator(TensorSpace((2, rep.dim)), block2(*blocks))
+        e = np.exp(1j * params.eta * _lams(lh))
+    return q_lax(rep, 1 / e, e, True) if hat else q_lax(rep, rep.q / e, e / rep.q, False)
 
 
 def _critical_elementary(lh: complex, gamma: float, which: str) -> complex:
@@ -127,7 +124,7 @@ def t_prefactor(params: RegimeParams, lh: complex, which: str = "t") -> complex:
     return -q ** 0.5 * amplitude(params, "-", lh).value
 
 
-def t_matrix(params: RegimeParams, lh: complex, rep, which: str = "t") -> TensorOperator:
+def t_matrix(params: RegimeParams, lh: complex, rep, which: str = "t") -> np.ndarray:
     """T (or Tbar) at lam_hat: prefactor times matrix part."""
     return t_prefactor(params, lh, which) * t_matrix_part(params, lh, rep, which)
 
@@ -145,10 +142,9 @@ def quadratic_algebra_residual(params: RegimeParams, lam1: float, lam2: float,
     The scalar prefactors cancel in this bilinear residual, so it is
     evaluated on the matrix parts.
     """
-    res, scale = exchange_residual(s_matrix_part(params, lam1 - lam2).entries,
-                                   t_matrix_part(params, lam1, rep, which).entries,
-                                   t_matrix_part(params, lam2, rep, which).entries,
-                                   keep=rep.interior())
+    res, scale = exchange_residual(s_matrix_part(params, lam1 - lam2),
+                                   t_matrix_part(params, lam1, rep, which),
+                                   t_matrix_part(params, lam2, rep, which), keep=rep.interior())
     return res / max(scale, 1.0)
 
 
@@ -171,8 +167,7 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
     is evaluated through its closed elementary form.
     """
     keep = rep.interior()
-    unit = (t_matrix(params, lam, rep).entries
-            @ t_matrix(params, -lam, rep, "t_bar").entries)
+    unit = t_matrix(params, lam, rep) @ t_matrix(params, -lam, rep, "t_bar")
     if params.regime == CRITICAL:
         g = params.gamma
         shift = 1j * g
@@ -182,8 +177,8 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
     else:
         shift = 1j
         scalars = t_prefactor(params, lam + shift, "t_bar") * t_prefactor(params, -lam + shift)
-    mb = partial_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"), 0).entries
-    mt = partial_transpose(t_matrix_part(params, -lam + shift, rep), 0).entries
+    mb = aux_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"))
+    mt = aux_transpose(t_matrix_part(params, -lam + shift, rep))
     return (identity_residual(unit, 1, keep),
             identity_residual(scalars * (mb @ mt), 1, keep))
 
@@ -193,23 +188,22 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
 # --------------------------------------------------------------------------
 
 
-def type2_matrix_part(eta: float, spin: float, lh: complex) -> TensorOperator:
-    """Matrix part of the spin-defect transmission matrix (non-critical):
-    sin(eta(-lam +- i Sz + i/2)) on the diagonal and sin(i eta) S-+ off it,
-    over the spin representation at q = e^{-eta}."""
+def type2_matrix_part(eta: float, spin: float, lh) -> np.ndarray:
+    """Matrix part of the spin-defect transmission matrix (non-critical), or
+    a stack: sin(eta(-lam +- i Sz + i/2)) on the diagonal and sin(i eta) S-+
+    off it, over the spin representation at q = e^{-eta}."""
     rep = spin_rep(spin, complex(np.exp(-eta)))
-    sz_diag = np.diag(rep.s_z)
-    a11 = np.diag(np.sin(eta * (-lh + 1j * sz_diag + 0.5j)))
-    a22 = np.diag(np.sin(eta * (-lh - 1j * sz_diag + 0.5j)))
+    lh, sz, eye = _lams(lh), rep.s_z.diagonal(), np.eye(rep.dim)
+    a11 = eye * np.sin(eta * (-lh + 1j * sz + 0.5j))
+    a22 = eye * np.sin(eta * (-lh - 1j * sz + 0.5j))
     off = np.sin(1j * eta)
-    return TensorOperator(TensorSpace((2, rep.dim)),
-                          block2(a11, off * rep.s_minus, off * rep.s_plus, a22))
+    return block2(a11, off * rep.s_minus, off * rep.s_plus, a22)
 
 
 def type2_algebra_residual(eta: float, spin: float, lam1: float, lam2: float) -> float:
     """Exchange-algebra residual of the spin matrix with the non-critical
     bulk S-matrix, relative (prefactors cancel; matrix parts used)."""
-    s12 = s_matrix_part(RegimeParams.noncritical(eta), lam1 - lam2).entries
-    res, scale = exchange_residual(s12, type2_matrix_part(eta, spin, lam1).entries,
-                                   type2_matrix_part(eta, spin, lam2).entries)
+    res, scale = exchange_residual(s_matrix_part(RegimeParams.noncritical(eta), lam1 - lam2),
+                                   type2_matrix_part(eta, spin, lam1),
+                                   type2_matrix_part(eta, spin, lam2))
     return res / max(scale, 1.0)

@@ -71,11 +71,11 @@ def test_criterion_1_yang_baxter():
         pairs = rng.uniform(-1.5, 1.5, size=(20, 2))
         for l1, l2 in pairs:
             worst = max(worst, ybe_residual(
-                lambda x: make_r(params, x).entries, l1, l2))
+                lambda x: make_r(params, x), l1, l2))
         for l1, l2 in pairs:
             worst = max(worst, ybe_residual(
                 lambda x: (soliton_s_amplitude(params, x)
-                           * s_matrix_part(params, x)).entries, l1, l2))
+                           * s_matrix_part(params, x)), l1, l2))
     _report(1, "Yang-Baxter for R and S, 20 seeded pairs per regime", worst, 1e-10)
 
 
@@ -89,11 +89,11 @@ def test_criterion_2_rll():
         eye2 = np.eye(2, dtype=complex)
         proj = np.kron(np.eye(4, dtype=complex), np.diag(rep.interior()))
         for l1, l2 in rng.uniform(-1.2, 1.2, size=(5, 2)):
-            lm1 = make_l(params, l1, rep).entries.reshape(2, d, 2, d)
-            lm2 = make_l(params, l2, rep).entries.reshape(2, d, 2, d)
+            lm1 = make_l(params, l1, rep).reshape(2, d, 2, d)
+            lm2 = make_l(params, l2, rep).reshape(2, d, 2, d)
             m1 = np.einsum("aibj,cd->acibdj", lm1, eye2).reshape(4 * d, 4 * d)
             m2 = np.einsum("aibj,cd->caidbj", lm2, eye2).reshape(4 * d, 4 * d)
-            r12 = np.kron(make_r(params, l1 - l2).entries,
+            r12 = np.kron(make_r(params, l1 - l2),
                           np.eye(d, dtype=complex))
             worst = max(worst, np.linalg.norm(
                 (r12 @ m1 @ m2 - m2 @ m1 @ r12) @ proj))
@@ -109,8 +109,8 @@ def test_criterion_3_conjugate_and_unitarity():
     for params in REGIMES:
         rep = rep_for(params, 8)
         for lam in (0.0, 0.37, -1.1):
-            diff = np.abs(crossing_transform(make_l(params, -lam - 1j, rep)).entries
-                          - make_l_hat(params, lam, rep).entries).max()
+            diff = np.abs(crossing_transform(make_l(params, -lam - 1j, rep))
+                          - make_l_hat(params, lam, rep)).max()
             worst_two_route = max(worst_two_route, diff)
         worst_scalar = max(worst_scalar, *map(np.max, unitarity_residuals(params, grid, rep)))
     print(f"ACCEPTANCE 3a: {'PASS' if worst_two_route < 1e-13 else 'FAIL'}  "
@@ -134,7 +134,7 @@ def test_criterion_4_transfer_matrix_structure():
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
             rtt = rtt_residual(spec, l1, l2)
             m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
-            dense, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2,
+            dense, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2,
                                            sector_mask(spec))
             assert abs(rtt - dense) <= 1e-12 * scale
             worst = max(worst, rtt)

@@ -77,9 +77,9 @@ HARM = harmonic_rep(3)
      dict(name="k", hat=_hat, odd_kind="jump", odd_origin=0.5j, decay=1.5, discrete=True)),
     (HarmonicRep, (3, HARM.a, HARM.a_dag, HARM.n_op),
      dict(dim=3, a=HARM.a, a_dag=HARM.a_dag, n_op=HARM.n_op)),
-    (QOscRep, (4, QOSC.q, QOSC.v, QOSC.v_inv, QOSC.a, QOSC.a_dag, QOSC.x, QOSC.y),
+    (QOscRep, (4, QOSC.q, QOSC.v, QOSC.v_inv, QOSC.a, QOSC.a_dag, QOSC.y),
      dict(dim=4, q=QOSC.q, v=QOSC.v, v_inv=QOSC.v_inv, a=QOSC.a, a_dag=QOSC.a_dag,
-          x=QOSC.x, y=QOSC.y)),
+          y=QOSC.y)),
     (SpinRep, (SPIN.s_z, SPIN.s_plus, SPIN.s_minus),
      dict(s_z=SPIN.s_z, s_plus=SPIN.s_plus, s_minus=SPIN.s_minus)),
 ])

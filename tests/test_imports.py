@@ -3,8 +3,8 @@ the amplitude layer's deferred ones sits at module level, every public name
 has a caller inside the package (through an import at module level or inside
 a function), every defaulted parameter of a public function is passed inside
 the package, every __slots__ field of a package class is read inside the
-package, no module imports a random generator or dataclasses, and only
-the entry point imports gc."""
+package, no module imports a random generator or dataclasses, only the
+entry point imports gc, and only tensor_core names its operator classes."""
 import ast
 from pathlib import Path
 
@@ -491,3 +491,38 @@ def test_only_the_entry_point_imports_gc():
     # python -m defectchain freezes the heap once main has returned; no
     # module touches the collector at import or inside cli.main
     assert imports_of("gc", _parse_all()) == ["__main__: gc"]
+
+
+TENSOR_CLASSES = ("TensorOperator", "TensorSpace")
+
+
+def tensor_class_users(trees) -> list[str]:
+    """module: name for every name, attribute or import of a tensor_core
+    class outside tensor_core."""
+    found = []
+    for module, tree in trees.items():
+        if module == "tensor_core":
+            continue
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in TENSOR_CLASSES:
+                found.append(f"{module}: {name}")
+    return found
+
+
+def test_tensor_class_users_finds_each_form():
+    trees = {"m": ast.parse("from .tensor_core import TensorSpace as S\n"
+                            "from . import tensor_core\n"
+                            "x = tensor_core.TensorOperator(S((2,)), m)\n"
+                            "def f(op: TensorOperator): return op\n"),
+             "tensor_core": ast.parse("class TensorSpace: pass\n")}
+    assert sorted(tensor_class_users(trees)) == [
+        "m: TensorOperator", "m: TensorOperator", "m: TensorSpace"]
+
+
+def test_only_tensor_core_names_the_tensor_classes():
+    # every operator builder returns a plain array; the classes stay only
+    # for tensor_core's commutator product, which clibench's tracer counts
+    assert tensor_class_users(_parse_all()) == []

@@ -7,7 +7,7 @@ from defectchain.lax_defect import (RegimeParams, crossing_transform, make_l,
                                     scalar_crossing, scalar_unitarity,
                                     unitarity_residuals)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
-from defectchain.tensor_core import identity_residual, partial_transpose, permutation_operator
+from defectchain.tensor_core import identity_residual
 from defectchain.transmission_amplitudes import soliton_s_amplitude
 
 XXX = RegimeParams.xxx()
@@ -19,6 +19,10 @@ def rep_for(params, d=8):
     if params.regime == "XXX":
         return harmonic_rep(d)
     return q_oscillator_rep(d, params.q)
+
+
+# P (|a> (x) |b>) = |b> (x) |a> on C^2 (x) C^2
+SWAP = np.eye(4).reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(4, 4)
 
 
 def embed3(m, pos):
@@ -41,11 +45,11 @@ def ybe_residual(mat, l1, l2):
 def rll_residual(params, rep, l1, l2):
     d = rep.dim
     eye2 = np.eye(2, dtype=complex)
-    lm1 = make_l(params, l1, rep).entries.reshape(2, d, 2, d)
-    lm2 = make_l(params, l2, rep).entries.reshape(2, d, 2, d)
+    lm1 = make_l(params, l1, rep).reshape(2, d, 2, d)
+    lm2 = make_l(params, l2, rep).reshape(2, d, 2, d)
     m1 = np.einsum("aibj,cd->acibdj", lm1, eye2).reshape(4 * d, 4 * d)
     m2 = np.einsum("aibj,cd->caidbj", lm2, eye2).reshape(4 * d, 4 * d)
-    r12 = np.kron(make_r(params, l1 - l2).entries, np.eye(d, dtype=complex))
+    r12 = np.kron(make_r(params, l1 - l2), np.eye(d, dtype=complex))
     proj = np.kron(np.eye(4, dtype=complex), np.diag(rep.interior()))
     return np.linalg.norm((r12 @ m1 @ m2 - m2 @ m1 @ r12) @ proj)
 
@@ -67,14 +71,14 @@ def test_regime_params_reject_non_finite_values(make, match):
 
 def test_xxx_r_at_zero_is_permutation():
     r = make_r(XXX, 0.0)
-    np.testing.assert_allclose(r.entries, 1j * permutation_operator(2).entries)
+    np.testing.assert_allclose(r, 1j * SWAP)
 
 
 def test_xxz_r_entries_by_substitution():
     mu = 0.6
     params = RegimeParams.critical(mu)
     q = np.exp(1j * mu)
-    r = make_r(params, 0.0).entries
+    r = make_r(params, 0.0)
     # diagonal sinh weights at lam = 0: (a, b, b, a) with a = 2 sinh(i mu), b = 0
     np.testing.assert_allclose(r[0, 0], 2 * np.sinh(1j * mu), atol=1e-14)
     np.testing.assert_allclose(r[1, 1], 0.0, atol=1e-14)
@@ -87,14 +91,14 @@ def test_xxz_r_entries_by_substitution():
 def test_r_yang_baxter(params):
     rng = np.random.default_rng(42)
     for l1, l2 in rng.uniform(-1.5, 1.5, size=(20, 2)):
-        assert ybe_residual(lambda x: make_r(params, x).entries, l1, l2) < 1e-12
+        assert ybe_residual(lambda x: make_r(params, x), l1, l2) < 1e-12
 
 
 # ------------------------------------------------------------------ L-matrix
 
 def test_xxx_l_corner_entry():
     rep = harmonic_rep(6)
-    l = make_l(XXX, 0.0, rep).entries
+    l = make_l(XXX, 0.0, rep)
     np.testing.assert_allclose(l[6:, 6:], 1j * np.eye(6), atol=1e-14)
 
 
@@ -120,16 +124,16 @@ def test_rll_quadratic_algebra(params, d):
 def test_l_hat_two_routes_agree(params):
     rep = rep_for(params)
     for lam in (0.0, 0.37, -1.1, 0.2 + 0.5j):
-        explicit = make_l_hat(params, lam, rep).entries
-        crossed = crossing_transform(make_l(params, -lam - 1j, rep)).entries
+        explicit = make_l_hat(params, lam, rep)
+        crossed = crossing_transform(make_l(params, -lam - 1j, rep))
         assert np.abs(crossed - explicit).max() < 1e-13
 
 
 def test_crossing_is_involution():
     rep = rep_for(XXX)
     op = make_l(XXX, 0.83, rep)
-    np.testing.assert_allclose(crossing_transform(crossing_transform(op)).entries,
-                               op.entries, atol=1e-13)
+    np.testing.assert_allclose(crossing_transform(crossing_transform(op)),
+                               op, atol=1e-13)
 
 
 def test_v1_square_and_sign_convention():
@@ -138,21 +142,20 @@ def test_v1_square_and_sign_convention():
     v1 = np.array([[0, 1j], [-1j, 0]])
     np.testing.assert_allclose(v1 @ v1, np.eye(2))
     rep = rep_for(XXX, 4)
-    np.testing.assert_allclose(crossing_transform(make_l(XXX, -0.3 - 1j, rep)).entries,
-                               make_l_hat(XXX, 0.3, rep).entries, atol=1e-14)
+    np.testing.assert_allclose(crossing_transform(make_l(XXX, -0.3 - 1j, rep)),
+                               make_l_hat(XXX, 0.3, rep), atol=1e-14)
 
 
 def test_crossing_needs_two_dim_aux():
-    from defectchain.tensor_core import TensorOperator, TensorSpace
-    with pytest.raises(ValueError):
-        crossing_transform(TensorOperator.identity(TensorSpace((3, 2))))
+    with pytest.raises(ValueError, match="2-dimensional auxiliary factor"):
+        crossing_transform(np.eye(3))
 
 
 # ------------------------------------------------------- unitarity identities
 
 def test_xxx_unitarity_at_zero():
     rep = rep_for(XXX)
-    prod = make_l(XXX, 0.0, rep).entries @ make_l_hat(XXX, 0.0, rep).entries
+    prod = make_l(XXX, 0.0, rep) @ make_l_hat(XXX, 0.0, rep)
     proj = np.kron(np.eye(2), np.diag(rep.interior()))
     # scalar i(lam + i) at lam = 0 is -1
     assert np.linalg.norm((prod + np.eye(2 * rep.dim)) @ proj) < 1e-13
@@ -162,7 +165,7 @@ def test_xxz_unitarity_scalar_value():
     rep = rep_for(NC)
     lam = 0.6
     mu = 1j * NC.eta
-    prod = make_l(NC, lam, rep).entries @ make_l_hat(NC, -lam, rep).entries
+    prod = make_l(NC, lam, rep) @ make_l_hat(NC, -lam, rep)
     scalar = -np.exp(-mu * lam) * (np.exp(mu * lam) - np.exp(-mu * lam))
     proj = np.kron(np.eye(2), np.diag(rep.interior()))
     assert np.linalg.norm((prod - scalar * np.eye(2 * rep.dim)) @ proj) < 1e-12
@@ -194,13 +197,15 @@ def test_unitarity_identities_hold_at_scalar_zeros(params, zeros):
 def unitarity_oracle(params, lam, rep):
     """(residual, scale) of unitarity and of crossing-unitarity at one lam,
     from one operator each: the products of make_l and make_l_hat, their
-    auxiliary transposes by partial_transpose, and the scales the norms of
-    the products."""
-    keep = rep.interior()
-    unit = (make_l(params, lam, rep) @ make_l_hat(params, -lam, rep)).entries
-    lt = partial_transpose(make_l(params, -lam - 1j, rep), 0)
-    lht = partial_transpose(make_l_hat(params, lam - 1j, rep), 0)
-    crossing = (lt @ lht).entries
+    auxiliary transposes by einsum, and the scales the norms of the
+    products."""
+    keep, d = rep.interior(), rep.dim
+
+    def t1(m):
+        return np.einsum("aibj->biaj", m.reshape(2, d, 2, d)).reshape(2 * d, 2 * d)
+
+    unit = make_l(params, lam, rep) @ make_l_hat(params, -lam, rep)
+    crossing = t1(make_l(params, -lam - 1j, rep)) @ t1(make_l_hat(params, lam - 1j, rep))
     return ((identity_residual(unit, scalar_unitarity(params, lam), keep),
              np.linalg.norm(unit)),
             (identity_residual(crossing, scalar_crossing(params, lam), keep),
@@ -230,9 +235,9 @@ def test_operator_stacks_are_the_scalar_operators(params):
     lams = np.linspace(-2.0, 2.0, 7)
     for make, args in ((make_r, ()), (make_l, (rep,)), (make_l_hat, (rep,))):
         stack = make(params, lams, *args)
-        assert stack.shape == (7,) + make(params, 0.3, *args).entries.shape
+        assert stack.shape == (7,) + make(params, 0.3, *args).shape
         for lam, m in zip(lams, stack):
-            assert m.tobytes() == make(params, lam, *args).entries.tobytes()
+            assert m.tobytes() == make(params, lam, *args).tobytes()
         if params is not XXX:
             far = np.array([0.0, 701.0 / params.mu_complex])     # mu lam = 701
             with pytest.raises(ValueError, match="overflows"):
@@ -252,8 +257,7 @@ def s_matrix(params, lam):
 
 def test_xxx_s_matrix_at_zero_is_permutation():
     s = s_matrix(XXX, 0.0)
-    np.testing.assert_allclose(s.entries, permutation_operator(2).entries,
-                               atol=1e-12)
+    np.testing.assert_allclose(s, SWAP, atol=1e-12)
 
 
 def test_critical_s_prefactor_is_one_at_zero():
@@ -264,7 +268,7 @@ def test_critical_s_prefactor_is_one_at_zero():
 def test_s_matrix_yang_baxter(params):
     rng = np.random.default_rng(7)
     for l1, l2 in rng.uniform(-1.2, 1.2, size=(4, 2)):
-        res = ybe_residual(lambda x: s_matrix(params, x).entries, l1, l2)
+        res = ybe_residual(lambda x: s_matrix(params, x), l1, l2)
         assert res < 1e-10
 
 
@@ -282,7 +286,7 @@ def test_overflowing_exponent_is_a_value_error(lam):
                 with pytest.raises(ValueError, match="overflows"):
                     build(lam)
             else:
-                assert np.isfinite(build(lam).entries).all()
+                assert np.isfinite(build(lam)).all()
 
 
 def np_block2(a11, a12, a21, a22):
@@ -297,8 +301,8 @@ def test_lax_blocks_match_np_block(params, monkeypatch):
     def build():
         out = []
         for lam in (0.37, -1.2 + 0.3j):
-            out += [make_r(params, lam).entries, make_l(params, lam, rep).entries,
-                    make_l_hat(params, lam, rep).entries]
+            out += [make_r(params, lam), make_l(params, lam, rep),
+                    make_l_hat(params, lam, rep)]
         return out
 
     fast = build()

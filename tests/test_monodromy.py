@@ -14,7 +14,6 @@ from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_r
                                    reference_eigenvalue, reference_residual, rtt_residual,
                                    sector_blocks, sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
-from defectchain.tensor_core import TensorOperator
 from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
                           masked_commutator, reference_state, rotated_monodromy,
                           rotated_transfer, sector_mask)
@@ -132,15 +131,15 @@ def test_defect_only_chain_is_lax_operator():
     lam = 0.9
     t = contracted_monodromy(spec, lam)
     l = make_l(spec.params, lam - spec.theta, spec.rep)
-    np.testing.assert_allclose(t, l.entries, atol=1e-14)
+    np.testing.assert_allclose(t, l, atol=1e-14)
 
 
 def test_monodromy_matches_hand_composed_contraction():
     spec = xxx_chain(n_sites=2, defect_site=2, d=4)
     lam = 0.613
     d = spec.rep.dim
-    r = make_r(spec.params, lam).entries.reshape(2, 2, 2, 2)
-    l = make_l(spec.params, lam - spec.theta, spec.rep).entries.reshape(2, d, 2, d)
+    r = make_r(spec.params, lam).reshape(2, 2, 2, 2)
+    l = make_l(spec.params, lam - spec.theta, spec.rep).reshape(2, d, 2, d)
     # read from the defect, T = R_{0,1} R_{0,3} L_{0,2}; the auxiliary index
     # chains through the product:
     # T^{a e}_{(s1 s3 s2),(t1 t3 t2)} = R^{ab}_{s1 t1} R^{bc}_{s3 t3} L^{ce}_{s2 t2}
@@ -241,12 +240,12 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     # in either site order; T(lam2) and T(lam1) in the places of T1 and T2
     # break it at O(1): equal to rtol 1e-12
     pairs = [contract(spec, x, t) for x, t in zip((l1, l2), local)]
-    res, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, keep)
+    res, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, keep)
     assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
-    res, scale = exchange_oracle(make_r(params, l1 - l2).entries,
+    res, scale = exchange_oracle(make_r(params, l1 - l2),
                                  *(dense_monodromy(spec, x) for x in (l1, l2)), keep)
     assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
-    want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m2, m1, keep)
+    want, scale = exchange_oracle(make_r(params, l1 - l2), m2, m1, keep)
     assert want > 1e-3 * scale
     np.testing.assert_allclose(rtt_residual(spec, l1, l2, pairs[::-1]), want, rtol=1e-12)
     # the commuting family, and a block-diagonal partner t(lam2) + x that
@@ -290,7 +289,7 @@ def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
     assert charge_leak(spec, local[1]) == 0.0
     got = rtt_residual(spec, l1, l2, [contract(spec, x, t) for x, t in zip((l1, l2), local)])
     m1, m2 = (rotated_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
-    want, scale = exchange_oracle(make_r(params, l1 - l2).entries, m1, m2, sector_mask(spec))
+    want, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, sector_mask(spec))
     assert got > 1e-9
     assert abs(got - want) <= 1e-12 * scale
 
@@ -616,10 +615,9 @@ def with_leak(make):
     """`make` with one more entry, 1e-300 at (aux 0, state 0; aux 0, state
     1): it raises the charge by one, from row to column."""
     def leaky(*args):
-        op = make(*args)
-        m = op.entries.copy()
+        m = make(*args).copy()
         m[0, 1] = 1e-300
-        return TensorOperator(op.space, m)
+        return m
     return leaky
 
 
@@ -644,7 +642,7 @@ def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name
     # the leaky tensor's largest entry
     args = (params, 0.37 - spec.theta, spec.rep) if name == "make_l" else (params, 0.37)
     leak = charge_leak(spec, local_tensors(spec, 0.37))
-    assert leak == 1e-300 / np.abs(make(*args).entries).max() > 0
+    assert leak == 1e-300 / np.abs(make(*args)).max() > 0
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
@@ -656,8 +654,7 @@ def test_charge_leak_below_the_float_range_still_reads_and_stops(monkeypatch, pa
     make = monodromy.make_r
 
     def loud(*args):
-        op = make(*args)
-        return TensorOperator(op.space, op.entries * 1e300)
+        return make(*args) * 1e300
 
     monkeypatch.setattr(monodromy, "make_r", with_leak(loud))
     assert charge_leak(spec, local_tensors(spec, 0.37)) == 5e-324

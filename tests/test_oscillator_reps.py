@@ -88,7 +88,7 @@ def test_q_oscillator_ladder_actions(q):
 def test_q_oscillator_weyl_and_algebra(q):
     rep = q_oscillator_rep(8, q)
     p = np.diag(rep.interior())
-    assert np.linalg.norm((rep.x @ rep.y - q * rep.y @ rep.x) @ p) < 1e-13
+    assert np.linalg.norm((rep.v @ rep.y - q * rep.y @ rep.v) @ p) < 1e-13
     for relation, residual, _ in algebra_residuals(rep):
         assert residual < 1e-12, relation
 

@@ -2,86 +2,42 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
-from defectchain.tensor_core import (TensorOperator, TensorSpace, block2,
+from defectchain.tensor_core import (TensorOperator, TensorSpace, aux_transpose, block2,
                                      commutator_residual, exchange_residual,
-                                     identity_residual, partial_transpose,
-                                     permutation_operator)
+                                     identity_residual)
 from dense_oracle import embed, exchange_oracle
 
 
-def op(dims, entries):
-    return TensorOperator(TensorSpace(tuple(dims)), np.asarray(entries, dtype=complex))
-
-
-def random_op(rng, d):
-    return op([d], rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+def random_matrix(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-def test_permutation_matrix_d2():
-    p = permutation_operator(2)
-    expected = np.zeros((4, 4))
-    for r, c in [(0, 0), (1, 2), (2, 1), (3, 3)]:
-        expected[r, c] = 1.0
-    np.testing.assert_allclose(p.entries, expected)
+def einsum_aux_transpose(m, d):
+    """The transpose in the leading C^2 factor of m on C^2 (x) C^d, or of
+    each matrix of a stack, by an explicit index exchange."""
+    t = np.einsum("...aibj->...biaj", m.reshape(m.shape[:-2] + (2, d, 2, d)))
+    return t.reshape(m.shape)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_permutation_involution(d):
-    p = permutation_operator(d)
-    np.testing.assert_allclose((p @ p).entries, np.eye(d * d), atol=1e-14)
+@pytest.mark.parametrize("shape", [(6, 6), (4, 6, 6)], ids=["matrix", "stack"])
+def test_aux_transpose_is_the_einsum_transpose(shape):
+    m = random_matrix(np.random.default_rng(5), *shape)
+    got = aux_transpose(m)
+    assert got.shape == m.shape and np.array_equal(got, einsum_aux_transpose(m, 3))
+    assert np.array_equal(aux_transpose(got), m)
+    if m.ndim == 3:
+        assert all(np.array_equal(g, aux_transpose(x)) for g, x in zip(got, m))
 
 
-def test_permutation_swaps_factors():
-    rng = np.random.default_rng(11)
-    a, b = random_op(rng, 2), random_op(rng, 2)
-    p = permutation_operator(2)
-    lhs = p.entries @ np.kron(a.entries, b.entries) @ p.entries
-    np.testing.assert_allclose(lhs, np.kron(b.entries, a.entries), atol=1e-12)
-
-
-def test_permutation_rejects_small():
-    with pytest.raises(ValueError):
-        permutation_operator(1)
-
-
-def test_partial_transpose_identity_and_involution():
-    space = TensorSpace((2, 3))
-    ident = TensorOperator.identity(space)
-    np.testing.assert_allclose(partial_transpose(ident, 1).entries, np.eye(6))
-    rng = np.random.default_rng(5)
-    m = op([2, 3], rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    twice = partial_transpose(partial_transpose(m, 0), 0)
-    np.testing.assert_allclose(twice.entries, m.entries)
-
-
-def test_partial_transpose_on_product():
+def test_aux_transpose_on_product():
     rng = np.random.default_rng(6)
-    a, b = random_op(rng, 2), random_op(rng, 3)
-    m = op([2, 3], np.kron(a.entries, b.entries))
-    expected = np.kron(a.entries.T, b.entries)
-    np.testing.assert_allclose(partial_transpose(m, 0).entries, expected)
-
-
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_partial_transpose_preserves_frobenius(seed):
-    rng = np.random.default_rng(seed)
-    m = op([2, 2], rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    norm = np.linalg.norm(partial_transpose(m, 1).entries)
-    assert norm == pytest.approx(np.linalg.norm(m.entries), rel=1e-12)
-
-
-def test_partial_transpose_bad_index():
-    m = TensorOperator.identity(TensorSpace((2, 2)))
-    with pytest.raises(IndexError):
-        partial_transpose(m, 2)
+    a, b = random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
+    np.testing.assert_array_equal(aux_transpose(np.kron(a, b)), np.kron(a.T, b))
 
 
 def test_embed_identity_and_kron_ordering():
@@ -152,8 +108,8 @@ def test_exchange_residual_failing_rll_matches_oracle(params):
     rep = defect_rep(params, 8)
     l1, l2 = 0.63, -0.41
     res, scale = assert_matches_oracle(
-        make_r(params, l1 + l2).entries, make_l(params, l1, rep).entries,
-        make_l(params, l2, rep).entries, keep=rep.interior())
+        make_r(params, l1 + l2), make_l(params, l1, rep),
+        make_l(params, l2, rep), keep=rep.interior())
     assert res > 1e-3 * scale > 0
 
 
@@ -162,7 +118,7 @@ def test_exchange_residual_is_yang_baxter_on_c2():
     l1, l2 = 0.9, -0.35
 
     def r(x):
-        return make_r(params, x).entries
+        return make_r(params, x)
 
     eye = np.eye(2, dtype=complex)
     r13 = np.einsum("abcd,ef->aebcfd", r(l1).reshape(2, 2, 2, 2), eye).reshape(8, 8)
@@ -231,11 +187,9 @@ def test_commutator_residual_equals_dense_product(n):
     rng = np.random.default_rng(40 + n)
     a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for _ in range(2))
-    a_op, b_op = op([n], a), op([n], b)
-    assert commutator_residual(a_op, b_op) == np.linalg.norm(a @ b - b @ a)
     assert commutator_residual(a, b) == np.linalg.norm(a @ b - b @ a)
-    assert commutator_residual(a_op, a_op @ a_op) < 1e-12 * np.linalg.norm(a) ** 3
-    assert commutator_residual(a_op, np.eye(n)) == 0.0
+    assert commutator_residual(a, a @ a) < 1e-12 * np.linalg.norm(a) ** 3
+    assert commutator_residual(a, np.eye(n)) == 0.0
 
 
 def test_commutator_residual_scales_by_powers_of_two_without_overflow():
@@ -245,13 +199,13 @@ def test_commutator_residual_scales_by_powers_of_two_without_overflow():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     b = a @ a
-    unit = commutator_residual(op([6], a), op([6], b))
+    unit = commutator_residual(a, b)
     big = 2.0 ** 520
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert commutator_residual(op([6], a * big), op([6], b * big)) == unit * big * big
+        assert commutator_residual(a * big, b * big) == unit * big * big
         c = rng.standard_normal((6, 6))
-        assert commutator_residual(op([6], a * big), op([6], c * big)) == np.inf
+        assert commutator_residual(a * big, c * big) == np.inf
 
 
 def test_commutator_residual_of_a_stack_is_each_lone_call():
@@ -265,7 +219,7 @@ def test_commutator_residual_of_a_stack_is_each_lone_call():
     a[3] *= 2.0 ** 520
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = commutator_residual(a, op([6], b))
+        got = commutator_residual(a, b)
     want = [commutator_residual(x, b) for x in a]
     assert got.shape == (4,) and got.tolist() == want and want[3] == np.inf
     assert commutator_residual(a[:0], b).shape == (0,)
