@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 
 # Only verify and amplitude read the amplitude layer.  It is compiled here,
@@ -11,7 +12,11 @@ from . import cli
 
 def main() -> int:
     """`python -m defectchain` and the installed `defectchain` script."""
-    code = cli.main()
+    try:
+        code = cli.main()
+    except BrokenPipeError:   # `... | head`: devnull takes the last flush of stdout
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # Every output has been written and closed.  The interpreter's finalizer
     # would still run full cycle collections over all that numpy and the
     # package built, about 25-30 ms of a cold command, for memory the OS

@@ -27,6 +27,7 @@ against independent high-precision oracles in the test suite.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Callable
@@ -40,10 +41,9 @@ __all__ = [
     "ConvergenceError",
     "FloatRangeError",
     "AmplitudeResult",
-    "log_gamma",
     "gamma_ratio",
     "gamma_ratio_bound",
-    "q_gamma",
+    "q_gamma_ratio",
     "infinite_gamma_product",
     "FourierKernel",
     "amplitude_integral",
@@ -72,105 +72,126 @@ class FloatRangeError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# complex log-Gamma, Lanczos g=7 with reflection for Re z < 1/2
+# truncation; finite Gamma and q-Gamma ratios
 # --------------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
 
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_LOG_2 = math.log(2.0)
-# the reflection formula takes log(sin(pi z)) as it is up to this |Im z|
-_SIN_DIRECT = 100.0
-
-
-def _lanczos_series(zm1):
-    """The Lanczos series c_0 + sum_i c_i / (z - 1 + i), from zm1 = z - 1."""
-    series = np.full_like(zm1, _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[i] / (zm1 + i)
-    return series
-
-
-def _log_gamma_right(z):
-    """Lanczos sum, valid for Re z >= 0.5."""
-    zm1 = z - 1.0
-    t = zm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(_lanczos_series(zm1))
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma(z) for complex z (scalar or array).
-
-    Uses a Lanczos approximation on Re z >= 1/2 and the reflection formula
-    elsewhere.  There log sin(pi z) is log(sin(pi z)) up to |Im z| =
-    _SIN_DIRECT.  Past it, where sin(pi z) would overflow from |Im z| ~ 226
-    on, it is i pi s (1/2 - z) - log 2 with s the sign of Im z: sin(pi z) =
-    e^{i pi s (1/2 - z)} (1 - e^{2 i pi s z}) / 2 (DLMF 4.14.1), and
-    |e^{2 i pi s z}| < 1e-272 there; it equals log(sin(pi z)) modulo
-    2 pi i.  Raises PoleError if any argument sits
-    at a non-positive integer.  exp(log_gamma(x)) matches Gamma(x) on the
-    real axis.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-
-    near_int = np.abs(z - np.round(z.real)) < 1e-13
-    at_pole = near_int & (np.round(z.real) <= 0)
-    if np.any(at_pole):
-        loc = z[at_pole][0]
-        raise PoleError(f"log_gamma pole at z = {loc}", location=complex(loc))
-
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _log_gamma_right(z[right])
-    if np.any(~right):
-        zl = z[~right]
-        log_sin = np.empty_like(zl)
-        far = np.abs(zl.imag) > _SIN_DIRECT
-        log_sin[~far] = np.log(np.sin(np.pi * zl[~far]))
-        log_sin[far] = 1j * np.pi * np.sign(zl.imag[far]) * (0.5 - zl[far]) - _LOG_2
-        # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
-        out[~right] = np.log(np.pi) - log_sin - _log_gamma_right(1.0 - zl)
-    return out[0] if scalar else out
-
-
-# the absolute error of one log_gamma value (Lanczos g = 7, nine terms) is
-# below _LOG_GAMMA_REL * (1 + |log Gamma|) on the arguments the amplitudes
-# use; the tests measure it against mpmath (about 4.6e-15 at worst)
-_LOG_GAMMA_REL = 1e-14
+# hard cap on the terms of a product or sum, and on the nodes of a rule
+MAX_TERMS = 400_000
+# a truncated product or series leaves at most about this much of its log
+TAIL_TOL = 1e-12
+# elements per (points x nodes) temporary: grids are walked in blocks of
+# max(1, BLOCK // nodes) points so no temporary outgrows this
+BLOCK = 16384
 _EPS = float(np.finfo(float).eps)
+
+# the series of Gamma ratios runs over n = 2 .. _STIRLING_ORDER, where |Z| >=
+# _STIRLING_REACH max(max|h|, 1) or farther
+_STIRLING_ORDER = 20
+_STIRLING_REACH = 6.0
+# the Bernoulli numbers B_0 .. B_(_STIRLING_ORDER + 2); the odd ones past B_1 vanish
+_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66,
+              0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0, 43867 / 798, 0.0,
+              -174611 / 330, 0.0, 854513 / 138)
+
+
+def _stirling_table():
+    """n = 2 .. _STIRLING_ORDER + 2 and the table taking the power sums p_j =
+    sum_i s_i h_i^j to D_n, the coefficient of Z^(1-n) in sum_i s_i log
+    Gamma(Z + h_i), (-1)^n sum_i s_i B_n(h_i) / (n (n-1)) (DLMF 5.11.8)."""
+    n, j = np.arange(2, _STIRLING_ORDER + 3)[:, None], np.arange(1, _STIRLING_ORDER + 3)
+    factorial = np.concatenate([[1.0], np.cumprod(np.arange(1.0, _STIRLING_ORDER + 3.0))])
+    table = np.where(j <= n, (-1.0) ** n * factorial[n - 2] * np.array(_BERNOULLI)[n - j]
+                     / (factorial[n - j] * factorial[j]), 0.0)
+    table.flags.writeable = False
+    return n, table
+
+
+_STIRLING_N, _STIRLING_TABLE = _stirling_table()
+
+
+def _pairs(num, den, *grid):
+    """The (2, pairs, points) arguments of a ratio and their grid's shape: at
+    each point num_i pairs with the den_i that makes sum |num_i - den_i| least."""
+    if len(num) != len(den):
+        raise ValueError(f"a ratio needs as many factors above as below: {len(num)}, {len(den)}")
+    args = np.array(np.broadcast_arrays(*num, *den, *grid)[:2 * len(num)], dtype=np.complex128)
+    shape, args = args.shape[1:], args.reshape(2, len(num), -1)
+    if len(num) > 1:
+        orders = np.array(list(itertools.permutations(range(len(num)))))
+        cost = [sum(np.abs(args[0] - args[1, order])) for order in orders]
+        args[1] = args[1, orders[np.argmin(cost, axis=0)].T, np.arange(args.shape[2])]
+    return args, shape
+
+
+@lru_cache(maxsize=64)
+def _pair_series(delta: complex):
+    """D_n (n = 2 .. 20) of the shifts +-delta, the rounding of D_n W^(1-n)
+    in eps |W|^(n-1), 2 |D_n| for n = 21, 22 and the reach, 6 max(|delta|, 1)
+    or where those pass eps/4."""
+    d, size = np.zeros(len(_STIRLING_TABLE), dtype=complex), np.zeros(len(_STIRLING_TABLE))
+    power = 2.0 * delta                      # p_j = 2 delta^j at odd j, 0 at even j
+    for i in range(0, _STIRLING_TABLE.shape[1], 2):
+        d += _STIRLING_TABLE[:, i] * power
+        size += (i + 3) * np.abs(_STIRLING_TABLE[:, i] * power)
+        power *= delta * delta
+    omitted = 2.0 * np.abs(d[-2:])
+    reach = max(_STIRLING_REACH * max(abs(delta), 1.0),
+                *(4.0 * omitted / _EPS) ** (1.0 / (_STIRLING_N[-2:, 0] - 1.0)))
+    return d[:-2], size[:-2] + _STIRLING_N[:-2, 0] * np.abs(d[:-2]), omitted, reach
 
 
 def gamma_ratio_bound(num, den):
-    """prod_i Gamma(num_i) / prod_j Gamma(den_j) and a bound on its absolute
-    error, with every num_i and den_j a scalar or an array of one shape (a
-    grid of points); the result has that shape.
+    """prod_i Gamma(num_i) / prod_i Gamma(den_i), as many above as below,
+    each a scalar or an array of one shape (a grid), and a bound on its
+    error.  No lone log Gamma is formed: num_i pairs with a den_i (_pairs),
+    and with Z = (num_i + den_i) / 2, delta = (num_i - den_i) / 2, W = Z + M,
 
-    Overflow-safe: the log-gammas are summed before exponentiating.  Poles
-    in numerator and denominator are reported separately.
+        log Gamma(Z + delta) / Gamma(Z - delta) = 2 delta log W
+            + sum_{n=2}^{20} D_n W^(1-n) - sum_{j<M} log1p(2 delta / (den_i + j))
+
+    (DLMF 5.11.13; D_n from _pair_series).  M puts |W| at the reach: M = 0
+    for the hole amplitudes from |lam_hat| = 15 on.  No term divides by Z,
+    which may be 0 (the critical crossing pair i lam -+ gamma/2 at lam = 0).
+    A grid point's value is its scalar value bit for bit.  A Gamma at a pole
+    raises PoleError naming its side.
     """
-    args = np.array([*num, *den], dtype=np.complex128)
-    try:
-        lg = log_gamma(args)
-    except PoleError as exc:
-        side = "numerator" if np.any(args[:len(num)] == exc.location) else "denominator"
-        raise PoleError(f"gamma_ratio: {side} pole at {exc.location}",
-                        location=exc.location) from None
-    value = np.exp(lg[:len(num)].sum(axis=0) - lg[len(num):].sum(axis=0))
-    return value, np.abs(value) * _LOG_GAMMA_REL * (1.0 + np.abs(lg)).sum(axis=0)
+    args, shape = _pairs(num, den)
+    pole = np.argwhere((np.abs(args - np.round(args.real)) < 1e-13) & (np.round(args.real) <= 0))
+    if pole.size:
+        at = tuple(pole[0])
+        raise PoleError(f"gamma_ratio: {('numerator', 'denominator')[at[0]]} pole at {args[at]}",
+                        location=complex(args[at]))
+    two_delta, z = (args[0] - args[1]).ravel(), (0.5 * (args[0] + args[1])).ravel()
+    deltas, which = np.unique(0.5 * two_delta, return_inverse=True)
+    d, size, omitted, reach = map(np.array, zip(*map(_pair_series, deltas.tolist())))
+    level = np.sqrt(np.maximum(reach[which] ** 2 - z.imag ** 2, 0.0)) - z.real
+    moved = np.maximum(np.ceil(level), 0.0).astype(int)
+    if moved.max(initial=0) > MAX_TERMS:
+        raise ConvergenceError(f"a Gamma ratio needs {moved.max()} steps, cap is {MAX_TERMS}")
+    ln, err, step = np.empty(z.shape, dtype=complex), np.empty(z.shape), BLOCK // len(_STIRLING_N)
+    for start in range(0, z.size, step):
+        at = slice(start, start + step)
+        w, pair = z[at] + moved[at], which[at]
+        log_w = np.log(w)
+        power = np.cumprod(np.repeat(1.0 / w[:, None], len(_STIRLING_N), axis=1), axis=1)
+        size_w = np.abs(power)
+        ln[at] = two_delta[at] * log_w + (d[pair] * power[:, :-2]).sum(axis=-1)
+        err[at] = ((omitted[pair] * size_w[:, -2:]).sum(axis=-1) + _EPS * (
+            (size[pair] * size_w[:, :-2]).sum(axis=-1)
+            + np.abs(two_delta[at]) * (3.0 * np.abs(log_w) + 4.0)))
+        # the recurrence, per group of points with one M: each sums its own terms
+        for m in set(moved[at].tolist()) - {0}:
+            k = start + np.flatnonzero(moved[at] == m)
+            t = two_delta[k, None] / (args[1].ravel()[k, None] + np.arange(m))
+            logs = np.log1p(t)
+            ln[k] -= logs.sum(axis=-1)
+            err[k] += _EPS * (4.0 * np.abs(t / (1.0 + t))
+                              + (3.0 + math.log2(m)) * np.abs(logs)).sum(axis=-1)
+    ln, err = sum(ln.reshape(args[0].shape)), sum(err.reshape(args[0].shape))
+    value = np.exp(ln)
+    err = np.abs(value) * (err + _EPS * (len(num) * np.abs(ln) + 2.0))
+    return value.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def gamma_ratio(num, den):
@@ -179,82 +200,52 @@ def gamma_ratio(num, den):
     return complex(value) if np.ndim(value) == 0 else value
 
 
-# --------------------------------------------------------------------------
-# truncation
-# --------------------------------------------------------------------------
+def q_gamma_ratio(num, den, q: float, lam):
+    """prod_i Gamma_q(num_i) / prod_i Gamma_q(den_i), 0 < q < 1, as many
+    above as below, each a scalar or an array of the shape of lam (a grid),
+    and a bound on its error.  With Gamma_q(x) = (1-q)^(1-x) prod_{j>=0} (1 -
+    q^(1+j)) / (1 - q^(x+j)), num_i = a paired with den_i = b (_pairs) and
+    u_j(x) = q^(x+j), the factors 1 - q^(1+j) cancel and nothing overflows:
 
+        log Gamma_q(a) / Gamma_q(b) = (b - a) log(1-q)
+            - sum_{j>=0} log1p((u_j(b) - u_j(a)) / (1 - u_j(b)))
 
-# hard cap on the terms of a product or sum, and on the nodes of a rule
-MAX_TERMS = 400_000
-# a truncated product or series leaves at most about this much of its log
-TAIL_TOL = 1e-12
-
-# elements per (points x nodes) temporary: grids are walked in blocks of
-# max(1, BLOCK // nodes) points so no temporary outgrows this
-BLOCK = 16384
-
-
-# --------------------------------------------------------------------------
-# q-Gamma
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _q_powers(q: float, n: int):
-    """q^j and log(1 - q^(1+j)) for j < n, the x-independent parts of the
-    q-Gamma product."""
-    q_j = np.power(q, np.arange(n, dtype=float))
-    head = np.log1p(-q * q_j)
-    q_j.flags.writeable = head.flags.writeable = False
-    return q_j, head
-
-
-def q_gamma(x, q: float):
-    """Gamma_q(x) = (1-q)^(1-x) prod_{j>=0} (1-q^(1+j))/(1-q^(x+j)),  0 < q < 1.
-
-    x may be a scalar or an array.  The tail of each log-product is bounded
-    geometrically; a point's truncation stops once its bound drops below
-    TAIL_TOL, so every point sums the terms it would sum on its own.
+    A point sums j < N, the least N >= 8 with c q^(N-2) <= TAIL_TOL, c =
+    sum_x (|q^x| + q) / (1 - q): no fewer terms than each Gamma_q alone
+    needs.  Its value is its scalar value bit for bit.  FloatRangeError names
+    lam, PoleError the side of a pole.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    out = np.exp(_log_q_gamma(x, q))
-    return complex(out) if x.ndim == 0 else out
-
-
-def _log_q_gamma(x, q: float) -> np.ndarray:
-    """log Gamma_q(x) as an array of x's shape: the exponent q_gamma takes
-    exp of, finite where Gamma_q(x) itself is past the float range."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    x = np.asarray(x, dtype=np.complex128)
-    flat = x.reshape(-1)
+    x, shape = _pairs(num, den, lam)
     lq = np.log(q)
-
-    # |log term_j| <= C q^j with C ~ |q^x - q| / (1 - q); solve for j
-    q_x = np.exp(flat * lq)
-    c = np.maximum(np.abs(q_x - q), 1e-30) / (1.0 - q)
-    j_needed = np.maximum(np.ceil((np.log(TAIL_TOL) - np.log(c)) / lq), 6.0) + 2.0
-    n_max = int(j_needed.max(initial=0.0))
-    if n_max > MAX_TERMS:
-        raise ConvergenceError(
-            f"q_gamma needs ~{n_max} terms for tail {TAIL_TOL}, cap is {MAX_TERMS}")
-
-    q_j, head = _q_powers(q, n_max)
-    ragged = flat.size > 1 and j_needed.min() < n_max
-    out = np.empty_like(flat)
-    step = max(1, BLOCK // max(n_max, 1))
-    for i in range(0, flat.size, step):
-        qx = np.multiply.outer(q_x[i:i + step], q_j)      # q^(x+j)
-        bad = np.abs(1.0 - qx) < 1e-13
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise PoleError(f"q_gamma pole: 1 - q^(x+j) = 0 at j = {int(col)}",
-                            location=complex(flat[i + row]))
-        terms = head - np.log1p(-qx)
-        if ragged:
-            terms[np.arange(n_max) >= j_needed[i:i + step, None]] = 0.0   # each point's own terms
-        out[i:i + step] = (1.0 - flat[i:i + step]) * np.log1p(-q) + terms.sum(axis=-1)
-    return out.reshape(x.shape)
+    q_x = np.exp(x * lq)
+    c = sum(sum(np.abs(q_x) + q)) / (1.0 - q)
+    count = (np.maximum(np.ceil((np.log(TAIL_TOL) - np.log(c)) / lq), 6.0) + 2.0).astype(int)
+    if count.max(initial=0) > MAX_TERMS:
+        raise ConvergenceError(f"a q-Gamma ratio needs {count.max()} terms, cap is {MAX_TERMS}")
+    ln = sum(x[1] - x[0]) * np.log1p(-q)
+    err = 2.0 * c * q ** count - _EPS * 2 * len(num) * sum(sum(np.abs(x))) * np.log1p(-q)
+    size = sum(np.abs(q_x) * (np.abs(x * lq) + 7.0))    # |u_j| rel. rounding / q^j, in eps
+    diff, q_j = q_x[1] - q_x[0], q ** np.arange(count.max(initial=0))
+    step = max(1, BLOCK // (len(num) * q_j.size))
+    for start in range(0, ln.size, step):
+        block = count[start:start + step]
+        for n in set(block.tolist()):
+            at = start + np.flatnonzero(block == n)
+            rest = 1.0 - q_x[:, :, at, None] * q_j[:n]      # 1 - u_j, above and below
+            gap = np.abs(rest)
+            if np.any(gap < 1e-13):
+                side, i, point, _ = np.argwhere(gap < 1e-13)[0]
+                pole = complex(x[side, i, at[point]])
+                raise PoleError(f"q_gamma_ratio: {('numerator', 'denominator')[side]} pole at "
+                                f"{pole}", location=pole)
+            logs = np.log1p(diff[:, at, None] * q_j[:n] / rest[1])
+            ln[at] -= sum(logs).sum(axis=-1)
+            err[at] += _EPS * sum((size[:, at, None] * q_j[:n] / gap[0]
+                                   + (len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
+    value = _exp_in_range(ln[:, None], np.ravel(lam))[:, 0]
+    return value.reshape(shape), (np.abs(value) * (err + _EPS * (np.abs(ln) + 2.0))).reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -300,16 +291,6 @@ def _hurwitz_tail(s, k0):
     return tail + direct[s.astype(int).ravel() - 1].reshape(tail.shape)
 
 
-# the Stirling-Bernoulli series of infinite_gamma_product runs over n = 2 ..
-# _STIRLING_ORDER and is used where |Z| >= _STIRLING_REACH max(max|h|, 1)
-_STIRLING_ORDER = 20
-_STIRLING_REACH = 6.0
-# the Bernoulli numbers B_0 .. B_(_STIRLING_ORDER + 2); the odd ones past B_1 vanish
-_BERNOULLI = (1.0, -1 / 2, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66,
-              0.0, -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0, 43867 / 798, 0.0,
-              -174611 / 330, 0.0, 854513 / 138)
-
-
 def infinite_gamma_product(scale: float, num, den):
     """sum_{k>=0} [sum_i log Gamma(x_k + num_i) - sum_j log Gamma(x_k + den_j)],
     x_k = scale k, the log (modulo 2 pi i) of a Gamma-ratio product with as
@@ -327,8 +308,9 @@ def infinite_gamma_product(scale: float, num, den):
     part is the sum's for a real D_2); the K before are moved out by M,
     W(Z) = W(Z + M) - sum_{j<M} sum_i s_i log1p(h_i / (Z + j)), so no Gamma
     is evaluated.  The estimate adds the omitted terms and the rounding of
-    every term.  K M past MAX_TERMS raises ConvergenceError before any term
-    is summed; a Gamma at a pole raises PoleError located at the grid index.
+    every term, the independent log1p terms and their sum as a root-sum-
+    square.  K M past MAX_TERMS raises ConvergenceError before any term is
+    summed; a Gamma at a pole raises PoleError located at the grid index.
     """
     if len(num) != len(den):
         raise ValueError(f"a Gamma-ratio product needs as many Gammas above as below, "
@@ -344,20 +326,17 @@ def infinite_gamma_product(scale: float, num, den):
     if not np.all(mean.real > 0):
         raise ValueError("the offsets of a Gamma-ratio product need a mean with Re > 0")
 
-    # D_n = (-1)^n (n-2)! sum_j B_(n-j) p_j / ((n-j)! j!), n = 2 .. top, from
-    # the power sums p_j = sum_i s_i h_i^j (p_0 = 0), and bounds on their sizes
-    top = _STIRLING_ORDER + 2
-    factorial = np.concatenate([[1.0], np.cumprod(np.arange(1.0, top + 1.0))])
-    n, j = np.arange(2, top + 1)[:, None], np.arange(1, top + 1)
-    table = np.where(j <= n, (-1.0) ** n * factorial[n - 2] * np.array(_BERNOULLI)[n - j]
-                     / (factorial[n - j] * factorial[j]), 0.0)
-    # elementwise, not `@` or einsum: they add ~0.2 MB to a critical verify's peak RSS
-    power, d = np.ones_like(h), np.zeros((top - 1,) + mean.shape, dtype=complex)
-    for i in range(top):
+    # D_n, n = 2 .. _STIRLING_ORDER + 2, from the power sums (_stirling_table),
+    # and bounds on their rounding; elementwise, not `@` or einsum: they add
+    # ~0.2 MB to a critical verify's peak RSS
+    power, d = np.ones_like(h), np.zeros((len(_STIRLING_TABLE),) + mean.shape, dtype=complex)
+    for i in range(_STIRLING_TABLE.shape[1]):
         power = power * h
-        d += table[:, i, None] * (sign * power).sum(axis=0)
-    hmax = np.abs(h).max(axis=0, initial=0.0)
-    size = 2 * len(h) * np.abs(table).sum(axis=1)[:, None] * hmax * np.maximum(hmax, 1) ** (n - 1)
+        d += _STIRLING_TABLE[:, i, None] * (sign * power).sum(axis=0)
+    # p_j is rounded by at most (2 j + 2 + len h) eps sum_i |h_i|^j
+    j, hmax = np.arange(1, _STIRLING_TABLE.shape[1] + 1), np.abs(h).max(axis=0, initial=0.0)
+    powers = np.cumprod(np.broadcast_to(np.abs(h), (j.size,) + h.shape), axis=0).sum(axis=1)
+    size = ((np.abs(_STIRLING_TABLE) * (2 * j + 2 + len(h)))[:, :, None] * powers).sum(axis=1)
     d[0, np.abs(d[0]) <= 32.0 * _EPS * size[0]] = 0.0    # D_2 = 0 but for rounding
     # an omitted D_n Z^(1-n), n = 21, 22, summed over all factors, is at
     # most 2 |D_n| R^(2-n) (1 + scale / R) / scale
@@ -377,7 +356,7 @@ def infinite_gamma_product(scale: float, num, den):
     # + M, by blocks of (k, j); a Gamma within 1e-13 |Z + j| of 0, -1, ... is a pole
     orders = np.arange(1.0, _STIRLING_ORDER)             # zeta orders n - 1
     summing = math.log2(count * moved * len(h) + 2) + 1.0
-    partials = [np.zeros((3, mean.size), dtype=complex)]
+    partials = [np.zeros((4, mean.size), dtype=complex)]
     step = max(1, BLOCK // (max(len(h), orders.size) * max(mean.size, 1)))
     for start in range(0, count * moved, step):
         k, j = np.divmod(np.arange(start, min(start + step, count * moved)), moved)
@@ -392,14 +371,15 @@ def infinite_gamma_product(scale: float, num, den):
         # each (k, j) is summed over i first: the log1p terms cancel there
         partials.append(np.stack([
             -(sign[:, :, None] * logs).sum(axis=0).sum(axis=-1),
-            (4.0 * np.abs(h)[:, :, None] / arg + summing * np.abs(logs)).sum(axis=0).sum(axis=-1),
+            (4.0 * np.abs(h)[:, :, None] / arg).sum(axis=0).sum(axis=-1),
+            (np.abs(logs) ** 2).sum(axis=0).sum(axis=-1),
             (inverse * d.T[:, None]).sum(axis=(1, 2))]))
     near = np.sum(partials, axis=0)
     tail = scale ** -orders[:, None] * _hurwitz_tail(orders, count + mean / scale)
     # the series terms at the K points Z_k + M, |Z_k + M| >= R, and the tail
-    rounding = near[1].real + 32.0 * (size * (count * reach ** -orders[:, None]
-                                              + np.abs(tail))).sum(axis=0)
-    ln = near[0] + near[2] + (d * tail).sum(axis=0)
+    rounding = (near[1].real + summing * np.sqrt(near[2].real)
+                + 2.0 * (size * (count * reach ** -orders[:, None] + np.abs(tail))).sum(axis=0))
+    ln = near[0] + near[3] + (d * tail).sum(axis=0)
     return ln.reshape(shape)[()], (_EPS * rounding + omitted).reshape(shape)[()]
 
 

@@ -34,11 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
-from .special_functions import (TAIL_TOL, AmplitudeResult, FloatRangeError, FourierKernel,
-                                PoleError, amplitude_integral, amplitude_sum, as_grid,
-                                gamma_ratio, gamma_ratio_bound, half_line_sums,
-                                infinite_gamma_product, q_gamma, _exp_in_range,
-                                _log_q_gamma)
+from .special_functions import (AmplitudeResult, FloatRangeError, FourierKernel, PoleError,
+                                amplitude_integral, amplitude_sum, as_grid, gamma_ratio,
+                                gamma_ratio_bound, half_line_sums, infinite_gamma_product,
+                                q_gamma_ratio, _exp_in_range)
 
 __all__ = [
     "AmplitudeResult",
@@ -245,33 +244,6 @@ def _critical_ln_product(lam, gamma: float, sides):
 
 
 # --------------------------------------------------------------------------
-# closed q-Gamma ratios on a grid
-# --------------------------------------------------------------------------
-
-
-def _q_gamma_ratio(num, den, q: float, lam):
-    """prod Gamma_q(num_i) / prod Gamma_q(den_j) at every point lam, with the
-    truncation bounds of the products as its error.  Where the factors or
-    their products leave the float range (the spin-S amplitude from S ~ 4900
-    at eta = 0.5) the ratio is the exp of the log-Gamma_q sum, whose
-    rounding joins the error; a ratio past the float range itself raises
-    FloatRangeError naming lam."""
-    args = np.array(num + den)
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = q_gamma(args, q)
-        value = factors[:len(num)].prod(axis=0) / factors[len(num):].prod(axis=0)
-    err = len(factors) * TAIL_TOL * np.abs(value)
-    far = ~np.isfinite(value)
-    if far.any():
-        logs = _log_q_gamma(args[:, far], q)
-        ln = logs[:len(num)].sum(axis=0) - logs[len(num):].sum(axis=0)
-        value[far] = _exp_in_range(ln[:, None], lam[far])[:, 0]
-        err[far] = (len(logs) * TAIL_TOL + np.finfo(float).eps * np.abs(logs).sum(axis=0)
-                    ) * np.abs(value[far])
-    return value, err
-
-
-# --------------------------------------------------------------------------
 # hole (type-I) transmission amplitudes
 # --------------------------------------------------------------------------
 
@@ -338,13 +310,13 @@ def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str):
     critical: T+(lam) = A r(lam) and T-(lam) = 1 / T+(-lam), with A the
     anchor and r the ratio product."""
     if params.regime != CRITICAL:
-        out = []
-        for s in signs:
-            z = (-1j if s == "+" else 1j) * lam / 2
-            a, b = (0.25, 0.75) if (s == "+") == (params.regime == XXX) else (0.75, 0.25)
-            out.append(gamma_ratio_bound([z + a], [z + b]) if params.regime == XXX else
-                       _q_gamma_ratio([z + a], [z + b], float(np.exp(-4.0 * params.eta)), lam))
-        return out
+        # one ratio call for all signs, a row each
+        z = np.array([(-1j if s == "+" else 1j) * lam / 2 for s in signs])
+        a = np.array([[0.25 if (s == "+") == (params.regime == XXX) else 0.75] for s in signs])
+        if params.regime == XXX:
+            return list(zip(*gamma_ratio_bound([z + a], [z + (1.0 - a)])))
+        return list(zip(*q_gamma_ratio([z + a], [z + (1.0 - a)], float(np.exp(-4.0 * params.eta)),
+                                       np.broadcast_to(lam, z.shape))))
     sides = np.array([1.0 if s == "+" else -1.0 for s in signs])
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
@@ -436,11 +408,9 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
     s_tilde = spin - 0.5
     if route == "closed":
         lam, scalar = as_grid(lam_hat)
-        q4 = float(np.exp(-4.0 * eta))
-        val, err = _q_gamma_ratio(
-            [-1j * lam / 2 + s_tilde / 2 + 0.25, 1j * lam / 2 + s_tilde / 2 + 0.75],
-            [-1j * lam / 2 + s_tilde / 2 + 0.75, 1j * lam / 2 + s_tilde / 2 + 0.25],
-            q4, lam)
+        z, s = -1j * lam / 2, s_tilde / 2
+        val, err = q_gamma_ratio([z + s + 0.25, -z + s + 0.75], [z + s + 0.75, -z + s + 0.25],
+                                 float(np.exp(-4.0 * eta)), lam)
         return AmplitudeResult.on_grid(val, "closed", err, scalar)
     if route == "sum":
         params = RegimeParams.noncritical(eta)
@@ -487,13 +457,12 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
         return amplitude_integral(kernel(params, "r"), lam).value
 
     grid, scalar = as_grid(lam)
+    z = -1j * grid / 2
+    num, den = [z + 0.5, -z + 1.0], [z + 1.0, -z + 0.5]
     if params.regime == XXX:
-        val = gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
-                          [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5])
+        val = gamma_ratio(num, den)
     elif params.regime == CRITICAL:
         val = _s_critical(grid, params.gamma)
     else:
-        q4 = float(np.exp(-4.0 * params.eta))
-        val, _ = _q_gamma_ratio([-1j * grid / 2 + 0.5, 1j * grid / 2 + 1.0],
-                                [-1j * grid / 2 + 1.0, 1j * grid / 2 + 0.5], q4, grid)
+        val = q_gamma_ratio(num, den, float(np.exp(-4.0 * params.eta)), grid)[0]
     return complex(val[0]) if scalar else val

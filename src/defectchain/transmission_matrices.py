@@ -73,22 +73,23 @@ def t_matrix_part(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray
     T = L(-lam_hat + i/2) and Tbar = Lhat(-lam_hat - i/2) over rep (critical:
     at q~ and u = lam_hat / gamma), i.e. q_lax at x = q/e and x = 1/e with
     q = rep.q and e = e^{pi lam_hat} (critical) or e = e^{i eta lam_hat}.
+    A rep at another q, or a ``which`` other than these two, raises ValueError.
     """
-    hat = which != "t"
+    if which not in ("t", "t_bar"):
+        raise ValueError(f"which must be 't' or 't_bar', got {which!r}")
+    hat = which == "t_bar"
     if params.regime == XXX:
         lax = make_l_hat if hat else make_l
         return -1j * lax(params, -lh + (0.5j if hat else -0.5j), rep)
     if not isinstance(rep, QOscRep):
         raise TypeError("anisotropic transmission matrices need a QOscRep")
     if params.regime == CRITICAL:
-        q_t = complex(np.exp(1j * np.pi * params.gamma))
-        if abs(rep.q - q_t) > 1e-9:
-            raise ValueError(
-                "critical transmission matrices need the rescaled-deformation "
-                f"oscillator with q = e^(i pi gamma) = {q_t}, got {rep.q}")
-        e = np.exp(np.pi * _lams(lh))
+        q, e = complex(np.exp(1j * np.pi * params.gamma)), np.exp(np.pi * _lams(lh))
     else:
-        e = np.exp(1j * params.eta * _lams(lh))
+        q, e = params.q, np.exp(1j * params.eta * _lams(lh))
+    if abs(rep.q - q) > 1e-9:
+        raise ValueError(f"transmission matrices need the regime's oscillator (critical: the "
+                         f"rescaled-deformation one), q = {q}, got {rep.q}")
     return q_lax(rep, 1 / e, e, True) if hat else q_lax(rep, rep.q / e, e / rep.q, False)
 
 
@@ -110,6 +111,8 @@ def t_prefactor(params: RegimeParams, lh: complex, which: str = "t") -> complex:
     # imported here so that a command that builds no prefactor (spectrum,
     # bae) does not compile the amplitude layer
     from .transmission_amplitudes import amplitude
+    if which not in ("t", "t_bar"):
+        raise ValueError(f"which must be 't' or 't_bar', got {which!r}")
     if params.regime == XXX:
         if which == "t":
             return amplitude(params, "-", lh).value / (1j * lh + 0.5)

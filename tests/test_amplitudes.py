@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams
 from defectchain.special_functions import (FloatRangeError, PoleError, gamma_ratio,
-                                           half_line_sums)
+                                           half_line_sums, q_gamma_ratio)
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
-                                                 kernel, soliton_s_amplitude,
-                                                 type2_amplitude, _q_gamma_ratio)
+                                                 kernel, soliton_s_amplitude, type2_amplitude)
 from kernel_oracles import oracle_kernel
 
 mp.mp.dps = 30
@@ -249,9 +248,8 @@ def test_noncritical_unitarity_random_parameters(lh, eta):
 
 
 def test_nc_t_minus_at_zero_is_q_gamma_ratio():
-    from defectchain.special_functions import q_gamma
     q4 = np.exp(-4 * 0.5)
-    want = q_gamma(0.25, q4) / q_gamma(0.75, q4)
+    want = q_gamma_ratio([0.25], [0.75], q4, np.zeros(1))[0][0]
     got = amplitude(NC, "-", 0.0, route="sum").value
     assert got == pytest.approx(want, rel=1e-8)
 
@@ -382,13 +380,14 @@ def test_type2_large_spin_is_finite_and_agrees_with_the_sum(spin):
 
 def test_q_gamma_ratio_past_the_float_range_of_its_factors():
     # Gamma_q(x + 1) / Gamma_q(x) = (1 - q^x) / (1 - q), which is 2 at q = 1/2
-    # and x = 2000, where each factor is about 2^2000
+    # and x = 2000, where each factor is about 2^2000 and the balanced sum
+    # forms neither
     lam = np.zeros(1)
-    value, err = _q_gamma_ratio([np.array([2001.0 + 0j])], [np.array([2000.0 + 0j])], 0.5, lam)
+    value, err = q_gamma_ratio([np.array([2001.0 + 0j])], [np.array([2000.0 + 0j])], 0.5, lam)
     assert abs(value[0] - 2.0) <= err[0] < 1e-11
     # about 2^2000 itself: one error naming the point
     with pytest.raises(FloatRangeError, match="lam_hat = 0 is outside the float range"):
-        _q_gamma_ratio([np.array([2001.0 + 0j])], [np.array([1.0 + 0j])], 0.5, lam)
+        q_gamma_ratio([np.array([2001.0 + 0j])], [np.array([1.0 + 0j])], 0.5, lam)
 
 
 # ------------------------------------------------------------ bulk amplitude

@@ -1364,6 +1364,25 @@ def test_a_failing_stdout_is_not_an_out_error(monkeypatch):
         main(["bae"])
 
 
+@pytest.mark.parametrize("args", [["verify"], ["amplitude", "--grid=-2:2:20000"]])
+def test_a_reader_that_closes_the_pipe_gets_no_traceback(args):
+    # `python -m defectchain ... | head -1`: the reader takes one line and
+    # closes the pipe; the 20000-row table is still being written then (it
+    # outgrows any pipe buffer), verify may have finished
+    src = str(Path(defectchain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "defectchain", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    code = proc.wait(timeout=600)
+    proc.stderr.close()
+    assert first.startswith((b"{", b"#")) and err == b"", err.decode()[-2000:]
+    assert code == 1 if args[0] == "amplitude" else code in (0, 1)
+
+
 def test_large_amplitude_table_is_written_in_bounded_memory():
     # 100000 rows: the whole table as Python lists and its text peaked at
     # 146 MB (x86-64, numpy 2.4); block by block it peaks near 60 MB

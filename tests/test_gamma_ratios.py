@@ -1,0 +1,191 @@
+"""The two closed-form evaluators, finite Gamma ratios (gamma_ratio_bound)
+and q-Gamma ratios (q_gamma_ratio), against 30-digit mpmath: accuracy,
+error estimates that bound the error, grid points that equal scalar calls
+bit for bit, and poles that name their side."""
+import mpmath as mp
+import numpy as np
+import pytest
+
+from defectchain.lax_defect import RegimeParams
+from defectchain.special_functions import (PoleError, gamma_ratio_bound, infinite_gamma_product,
+                                           q_gamma_ratio)
+from defectchain.transmission_amplitudes import amplitude, amplitude_pair
+
+EPS = np.finfo(float).eps
+LAMS = (2.5, 37.0, 160.0, 1000.0, 3000.0)
+
+
+def _hole_args(lam, sign):
+    """xxx T+ = Gamma(1/4 - i lam/2) / Gamma(3/4 - i lam/2), T- its mirror."""
+    z = (-1j if sign == "+" else 1j) * lam / 2
+    return ([z + 0.25], [z + 0.75]) if sign == "+" else ([z + 0.75], [z + 0.25])
+
+
+def _s_args(lam):
+    return ([-1j * lam / 2 + 0.5, 1j * lam / 2 + 1.0], [-1j * lam / 2 + 1.0, 1j * lam / 2 + 0.5])
+
+
+def _crossing_args(lam, gamma):
+    """transmission_matrices._critical_crossing_scalar's ratio."""
+    return ([1j * lam - gamma / 2, -1j * lam + gamma / 2 + 1],
+            [1j * lam + gamma / 2, -1j * lam - gamma / 2 + 1])
+
+
+def finite_box():
+    box = []
+    for lam in LAMS + tuple(-x for x in LAMS):
+        box += [_hole_args(lam, "+"), _hole_args(lam, "-"), _s_args(lam)]
+    box += [([z], [1.0]) for z in (1 - 8.5j, 0.5, -2.5 + 0.3j, 0.25 + 200j, 0.25 - 200j)]
+    return box
+
+
+def crossing_box():
+    box = []
+    for mu in (0.1, 0.7, 2.9):
+        g = RegimeParams.critical(mu).gamma
+        box += [_crossing_args(lam, g) for lam in (0.0, 0.44, -3.0, 10.0)]
+    return box
+
+
+def _exact_log(num, den):
+    """The principal log of the ratio, at 30 digits."""
+    with mp.workdps(30):
+        ln = (sum(mp.loggamma(mp.mpc(a)) for a in num)
+              - sum(mp.loggamma(mp.mpc(b)) for b in den))
+        return mp.mpc(ln.real, (ln.imag + mp.pi) % (2 * mp.pi) - mp.pi)
+
+
+def _check_ratio(num, den, within):
+    value, err = gamma_ratio_bound(num, den)
+    exact = _exact_log(num, den)
+    with mp.workdps(30):
+        gap = mp.log(mp.mpc(value)) - exact
+        gap = abs(mp.mpc(gap.real, (gap.imag + mp.pi) % (2 * mp.pi) - mp.pi))
+        assert gap <= within * EPS * max(1.0, abs(exact)), (num, den)
+        assert abs(mp.mpc(value) - mp.exp(exact)) <= err, (num, den)
+
+
+@pytest.mark.parametrize("num,den", finite_box())
+def test_finite_ratio_matches_mpmath(num, den):
+    _check_ratio(num, den, 4.0)
+
+
+@pytest.mark.parametrize("num,den", crossing_box())
+def test_crossing_ratio_matches_mpmath(num, den):
+    # each pair's |delta| is gamma/2 or |i lam - 1/2|, up to 10 here against
+    # |log ratio| <= pi: 2 delta log W and the recurrence, each near 80 at mu
+    # = 0.1 and lam = 10, cancel to 1.3 and leave up to 42 eps (the
+    # per-Gamma Lanczos route left 16 eps at worst on this box)
+    _check_ratio(num, den, 48.0)
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_xxx_closed_amplitudes_at_large_lam(lam):
+    # the Lanczos route it replaced read 1.7e-13 to 1.6e-12 here
+    plus, minus = amplitude_pair(RegimeParams.xxx(), lam)
+    for sign, res in zip("+-", (plus, minus)):
+        want = mp.exp(_exact_log(*_hole_args(lam, sign)))
+        assert abs(mp.mpc(res.value) / want - 1) <= 1e-14, sign
+
+
+def _exact_log_q(num, den, q):
+    """log of the q-Gamma ratio from the defining products, at 30 digits."""
+    with mp.workdps(30):
+        q = mp.mpf(q)
+
+        def log_q_gamma(x):
+            x, total, j = mp.mpc(x), (1 - mp.mpc(x)) * mp.log(1 - q), 0
+            while True:
+                term = mp.log(1 - q ** (1 + j)) - mp.log(1 - q ** (x + j))
+                total += term
+                if abs(term) < mp.mpf(10) ** -34 and j > 10:
+                    return total
+                j += 1
+
+        return sum(map(log_q_gamma, num)) - sum(map(log_q_gamma, den))
+
+
+def q_box():
+    lam = np.array([-4.0, 0.4, 2.5, 37.0])
+    box = []
+    for eta in (0.1, 0.5, 1.5):
+        z = -1j * lam / 2
+        box += [(eta, [z + 0.75], [z + 0.25]), (eta, [-z + 0.25], [-z + 0.75]),
+                (eta, *_s_args(lam))]
+        for spin in (1.0, 1.5):
+            s = (spin - 0.5) / 2
+            box.append((eta, [z + s + 0.25, -z + s + 0.75], [z + s + 0.75, -z + s + 0.25]))
+    return lam, box
+
+
+@pytest.mark.parametrize("case", range(len(q_box()[1])))
+def test_q_ratio_matches_mpmath(case):
+    # the per-Gamma_q route it replaced read up to 3.2e-13 here (eta = 0.1)
+    lam, box = q_box()
+    eta, num, den = box[case]
+    q = float(np.exp(-4 * eta))
+    value, err = q_gamma_ratio(num, den, q, lam)
+    for k in range(lam.size):
+        exact = mp.exp(_exact_log_q([a[k] for a in num], [b[k] for b in den], q))
+        gap = abs(mp.mpc(value[k]) - exact)
+        assert gap <= err[k] and gap <= 3e-14 * abs(exact), (eta, lam[k])
+
+
+def test_q_ratio_whose_factors_overflow():
+    # the spin-4900 type-II ratio at eta = 0.5: each Gamma_q above is about
+    # e^355 and their product past the float range; the sum forms neither
+    lam, q = np.array([-4.0, 0.4, 2.5]), float(np.exp(-2.0))
+    s = (4900.0 - 0.5) / 2
+    z = -1j * lam / 2
+    num, den = [z + s + 0.25, -z + s + 0.75], [z + s + 0.75, -z + s + 0.25]
+    value, err = q_gamma_ratio(num, den, q, lam)
+    for k in range(lam.size):
+        exact = mp.exp(_exact_log_q([a[k] for a in num], [b[k] for b in den], q))
+        assert abs(mp.mpc(value[k]) - exact) <= err[k] <= 1e-11 * abs(exact)
+
+
+def test_grid_points_equal_scalar_calls_bit_for_bit():
+    # the grids mix points of different M (recurrence steps) and N (q terms)
+    lam = np.concatenate([np.linspace(-40.0, 40.0, 41), [0.0, 3000.0]])
+    q = float(np.exp(-1.0))
+    ratios = [lambda x: gamma_ratio_bound(*_hole_args(x, "+")),
+              lambda x: gamma_ratio_bound(*_s_args(x)),
+              lambda x: gamma_ratio_bound(*_crossing_args(x, 30.4)),
+              lambda x: gamma_ratio_bound([0.25 + 5j * x], [1.0]),
+              lambda x: q_gamma_ratio(*_s_args(x), q, np.atleast_1d(x)),
+              lambda x: q_gamma_ratio([0.3 + 0.1 * np.abs(x) - 0.5j * x], [1.0], q,
+                                      np.atleast_1d(x))]
+    for ratio in ratios:
+        value, err = ratio(lam)
+        for k, x in enumerate(lam):
+            one, one_err = ratio(np.array([x]))
+            assert value[k] == one[0] and err[k] == one_err[0], x
+
+
+def test_poles_name_their_side_on_a_grid():
+    grid = np.array([0.5, 1.5, -2.0])
+    with pytest.raises(PoleError, match="numerator pole at") as info:
+        gamma_ratio_bound([grid], [0.75])
+    assert info.value.location == -2.0
+    with pytest.raises(PoleError, match="denominator pole at") as info:
+        gamma_ratio_bound([0.75], [grid - 0.5])
+    assert info.value.location == 0.0
+    with pytest.raises(PoleError, match="denominator pole") as info:
+        q_gamma_ratio([0.75], [grid], 0.5, grid)
+    assert info.value.location == -2.0
+
+
+def test_product_estimate_at_large_lam():
+    # the T+ product at lam_hat = 100, mu = 2: 2.5M log1p terms, whose
+    # roundings are independent and charged as a root-sum-square; the
+    # estimate read 9.0e-9 when they were charged linearly
+    params = RegimeParams.critical(2.0)
+    product = amplitude(params, "+", 100.0, "product")
+    closed = amplitude(params, "+", 100.0)
+    gap = abs(product.value - closed.value)
+    assert gap <= product.error_estimate + closed.error_estimate
+    assert product.error_estimate <= 2e-9 * abs(product.value)
+    g, x = params.gamma, 100j
+    _, err = infinite_gamma_product(2 * g, [g / 2 + x, g / 2 + 1 - x, 1.5 * g, 1.5 * g + 1],
+                                    [1.5 * g + x, 1.5 * g + 1 - x, g / 2, g / 2 + 1])
+    assert err <= 2e-9

@@ -18,10 +18,9 @@ from product_oracle import log_gamma_product
 from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (_GROUPED_MODES, _KRONROD, _LOG_GAMMA_REL, BLOCK,
-                                           ConvergenceError,
+from defectchain.special_functions import (_GROUPED_MODES, _KRONROD, BLOCK, ConvergenceError,
                                            FloatRangeError, _half_line_rule, _half_sin_cos,
-                                           amplitude_sum, log_gamma, q_gamma)
+                                           amplitude_sum, gamma_ratio, q_gamma_ratio)
 from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
                                                  breather_amplitude, kernel,
                                                  soliton_s_amplitude, type2_amplitude)
@@ -93,7 +92,9 @@ def _cases():
                            (nc, ("closed", "sum"))):
         cases += [(f"S_s {params.regime} {r}",
                    lambda x, p=params, r=r: soliton_s_amplitude(p, x, r)) for r in routes]
-    cases.append(("q_gamma", lambda x: q_gamma(0.3 - 0.5j * np.asarray(x), 0.2)))
+    cases.append(("gamma_ratio", lambda x: gamma_ratio([0.3 - 3.5j * np.asarray(x)], [1.0])))
+    cases.append(("q_gamma_ratio", lambda x: q_gamma_ratio(
+        [0.3 - 0.5j * np.atleast_1d(x)], [1.0], 0.2, np.atleast_1d(x))[0].reshape(np.shape(x))))
     return cases
 
 
@@ -211,17 +212,6 @@ def test_product_route_matches_mpmath(mu):
         exact = complex(mp.exp(ln_a + ln_r))
         res = amplitude(params, "+", x, "product")
         assert abs(res.value - exact) <= min(res.error_estimate, 1e-13 * abs(exact)), x
-
-
-def test_log_gamma_error_model():
-    # the closed routes charge _LOG_GAMMA_REL * (1 + |log Gamma|) per value
-    for re in (0.25, 0.5, 0.75, 1.0):
-        for im in np.linspace(-60.0, 60.0, 61):
-            z = complex(re, im)
-            lg = complex(log_gamma(z))
-            d = lg - complex(mp.loggamma(z))
-            d = complex(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi)   # branch
-            assert abs(d) <= _LOG_GAMMA_REL * (1.0 + abs(lg)), z
 
 
 def test_mode_sum_cap_raises_before_allocating():

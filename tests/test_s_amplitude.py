@@ -103,23 +103,24 @@ def test_complex_critical_s_amplitude_pole_names_lam(shift):
 
 
 def _head_factors(monkeypatch, params, lam) -> tuple[int, int]:
-    """(K, log-Gamma points) of one closed S_s call: K is read off the
-    offset of the tail's Hurwitz zeta, K + (gamma + 1/2 + i lam) / (2 gamma)."""
+    """(K, finite Gamma-ratio pairs) of one closed S_s call: K is read off
+    the offset of the tail's Hurwitz zeta, K + (gamma + 1/2 + i lam) / (2
+    gamma); a pair is a call of the finite ratios' series coefficients."""
     offsets, points = [], []
     tail = special_functions._hurwitz_tail
-    log_gamma = special_functions.log_gamma
+    pair_series = special_functions._pair_series
 
     def spy_tail(s, k0):
         offsets.extend(np.ravel(k0))
         return tail(s, k0)
 
-    def spy_log_gamma(z):
-        points.append(np.size(z))
-        return log_gamma(z)
+    def spy_pair_series(delta):
+        points.append(1)
+        return pair_series(delta)
 
     with monkeypatch.context() as m:
         m.setattr(special_functions, "_hurwitz_tail", spy_tail)
-        m.setattr(special_functions, "log_gamma", spy_log_gamma)
+        m.setattr(special_functions, "_pair_series", spy_pair_series)
         soliton_s_amplitude(params, lam)
     g = params.gamma
     (k0,) = offsets
