@@ -208,7 +208,13 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     r_args = [make_r(params, xs) for xs in args]
     add("ybe-r", exchange_residual(*r_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
-    prefactors = soliton_s_amplitude(params, args.ravel()).reshape(args.shape)
+    # the closed S_s grid serves s-amplitude-cross-route too, but in the
+    # critical regime, whose product sizes its near factors from the least |lam|
+    lam_grid, critical = np.linspace(-1.6, 1.6, 5), params.regime == CRITICAL
+    s_grid = lam_grid[:3]
+    s_closed = soliton_s_amplitude(params, args.ravel() if critical
+                                   else np.concatenate([args.ravel(), s_grid]))
+    prefactors = s_closed[:args.size].reshape(args.shape)
     s_parts = s_matrix_part(params, args.ravel()).reshape(args.shape + (4, 4))
     s_args = prefactors[..., None, None] * s_parts
     add("ybe-s", exchange_residual(*s_args)[0].max(), 1e-10,
@@ -257,25 +263,28 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
 
     # amplitudes: cross-route agreement and unitarity
-    lam_grid = np.linspace(-1.6, 1.6, 5)
     if params.regime == NONCRITICAL:
         second_route, tol_amp = "sum", 1e-8
     else:
         second_route, tol_amp = "integral", 1e-6
-    closed = amplitude_pair(params, lam_grid)
-    for sign, mine, theirs in zip("+-", closed, amplitude_pair(params, lam_grid, second_route)):
-        disc = np.abs(mine.value - theirs.value).max()
+    # T+ and T- on the grid and, but in the critical regime (see
+    # unitarity_crossing_residual), on its mirror image in the same call
+    plus, minus = (r.value for r in amplitude_pair(
+        params, lam_grid if critical else np.concatenate([lam_grid, -lam_grid])))
+    mirror = amplitude(params, "+", -lam_grid).value if critical else plus[5:]
+    for sign, mine, theirs in zip("+-", (plus[:5], minus[:5]),
+                                  amplitude_pair(params, lam_grid, second_route)):
+        disc = np.abs(mine - theirs.value).max()
         add(f"amplitude-cross-route[{sign}]", disc, tol_amp,
             params={"route": second_route})
-    uni = np.abs(closed[1].value * amplitude(params, "+", -lam_grid).value - 1.0).max()
+    uni = np.abs(minus[:5] * mirror - 1.0).max()
     add("amplitude-unitarity", uni, 1e-10)
-    s_grid = lam_grid[:3]
-    s_disc = np.abs(soliton_s_amplitude(params, s_grid, "closed")
+    s_disc = np.abs((soliton_s_amplitude(params, s_grid) if critical else s_closed[args.size:])
                     - soliton_s_amplitude(params, s_grid, second_route)).max()
     add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": second_route})
 
-    # transmission matrices
-    trep = tmat.default_rep(params, 6)
+    # transmission matrices (default_rep is defect_rep but in the critical regime)
+    trep = tmat.default_rep(params, 6) if critical else spec.rep
     l1, l2 = uniform(-1.2, 1.2, 2)
     for which in ("t", "t_bar"):
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),

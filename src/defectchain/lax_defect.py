@@ -58,8 +58,8 @@ class RegimeParams:
 
     Exactly the fields of the active regime are set: mu for the critical
     chain (q = e^(i mu) on the unit circle), eta for the non-critical one
-    (q = e^(-eta) in (0,1)), neither for the isotropic chain.  theta is the
-    defect rapidity; it and eta must be finite.
+    (q = e^(-eta) in (0,1), more than 1e-12 below 1), neither for the
+    isotropic chain.  theta is the defect rapidity; it and eta must be finite.
     """
 
     __slots__ = ("regime", "mu", "eta", "theta")
@@ -84,6 +84,8 @@ class RegimeParams:
         if not np.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")
         self.regime, self.mu, self.eta, self.theta = regime, mu, eta, theta
+        if regime == NONCRITICAL and abs(abs(self.q) - 1.0) < 1e-12:   # as q_oscillator_rep
+            raise ValueError(f"eta must put q = e^(-eta) more than 1e-12 below 1, got {eta}")
 
     @classmethod
     def xxx(cls, theta: float = 0.0) -> "RegimeParams":

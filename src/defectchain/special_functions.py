@@ -125,20 +125,23 @@ def _pairs(num, den, *grid):
 
 
 @lru_cache(maxsize=64)
-def _pair_series(delta: complex):
-    """D_n (n = 2 .. 20) of the shifts +-delta, the rounding of D_n W^(1-n)
-    in eps |W|^(n-1), 2 |D_n| for n = 21, 22 and the reach, 6 max(|delta|, 1)
-    or where those pass eps/4."""
-    d, size = np.zeros(len(_STIRLING_TABLE), dtype=complex), np.zeros(len(_STIRLING_TABLE))
-    power = 2.0 * delta                      # p_j = 2 delta^j at odd j, 0 at even j
-    for i in range(0, _STIRLING_TABLE.shape[1], 2):
-        d += _STIRLING_TABLE[:, i] * power
-        size += (i + 3) * np.abs(_STIRLING_TABLE[:, i] * power)
-        power *= delta * delta
-    omitted = 2.0 * np.abs(d[-2:])
-    reach = max(_STIRLING_REACH * max(abs(delta), 1.0),
-                *(4.0 * omitted / _EPS) ** (1.0 / (_STIRLING_N[-2:, 0] - 1.0)))
-    return d[:-2], size[:-2] + _STIRLING_N[:-2, 0] * np.abs(d[:-2]), omitted, reach
+def _pair_series(deltas: tuple):
+    """For each shift delta of a ratio's pairs, stacked: D_n (n = 2 .. 20) of
+    the shifts +-delta, the rounding of D_n W^(1-n) in eps |W|^(n-1), 2 |D_n|
+    for n = 21, 22 and the reach, 6 max(|delta|, 1) or where those pass eps/4."""
+    rows = []
+    for delta in deltas:
+        d, size = np.zeros(len(_STIRLING_TABLE), dtype=complex), np.zeros(len(_STIRLING_TABLE))
+        power = 2.0 * delta                  # p_j = 2 delta^j at odd j, 0 at even j
+        for i in range(0, _STIRLING_TABLE.shape[1], 2):
+            d += _STIRLING_TABLE[:, i] * power
+            size += (i + 3) * np.abs(_STIRLING_TABLE[:, i] * power)
+            power *= delta * delta
+        omitted = 2.0 * np.abs(d[-2:])
+        reach = max(_STIRLING_REACH * max(abs(delta), 1.0),
+                    *(4.0 * omitted / _EPS) ** (1.0 / (_STIRLING_N[-2:, 0] - 1.0)))
+        rows.append((d[:-2], size[:-2] + _STIRLING_N[:-2, 0] * np.abs(d[:-2]), omitted, reach))
+    return tuple(map(np.array, zip(*rows)))
 
 
 def gamma_ratio_bound(num, den):
@@ -157,14 +160,20 @@ def gamma_ratio_bound(num, den):
     raises PoleError naming its side.
     """
     args, shape = _pairs(num, den)
-    pole = np.argwhere((np.abs(args - np.round(args.real)) < 1e-13) & (np.round(args.real) <= 0))
-    if pole.size:
-        at = tuple(pole[0])
-        raise PoleError(f"gamma_ratio: {('numerator', 'denominator')[at[0]]} pole at {args[at]}",
-                        location=complex(args[at]))
+    if np.abs(args.imag).min(initial=1.0) < 1e-13:      # a pole is all but real
+        pole = np.argwhere((np.abs(args - np.round(args.real)) < 1e-13)
+                           & (np.round(args.real) <= 0))
+        if pole.size:
+            at = tuple(pole[0])
+            raise PoleError(f"gamma_ratio: {('numerator', 'denominator')[at[0]]} pole at "
+                            f"{args[at]}", location=complex(args[at]))
     two_delta, z = (args[0] - args[1]).ravel(), (0.5 * (args[0] + args[1])).ravel()
-    deltas, which = np.unique(0.5 * two_delta, return_inverse=True)
-    d, size, omitted, reach = map(np.array, zip(*map(_pair_series, deltas.tolist())))
+    shifts = 0.5 * two_delta.reshape(len(num), -1)
+    if (shifts == shifts[:, :1]).all():     # one shift per pair: no np.unique
+        deltas, which = shifts[:, 0], np.arange(len(num)).repeat(shifts.shape[1])
+    else:
+        deltas, which = np.unique(shifts.ravel(), return_inverse=True)
+    d, size, omitted, reach = _pair_series(tuple(deltas.tolist()))
     level = np.sqrt(np.maximum(reach[which] ** 2 - z.imag ** 2, 0.0)) - z.real
     moved = np.maximum(np.ceil(level), 0.0).astype(int)
     if moved.max(initial=0) > MAX_TERMS:
@@ -291,6 +300,22 @@ def _hurwitz_tail(s, k0):
     return tail + direct[s.astype(int).ravel() - 1].reshape(tail.shape)
 
 
+def _exactly_no_d2(h, sign) -> bool:
+    """Whether 2 D_2 = p_2 - p_1 = sum_i s_i (h_i^2 - h_i) is exactly 0: each
+    h_i^2 is a sum of exact products of 26-bit halves (Dekker's split), and
+    math.fsum sums them error-free."""
+    def halves(x):      # x = hi + lo, each of at most 26 significant bits
+        hi = x * 134217729.0 - (x * 134217729.0 - x)
+        return hi, x - hi
+    re, im = [], []
+    for s, z in zip(sign.tolist(), h.tolist()):
+        a, b = halves(z.real), halves(z.imag)
+        re += ([s * x * y for x in a for y in a] + [-s * x * y for x in b for y in b]
+               + [-s * z.real])
+        im += [2 * s * x * y for x in a for y in b] + [-s * z.imag]
+    return math.fsum(re) == 0.0 == math.fsum(im)
+
+
 def infinite_gamma_product(scale: float, num, den):
     """sum_{k>=0} [sum_i log Gamma(x_k + num_i) - sum_j log Gamma(x_k + den_j)],
     x_k = scale k, the log (modulo 2 pi i) of a Gamma-ratio product with as
@@ -337,7 +362,9 @@ def infinite_gamma_product(scale: float, num, den):
     j, hmax = np.arange(1, _STIRLING_TABLE.shape[1] + 1), np.abs(h).max(axis=0, initial=0.0)
     powers = np.cumprod(np.broadcast_to(np.abs(h), (j.size,) + h.shape), axis=0).sum(axis=1)
     size = ((np.abs(_STIRLING_TABLE) * (2 * j + 2 + len(h)))[:, :, None] * powers).sum(axis=1)
-    d[0, np.abs(d[0]) <= 32.0 * _EPS * size[0]] = 0.0    # D_2 = 0 but for rounding
+    zero = np.flatnonzero(np.abs(d[0]) <= 32.0 * _EPS * size[0])   # D_2 = 0 but for rounding
+    d[0, zero] = 0.0
+    size[0, [k for k in zero if _exactly_no_d2(h[:, k], sign[:, 0])]] = 0.0    # or exactly
     # an omitted D_n Z^(1-n), n = 21, 22, summed over all factors, is at
     # most 2 |D_n| R^(2-n) (1 + scale / R) / scale
     reach = _STIRLING_REACH * np.maximum(hmax, 1.0)

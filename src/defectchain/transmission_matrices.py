@@ -35,8 +35,8 @@ import warnings
 
 import numpy as np
 
-from .lax_defect import (CRITICAL, XXX, RegimeParams, _lams, defect_rep, make_l, make_l_hat,
-                         q_lax, s_matrix_part)
+from .lax_defect import (CRITICAL, NONCRITICAL, XXX, RegimeParams, _lams, defect_rep, make_l,
+                         make_l_hat, q_lax, s_matrix_part)
 from .oscillator_reps import QOscRep, q_oscillator_rep, spin_rep
 from .tensor_core import aux_transpose, block2, exchange_residual, identity_residual
 
@@ -105,31 +105,46 @@ def _critical_elementary(lh: complex, gamma: float, which: str) -> complex:
     return -np.exp(mu_t * u / 2.0) * q_t ** 0.5
 
 
-def t_prefactor(params: RegimeParams, lh: complex, which: str = "t") -> complex:
-    """Scalar prefactor of T (or Tbar): the elementary factor of each regime
-    times the hole amplitude, as displayed."""
-    # imported here so that a command that builds no prefactor (spectrum,
-    # bae) does not compile the amplitude layer
-    from .transmission_amplitudes import amplitude
-    if which not in ("t", "t_bar"):
-        raise ValueError(f"which must be 't' or 't_bar', got {which!r}")
+def _hole_prefactor(params: RegimeParams, lh, which: str, amp: complex):
+    """The prefactor of T (or Tbar) at one lam_hat: the elementary factor of
+    each regime times the hole amplitude amp there, as displayed."""
     if params.regime == XXX:
-        if which == "t":
-            return amplitude(params, "-", lh).value / (1j * lh + 0.5)
-        return amplitude(params, "+", lh).value
+        return amp / (1j * lh + 0.5) if which == "t" else amp
     if params.regime == CRITICAL:
-        sign = "-" if which == "t" else "+"
-        return _critical_elementary(lh, params.gamma, which) * amplitude(params, sign, lh).value
+        return _critical_elementary(lh, params.gamma, which) * amp
     q = params.q
     if which == "t":
         e = np.exp(1j * params.eta * lh)
-        return amplitude(params, "+", lh).value / e / (q ** 0.5 / e - e / q ** 0.5)
-    return -q ** 0.5 * amplitude(params, "-", lh).value
+        return amp / e / (q ** 0.5 / e - e / q ** 0.5)
+    return -q ** 0.5 * amp
 
 
-def t_matrix(params: RegimeParams, lh: complex, rep, which: str = "t") -> np.ndarray:
-    """T (or Tbar) at lam_hat: prefactor times matrix part."""
-    return t_prefactor(params, lh, which) * t_matrix_part(params, lh, rep, which)
+def t_prefactor(params: RegimeParams, lh, which="t"):
+    """Scalar prefactor of T (or Tbar) at lam_hat or at each point of a 1-d
+    array, which naming T or Tbar for all points or per point; T carries
+    T- and Tbar T+, swapped in the non-critical regime.  One amplitude call
+    serves the grid; the elementary factors are scalar arithmetic (numpy's
+    complex arrays fuse multiply-adds), so a point is its lone call bit for
+    bit wherever its amplitude is (see unitarity_crossing_residual)."""
+    # imported here so that a command that builds no prefactor (spectrum,
+    # bae) does not compile the amplitude layer
+    from .transmission_amplitudes import amplitude, amplitude_pair
+    whiches = [which] * np.size(lh) if isinstance(which, str) else list(which)
+    if not set(whiches) <= {"t", "t_bar"}:
+        raise ValueError(f"which must be 't' or 't_bar', got {which!r}")
+    lams = np.ravel(lh)
+    minus = [(w == "t") != (params.regime == NONCRITICAL) for w in whiches]    # T-, else T+
+    amps = ([amplitude(params, "-" if minus[0] else "+", lams).value.tolist()] * 2
+            if len(set(minus)) == 1 else [r.value.tolist() for r in amplitude_pair(params, lams)])
+    out = [_hole_prefactor(params, x, w, amps[m][k])
+           for k, (x, w, m) in enumerate(zip(lams.tolist(), whiches, minus))]
+    return out[0] if np.ndim(lh) == 0 else np.array(out)
+
+
+def t_matrix(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray:
+    """T (or Tbar) at lam_hat, or a stack: prefactor times matrix part."""
+    return (np.asarray(t_prefactor(params, lh, which))[..., None, None]
+            * t_matrix_part(params, lh, rep, which))
 
 
 # --------------------------------------------------------------------------
@@ -167,19 +182,26 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
 
     In the critical regime both identities hold in the rescaled variable,
     so the crossing shift is lam -> lam + i gamma and the amplitude product
-    is evaluated through its closed elementary form.
+    is evaluated through its closed elementary form.  Elsewhere the four
+    prefactors come from one amplitude grid.
     """
     keep = rep.interior()
-    unit = t_matrix(params, lam, rep) @ t_matrix(params, -lam, rep, "t_bar")
     if params.regime == CRITICAL:
+        # a point a call: the critical rule sums a lone lam_hat through a
+        # matrix-vector product, which rounds otherwise than a grid's rows
         g = params.gamma
         shift = 1j * g
+        unit = t_matrix(params, lam, rep) @ t_matrix(params, -lam, rep, "t_bar")
         amp = _critical_crossing_scalar(lam, g)
         scalars = (amp * _critical_elementary(lam + shift, g, "t_bar")
                    * _critical_elementary(-lam + shift, g, "t"))
     else:
         shift = 1j
-        scalars = t_prefactor(params, lam + shift, "t_bar") * t_prefactor(params, -lam + shift)
+        t, t_bar, cross_bar, cross = t_prefactor(params, [lam, -lam, lam + shift, -lam + shift],
+                                                 ("t", "t_bar", "t_bar", "t"))
+        unit = ((t * t_matrix_part(params, lam, rep))
+                @ (t_bar * t_matrix_part(params, -lam, rep, "t_bar")))
+        scalars = cross_bar * cross
     mb = aux_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"))
     mt = aux_transpose(t_matrix_part(params, -lam + shift, rep))
     return (identity_residual(unit, 1, keep),

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 import defectchain
 from defectchain import cli
 from defectchain import monodromy as mono
+from defectchain import special_functions as sf
 from defectchain import transmission_amplitudes as ta
 from defectchain import transmission_matrices as tmat
 from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_records, main
-from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l, make_r,
-                                   s_matrix_part)
+from defectchain.lax_defect import (CRITICAL, NONCRITICAL, RegimeParams, defect_rep, make_l,
+                                   make_r, s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue
 from defectchain.tensor_core import exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
@@ -186,8 +187,12 @@ def per_point_records(params, fock_dim, seed, log):
         add(f"amplitude-cross-route[{sign}]",
             [abs(t - amp(params, sign, x, second).value) for t, x in zip(closed[sign], lam_grid)],
             tol, params={"route": second})
-    add("amplitude-unitarity",
-        [abs(t * amp(params, "+", -x).value - 1.0) for t, x in zip(closed["-"], lam_grid)],
+    # the suite takes the closed pair on the mirror grid too, in the call
+    # that serves the cross-route records, and reads T+ off it; the critical
+    # regime takes T+ there alone, in a call of its own
+    signs = "+" if params.regime == CRITICAL else "+-"
+    mirror = {sign: [amp(params, sign, -x).value for x in lam_grid] for sign in signs}
+    add("amplitude-unitarity", [abs(t * tp - 1.0) for t, tp in zip(closed["-"], mirror["+"])],
         1e-10)
     add("s-amplitude-cross-route",
         [abs(s_amp(params, x) - s_amp(params, x, second)) for x in lam_grid[:3]], tol,
@@ -221,6 +226,7 @@ def test_verify_grid_records_match_per_point_oracle(monkeypatch, params):
         monkeypatch.setattr(owner, fn.__name__, mine.wrap(fn))
     got = {r["name"]: r for r in cli.run_verify(params, 8, 7)}
     monkeypatch.setattr(ta, "amplitude", theirs.wrap(amplitude))
+    monkeypatch.setattr(ta, "amplitude_pair", theirs.wrap(amplitude_pair))
     tmat.unitarity_crossing_residual(params, 0.44, tmat.default_rep(params, 6))
     want = per_point_records(params, 8, 7, theirs)
     assert len(want) == (9 if params.is_attractive() else 7)
@@ -704,6 +710,10 @@ def test_large_spin_type2_table_is_finite(tmp_path):
     (["--regime", "noncritical", "--theta=-inf"], "theta must be finite, got -inf"),
     (["--regime", "noncritical", "--eta", "inf"], "eta must be positive and finite, got inf"),
     (["--regime", "noncritical", "--eta", "nan"], "eta must be positive and finite, got nan"),
+    # q = e^(-eta) rounds to 1: an all-zero spectrum and Bethe roots near
+    # 1e300 came out, after a warning from the q-oscillator
+    (["--regime", "noncritical", "--eta", "1e-300"],
+     "eta must put q = e^(-eta) more than 1e-12 below 1, got 1e-300"),
 ])
 def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command, argv, message):
     with warnings.catch_warnings():
@@ -711,6 +721,41 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
         assert run([command, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# the ratio, product and quadrature calls of one warm run_verify pass; before
+# each family took its points in one grid call the suite made 8
+# gamma_ratio_bound calls in xxx and 8 q_gamma_ratio calls in the
+# non-critical regime (a scalar call per prefactor and one more per record)
+VERIFY_WORK = {
+    "xxx": {"gamma_ratio_bound": 3, "half_line_sums": 2},
+    # unchanged: a critical grid is summed in blocks of rows, and a one-row
+    # block in another order, so its calls are not joined
+    "critical": {"gamma_ratio_bound": 1, "infinite_gamma_product": 2, "half_line_sums": 7},
+    "noncritical": {"q_gamma_ratio": 3, "mode_sums": 2},
+}
+
+
+@pytest.mark.parametrize("regime", list(VERIFY_WORK))
+def test_verify_takes_each_amplitude_family_in_few_grid_calls(monkeypatch, regime):
+    # call counts do not depend on the machine: a scalar call per record or
+    # per prefactor coming back shows here; the first pass fills the caches
+    # (the critical anchor is one half-line rule per gamma)
+    params = {"xxx": RegimeParams.xxx(), "critical": RegimeParams.critical(0.7),
+              "noncritical": RegimeParams.noncritical(0.5)}[regime]
+    calls = Counter()
+    for name in ("gamma_ratio_bound", "q_gamma_ratio", "infinite_gamma_product",
+                 "half_line_sums", "mode_sums"):
+        for module in (sf, ta):
+            if hasattr(module, name):
+                def counted(*args, fn=getattr(module, name), name=name, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    cli.run_verify(params, 8, 7)
+    calls.clear()
+    cli.run_verify(params, 8, 7)
+    assert calls == VERIFY_WORK[regime]
 
 
 def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from defectchain import lax_defect, transmission_matrices
 from defectchain.lax_defect import RegimeParams, s_matrix_part
 from defectchain.oscillator_reps import spin_rep
-from defectchain.tensor_core import exchange_residual
+from defectchain.tensor_core import aux_transpose, exchange_residual, identity_residual
 from defectchain.transmission_amplitudes import amplitude
 from defectchain.transmission_matrices import (default_rep,
                                                quadratic_algebra_residual,
@@ -183,3 +183,61 @@ def test_transmission_blocks_match_np_block(monkeypatch):
     monkeypatch.setattr(transmission_matrices, "block2", np_block2)
     for got, want in zip(fast, build()):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ------------------------------------------------------------- grid calls
+
+GRID = np.array([0.44, -0.44, 0.44 + 1j, -0.44 + 1j, 1.3, -2.1])
+
+
+@pytest.mark.parametrize("params", ALL, ids=IDS)
+@pytest.mark.parametrize("which", ["t", "t_bar"])
+def test_prefactor_and_matrix_grids_are_their_scalar_calls(params, which):
+    # one amplitude call per grid; each point's elementary factor in scalar
+    # arithmetic, so a point is its lone call bit for bit, but in the
+    # critical regime, whose quadrature sums a lone point through a
+    # matrix-vector product: there it is the elementary factor times the
+    # grid's amplitude bit for bit, and its lone call to 1e-14
+    rep = default_rep(params, 6)
+    grid = GRID.real[[0, 1, 4, 5]] if params.regime == lax_defect.CRITICAL else GRID
+    pref, mats = t_prefactor(params, grid, which), t_matrix(params, grid, rep, which)
+    assert pref.shape == grid.shape and mats.shape == grid.shape + (2 * rep.dim,) * 2
+    assert np.array_equal(mats, pref[:, None, None] * t_matrix_part(params, grid, rep, which))
+    if params.regime == lax_defect.CRITICAL:
+        sign = "-" if which == "t" else "+"
+        amp = amplitude(params, sign, grid).value
+        assert np.array_equal(pref, [transmission_matrices._critical_elementary(
+            x, params.gamma, which) * a for x, a in zip(grid.tolist(), amp.tolist())])
+        lone = np.array([t_prefactor(params, x, which) for x in grid.tolist()])
+        np.testing.assert_allclose(pref, lone, rtol=1e-14, atol=0)
+        return
+    for k, x in enumerate(grid.tolist()):
+        assert pref[k] == t_prefactor(params, x, which)
+        assert np.array_equal(mats[k], t_matrix(params, x, rep, which))
+    # one T or Tbar per point: the same values from one amplitude_pair call
+    whiches = ["t", "t_bar"] * 3
+    mixed = t_prefactor(params, grid, whiches)
+    assert [complex(v) for v in mixed] == [t_prefactor(params, x, w)
+                                           for x, w in zip(grid.tolist(), whiches)]
+
+
+@pytest.mark.parametrize("params", ALL, ids=IDS)
+def test_unitarity_crossing_residual_is_its_scalar_formula(params):
+    # T(l) Tbar(-l) and the crossing product from lone t_matrix and
+    # t_prefactor calls, bit for bit (critical crossing: the closed form)
+    rep, lam = default_rep(params, 6), 0.44
+    keep = rep.interior()
+    unit = t_matrix(params, lam, rep) @ t_matrix(params, -lam, rep, "t_bar")
+    if params.regime == lax_defect.CRITICAL:
+        g = params.gamma
+        shift = 1j * g
+        scalars = (transmission_matrices._critical_crossing_scalar(lam, g)
+                   * transmission_matrices._critical_elementary(lam + shift, g, "t_bar")
+                   * transmission_matrices._critical_elementary(-lam + shift, g, "t"))
+    else:
+        shift = 1j
+        scalars = t_prefactor(params, lam + shift, "t_bar") * t_prefactor(params, -lam + shift)
+    crossing = scalars * (aux_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"))
+                          @ aux_transpose(t_matrix_part(params, -lam + shift, rep)))
+    assert unitarity_crossing_residual(params, lam, rep) == (
+        identity_residual(unit, 1, keep), identity_residual(crossing, 1, keep))
