@@ -180,6 +180,10 @@ def _json_value(v):
     return repr(v)
 
 
+# every JSON text the commands write: sorted keys, else json.dumps's defaults
+_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
 def run_verify(params: RegimeParams, fock_dim: int, seed: int,
                tol_override: float | None = None) -> list[dict]:
     """The full identity suite for one regime: one record per identity,
@@ -187,8 +191,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     pass flag and the subspace it was measured on."""
     # imported here, as in cmd_amplitude, so that spectrum and bae do not
     # compile the amplitude layer
-    from .transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
-                                          soliton_s_amplitude)
+    from .transmission_amplitudes import amplitude_pair, breather_amplitude, soliton_s_amplitude
     uniform = _seeded_uniform(seed)
     rep = defect_rep(params, fock_dim)
     reports: list[dict] = []
@@ -196,8 +199,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     def add(name, residual, tol, params=None, subspace="full"):
         tol = tol if tol_override is None else tol_override
         residual = float(residual)
-        fields = {k: _json_value(v) for k, v in (params or {}).items()}
-        reports.append({"name": name, "params": json.dumps(fields, sort_keys=True),
+        text = _JSON({k: _json_value(v) for k, v in params.items()}) if params else "{}"
+        reports.append({"name": name, "params": text,
                         "residual": residual, "tolerance": tol, "pass": residual < tol,
                         "subspace": subspace})
 
@@ -208,12 +211,10 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     r_args = [make_r(params, xs) for xs in args]
     add("ybe-r", exchange_residual(*r_args)[0].max(), 1e-10,
         params={"pairs": len(pairs), "seed": seed})
-    # the closed S_s grid serves s-amplitude-cross-route too, but in the
-    # critical regime, whose product sizes its near factors from the least |lam|
-    lam_grid, critical = np.linspace(-1.6, 1.6, 5), params.regime == CRITICAL
+    # the closed S_s grid serves s-amplitude-cross-route too
+    lam_grid = np.linspace(-1.6, 1.6, 5)
     s_grid = lam_grid[:3]
-    s_closed = soliton_s_amplitude(params, args.ravel() if critical
-                                   else np.concatenate([args.ravel(), s_grid]))
+    s_closed = soliton_s_amplitude(params, np.concatenate([args.ravel(), s_grid]))
     prefactors = s_closed[:args.size].reshape(args.shape)
     s_parts = s_matrix_part(params, args.ravel()).reshape(args.shape + (4, 4))
     s_args = prefactors[..., None, None] * s_parts
@@ -267,24 +268,20 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         second_route, tol_amp = "sum", 1e-8
     else:
         second_route, tol_amp = "integral", 1e-6
-    # T+ and T- on the grid and, but in the critical regime (see
-    # unitarity_crossing_residual), on its mirror image in the same call
-    plus, minus = (r.value for r in amplitude_pair(
-        params, lam_grid if critical else np.concatenate([lam_grid, -lam_grid])))
-    mirror = amplitude(params, "+", -lam_grid).value if critical else plus[5:]
+    # T+ and T- on the grid and on its mirror image in the same call
+    plus, minus = (r.value for r in amplitude_pair(params, np.concatenate([lam_grid, -lam_grid])))
     for sign, mine, theirs in zip("+-", (plus[:5], minus[:5]),
                                   amplitude_pair(params, lam_grid, second_route)):
         disc = np.abs(mine - theirs.value).max()
         add(f"amplitude-cross-route[{sign}]", disc, tol_amp,
             params={"route": second_route})
-    uni = np.abs(minus[:5] * mirror - 1.0).max()
+    uni = np.abs(minus[:5] * plus[5:] - 1.0).max()
     add("amplitude-unitarity", uni, 1e-10)
-    s_disc = np.abs((soliton_s_amplitude(params, s_grid) if critical else s_closed[args.size:])
-                    - soliton_s_amplitude(params, s_grid, second_route)).max()
+    s_disc = np.abs(s_closed[args.size:] - soliton_s_amplitude(params, s_grid, second_route)).max()
     add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": second_route})
 
     # transmission matrices (default_rep is defect_rep but in the critical regime)
-    trep = tmat.default_rep(params, 6) if critical else spec.rep
+    trep = tmat.default_rep(params, 6) if params.regime == CRITICAL else spec.rep
     l1, l2 = uniform(-1.2, 1.2, 2)
     for which in ("t", "t_bar"):
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),
@@ -347,8 +344,8 @@ def _write_records(tables, fmt: str, out, header: dict):
         raise ValueError(f"cannot write --out {out}: {err.strerror}") from None
     lone = len(tables[0]) == 1
     with target as stream:
-        stream.write(json.dumps({"header": header}, sort_keys=True) + "\n" if fmt == "jsonl"
-                     else "# " + json.dumps(header, sort_keys=True) + "\n"
+        stream.write(_JSON({"header": header}) + "\n" if fmt == "jsonl"
+                     else "# " + _JSON(header) + "\n"
                      + ",".join(_csv_cell(name, lone) for name in tables[0]) + "\n")
         for table in tables:
             fields = {k: _csv_field(v, lone) for k, v in table.items()}
@@ -359,8 +356,7 @@ def _write_records(tables, fmt: str, out, header: dict):
                 block = {k: v if isinstance(v, list) else v.tolist() for k, v in block.items()}
                 if fmt == "jsonl":
                     rows = zip(*(block.get(k, itertools.repeat(v)) for k, v in table.items()))
-                    stream.writelines(json.dumps(dict(zip(table, row)), sort_keys=True) + "\n"
-                                      for row in rows)
+                    stream.writelines(_JSON(dict(zip(table, row))) + "\n" for row in rows)
                 else:
                     rows = zip(*(block[k] if fields[k] != "%s"
                                  else [_csv_cell(_fmt_cell(v), lone) for v in block[k]]

@@ -433,9 +433,9 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
             return np.array([1.0, a])
 
         if sign == "+":
-            num, den = np.polymul(lin(0.5j - th), lin(0.5j)), lin(-0.5j)
+            num, den = np.convolve(lin(0.5j - th), lin(0.5j)), lin(-0.5j)
         else:
-            num, den = lin(0.5j), np.polymul(lin(-0.5j - th), lin(-0.5j))
+            num, den = lin(0.5j), np.convolve(lin(-0.5j - th), lin(-0.5j))
         to_lam = complex
     else:
         mu = spec.params.mu_complex
@@ -447,10 +447,10 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
         shift = np.exp(mu * th)     # e^{-mu (lam - theta)} = shift / sqrt(z)
         if sign == "+":
             num = 2.0 * shift * lin(0.5j)
-            den = np.polymul(lin(0.5j - th), lin(-0.5j))
+            den = np.convolve(lin(0.5j - th), lin(-0.5j))
         else:
-            num = shift * np.polymul(lin(-0.5j - th), lin(0.5j))
-            den = np.polymul([2.0, 0.0], lin(-0.5j))
+            num = shift * np.convolve(lin(-0.5j - th), lin(0.5j))
+            den = np.convolve([2.0, 0.0], lin(-0.5j))
 
         def to_lam(z):
             return complex(np.log(z) / (2.0 * mu))

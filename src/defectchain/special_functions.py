@@ -333,9 +333,10 @@ def infinite_gamma_product(scale: float, num, den):
     part is the sum's for a real D_2); the K before are moved out by M,
     W(Z) = W(Z + M) - sum_{j<M} sum_i s_i log1p(h_i / (Z + j)), so no Gamma
     is evaluated.  The estimate adds the omitted terms and the rounding of
-    every term, the independent log1p terms and their sum as a root-sum-
-    square.  K M past MAX_TERMS raises ConvergenceError before any term is
-    summed; a Gamma at a pole raises PoleError located at the grid index.
+    every term, the independent log1p terms, their arguments and their sum
+    as root-sum-squares.  K M past MAX_TERMS raises ConvergenceError before
+    any term is summed; a Gamma at a pole raises PoleError located at the
+    grid index.
     """
     if len(num) != len(den):
         raise ValueError(f"a Gamma-ratio product needs as many Gammas above as below, "
@@ -398,13 +399,13 @@ def infinite_gamma_product(scale: float, num, den):
         # each (k, j) is summed over i first: the log1p terms cancel there
         partials.append(np.stack([
             -(sign[:, :, None] * logs).sum(axis=0).sum(axis=-1),
-            (4.0 * np.abs(h)[:, :, None] / arg).sum(axis=0).sum(axis=-1),
+            ((4.0 * np.abs(h)[:, :, None] / arg) ** 2).sum(axis=0).sum(axis=-1),
             (np.abs(logs) ** 2).sum(axis=0).sum(axis=-1),
             (inverse * d.T[:, None]).sum(axis=(1, 2))]))
     near = np.sum(partials, axis=0)
     tail = scale ** -orders[:, None] * _hurwitz_tail(orders, count + mean / scale)
     # the series terms at the K points Z_k + M, |Z_k + M| >= R, and the tail
-    rounding = (near[1].real + summing * np.sqrt(near[2].real)
+    rounding = (np.sqrt(near[1].real) + summing * np.sqrt(near[2].real)
                 + 2.0 * (size * (count * reach ** -orders[:, None] + np.abs(tail))).sum(axis=0))
     ln = near[0] + near[3] + (d * tail).sum(axis=0)
     return ln.reshape(shape)[()], (_EPS * rounding + omitted).reshape(shape)[()]
@@ -583,16 +584,21 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     terms, with a bound on the error of each value.
 
     a, b, c (and c_size) are (nodes, k): k integrands on the same nodes.
-    weights is (nodes, m), one column per rule, the fine rule first; every
-    rule gives the last node zero weight, and only its terms are read
-    there.  Every block of points takes its sin/cos table once
+    weights is (nodes, m), m >= 2, one column per rule, the fine rule
+    first; every rule gives the last node zero weight, and only its terms
+    are read there.  Every block of points takes its sin/cos table once
     (_half_sin_cos, with freq, but for its last node, the nodes, group by
     group, of the groups) and folds all k integrands of all rules into the
     same two stacked products, one (nodes, m) weight matrix per integrand,
     so that a column's value is the one it gets alone, bit for bit; the
     values and bounds are (points, k).  4 sin^2(phi/2) = 2 (1 - cos phi)
     keeps small phases exact.  The points are walked in blocks so no
-    temporary exceeds BLOCK elements.  The bound of a column adds
+    temporary exceeds BLOCK elements.  A block of one point is summed as
+    two equal rows, since numpy takes a one-row product through its
+    matrix-vector path; so, with m >= 2 (at real lam four real columns or
+    more, whose products OpenBLAS rounds alike in blocks of any size), a
+    point's value is the same in any grid on the same rule, bit for bit.
+    The bound of a column adds
       * the largest spread between the rules,
       * the tail past the last node: the largest term there, grown by
         e^{|Im lam| freq}, times tail_length,
@@ -625,12 +631,15 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
         s, sin_phi = _half_sin_cos(0.5 * lam[i:i + step], groups)
+        if len(s) == 1:     # two equal rows: one would take the matrix-vector path
+            s, sin_phi = s.repeat(2, axis=0), sin_phi.repeat(2, axis=0)
         sin_phi *= 2.0 * s
         s *= s
         sa, sb = s @ wa, sin_phi @ wb
         if real:
             sa, sb = sa.view(np.complex128), sb.view(np.complex128)
-        ln[:, i:i + step] = sa + 1j * sb
+        block = ln[:, i:i + step]
+        block[...] = (sa + 1j * sb)[:, :block.shape[1]]
     ln += (weights.T @ np.ascontiguousarray(c.T)[..., None]).transpose(0, 2, 1)
     ln = ln.transpose(1, 2, 0)      # (points, rules, k)
 
@@ -647,9 +656,7 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
              + 4.0 * slip * (np.abs(a) * turn + np.abs(b))
              + math.sqrt(freq.size) * (terms + np.abs(c)))
     err = last * math.exp(growth) * tail_length + _EPS * (weights[:, 0] @ sizes)
-    if rules > 1:
-        return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
-    return ln[:, 0], np.full((lam.size, cols), err)
+    return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
 
 
 def half_line_sums(lam, decay: float, terms):
@@ -687,7 +694,9 @@ def _mode_rule(eta: float, rate: float):
     offsets = 2.0 * eta * np.arange(1, cols + 1)
     groups = ((bases, offsets, None),)
     freq = np.concatenate([(bases[:, None] + offsets).ravel(), [2.0 * eta * (k_max + 1)]])
-    weights = np.ones((k_max + 1, 1))
+    # the sum is its own comparison rule: two columns, so that a point
+    # rounds the same in any block of points (see _rule_sums)
+    weights = np.ones((k_max + 1, 2))
     weights[-1] = 0.0
     modes = np.arange(1, k_max + 2, dtype=np.float64)
     for arr in (modes, freq, weights, bases, offsets):

@@ -44,7 +44,6 @@ __all__ = [
     "default_rep",
     "t_matrix_part",
     "t_prefactor",
-    "t_matrix",
     "quadratic_algebra_residual",
     "unitarity_crossing_residual",
     "type2_matrix_part",
@@ -125,7 +124,7 @@ def t_prefactor(params: RegimeParams, lh, which="t"):
     T- and Tbar T+, swapped in the non-critical regime.  One amplitude call
     serves the grid; the elementary factors are scalar arithmetic (numpy's
     complex arrays fuse multiply-adds), so a point is its lone call bit for
-    bit wherever its amplitude is (see unitarity_crossing_residual)."""
+    bit."""
     # imported here so that a command that builds no prefactor (spectrum,
     # bae) does not compile the amplitude layer
     from .transmission_amplitudes import amplitude, amplitude_pair
@@ -139,12 +138,6 @@ def t_prefactor(params: RegimeParams, lh, which="t"):
     out = [_hole_prefactor(params, x, w, amps[m][k])
            for k, (x, w, m) in enumerate(zip(lams.tolist(), whiches, minus))]
     return out[0] if np.ndim(lh) == 0 else np.array(out)
-
-
-def t_matrix(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray:
-    """T (or Tbar) at lam_hat, or a stack: prefactor times matrix part."""
-    return (np.asarray(t_prefactor(params, lh, which))[..., None, None]
-            * t_matrix_part(params, lh, rep, which))
 
 
 # --------------------------------------------------------------------------
@@ -182,16 +175,15 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
 
     In the critical regime both identities hold in the rescaled variable,
     so the crossing shift is lam -> lam + i gamma and the amplitude product
-    is evaluated through its closed elementary form.  Elsewhere the four
-    prefactors come from one amplitude grid.
+    is evaluated through its closed elementary form.  The prefactors come
+    from one amplitude grid: T(lam) and Tbar(-lam), and but in the critical
+    regime those of the crossing identity too.
     """
     keep = rep.interior()
     if params.regime == CRITICAL:
-        # a point a call: the critical rule sums a lone lam_hat through a
-        # matrix-vector product, which rounds otherwise than a grid's rows
         g = params.gamma
         shift = 1j * g
-        unit = t_matrix(params, lam, rep) @ t_matrix(params, -lam, rep, "t_bar")
+        t, t_bar = t_prefactor(params, [lam, -lam], ("t", "t_bar"))
         amp = _critical_crossing_scalar(lam, g)
         scalars = (amp * _critical_elementary(lam + shift, g, "t_bar")
                    * _critical_elementary(-lam + shift, g, "t"))
@@ -199,9 +191,9 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
         shift = 1j
         t, t_bar, cross_bar, cross = t_prefactor(params, [lam, -lam, lam + shift, -lam + shift],
                                                  ("t", "t_bar", "t_bar", "t"))
-        unit = ((t * t_matrix_part(params, lam, rep))
-                @ (t_bar * t_matrix_part(params, -lam, rep, "t_bar")))
         scalars = cross_bar * cross
+    unit = ((t * t_matrix_part(params, lam, rep))
+            @ (t_bar * t_matrix_part(params, -lam, rep, "t_bar")))
     mb = aux_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"))
     mt = aux_transpose(t_matrix_part(params, -lam + shift, rep))
     return (identity_residual(unit, 1, keep),

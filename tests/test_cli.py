@@ -24,7 +24,7 @@ from defectchain import special_functions as sf
 from defectchain import transmission_amplitudes as ta
 from defectchain import transmission_matrices as tmat
 from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_records, main
-from defectchain.lax_defect import (CRITICAL, NONCRITICAL, RegimeParams, defect_rep, make_l,
+from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l,
                                    make_r, s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue
 from defectchain.tensor_core import exchange_residual
@@ -188,10 +188,8 @@ def per_point_records(params, fock_dim, seed, log):
             [abs(t - amp(params, sign, x, second).value) for t, x in zip(closed[sign], lam_grid)],
             tol, params={"route": second})
     # the suite takes the closed pair on the mirror grid too, in the call
-    # that serves the cross-route records, and reads T+ off it; the critical
-    # regime takes T+ there alone, in a call of its own
-    signs = "+" if params.regime == CRITICAL else "+-"
-    mirror = {sign: [amp(params, sign, -x).value for x in lam_grid] for sign in signs}
+    # that serves the cross-route records, and reads T+ off it
+    mirror = {sign: [amp(params, sign, -x).value for x in lam_grid] for sign in "+-"}
     add("amplitude-unitarity", [abs(t * tp - 1.0) for t, tp in zip(closed["-"], mirror["+"])],
         1e-10)
     add("s-amplitude-cross-route",
@@ -726,12 +724,14 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
 # the ratio, product and quadrature calls of one warm run_verify pass; before
 # each family took its points in one grid call the suite made 8
 # gamma_ratio_bound calls in xxx and 8 q_gamma_ratio calls in the
-# non-critical regime (a scalar call per prefactor and one more per record)
+# non-critical regime (a scalar call per prefactor and one more per record),
+# and 2 infinite_gamma_product and 7 half_line_sums calls in the critical
+# one (a lone point was summed otherwise than a grid row, so the closed
+# pair's mirror grid, the T and Tbar prefactors and the S_s records took
+# calls of their own)
 VERIFY_WORK = {
     "xxx": {"gamma_ratio_bound": 3, "half_line_sums": 2},
-    # unchanged: a critical grid is summed in blocks of rows, and a one-row
-    # block in another order, so its calls are not joined
-    "critical": {"gamma_ratio_bound": 1, "infinite_gamma_product": 2, "half_line_sums": 7},
+    "critical": {"gamma_ratio_bound": 1, "infinite_gamma_product": 1, "half_line_sums": 5},
     "noncritical": {"q_gamma_ratio": 3, "mode_sums": 2},
 }
 
@@ -1284,6 +1284,32 @@ def test_write_records_jsonl_unchanged(tmp_path):
     expected = [json.dumps({"header": header}, sort_keys=True)]
     expected += [json.dumps(rec, sort_keys=True) for rec in records]
     assert out.read_text() == "\n".join(expected) + "\n"
+
+
+NESTED = {"z": [1, {"b": float("nan"), "a": -float("inf")}], "\u00e9": "\u00fc\u2603",
+          "a": {"y": float("inf"), "x": [0.1, None, True]}}
+
+
+def test_json_texts_are_json_dumps_with_sorted_keys(tmp_path):
+    # one module-level encoder writes every JSON text: the bytes of
+    # json.dumps(..., sort_keys=True), NaN, infinities, non-ASCII and nested
+    # values included, and an empty params is the literal {}
+    assert cli._JSON(NESTED) == json.dumps(NESTED, sort_keys=True)
+    assert cli._JSON({}) == json.dumps({}, sort_keys=True) == "{}"
+    records = [{"name": "\u00e9", "params": cli._JSON(NESTED), "residual": float("nan"),
+                "tolerance": float("inf"), "pass": False, "nested": NESTED},
+               {"name": "rll", "params": "{}", "residual": -float("inf"), "tolerance": 1e-11,
+                "pass": True, "nested": {}}]
+    header = {"command": "test", "\u00fc": NESTED}
+    out = tmp_path / "t.jsonl"
+    _write_records([columns(records)], "jsonl", str(out), header)
+    expected = [json.dumps({"header": header}, sort_keys=True)]
+    expected += [json.dumps(rec, sort_keys=True) for rec in records]
+    assert out.read_text() == "\n".join(expected) + "\n"
+    assert "\\u00e9" in expected[1] and "NaN" in expected[1] and "-Infinity" in expected[2]
+    out = tmp_path / "t.csv"
+    _write_records([columns(records)], "csv", str(out), header)
+    assert out.read_text().splitlines()[0] == "# " + json.dumps(header, sort_keys=True)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -125,6 +125,57 @@ def test_grid_equals_scalar_calls(case, points):
         assert abs(v - one) <= 1e-13 * abs(one), (label, x, v, one)
 
 
+def _rule_routes():
+    """(label, fn(lam) -> list of value arrays) for every route that sums a
+    half-line rule or modes: its values at every point of lam."""
+    crit, nc = RegimeParams.critical(0.7), RegimeParams.noncritical(0.5)
+    return {
+        "integral pair": lambda x: [r.value for r in amplitude_pair(crit, x, "integral")]
+        + [r.value for r in amplitude_pair(XXX, x, "integral")],
+        "critical closed pair": lambda x: [r.value for r in amplitude_pair(crit, x)],
+        "breather integral": lambda x: [breather_amplitude("+", 1, x, crit.gamma,
+                                                           "integral").value],
+        "S_s integral": lambda x: [soliton_s_amplitude(crit, x, "integral"),
+                                   soliton_s_amplitude(XXX, x, "integral")],
+        "mode sums": lambda x: [r.value for r in amplitude_pair(nc, x, "sum")]
+        + [type2_amplitude(x, 0.5, 1.5, "sum").value, soliton_s_amplitude(nc, x, "sum")],
+    }
+
+
+RULE_ROUTES = _rule_routes()
+
+
+@pytest.mark.parametrize("route", list(RULE_ROUTES))
+def test_grid_rows_are_lone_points_bit_for_bit(monkeypatch, route):
+    # every block of rows goes through the same matrix product (a lone row
+    # as a row of two, mode sums with two rule columns), so the grid walked
+    # in blocks of 1, 2, 3 and 7 rows, and each point alone, read the whole
+    # grid's bits; |lam| <= 3 keeps every call on the same rules
+    fn, grid = RULE_ROUTES[route], np.linspace(-2.9, 2.7, 23)
+    rule_sums, rows, rules = special_functions._rule_sums, [0], [[]]
+
+    def spy(lam, freq, *rest):
+        rules[-1].append((freq.size, freq[-1]))
+        monkeypatch.setattr(special_functions, "BLOCK", rows[0] * freq.size or BLOCK)
+        return rule_sums(lam, freq, *rest)
+
+    monkeypatch.setattr(special_functions, "_rule_sums", spy)
+    fn(grid)        # the critical anchor is cached from here on
+    rules.append([])
+    whole = np.array(fn(grid))
+    assert whole.shape[1:] == grid.shape
+    for rows[0] in (1, 2, 3, 7):
+        rules.append([])
+        assert np.array_equal(np.array(fn(grid)), whole), (route, rows[0])
+    rows[0] = 0
+    for k, x in enumerate(grid):
+        rules.append([])
+        assert np.array_equal(np.array(fn(np.array([x])))[:, 0], whole[:, k]), (route, x)
+        rules.append([])
+        assert np.array_equal(np.array(fn(float(x)), dtype=complex), whole[:, k]), (route, x)
+    assert all(seen == rules[1] for seen in rules[1:])
+
+
 def test_pole_row_does_not_blank_its_table(tmp_path):
     out = tmp_path / "b2.csv"
     main(["amplitude", "--regime", "critical", "--mu", "0.7", "--family", "breather",
@@ -225,8 +276,8 @@ def test_mode_sum_cap_raises_before_allocating():
 def direct_trig_sums(lam, freq, weights, a, b, c):
     """The fine rule's sums with sin and cos taken at every (lam, node)
     pair, in the blocks and products the rule used before it shared them
-    across panels, for every column of the (nodes, k) terms: the oracle for
-    the angle-addition evaluation."""
+    across panels (a lone point, as there, a row of two), for every column
+    of the (nodes, k) terms: the oracle for the angle-addition evaluation."""
     real = not np.iscomplexobj(lam)
     rules, cols = weights.shape[1], a.shape[1]
     wa = np.multiply(weights[:, :, None], 4.0 * a[:, None], dtype=np.complex128)
@@ -237,14 +288,15 @@ def direct_trig_sums(lam, freq, weights, a, b, c):
     ln = np.empty((lam.size, rules * cols), dtype=np.complex128)
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
-        half = np.multiply.outer(lam[i:i + step], 0.5 * freq)
+        half = np.multiply.outer(np.resize(lam[i:i + step], max(2, lam[i:i + step].size)),
+                                 0.5 * freq)
         s, sin_phi = np.sin(half), np.cos(half)
         sin_phi *= 2.0 * s
         s *= s
         sa, sb = s @ wa, sin_phi @ wb
         if real:
             sa, sb = sa.view(np.complex128), sb.view(np.complex128)
-        ln[i:i + step] = sa + 1j * sb
+        ln[i:i + step] = (sa + 1j * sb)[:ln[i:i + step].shape[0]]
     ln += (weights.T @ c).ravel()
     return ln.reshape(lam.size, rules, cols)[:, 0]
 

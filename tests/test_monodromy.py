@@ -387,6 +387,28 @@ def test_bae_root_rejects_the_pole_root(params):
         assert abs(offset - round(offset.real)) > 1e-3
 
 
+@pytest.mark.parametrize("regime", ["xxx", "critical", "noncritical"])
+def test_bae_root_products_are_polymul_bit_for_bit(monkeypatch, regime):
+    # the quadratic's products are np.convolve of the linear factors, which
+    # is all np.polymul does with them: the same coefficients, so the same
+    # roots, at every theta of a sweep
+    make = {"xxx": lambda th: RegimeParams.xxx(theta=th),
+            "critical": lambda th: RegimeParams.critical(0.7, theta=th),
+            "noncritical": lambda th: RegimeParams.noncritical(0.5, theta=th)}[regime]
+
+    def roots():
+        out = []
+        for th in np.linspace(-0.25, 0.25, 11):
+            params = make(th)
+            spec = ChainSpec(n_sites=1, defect_site=1, params=params, rep=defect_rep(params, 4))
+            out.append([bae_root(spec, sign) for sign in "+-"])
+        return out
+
+    ours = roots()
+    monkeypatch.setattr(np, "convolve", np.polymul)
+    assert roots() == ours
+
+
 def test_bae_root_noncritical_newton_oracle():
     import mpmath as mp
     th, eta = 0.2, 0.5
