@@ -317,20 +317,18 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs=(None, None),
-                 sectors=None) -> float:
+def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs, sectors) -> float:
     """|| (R12 T1 T2 - T2 T1 R12) P || for the monodromies T1 = T(lam1), T2 =
     T(lam2) read from the defect and the projector P on the sectors
-    Q <= D - 2, from the `contract`ed pairs at lam1 and lam2 (built here
-    where None) and the `sector_blocks` (likewise).  `contract`'s leak guard
-    makes the auxiliary block T_ab map sector Q into Q + g_b - g_a (g the
-    auxiliary grading) and vanish elsewhere, and R12 conserves g_1 + g_2, so
-    each term of entry (a c, b d) maps sector Q into Q + g_b + g_d - g_a -
-    g_c: batched products of zero-padded sector blocks.
+    Q <= D - 2, from the `contract`ed pairs at lam1 and lam2 and the
+    `sector_blocks`.  `contract`'s leak guard makes the auxiliary block T_ab
+    map sector Q into Q + g_b - g_a (g the auxiliary grading) and vanish
+    elsewhere, and R12 conserves g_1 + g_2, so each term of entry (a c, b d)
+    maps sector Q into Q + g_b + g_d - g_a - g_c: batched products of
+    zero-padded sector blocks.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
     shift, d = g - g[:, None], spec.rep.dim
-    sectors = sector_blocks(spec) if sectors is None else sectors
     # the basis indices of the sectors -2 ... D, padded with the index past the chain
     idx = np.full((d + 3, max(len(i) for _, i in sectors)), spec.chain_dim)
     for q, i in sectors[:d + 1]:
@@ -348,10 +346,10 @@ def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs=(None, Non
 
 def _charge_blocks(spec: ChainSpec, lam: complex, pair, rows, cols) -> np.ndarray:
     """T(lam)'s auxiliary blocks [k, a, c] at the chain indices rows[k, a, c, :]
-    and cols[k, :], gathered from the `contract`ed pair at lam (built here
-    where None) as in `transfer_matrix`; the index past the chain reads a
-    zero state appended to the defect."""
-    total, first = contract(spec, lam) if pair is None else pair
+    and cols[k, :], gathered from the `contract`ed pair at lam as in
+    `transfer_matrix`; the index past the chain reads a zero state appended
+    to the defect."""
+    total, first = pair
     if total is None:
         total = np.eye(2).reshape(2, 1, 2, 1)
     n, m = total.shape[1], first.shape[1] + 1

@@ -5,8 +5,11 @@ The transmission amplitudes in this package are exponentials of integrals
     T(x) = exp[ -(PV) int dw/w  e^{-i w x}  K(w) ]            (continuous)
     T(x) = exp[ -sum_{k != 0} (1/k) e^{-2i eta k x} K(k) ]    (discrete)
 
-over scattering kernels K.  Splitting K into even and odd parts and folding
-the integral onto w > 0 gives
+over scattering kernels K.  Since 1/k = 2 eta / w, the discrete one is the
+continuous transform taken on the mode lattice w = 2 eta k: one engine,
+``amplitude_integral``, runs both, on the half-line rule or on the modes.
+Splitting K into even and odd parts and folding the integral onto w > 0
+gives
 
     ln T(x) = -int_0^inf dw/w [ 2(cos(wx) - 1) K_o(w) - 2i sin(wx) K_e(w) ]
               - 2 int_0^inf dw/w K_o(w)
@@ -17,13 +20,14 @@ odd part has a jump or a simple pole at the origin get a canonical
 counterterm which is exactly the one that turns the regularised exponent
 into the classical Gamma-function integral identities:
 
-    jump s at 0+ :  anchor = -2 int [K_o(w) - s e^{-2w}] dw/w
+    jump p at 0+ :  anchor = -2 int [K_o(w) - p e^{-2w}] dw/w
     pole  p/w    :  anchor = -2 int [K_o(w) - p/(2 sinh(w/2))] dw/w + p ln 2
 
-(in the discrete case the jump counterterm is s e^{-4 eta k}).  With these
-subtractions the engine reproduces the closed Gamma / q-Gamma forms of every
-amplitude in the package to quadrature accuracy; the choices are exercised
-against independent high-precision oracles in the test suite.
+(a mode sum takes the same p e^{-2w} at w = 2 eta k, and has no pole
+prescription).  With these subtractions the engine reproduces the closed
+Gamma / q-Gamma forms of every amplitude in the package to quadrature
+accuracy; the choices are exercised against independent high-precision
+oracles in the test suite.
 """
 from __future__ import annotations
 
@@ -47,9 +51,7 @@ __all__ = [
     "infinite_gamma_product",
     "FourierKernel",
     "amplitude_integral",
-    "amplitude_sum",
     "half_line_sums",
-    "mode_sums",
 ]
 
 
@@ -510,7 +512,7 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     _MAX_WIDTH.  See _panel_rule for the layout.  A rule of more than
     MAX_TERMS nodes (counting 41 nodes on each of cutoff / width panels,
     a few panels short of the doubling ones near the origin) raises
-    ConvergenceError before anything is allocated, as mode_sums does.
+    ConvergenceError before anything is allocated, as _mode_rule does.
     """
     if not decay > 0:
         raise ValueError(f"decay rate must be positive, got {decay}")
@@ -651,7 +653,7 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         doubled = slice(-1 - rows.size, -1)
         slip[doubled] += scales.repeat(rows.shape[1])[:, None] * turn[doubled]
     last = 4.0 * np.abs(a[-1]) + 2.0 * np.abs(b[-1]) + np.abs(c[-1])
-    terms = 4.0 * np.abs(a) * np.minimum(1.0, phase * phase / 4.0) + 2.0 * np.abs(b) * turn
+    terms = 4.0 * np.abs(a) * np.minimum(1.0, 0.5 * phase) ** 2 + 2.0 * np.abs(b) * turn
     sizes = (terms + (np.abs(c) if c_size is None else c_size)
              + 4.0 * slip * (np.abs(a) * turn + np.abs(b))
              + math.sqrt(freq.size) * (terms + np.abs(c)))
@@ -681,8 +683,18 @@ _GROUPED_MODES = 512
 
 @lru_cache(maxsize=16)
 def _mode_rule(eta: float, rate: float):
-    """(modes, frequencies, weights, groups) of mode_sums at eta and decay
-    rate per mode, the mode past the last one included to read the tail."""
+    """(modes, frequencies, weights, groups) of the sum over the modes k =
+    1, 2, ... at the frequencies 2 eta k, for terms that decay like
+    e^{-rate k}, the mode past the last one included to read the tail.
+
+    The mode count leaves a tail below _TAIL; more modes than MAX_TERMS
+    raise ConvergenceError before anything is allocated.  From
+    _GROUPED_MODES modes on, the modes k = B i + j, i < R, j = 1, ..., B,
+    are one (bases, offsets) group: each frequency is 2 eta B i + 2 eta j,
+    so _half_sin_cos takes 2 R + B, about 2 sqrt(2 K), sin/cos per point
+    for the K modes the tail needs, which R B rounds up by less than R;
+    fewer modes are one group with the base 0.
+    """
     need = math.ceil(-math.log(_TAIL) / rate) + 8
     rows = 1 if need < _GROUPED_MODES else -(-need // math.ceil(math.sqrt(2.0 * need)))
     cols = -(-need // rows)
@@ -702,28 +714,6 @@ def _mode_rule(eta: float, rate: float):
     for arr in (modes, freq, weights, bases, offsets):
         arr.flags.writeable = False
     return modes, freq, weights, groups
-
-
-def mode_sums(lam, eta: float, decay: float, terms):
-    """The discrete analogue of half_line_sums over the modes k = 1, 2, ...
-    at frequencies 2 eta k, for terms that decay like e^{-decay eta k}:
-
-        sum_{k >= 1} [4 sin^2(eta k lam) a(k) + 2i sin(2 eta k lam) b(k) + c(k)]
-
-    terms(k) returns a, b and c at the modes, each (modes, columns) with
-    one column per integrand, and the values and bounds are (points,
-    columns).  The mode count leaves a tail below _TAIL; more modes than
-    MAX_TERMS raise ConvergenceError before anything is allocated.  From
-    _GROUPED_MODES modes on, the modes k = B i + j, i < R, j = 1, ..., B,
-    are one (bases, offsets) group: each frequency is 2 eta B i + 2 eta j,
-    so _half_sin_cos takes 2 R + B, about 2 sqrt(2 K), sin/cos per point
-    for the K modes the tail needs, which R B rounds up by less than R;
-    fewer modes are one group with the base 0.  The error bound is the
-    tail, read at the next mode and summed geometrically, plus rounding.
-    """
-    rate = decay * eta
-    modes, freq, weights, groups = _mode_rule(eta, rate)
-    return _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
 
 
 # --------------------------------------------------------------------------
@@ -770,21 +760,26 @@ def as_grid(lam, real: bool = False):
 class FourierKernel:
     """A scattering kernel in frequency space.
 
-    hat        -- vectorised kernel, defined away from the origin
+    hat        -- vectorised kernel of its own argument x, defined away from
+                  the origin
     odd_kind   -- behaviour of the odd part at the origin:
                   "none" (vanishes / integrable), "jump" (finite one-sided
                   limit), "pole" (simple pole)
     odd_origin -- the jump value K_o(0+) or the pole coefficient p
-    decay      -- asymptotic decay rate r: |hat(w)| <~ e^{-r |w|}
-    discrete   -- True for integer-mode kernels (summed by amplitude_sum)
+    decay      -- asymptotic decay rate r in x: |hat(x)| <~ e^{-r |x|}
+    eta        -- None for a kernel of the real frequency x = w (integrated);
+                  else the lattice of an integer-mode kernel, whose mode
+                  x = k sits at the frequency w = 2 eta k (summed)
     """
 
-    __slots__ = ("name", "hat", "odd_kind", "odd_origin", "decay", "discrete")
+    __slots__ = ("name", "hat", "odd_kind", "odd_origin", "decay", "eta")
 
     def __init__(self, name: str, hat: Callable, odd_kind: str = "none",
-                 odd_origin: complex = 0.0, decay: float = 0.5, discrete: bool = False):
+                 odd_origin: complex = 0.0, decay: float = 0.5, eta: float | None = None):
+        if eta is not None and not eta > 0:
+            raise ValueError(f"eta must be positive, got {eta}")
         self.name, self.hat, self.odd_kind, self.odd_origin = name, hat, odd_kind, odd_origin
-        self.decay, self.discrete = decay, discrete
+        self.decay, self.eta = decay, eta
 
     def even_odd(self, w):
         plus = np.asarray(self.hat(w), dtype=np.complex128)
@@ -809,95 +804,63 @@ def _exp_in_range(ln, lam):
     return np.exp(ln)
 
 
-def _kernel_results(kernels, single: bool, ln, lam, err, route: str, scalar: bool):
-    """exp(ln) per kernel column as AmplitudeResults, with error |value| err:
-    the one result of a single kernel, else a tuple of them."""
-    value = _exp_in_range(ln, lam)
-    out = tuple(AmplitudeResult.on_grid(value[:, j], route, np.abs(value[:, j]) * err[:, j],
-                                        scalar) for j in range(len(kernels)))
-    return out[0] if single else out
-
-
 def _origin_prescription(kernel: FourierKernel):
-    """(decay rate the rule needs, constant shift, counterterm(w)) of a
-    continuous kernel's odd part at the origin."""
-    if kernel.discrete:
-        raise ValueError("discrete kernel passed to amplitude_integral")
-    p = kernel.odd_origin
+    """(decay rate the rule needs, constant shift, counterterm(x)) of a
+    kernel's odd part at the origin, in its own argument x = w / s, s = 1
+    or 2 eta: the jump counterterm is p e^{-2w} = p e^{-2 s x}."""
+    p, s = kernel.odd_origin, 1.0 if kernel.eta is None else 2.0 * kernel.eta
     if kernel.odd_kind == "none":
         return kernel.decay, 0.0, np.zeros_like
     if kernel.odd_kind == "jump":
-        return min(kernel.decay, 2.0), 0.0, lambda w: p * np.exp(-2.0 * w)
-    if kernel.odd_kind == "pole":
+        return min(kernel.decay, 2.0 * s), 0.0, lambda x: p * np.exp(-2.0 * s * x)
+    if kernel.odd_kind == "pole" and kernel.eta is None:
         # p / (2 sinh(w/2))
         return (min(kernel.decay, 0.5), p * np.log(2.0),
                 lambda w: -p * np.exp(-w / 2.0) / np.expm1(-w))
-    raise ValueError(
-        f"kernel {kernel.name!r}: no finite origin prescription ({kernel.odd_kind!r})")
+    raise ValueError(f"kernel {kernel.name!r}: no finite origin prescription "
+                     f"({kernel.odd_kind!r}, eta = {kernel.eta})")
 
 
 def amplitude_integral(kernels, lam_hat):
-    """exp of the regularised 1/w-weighted Fourier transform of a kernel,
+    """exp of the regularised 1/x-weighted Fourier transform of a kernel,
     at a real lam_hat or a real grid of them.
 
     kernels is one FourierKernel, giving one AmplitudeResult, or a sequence
-    of them, giving a tuple: the kernels are columns of one half-line rule,
-    which is sized from their slowest decay (cutoff) and from max|lam_hat|
-    (panel width).  Each error estimate is its column's gap to the
-    comparison rule on the same panels plus the measured tail and rounding.
-    An amplitude outside the normal float range raises FloatRangeError.
-    Analytic continuation is handled in closed form by the callers that
-    need it.
+    of them on one lattice (else ValueError), giving a tuple: the kernels
+    are columns of one rule, which runs out where the slowest has decayed.
+    A kernel of the frequency (eta None) takes the half-line rule, route
+    "integral", whose panels are sized from max|lam_hat|; each error
+    estimate is its column's gap to the comparison rule on the same panels
+    plus the measured tail and rounding.  An integer-mode kernel takes the
+    modes of its eta, route "sum": sum_{k != 0} (1/k) e^{-2i eta k lam}
+    K(k); each error estimate is its column's tail past the last mode,
+    summed geometrically, plus rounding.  An amplitude outside the normal
+    float range raises FloatRangeError.  Analytic continuation is handled
+    in closed form by the callers that need it.
     """
     single = isinstance(kernels, FourierKernel)
     kernels = (kernels,) if single else tuple(kernels)
+    etas = {kern.eta for kern in kernels}
+    if len(etas) > 1:
+        raise ValueError(f"kernels on different lattices in one call: eta = {etas}")
+    eta = etas.pop()
     rates, shifts, counters = zip(*map(_origin_prescription, kernels))
     lam, scalar = as_grid(lam_hat, real=True)
 
-    def terms(w):
-        cols = []
-        for kern, counter in zip(kernels, counters):
-            ke, ko = kern.even_odd(w)
-            cw = counter(w)
-            cols.append((ko / w, ke / w, -2.0 * (ko - cw) / w,
-                         2.0 * (np.abs(ko) + np.abs(cw)) / w))
-        return [np.array(parts).T for parts in zip(*cols)]
+    def terms(x):
+        # (nodes, kernels) each
+        ke, ko = np.array([kern.even_odd(x) for kern in kernels]).transpose(1, 2, 0)
+        cx = np.array([counter(x) for counter in counters]).T
+        x = x[:, None]
+        return ko / x, ke / x, -2.0 * (ko - cx) / x, 2.0 * (np.abs(ko) + np.abs(cx)) / x
 
-    ln, err = half_line_sums(lam, min(rates), terms)
-    return _kernel_results(kernels, single, ln + np.array(shifts), lam, err, "integral", scalar)
-
-
-def amplitude_sum(kernels, lam_hat, eta: float):
-    """Discrete analogue: exp[-sum_{k != 0} (1/k) e^{-2i eta k lam} K(k)] at a
-    real lam_hat or a real grid of them.
-
-    kernels is one discrete FourierKernel or a sequence of them, as in
-    amplitude_integral: the kernels are columns of one mode sum.  The k = 0
-    term is excluded by the 1/k weight.  The modes run out where the
-    slowest kernel has decayed (see mode_sums, which also caps their
-    number); each error estimate is its column's tail past the last mode
-    plus rounding.
-    """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    single = isinstance(kernels, FourierKernel)
-    kernels = (kernels,) if single else tuple(kernels)
-    for kern in kernels:
-        if not kern.discrete:
-            raise ValueError("continuous kernel passed to amplitude_sum")
-        if kern.odd_kind == "pole":
-            raise ValueError("pole-type discrete kernels are not defined")
-    lam, scalar = as_grid(lam_hat, real=True)
-    decay = min(min(kern.decay, 4.0) if kern.odd_kind == "jump" else kern.decay
-                for kern in kernels)
-
-    def terms(k):
-        cols = []
-        for kern in kernels:
-            ke, ko = kern.even_odd(k)
-            counter = kern.odd_origin * np.exp(-4.0 * eta * k) if kern.odd_kind == "jump" else 0.0
-            cols.append((ko / k, ke / k, -2.0 * (ko - counter) / k))
-        return [np.array(parts).T for parts in zip(*cols)]
-
-    ln, err = mode_sums(lam, eta, decay, terms)
-    return _kernel_results(kernels, single, ln, lam, err, "sum", scalar)
+    rate, route = min(rates), "integral" if eta is None else "sum"
+    if eta is None:
+        ln, err = half_line_sums(lam, rate, terms)
+    else:
+        modes, freq, weights, groups = _mode_rule(eta, rate)
+        ln, err = _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
+    value = _exp_in_range(ln + np.array(shifts), lam)
+    out = tuple(AmplitudeResult.on_grid(value[:, j], route, np.abs(value[:, j]) * err[:, j],
+                                        scalar) for j in range(len(kernels)))
+    return out[0] if single else out

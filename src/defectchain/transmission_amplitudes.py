@@ -35,14 +35,15 @@ import numpy as np
 
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
 from .special_functions import (AmplitudeResult, FloatRangeError, FourierKernel, PoleError,
-                                amplitude_integral, amplitude_sum, as_grid, gamma_ratio,
+                                amplitude_integral, as_grid, gamma_ratio,
                                 gamma_ratio_bound, half_line_sums, infinite_gamma_product,
                                 q_gamma_ratio, _exp_in_range)
 
+# `amplitude`, one sign of `amplitude_pair`, is left out: the package takes
+# both signs in one pass wherever it reads them
 __all__ = [
     "AmplitudeResult",
     "kernel",
-    "amplitude",
     "amplitude_pair",
     "breather_amplitude",
     "type2_amplitude",
@@ -68,7 +69,8 @@ def kernel(params: RegimeParams, name: str, spin: float | None = None) -> Fourie
     kernel rt_spin (which takes ``spin``).
 
     Continuous regimes (isotropic, critical) give functions of a real
-    frequency w; the non-critical regime gives discrete integer-mode kernels.
+    frequency w; the non-critical regime gives integer-mode kernels on the
+    lattice w = 2 eta k, with decay rates per mode.
     """
     if params.regime == XXX:
         return _kernel_xxx(name)
@@ -147,14 +149,14 @@ def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
         support = -1.0 if name == "rt_plus" else 1.0
         hat = _half_line(lambda k: -_sech2(eta * k), support)
         return FourierKernel(name, hat, odd_kind="jump", odd_origin=support * -0.25,
-                             decay=1.0, discrete=True)
+                             decay=1.0 * eta, eta=eta)
     if name == "r":
 
         def hat(k):
             u = np.abs(np.asarray(k, dtype=float))
             return np.exp(-2.0 * eta * u) / (1.0 + np.exp(-2.0 * eta * u))
 
-        return FourierKernel("r", hat, decay=2.0, discrete=True)
+        return FourierKernel("r", hat, decay=2.0 * eta, eta=eta)
     if name == "rt_spin":
         if spin is None:
             raise ValueError("rt_spin needs spin")
@@ -164,7 +166,7 @@ def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
             u = np.abs(np.asarray(k, dtype=float))
             return np.exp(-eta * y * u) / (1.0 + np.exp(-2.0 * eta * u))
 
-        return FourierKernel("rt_spin", hat, decay=y, discrete=True)
+        return FourierKernel("rt_spin", hat, decay=y * eta, eta=eta)
     raise ValueError(f"unknown non-critical kernel {name!r}")
 
 
@@ -290,9 +292,8 @@ def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str
         raise ValueError(f"route {route!r} not available in the {regime} regime")
     try:
         if route in ("integral", "sum"):
-            kernels = [kernel(params, "rt_plus" if s == "+" else "rt_minus") for s in signs]
-            return (amplitude_integral(kernels, lam_hat) if route == "integral"
-                    else amplitude_sum(kernels, lam_hat, params.eta))
+            return amplitude_integral([kernel(params, "rt_plus" if s == "+" else "rt_minus")
+                                       for s in signs], lam_hat)
         lam, scalar = as_grid(lam_hat)
         columns = _closed_amplitudes(params, signs, lam, route)
     except FloatRangeError as exc:
@@ -413,8 +414,8 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
                                  float(np.exp(-4.0 * eta)), lam)
         return AmplitudeResult.on_grid(val, "closed", err, scalar)
     if route == "sum":
-        params = RegimeParams.noncritical(eta)
-        return amplitude_sum(kernel(params, "rt_spin", spin=spin), lam_hat, eta)
+        return amplitude_integral(kernel(RegimeParams.noncritical(eta), "rt_spin", spin=spin),
+                                  lam_hat)
     raise ValueError(f"unknown type-II route {route!r}")
 
 
@@ -451,9 +452,7 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
     if route not in ("closed", second):
         regime = {XXX: "isotropic", CRITICAL: "critical"}.get(params.regime, "non-critical")
         raise ValueError(f"route {route!r} not available for the {regime} S_s")
-    if route == "sum":
-        return amplitude_sum(kernel(params, "r"), lam, params.eta).value
-    if route == "integral":
+    if route == second:
         return amplitude_integral(kernel(params, "r"), lam).value
 
     grid, scalar = as_grid(lam)

@@ -118,26 +118,21 @@ def _hole_prefactor(params: RegimeParams, lh, which: str, amp: complex):
     return -q ** 0.5 * amp
 
 
-def t_prefactor(params: RegimeParams, lh, which="t"):
-    """Scalar prefactor of T (or Tbar) at lam_hat or at each point of a 1-d
-    array, which naming T or Tbar for all points or per point; T carries
-    T- and Tbar T+, swapped in the non-critical regime.  One amplitude call
-    serves the grid; the elementary factors are scalar arithmetic (numpy's
-    complex arrays fuse multiply-adds), so a point is its lone call bit for
-    bit."""
+def t_prefactor(params: RegimeParams, lh, which):
+    """Scalar prefactors of T or Tbar at each point of the 1-d lam_hat lh,
+    which naming T ("t") or Tbar ("t_bar") per point; T carries T- and Tbar
+    T+, swapped in the non-critical regime.  One amplitude_pair call serves
+    the grid; the elementary factors are scalar arithmetic (numpy's complex
+    arrays fuse multiply-adds), so a point is its lone call bit for bit."""
     # imported here so that a command that builds no prefactor (spectrum,
     # bae) does not compile the amplitude layer
-    from .transmission_amplitudes import amplitude, amplitude_pair
-    whiches = [which] * np.size(lh) if isinstance(which, str) else list(which)
-    if not set(whiches) <= {"t", "t_bar"}:
+    from .transmission_amplitudes import amplitude_pair
+    if not set(which) <= {"t", "t_bar"}:
         raise ValueError(f"which must be 't' or 't_bar', got {which!r}")
-    lams = np.ravel(lh)
-    minus = [(w == "t") != (params.regime == NONCRITICAL) for w in whiches]    # T-, else T+
-    amps = ([amplitude(params, "-" if minus[0] else "+", lams).value.tolist()] * 2
-            if len(set(minus)) == 1 else [r.value.tolist() for r in amplitude_pair(params, lams)])
-    out = [_hole_prefactor(params, x, w, amps[m][k])
-           for k, (x, w, m) in enumerate(zip(lams.tolist(), whiches, minus))]
-    return out[0] if np.ndim(lh) == 0 else np.array(out)
+    minus = [(w == "t") != (params.regime == NONCRITICAL) for w in which]    # T-, else T+
+    amps = [r.value.tolist() for r in amplitude_pair(params, lh)]
+    return np.array([_hole_prefactor(params, x, w, amps[m][k]) for k, (x, w, m)
+                     in enumerate(zip(np.asarray(lh).tolist(), which, minus, strict=True))])
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 from defectchain.lax_defect import (RegimeParams, crossing_transform,
                                     make_l, make_l_hat, make_r,
                                     s_matrix_part, unitarity_residuals)
-from defectchain.monodromy import (ChainSpec, bae_residual, reference_eigenvalue,
+from defectchain.monodromy import (ChainSpec, bae_residual, contract, reference_eigenvalue,
                                    rtt_residual, sector_blocks, sector_commutator,
                                    transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
@@ -132,7 +132,7 @@ def test_criterion_4_transfer_matrix_structure():
                          rep=rep_for(params, 6))
         sectors = sector_blocks(spec)
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-            rtt = rtt_residual(spec, l1, l2)
+            rtt = rtt_residual(spec, l1, l2, [contract(spec, x) for x in (l1, l2)], sectors)
             m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
             dense, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2,
                                            sector_mask(spec))

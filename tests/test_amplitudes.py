@@ -103,7 +103,7 @@ def test_kernel_table_covers_each_regime():
     w = w[np.abs(w) > 1e-9]
     np.testing.assert_allclose(crit["B_plus"].hat(w), crit["rt_plus"].hat(w))
     np.testing.assert_allclose(crit["B_minus"].hat(w), crit["rt_minus"].hat(w))
-    assert table[NC]["rt_spin"].discrete
+    assert table[NC]["rt_spin"].eta == NC.eta
 
 
 # ----------------------------------------------------------- state densities

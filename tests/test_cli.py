@@ -701,6 +701,19 @@ def test_large_spin_type2_table_is_finite(tmp_path):
     assert all(np.isfinite(float(v)) for row in rows for k, v in row.items() if k != "note")
 
 
+def test_mode_sum_error_bound_at_a_huge_grid_end_does_not_overflow(capsys):
+    # the rounding charge squared the phase freq * max|lam|, which
+    # overflowed once the phase passed about 1.3e154: a RuntimeWarning,
+    # and a traceback under -W error; half the phase is clipped first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["amplitude", "--regime", "noncritical", "--eta", "0.5",
+                    "--grid=-1e300:1e300:3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert len(captured.out.splitlines()) == 5      # header, column names, 3 rows
+
+
 @pytest.mark.parametrize("command", ["verify", "amplitude", "spectrum", "bae"])
 @pytest.mark.parametrize("argv, message", [
     (["--regime", "xxx", "--theta", "nan"], "theta must be finite, got nan"),
@@ -721,7 +734,9 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-# the ratio, product and quadrature calls of one warm run_verify pass; before
+# the ratio, product and quadrature calls of one warm run_verify pass, with
+# the kernel-transform engine's (amplitude_integral: a half-line rule, or
+# the mode sum in the non-critical regime); before
 # each family took its points in one grid call the suite made 8
 # gamma_ratio_bound calls in xxx and 8 q_gamma_ratio calls in the
 # non-critical regime (a scalar call per prefactor and one more per record),
@@ -730,9 +745,10 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
 # pair's mirror grid, the T and Tbar prefactors and the S_s records took
 # calls of their own)
 VERIFY_WORK = {
-    "xxx": {"gamma_ratio_bound": 3, "half_line_sums": 2},
-    "critical": {"gamma_ratio_bound": 1, "infinite_gamma_product": 1, "half_line_sums": 5},
-    "noncritical": {"q_gamma_ratio": 3, "mode_sums": 2},
+    "xxx": {"gamma_ratio_bound": 3, "amplitude_integral": 2, "half_line_sums": 2},
+    "critical": {"gamma_ratio_bound": 1, "infinite_gamma_product": 1, "amplitude_integral": 3,
+                 "half_line_sums": 5},
+    "noncritical": {"q_gamma_ratio": 3, "amplitude_integral": 2},
 }
 
 
@@ -745,7 +761,7 @@ def test_verify_takes_each_amplitude_family_in_few_grid_calls(monkeypatch, regim
               "noncritical": RegimeParams.noncritical(0.5)}[regime]
     calls = Counter()
     for name in ("gamma_ratio_bound", "q_gamma_ratio", "infinite_gamma_product",
-                 "half_line_sums", "mode_sums"):
+                 "half_line_sums", "amplitude_integral"):
         for module in (sf, ta):
             if hasattr(module, name):
                 def counted(*args, fn=getattr(module, name), name=name, **kwargs):

@@ -72,9 +72,9 @@ HARM = harmonic_rep(3)
     (ChainSpec, (2, 3, CRIT, HARM), dict(n_sites=2, defect_site=3, params=CRIT, rep=HARM)),
     (AmplitudeResult, (1j, "closed"), dict(value=1j, route="closed", error_estimate=0.0)),
     (FourierKernel, ("k", _hat),
-     dict(name="k", hat=_hat, odd_kind="none", odd_origin=0.0, decay=0.5, discrete=False)),
-    (FourierKernel, ("k", _hat, "jump", 0.5j, 1.5, True),
-     dict(name="k", hat=_hat, odd_kind="jump", odd_origin=0.5j, decay=1.5, discrete=True)),
+     dict(name="k", hat=_hat, odd_kind="none", odd_origin=0.0, decay=0.5, eta=None)),
+    (FourierKernel, ("k", _hat, "jump", 0.5j, 1.5, 0.25),
+     dict(name="k", hat=_hat, odd_kind="jump", odd_origin=0.5j, decay=1.5, eta=0.25)),
     (HarmonicRep, (3, HARM.a, HARM.a_dag, HARM.n_op),
      dict(dim=3, a=HARM.a, a_dag=HARM.a_dag, n_op=HARM.n_op)),
     (QOscRep, (4, QOSC.q, QOSC.v, QOSC.v_inv, QOSC.a, QOSC.a_dag, QOSC.y),

@@ -20,7 +20,7 @@ from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
 from defectchain.special_functions import (_GROUPED_MODES, _KRONROD, BLOCK, ConvergenceError,
                                            FloatRangeError, _half_line_rule, _half_sin_cos,
-                                           amplitude_sum, gamma_ratio, q_gamma_ratio)
+                                           amplitude_integral, gamma_ratio, q_gamma_ratio)
 from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
                                                  breather_amplitude, kernel,
                                                  soliton_s_amplitude, type2_amplitude)
@@ -268,7 +268,7 @@ def test_product_route_matches_mpmath(mu):
 def test_mode_sum_cap_raises_before_allocating():
     kern = kernel(RegimeParams.noncritical(1e-6), "rt_plus")
     with pytest.raises(ConvergenceError, match="modes"):
-        amplitude_sum(kern, np.linspace(-2.0, 2.0, 41), 1e-6)
+        amplitude_integral(kern, np.linspace(-2.0, 2.0, 41))
 
 
 # ------------------------------------- angle addition against direct trig

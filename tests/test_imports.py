@@ -201,11 +201,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 
 # defaulted parameters that no package call passes, each with its reason
-UNPASSED_DEFAULTS = {
-    # clibench's tracer counts amplitude calls per route, reading `route`
-    # by name from the signature of every function in its ROUTED list
-    "transmission_amplitudes.amplitude(route)",
-}
+UNPASSED_DEFAULTS: set[str] = set()
 
 
 def _calls(nodes, local, alias, name):

@@ -68,6 +68,13 @@ def commuting_family(spec, lam1, lam2):
     return sector_commutator(spec, *(transfer_matrix(spec, x, exact) for x in (lam1, lam2)))
 
 
+def rtt(spec, lam1, lam2):
+    """verify's rtt residual: on the `contract`ed pairs at lam1 and lam2 and
+    every sector block."""
+    return rtt_residual(spec, lam1, lam2, [contract(spec, x) for x in (lam1, lam2)],
+                        sector_blocks(spec))
+
+
 def same_bits(a, b):
     """Equal shape, dtype and bytes: equal values with equal signed zeros."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -163,7 +170,7 @@ def test_rtt_relation_on_sectors(chain):
     spec = chain()
     rng = np.random.default_rng(3)
     for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-        assert rtt_residual(spec, l1, l2) < 1e-10
+        assert rtt(spec, l1, l2) < 1e-10
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -206,8 +213,8 @@ def test_local_tensors_build_r_once_and_feed_every_contraction(monkeypatch, para
     for (_, mine), (_, theirs) in zip(transfer_matrix(spec, 0.41, sectors, pair),
                                       transfer_matrix(spec, 0.41, sectors)):
         assert same_bits(mine, theirs)
-    assert (rtt_residual(spec, 0.41, -0.3, (pair, None), sectors)
-            == rtt_residual(spec, 0.41, -0.3))
+    assert (rtt_residual(spec, 0.41, -0.3, (pair, contract(spec, -0.3)), sectors)
+            == rtt(spec, 0.41, -0.3))
 
 
 def test_charge_conservation():
@@ -241,13 +248,15 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     # break it at O(1): equal to rtol 1e-12
     pairs = [contract(spec, x, t) for x, t in zip((l1, l2), local)]
     res, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, keep)
-    assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
+    sectors = sector_blocks(spec)
+    assert abs(rtt_residual(spec, l1, l2, pairs, sectors) - res) <= 1e-12 * scale
     res, scale = exchange_oracle(make_r(params, l1 - l2),
                                  *(dense_monodromy(spec, x) for x in (l1, l2)), keep)
-    assert abs(rtt_residual(spec, l1, l2, pairs) - res) <= 1e-12 * scale
+    assert abs(rtt_residual(spec, l1, l2, pairs, sectors) - res) <= 1e-12 * scale
     want, scale = exchange_oracle(make_r(params, l1 - l2), m2, m1, keep)
     assert want > 1e-3 * scale
-    np.testing.assert_allclose(rtt_residual(spec, l1, l2, pairs[::-1]), want, rtol=1e-12)
+    np.testing.assert_allclose(rtt_residual(spec, l1, l2, pairs[::-1], sectors), want,
+                               rtol=1e-12)
     # the commuting family, and a block-diagonal partner t(lam2) + x that
     # does not commute with t(lam1)
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
@@ -287,7 +296,8 @@ def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
     local[1][at] = local[1][at].copy()
     local[1][at][0, 1, 0, 1] *= 1 + 1e-9
     assert charge_leak(spec, local[1]) == 0.0
-    got = rtt_residual(spec, l1, l2, [contract(spec, x, t) for x, t in zip((l1, l2), local)])
+    got = rtt_residual(spec, l1, l2, [contract(spec, x, t) for x, t in zip((l1, l2), local)],
+                       sector_blocks(spec))
     m1, m2 = (rotated_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
     want, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, sector_mask(spec))
     assert got > 1e-9
@@ -469,7 +479,7 @@ def test_overflowing_chain_product_is_a_value_error():
     params = RegimeParams.critical(3.0)
     spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
     sectors = sector_blocks(spec)
-    for build in (lambda *args: rtt_residual(*args, 0.0),
+    for build in (lambda *args: rtt(*args, 0.0),
                   lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100"):
             build(spec, 100.0)
@@ -656,7 +666,7 @@ def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name
     make = getattr(monodromy, name)
     monkeypatch.setattr(monodromy, name, with_leak(make))
     message = f"leaks charge at lam = 0.37: the local operator of site {site} "
-    for build in (lambda *args: rtt_residual(*args, 0.0),
+    for build in (lambda *args: rtt(*args, 0.0),
                   lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match=message):
             build(spec, 0.37)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from defectchain import special_functions
 from defectchain.special_functions import (ConvergenceError, FourierKernel, PoleError,
-                                           _hurwitz_tail, amplitude_integral, amplitude_sum,
+                                           _hurwitz_tail, amplitude_integral,
                                            gamma_ratio, infinite_gamma_product, q_gamma_ratio)
 
 mp.mp.dps = 30
@@ -203,12 +203,22 @@ def test_zero_kernel_gives_unit_amplitude():
                          decay=1.0)
     assert amplitude_integral(zero, 0.7).value == pytest.approx(1.0, abs=1e-14)
     zero_d = FourierKernel("zero", lambda k: np.zeros_like(np.asarray(k, dtype=float)),
-                           decay=1.0, discrete=True)
-    assert amplitude_sum(zero_d, 0.7, 0.5).value == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        amplitude_sum(zero_d, 0.7, -0.5)
-    with pytest.raises(ValueError):
-        amplitude_integral(zero_d, 0.7)
+                           decay=0.5, eta=0.5)
+    result = amplitude_integral(zero_d, 0.7)
+    assert result.value == pytest.approx(1.0, abs=1e-14) and result.route == "sum"
+    for eta in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            FourierKernel("zero", zero_d.hat, decay=0.5, eta=eta)
+    # one call runs one rule: a kernel of the frequency and a mode kernel,
+    # or mode kernels of two lattices, do not share one
+    for other in (zero, FourierKernel("zero", zero_d.hat, decay=0.25, eta=0.25)):
+        with pytest.raises(ValueError, match="different lattices"):
+            amplitude_integral([zero_d, other], 0.7)
+    # a pole at the origin has no mode-sum prescription
+    pole_d = FourierKernel("pole", zero_d.hat, odd_kind="pole", odd_origin=0.5, decay=0.5,
+                           eta=0.5)
+    with pytest.raises(ValueError, match="origin prescription"):
+        amplitude_integral(pole_d, 0.7)
     # a kernel without a finite origin prescription is rejected
     bad = FourierKernel("bad", lambda w: 1.0 / np.asarray(w, dtype=float),
                         odd_kind="divergent", decay=1.0)

@@ -22,9 +22,16 @@ ALL = [XXX, CRIT, NC]
 IDS = ["xxx", "crit", "nc"]
 
 
+def prefactor(params, lh, which="t"):
+    """t_prefactor at one lam_hat, or at each point of a 1-d array, with
+    one which for every point."""
+    pref = t_prefactor(params, np.ravel(lh), [which] * np.size(lh))
+    return pref[0] if np.ndim(lh) == 0 else pref
+
+
 def t_matrix(params, lh, rep, which="t"):
     """T (or Tbar) at lam_hat, or a stack: prefactor times matrix part."""
-    return (np.asarray(t_prefactor(params, lh, which))[..., None, None]
+    return (np.asarray(prefactor(params, lh, which))[..., None, None]
             * t_matrix_part(params, lh, rep, which))
 
 
@@ -62,7 +69,7 @@ def test_critical_entries_spot_check():
     # prefactor: elementary factor in u times the hole amplitude T-
     want = (np.exp(-mu_t * u / 2) / (q_t ** 0.5 / np.exp(mu_t * u) - np.exp(mu_t * u) / q_t ** 0.5)
             * amplitude(params, "-", lh).value)
-    assert t_prefactor(params, lh) == pytest.approx(want, rel=1e-13)
+    assert prefactor(params, lh) == pytest.approx(want, rel=1e-13)
 
 
 def test_critical_rejects_microscopic_deformation():
@@ -87,7 +94,7 @@ def test_which_names_t_or_t_bar(params):
     # any other which once gave Tbar silently ("T" bit for bit)
     rep = default_rep(params, 6)
     for call in (lambda w: t_matrix_part(params, 0.3, rep, w),
-                 lambda w: t_prefactor(params, 0.3, w),
+                 lambda w: t_prefactor(params, [0.3], [w]),
                  lambda w: quadratic_algebra_residual(params, 0.3, -0.2, rep, w)):
         for which in ("T", "tbar", ""):
             with pytest.raises(ValueError, match="which must be 't' or 't_bar'"):
@@ -203,16 +210,18 @@ def test_prefactor_and_matrix_grids_are_their_scalar_calls(params, which):
     # is real: the closed route sizes its rule from the largest |Im lam_hat|)
     rep = default_rep(params, 6)
     grid = GRID.real[[0, 1, 4, 5]] if params.regime == lax_defect.CRITICAL else GRID
-    pref, mats = t_prefactor(params, grid, which), t_matrix(params, grid, rep, which)
+    pref, mats = prefactor(params, grid, which), t_matrix(params, grid, rep, which)
     assert pref.shape == grid.shape and mats.shape == grid.shape + (2 * rep.dim,) * 2
     for k, x in enumerate(grid.tolist()):
-        assert pref[k] == t_prefactor(params, x, which)
+        assert pref[k] == prefactor(params, x, which)
         assert np.array_equal(mats[k], t_matrix(params, x, rep, which))
     # one T or Tbar per point: the same values from one amplitude_pair call
     whiches = ["t", "t_bar"] * (grid.size // 2)
     mixed = t_prefactor(params, grid, whiches)
-    assert [complex(v) for v in mixed] == [t_prefactor(params, x, w)
+    assert [complex(v) for v in mixed] == [prefactor(params, x, w)
                                            for x, w in zip(grid.tolist(), whiches)]
+    with pytest.raises(ValueError):
+        t_prefactor(params, grid, whiches[:-1])
 
 
 @pytest.mark.parametrize("params", ALL, ids=IDS)
@@ -230,7 +239,7 @@ def test_unitarity_crossing_residual_is_its_scalar_formula(params):
                    * transmission_matrices._critical_elementary(-lam + shift, g, "t"))
     else:
         shift = 1j
-        scalars = t_prefactor(params, lam + shift, "t_bar") * t_prefactor(params, -lam + shift)
+        scalars = prefactor(params, lam + shift, "t_bar") * prefactor(params, -lam + shift)
     crossing = scalars * (aux_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"))
                           @ aux_transpose(t_matrix_part(params, -lam + shift, rep)))
     assert unitarity_crossing_residual(params, lam, rep) == (
