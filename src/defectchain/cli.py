@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 
 import numpy as np
 
@@ -316,8 +317,13 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
 def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
     """(sign, root, residual) of the N=1, M=1 Bethe equation for both defect
-    orientations."""
-    spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params, rep=defect_rep(params, 4))
+    orientations.  The equation does not involve the defect's representation,
+    so a q that is a root of unity of low order, which degenerates the
+    representation, is no warning here."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "q is a root of unity", UserWarning)
+        rep = defect_rep(params, 4)
+    spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params, rep=rep)
     roots = [(sign, mono.bae_root(spec, sign)) for sign in "+-"]
     return [(sign, root, float(np.abs(mono.bae_residual(spec, sign, [root])).max()))
             for sign, root in roots]
@@ -337,17 +343,22 @@ def _write_records(tables, fmt: str, out, header: dict):
     column name to a list or 1-d array of cells (an array reads as its
     tolist()), or to one cell that repeats over the table's rows; every
     table has the first table's columns in its order.  A csv table is one
-    `%` row template (see `_csv_field`) filled a block at a time."""
+    `%` row template (see `_csv_field`) filled a block at a time.  `tables`
+    may be any iterable, each table written as it comes: the first is taken
+    before `out` is opened, so an error in making it writes nothing, and an
+    error in a later one leaves the tables before it written."""
+    tables = iter(tables)
+    first = next(tables)
     try:
         target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as err:
         raise ValueError(f"cannot write --out {out}: {err.strerror}") from None
-    lone = len(tables[0]) == 1
+    lone = len(first) == 1
     with target as stream:
         stream.write(_JSON({"header": header}) + "\n" if fmt == "jsonl"
                      else "# " + _JSON(header) + "\n"
-                     + ",".join(_csv_cell(name, lone) for name in tables[0]) + "\n")
-        for table in tables:
+                     + ",".join(_csv_cell(name, lone) for name in first) + "\n")
+        for table in itertools.chain([first], tables):
             fields = {k: _csv_field(v, lone) for k, v in table.items()}
             template = ",".join(fields.values()) + "\n"
             cols = [k for k, v in table.items() if isinstance(v, (list, np.ndarray))]
@@ -528,17 +539,22 @@ def cmd_spectrum(args) -> int:
                  "commutator_check": value, "exact": exact}
                 for lam, block, value, ev in zip(lams, blocks[0][1], comm, evs)]
 
-    tables, first, batch = [], None, spec.batch
-    for lams in np.split(np.linspace(start, stop, count), range(batch, count, batch)):
-        try:
-            tables += rows(lams)
-        except ValueError:      # run again lam by lam: the first failing lam's error
-            for k in range(len(lams)):
-                rows(lams[k:k + 1])
-            raise
+    def tables():       # each batch's tables, made as the writer reaches them
+        batch = spec.batch
+        for lams in np.split(np.linspace(start, stop, count), range(batch, count, batch)):
+            try:
+                made = rows(lams)
+            except ValueError:      # run again lam by lam: the first failing lam's error
+                for k in range(len(lams)):
+                    rows(lams[k:k + 1])
+                raise
+            yield from made
+            del made        # written: free it before the next batch is made
+
+    first = None
     header = _header(args, sites=args.sites, defect_site=args.defect_site,
                      fock_dim=args.fock_dim)
-    _write_records(tables, args.format or "csv", args.out, header)
+    _write_records(tables(), args.format or "csv", args.out, header)
     return EXIT_OK
 
 

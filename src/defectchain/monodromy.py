@@ -68,6 +68,8 @@ __all__ = [
 # largest chain dimension 2^N D a ChainSpec accepts
 RESOURCE_BOUND = 4096
 BATCH_ENTRIES = 2 ** 17    # most complex entries one batch of lams holds (`ChainSpec.batch`)
+# largest |Re mu theta| `bae_root` takes: its root z ~ e^(2 mu theta) stays below e^700
+MAX_BAE_EXPONENT = 350.0
 
 
 class ChainSpec:
@@ -419,9 +421,13 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
     Its equation defect(lam - theta) e_1(lam) = 1 is cleared of denominators
     into a quadratic in z = lam (isotropic) or z = e^{2 mu lam} (anisotropic,
     mu = mu_complex), where each sinh (sin) factor of lam + a times 2 e^{mu lam}
-    is linear in z.  Clearing adds roots at the poles of the equation; they
-    are rejected by their bae_residual, and of the valid roots the one with
-    the larger real part is returned.
+    is linear in z, and solved in closed form (`_quadratic_roots`).  Clearing
+    adds roots at the poles of the equation; they are rejected by their
+    bae_residual, and of the valid roots the one with the larger real part
+    is returned (of the others, where none is valid, the one whose residual
+    is finite).  A root z near e^{2 mu theta} is in range for |Re mu theta|
+    up to MAX_BAE_EXPONENT; past it, or where every residual is NaN or
+    Inf, a ValueError names theta.
     """
     if spec.n_sites != 1:
         raise ValueError(f"the exact root needs a one-site chain, got N = {spec.n_sites}")
@@ -437,6 +443,10 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
         to_lam = complex
     else:
         mu = spec.params.mu_complex
+        if (growth := abs((mu * th).real)) > MAX_BAE_EXPONENT:
+            raise ValueError(f"theta = {th} puts |Re mu theta| = {growth:.4g} past "
+                             f"{MAX_BAE_EXPONENT:g}: the one-site Bethe root e^(2 mu lam) "
+                             "overflows")
         kappa = 1.0 if spec.params.regime == CRITICAL else -1j   # sin(eta x) = -i sinh(mu x)
 
         def lin(a):                 # 2 e^{mu lam} sinh(mu (lam + a)), or sin(eta (lam + a))
@@ -456,10 +466,34 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
     def residual(lam):
         try:
             return abs(bae_residual(spec, sign, [lam])[0])
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):     # Python complex arithmetic at a pole
             return np.inf
 
     with np.errstate(all="ignore"):
-        roots = [to_lam(z) for z in np.roots(np.polysub(num, den))]
-        # a root at a pole reads NaN, Inf or O(1); a valid one reads roundoff
-        return min(roots, key=lambda lam: (not residual(lam) <= 1e-6, -lam.real))
+        roots = [(lam, residual(lam)) for lam in map(to_lam, _quadratic_roots(
+            np.polysub(num, den)))]
+    roots = [(lam, res) for lam, res in roots if math.isfinite(res)]
+    if not roots:
+        raise ValueError(f"at theta = {th} no root of the one-site Bethe equation has a finite "
+                         "residual: theta is past what double precision resolves")
+    # a root at a pole reads O(1); a valid one reads roundoff
+    return min(roots, key=lambda pair: (not pair[1] <= 1e-6, -pair[0].real))[0]
+
+
+def _quadratic_roots(p) -> list[complex]:
+    """The roots of the polynomial p of degree <= 2 (highest coefficient
+    first) as numpy.roots finds them, without its eigensolver: p scaled by a
+    power of two, exactly, so b^2 cannot overflow, q = -(b + s sqrt(b^2 -
+    4 a c)) / 2 with the sign s that adds to b, and the roots q / a and
+    c / q (Higham, Accuracy and Stability of Numerical Algorithms, 1.8)."""
+    p = np.trim_zeros(np.asarray(p, dtype=complex), "f")
+    if p.size < 2:
+        return []
+    p = p * 2.0 ** -math.frexp(np.abs(p).max())[1]
+    if p.size == 2:
+        b, c = map(complex, p)
+        return [-c / b]
+    a, b, c = map(complex, p)
+    root = complex(np.sqrt(b * b - 4.0 * a * c))
+    q = -0.5 * (b - root if (b.conjugate() * root).real < 0 else b + root)
+    return [q / a, c / q] if q else [0j, 0j]

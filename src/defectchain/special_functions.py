@@ -87,6 +87,12 @@ TAIL_TOL = 1e-12
 BLOCK = 16384
 _EPS = float(np.finfo(float).eps)
 
+
+def _count(n) -> str:
+    """A term or node count for an error message: exact up to 1e6, else %.3g."""
+    return str(int(n)) if n <= 1e6 else f"{n:.3g}"
+
+
 # the series of Gamma ratios runs over n = 2 .. _STIRLING_ORDER, where |Z| >=
 # _STIRLING_REACH max(max|h|, 1) or farther
 _STIRLING_ORDER = 20
@@ -176,10 +182,13 @@ def gamma_ratio_bound(num, den):
     else:
         deltas, which = np.unique(shifts.ravel(), return_inverse=True)
     d, size, omitted, reach = _pair_series(tuple(deltas.tolist()))
-    level = np.sqrt(np.maximum(reach[which] ** 2 - z.imag ** 2, 0.0)) - z.real
+    # Im z is squared only below the reach R: past it the level is -Re z, no overflow
+    r = reach[which]
+    level = np.sqrt(r ** 2 - np.minimum(np.abs(z.imag), r) ** 2) - z.real
     moved = np.maximum(np.ceil(level), 0.0).astype(int)
     if moved.max(initial=0) > MAX_TERMS:
-        raise ConvergenceError(f"a Gamma ratio needs {moved.max()} steps, cap is {MAX_TERMS}")
+        raise ConvergenceError(f"a Gamma ratio needs {_count(moved.max())} steps, "
+                               f"cap is {MAX_TERMS}")
     ln, err, step = np.empty(z.shape, dtype=complex), np.empty(z.shape), BLOCK // len(_STIRLING_N)
     for start in range(0, z.size, step):
         at = slice(start, start + step)
@@ -234,7 +243,8 @@ def q_gamma_ratio(num, den, q: float, lam):
     c = sum(sum(np.abs(q_x) + q)) / (1.0 - q)
     count = (np.maximum(np.ceil((np.log(TAIL_TOL) - np.log(c)) / lq), 6.0) + 2.0).astype(int)
     if count.max(initial=0) > MAX_TERMS:
-        raise ConvergenceError(f"a q-Gamma ratio needs {count.max()} terms, cap is {MAX_TERMS}")
+        raise ConvergenceError(f"a q-Gamma ratio needs {_count(count.max())} terms, "
+                               f"cap is {MAX_TERMS}")
     ln = sum(x[1] - x[0]) * np.log1p(-q)
     err = 2.0 * c * q ** count - _EPS * 2 * len(num) * sum(sum(np.abs(x))) * np.log1p(-q)
     size = sum(np.abs(q_x) * (np.abs(x * lq) + 7.0))    # |u_j| rel. rounding / q^j, in eps
@@ -376,11 +386,12 @@ def infinite_gamma_product(scale: float, num, den):
     reach = np.maximum(reach, ((omitted / TAIL_TOL) ** (1.0 / decay)).max(axis=0))
     omitted = (omitted * reach ** -decay).sum(axis=0)
     d, size = d[:-2], size[:-2]
-    level = (np.sqrt(np.maximum(reach * reach - mean.imag ** 2, 0.0)) - mean.real).max(initial=0)
+    level = (np.sqrt(reach * reach - np.minimum(np.abs(mean.imag), reach) ** 2)
+             - mean.real).max(initial=0)
     count, moved = max(0, math.ceil(level / scale)), max(0, math.ceil(level))
     if count * moved > MAX_TERMS:
-        raise ConvergenceError(f"a Gamma-ratio product needs {count} near factors moved "
-                               f"out by {moved}, cap is {MAX_TERMS}")
+        raise ConvergenceError(f"a Gamma-ratio product needs {_count(count)} near factors "
+                               f"moved out by {_count(moved)}, cap is {MAX_TERMS}")
 
     # the near factors' log1p terms and their rounding, and the series at Z_k
     # + M, by blocks of (k, j); a Gamma within 1e-13 |Z + j| of 0, -1, ... is a pole
@@ -520,9 +531,9 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     width = _MAX_WIDTH
     if lam_max * width > _PANEL_PHASE:
         width = float(2.0 ** np.floor(np.log2(_PANEL_PHASE / lam_max)))
-    size = len(_KRONROD) * math.ceil(cutoff / width) + 1
+    size = len(_KRONROD) * np.ceil(cutoff / width) + 1.0     # inf past the float range
     if size > MAX_TERMS:
-        raise ConvergenceError(f"the half-line rule needs {size} nodes at max|lam_hat| = "
+        raise ConvergenceError(f"the half-line rule needs {_count(size)} nodes at max|lam_hat| = "
                                f"{lam_max:.6g} and decay rate {decay:.6g}, cap is {MAX_TERMS}")
     return _panel_rule(cutoff, width)
 
@@ -700,7 +711,7 @@ def _mode_rule(eta: float, rate: float):
     cols = -(-need // rows)
     k_max = rows * cols
     if k_max > MAX_TERMS:
-        raise ConvergenceError(f"a mode sum needs {k_max} modes at eta = {eta}, "
+        raise ConvergenceError(f"a mode sum needs {_count(k_max)} modes at eta = {eta}, "
                                f"cap is {MAX_TERMS}")
     bases = 2.0 * eta * cols * np.arange(rows)
     offsets = 2.0 * eta * np.arange(1, cols + 1)

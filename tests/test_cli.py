@@ -714,6 +714,40 @@ def test_mode_sum_error_bound_at_a_huge_grid_end_does_not_overflow(capsys):
     assert len(captured.out.splitlines()) == 5      # header, column names, 3 rows
 
 
+def test_gamma_ratio_at_a_huge_grid_end_does_not_overflow(capsys):
+    # the xxx Gamma ratios squared Im z, which overflowed past |lam_hat| ~
+    # 2.7e154: a RuntimeWarning, a traceback under -W error; the half-line
+    # rule then refuses the grid in one short line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["amplitude", "--regime", "xxx", "--grid=-1e300:1e300:3"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: the half-line rule needs 1.26e+302 nodes at max|lam_hat| = 1e+300 and "
+        "decay rate 0.5, cap is 400000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "xxx", "--grid=-1e300:1e300:3"],
+    ["--regime", "critical", "--mu", "0.7", "--grid=1e200:1e200:1"],
+    ["--regime", "critical", "--mu", "0.7", "--grid=1.7e308:1.7e308:1"],
+    ["--regime", "noncritical", "--eta", "1e-6"],
+    ["--regime", "noncritical", "--eta", "1e-300", "--grid=1:1:1"]],
+    ids=["xxx-1e300", "crit-1e200", "crit-1.7e308", "nc-1e-6", "nc-1e-300"])
+def test_size_errors_are_one_short_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["amplitude", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200, err
+
+
+def test_counts_past_1e6_print_in_three_digits():
+    assert sf._count(10 ** 6) == "1000000" and sf._count(4.1e5) == "410000"
+    assert sf._count(np.int64(1234567)) == "1.23e+06" and sf._count(10 ** 300) == "1e+300"
+    assert sf._count(float("inf")) == "inf"
+
+
 @pytest.mark.parametrize("command", ["verify", "amplitude", "spectrum", "bae"])
 @pytest.mark.parametrize("argv, message", [
     (["--regime", "xxx", "--theta", "nan"], "theta must be finite, got nan"),
@@ -943,6 +977,49 @@ def test_bae_exact_root_over_theta_without_warnings(tmp_path, regime, flag, anis
             assert all(float(r["residual"]) <= 1e-10 for r in rows), (argv, rows)
 
 
+def test_verify_and_bae_run_no_eigensolver(monkeypatch):
+    # the one-site Bethe root is a closed-form quadratic root: neither
+    # command calls numpy's roots or an eigen-routine, in any regime
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for owner, name in ((np, "roots"), (np.linalg, "eig"), (np.linalg, "eigvals")):
+        monkeypatch.setattr(owner, name, refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for regime, anisotropy in (("xxx", []), ("critical", ["--mu", "0.7"]),
+                                   ("noncritical", ["--eta", "0.5"])):
+            for command in ("verify", "bae"):
+                assert run([command, "--regime", regime, *anisotropy, "--theta", "0.1"]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["xxx", "critical", "noncritical"]),
+       st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 50.0, exclude_min=True), st.sampled_from([1.0, -1.0]),
+       st.floats(-3.0, 300.0))
+def test_bae_over_its_domain_exits_cleanly(regime, mu, eta, sign, k):
+    # every regime, mu, eta and theta = +-10^k: no exception and no warning;
+    # exit 0 or 1 with finite numbers and an empty stderr, or exit 2 with
+    # one error line and nothing on stdout
+    argv = ["bae", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
+            f"--theta={sign * 10.0 ** k!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
+    if code == 2:
+        assert out == "", argv
+    else:
+        assert err == "", argv
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert len(rows) == 2 and all(np.isfinite(float(v)) for row in rows
+                                      for k, v in row.items() if k != "sign"), (argv, out)
+
+
 def test_verify_critical_off_zero_theta_without_warnings(tmp_path):
     out = tmp_path / "v.jsonl"
     with warnings.catch_warnings():
@@ -1055,9 +1132,9 @@ def test_spectrum_grid_reports_the_first_error_of_the_lam_by_lam_loop(monkeypatc
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
-def test_spectrum_error_in_a_later_batch_names_its_lam(capsys):
-    # one lam a batch at N = 6, D = 8: the first two batches pass, the
-    # third overflows
+def test_spectrum_error_in_a_later_batch_names_its_lam(tmp_path, capsys):
+    # one lam a batch at N = 6, D = 8: the first two batches pass and are
+    # written, to stdout or --out, before the third overflows
     argv = ["spectrum", "--regime", "critical", "--mu", "3", "--sites", "6", "--fock-dim", "8",
             "--defect-site", "4", "--grid=0:40:3"]
     params = RegimeParams.critical(3.0)
@@ -1065,9 +1142,15 @@ def test_spectrum_error_in_a_later_batch_names_its_lam(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(argv)
-    assert (code, *capsys.readouterr()) == (
-        2, "", "error: the monodromy of 7 sites overflows at lam = 40.0: each site's entries "
+        out, err = capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "s.csv")]) == 2
+    assert (code, err) == (
+        2, "error: the monodromy of 7 sites overflows at lam = 40.0: each site's entries "
         "are finite, their product is not\n")
+    assert capsys.readouterr().out == "" and (tmp_path / "s.csv").read_text() == out
+    _, rows = read_csv(tmp_path / "s.csv")
+    assert Counter(row["lam"] for row in rows) == {"0.000000000000e+00": 512,
+                                                  "2.000000000000e+01": 512}
 
 
 @pytest.mark.parametrize("regime, anisotropy", [

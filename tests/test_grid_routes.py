@@ -658,7 +658,7 @@ def test_half_line_rule_cap_raises_before_allocating():
     assert done.returncode == 2, done.stderr[-2000:]
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1
-    assert done.stderr.startswith("error: the half-line rule needs 197983712 nodes")
+    assert done.stderr.startswith("error: the half-line rule needs 1.98e+08 nodes")
     with pytest.raises(ConvergenceError, match="cap is 400000"):
         amplitude(XXX, "+", 3200.0, "integral")
     assert np.isfinite(amplitude(XXX, "+", 3072.0, "integral").value)

@@ -1,7 +1,10 @@
 import contextlib
 import io
+import math
+import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +420,61 @@ def test_bae_root_products_are_polymul_bit_for_bit(monkeypatch, regime):
     ours = roots()
     monkeypatch.setattr(np, "convolve", np.polymul)
     assert roots() == ours
+
+
+@pytest.mark.parametrize("p", [
+    [1.0, 2.0, 1.0], [1.0, 0.0, -4.0], [1.0, 0.0, 0.0], [2.0, -3.0, 0.0], [0.0, 3.0, -6.0],
+    [0.0, 0.0, 1.0, 2.0], [1e-300, 1.0, 1.0], [1.0, 1e300, 1.0], [3.0 + 1j, 1e-8j, -2.0],
+    [1.0, -(1e8 + 1e-8), 1.0], [1j, 1.0 - 2j, 0.5 + 1e-12j], [0.0, 0.0, 0.0]])
+def test_quadratic_roots_are_numpy_roots(p):
+    # leading zeros trimmed, a zero constant term a root at 0, a double root,
+    # no root of a constant, and the cancelling b^2 >> 4 a c case, in which
+    # the closed form keeps both roots to the last bits
+    from defectchain.monodromy import _quadratic_roots
+    ours, theirs = np.sort_complex(_quadratic_roots(p)), np.sort_complex(np.roots(p))
+    tol = 1e-7 if p == [1.0, 2.0, 1.0] else 1e-13   # np.roots splits a double root by ~sqrt(eps)
+    assert len(ours) == len(theirs)
+    assert (np.abs(ours - theirs) <= tol * np.maximum(np.abs(theirs), 1.0)).all()
+
+
+@pytest.mark.parametrize("make", [
+    RegimeParams.xxx, *(lambda theta, mu=mu: RegimeParams.critical(mu, theta=theta)
+                        for mu in (0.05, 0.7, 1.5, 3.1)),
+    *(lambda theta, eta=eta: RegimeParams.noncritical(eta, theta=theta)
+      for eta in (0.01, 0.5, 5.0, 50.0))],
+    ids=["xxx", "crit-0.05", "crit-0.7", "crit-1.5", "crit-3.1", "nc-0.01", "nc-0.5", "nc-5",
+         "nc-50"])
+def test_bae_root_is_the_numpy_roots_root(monkeypatch, make):
+    # np.roots, the eigensolver the closed form replaced, is the oracle: the
+    # same root to 1e-13 at every theta of a sweep, in both orientations
+    thetas = [*np.linspace(-3.0, 3.0, 25), 0.06, -10.0, 10.0]
+    specs = [ChainSpec(1, 1, params, defect_rep(params, 4)) for params in map(make, thetas)]
+    ours = [bae_root(spec, sign) for spec in specs for sign in "+-"]
+    monkeypatch.setattr(monodromy, "_quadratic_roots", lambda p: list(np.roots(p)))
+    theirs = [bae_root(spec, sign) for spec in specs for sign in "+-"]
+    assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-13
+
+
+def test_bae_root_far_out_in_theta_is_exact():
+    # the isotropic plus root at theta = 1e6 is 1000001 - 0.500000999999 i to
+    # 30 digits; np.roots put it 4.7e-10 off
+    spec = xxx_chain(n_sites=1, defect_site=1, d=4, theta=1e6)
+    assert bae_root(spec, "+") == 1000001 - 0.500000999999j
+
+
+@pytest.mark.parametrize("theta", [2000.0, -2000.0, 600.0, 1e300])
+def test_bae_root_past_the_exponent_bound_is_a_value_error_naming_theta(theta):
+    params = RegimeParams.critical(0.7, theta=theta)
+    spec = ChainSpec(1, 1, params, defect_rep(params, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"theta = {theta} puts")):
+            bae_root(spec, "+")
+    # just inside the bound both roots are found, valid to roundoff
+    params = RegimeParams.critical(0.7, theta=math.copysign(499.0, theta))
+    spec = ChainSpec(1, 1, params, defect_rep(params, 4))
+    for sign in "+-":
+        assert abs(bae_residual(spec, sign, [bae_root(spec, sign)])[0]) < 1e-12
 
 
 def test_bae_root_noncritical_newton_oracle():
