@@ -28,7 +28,6 @@ import json
 import math
 import numbers
 import sys
-import warnings
 
 import numpy as np
 
@@ -71,6 +70,8 @@ def _parse_grid(text: str):
         raise argparse.ArgumentTypeError(f"grid count must be <= {MAX_GRID_POINTS}, got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError(f"grid ends must be finite, got {text!r}")
+    if not math.isfinite(stop - start):     # numpy.linspace steps by it
+        raise argparse.ArgumentTypeError(f"grid ends must differ by a finite float, got {text!r}")
     return start, stop, count
 
 
@@ -244,19 +245,18 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
             subspace="interior")
 
     # monodromy-level checks at desk scale, on charge-sector blocks: RTT on
-    # those of T(lam) read from the defect (sites 2, 3, 4, 1), the rest on
-    # those of t(lam) as `spectrum` reads them
-    spec = mono.ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    # those of T(lam), the rest on those of t(lam) as `spectrum` reads them
+    spec = mono.ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 6))
     lams = uniform(-1.0, 1.0, 2)
-    (l1, l2), local = lams, mono.local_tensors(spec, lams)     # both lams at once
-    total, first = mono.contract(spec, lams, local)             # likewise
-    chains = [(total[k], first[k]) for k in range(2)]
+    local = mono.local_tensors(spec, lams)      # both lams at once
+    both = mono.contract(spec, lams, local)     # likewise
     all_sectors = mono.sector_blocks(spec)
-    pair, sectors = {"lam1": l1, "lam2": l2}, "charge sectors"
-    add("rtt", mono.rtt_residual(spec, l1, l2, chains, all_sectors), 1e-10, params=pair,
+    pair, sectors = dict(zip(("lam1", "lam2"), lams)), "charge sectors"
+    add("rtt", mono.rtt_residual(spec, lams, both, all_sectors), 1e-10, params=pair,
         subspace=sectors)
     exact = all_sectors[:spec.max_exact_charge + 1]
-    t1, t2 = (mono.transfer_matrix(spec, x, exact, c) for x, c in zip((l1, l2), chains))
+    blocks = mono.transfer_matrix(spec, lams, exact, both)      # likewise
+    t1, t2 = ([(q, b[k]) for q, b in blocks] for k in range(2))
     add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
         params=pair, subspace=sectors)
     add("charge-conservation", mono.charge_leak(spec, [m[0] for m in local]), 1e-12,
@@ -317,15 +317,9 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
 def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
     """(sign, root, residual) of the N=1, M=1 Bethe equation for both defect
-    orientations.  The equation does not involve the defect's representation,
-    so a q that is a root of unity of low order, which degenerates the
-    representation, is no warning here."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "q is a root of unity", UserWarning)
-        rep = defect_rep(params, 4)
-    spec = mono.ChainSpec(n_sites=1, defect_site=1, params=params, rep=rep)
-    roots = [(sign, mono.bae_root(spec, sign)) for sign in "+-"]
-    return [(sign, root, float(np.abs(mono.bae_residual(spec, sign, [root])).max()))
+    orientations."""
+    roots = [(sign, mono.bae_root(params, 1, sign)) for sign in "+-"]
+    return [(sign, root, float(np.abs(mono.bae_residual(params, 1, sign, [root])).max()))
             for sign, root in roots]
 
 
@@ -508,8 +502,9 @@ def cmd_amplitude(args) -> int:
 def cmd_spectrum(args) -> int:
     params = _make_params(args)
     mono.ChainSpec.check_dim(args.sites, args.fock_dim)     # before the representation
-    spec = mono.ChainSpec(n_sites=args.sites, defect_site=args.defect_site,
-                          params=params, rep=defect_rep(params, args.fock_dim))
+    if not 1 <= args.defect_site <= args.sites + 1:         # it only relabels the basis
+        raise ValueError(f"defect_site must lie in 1..{args.sites + 1}, got {args.defect_site}")
+    spec = mono.ChainSpec(args.sites, params, defect_rep(params, args.fock_dim))
     start, stop, count = args.grid
     sectors = mono.sector_blocks(spec)
     sizes = [len(idx) for _, idx in sectors]
@@ -621,7 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid(p)
     p.add_argument("--sites", type=_at_most(mono.RESOURCE_BOUND.bit_length() - 1, "sites"),
                    default=2)
-    p.add_argument("--defect-site", type=int, default=1, dest="defect_site")
+    p.add_argument("--defect-site", type=int, default=1, dest="defect_site",
+                   help="the defect's site in 1..N+1; it only relabels the basis, so "
+                        "every site prints the same rows")
 
     p = sub.add_parser("bae", help="one-root Bethe equation check")
     common(p)

@@ -2,27 +2,19 @@
 structural integrability checks (RTT, commuting family, charge grading,
 reference-state eigenvalue) and Bethe-equation residuals.
 
-The chain has N bulk spin-1/2 sites plus one defect site of dimension D at
-position n (1-based, 1 <= n <= N+1); the monodromy is the ordered product
+The chain has N bulk spin-1/2 sites, each carrying the bulk R-matrix, and
+one defect site of dimension D, which carries L(lam - theta).  It is read
+from its defect: the monodromy over the auxiliary space 0 is
 
-    T(lam) = M_{0,N+1}(lam) M_{0,N}(lam) ... M_{0,1}(lam)
+    T(lam) = R_{0,N}(lam) ... R_{0,1}(lam) L_{0,d}(lam - theta),
 
-over the auxiliary space 0, where M is the bulk R-matrix except at the
-defect site, which contributes L(lam - theta).
-
-The transfer matrix t(lam) = tr_0 T(lam) is built from the chain read from
-its defect.  Write T = A B, A = M_{0,N+1} ... M_{0,n} and B = M_{0,n-1} ...
-M_{0,1}, as A = sum e_ab (x) A_ab and B = sum e_ab (x) B_ab over the
-auxiliary matrix units.  A_ab and B_ba act on disjoint sites and commute,
-so tr_0[A B] = sum A_ab B_ba = tr_0[B A] = tr_0[M_{0,n-1} ... M_{0,1}
-M_{0,N+1} ... M_{0,n}]: the sites in the cyclic order n ... N+1, 1 ... n-1,
-which is the chain with the defect at site 1, as every bulk site carries
-the same R.  So t(lam) = P t_1(lam) P^T, P a permutation of the tensor
-factors, and `defect_site` only relabels the basis: the chain basis is the
-numpy.kron basis of the sites in that order (`ChainSpec.dims`), the running
-product covers the N bulk sites and the defect enters in the last step,
-the same bits at every defect site.  RTT is measured on B A.  Error
-messages name the sites 1 ... N+1 in the user's order.
+and the chain basis is the numpy.kron basis of the sites d, 1, ..., N (the
+defect slowest, `ChainSpec.dims`): the chain with the defect at site 1.  A
+chain with the defect at its site n of N + 1 has the transfer matrix
+P t(lam) P^T, P a permutation of the tensor factors: the trace is cyclic,
+operators on disjoint sites commute, and every bulk site carries the same
+R.  So the site only relabels the basis, and no number computed here
+depends on it.
 
 Truncation-leak policy: the defect occupation together with the site
 grading defines a conserved charge Q; on charge sectors whose occupation
@@ -30,13 +22,14 @@ never reaches the truncation ceiling the transfer matrix acts exactly as in
 the untruncated representation, so all operator identities are measured on
 the sectors Q <= D - 2, on blocks, never on a dense T(lam) or t(lam): the
 sector blocks of T(lam) (RTT) and the diagonal blocks of t(lam) (commuting
-family).  The charge itself is checked on the local tensors (`charge_leak`),
-before any contraction.  The local tensors at one lam (`local_tensors`) can
-be built once and contracted once (`contract`), and the contracted pair
-passed to every residual at that lam.  They also take a 1-d grid of lams,
-adding a leading lam axis (each slice the lone lam's bits), in batches of
-`ChainSpec.batch` lams: at most BATCH_ENTRIES complex entries (2 MB) of
-what a batch holds, so chains of N >= 7 bulk sites take one lam a batch.
+family), one gather (`_aux_blocks`).  The charge itself is checked on the
+local tensors (`charge_leak`), before any contraction.  The local tensors at
+one lam (`local_tensors`) can be built once and contracted once
+(`contract`), and the contracted pair passed to every residual at that lam.
+They also take a 1-d grid of lams, adding a leading lam axis (each slice
+the lone lam's bits), in batches of `ChainSpec.batch` lams: at most
+BATCH_ENTRIES complex entries (2 MB) of what a batch holds, so chains of
+N >= 7 bulk sites take one lam a batch.
 """
 from __future__ import annotations
 
@@ -73,22 +66,21 @@ MAX_BAE_EXPONENT = 350.0
 
 
 class ChainSpec:
-    """N bulk sites, defect of dimension rep.dim at site defect_site; the
-    chain dimension 2^N rep.dim is at most RESOURCE_BOUND."""
+    """N bulk sites and a defect of dimension rep.dim; the chain dimension
+    2^N rep.dim is at most RESOURCE_BOUND."""
 
-    __slots__ = ("n_sites", "defect_site", "params", "rep")
+    __slots__ = ("n_sites", "params", "rep")
 
-    def __init__(self, n_sites: int, defect_site: int, params: RegimeParams, rep):
-        if n_sites < 0:
-            raise ValueError("n_sites must be >= 0")
-        if not 1 <= defect_site <= n_sites + 1:
-            raise ValueError(f"defect_site must lie in 1..{n_sites + 1}, got {defect_site}")
+    def __init__(self, n_sites: int, params: RegimeParams, rep):
         self.check_dim(n_sites, rep.dim)
-        self.n_sites, self.defect_site, self.params, self.rep = n_sites, defect_site, params, rep
+        self.n_sites, self.params, self.rep = n_sites, params, rep
 
     @staticmethod
     def check_dim(n_sites: int, d: int):
-        """A ValueError where the chain dimension 2^N d passes RESOURCE_BOUND."""
+        """A ValueError where N is negative or the chain dimension 2^N d
+        passes RESOURCE_BOUND."""
+        if n_sites < 0:
+            raise ValueError("n_sites must be >= 0")
         if (dim := 2 ** n_sites * d) > RESOURCE_BOUND:
             raise ValueError(f"chain dimension {dim} exceeds resource bound {RESOURCE_BOUND}")
 
@@ -98,7 +90,7 @@ class ChainSpec:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        """The site dimensions in chain-basis order: n ... N+1, 1 ... n-1."""
+        """The site dimensions in chain-basis order: d, 1, ..., N."""
         return (self.rep.dim,) + (2,) * self.n_sites
 
     @property
@@ -124,33 +116,25 @@ class ChainSpec:
 
 
 def local_tensors(spec: ChainSpec, lam) -> list[np.ndarray]:
-    """M_{0,j}(lam) for the sites j = N+1, ..., 1 as (aux, site, aux, site)
-    tensors (or their stacks): the bulk R, built once and shared by every
-    bulk site, or L(lam - theta) at the defect site."""
+    """The chain's distinct local operators at lam as (aux, site, aux, site)
+    tensors (or their stacks at a grid): the bulk R, which every bulk site
+    shares and a chain of N = 0 does not build, then L(lam - theta)."""
     def tensor(m, n):       # a matrix at a lam, a stack at a grid
         return m.reshape(np.shape(lam) + (2, n, 2, n))
 
-    # built at the first bulk site, so the sites are built (and an overflow
-    # is reported) in their order
-    bulk = functools.cache(lambda: tensor(make_r(spec.params, lam), 2))
-    return [tensor(make_l(spec.params, lam - spec.theta, spec.rep), spec.rep.dim)
-            if j == spec.defect_site else bulk() for j in range(spec.n_sites + 1, 0, -1)]
+    bulk = [tensor(make_r(spec.params, lam), 2)] if spec.n_sites else []
+    return bulk + [tensor(make_l(spec.params, lam - spec.theta, spec.rep), spec.rep.dim)]
 
 
 def contract(spec: ChainSpec, lam, local=None):
-    """M_{0,n-1}(lam) ... M_{0,1}(lam) M_{0,N+1}(lam) ... M_{0,n+1}(lam), the
-    bulk sites read cyclically from the defect site n (site 0 is N+1), and
-    M_{0,n}(lam), as (aux, chain, aux, chain) tensors (or their stacks); the
-    product is None for N = 0.
-
-    Built by local contraction: starting from M_{0,n-1}, each step contracts
-    the open column-auxiliary index with the row-auxiliary index of the next
-    tensor and prepends its site as the slowest chain factor, so the tensor
-    stays in numpy.kron order.  This is the association ((M_{n-1} M_{n-2})
-    M_{n-3}) ... of the dense left-to-right product, each entry summing the
-    same two nonzero terms.  The defect step, the only one at full size, is
-    left to the caller.  A local tensor with a nonzero `_leak` is a
-    ValueError naming lam and its site (the first in the order N+1 ... 1),
+    """The pair (R_{0,N}(lam) ... R_{0,1}(lam), L_{0,d}(lam - theta)) whose
+    auxiliary product is T(lam), as (aux, chain, aux, chain) tensors (or
+    their stacks): N copies of the bulk R (the (2, 1, 2, 1) identity for
+    N = 0) and the defect tensor.  Each step contracts the open
+    column-auxiliary index with the next R and prepends its site as the
+    slowest chain factor, so the product stays in numpy.kron order; the
+    defect step is left to `_aux_blocks`.  A local tensor with a nonzero
+    `_leak` is a ValueError naming lam and the operator (the bulk R first),
     so a finite t(lam) is exactly 0 between charge sectors; a product that
     overflows is one too (`_finite`).  `local` is `local_tensors(spec, lam)`,
     or None to build it.
@@ -159,41 +143,53 @@ def contract(spec: ChainSpec, lam, local=None):
         local = local_tensors(spec, lam)
     leaks = np.array([_leak(spec.params.regime, m) for m in local]).reshape(len(local), -1)
     if leaks.any():
-        k, j = np.argwhere(leaks.T)[0]      # the first lam, then its first site
+        k, j = np.argwhere(leaks.T)[0]      # the first lam, then its first operator
+        names = ("the bulk R-matrix", "the defect Lax operator")[-len(local):]
         raise ValueError(f"the transfer matrix leaks charge at lam = {np.atleast_1d(lam)[k]}: "
-                         f"the local operator of site {spec.n_sites + 1 - j} has a nonzero "
-                         "entry between charge sectors")
-    at = spec.n_sites + 1 - spec.defect_site        # the defect's place in `local`
-    if spec.n_sites == 0:
-        return None, local[at]
-    total, *bulk = [*local[at + 1:], *local[:at]]   # the sites n-1 ... 1, N+1 ... n+1
-    for m in bulk:
-        total = np.einsum("...arbq,...bsct->...asrctq", total, m, order="C")
+                         f"{names[j]} has a nonzero entry between charge sectors")
+    *bulk, defect = local
+    if not bulk:
+        eye = np.eye(2, dtype=complex).reshape(2, 1, 2, 1)
+        return np.broadcast_to(eye, np.shape(lam) + eye.shape), defect
+    total = bulk[0]
+    for _ in range(spec.n_sites - 1):
+        total = np.einsum("...arbq,...bsct->...asrctq", total, bulk[0], order="C")
         total = total.reshape(total.shape[:-6] + (2, total.shape[-5] * total.shape[-4], 2, -1))
-    return _finite(spec, lam, total), local[at]
+    return _finite(spec, lam, total), defect
+
+
+def _aux_blocks(pair, a, c, rows, cols) -> np.ndarray:
+    """The entries (rows, cols) of the auxiliary blocks T_ac(lam) from the
+    `contract`ed pair (or their stacks), a, c, rows and cols index arrays
+    that broadcast together: with the chain index s R + r (s the defect's
+    state, R = 2^N), the sum over b of bulk[a, r, b, r'] L[b, s, c, s'],
+    read in place at flat indices with b leading, so the sum over b runs
+    outside einsum's inner loop."""
+    bulk, defect = pair
+    n, d = bulk.shape[-1], defect.shape[-1]
+    b = np.arange(2).reshape((2,) + (1,) * max(map(np.ndim, (a, c, rows, cols))))
+    (s, r), (t, u) = np.divmod(rows, n), np.divmod(cols, n)
+    x, y = (m.reshape(m.shape[:-4] + (-1,)).take(i, axis=-1)
+            for m, i in ((bulk, ((a * n + r) * 2 + b) * n + u),
+                         (defect, ((b * d + s) * 2 + c) * d + t)))
+    axes = list(range(1, b.ndim))
+    return np.einsum(x, [..., 0, *axes], y, [..., 0, *axes], [..., *axes])
 
 
 def transfer_matrix(spec: ChainSpec, lam, sectors, pair=None) -> list[tuple[int, np.ndarray]]:
     """(charge, block) of the transfer matrix t(lam) (or block stacks) on
     each of the given `sector_blocks`, from the `contract`ed pair at lam
     (built here where `pair` is None); the dense t(lam) is never formed.
-    With the chain index s R + r (s the defect's state, R = 2^N), a block
-    gathers the product of the bulk sites at its r's and the defect tensor
-    at its s's and traces the auxiliary space in the defect step: the
-    blocks of the auxiliary trace of the monodromy.
+    A block is T_00 + T_11 at its entries (`_aux_blocks`): the blocks of the
+    auxiliary trace of the monodromy.
     """
-    total, first = contract(spec, lam) if pair is None else pair
+    pair = contract(spec, lam) if pair is None else pair
+    aux = np.arange(2)[:, None, None]
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
         for sector, idx in sectors:
-            s, r = np.divmod(idx, 2 ** spec.n_sites)
-            f = first.take(s, -3).take(s, -1)
-            if total is None:
-                block = np.einsum("...aiaj->...ij", f)
-            else:
-                x = np.einsum("...aibj,...biaj->...aij", total.take(r, -3).take(r, -1), f)
-                block = x[..., 0, :, :] + x[..., 1, :, :]
-            blocks.append((sector, _finite(spec, lam, block)))
+            x = _aux_blocks(pair, aux, aux, idx[:, None], idx)
+            blocks.append((sector, _finite(spec, lam, x[..., 0, :, :] + x[..., 1, :, :])))
     return blocks
 
 
@@ -319,51 +315,34 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def rtt_residual(spec: ChainSpec, lam1: complex, lam2: complex, pairs, sectors) -> float:
+def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     """|| (R12 T1 T2 - T2 T1 R12) P || for the monodromies T1 = T(lam1), T2 =
-    T(lam2) read from the defect and the projector P on the sectors
-    Q <= D - 2, from the `contract`ed pairs at lam1 and lam2 and the
-    `sector_blocks`.  `contract`'s leak guard makes the auxiliary block T_ab
-    map sector Q into Q + g_b - g_a (g the auxiliary grading) and vanish
-    elsewhere, and R12 conserves g_1 + g_2, so each term of entry (a c, b d)
-    maps sector Q into Q + g_b + g_d - g_a - g_c: batched products of
-    zero-padded sector blocks.
+    T(lam2) and the projector P on the sectors Q <= D - 2, from the
+    `contract`ed pair at lams = (lam1, lam2) and the `sector_blocks`.
+    `contract`'s leak guard makes the auxiliary block T_ab map sector Q into
+    Q + g_b - g_a (g the auxiliary grading) and vanish elsewhere, and R12
+    conserves g_1 + g_2, so each term of entry (a c, b d) maps sector Q into
+    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector blocks.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
-    shift, d = g - g[:, None], spec.rep.dim
+    shift, d, dim = g - g[:, None], spec.rep.dim, spec.chain_dim
     # the basis indices of the sectors -2 ... D, padded with the index past the chain
-    idx = np.full((d + 3, max(len(i) for _, i in sectors)), spec.chain_dim)
+    idx = np.full((d + 3, max(len(i) for _, i in sectors)), dim)
     for q, i in sectors[:d + 1]:
         idx[q + 2, :len(i)] = i
-    # block k = 0 ... D: T_ac from the sector k - 1 into the sector k - 1 + shift[a, c]
+    # block k = 0 ... D: T_ac from the sector k - 1 into the sector k - 1 + shift[a, c],
+    # read at index 0 and masked where an index is past the chain
     rows = idx[np.arange(1, d + 2)[:, None, None] + shift][..., None]
-    b1, b2 = (_charge_blocks(spec, x, t, rows, idx[1:-1, None, None, None])
-              for x, t in zip((lam1, lam2), pairs))
+    cols = idx[1:-1, None, None, None]
+    aux = np.arange(2)[:, None, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
+        blocks = _aux_blocks(pair, aux, aux[..., 0], rows % dim, cols % dim)
+    b1, b2 = _finite(spec, lams, np.where((rows == dim) | (cols == dim), 0, blocks))
     k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
-    r = make_r(spec.params, lam1 - lam2).reshape(2, 2, 2, 2)
+    r = make_r(spec.params, lams[0] - lams[1]).reshape(2, 2, 2, 2)
     lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
     rhs = np.tensordot(b2[k] @ b1[1:d, :, :, None, None], r, ([2, 4], [0, 1]))
     return float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs))
-
-
-def _charge_blocks(spec: ChainSpec, lam: complex, pair, rows, cols) -> np.ndarray:
-    """T(lam)'s auxiliary blocks [k, a, c] at the chain indices rows[k, a, c, :]
-    and cols[k, :], gathered from the `contract`ed pair at lam as in
-    `transfer_matrix`; the index past the chain reads a zero state appended
-    to the defect."""
-    total, first = pair
-    if total is None:
-        total = np.eye(2).reshape(2, 1, 2, 1)
-    n, m = total.shape[1], first.shape[1] + 1
-    padded = np.zeros((2, m, 2, m), dtype=complex)
-    padded[:, :-1, :, :-1] = first
-    (s, r), (t, u) = np.divmod(rows, n), np.divmod(cols, n)
-    a = np.arange(2)[:, None, None, None]
-    x = total.transpose(0, 1, 3, 2).reshape(-1, 2).take((a * n + r) * n + u, axis=0)
-    y = padded.transpose(2, 1, 3, 0).reshape(-1, 2).take((a[..., 0] * m + s) * m + t, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):   # _finite reports it
-        blocks = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-    return _finite(spec, lam, blocks)
 
 
 # --------------------------------------------------------------------------
@@ -382,19 +361,16 @@ def _defect_fn(params: RegimeParams, sign: str):
     """The defect source factor: plus for L, minus for the conjugate Lhat."""
     if params.regime == XXX:
         return (lambda lam: lam + 0.5j) if sign == "+" else (lambda lam: 1.0 / (lam - 0.5j))
-    if params.regime == CRITICAL:
-        mu = params.mu
-        if sign == "+":
-            return lambda lam: np.exp(-mu * lam) / np.sinh(mu * (lam + 0.5j))
-        return lambda lam: np.exp(-mu * lam) * np.sinh(mu * (lam - 0.5j))
-    eta = params.eta
+    f, k, rate = ((np.sinh, params.mu, params.mu) if params.regime == CRITICAL
+                  else (np.sin, params.eta, 1j * params.eta))
     if sign == "+":
-        return lambda lam: np.exp(-1j * eta * lam) / np.sin(eta * (lam + 0.5j))
-    return lambda lam: np.exp(-1j * eta * lam) * np.sin(eta * (lam - 0.5j))
+        return lambda lam: np.exp(-rate * lam) / f(k * (lam + 0.5j))
+    return lambda lam: np.exp(-rate * lam) * f(k * (lam - 0.5j))
 
 
-def bae_residual(spec: ChainSpec, sign: str, roots) -> np.ndarray:
-    """Bethe-equation residuals for a supplied root set.
+def bae_residual(params: RegimeParams, n_sites: int, sign: str, roots) -> np.ndarray:
+    """Bethe-equation residuals of the chain of N = n_sites bulk sites for a
+    supplied root set.
 
     For each root lam_i this returns
 
@@ -409,13 +385,13 @@ def bae_residual(spec: ChainSpec, sign: str, roots) -> np.ndarray:
     roots = [complex(r) for r in roots]
     if any(abs(a - b) < 1e-12 for a, b in itertools.combinations(roots, 2)):
         raise ValueError("coincident Bethe roots")
-    e1, e2, src = _e_fn(spec.params, 1), _e_fn(spec.params, 2), _defect_fn(spec.params, sign)
-    return np.array([src(lam - spec.theta) * e1(lam) ** spec.n_sites
+    e1, e2, src = _e_fn(params, 1), _e_fn(params, 2), _defect_fn(params, sign)
+    return np.array([src(lam - params.theta) * e1(lam) ** n_sites
                      + np.prod([e2(lam - other) for other in roots]) for lam in roots],
                     dtype=np.complex128)
 
 
-def bae_root(spec: ChainSpec, sign: str) -> complex:
+def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
     """The Bethe root of the one-site chain (N = 1, M = 1), solved exactly.
 
     Its equation defect(lam - theta) e_1(lam) = 1 is cleared of denominators
@@ -429,10 +405,10 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
     up to MAX_BAE_EXPONENT; past it, or where every residual is NaN or
     Inf, a ValueError names theta.
     """
-    if spec.n_sites != 1:
-        raise ValueError(f"the exact root needs a one-site chain, got N = {spec.n_sites}")
-    th = spec.theta
-    if spec.params.regime == XXX:
+    if n_sites != 1:
+        raise ValueError(f"the exact root needs a one-site chain, got N = {n_sites}")
+    th = params.theta
+    if params.regime == XXX:
         def lin(a):                 # lam + a
             return np.array([1.0, a])
 
@@ -442,12 +418,12 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
             num, den = lin(0.5j), np.convolve(lin(-0.5j - th), lin(-0.5j))
         to_lam = complex
     else:
-        mu = spec.params.mu_complex
+        mu = params.mu_complex
         if (growth := abs((mu * th).real)) > MAX_BAE_EXPONENT:
             raise ValueError(f"theta = {th} puts |Re mu theta| = {growth:.4g} past "
                              f"{MAX_BAE_EXPONENT:g}: the one-site Bethe root e^(2 mu lam) "
                              "overflows")
-        kappa = 1.0 if spec.params.regime == CRITICAL else -1j   # sin(eta x) = -i sinh(mu x)
+        kappa = 1.0 if params.regime == CRITICAL else -1j   # sin(eta x) = -i sinh(mu x)
 
         def lin(a):                 # 2 e^{mu lam} sinh(mu (lam + a)), or sin(eta (lam + a))
             return kappa * np.array([np.exp(mu * a), -np.exp(-mu * a)])
@@ -465,7 +441,7 @@ def bae_root(spec: ChainSpec, sign: str) -> complex:
 
     def residual(lam):
         try:
-            return abs(bae_residual(spec, sign, [lam])[0])
+            return abs(bae_residual(params, 1, sign, [lam])[0])
         except (ZeroDivisionError, OverflowError):     # Python complex arithmetic at a pole
             return np.inf
 

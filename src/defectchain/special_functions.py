@@ -127,7 +127,8 @@ def _pairs(num, den, *grid):
     shape, args = args.shape[1:], args.reshape(2, len(num), -1)
     if len(num) > 1:
         orders = np.array(list(itertools.permutations(range(len(num)))))
-        cost = [sum(np.abs(args[0] - args[1, order])) for order in orders]
+        with np.errstate(over="ignore"):    # a cost past the float range is never the least
+            cost = [sum(np.abs(args[0] - args[1, order])) for order in orders]
         args[1] = args[1, orders[np.argmin(cost, axis=0)].T, np.arange(args.shape[2])]
     return args, shape
 
@@ -239,15 +240,23 @@ def q_gamma_ratio(num, den, q: float, lam):
         raise ValueError(f"q must lie in (0, 1), got {q}")
     x, shape = _pairs(num, den, lam)
     lq = np.log(q)
-    q_x = np.exp(x * lq)
+    with np.errstate(over="ignore"):
+        phase = x * lq
+    if not np.isfinite(phase).all():
+        at = np.ravel(lam)[np.argwhere(~np.isfinite(phase))[0, -1]]
+        raise ValueError(f"the phase of a q-Gamma ratio at lam = {at:.4g} is past the float "
+                         "range")
+    q_x = np.exp(phase)
     c = sum(sum(np.abs(q_x) + q)) / (1.0 - q)
     count = (np.maximum(np.ceil((np.log(TAIL_TOL) - np.log(c)) / lq), 6.0) + 2.0).astype(int)
     if count.max(initial=0) > MAX_TERMS:
         raise ConvergenceError(f"a q-Gamma ratio needs {_count(count.max())} terms, "
                                f"cap is {MAX_TERMS}")
     ln = sum(x[1] - x[0]) * np.log1p(-q)
-    err = 2.0 * c * q ** count - _EPS * 2 * len(num) * sum(sum(np.abs(x))) * np.log1p(-q)
-    size = sum(np.abs(q_x) * (np.abs(x * lq) + 7.0))    # |u_j| rel. rounding / q^j, in eps
+    # a bound past the float range reads inf
+    with np.errstate(over="ignore"):
+        err = 2.0 * c * q ** count - _EPS * 2 * len(num) * sum(sum(np.abs(x))) * np.log1p(-q)
+        size = sum(np.abs(q_x) * (np.abs(phase) + 7.0))    # |u_j| rel. rounding / q^j, in eps
     diff, q_j = q_x[1] - q_x[0], q ** np.arange(count.max(initial=0))
     step = max(1, BLOCK // (len(num) * q_j.size))
     for start in range(0, ln.size, step):
@@ -263,8 +272,9 @@ def q_gamma_ratio(num, den, q: float, lam):
                                 f"{pole}", location=pole)
             logs = np.log1p(diff[:, at, None] * q_j[:n] / rest[1])
             ln[at] -= sum(logs).sum(axis=-1)
-            err[at] += _EPS * sum((size[:, at, None] * q_j[:n] / gap[0]
-                                   + (len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
+            with np.errstate(over="ignore"):
+                err[at] += _EPS * sum((size[:, at, None] * q_j[:n] / gap[0] + (
+                    len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
     value = _exp_in_range(ln[:, None], np.ravel(lam))[:, 0]
     return value.reshape(shape), (np.abs(value) * (err + _EPS * (np.abs(ln) + 2.0))).reshape(shape)
 
@@ -632,6 +642,12 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         raise ValueError(f"|Im lam| = {np.abs(lam.imag).max():.4g} lets the phases overflow "
                          f"before the last node {freq[-1]:.4g}; keep it below "
                          f"{_MAX_GROWTH / freq[-1]:.4g}")
+    reach = float(np.abs(lam).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        top = reach * freq[-1]
+    if not math.isfinite(top):
+        raise ValueError(f"|lam| = {reach:.4g} puts the phase past the float range at the "
+                         f"last node (frequency {freq[-1]:.4g})")
     rules, cols = weights.shape[1], a.shape[1]
     # (k, nodes, rules), C-ordered so that every column's matrix is the
     # contiguous one a single column would have
@@ -656,7 +672,7 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     ln += (weights.T @ np.ascontiguousarray(c.T)[..., None]).transpose(0, 2, 1)
     ln = ln.transpose(1, 2, 0)      # (points, rules, k)
 
-    phase = freq[:, None] * float(np.abs(lam).max(initial=0.0))
+    phase = freq[:, None] * reach
     turn = np.minimum(1.0, phase)
     slip = 0.5 * phase
     _, rows, scales = groups[-1]
@@ -665,10 +681,11 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         slip[doubled] += scales.repeat(rows.shape[1])[:, None] * turn[doubled]
     last = 4.0 * np.abs(a[-1]) + 2.0 * np.abs(b[-1]) + np.abs(c[-1])
     terms = 4.0 * np.abs(a) * np.minimum(1.0, 0.5 * phase) ** 2 + 2.0 * np.abs(b) * turn
-    sizes = (terms + (np.abs(c) if c_size is None else c_size)
-             + 4.0 * slip * (np.abs(a) * turn + np.abs(b))
-             + math.sqrt(freq.size) * (terms + np.abs(c)))
-    err = last * math.exp(growth) * tail_length + _EPS * (weights[:, 0] @ sizes)
+    with np.errstate(over="ignore"):    # a bound past the float range reads inf
+        sizes = (terms + (np.abs(c) if c_size is None else c_size)
+                 + 4.0 * slip * (np.abs(a) * turn + np.abs(b))
+                 + math.sqrt(freq.size) * (terms + np.abs(c)))
+        err = last * math.exp(growth) * tail_length + _EPS * (weights[:, 0] @ sizes)
     return ln[:, 0], err + np.abs(ln[:, 1:] - ln[:, :1]).max(axis=1)
 
 

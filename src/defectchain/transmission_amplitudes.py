@@ -39,8 +39,6 @@ from .special_functions import (AmplitudeResult, FloatRangeError, FourierKernel,
                                 gamma_ratio_bound, half_line_sums, infinite_gamma_product,
                                 q_gamma_ratio, _exp_in_range)
 
-# `amplitude`, one sign of `amplitude_pair`, is left out: the package takes
-# both signs in one pass wherever it reads them
 __all__ = [
     "AmplitudeResult",
     "kernel",
@@ -255,10 +253,13 @@ _ROUTES = {XXX: ("isotropic", ("closed", "integral")),
            NONCRITICAL: ("non-critical", ("closed", "sum"))}
 
 
-def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed"
-              ) -> AmplitudeResult:
-    """Hole-defect transmission amplitude T^{sign}(lam_hat) at a scalar or on
-    a grid (value and error_estimate then have the grid's length).
+def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
+                   ) -> tuple[AmplitudeResult, AmplitudeResult]:
+    """The hole-defect transmission amplitudes (T+, T-)(lam_hat) at a scalar
+    or on a grid (value and error_estimate then have the grid's length),
+    from one pass: the quadrature and sum routes take both as columns of one
+    rule, and the critical closed route reads its ratio integral at +lam_hat
+    and -lam_hat as two columns of one rule.
 
     Routes: "closed" everywhere; "integral" (continuous regimes) and "sum"
     (non-critical) are the independent quadrature/summation routes;
@@ -270,55 +271,48 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed"
     require it real.  An amplitude outside the normal float range raises
     FloatRangeError naming lam_hat and the anisotropy.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return _hole_amplitudes(params, sign, lam_hat, route)[0]
-
-
-def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
-                   ) -> tuple[AmplitudeResult, AmplitudeResult]:
-    """(T+, T-) of `amplitude` on the same lam_hat and route, from one pass:
-    the quadrature and sum routes take both as columns of one rule, and the
-    critical closed route reads its ratio integral at +lam_hat and -lam_hat
-    as two columns of one rule."""
-    return _hole_amplitudes(params, "+-", lam_hat, route)
-
-
-def _hole_amplitudes(params: RegimeParams, signs: str, lam_hat, route: str
-                     ) -> tuple[AmplitudeResult, ...]:
-    """T^s(lam_hat) for each sign s in signs, each computed once."""
     regime, routes = _ROUTES[params.regime]
     if route not in routes:
         raise ValueError(f"route {route!r} not available in the {regime} regime")
     try:
         if route in ("integral", "sum"):
-            return amplitude_integral([kernel(params, "rt_plus" if s == "+" else "rt_minus")
-                                       for s in signs], lam_hat)
+            return amplitude_integral([kernel(params, "rt_plus"), kernel(params, "rt_minus")],
+                                      lam_hat)
         lam, scalar = as_grid(lam_hat)
-        columns = _closed_amplitudes(params, signs, lam, route)
+        columns = _closed_amplitudes(params, lam, route)
     except FloatRangeError as exc:
         where = {CRITICAL: f"mu = {params.mu}",
                  NONCRITICAL: f"eta = {params.eta}"}.get(params.regime, "the isotropic point")
-        raise FloatRangeError(f"T{signs[exc.column]} at lam_hat = {exc.location:.10g} is "
+        raise FloatRangeError(f"T{'+-'[exc.column]} at lam_hat = {exc.location:.10g} is "
                               f"outside the float range at {where}",
                               location=exc.location, column=exc.column) from None
     return tuple(AmplitudeResult.on_grid(val, route, err, scalar) for val, err in columns)
 
 
-def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str):
-    """(values, errors) per sign of the closed (or, critical, the literal
+# left out of __all__: the package reads both signs wherever it reads one;
+# clibench/worker.py times its first call, and the tests read one sign
+def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed"
+              ) -> AmplitudeResult:
+    """T^sign(lam_hat) by `route`: the column of `amplitude_pair` for sign."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return amplitude_pair(params, lam_hat, route)["+-".index(sign)]
+
+
+def _closed_amplitudes(params: RegimeParams, lam, route: str):
+    """(values, errors) of T+ and T- by the closed (or, critical, the literal
     product) route.  xxx: Gamma ratios; non-critical: q-Gamma ratios;
     critical: T+(lam) = A r(lam) and T-(lam) = 1 / T+(-lam), with A the
     anchor and r the ratio product."""
     if params.regime != CRITICAL:
-        # one ratio call for all signs, a row each
-        z = np.array([(-1j if s == "+" else 1j) * lam / 2 for s in signs])
-        a = np.array([[0.25 if (s == "+") == (params.regime == XXX) else 0.75] for s in signs])
+        # one ratio call for both signs, a row each
+        z = np.array([-1j * lam / 2, 1j * lam / 2])
+        a = np.array([[0.25], [0.75]] if params.regime == XXX else [[0.75], [0.25]])
         if params.regime == XXX:
             return list(zip(*gamma_ratio_bound([z + a], [z + (1.0 - a)])))
         return list(zip(*q_gamma_ratio([z + a], [z + (1.0 - a)], float(np.exp(-4.0 * params.eta)),
                                        np.broadcast_to(lam, z.shape))))
-    sides = np.array([1.0 if s == "+" else -1.0 for s in signs])
+    sides = np.array([1.0, -1.0])
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
     ln_r, err_r = ratio(lam, params.gamma, sides)
@@ -330,6 +324,11 @@ def _closed_amplitudes(params: RegimeParams, signs: str, lam, route: str):
 # --------------------------------------------------------------------------
 # breathers
 # --------------------------------------------------------------------------
+
+
+# past |Re theta_hat| = 1400 the sinh ratio of `_breather_one` is its limit
+# to e^(-1400) relative, and its sinh values, about e^700, near overflow
+_BREATHER_REACH = 1400.0
 
 
 def _breather_one(sign: str, theta_hat, gamma: float):
@@ -366,6 +365,11 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
 
     if route == "closed":
         lam, scalar = as_grid(lam_hat)
+        # the real part clipped where the ratio is at its limit, so neither
+        # pi lam_hat nor a sinh overflows
+        reach = _BREATHER_REACH * gamma / np.pi
+        lam = np.clip(lam.real, -reach, reach) + 1j * lam.imag if np.iscomplexobj(lam) \
+            else np.clip(lam, -reach, reach)
         val = np.ones(lam.shape, dtype=np.complex128)
         err = np.zeros(lam.shape)
         for ell in range(1, n + 1):

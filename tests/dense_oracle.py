@@ -10,20 +10,20 @@ sector block and reads the reference check off its charge-0 block; these
 helpers build the same objects the slow way, in the numpy.kron basis order
 of ``defectchain.tensor_core``.
 
-The package reads every chain in the cyclic order that starts at its
-defect, n ... N+1, 1 ... n-1, and its chain basis is the numpy.kron basis
-of the sites in that order (`ChainSpec.dims`).  `dense_monodromy` and
+The package reads every chain from its defect: the chain basis is the
+numpy.kron basis of the sites d, 1, ..., N (`ChainSpec.dims`), the chain
+with the defect at site 1.  These helpers build the chain with the defect
+at a given site n of 1 ... N+1 the slow way: `dense_monodromy` and
 `dense_transfer` multiply the sites in the order N+1 ... 1, embedded at
-their actual places 1 ... N+1, and hand the result over in that basis:
-permuted by P^T, P the factor permutation of `defect_order`.  t(lam)
-agrees with them up to roundoff (the trace is cyclic, and operators on
-disjoint sites commute).  `rotated_monodromy` and `rotated_transfer` are
-the dense objects of the chain read from the defect, the chain with the
-defect at site 1, and match the package bit for bit.
+their actual places, and hand the result over in the package's basis:
+permuted by P^T, P the factor permutation of `defect_order`.  t(lam) agrees
+with them up to roundoff at every site (the trace is cyclic, and operators
+on disjoint sites commute); at site 1 the monodromy and t(lam) match the
+package bit for bit.
 """
 import numpy as np
 
-from defectchain.monodromy import ChainSpec, charge_vector, local_tensors
+from defectchain.monodromy import charge_vector, local_tensors
 
 
 def embed(m, sites, dims):
@@ -40,59 +40,43 @@ def embed(m, sites, dims):
     return t.reshape(d, d)
 
 
-def site_dims(spec):
-    """The site dimensions in the order 1 ... N+1."""
-    return tuple(spec.rep.dim if j == spec.defect_site else 2
-                 for j in range(1, spec.n_sites + 2))
+def site_dims(spec, site):
+    """The site dimensions in the order 1 ... N+1, the defect at `site`."""
+    return tuple(spec.rep.dim if j == site else 2 for j in range(1, spec.n_sites + 2))
 
 
-def defect_order(spec):
+def defect_order(spec, site):
     """The index in the order 1 ... N+1 (site 1 slowest) of each state of
-    spec's basis, the sites read from the defect (n ... N+1, 1 ... n-1, site
-    n slowest): the permutation P, from the unravelled site states."""
-    n, dims = spec.defect_site - 1, site_dims(spec)
+    spec's basis, the sites read from the defect at `site` (n ... N+1,
+    1 ... n-1, site n slowest): the permutation P, from the unravelled site
+    states."""
+    n, dims = site - 1, site_dims(spec, site)
     states = np.unravel_index(np.arange(spec.chain_dim), dims[n:] + dims[:n])
     return np.ravel_multi_index(states[len(dims) - n:] + states[:len(dims) - n], dims)
 
 
-def dense_monodromy(spec, lam, local=None):
+def dense_monodromy(spec, lam, site, local=None):
     """M_{0,N+1} ... M_{0,1} as the left-to-right product of embedded
-    (2 dim) x (2 dim) matrices at the sites 1 ... N+1, from the chain's
-    local tensors at lam (those of `local_tensors` where `local` is None),
-    on spec's basis (P^T m P, the auxiliary factor kept first)."""
-    dims = (2,) + site_dims(spec)
+    (2 dim) x (2 dim) matrices, the defect's L at `site` and the bulk R at
+    every other site of 1 ... N+1, from the chain's `local_tensors` at lam
+    (or `local`, a list of the same form), on spec's basis (P^T m P, the
+    auxiliary factor kept first)."""
+    *bulk, defect = local_tensors(spec, lam) if local is None else local
+    dims = (2,) + site_dims(spec, site)
     total = np.eye(int(np.prod(dims)), dtype=complex)
-    sites = range(spec.n_sites + 1, 0, -1)
-    for j, m in zip(sites, local_tensors(spec, lam) if local is None else local):
+    for j in range(spec.n_sites + 1, 0, -1):
+        m = defect if j == site else bulk[0]
         n = 2 * dims[j]
         total = total @ embed(m.reshape(n, n), (0, j), dims)
-    p = defect_order(spec)
+    p = defect_order(spec, site)
     p = np.concatenate([p, p + spec.chain_dim])
     return total[np.ix_(p, p)]
 
 
-def dense_transfer(spec, lam):
+def dense_transfer(spec, lam, site):
     """t(lam) as a dense dim x dim array: the auxiliary trace of
-    dense_monodromy."""
-    m = dense_monodromy(spec, lam)
-    d = spec.chain_dim
-    return m[:d, :d] + m[d:, d:]
-
-
-def rotated_monodromy(spec, lam, local=None):
-    """M_{0,n-1} ... M_{0,1} M_{0,N+1} ... M_{0,n}: the dense_monodromy of
-    the chain with the defect at site 1, whose basis is spec's, built from
-    spec's local tensors at lam (those of `local_tensors` where `local` is
-    None) in that order."""
-    local = local_tensors(spec, lam) if local is None else local
-    at = spec.n_sites + 1 - spec.defect_site
-    turned = ChainSpec(spec.n_sites, 1, spec.params, spec.rep)
-    return dense_monodromy(turned, lam, [*local[at + 1:], *local[:at + 1]])
-
-
-def rotated_transfer(spec, lam):
-    """t(lam) as the auxiliary trace of rotated_monodromy."""
-    m = rotated_monodromy(spec, lam)
+    dense_monodromy with the defect at `site`."""
+    m = dense_monodromy(spec, lam, site)
     d = spec.chain_dim
     return m[:d, :d] + m[d:, d:]
 

@@ -128,12 +128,11 @@ def test_criterion_4_transfer_matrix_structure():
     worst = 0.0
     worst_ref = 0.0
     for params in REGIMES:
-        spec = ChainSpec(n_sites=3, defect_site=2, params=params,
-                         rep=rep_for(params, 6))
+        spec = ChainSpec(n_sites=3, params=params, rep=rep_for(params, 6))
         sectors = sector_blocks(spec)
         for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
-            rtt = rtt_residual(spec, l1, l2, [contract(spec, x) for x in (l1, l2)], sectors)
-            m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
+            rtt = rtt_residual(spec, (l1, l2), contract(spec, np.array([l1, l2])), sectors)
+            m1, m2 = (dense_monodromy(spec, x, 2) for x in (l1, l2))
             dense, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2,
                                            sector_mask(spec))
             assert abs(rtt - dense) <= 1e-12 * scale
@@ -143,7 +142,7 @@ def test_criterion_4_transfer_matrix_structure():
         vec = reference_state(spec)
         for lam in (0.77, -0.4):
             ev = reference_eigenvalue(spec, lam)
-            tv = dense_transfer(spec, lam) @ vec
+            tv = dense_transfer(spec, lam, 2) @ vec
             worst_ref = max(worst_ref, float(np.linalg.norm(tv - ev * vec) / abs(ev)))
     _report("4a", "RTT and commuting family on sectors Q <= D-2 (N=3, D=6)",
             worst, 1e-10)
@@ -274,20 +273,17 @@ def test_criterion_9_bethe_roots():
     worst = 0.0
     th = 0.3
     # isotropic: the equations reduce to quadratics solved by numpy.roots
-    spec = ChainSpec(n_sites=1, defect_site=1, params=RegimeParams.xxx(theta=th),
-                     rep=harmonic_rep(4))
+    px = RegimeParams.xxx(theta=th)
     plus_roots = np.roots([1.0, 1j - th - 1.0, -0.5j * th - 0.25 + 0.5j])
     minus_roots = np.roots([1.0, -(th + 1j + 1.0), 0.5j * th - 0.25 - 0.5j])
     for sign, roots in (("+", plus_roots), ("-", minus_roots)):
         for r in roots:
-            worst = max(worst, float(abs(bae_residual(spec, sign, [r])[0])))
+            worst = max(worst, float(abs(bae_residual(px, 1, sign, [r])[0])))
     # non-critical: Newton iteration on the directly written transcendental
     # equation (independent of the package residual path)
     import mpmath as mp
     eta = 0.5
     pn = RegimeParams.noncritical(eta, theta=th)
-    spec = ChainSpec(n_sites=1, defect_site=1, params=pn,
-                     rep=q_oscillator_rep(4, pn.q))
 
     def e1(lam):
         return mp.sin(eta * (lam + 0.5j)) / mp.sin(eta * (lam - 0.5j))
@@ -306,5 +302,5 @@ def test_criterion_9_bethe_roots():
             except (ValueError, ZeroDivisionError):
                 continue
         assert root is not None
-        worst = max(worst, float(abs(bae_residual(spec, sign, [root])[0])))
+        worst = max(worst, float(abs(bae_residual(pn, 1, sign, [root])[0])))
     _report(9, "one-root Bethe residuals from independent searches", worst, 1e-10)

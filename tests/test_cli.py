@@ -31,7 +31,7 @@ from defectchain.tensor_core import exchange_residual
 from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
                                                  soliton_s_amplitude)
 from dense_oracle import (dense_monodromy, dense_transfer, exchange_oracle, masked_commutator,
-                          reference_state, rotated_transfer, sector_mask)
+                          reference_state, sector_mask)
 
 GAMMA_QUARTER_RATIO = 2.9586751191886389
 
@@ -223,9 +223,10 @@ def test_verify_grid_records_match_per_point_oracle(monkeypatch, params):
         owner = cli if fn is exchange_residual else ta
         monkeypatch.setattr(owner, fn.__name__, mine.wrap(fn))
     got = {r["name"]: r for r in cli.run_verify(params, 8, 7)}
-    monkeypatch.setattr(ta, "amplitude", theirs.wrap(amplitude))
     monkeypatch.setattr(ta, "amplitude_pair", theirs.wrap(amplitude_pair))
     tmat.unitarity_crossing_residual(params, 0.44, tmat.default_rep(params, 6))
+    # the oracle's one-sign calls count as one sign, not as the pair each reads
+    monkeypatch.setattr(ta, "amplitude_pair", amplitude_pair)
     want = per_point_records(params, 8, 7, theirs)
     assert len(want) == (9 if params.is_attractive() else 7)
     assert mine.points == theirs.points
@@ -337,8 +338,7 @@ def test_spectrum_exact_column_flags_sectors_below_the_ceiling(tmp_path):
     assert run(["spectrum", "--regime", "xxx", "--sites", "2", "--defect-site", "2",
                 "--fock-dim", "4", "--grid", "0.3:0.3:1", "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    spec = ChainSpec(n_sites=2, defect_site=2, params=RegimeParams.xxx(),
-                     rep=defect_rep(RegimeParams.xxx(), 4))
+    spec = ChainSpec(n_sites=2, params=RegimeParams.xxx(), rep=defect_rep(RegimeParams.xxx(), 4))
     assert sum(r["exact"] == "1" for r in rows) == sector_mask(spec).sum()
     assert {r["sector"] for r in rows} == {str(k) for k in range(6)}
     assert all(r["exact"] == ("1" if int(r["sector"]) <= 2 else "0") for r in rows)
@@ -811,9 +811,9 @@ def test_verify_takes_each_amplitude_family_in_few_grid_calls(monkeypatch, regim
 def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
     # no dense monodromy: rtt reads the charge blocks of T(lam1) and
     # T(lam2) once; commuting-family reads the blocks of t(lam1) and
-    # t(lam2), and reference-eigenvalue the charge-0 block of t(0.77), each
-    # on the exact sectors only; the chain is contracted once per lam, lam1
-    # and lam2 in one call, and its sectors are listed once
+    # t(lam2) in one call, and reference-eigenvalue the charge-0 block of
+    # t(0.77), each on the exact sectors only; the chain is contracted once
+    # per lam, lam1 and lam2 in one call, and its sectors are listed once
     assert not hasattr(mono, "build_monodromy")
     calls, sectors, grids = Counter(), [], []
     for name in ("rtt_residual", "transfer_matrix", "contract", "sector_blocks"):
@@ -826,8 +826,8 @@ def test_verify_reads_t_only_through_transfer_matrix(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(mono, name, counted)
     cli.run_verify(RegimeParams.xxx(), 8, 7)
-    assert calls == {"rtt_residual": 1, "transfer_matrix": 3, "contract": 2, "sector_blocks": 1}
-    assert sectors == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0]]
+    assert calls == {"rtt_residual": 1, "transfer_matrix": 2, "contract": 2, "sector_blocks": 1}
+    assert sectors == [[0, 1, 2, 3, 4], [0]]
     assert grids == [(2,), ()]
 
 
@@ -840,8 +840,8 @@ def test_verify_commuting_family_is_the_dense_masked_commutator(params, seed):
     # of the dense auxiliary traces of the two monodromies
     rec = next(r for r in cli.run_verify(params, 8, seed) if r["name"] == "commuting-family")
     pair = json.loads(rec["params"])
-    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
-    t1, t2 = (dense_transfer(spec, pair[k]) for k in ("lam1", "lam2"))
+    spec = ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 6))
+    t1, t2 = (dense_transfer(spec, pair[k], 2) for k in ("lam1", "lam2"))
     want = masked_commutator(t1, t2, sector_mask(spec))
     assert abs(rec["residual"] - want) <= 1e-12 * np.linalg.norm(t1) * np.linalg.norm(t2)
     assert rec["pass"] and rec["subspace"] == "charge sectors" and rec["tolerance"] == 1e-10
@@ -856,9 +856,9 @@ def test_verify_rtt_is_the_dense_exchange_relation(params, seed):
     # monodromy pair with the sector projector, relative to its scale
     rec = next(r for r in cli.run_verify(params, 8, seed) if r["name"] == "rtt")
     pair = json.loads(rec["params"])
-    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    spec = ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 6))
     l1, l2 = pair["lam1"], pair["lam2"]
-    m1, m2 = (dense_monodromy(spec, x) for x in (l1, l2))
+    m1, m2 = (dense_monodromy(spec, x, 2) for x in (l1, l2))
     want, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, sector_mask(spec))
     assert abs(rec["residual"] - want) <= 1e-12 * scale
     assert rec["pass"] and rec["subspace"] == "charge sectors" and rec["tolerance"] == 1e-10
@@ -878,7 +878,7 @@ def test_verify_charge_leak_is_a_one_line_error(monkeypatch, capsys):
     # charge-conservation's measure reads the leak, and the guard stops
     # verify at its first chain record
     params = RegimeParams.xxx()
-    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    spec = ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 6))
     assert mono.charge_leak(spec, mono.local_tensors(spec, 0.3)) == 0.0
     monkeypatch.setattr(mono, "make_r", leaky_make_r)
     assert mono.charge_leak(spec, mono.local_tensors(spec, 0.3)) > 0
@@ -1104,8 +1104,8 @@ def test_spectrum_commutator_past_the_float_range_is_a_one_line_error(capsys):
     (["--regime", "critical", "--mu", "3", "--sites", "2", "--grid=250:300:2"], None,
      "|Re mu lam| = 750 overflows e^(+-mu lam); keep it below 700"),
     (["--sites", "2", "--fock-dim", "4", "--grid=0.25:1:2"], 1.0,
-     "the transfer matrix leaks charge at lam = 1.0: the local operator of site 3 has a "
-     "nonzero entry between charge sectors"),
+     "the transfer matrix leaks charge at lam = 1.0: the bulk R-matrix has a nonzero entry "
+     "between charge sectors"),
     # the block product overflows at the second lam, the exponent at the third
     (["--regime", "critical", "--mu", "3", "--sites", "1", "--grid=98:300:3"], None,
      "the monodromy of 2 sites overflows at lam = 199.0: each site's entries are finite, "
@@ -1138,7 +1138,7 @@ def test_spectrum_error_in_a_later_batch_names_its_lam(tmp_path, capsys):
     argv = ["spectrum", "--regime", "critical", "--mu", "3", "--sites", "6", "--fock-dim", "8",
             "--defect-site", "4", "--grid=0:40:3"]
     params = RegimeParams.critical(3.0)
-    assert ChainSpec(6, 4, params, defect_rep(params, 8)).batch == 1
+    assert ChainSpec(6, params, defect_rep(params, 8)).batch == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(argv)
@@ -1176,7 +1176,7 @@ def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotrop
         for row in got + want:
             row.pop("commutator_check")
         assert got == want
-    assert (mono.ChainSpec(sites, defect_site, RegimeParams.xxx(), defect_rep(
+    assert (mono.ChainSpec(sites, RegimeParams.xxx(), defect_rep(
         RegimeParams.xxx(), fock_dim)).batch < len(grid)) == (sites == 6)
 
 
@@ -1190,22 +1190,23 @@ def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_block_size(mon
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["spectrum", "--sites", "3", "--fock-dim", "5", "--grid=-2:2:41"]) == 0
     params = RegimeParams.xxx()
-    spec = ChainSpec(3, 1, params, defect_rep(params, 5))
+    spec = ChainSpec(3, params, defect_rep(params, 5))
     sizes = {len(idx) for _, idx in mono.sector_blocks(spec)}
     assert spec.batch >= 41 and calls == {"transfer_matrix": 1, "eigvals": len(sizes)}
 
 
-def dense_spectrum_rows(spec, grid, transfer=rotated_transfer):
+def dense_spectrum_rows(spec, grid, site):
     """The spectrum rows by the dense route: sectors from the charge vector,
     the reference check as a mat-vec with the reference state, and the
-    sector-masked commutator of the whole transfer matrices, built by
-    `transfer` (by default read from the defect, as the package does)."""
+    sector-masked commutator of the whole transfer matrices of the dense
+    chain with the defect at `site` (at site 1, the chain the package
+    reads)."""
     q = charge_vector(spec)
     keep = sector_mask(spec)
     vec = reference_state(spec)
     rows, first = [], None
     for lam in grid:
-        t = transfer(spec, lam)
+        t = dense_transfer(spec, lam, site)
         ev = reference_eigenvalue(spec, lam)
         scale = 2.0 ** -np.frexp(max(abs(ev), 1e-30))[1]
         ref = float(np.linalg.norm((t @ vec - ev * vec) * scale) / (abs(ev) * scale))
@@ -1231,9 +1232,9 @@ def test_spectrum_rows_equal_the_dense_route(tmp_path, regime, anisotropy, param
     assert run(["spectrum", "--regime", regime, *anisotropy, "--theta", "0.1",
                 "--sites", "3", "--defect-site", "2", "--fock-dim", "5",
                 "--grid=-1.2:0.9:3", "--out", str(out)]) == 0
-    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 5))
+    spec = ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 5))
     header, rows = read_csv(out)
-    want_text = per_cell_csv(dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3)), header)
+    want_text = per_cell_csv(dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3), 1), header)
     want = list(csv.DictReader(want_text.splitlines()[1:]))
     assert len(rows) == len(want) == 3 * spec.chain_dim
 
@@ -1247,7 +1248,7 @@ def test_spectrum_rows_equal_the_dense_route(tmp_path, regime, anisotropy, param
         assert got == row
         assert abs(float(comm[0]) - float(comm[1])) <= 1e-12 * scale(row["lam"]) * scale(first)
     # and the trace in the order N+1 ... 1 at the actual site, up to roundoff
-    assert_rows_close(rows, dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3), dense_transfer))
+    assert_rows_close(rows, dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3), 2))
 
 
 def assert_rows_close(rows, want):
@@ -1303,10 +1304,9 @@ def test_spectrum_at_every_defect_site_is_the_site_1_spectrum(regime, anisotropy
                         "--sites", str(sites), "--defect-site", str(site),
                         "--fock-dim", str(fock_dim), grid]) == 0
         texts.append(stream.getvalue().split("\n", 1)[1])
-        spec = ChainSpec(n_sites=sites, defect_site=site, params=params,
-                         rep=defect_rep(params, fock_dim))
+        spec = ChainSpec(n_sites=sites, params=params, rep=defect_rep(params, fock_dim))
         rows = list(csv.DictReader(texts[-1].splitlines()))
-        want = dense_spectrum_rows(spec, np.linspace(*ends, 3), dense_transfer)
+        want = dense_spectrum_rows(spec, np.linspace(*ends, 3), site)
         assert_rows_close(rows, want)
     assert all(text == texts[0] for text in texts)
 

@@ -39,10 +39,8 @@ def _eye_with(value):
     (lambda: AmplitudeResult(1.0, "closed", -1e-3), "error_estimate must be >= 0"),
     (lambda: AmplitudeResult(np.ones(2), "sum", np.array([0.0, -1e-300])),
      "error_estimate must be >= 0"),
-    (lambda: ChainSpec(-1, 1, CRIT, harmonic_rep(4)), "n_sites must be >= 0"),
-    (lambda: ChainSpec(2, 0, CRIT, harmonic_rep(4)), "defect_site must lie in 1..3, got 0"),
-    (lambda: ChainSpec(2, 4, CRIT, harmonic_rep(4)), "defect_site must lie in 1..3, got 4"),
-    (lambda: ChainSpec(10, 1, CRIT, harmonic_rep(8)),
+    (lambda: ChainSpec(-1, CRIT, harmonic_rep(4)), "n_sites must be >= 0"),
+    (lambda: ChainSpec(10, CRIT, harmonic_rep(8)),
      "chain dimension 8192 exceeds resource bound 4096"),
     (lambda: RegimeParams("XXY"), "unknown regime 'XXY'"),
     (lambda: RegimeParams(CRITICAL), "critical regime needs mu only"),
@@ -69,7 +67,7 @@ HARM = harmonic_rep(3)
     (RegimeParams, (XXX,), dict(regime=XXX, mu=None, eta=None, theta=0.0)),
     (RegimeParams, (CRITICAL, 0.7, None, 0.25),
      dict(regime=CRITICAL, mu=0.7, eta=None, theta=0.25)),
-    (ChainSpec, (2, 3, CRIT, HARM), dict(n_sites=2, defect_site=3, params=CRIT, rep=HARM)),
+    (ChainSpec, (2, CRIT, HARM), dict(n_sites=2, params=CRIT, rep=HARM)),
     (AmplitudeResult, (1j, "closed"), dict(value=1j, route="closed", error_estimate=0.0)),
     (FourierKernel, ("k", _hat),
      dict(name="k", hat=_hat, odd_kind="none", odd_origin=0.0, decay=0.5, eta=None)),

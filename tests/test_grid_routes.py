@@ -2,6 +2,7 @@
 scalar calls, a pair of signs equals two single-sign calls, every error
 estimate is measured and bounds the observed error, and the critical anchor
 holds out to slowly decaying kernels."""
+import csv
 import os
 import resource
 import subprocess
@@ -277,7 +278,12 @@ def direct_trig_sums(lam, freq, weights, a, b, c):
     """The fine rule's sums with sin and cos taken at every (lam, node)
     pair, in the blocks and products the rule used before it shared them
     across panels (a lone point, as there, a row of two), for every column
-    of the (nodes, k) terms: the oracle for the angle-addition evaluation."""
+    of the (nodes, k) terms, each alone as the rule sums it: the oracle for
+    the angle-addition evaluation."""
+    if a.shape[1] > 1:
+        return np.concatenate([direct_trig_sums(lam, freq, weights,
+                                                *(t[:, j:j + 1] for t in (a, b, c)))
+                               for j in range(a.shape[1])], axis=1)
     real = not np.iscomplexobj(lam)
     rules, cols = weights.shape[1], a.shape[1]
     wa = np.multiply(weights[:, :, None], 4.0 * a[:, None], dtype=np.complex128)
@@ -617,15 +623,18 @@ def test_xxx_routes_agree_where_sin_pi_z_overflows():
                       <= closed.error_estimate + quad.error_estimate)
 
 
-@pytest.mark.parametrize("params,sign,lam,route",
-                         [(CRIT_07, "-", 455.0, "closed"), (CRIT_07, "-", -455.0, "integral"),
-                          (CRIT_07, "+", 460.0, "closed"),
-                          (RegimeParams.critical(1e-3), "+", 0.0, "closed"),
-                          (RegimeParams.critical(1e-3), "-", 0.0, "integral")])
-def test_amplitude_outside_the_float_range_raises(params, sign, lam, route):
-    with pytest.raises(FloatRangeError, match=rf"T\{sign} at lam_hat = {lam:g} is outside the "
+@pytest.mark.parametrize("params,lam,route",
+                         [(CRIT_07, 455.0, "closed"), (CRIT_07, -455.0, "integral"),
+                          (CRIT_07, 460.0, "closed"),
+                          (RegimeParams.critical(1e-3), 0.0, "closed"),
+                          (RegimeParams.critical(1e-3), 0.0, "integral")])
+def test_amplitude_outside_the_float_range_raises(params, lam, route):
+    # ln|T-(lam)| = -ln|T+(lam)| at real lam, and the normal range reaches
+    # lower on the log scale below than above (-708.4, 709.8), so T+ is the
+    # column that leaves it first
+    with pytest.raises(FloatRangeError, match=rf"T\+ at lam_hat = {lam:g} is outside the "
                                               rf"float range at mu = {params.mu}"):
-        amplitude(params, sign, lam, route)
+        amplitude_pair(params, lam, route)
 
 
 @pytest.mark.parametrize("args", [["--mu", "0.7", "--grid=-1000:1000:3"],
@@ -637,6 +646,74 @@ def test_amplitude_table_outside_the_float_range_is_one_error_line(capsys, args)
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: T") and "float range" in err
+
+
+@pytest.mark.parametrize("grid", ["-1.7e308:1.7e308:3", "1.7e308:-1e308:1"])
+def test_grid_ends_whose_difference_overflows_are_a_usage_error(capsys, grid):
+    # numpy.linspace steps by stop - start, which overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["amplitude", f"--grid={grid}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.endswith(f"argument --grid: grid ends must differ by a finite float, "
+                        f"got '{grid}'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the phase 2 eta k lam_hat of the mode sum's last mode overflows
+    (["--regime", "noncritical", "--grid=1e307:1e307:1"], "|lam| = 1e+307 puts the phase "),
+    (["--regime", "noncritical", "--grid=1.7e308:1.7e308:1"], "|lam| = 1.7e+308 puts the phase "),
+    (["--regime", "noncritical", "--family", "type2", "--grid=1e307:1e307:1"],
+     "|lam| = 1e+307 puts the phase "),
+    (["--regime", "noncritical", "--family", "type2", "--grid=1.7e308:1.7e308:1"],
+     "|lam| = 1.7e+308 puts the phase "),
+    # the phase x log q of the q-Gamma ratio overflows first
+    (["--regime", "noncritical", "--eta", "50", "--family", "type2",
+      "--grid=1.7e308:1.7e308:1"], "the phase of a q-Gamma ratio at lam = 1.7e+308 is past "),
+    (["--regime", "noncritical", "--grid=1e306:1e306:1"], None),
+    (["--regime", "noncritical", "--eta", "0.01", "--grid=1e305:1e305:1"], None),
+    (["--regime", "noncritical", "--family", "type2", "--spin", "0.5",
+      "--grid=1e306:1e306:1"], None),
+], ids=["nc-1e307", "nc-1.7e308", "type2-1e307", "type2-1.7e308", "type2-eta50-1.7e308",
+        "nc-1e306", "nc-eta0.01-1e305", "type2-1e306"])
+def test_q_gamma_and_mode_sums_at_far_grid_ends_end_cleanly(capsys, argv, message):
+    # one error line naming the overflowing phase, or finite rows, and no
+    # RuntimeWarning: the error bounds past the float range read inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["amplitude", *argv])
+    out, err = capsys.readouterr()
+    if message is not None:
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert rows and all(np.isfinite(float(v)) for row in rows for k, v in row.items()
+                            if k != "note")
+
+
+def test_breather_fusion_at_far_grid_ends_is_finite(capsys):
+    # the sinh ratio is evaluated with theta_hat clipped where it is at its
+    # limit: five RuntimeWarnings and NaN rows with exit 0 before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["amplitude", "--regime", "critical", "--mu", "0.7", "--family", "breather",
+                    "--breather-n", "2", "--grid=-1e300:1e300:3"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        far = [row for row in rows if not row["note"]]
+        assert len(far) == 2 and all(abs(float(row[k]) + 1.0) < 1e-15 for row in far
+                                     for k in ("re_t_plus", "re_t_minus"))
+        assert rows[1]["note"].startswith("pole:")     # lam_hat = 0
+        # the lightest breather's quadrature route still refuses the grid
+        code = main(["amplitude", "--regime", "critical", "--mu", "0.7", "--family", "breather",
+                    "--breather-n", "1", "--grid=-1e300:1e300:3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: the half-line rule needs ")
+    assert err.count("\n") == 1
 
 
 def _limit_address_space():

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from defectchain import monodromy
+from defectchain import cli, lax_defect, monodromy, oscillator_reps
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
 from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_root,
@@ -18,8 +18,7 @@ from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_r
                                    sector_blocks, sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
-                          masked_commutator, reference_state, rotated_monodromy,
-                          rotated_transfer, sector_mask)
+                          masked_commutator, reference_state, sector_mask)
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -33,15 +32,13 @@ def diagonal_blocks(t, sectors):
     return blocks
 
 
-def xxx_chain(n_sites=3, defect_site=2, d=6, theta=0.2):
-    return ChainSpec(n_sites=n_sites, defect_site=defect_site,
-                     params=RegimeParams.xxx(theta=theta), rep=harmonic_rep(d))
+def xxx_chain(n_sites=3, d=6, theta=0.2):
+    return ChainSpec(n_sites=n_sites, params=RegimeParams.xxx(theta=theta), rep=harmonic_rep(d))
 
 
-def nc_chain(n_sites=3, defect_site=2, d=6, theta=0.2, eta=0.5):
+def nc_chain(n_sites=3, d=6, theta=0.2, eta=0.5):
     params = RegimeParams.noncritical(eta, theta=theta)
-    return ChainSpec(n_sites=n_sites, defect_site=defect_site, params=params,
-                     rep=q_oscillator_rep(d, params.q))
+    return ChainSpec(n_sites=n_sites, params=params, rep=q_oscillator_rep(d, params.q))
 
 
 REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
@@ -51,15 +48,16 @@ REGIMES = [RegimeParams.xxx(theta=0.2), RegimeParams.critical(0.7, theta=0.2),
 def contracted_monodromy(spec, lam):
     """The whole monodromy the package's contraction implies: `contract`'s
     pair, multiplied out over the defect step by einsum."""
-    total, first = contract(spec, lam)
-    m = first if total is None else np.einsum("arbq,bsct->asrctq", total, first)
+    bulk, defect = contract(spec, lam)
+    m = np.einsum("arbq,bsct->asrctq", bulk, defect)
     d = 2 * spec.chain_dim
     return m.reshape(d, d)
 
 
 def assert_roundoff_close(got, want):
     """Entrywise within 8 eps of the largest |entry| of want: t(lam) read
-    from the defect against the product in the order N+1 ... 1 (measured:
+    from the defect against the product in the order N+1 ... 1 with the
+    defect at any site (measured:
     at most 2.7 eps over N <= 4, D = 3 ... 6, every defect site and regime)."""
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
 
@@ -72,10 +70,15 @@ def commuting_family(spec, lam1, lam2):
 
 
 def rtt(spec, lam1, lam2):
-    """verify's rtt residual: on the `contract`ed pairs at lam1 and lam2 and
+    """verify's rtt residual: on the `contract`ed pair at lam1 and lam2 and
     every sector block."""
-    return rtt_residual(spec, lam1, lam2, [contract(spec, x) for x in (lam1, lam2)],
-                        sector_blocks(spec))
+    lams = np.array([lam1, lam2])
+    return rtt_residual(spec, lams, contract(spec, lams), sector_blocks(spec))
+
+
+def stacked(pairs):
+    """The `contract`ed pairs at lam1 and lam2 as the pair of their stacks."""
+    return tuple(np.stack(m) for m in zip(*pairs))
 
 
 def same_bits(a, b):
@@ -96,18 +99,12 @@ def test_oracle_embedding_on_disjoint_sites_commutes():
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("d", [3, 6])
 def test_monodromy_equals_dense_product_bit_for_bit(params, d):
-    # the product read from the defect, M_{n-1} ... M_1 M_{N+1} ... M_n,
-    # against the dense product in that order; at the defect site 1 it is
-    # the product in the order N+1 ... 1
+    # the product read from the defect, R ... R L, against the dense
+    # product in the order N+1 ... 1 with the defect at site 1
     for n_sites in range(5):
-        for site in range(1, n_sites + 2):
-            spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
-                             rep=defect_rep(params, d))
-            for lam in (0.37, -1.2):
-                m = contracted_monodromy(spec, lam)
-                assert np.array_equal(m, rotated_monodromy(spec, lam))
-                if site == 1:
-                    assert np.array_equal(m, dense_monodromy(spec, lam))
+        spec = ChainSpec(n_sites=n_sites, params=params, rep=defect_rep(params, d))
+        for lam in (0.37, -1.2):
+            assert np.array_equal(contracted_monodromy(spec, lam), dense_monodromy(spec, lam, 1))
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
@@ -118,48 +115,58 @@ def test_transfer_matrix_is_monodromy_trace_bit_for_bit(params, d):
     # trace of the whole contracted monodromy exactly, signed zeros
     # included, and the trace must vanish between the blocks
     for n_sites in range(5):
-        for site in range(1, n_sites + 2):
-            spec = ChainSpec(n_sites=n_sites, defect_site=site, params=params,
-                             rep=defect_rep(params, d))
-            dim = spec.chain_dim
-            sectors = sector_blocks(spec)
-            for lam in (0.37, -1.2):
-                blocks = contracted_monodromy(spec, lam).reshape(2, dim, 2, dim)
-                t = np.einsum("aiaj->ij", blocks)
-                assert np.array_equal(rotated_transfer(spec, lam), t)
-                # the cyclic trace: the trace of the product in the order
-                # N+1 ... 1, up to roundoff
-                assert_roundoff_close(t, dense_transfer(spec, lam))
-                got = transfer_matrix(spec, lam, sectors)
-                want = diagonal_blocks(t, sectors)
-                assert [k for k, _ in got] == [k for k, _ in want]
-                assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, want))
+        spec = ChainSpec(n_sites=n_sites, params=params, rep=defect_rep(params, d))
+        dim = spec.chain_dim
+        sectors = sector_blocks(spec)
+        for lam in (0.37, -1.2):
+            blocks = contracted_monodromy(spec, lam).reshape(2, dim, 2, dim)
+            t = np.einsum("aiaj->ij", blocks)
+            assert np.array_equal(dense_transfer(spec, lam, 1), t)
+            # the cyclic trace: the trace of the product in the order N+1
+            # ... 1 with the defect at any site, up to roundoff
+            for site in range(1, n_sites + 2):
+                assert_roundoff_close(t, dense_transfer(spec, lam, site))
+            got = transfer_matrix(spec, lam, sectors)
+            want = diagonal_blocks(t, sectors)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, want))
 
 
 def test_defect_only_chain_is_lax_operator():
-    spec = xxx_chain(n_sites=0, defect_site=1, d=5)
+    spec = xxx_chain(n_sites=0, d=5)
     lam = 0.9
     t = contracted_monodromy(spec, lam)
     l = make_l(spec.params, lam - spec.theta, spec.rep)
     np.testing.assert_allclose(t, l, atol=1e-14)
 
 
+@pytest.mark.parametrize("grid", [0.9, np.array([0.9, -0.3, 1.7])], ids=["lam", "grid"])
+def test_contract_of_no_bulk_sites_is_the_identity(grid):
+    # N = 0: the product of no R is the (2, 1, 2, 1) identity (a stack of
+    # them at a grid), read in place, and the defect tensor is L
+    spec = xxx_chain(n_sites=0, d=5)
+    bulk, defect = contract(spec, grid)
+    assert bulk.shape == np.shape(grid) + (2, 1, 2, 1) and bulk.dtype == complex
+    assert (bulk == np.eye(2).reshape(2, 1, 2, 1)).all()
+    assert same_bits(defect, local_tensors(spec, grid)[0])
+
+
 def test_monodromy_matches_hand_composed_contraction():
-    spec = xxx_chain(n_sites=2, defect_site=2, d=4)
+    spec = xxx_chain(n_sites=2, d=4)
     lam = 0.613
     d = spec.rep.dim
     r = make_r(spec.params, lam).reshape(2, 2, 2, 2)
     l = make_l(spec.params, lam - spec.theta, spec.rep).reshape(2, d, 2, d)
-    # read from the defect, T = R_{0,1} R_{0,3} L_{0,2}; the auxiliary index
+    # read from the defect, T = R_{0,2} R_{0,1} L_{0,d}; the auxiliary index
     # chains through the product:
-    # T^{a e}_{(s1 s3 s2),(t1 t3 t2)} = R^{ab}_{s1 t1} R^{bc}_{s3 t3} L^{ce}_{s2 t2}
+    # T^{a e}_{(s2 s1 sd),(t2 t1 td)} = R^{ab}_{s2 t2} R^{bc}_{s1 t1} L^{ce}_{sd td}
     oracle = np.einsum("aubv,bwcx,cyez->auwyevxz", r, r, l)
-    # reorder chain indices to the chain basis (defect, site3, site1)
+    # reorder chain indices to the chain basis (d, 1, 2)
     dim = 2 * 2 * d * 2
     oracle = oracle.transpose(0, 3, 2, 1, 4, 7, 6, 5).reshape(dim, dim)
     np.testing.assert_allclose(contracted_monodromy(spec, lam), oracle, atol=1e-13)
-    # in the order 3, 2, 1, R_{0,3} L_{0,2} R_{0,1}, the monodromy differs,
-    # its auxiliary trace does not
+    # with the defect at site 2 of 3, in the order 3, 2, 1, R_{0,3} L_{0,2}
+    # R_{0,1}, the monodromy differs, its auxiliary trace does not
     ordered = np.einsum("aubv,bwcx,cyez->auwyevxz", r, l, r)
     ordered = ordered.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(dim, dim)
     assert np.abs(ordered - oracle).max() > 0.1
@@ -187,19 +194,18 @@ def test_commuting_family_on_sectors(chain):
 def test_commuting_family_fails_without_projection():
     # the truncation leak is real: the unprojected commutator is large
     spec = xxx_chain()
-    t1 = dense_transfer(spec, 0.63)
-    t2 = dense_transfer(spec, -0.82)
+    t1 = dense_transfer(spec, 0.63, 2)
+    t2 = dense_transfer(spec, -0.82, 2)
     assert np.linalg.norm(t1 @ t2 - t2 @ t1) > 1.0
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
-@pytest.mark.parametrize("n_sites, defect_site", [(3, 2), (3, 4), (0, 1)])
-def test_local_tensors_build_r_once_and_feed_every_contraction(monkeypatch, params, n_sites,
-                                                               defect_site):
-    # one make_r per lam, shared by the bulk sites; handing the tensors to
-    # the contractions gives the bits of building them there
-    spec = ChainSpec(n_sites=n_sites, defect_site=defect_site, params=params,
-                     rep=defect_rep(params, 5))
+@pytest.mark.parametrize("n_sites", [3, 1, 0])
+def test_local_tensors_are_r_and_l_and_feed_every_contraction(monkeypatch, params, n_sites):
+    # one make_r per lam, shared by the bulk sites, none for N = 0, then the
+    # defect's L; handing the tensors to the contractions gives the bits of
+    # building them there
+    spec = ChainSpec(n_sites=n_sites, params=params, rep=defect_rep(params, 5))
     built = []
 
     def counted(*args, make=make_r):
@@ -209,14 +215,15 @@ def test_local_tensors_build_r_once_and_feed_every_contraction(monkeypatch, para
     monkeypatch.setattr(monodromy, "make_r", counted)
     local = local_tensors(spec, 0.41)
     assert built == ([0.41] if n_sites else [])
-    bulk = [m for j, m in zip(range(n_sites + 1, 0, -1), local) if j != defect_site]
-    assert len(local) == n_sites + 1 and all(m is bulk[0] for m in bulk)
+    *bulk, defect = local
+    assert len(bulk) == (n_sites > 0) and all(m.shape == (2, 2, 2, 2) for m in bulk)
+    assert same_bits(defect, make_l(params, 0.41 - spec.theta, spec.rep).reshape(2, 5, 2, 5))
     sectors = sector_blocks(spec)
     pair = contract(spec, 0.41, local)
     for (_, mine), (_, theirs) in zip(transfer_matrix(spec, 0.41, sectors, pair),
                                       transfer_matrix(spec, 0.41, sectors)):
         assert same_bits(mine, theirs)
-    assert (rtt_residual(spec, 0.41, -0.3, (pair, contract(spec, -0.3)), sectors)
+    assert (rtt_residual(spec, (0.41, -0.3), stacked([pair, contract(spec, -0.3)]), sectors)
             == rtt(spec, 0.41, -0.3))
 
 
@@ -224,7 +231,7 @@ def test_charge_conservation():
     spec = xxx_chain()
     assert charge_leak(spec, local_tensors(spec, 0.77)) == 0.0
     # exact commutation on the full space as well (grading is exact)
-    t = dense_transfer(spec, 0.77)
+    t = dense_transfer(spec, 0.77, 2)
     qd = np.diag(charge_vector(spec)).astype(complex)
     assert np.linalg.norm(t @ qd - qd @ t) < 1e-10
 
@@ -238,33 +245,32 @@ def test_chain_residuals_match_dense_oracles(params, n_sites):
     # exact-sector blocks of transfer_matrix, against the sector-masked
     # dense commutator; and the charge measure, 0 on every local tensor
     rng = np.random.default_rng(n_sites)
-    spec = ChainSpec(n_sites=n_sites, defect_site=2, params=params,
-                     rep=defect_rep(params, 6))
+    spec = ChainSpec(n_sites=n_sites, params=params, rep=defect_rep(params, 6))
     keep = sector_mask(spec)
     dim = spec.chain_dim
     l1, l2 = 0.58, -0.33
     local = [local_tensors(spec, x) for x in (l1, l2)]
-    m1, m2 = (rotated_monodromy(spec, x) for x in (l1, l2))
-    t1, t2 = (rotated_transfer(spec, x) for x in (l1, l2))
+    m1, m2 = (dense_monodromy(spec, x, 1) for x in (l1, l2))
+    t1, t2 = (dense_transfer(spec, x, 1) for x in (l1, l2))
     # RTT holds: equal to the oracle up to roundoff of the oracle's scale,
-    # in either site order; T(lam2) and T(lam1) in the places of T1 and T2
+    # with the defect at site 1 or 2; T(lam2) and T(lam1) in the places of T1 and T2
     # break it at O(1): equal to rtol 1e-12
     pairs = [contract(spec, x, t) for x, t in zip((l1, l2), local)]
     res, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, keep)
     sectors = sector_blocks(spec)
-    assert abs(rtt_residual(spec, l1, l2, pairs, sectors) - res) <= 1e-12 * scale
+    assert abs(rtt_residual(spec, (l1, l2), stacked(pairs), sectors) - res) <= 1e-12 * scale
     res, scale = exchange_oracle(make_r(params, l1 - l2),
-                                 *(dense_monodromy(spec, x) for x in (l1, l2)), keep)
-    assert abs(rtt_residual(spec, l1, l2, pairs, sectors) - res) <= 1e-12 * scale
+                                 *(dense_monodromy(spec, x, 2) for x in (l1, l2)), keep)
+    assert abs(rtt_residual(spec, (l1, l2), stacked(pairs), sectors) - res) <= 1e-12 * scale
     want, scale = exchange_oracle(make_r(params, l1 - l2), m2, m1, keep)
     assert want > 1e-3 * scale
-    np.testing.assert_allclose(rtt_residual(spec, l1, l2, pairs[::-1], sectors), want,
+    np.testing.assert_allclose(rtt_residual(spec, (l1, l2), stacked(pairs[::-1]), sectors), want,
                                rtol=1e-12)
     # the commuting family, and a block-diagonal partner t(lam2) + x that
     # does not commute with t(lam1)
     scale = np.linalg.norm(t1) * np.linalg.norm(t2)
     assert abs(commuting_family(spec, l1, l2) - masked_commutator(t1, t2, keep)) <= 1e-12 * scale
-    dense = [dense_transfer(spec, x) for x in (l1, l2)]
+    dense = [dense_transfer(spec, x, 2) for x in (l1, l2)]
     assert abs(commuting_family(spec, l1, l2) - masked_commutator(*dense, keep)) <= 1e-12 * scale
     x = np.zeros((dim, dim), dtype=complex)
     for _, idx in sector_blocks(spec):
@@ -292,16 +298,16 @@ def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
     # one charge-conserving entry of the defect tensor at lam2, scaled by
     # 1 + 1e-9: RTT breaks by far more than its 1e-10 gate, and the block
     # route reads what the dense pair of the same local tensors reads
-    spec = ChainSpec(n_sites=3, defect_site=2, params=params, rep=defect_rep(params, 6))
+    spec = ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 6))
     l1, l2 = 0.58, -0.33
     local = [local_tensors(spec, x) for x in (l1, l2)]
-    at = spec.n_sites + 1 - spec.defect_site       # the defect's place in the list
-    local[1][at] = local[1][at].copy()
-    local[1][at][0, 1, 0, 1] *= 1 + 1e-9
+    local[1][-1] = local[1][-1].copy()      # the defect's L
+    local[1][-1][0, 1, 0, 1] *= 1 + 1e-9
     assert charge_leak(spec, local[1]) == 0.0
-    got = rtt_residual(spec, l1, l2, [contract(spec, x, t) for x, t in zip((l1, l2), local)],
+    got = rtt_residual(spec, (l1, l2), stacked([contract(spec, x, t)
+                                                for x, t in zip((l1, l2), local)]),
                        sector_blocks(spec))
-    m1, m2 = (rotated_monodromy(spec, x, t) for x, t in zip((l1, l2), local))
+    m1, m2 = (dense_monodromy(spec, x, 1, t) for x, t in zip((l1, l2), local))
     want, scale = exchange_oracle(make_r(params, l1 - l2), m1, m2, sector_mask(spec))
     assert got > 1e-9
     assert abs(got - want) <= 1e-12 * scale
@@ -310,7 +316,7 @@ def test_rtt_sees_a_defect_entry_off_by_one_part_in_1e9(params):
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
 def test_charge_vector_matches_index_loop(chain):
     # oracle: the grading summed site by site over the unravelled basis index
-    spec = chain(n_sites=3, defect_site=3, d=5)
+    spec = chain(n_sites=3, d=5)
     spin = [0.0, 1.0] if spec.params.regime == "XXX" else [1.0, 0.0]
     gradings = [spin if d == 2 else list(range(d)) for d in spec.dims]
     want = [sum(g[k] for g, k in zip(gradings, np.unravel_index(i, spec.dims)))
@@ -323,12 +329,12 @@ def test_reference_state_eigenvalue(chain):
     spec = chain()
     vec = reference_state(spec)
     for lam in (0.77, -0.4, 1.3):
-        tv = dense_transfer(spec, lam) @ vec
+        tv = dense_transfer(spec, lam, 2) @ vec
         ev = reference_eigenvalue(spec, lam)
         assert np.linalg.norm(tv - ev * vec) / abs(ev) < 1e-10
         blocks = transfer_matrix(spec, lam, sector_blocks(spec))
         assert_roundoff_close(blocks[0][1][:, 0], tv @ vec)
-        tv = rotated_transfer(spec, lam) @ vec
+        tv = dense_transfer(spec, lam, 1) @ vec
         assert reference_residual(spec, blocks, lam) == np.linalg.norm(tv - ev * vec) / abs(ev)
 
 
@@ -341,21 +347,18 @@ def test_xxx_reference_eigenvalue_formula():
 
 def test_resource_bound_rejected():
     with pytest.raises(ValueError, match="resource bound"):
-        ChainSpec(n_sites=12, defect_site=1, params=RegimeParams.xxx(),
-                  rep=harmonic_rep(8))
+        ChainSpec(n_sites=12, params=RegimeParams.xxx(), rep=harmonic_rep(8))
 
 
 # ------------------------------------------------------------------ BAE
 
 def test_bae_empty_roots():
-    spec = xxx_chain(n_sites=1, defect_site=1, d=4)
-    assert bae_residual(spec, "+", []).size == 0
+    assert bae_residual(XXX, 1, "+", []).size == 0
 
 
 def test_bae_coincident_roots_rejected():
-    spec = xxx_chain(n_sites=1, defect_site=1, d=4)
     with pytest.raises(ValueError):
-        bae_residual(spec, "+", [0.5, 0.5])
+        bae_residual(XXX, 1, "+", [0.5, 0.5])
 
 
 def test_bae_defect_factor_reflection():
@@ -373,16 +376,16 @@ def test_bae_root_from_independent_polynomial_oracle_xxx():
     # is quadratic; its roots are found independently with numpy and must
     # yield vanishing residuals
     th = 0.2
-    spec = xxx_chain(n_sites=1, defect_site=1, d=4, theta=th)
+    params = RegimeParams.xxx(theta=th)
     roots = np.roots([1.0, 1j - th - 1.0, -0.5j * th - 0.25 + 0.5j])
     for r in roots:
-        assert abs(bae_residual(spec, "+", [r])[0]) < 1e-10
-    assert bae_root(spec, "+") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
+        assert abs(bae_residual(params, 1, "+", [r])[0]) < 1e-10
+    assert bae_root(params, 1, "+") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
     # minus: (lam + i/2) = (lam - i/2)(lam - th - i/2)
     roots = np.roots([1.0, -(th + 1j + 1.0), 0.5j * th - 0.25 - 0.5j])
     for r in roots:
-        assert abs(bae_residual(spec, "-", [r])[0]) < 1e-10
-    assert bae_root(spec, "-") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
+        assert abs(bae_residual(params, 1, "-", [r])[0]) < 1e-10
+    assert bae_root(params, 1, "-") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
 
 
 @pytest.mark.parametrize("params", [RegimeParams.critical(0.7), RegimeParams.noncritical(0.5)],
@@ -390,12 +393,10 @@ def test_bae_root_from_independent_polynomial_oracle_xxx():
 def test_bae_root_rejects_the_pole_root(params):
     # at theta = 0 clearing the denominators adds a root where sinh (sin) of
     # mu(lam -+ i/2) vanishes, i.e. lam = -+ i/2 up to the period i pi / mu
-    spec = ChainSpec(n_sites=1, defect_site=1, params=params,
-                     rep=q_oscillator_rep(4, params.q))
     period = np.pi / params.mu_complex * 1j
     for sign, pole in (("+", -0.5j), ("-", 0.5j)):
-        root = bae_root(spec, sign)
-        assert abs(bae_residual(spec, sign, [root])[0]) < 1e-13
+        root = bae_root(params, 1, sign)
+        assert abs(bae_residual(params, 1, sign, [root])[0]) < 1e-13
         offset = (root - pole) / period
         assert abs(offset - round(offset.real)) > 1e-3
 
@@ -412,9 +413,7 @@ def test_bae_root_products_are_polymul_bit_for_bit(monkeypatch, regime):
     def roots():
         out = []
         for th in np.linspace(-0.25, 0.25, 11):
-            params = make(th)
-            spec = ChainSpec(n_sites=1, defect_site=1, params=params, rep=defect_rep(params, 4))
-            out.append([bae_root(spec, sign) for sign in "+-"])
+            out.append([bae_root(make(th), 1, sign) for sign in "+-"])
         return out
 
     ours = roots()
@@ -448,39 +447,35 @@ def test_bae_root_is_the_numpy_roots_root(monkeypatch, make):
     # np.roots, the eigensolver the closed form replaced, is the oracle: the
     # same root to 1e-13 at every theta of a sweep, in both orientations
     thetas = [*np.linspace(-3.0, 3.0, 25), 0.06, -10.0, 10.0]
-    specs = [ChainSpec(1, 1, params, defect_rep(params, 4)) for params in map(make, thetas)]
-    ours = [bae_root(spec, sign) for spec in specs for sign in "+-"]
+    ours = [bae_root(params, 1, sign) for params in map(make, thetas) for sign in "+-"]
     monkeypatch.setattr(monodromy, "_quadratic_roots", lambda p: list(np.roots(p)))
-    theirs = [bae_root(spec, sign) for spec in specs for sign in "+-"]
+    theirs = [bae_root(params, 1, sign) for params in map(make, thetas) for sign in "+-"]
     assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-13
 
 
 def test_bae_root_far_out_in_theta_is_exact():
     # the isotropic plus root at theta = 1e6 is 1000001 - 0.500000999999 i to
     # 30 digits; np.roots put it 4.7e-10 off
-    spec = xxx_chain(n_sites=1, defect_site=1, d=4, theta=1e6)
-    assert bae_root(spec, "+") == 1000001 - 0.500000999999j
+    assert bae_root(RegimeParams.xxx(theta=1e6), 1, "+") == 1000001 - 0.500000999999j
 
 
 @pytest.mark.parametrize("theta", [2000.0, -2000.0, 600.0, 1e300])
 def test_bae_root_past_the_exponent_bound_is_a_value_error_naming_theta(theta):
     params = RegimeParams.critical(0.7, theta=theta)
-    spec = ChainSpec(1, 1, params, defect_rep(params, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"theta = {theta} puts")):
-            bae_root(spec, "+")
+            bae_root(params, 1, "+")
     # just inside the bound both roots are found, valid to roundoff
     params = RegimeParams.critical(0.7, theta=math.copysign(499.0, theta))
-    spec = ChainSpec(1, 1, params, defect_rep(params, 4))
     for sign in "+-":
-        assert abs(bae_residual(spec, sign, [bae_root(spec, sign)])[0]) < 1e-12
+        assert abs(bae_residual(params, 1, sign, [bae_root(params, 1, sign)])[0]) < 1e-12
 
 
 def test_bae_root_noncritical_newton_oracle():
     import mpmath as mp
     th, eta = 0.2, 0.5
-    spec = nc_chain(n_sites=1, defect_site=1, d=4, theta=th, eta=eta)
+    params = RegimeParams.noncritical(eta, theta=th)
 
     def e1(lam):
         return mp.sin(eta * (lam + 0.5j)) / mp.sin(eta * (lam - 0.5j))
@@ -499,14 +494,13 @@ def test_bae_root_noncritical_newton_oracle():
             except (ValueError, ZeroDivisionError):
                 continue
         assert root is not None
-        assert abs(bae_residual(spec, sign, [root])[0]) < 1e-10
+        assert abs(bae_residual(params, 1, sign, [root])[0]) < 1e-10
 
 
 def test_bae_two_root_consistency():
     # solve the coupled two-root system with a generic 2d Newton iteration
     # written directly on the equations, then check the residual vector
     th = 0.2
-    spec = xxx_chain(n_sites=2, defect_site=1, d=4, theta=th)
 
     def eqs(z):
         l1, l2 = z
@@ -527,7 +521,7 @@ def test_bae_two_root_consistency():
             dz[j] = h
             jac[:, j] = (eqs(z + dz) - eqs(z - dz)) / (2 * h)
         z = z - np.linalg.solve(jac, f)
-    res = bae_residual(spec, "+", list(z))
+    res = bae_residual(RegimeParams.xxx(theta=th), 2, "+", list(z))
     assert np.abs(res).max() < 1e-9
 
 
@@ -535,7 +529,7 @@ def test_overflowing_chain_product_is_a_value_error():
     # e^(mu lam) = e^300 at each of three sites: every site is in range,
     # their product is not
     params = RegimeParams.critical(3.0)
-    spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
+    spec = ChainSpec(n_sites=2, params=params, rep=defect_rep(params, 4))
     sectors = sector_blocks(spec)
     for build in (lambda *args: rtt(*args, 0.0),
                   lambda *args: transfer_matrix(*args, sectors)):
@@ -547,11 +541,9 @@ def test_overflowing_chain_product_is_a_value_error():
 # ------------------------------------------------------------ lam grids
 
 def grid_chains(params, d=4):
-    """Chains of N = 0, 1 and 3 sites with the defect at site 1 and at N + 1."""
+    """Chains of N = 0, 1 and 3 sites."""
     for n in (0, 1, 3):
-        for site in sorted({1, n + 1}):
-            yield ChainSpec(n_sites=n, defect_site=site, params=params,
-                            rep=defect_rep(params, d))
+        yield ChainSpec(n_sites=n, params=params, rep=defect_rep(params, d))
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
@@ -567,11 +559,7 @@ def test_grid_blocks_equal_the_scalar_blocks_bit_for_bit(params):
         for k, lam in enumerate(grid):
             assert all(same_bits(m[k], lone) for m, lone in zip(local, local_tensors(spec, lam)))
             lone_total, lone_first = contract(spec, lam)
-            assert same_bits(first[k], lone_first)
-            if spec.n_sites:
-                assert same_bits(total[k], lone_total)
-            else:
-                assert total is lone_total is None
+            assert same_bits(first[k], lone_first) and same_bits(total[k], lone_total)
             for (_, mine), (_, theirs) in zip(blocks, transfer_matrix(spec, lam, sectors)):
                 assert same_bits(mine[k], theirs)
         # the commutators of the grid's blocks with one lam's, lam by lam
@@ -583,15 +571,15 @@ def test_grid_blocks_equal_the_scalar_blocks_bit_for_bit(params):
 
 def test_grid_guards_name_the_first_lam_they_stop_at(monkeypatch):
     params = RegimeParams.critical(3.0)
-    spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
+    spec = ChainSpec(n_sites=2, params=params, rep=defect_rep(params, 4))
     sectors = sector_blocks(spec)
     # each guard names the first lam it fails at: the blocks overflow from
-    # lam = 100, the product of sites 3 and 2 from lam = 120
+    # lam = 100, the product of the two R from lam = 120
     with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 100.0: "):
         transfer_matrix(spec, np.array([60.0, 100.0]), sectors)
     with pytest.raises(ValueError, match="monodromy of 3 sites overflows at lam = 120.0: "):
         contract(spec, np.array([60.0, 100.0, 120.0]))
-    # a leak at the second lam of a grid, at every bulk site
+    # a leak at the second lam of a grid, in the bulk R
     make = monodromy.make_r
 
     def leaky(params, lam):
@@ -601,8 +589,7 @@ def test_grid_guards_name_the_first_lam_they_stop_at(monkeypatch):
 
     monkeypatch.setattr(monodromy, "make_r", leaky)
     grid = np.array([0.25, 0.5, 0.75])
-    with pytest.raises(ValueError, match="leaks charge at lam = 0.5: the local operator of "
-                                         "site 3 "):
+    with pytest.raises(ValueError, match="leaks charge at lam = 0.5: the bulk R-matrix has "):
         contract(spec, grid)
     local = local_tensors(spec, grid)
     assert [charge_leak(spec, [m[k] for m in local]) > 0 for k in range(3)] == [
@@ -628,8 +615,7 @@ def test_a_batch_holds_at_most_batch_entries(n_sites, defect_site, d, batch):
     # (product, gathers, blocks, eigvals stacks, commutator temporaries and
     # sort keys), fits in BATCH_ENTRIES complex entries, or the batch is one
     # lam (measured: 0.68 to 0.90 of it)
-    spec = ChainSpec(n_sites=n_sites, defect_site=defect_site, params=XXX,
-                     rep=types.SimpleNamespace(dim=d))
+    spec = ChainSpec(n_sites=n_sites, params=XXX, rep=types.SimpleNamespace(dim=d))
     assert spec.batch == batch
     if batch > 1:
         argv = ["spectrum", "--sites", str(n_sites), "--defect-site", str(defect_site),
@@ -641,11 +627,9 @@ def test_a_batch_holds_at_most_batch_entries(n_sites, defect_site, d, batch):
 # ------------------------------------------------------------ sector blocks
 
 def every_chain(params, n_max=4, d=4):
-    """Chains of N = 0 ... n_max sites with the defect at every site."""
+    """Chains of N = 0 ... n_max sites."""
     for n in range(n_max + 1):
-        for site in range(1, n + 2):
-            yield ChainSpec(n_sites=n, defect_site=site, params=params,
-                            rep=defect_rep(params, d))
+        yield ChainSpec(n_sites=n, params=params, rep=defect_rep(params, d))
 
 
 def test_sector_blocks_partition_the_basis_by_charge():
@@ -664,14 +648,15 @@ def test_sector_commutator_matches_dense_masked_commutator(params):
     lam, lam0 = 0.63, -0.41
     for spec in every_chain(params):
         sectors = sector_blocks(spec)
-        t, t0 = (rotated_transfer(spec, x) for x in (lam, lam0))
+        t, t0 = (dense_transfer(spec, x, 1) for x in (lam, lam0))
         blocks, blocks0 = (transfer_matrix(spec, x, sectors) for x in (lam, lam0))
         scale = np.linalg.norm(t) * np.linalg.norm(t0)
         got = sector_commutator(spec, blocks, blocks0)
         assert abs(got - masked_commutator(t, t0, sector_mask(spec))) <= 1e-12 * scale
-        # and the traces in the order N+1 ... 1
-        dense = [dense_transfer(spec, x) for x in (lam, lam0)]
-        assert abs(got - masked_commutator(*dense, sector_mask(spec))) <= 1e-12 * scale
+        # and the traces in the order N+1 ... 1 with the defect at every site
+        for site in range(1, spec.n_sites + 2):
+            dense = [dense_transfer(spec, x, site) for x in (lam, lam0)]
+            assert abs(got - masked_commutator(*dense, sector_mask(spec))) <= 1e-12 * scale
         # the blocks of the dense trace, and the exact sectors' blocks alone,
         # give the same bits
         assert sector_commutator(spec, diagonal_blocks(t, sectors),
@@ -712,18 +697,19 @@ def with_leak(make):
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
-@pytest.mark.parametrize("name, defect_site, site", [
-    ("make_r", 2, 4), ("make_l", 2, 2), ("make_l", 1, 1)])
-def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name,
-                                                       defect_site, site):
-    # the block route forms no entry between sectors, so every local R and
-    # L is checked before it is contracted, the site-1 tensor included
-    spec = ChainSpec(n_sites=3, defect_site=defect_site, params=params,
-                     rep=defect_rep(params, 5))
+@pytest.mark.parametrize("name, n_sites, operator", [
+    ("make_r", 3, "the bulk R-matrix"), ("make_l", 3, "the defect Lax operator"),
+    ("make_l", 0, "the defect Lax operator")])
+def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name, n_sites,
+                                                       operator):
+    # the block route forms no entry between sectors, so the local R and L
+    # are checked before they are contracted, and the error names the one
+    # that leaks
+    spec = ChainSpec(n_sites=n_sites, params=params, rep=defect_rep(params, 5))
     sectors = sector_blocks(spec)
     make = getattr(monodromy, name)
     monkeypatch.setattr(monodromy, name, with_leak(make))
-    message = f"leaks charge at lam = 0.37: the local operator of site {site} "
+    message = f"leaks charge at lam = 0.37: {operator} has a nonzero entry between charge "
     for build in (lambda *args: rtt(*args, 0.0),
                   lambda *args: transfer_matrix(*args, sectors)):
         with pytest.raises(ValueError, match=message):
@@ -739,7 +725,7 @@ def test_local_charge_leak_is_a_value_error_naming_lam(monkeypatch, params, name
 def test_charge_leak_below_the_float_range_still_reads_and_stops(monkeypatch, params):
     # a leak of 1e-300 beside entries of 1e300: the ratio rounds to 0, so
     # it reads the smallest positive float, and the guard still stops
-    spec = ChainSpec(n_sites=2, defect_site=1, params=params, rep=defect_rep(params, 4))
+    spec = ChainSpec(n_sites=2, params=params, rep=defect_rep(params, 4))
     assert charge_leak(spec, local_tensors(spec, 0.37)) == 0.0
     make = monodromy.make_r
 
@@ -748,8 +734,7 @@ def test_charge_leak_below_the_float_range_still_reads_and_stops(monkeypatch, pa
 
     monkeypatch.setattr(monodromy, "make_r", with_leak(loud))
     assert charge_leak(spec, local_tensors(spec, 0.37)) == 5e-324
-    with pytest.raises(ValueError, match="leaks charge at lam = 0.37: the local operator of "
-                                         "site 3 "):
+    with pytest.raises(ValueError, match="leaks charge at lam = 0.37: the bulk R-matrix has "):
         transfer_matrix(spec, 0.37, sector_blocks(spec))
 
 
@@ -764,7 +749,7 @@ def test_reference_residual_column_equals_matvec_bit_for_bit(params, n_max, lams
         vec = reference_state(spec)
         sectors = sector_blocks(spec)
         for lam in lams:
-            t = rotated_transfer(spec, lam)
+            t = dense_transfer(spec, lam, 1)
             ev = reference_eigenvalue(spec, lam)
             size = max(abs(ev), 1e-30)
             scale = 2.0 ** -np.frexp(size)[1]
@@ -773,5 +758,40 @@ def test_reference_residual_column_equals_matvec_bit_for_bit(params, n_max, lams
             assert reference_residual(spec, blocks, lam) == want
             # the charge-0 block alone is the reference state's column
             assert reference_residual(spec, blocks[:1], lam) == want
-            # which is t v in the order N+1 ... 1 up to roundoff
-            assert_roundoff_close(blocks[0][1][:, 0], dense_transfer(spec, lam) @ vec @ vec)
+            # which is t v in the order N+1 ... 1 with the defect at any
+            # site, up to roundoff
+            for site in range(1, spec.n_sites + 2):
+                assert_roundoff_close(blocks[0][1][:, 0],
+                                      dense_transfer(spec, lam, site) @ vec @ vec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "xxx", "--theta", "0.3"], ["--regime", "critical", "--mu", "0.7"],
+    ["--regime", "critical", "--mu", "2.0943951023931957"],
+    ["--regime", "critical", "--mu", "1e-10"],
+    ["--regime", "noncritical", "--eta", "0.5", "--theta", "0.3"]],
+    ids=["xxx", "crit", "crit-order-3", "crit-order-1", "nc"])
+def test_bae_builds_no_representation(monkeypatch, capsys, argv):
+    # the Bethe equation reads the regime and N alone: no representation is
+    # built, so a q that is a root of unity of low order, which degenerates
+    # one, warns of nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    for owner in (lax_defect, oscillator_reps):
+        for name in ("harmonic_rep", "q_oscillator_rep"):
+            monkeypatch.setattr(owner, name, refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bae", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 4     # header, column names, two roots
+
+
+@pytest.mark.parametrize("site", [0, 5])
+def test_spectrum_defect_site_outside_the_chain_is_one_line_before_any_representation(
+        monkeypatch, capsys, site):
+    monkeypatch.setattr(cli, "defect_rep", lambda *args: pytest.fail("representation built"))
+    code = main(["spectrum", "--sites", "3", "--defect-site", str(site), "--grid=0:0:1"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: defect_site must lie in 1..4, got {site}\n")
