@@ -10,8 +10,8 @@ amplitude  tabulate transmission amplitudes over a lam_hat grid (csv rows:
 spectrum   eigenvalues of the transfer matrix grouped by charge sector,
            with reference-eigenvalue and commutator check columns and an
            exact flag (1 iff the sector lies below the truncation ceiling).
-bae        solve the one-root Bethe equation (N=1, M=1) exactly and report
-           the residuals for both defect orientations.
+bae        solve the chain's one-root Bethe equation (N=1, M=1) exactly and
+           report its T-Q residual for the defect's L (+) and L-hat (-).
 
 Outputs are deterministic: `verify`'s random sample points come from a
 pure-Python PCG64 that reproduces numpy.random.default_rng(seed).uniform bit
@@ -316,8 +316,9 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
 
 
 def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
-    """(sign, root, residual) of the N=1, M=1 Bethe equation for both defect
-    orientations."""
+    """(sign, root, residual) of the chain's N=1, M=1 Bethe equation with the
+    defect's L (+) and L-hat (-): `bae_root`'s root and its scaled T-Q
+    residual (`bae_residual`)."""
     roots = [(sign, mono.bae_root(params, 1, sign)) for sign in "+-"]
     return [(sign, root, float(np.abs(mono.bae_residual(params, 1, sign, [root])).max()))
             for sign, root in roots]
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the defect's site in 1..N+1; it only relabels the basis, so "
                         "every site prints the same rows")
 
-    p = sub.add_parser("bae", help="one-root Bethe equation check")
+    p = sub.add_parser("bae", help="the chain's one-root Bethe equation, for L and L-hat")
     common(p)
     p.add_argument("--tol", type=_nonnegative(float, "tolerance must be finite and >= 0"),
                    default=None, help="gate on the worst residual (default 1e-10)")

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .lax_defect import CRITICAL, XXX, RegimeParams, make_l, make_r
+from .lax_defect import XXX, RegimeParams, make_l, make_r
 from .tensor_core import commutator_residual
 
 __all__ = [
@@ -271,46 +271,6 @@ def sector_commutator(spec: ChainSpec, a_blocks, b_blocks):
 
 
 # --------------------------------------------------------------------------
-# reference state
-# --------------------------------------------------------------------------
-
-
-def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
-    """Transfer-matrix eigenvalue on the reference state: the product of the
-    (1,1) local weights plus the product of the (2,2) weights (derived, and
-    verified numerically by the test suite)."""
-    lam = complex(lam)
-    th = spec.theta
-    if spec.params.regime == XXX:
-        a_bulk, d_bulk = lam + 1j, lam
-        a_def, d_def = lam - th + 1j, 1j
-    else:
-        mu = spec.params.mu_complex
-        a_bulk = 2.0 * np.sinh(mu * lam)
-        d_bulk = 2.0 * np.sinh(mu * (lam + 1j))
-        a_def = 2.0 * np.sinh(mu * (lam - th + 1j))
-        d_def = -np.exp(-mu * (lam - th))
-    return a_bulk ** spec.n_sites * a_def + d_bulk ** spec.n_sites * d_def
-
-
-def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
-    """|| t v - e v || / |e| for the transfer matrix t = t(lam) given by its
-    `transfer_matrix` blocks, the reference state v and its derived
-    eigenvalue e.  v has every site in its reference orientation and the
-    defect in its vacuum (annihilated by a_dag): the one state of charge 0,
-    so t v is the 1 x 1 block of that sector, bit for bit the mat-vec.
-    """
-    ev = reference_eigenvalue(spec, lam)
-    res = blocks[0][1][:, 0] - ev
-    size = max(abs(ev), 1e-30)
-    # scaled by the power of two nearest 1/|e| before the norm squares
-    # entries that may reach ~1e260; the scaling is exact, so the residual
-    # keeps its bits wherever the unscaled norm is finite
-    scale = 2.0 ** -math.frexp(size)[1]
-    return float(np.linalg.norm(res * scale) / (size * scale))
-
-
-# --------------------------------------------------------------------------
 # structural residuals
 # --------------------------------------------------------------------------
 
@@ -346,114 +306,128 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
 
 
 # --------------------------------------------------------------------------
-# Bethe equations
+# vacuum weights: the reference state and the Bethe equations
 # --------------------------------------------------------------------------
 
 
-def _e_fn(params: RegimeParams, n: float):
-    if params.regime == XXX:
-        return lambda lam: (lam + 0.5j * n) / (lam - 0.5j * n)
-    f, k = (np.sinh, params.mu) if params.regime == CRITICAL else (np.sin, params.eta)
-    return lambda lam: f(k * (lam + 0.5j * n)) / f(k * (lam - 0.5j * n))
+def _weights(params: RegimeParams, sign: str) -> list:
+    """The chain's vacuum weights as [site][a, d][c1, c0]: the diagonal
+    entries a, d of one bulk R on its reference spin at u, then of the
+    defect's L (sign '+') or Lhat (sign '-', `make_l_hat`) on its vacuum at
+    u - theta, each the linear factor c1 w + c0 w' of (w, w') = (x, 1)
+    (isotropic) or (e^(mu x), e^(-mu x)) at the argument x."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if params.regime == XXX:        # R = u + i P; L: u + i n + i and i; Lhat: i and i n - u
+        bulk, defect = [[1, 1j], [1, 0]], [[1, 1j], [0, 1j]] if sign == "+" else [[0, 1j], [-1, 0]]
+    else:                           # x q^(+-sigma_z/2) - q^(-+sigma_z/2) / x, V|0> = q^(1/2)|0>
+        q = params.q
+        bulk = [[1, -1], [q, -1 / q]]
+        defect = [[q, -1 / q], [0, -1]] if sign == "+" else [[-q, 0], [-1, 1]]
+    return [bulk, defect]
 
 
-def _defect_fn(params: RegimeParams, sign: str):
-    """The defect source factor: plus for L, minus for the conjugate Lhat."""
-    if params.regime == XXX:
-        return (lambda lam: lam + 0.5j) if sign == "+" else (lambda lam: 1.0 / (lam - 0.5j))
-    f, k, rate = ((np.sinh, params.mu, params.mu) if params.regime == CRITICAL
-                  else (np.sin, params.eta, 1j * params.eta))
-    if sign == "+":
-        return lambda lam: np.exp(-rate * lam) / f(k * (lam + 0.5j))
-    return lambda lam: np.exp(-rate * lam) * f(k * (lam - 0.5j))
+def _linear(params: RegimeParams, c, x) -> tuple[complex, float]:
+    """The linear factor c = (c1, c0) at x, c1 w + c0 w', and |c1 w| + |c0 w'|."""
+    w = (x, 1.0) if params.regime == XXX else (np.exp(m := params.mu_complex * x), np.exp(-m))
+    t1, t0 = complex(c[0]) * w[0], complex(c[1]) * w[1]
+    return t1 + t0, abs(t1) + abs(t0)
+
+
+def _vacuum(params: RegimeParams, n_sites: int, sign: str, u) -> list[tuple[complex, float]]:
+    """(a, |a|) and (d, |d|) at u: the products of the `_weights` of N =
+    n_sites bulk sites at u and the defect at u - theta, and of their scales."""
+    pairs = [(_linear(params, bulk, u), _linear(params, defect, u - params.theta))
+             for bulk, defect in zip(*_weights(params, sign))]
+    return [(b ** n_sites * f, sb ** n_sites * sf) for (b, sb), (f, sf) in pairs]
+
+
+def reference_eigenvalue(spec: ChainSpec, lam: complex) -> complex:
+    """Transfer-matrix eigenvalue on the reference state: a(lam) + d(lam),
+    the chain's `_vacuum` weights (verified by the test suite)."""
+    (a, _), (d, _) = _vacuum(spec.params, spec.n_sites, "+", complex(lam))
+    return a + d
+
+
+def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
+    """|| t v - e v || / |e| for the transfer matrix t = t(lam) given by its
+    `transfer_matrix` blocks, the reference state v and its derived
+    eigenvalue e.  v has every site in its reference orientation and the
+    defect in its vacuum (annihilated by a_dag): the one state of charge 0,
+    so t v is the 1 x 1 block of that sector, bit for bit the mat-vec.
+    """
+    ev = reference_eigenvalue(spec, lam)
+    res = blocks[0][1][:, 0] - ev
+    size = max(abs(ev), 1e-30)
+    # scaled by the power of two nearest 1/|e| before the norm squares
+    # entries that may reach ~1e260; the scaling is exact, so the residual
+    # keeps its bits wherever the unscaled norm is finite
+    scale = 2.0 ** -math.frexp(size)[1]
+    return float(np.linalg.norm(res * scale) / (size * scale))
 
 
 def bae_residual(params: RegimeParams, n_sites: int, sign: str, roots) -> np.ndarray:
-    """Bethe-equation residuals of the chain of N = n_sites bulk sites for a
-    supplied root set.
+    """The chain's T-Q equation at each of a set of Bethe roots u_k,
 
-    For each root lam_i this returns
+        a(u_k) Q(u_k - i) + d(u_k) Q(u_k + i),  Q(x) = prod_j (x - u_j)
 
-        defect(lam_i - theta) e_1(lam_i)^N + prod_j e_2(lam_i - lam_j),
-
-    the product running over all supplied roots including j = i (the i = j
-    factor e_2(0) = -1 carries the sign of the quantisation condition);
-    the residuals vanish iff the roots satisfy the equations.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    (anisotropic: the shifts swapped, Q(x) = prod_j sinh mu (x - u_j)), a and
+    d the `_vacuum` weights of N = n_sites bulk sites and the defect's L
+    (sign '+') or Lhat (sign '-'), over its running-error scale: the same
+    sum with each linear factor c1 w + c0 w' as |c1 w| + |c0 w'|, positive
+    where a and d both vanish (a singular root).  Past the float range it is
+    a ValueError naming theta."""
     roots = [complex(r) for r in roots]
     if any(abs(a - b) < 1e-12 for a, b in itertools.combinations(roots, 2)):
         raise ValueError("coincident Bethe roots")
-    e1, e2, src = _e_fn(params, 1), _e_fn(params, 2), _defect_fn(params, sign)
-    return np.array([src(lam - params.theta) * e1(lam) ** n_sites
-                     + np.prod([e2(lam - other) for other in roots]) for lam in roots],
-                    dtype=np.complex128)
+    # the shift a's Q takes, and Q's factor: x or sinh mu x
+    step, factor = (-1j, (1.0, 0.0)) if params.regime == XXX else (1j, (0.5, -0.5))
+    terms = []          # the equation at each root, and its scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in roots:
+            (a, sa), (d, sd) = _vacuum(params, n_sites, sign, u)
+            (qa, sqa), (qd, sqd) = (np.prod([_linear(params, factor, x - v) for v in roots], axis=0)
+                                    for x in (u + step, u - step))
+            terms.append((a * qa + d * qd, sa * sqa + sd * sqd))
+    terms = np.array(terms, dtype=complex).reshape(-1, 2)
+    if not np.isfinite(terms).all():
+        raise ValueError(f"at theta = {params.theta} the Bethe equation at the roots {roots} "
+                         "passes the float range")
+    return terms[:, 0] / terms[:, 1].real
 
 
 def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
-    """The Bethe root of the one-site chain (N = 1, M = 1), solved exactly.
-
-    Its equation defect(lam - theta) e_1(lam) = 1 is cleared of denominators
-    into a quadratic in z = lam (isotropic) or z = e^{2 mu lam} (anisotropic,
-    mu = mu_complex), where each sinh (sin) factor of lam + a times 2 e^{mu lam}
-    is linear in z, and solved in closed form (`_quadratic_roots`).  Clearing
-    adds roots at the poles of the equation; they are rejected by their
-    bae_residual, and of the valid roots the one with the larger real part
-    is returned (of the others, where none is valid, the one whose residual
-    is finite).  A root z near e^{2 mu theta} is in range for |Re mu theta|
-    up to MAX_BAE_EXPONENT; past it, or where every residual is NaN or
-    Inf, a ValueError names theta.
-    """
+    """The Bethe root of the one-site chain (N = 1, M = 1), solved exactly:
+    a(u) = d(u), the products of the `_weights` factors, cleared into a
+    polynomial in v = u - max(theta, 0) (isotropic: a root near theta or 0
+    keeps the bits of both parts) or z = e^{2 mu u} (mu = mu_complex) and
+    solved in closed form (`_quadratic_roots`); of the finite roots, the one
+    with the larger real part.  In the anisotropic regimes a and d share
+    their e^{-2 mu u} term (L) or their e^{2 mu u} term (Lhat) identically,
+    so the equation is linear in z.  A root z ~ e^{2 mu theta} past
+    |Re mu theta| = MAX_BAE_EXPONENT is a ValueError naming theta."""
     if n_sites != 1:
         raise ValueError(f"the exact root needs a one-site chain, got N = {n_sites}")
-    th = params.theta
-    if params.regime == XXX:
-        def lin(a):                 # lam + a
-            return np.array([1.0, a])
-
-        if sign == "+":
-            num, den = np.convolve(lin(0.5j - th), lin(0.5j)), lin(-0.5j)
-        else:
-            num, den = lin(0.5j), np.convolve(lin(-0.5j - th), lin(-0.5j))
-        to_lam = complex
-    else:
-        mu = params.mu_complex
-        if (growth := abs((mu * th).real)) > MAX_BAE_EXPONENT:
-            raise ValueError(f"theta = {th} puts |Re mu theta| = {growth:.4g} past "
-                             f"{MAX_BAE_EXPONENT:g}: the one-site Bethe root e^(2 mu lam) "
-                             "overflows")
-        kappa = 1.0 if params.regime == CRITICAL else -1j   # sin(eta x) = -i sinh(mu x)
-
-        def lin(a):                 # 2 e^{mu lam} sinh(mu (lam + a)), or sin(eta (lam + a))
-            return kappa * np.array([np.exp(mu * a), -np.exp(-mu * a)])
-
-        shift = np.exp(mu * th)     # e^{-mu (lam - theta)} = shift / sqrt(z)
-        if sign == "+":
-            num = 2.0 * shift * lin(0.5j)
-            den = np.convolve(lin(0.5j - th), lin(-0.5j))
-        else:
-            num = shift * np.convolve(lin(-0.5j - th), lin(0.5j))
-            den = np.convolve([2.0, 0.0], lin(-0.5j))
-
-        def to_lam(z):
-            return complex(np.log(z) / (2.0 * mu))
-
-    def residual(lam):
-        try:
-            return abs(bae_residual(params, 1, sign, [lam])[0])
-        except (ZeroDivisionError, OverflowError):     # Python complex arithmetic at a pole
-            return np.inf
-
-    with np.errstate(all="ignore"):
-        roots = [(lam, residual(lam)) for lam in map(to_lam, _quadratic_roots(
-            np.polysub(num, den)))]
-    roots = [(lam, res) for lam, res in roots if math.isfinite(res)]
+    w = np.array(_weights(params, sign), dtype=complex)     # [bulk, defect][a, d][c1, c0]
+    th, mu = params.theta, 0.0 if params.regime == XXX else params.mu_complex
+    if params.regime == XXX:        # c1 (u - t) + c0 = c1 v + c0 + c1 (s - t)
+        s = max(th, 0.0)
+        w[..., 1] += w[..., 0] * np.array([[s], [s - th]])
+    elif (growth := abs((mu * th).real)) > MAX_BAE_EXPONENT:
+        raise ValueError(f"theta = {th} puts |Re mu theta| = {growth:.4g} past "
+                         f"{MAX_BAE_EXPONENT:g}: the one-site Bethe root e^(2 mu lam) overflows")
+    else:                           # c1 e^(mu (u - theta)) + c0 e^(-mu (u - theta))
+        w[1] *= np.exp(mu * th * np.array([-1.0, 1.0]))
+    p = np.polysub(*map(np.convolve, *w))      # a - d
+    if mu:                          # the shared term, dropped
+        p = p[:-1] if sign == "+" else p[1:]
+    roots = np.array(_quadratic_roots(p))
+    with np.errstate(all="ignore"):     # z = 0 or past the float range: no finite u
+        roots = [u for u in (np.log(roots) / (2.0 * mu) if mu else s + roots) if np.isfinite(u)]
     if not roots:
-        raise ValueError(f"at theta = {th} no root of the one-site Bethe equation has a finite "
-                         "residual: theta is past what double precision resolves")
-    # a root at a pole reads O(1); a valid one reads roundoff
-    return min(roots, key=lambda pair: (not pair[1] <= 1e-6, -pair[0].real))[0]
+        raise ValueError(f"at theta = {th} the one-site Bethe equation has no finite root: "
+                         "theta is past what double precision resolves")
+    return complex(max(roots, key=lambda u: u.real))
 
 
 def _quadratic_roots(p) -> list[complex]:

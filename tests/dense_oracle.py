@@ -1,7 +1,8 @@
 """Dense two-site embedding, the dense monodromy and transfer matrix, the
 projected commutator, the reference state and the exchange relation on
 explicit matrices, used as test oracles for the monodromy and the residual
-kernels.
+kernels; and the one-site chain's Bethe equation a(u) = d(u), written out
+by hand, as the oracle for its Bethe roots.
 
 The package never forms an embedded operator or the dense monodromy: it
 contracts the local tensors site by site, gathers the monodromy's charge
@@ -114,3 +115,31 @@ def exchange_oracle(r12, m1, m2, keep):
     proj = np.kron(np.eye(4, dtype=complex), np.diag(keep))
     return (np.linalg.norm((r @ a1 @ a2 - a2 @ a1 @ r) @ proj),
             np.linalg.norm(r @ a1 @ a2 @ proj))
+
+
+def xxx_bethe_polynomial(sign, th):
+    """a(u) - d(u) of the one-site isotropic chain, expanded by hand: (u + i)
+    (u - th + i) - i u for L, i (u + i) + u (u - th) for Lhat."""
+    return [1.0, 1j - th, -1.0 - 1j * th if sign == "+" else -1.0]
+
+
+def mpmath_bethe_roots(eta, th):
+    """The one-site non-critical root of a(u) = d(u) for L and Lhat, found by
+    mpmath's findroot on the vacuum weights written from its own sinh and
+    exp (mu = i eta)."""
+    import mpmath as mp
+    mu = 1j * eta
+    sh = lambda x: 2 * mp.sinh(mu * x)
+    equations = {
+        "+": lambda u: sh(u) * sh(u - th + 1j) + sh(u + 1j) * mp.exp(-mu * (u - th)),
+        "-": lambda u: -sh(u) * mp.exp(mu * (u - th + 1j)) + sh(u + 1j) * sh(u - th),
+    }
+    roots = {}
+    for sign, f in equations.items():
+        for guess in (0.3 + 0.4j, 0.3 - 0.4j, 1.4 - 0.7j, 1.4 + 0.7j):
+            try:
+                roots[sign] = complex(mp.findroot(f, mp.mpc(guess)))
+                break
+            except (ValueError, ZeroDivisionError):
+                continue
+    return roots

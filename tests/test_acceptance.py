@@ -21,8 +21,8 @@ from defectchain.transmission_matrices import (default_rep,
                                                quadratic_algebra_residual,
                                                type2_algebra_residual,
                                                unitarity_crossing_residual)
-from dense_oracle import (dense_monodromy, dense_transfer, exchange_oracle, reference_state,
-                          sector_mask)
+from dense_oracle import (dense_monodromy, dense_transfer, exchange_oracle, mpmath_bethe_roots,
+                          reference_state, sector_mask, xxx_bethe_polynomial)
 
 XXX = RegimeParams.xxx()
 CRIT = RegimeParams.critical(0.7)            # attractive, gamma ~ 3.488
@@ -268,39 +268,20 @@ def test_criterion_8_isotropic_limit():
 
 
 def test_criterion_9_bethe_roots():
-    """N = 1, M = 1 Bethe roots found by independent one-unknown searches
-    give vanishing residuals for both defect orientations."""
+    """N = 1, M = 1 Bethe roots of the chain's equation a(u) = d(u), found by
+    independent one-unknown searches, give vanishing residuals for both
+    defect orientations (L and Lhat)."""
     worst = 0.0
     th = 0.3
-    # isotropic: the equations reduce to quadratics solved by numpy.roots
-    px = RegimeParams.xxx(theta=th)
-    plus_roots = np.roots([1.0, 1j - th - 1.0, -0.5j * th - 0.25 + 0.5j])
-    minus_roots = np.roots([1.0, -(th + 1j + 1.0), 0.5j * th - 0.25 - 0.5j])
-    for sign, roots in (("+", plus_roots), ("-", minus_roots)):
-        for r in roots:
+    # isotropic: a - d expanded by hand and solved by numpy.roots;
+    # non-critical: mpmath's findroot on the vacuum weights written from its
+    # own sinh and exp; both independent of the package's table
+    px, pn = RegimeParams.xxx(theta=th), RegimeParams.noncritical(0.5, theta=th)
+    for sign in "+-":
+        for r in np.roots(xxx_bethe_polynomial(sign, th)):
             worst = max(worst, float(abs(bae_residual(px, 1, sign, [r])[0])))
-    # non-critical: Newton iteration on the directly written transcendental
-    # equation (independent of the package residual path)
-    import mpmath as mp
-    eta = 0.5
-    pn = RegimeParams.noncritical(eta, theta=th)
-
-    def e1(lam):
-        return mp.sin(eta * (lam + 0.5j)) / mp.sin(eta * (lam - 0.5j))
-
-    sources = {
-        "+": lambda lam: mp.exp(-1j * eta * lam) / mp.sin(eta * (lam + 0.5j)),
-        "-": lambda lam: mp.exp(-1j * eta * lam) * mp.sin(eta * (lam - 0.5j)),
-    }
-    for sign, src in sources.items():
-        f = lambda lam: src(lam - th) * e1(lam) - 1.0
-        root = None
-        for guess in (0.3 + 0.4j, 0.3 - 0.4j, 1.4 - 0.7j, 1.4 + 0.7j):
-            try:
-                root = complex(mp.findroot(f, mp.mpc(guess)))
-                break
-            except (ValueError, ZeroDivisionError):
-                continue
-        assert root is not None
+    roots = mpmath_bethe_roots(0.5, th)
+    assert set(roots) == {"+", "-"}
+    for sign, root in roots.items():
         worst = max(worst, float(abs(bae_residual(pn, 1, sign, [root])[0])))
     _report(9, "one-root Bethe residuals from independent searches", worst, 1e-10)

@@ -1555,11 +1555,16 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback(args):
 
 def test_large_amplitude_table_is_written_in_bounded_memory():
     # 100000 rows: the whole table as Python lists and its text peaked at
-    # 146 MB (x86-64, numpy 2.4); block by block it peaks near 60 MB
-    script = ("import resource, sys\n"
+    # 146 MB (x86-64, numpy 2.4); block by block it peaks near 60 MB.  The
+    # child reads its own peak resident set, VmHWM in /proc/self/status: on
+    # Linux ru_maxrss carries the forking process's peak over exec, so it
+    # read the test runner's peak rather than the command's
+    script = ("import sys\n"
               "from defectchain.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+              "with open('/proc/self/status') as status:\n"
+              "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+              "print(code, peak, file=sys.stderr)\n")
     src = str(Path(defectchain.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

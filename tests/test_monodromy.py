@@ -11,14 +11,15 @@ import pytest
 
 from defectchain import cli, lax_defect, monodromy, oscillator_reps
 from defectchain.cli import main
-from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_r
+from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_l_hat, make_r
 from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_root,
                                    charge_leak, charge_vector, contract, local_tensors,
                                    reference_eigenvalue, reference_residual, rtt_residual,
                                    sector_blocks, sector_commutator, transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
-                          masked_commutator, reference_state, sector_mask)
+                          masked_commutator, mpmath_bethe_roots, reference_state, sector_mask,
+                          xxx_bethe_polynomial)
 
 XXX = RegimeParams.xxx(theta=0.2)
 NC = RegimeParams.noncritical(0.5, theta=0.2)
@@ -361,44 +362,85 @@ def test_bae_coincident_roots_rejected():
         bae_residual(XXX, 1, "+", [0.5, 0.5])
 
 
-def test_bae_defect_factor_reflection():
-    # e+(lam) e-(lam) = (lam + i/2)/(lam - i/2) = e1(lam) for the rational chain
-    from defectchain.monodromy import _defect_fn, _e_fn
-    ep = _defect_fn(RegimeParams.xxx(), "+")
-    em = _defect_fn(RegimeParams.xxx(), "-")
-    e1 = _e_fn(RegimeParams.xxx(), 1)
-    for lam in (0.3 + 0.2j, -1.1 + 0.7j):
-        assert ep(lam) * em(lam) == pytest.approx(e1(lam), rel=1e-13)
-
-
 def test_bae_root_from_independent_polynomial_oracle_xxx():
-    # N = 1, M = 1: the plus equation (lam - th + i/2)(lam + i/2) = lam - i/2
-    # is quadratic; its roots are found independently with numpy and must
-    # yield vanishing residuals
-    th = 0.2
-    params = RegimeParams.xxx(theta=th)
-    roots = np.roots([1.0, 1j - th - 1.0, -0.5j * th - 0.25 + 0.5j])
-    for r in roots:
-        assert abs(bae_residual(params, 1, "+", [r])[0]) < 1e-10
-    assert bae_root(params, 1, "+") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
-    # minus: (lam + i/2) = (lam - i/2)(lam - th - i/2)
-    roots = np.roots([1.0, -(th + 1j + 1.0), 0.5j * th - 0.25 - 0.5j])
-    for r in roots:
-        assert abs(bae_residual(params, 1, "-", [r])[0]) < 1e-10
-    assert bae_root(params, 1, "-") == pytest.approx(max(roots, key=lambda z: z.real), abs=1e-13)
+    # N = 1, M = 1: a(u) = d(u) is quadratic; its roots are found
+    # independently with numpy and must yield vanishing residuals
+    params = RegimeParams.xxx(theta=0.2)
+    for sign in "+-":
+        roots = np.roots(xxx_bethe_polynomial(sign, params.theta))
+        for r in roots:
+            assert abs(bae_residual(params, 1, sign, [r])[0]) < 1e-10
+        assert bae_root(params, 1, sign) == pytest.approx(max(roots, key=lambda z: z.real),
+                                                          abs=1e-13)
 
 
-@pytest.mark.parametrize("params", [RegimeParams.critical(0.7), RegimeParams.noncritical(0.5)],
-                         ids=["crit", "nc"])
-def test_bae_root_rejects_the_pole_root(params):
-    # at theta = 0 clearing the denominators adds a root where sinh (sin) of
-    # mu(lam -+ i/2) vanishes, i.e. lam = -+ i/2 up to the period i pi / mu
-    period = np.pi / params.mu_complex * 1j
-    for sign, pole in (("+", -0.5j), ("-", 0.5j)):
+def chain_q1_block(params, sign, lam, d=8):
+    """The charge-0 entry and the charge-1 block of t(lam) on the one-site
+    chain: `transfer_matrix` with L for '+', the dense oracle with the
+    defect's Lhat(lam - theta) for '-'."""
+    spec = ChainSpec(1, params, defect_rep(params, d))
+    sectors = sector_blocks(spec)
+    if sign == "+":
+        blocks = dict(transfer_matrix(spec, lam, sectors))
+        return blocks[0][0, 0], blocks[1]
+    local = [make_r(params, lam).reshape(2, 2, 2, 2),
+             make_l_hat(params, lam - params.theta, spec.rep).reshape(2, d, 2, d)]
+    m, n = dense_monodromy(spec, lam, 1, local), spec.chain_dim
+    t = m[:n, :n] + m[n:, n:]
+    (_, zero), (_, one) = sectors[:2]
+    return t[zero[0], zero[0]], t[np.ix_(one, one)]
+
+
+def tq_eigenvalue(params, sign, roots, lam):
+    """Lambda(lam) from T-Q with the vacuum weights written out by hand:
+    (a Q(lam - i) + d Q(lam + i)) / Q(lam) in xxx, the shifts swapped and Q a
+    product of sinh mu (lam - u) otherwise; and a + d."""
+    x, th = lam, params.theta
+    if params.regime == "XXX":
+        a, d = ((x + 1j) * (x - th + 1j), 1j * x) if sign == "+" else \
+            (1j * (x + 1j), -x * (x - th))
+        q, step = (lambda y: np.prod([y - u for u in roots])), -1j
+    else:
+        mu = params.mu_complex
+        sh = lambda y: 2.0 * np.sinh(mu * y)
+        a, d = ((sh(x) * sh(x - th + 1j), -sh(x + 1j) * np.exp(-mu * (x - th))) if sign == "+"
+                else (-sh(x) * np.exp(mu * (x - th + 1j)), -sh(x + 1j) * sh(x - th)))
+        q, step = (lambda y: np.prod([np.sinh(mu * (y - u)) for u in roots])), 1j
+    return (a * q(lam + step) + d * q(lam - step)) / q(lam), a + d
+
+
+@pytest.mark.parametrize("make", [
+    RegimeParams.xxx, lambda theta: RegimeParams.critical(0.7, theta=theta),
+    lambda theta: RegimeParams.noncritical(0.5, theta=theta)], ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.2])
+def test_bae_root_gives_an_eigenvalue_of_the_chain(make, theta):
+    # the root bae_root returns is checked on the chain itself, which
+    # bae_residual cannot do: through T-Q it must give an eigenvalue of the
+    # Q = 1 block of t(lam), for L and for Lhat, at two lam (at theta = 0 in
+    # the anisotropic regimes the root is singular, a(u) = d(u) = 0); in xxx
+    # both roots of the quadratic give the block's two eigenvalues
+    params = make(theta)
+    for sign in "+-":
         root = bae_root(params, 1, sign)
-        assert abs(bae_residual(params, 1, sign, [root])[0]) < 1e-13
-        offset = (root - pole) / period
-        assert abs(offset - round(offset.real)) > 1e-3
+        for lam in (0.41 + 0.07j, -0.63 + 0.2j):
+            vacuum, block = chain_q1_block(params, sign, lam)
+            ev = np.linalg.eigvals(block)
+            tq, ref = tq_eigenvalue(params, sign, [root], lam)
+            assert np.abs(ev - tq).min() <= 1e-12 * abs(tq), (sign, lam)
+            assert abs(vacuum - ref) <= 1e-12 * abs(ref)
+            if params.regime == "XXX":
+                both = [tq_eigenvalue(params, sign, [u], lam)[0]
+                        for u in np.roots(xxx_bethe_polynomial(sign, theta))]
+                gap = np.abs(ev[:, None] - np.array(both))     # matched one to one
+                assert min(max(gap[0, 0], gap[1, 1]), max(gap[0, 1], gap[1, 0])) \
+                    <= 1e-12 * np.abs(ev).max()
+    if params.regime == "XXX" and theta == 0.3:
+        # the root of the equation bae_root solved before gives no eigenvalue
+        old = 1.5183577250253748 - 1.0757995646153655j
+        for lam in (0.41 + 0.07j, -0.63 + 0.2j):
+            tq = tq_eigenvalue(params, "+", [old], lam)[0]
+            assert np.abs(np.linalg.eigvals(chain_q1_block(params, "+", lam)[1]) - tq).min() \
+                > 1e-2 * abs(tq)
 
 
 @pytest.mark.parametrize("regime", ["xxx", "critical", "noncritical"])
@@ -454,9 +496,18 @@ def test_bae_root_is_the_numpy_roots_root(monkeypatch, make):
 
 
 def test_bae_root_far_out_in_theta_is_exact():
-    # the isotropic plus root at theta = 1e6 is 1000001 - 0.500000999999 i to
-    # 30 digits; np.roots put it 4.7e-10 off
-    assert bae_root(RegimeParams.xxx(theta=1e6), 1, "+") == 1000001 - 0.500000999999j
+    # the isotropic roots at theta = +-1e6 against their 30-digit values,
+    # part by part: the real part to an ulp, and the imaginary part,
+    # 1e-12 beside a real part of 1e6 or -1 beside 1e-6, to 1e-15 relative
+    import mpmath as mp
+    far, near = "1000000.000000999999999998", "0.000000999999999998000000000009"
+    small, unit = "-9.99999999996000000000021e-13", "-0.999999999999000000000004"
+    for theta, sign, exact in [(1e6, "+", (far, small)), (1e6, "-", (far, unit)),
+                               (-1e6, "+", (near, unit)), (-1e6, "-", (near, small))]:
+        re, im = map(mp.mpf, exact)
+        root = bae_root(RegimeParams.xxx(theta=theta), 1, sign)
+        assert abs(root.real - re) <= math.ulp(root.real), (theta, sign)
+        assert abs(root.imag - im) <= 1e-15 * abs(im), (theta, sign)
 
 
 @pytest.mark.parametrize("theta", [2000.0, -2000.0, 600.0, 1e300])
@@ -473,43 +524,49 @@ def test_bae_root_past_the_exponent_bound_is_a_value_error_naming_theta(theta):
 
 
 def test_bae_root_noncritical_newton_oracle():
-    import mpmath as mp
-    th, eta = 0.2, 0.5
-    params = RegimeParams.noncritical(eta, theta=th)
-
-    def e1(lam):
-        return mp.sin(eta * (lam + 0.5j)) / mp.sin(eta * (lam - 0.5j))
-
-    sources = {
-        "+": lambda lam: mp.exp(-1j * eta * lam) / mp.sin(eta * (lam + 0.5j)),
-        "-": lambda lam: mp.exp(-1j * eta * lam) * mp.sin(eta * (lam - 0.5j)),
-    }
-    for sign, src in sources.items():
-        f = lambda lam: src(lam - th) * e1(lam) - 1.0
-        root = None
-        for guess in (0.3 + 0.4j, 0.3 - 0.4j, 1.4 - 0.7j, 1.4 + 0.7j):
-            try:
-                root = complex(mp.findroot(f, mp.mpc(guess)))
-                break
-            except (ValueError, ZeroDivisionError):
-                continue
-        assert root is not None
+    # mpmath's root of a(u) = d(u) is bae_root's, up to the period pi / eta
+    # of the non-critical weights, and its residual vanishes
+    params = RegimeParams.noncritical(0.5, theta=0.2)
+    roots = mpmath_bethe_roots(0.5, 0.2)
+    assert set(roots) == {"+", "-"}
+    for sign, root in roots.items():
         assert abs(bae_residual(params, 1, sign, [root])[0]) < 1e-10
+        gap = (bae_root(params, 1, sign) - root) / (math.pi / 0.5)
+        assert abs(gap - round(gap.real)) < 1e-13
 
 
-def test_bae_two_root_consistency():
-    # solve the coupled two-root system with a generic 2d Newton iteration
-    # written directly on the equations, then check the residual vector
+@pytest.mark.parametrize("regime, guess", [
+    ("xxx", [1.0 - 0.4j, -0.8 - 0.6j]), ("critical", [-0.7 - 0.4j, 0.2 - 1.0j]),
+    ("noncritical", [0.0 - 0.8j, 0.2 + 0.4j])], ids=["xxx", "crit", "nc"])
+def test_bae_two_root_consistency(regime, guess):
+    # N = 2, M = 2: solve the coupled two-root system with a generic 2d
+    # Newton iteration written directly on the chain's T-Q equation (the
+    # anisotropic shifts swapped), then check the residual vector and that
+    # Lambda from T-Q is an eigenvalue of the Q = 2 block of t(lam): with
+    # two roots the orientation of the shifts matters
     th = 0.2
+    if regime == "xxx":
+        params = RegimeParams.xxx(theta=th)
+        a = lambda u: (u + 1j) ** 2 * (u - th + 1j)
+        d = lambda u: 1j * u ** 2
+        factor, step = (lambda x: x), -1j
+    else:
+        params = (RegimeParams.critical(0.7, theta=th) if regime == "critical"
+                  else RegimeParams.noncritical(0.5, theta=th))
+        mu = params.mu_complex
+        sh = lambda x: 2.0 * np.sinh(mu * x)
+        a = lambda u: sh(u) ** 2 * sh(u - th + 1j)
+        d = lambda u: -sh(u + 1j) ** 2 * np.exp(-mu * (u - th))
+        factor, step = (lambda x: np.sinh(mu * x)), 1j
+
+    def tq(x, z):       # a(x) Q(x + step) + d(x) Q(x - step), and Q(x)
+        q = lambda y: factor(y - z[0]) * factor(y - z[1])
+        return a(x) * q(x + step) + d(x) * q(x - step), q(x)
 
     def eqs(z):
-        l1, l2 = z
-        e2 = lambda x: (x + 1j) / (x - 1j)
-        f1 = (l1 - th + 0.5j) * ((l1 + 0.5j) / (l1 - 0.5j)) ** 2 + e2(l1 - l2) * e2(0)
-        f2 = (l2 - th + 0.5j) * ((l2 + 0.5j) / (l2 - 0.5j)) ** 2 + e2(l2 - l1) * e2(0)
-        return np.array([f1, f2])
+        return np.array([tq(u, z)[0] for u in z])
 
-    z = np.array([1.2 + 0.8j, -0.9 - 0.7j])
+    z = np.array(guess)
     for _ in range(60):
         f = eqs(z)
         if np.abs(f).max() < 1e-13:
@@ -521,8 +578,13 @@ def test_bae_two_root_consistency():
             dz[j] = h
             jac[:, j] = (eqs(z + dz) - eqs(z - dz)) / (2 * h)
         z = z - np.linalg.solve(jac, f)
-    res = bae_residual(RegimeParams.xxx(theta=th), 2, "+", list(z))
+    res = bae_residual(params, 2, "+", list(z))
     assert np.abs(res).max() < 1e-9
+    spec = ChainSpec(2, params, defect_rep(params, 6))
+    for lam in (0.41 + 0.07j, -0.63 + 0.2j):
+        ev = np.linalg.eigvals(dict(transfer_matrix(spec, lam, sector_blocks(spec)))[2])
+        num, den = tq(lam, z)
+        assert np.abs(ev - num / den).min() <= 1e-12 * abs(num / den)
 
 
 def test_overflowing_chain_product_is_a_value_error():
