@@ -110,10 +110,13 @@ def _make_params(args) -> RegimeParams:
 
 
 def _header(args, **fields) -> dict:
-    """The output header: the command, its regime and theta, the package and
-    numpy versions, and the command's own fields."""
+    """The output header: the command, its regime, the regime's anisotropy
+    (mu or eta) and theta, the package and numpy versions, and the command's
+    own fields."""
+    anisotropy = {"critical": {"mu": args.mu}, "noncritical": {"eta": args.eta}}
     return {"command": args.command, "regime": args.regime, "theta": args.theta,
-            "version": __version__, "numpy": np.__version__, **fields}
+            **anisotropy.get(args.regime, {}), "version": __version__, "numpy": np.__version__,
+            **fields}
 
 
 # --------------------------------------------------------------------------
@@ -281,8 +284,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     s_disc = np.abs(s_closed[args.size:] - soliton_s_amplitude(params, s_grid, second_route)).max()
     add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": second_route})
 
-    # transmission matrices (default_rep is defect_rep but in the critical regime)
-    trep = tmat.default_rep(params, 6) if params.regime == CRITICAL else spec.rep
+    # transmission matrices
+    trep = tmat.default_rep(params, 6)
     l1, l2 = uniform(-1.2, 1.2, 2)
     for which in ("t", "t_bar"):
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),
@@ -432,10 +435,6 @@ def cmd_verify(args) -> int:
     records = sorted(run_verify(params, args.fock_dim, args.seed, tol_override=args.tol),
                      key=lambda r: r["name"])
     header = _header(args, seed=args.seed, fock_dim=args.fock_dim, sampler="pcg64")
-    if args.regime == "critical":
-        header["mu"] = args.mu
-    if args.regime == "noncritical":
-        header["eta"] = args.eta
     _write_records([_columns(records)], args.format or "jsonl", args.out, header)
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_FAIL
 
@@ -511,8 +510,6 @@ def cmd_spectrum(args) -> int:
     sizes = [len(idx) for _, idx in sectors]
     charge = np.repeat([sector for sector, _ in sectors], sizes)
     exact = np.repeat([int(sector <= spec.max_exact_charge) for sector, _ in sectors], sizes)
-    # the blocks by size: one eigvals call per size and batch
-    groups = [[k for k, size in enumerate(sizes) if size == n] for n in set(sizes)]
 
     def rows(lams):     # the tables of a batch of lams
         nonlocal first
@@ -526,9 +523,7 @@ def cmd_spectrum(args) -> int:
         for lam, value in zip(lams, comm):
             if not math.isfinite(value):
                 raise ValueError(f"the commutator check at lam = {lam} is beyond the float range")
-        evs = {k: ev for pick in groups for k, ev in zip(pick, np.linalg.eigvals(
-            np.stack([blocks[k][1] for k in pick], axis=1)).swapaxes(0, 1))}
-        evs = np.concatenate([evs[k] for k in range(len(sectors))], axis=1).ravel()
+        evs = np.concatenate([np.linalg.eigvals(block) for _, block in blocks], axis=1).ravel()
         evs = evs[_sector_order(evs, sizes * len(lams))].reshape(len(lams), -1)
         return [{"lam": float(lam), "sector": charge, "re_eig": ev.real, "im_eig": ev.imag,
                  "reference_check": mono.reference_residual(spec, [(0, block)], lam),

@@ -33,7 +33,6 @@ N >= 7 bulk sites take one lam a batch.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -215,7 +214,6 @@ def _grading(regime: str, d: int) -> list[float]:
     return [float(k) for k in range(d)] if d > 2 else [0.0, 1.0] if regime == XXX else [1.0, 0.0]
 
 
-@functools.lru_cache(maxsize=None)
 def _moves_charge(regime: str, d: int) -> np.ndarray:
     """The entries of a local (2, d, 2, d) tensor whose row and column
     charges differ, the auxiliary space graded like a spin site."""

@@ -28,8 +28,6 @@ V |0> = q^(1/2) |0>.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = [
@@ -123,14 +121,6 @@ def q_oscillator_rep(d: int, q: complex) -> QOscRep:
     a_dag = np.zeros((d, d), dtype=np.complex128)
     for m in range(1, d):
         a_dag[m - 1, m] = q ** (-m + 0.5) - q ** (m + 0.5)
-
-    if on_circle:
-        for m in range(1, d):
-            if abs(q ** m - 1.0) < 1e-9:
-                warnings.warn(
-                    f"q is a root of unity of order {m} < D={d}: "
-                    "the spectrum of X degenerates", stacklevel=2)
-                break
     return QOscRep(dim=d, q=q, v=x, v_inv=x_inv, a=a, a_dag=a_dag, y=y)
 
 

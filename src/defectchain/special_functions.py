@@ -177,11 +177,7 @@ def gamma_ratio_bound(num, den):
             raise PoleError(f"gamma_ratio: {('numerator', 'denominator')[at[0]]} pole at "
                             f"{args[at]}", location=complex(args[at]))
     two_delta, z = (args[0] - args[1]).ravel(), (0.5 * (args[0] + args[1])).ravel()
-    shifts = 0.5 * two_delta.reshape(len(num), -1)
-    if (shifts == shifts[:, :1]).all():     # one shift per pair: no np.unique
-        deltas, which = shifts[:, 0], np.arange(len(num)).repeat(shifts.shape[1])
-    else:
-        deltas, which = np.unique(shifts.ravel(), return_inverse=True)
+    deltas, which = np.unique(0.5 * two_delta, return_inverse=True)
     d, size, omitted, reach = _pair_series(tuple(deltas.tolist()))
     # Im z is squared only below the reach R: past it the level is -Re z, no overflow
     r = reach[which]
@@ -233,8 +229,10 @@ def q_gamma_ratio(num, den, q: float, lam):
 
     A point sums j < N, the least N >= 8 with c q^(N-2) <= TAIL_TOL, c =
     sum_x (|q^x| + q) / (1 - q): no fewer terms than each Gamma_q alone
-    needs.  Its value is its scalar value bit for bit.  FloatRangeError names
-    lam, PoleError the side of a pole.
+    needs, BLOCK // 4 terms at a time: however many terms a point needs,
+    its temporaries hold about BLOCK elements per pair.  Its value is its
+    scalar value bit for bit.  FloatRangeError names lam, PoleError the side
+    of a pole.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
@@ -257,24 +255,26 @@ def q_gamma_ratio(num, den, q: float, lam):
     with np.errstate(over="ignore"):
         err = 2.0 * c * q ** count - _EPS * 2 * len(num) * sum(sum(np.abs(x))) * np.log1p(-q)
         size = sum(np.abs(q_x) * (np.abs(phase) + 7.0))    # |u_j| rel. rounding / q^j, in eps
-    diff, q_j = q_x[1] - q_x[0], q ** np.arange(count.max(initial=0))
-    step = max(1, BLOCK // (len(num) * q_j.size))
+    diff, terms = q_x[1] - q_x[0], BLOCK // 4
+    step = max(1, BLOCK // (len(num) * min(count.max(initial=0), terms)))
     for start in range(0, ln.size, step):
         block = count[start:start + step]
         for n in set(block.tolist()):
             at = start + np.flatnonzero(block == n)
-            rest = 1.0 - q_x[:, :, at, None] * q_j[:n]      # 1 - u_j, above and below
-            gap = np.abs(rest)
-            if np.any(gap < 1e-13):
-                side, i, point, _ = np.argwhere(gap < 1e-13)[0]
-                pole = complex(x[side, i, at[point]])
-                raise PoleError(f"q_gamma_ratio: {('numerator', 'denominator')[side]} pole at "
-                                f"{pole}", location=pole)
-            logs = np.log1p(diff[:, at, None] * q_j[:n] / rest[1])
-            ln[at] -= sum(logs).sum(axis=-1)
-            with np.errstate(over="ignore"):
-                err[at] += _EPS * sum((size[:, at, None] * q_j[:n] / gap[0] + (
-                    len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
+            for j in range(0, n, terms):
+                q_j = q ** np.arange(j, min(j + terms, n))
+                rest = 1.0 - q_x[:, :, at, None] * q_j      # 1 - u_j, above and below
+                gap = np.abs(rest)
+                if np.any(gap < 1e-13):
+                    side, i, point, _ = np.argwhere(gap < 1e-13)[0]
+                    pole = complex(x[side, i, at[point]])
+                    raise PoleError(f"q_gamma_ratio: {('numerator', 'denominator')[side]} "
+                                    f"pole at {pole}", location=pole)
+                logs = np.log1p(diff[:, at, None] * q_j / rest[1])
+                ln[at] -= sum(logs).sum(axis=-1)
+                with np.errstate(over="ignore"):
+                    err[at] += _EPS * sum((size[:, at, None] * q_j / gap[0] + (
+                        len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
     value = _exp_in_range(ln[:, None], np.ravel(lam))[:, 0]
     return value.reshape(shape), (np.abs(value) * (err + _EPS * (np.abs(ln) + 2.0))).reshape(shape)
 
@@ -704,44 +704,27 @@ def half_line_sums(lam, decay: float, terms):
     return _rule_sums(lam, w, groups, weights, 1.0 / decay, *terms(w))
 
 
-# a mode sum of fewer modes takes sin/cos at every mode: grouping them
-# saves too few evaluations to pay for the products that add the angles
-_GROUPED_MODES = 512
-
-
-@lru_cache(maxsize=16)
 def _mode_rule(eta: float, rate: float):
     """(modes, frequencies, weights, groups) of the sum over the modes k =
     1, 2, ... at the frequencies 2 eta k, for terms that decay like
     e^{-rate k}, the mode past the last one included to read the tail.
+    The modes are one group with the base 0: _half_sin_cos takes sin/cos at
+    every mode.
 
     The mode count leaves a tail below _TAIL; more modes than MAX_TERMS
-    raise ConvergenceError before anything is allocated.  From
-    _GROUPED_MODES modes on, the modes k = B i + j, i < R, j = 1, ..., B,
-    are one (bases, offsets) group: each frequency is 2 eta B i + 2 eta j,
-    so _half_sin_cos takes 2 R + B, about 2 sqrt(2 K), sin/cos per point
-    for the K modes the tail needs, which R B rounds up by less than R;
-    fewer modes are one group with the base 0.
+    raise ConvergenceError before anything is allocated.
     """
-    need = math.ceil(-math.log(_TAIL) / rate) + 8
-    rows = 1 if need < _GROUPED_MODES else -(-need // math.ceil(math.sqrt(2.0 * need)))
-    cols = -(-need // rows)
-    k_max = rows * cols
+    k_max = math.ceil(-math.log(_TAIL) / rate) + 8
     if k_max > MAX_TERMS:
         raise ConvergenceError(f"a mode sum needs {_count(k_max)} modes at eta = {eta}, "
                                f"cap is {MAX_TERMS}")
-    bases = 2.0 * eta * cols * np.arange(rows)
-    offsets = 2.0 * eta * np.arange(1, cols + 1)
-    groups = ((bases, offsets, None),)
-    freq = np.concatenate([(bases[:, None] + offsets).ravel(), [2.0 * eta * (k_max + 1)]])
+    modes = np.arange(1, k_max + 2, dtype=np.float64)
+    freq = 2.0 * eta * modes
     # the sum is its own comparison rule: two columns, so that a point
     # rounds the same in any block of points (see _rule_sums)
     weights = np.ones((k_max + 1, 2))
     weights[-1] = 0.0
-    modes = np.arange(1, k_max + 2, dtype=np.float64)
-    for arr in (modes, freq, weights, bases, offsets):
-        arr.flags.writeable = False
-    return modes, freq, weights, groups
+    return modes, freq, weights, ((np.zeros(1), freq[:-1], None),)
 
 
 # --------------------------------------------------------------------------
@@ -750,23 +733,23 @@ def _mode_rule(eta: float, rate: float):
 
 
 class AmplitudeResult:
-    """An amplitude (scalar or per grid point), the route that produced it
-    and a measured bound on its absolute error."""
+    """An amplitude (scalar or per grid point) and a measured bound on its
+    absolute error."""
 
-    __slots__ = ("value", "route", "error_estimate")
+    __slots__ = ("value", "error_estimate")
 
-    def __init__(self, value: complex, route: str, error_estimate: float = 0.0):
+    def __init__(self, value: complex, error_estimate: float = 0.0):
         if (np.min(error_estimate) if np.ndim(error_estimate) else error_estimate) < 0:
             raise ValueError("error_estimate must be >= 0")
-        self.value, self.route, self.error_estimate = value, route, error_estimate
+        self.value, self.error_estimate = value, error_estimate
 
     @classmethod
-    def on_grid(cls, value, route: str, error, scalar: bool) -> AmplitudeResult:
+    def on_grid(cls, value, error, scalar: bool) -> AmplitudeResult:
         """Per-point values and errors; for a scalar input (a grid of one)
         Python scalars."""
         if scalar:
-            return cls(complex(value[0]), route, float(error[0]))
-        return cls(value, route, error)
+            return cls(complex(value[0]), float(error[0]))
+        return cls(value, error)
 
 
 def as_grid(lam, real: bool = False):
@@ -882,13 +865,13 @@ def amplitude_integral(kernels, lam_hat):
         x = x[:, None]
         return ko / x, ke / x, -2.0 * (ko - cx) / x, 2.0 * (np.abs(ko) + np.abs(cx)) / x
 
-    rate, route = min(rates), "integral" if eta is None else "sum"
+    rate = min(rates)
     if eta is None:
         ln, err = half_line_sums(lam, rate, terms)
     else:
         modes, freq, weights, groups = _mode_rule(eta, rate)
         ln, err = _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
     value = _exp_in_range(ln + np.array(shifts), lam)
-    out = tuple(AmplitudeResult.on_grid(value[:, j], route, np.abs(value[:, j]) * err[:, j],
-                                        scalar) for j in range(len(kernels)))
+    out = tuple(AmplitudeResult.on_grid(value[:, j], np.abs(value[:, j]) * err[:, j], scalar)
+                for j in range(len(kernels)))
     return out[0] if single else out

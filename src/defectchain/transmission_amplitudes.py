@@ -286,7 +286,7 @@ def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
         raise FloatRangeError(f"T{'+-'[exc.column]} at lam_hat = {exc.location:.10g} is "
                               f"outside the float range at {where}",
                               location=exc.location, column=exc.column) from None
-    return tuple(AmplitudeResult.on_grid(val, route, err, scalar) for val, err in columns)
+    return tuple(AmplitudeResult.on_grid(val, err, scalar) for val, err in columns)
 
 
 # left out of __all__: the package reads both signs wherever it reads one;
@@ -381,7 +381,7 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
             val = val * factor
             # rounding of two sinh values whose arguments carry |theta|/2
             err += 4.0 * np.finfo(float).eps * (2.0 + np.abs(theta))
-        return AmplitudeResult.on_grid(val, "closed", np.abs(val) * err, scalar)
+        return AmplitudeResult.on_grid(val, np.abs(val) * err, scalar)
     if route == "integral":
         if n != 1:
             raise ValueError("the integral route exists for the lightest breather only")
@@ -416,7 +416,7 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
         z, s = -1j * lam / 2, s_tilde / 2
         val, err = q_gamma_ratio([z + s + 0.25, -z + s + 0.75], [z + s + 0.75, -z + s + 0.25],
                                  float(np.exp(-4.0 * eta)), lam)
-        return AmplitudeResult.on_grid(val, "closed", err, scalar)
+        return AmplitudeResult.on_grid(val, err, scalar)
     if route == "sum":
         return amplitude_integral(kernel(RegimeParams.noncritical(eta), "rt_spin", spin=spin),
                                   lam_hat)

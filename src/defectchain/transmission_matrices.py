@@ -31,8 +31,6 @@ every evaluation on the real axis of the amplitude routines.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .lax_defect import (CRITICAL, NONCRITICAL, XXX, RegimeParams, _lams, defect_rep, make_l,
@@ -57,10 +55,7 @@ def default_rep(params: RegimeParams, dim: int):
     in the critical regime."""
     if params.regime != CRITICAL:
         return defect_rep(params, dim)
-    q_tilde = complex(np.exp(1j * np.pi * params.gamma))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # root-of-unity flag is expected here
-        return q_oscillator_rep(dim, q_tilde)
+    return q_oscillator_rep(dim, complex(np.exp(1j * np.pi * params.gamma)))
 
 
 def t_matrix_part(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray:

@@ -662,18 +662,44 @@ def test_convergence_error_is_the_package_class():
     assert cli.ConvergenceError is defectchain.ConvergenceError
 
 
+@pytest.mark.parametrize("regime, anisotropy", [
+    (["--regime", "xxx"], {}), (["--regime", "critical", "--mu", "0.9"], {"mu": 0.9}),
+    (["--regime", "noncritical", "--eta", "0.6"], {"eta": 0.6}),
+], ids=["xxx", "critical", "noncritical"])
 @pytest.mark.parametrize("argv", [
     ["verify"], ["amplitude", "--grid=0:1:2"],
     ["spectrum", "--sites", "1", "--fock-dim", "3", "--grid=0.5:0.5:1"], ["bae"],
 ], ids=["verify", "amplitude", "spectrum", "bae"])
-def test_every_header_names_the_versions(tmp_path, argv):
+def test_every_header_names_the_versions(tmp_path, argv, regime, anisotropy):
+    # and the regime's anisotropy, so that a table can be made again from it
     out = tmp_path / "out.jsonl"
-    assert run([*argv, "--format", "jsonl", "--out", str(out)]) == 0
+    assert run([*argv, *regime, "--format", "jsonl", "--out", str(out)]) == 0
     header, _ = read_jsonl(out)
     assert header["command"] == argv[0]
     assert header["version"] == defectchain.__version__
     assert header["numpy"] == np.__version__
     assert header.get("sampler") == ("pcg64" if argv[0] == "verify" else None)
+    assert {k: header[k] for k in ("mu", "eta") if k in header} == anisotropy
+
+
+@pytest.mark.parametrize("mu", [np.pi / 3, 2 * np.pi / 3, np.pi / 4, np.pi / 8, 1e-10],
+                         ids=["pi_3", "2pi_3", "pi_4", "pi_8", "1e-10"])
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["spectrum", "--sites", "2", "--grid=-1:1:3"], ["amplitude", "--grid=-1:1:3"],
+], ids=["verify", "spectrum", "amplitude"])
+def test_a_root_of_unity_q_is_an_ordinary_input(capsys, argv, mu):
+    # a q = e^{i mu} of low order is an ordinary input: nothing warns (a
+    # traceback under -W error), and a run ends in an exit code, with one
+    # error line if that is 2 (at mu = 1e-10 verify and amplitude pass the caps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--regime", "critical", f"--mu={mu!r}"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("spin", ["inf", "-inf", "nan"])
@@ -1180,7 +1206,7 @@ def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotrop
         RegimeParams.xxx(), fock_dim)).batch < len(grid)) == (sites == 6)
 
 
-def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_block_size(monkeypatch):
+def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_sector(monkeypatch):
     calls = Counter()
     for owner, name in ((mono, "transfer_matrix"), (np.linalg, "eigvals")):
         def counted(*args, fn=getattr(owner, name), name=name):
@@ -1191,8 +1217,8 @@ def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_block_size(mon
         assert run(["spectrum", "--sites", "3", "--fock-dim", "5", "--grid=-2:2:41"]) == 0
     params = RegimeParams.xxx()
     spec = ChainSpec(3, params, defect_rep(params, 5))
-    sizes = {len(idx) for _, idx in mono.sector_blocks(spec)}
-    assert spec.batch >= 41 and calls == {"transfer_matrix": 1, "eigvals": len(sizes)}
+    sectors = mono.sector_blocks(spec)
+    assert spec.batch >= 41 and calls == {"transfer_matrix": 1, "eigvals": len(sectors)}
 
 
 def dense_spectrum_rows(spec, grid, site):

@@ -36,8 +36,8 @@ def _eye_with(value):
      "operator entries contain NaN or Inf"),
     (lambda: TensorOperator(TensorSpace((2,)), _eye_with(np.inf)),
      "operator entries contain NaN or Inf"),
-    (lambda: AmplitudeResult(1.0, "closed", -1e-3), "error_estimate must be >= 0"),
-    (lambda: AmplitudeResult(np.ones(2), "sum", np.array([0.0, -1e-300])),
+    (lambda: AmplitudeResult(1.0, -1e-3), "error_estimate must be >= 0"),
+    (lambda: AmplitudeResult(np.ones(2), np.array([0.0, -1e-300])),
      "error_estimate must be >= 0"),
     (lambda: ChainSpec(-1, CRIT, harmonic_rep(4)), "n_sites must be >= 0"),
     (lambda: ChainSpec(10, CRIT, harmonic_rep(8)),
@@ -68,7 +68,7 @@ HARM = harmonic_rep(3)
     (RegimeParams, (CRITICAL, 0.7, None, 0.25),
      dict(regime=CRITICAL, mu=0.7, eta=None, theta=0.25)),
     (ChainSpec, (2, CRIT, HARM), dict(n_sites=2, params=CRIT, rep=HARM)),
-    (AmplitudeResult, (1j, "closed"), dict(value=1j, route="closed", error_estimate=0.0)),
+    (AmplitudeResult, (1j,), dict(value=1j, error_estimate=0.0)),
     (FourierKernel, ("k", _hat),
      dict(name="k", hat=_hat, odd_kind="none", odd_origin=0.0, decay=0.5, eta=None)),
     (FourierKernel, ("k", _hat, "jump", 0.5j, 1.5, 0.25),

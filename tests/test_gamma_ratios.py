@@ -2,6 +2,7 @@
 and q-Gamma ratios (q_gamma_ratio), against 30-digit mpmath: accuracy,
 error estimates that bound the error, grid points that equal scalar calls
 bit for bit, and poles that name their side."""
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,7 +15,7 @@ from defectchain import special_functions
 from defectchain.lax_defect import RegimeParams
 from defectchain.special_functions import (PoleError, _exactly_no_d2, gamma_ratio_bound,
                                            infinite_gamma_product, q_gamma_ratio)
-from defectchain.transmission_amplitudes import amplitude, amplitude_pair
+from defectchain.transmission_amplitudes import amplitude, amplitude_pair, type2_amplitude
 
 EPS = np.finfo(float).eps
 LAMS = (2.5, 37.0, 160.0, 1000.0, 3000.0)
@@ -149,6 +150,36 @@ def test_q_ratio_whose_factors_overflow():
         assert abs(mp.mpc(value[k]) - exact) <= err[k] <= 1e-11 * abs(exact)
 
 
+def test_a_long_q_series_is_summed_a_block_of_terms_at_a_time():
+    # at eta = 1e-4 a spin-1 type-II point sums about 1e5 terms, which once
+    # made (pairs, terms) temporaries at once: type2_amplitude(0.2, 1e-4, 1)
+    # peaked at 15.8 MB under tracemalloc and the type-I pair at 12.5 MB
+    for compute in (lambda: type2_amplitude(0.2, 1e-4, 1.0),
+                    lambda: amplitude_pair(RegimeParams.noncritical(1e-4), 0.2)):
+        compute()
+        tracemalloc.start()
+        try:
+            compute()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+    # the blocks add up to the whole series, summed at once in long double
+    lam, q = np.array([0.2, -3.0]), float(np.exp(-4e-4))
+    z = -1j * lam / 2
+    num, den = [z + 0.5, -z + 1.0], [z + 1.0, -z + 0.5]
+    value, err = q_gamma_ratio(num, den, q, lam)
+    j, lq = np.arange(200_000, dtype=np.longdouble), np.log(np.longdouble(q))
+    for k in range(lam.size):
+        ln = np.clongdouble(0.0)
+        for a, b in zip(num, den):
+            a, b = np.clongdouble(a[k]), np.clongdouble(b[k])
+            u_a, u_b = np.exp((a + j) * lq), np.exp((b + j) * lq)
+            ln += (b - a) * np.log1p(-np.longdouble(q)) - np.log1p((u_b - u_a) / (1 - u_b)).sum()
+        gap = abs(value[k] - complex(np.exp(ln)))
+        assert gap <= err[k] and gap <= 1e-12, lam[k]
+
+
 def test_grid_points_equal_scalar_calls_bit_for_bit():
     # the grids mix points of different M (recurrence steps) and N (q terms)
     lam = np.concatenate([np.linspace(-40.0, 40.0, 41), [0.0, 3000.0]])
@@ -219,8 +250,7 @@ def test_ratio_plans_are_fixed_once_per_tuple_of_shifts(monkeypatch):
     # the hole amplitudes' pairs keep one shift on every grid (+-1/4): their
     # series is stacked once and read by every later grid, which gets the
     # bits an uncached series gives; mixed shifts (S_s swaps its pairs below
-    # |lam| = 1/2) go through np.unique, as test_grid_points_equal_scalar_
-    # calls_bit_for_bit checks
+    # |lam| = 1/2) are checked by test_grid_points_equal_scalar_calls_bit_for_bit
     grids = (np.linspace(-3.0, 3.0, 7), np.array([0.44]), np.array([20.0, -1.0, 0.0]))
     special_functions._pair_series.cache_clear()
     cached = [gamma_ratio_bound(*_hole_args(lam, "+")) for lam in grids]

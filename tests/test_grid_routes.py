@@ -19,7 +19,7 @@ from product_oracle import log_gamma_product
 from defectchain import special_functions
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (_GROUPED_MODES, _KRONROD, BLOCK, ConvergenceError,
+from defectchain.special_functions import (_KRONROD, BLOCK, ConvergenceError,
                                            FloatRangeError, _half_line_rule, _half_sin_cos,
                                            amplitude_integral, gamma_ratio, q_gamma_ratio)
 from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
@@ -382,10 +382,8 @@ def test_mode_sums_are_bit_identical_to_direct_trig(monkeypatch):
 
 
 def test_mode_groups_rebuild_the_frequencies(monkeypatch):
-    # from _GROUPED_MODES modes on (eta 0.01) the modes k = B i + j are one
-    # (bases, offsets) group whose sums rebuild the frequencies 2 eta k to
-    # an ulp or two, with about 2 sqrt(2 K) sin/cos per point for K modes;
-    # fewer (eta 0.5) are one group with the base 0
+    # at every eta the modes are one group with the base 0, whose offsets
+    # are the frequencies 2 eta k to an ulp or two
     seen = []
     rule_sums = special_functions._rule_sums
 
@@ -407,12 +405,7 @@ def test_mode_groups_rebuild_the_frequencies(monkeypatch):
             assert np.array_equal((bases[:, None] + offsets).ravel(), freq[:-1])
             k = np.arange(1, freq.size + 1)
             assert np.all(np.abs(freq - 2.0 * eta * k) <= 4.0 * np.spacing(2.0 * eta * k))
-            modes = freq.size - 1
-            assert modes % offsets.size == 0
-            if modes < _GROUPED_MODES:
-                assert eta == 0.5 and not bases.any() and bases.size == 1
-            else:
-                assert eta == 0.01 and 2 * bases.size + offsets.size <= 3.0 * np.sqrt(modes) + 2.0
+            assert not bases.any() and bases.size == 1 and offsets.size == freq.size - 1
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
@@ -567,7 +560,6 @@ def test_pair_equals_single_sign_calls(params, route, grid):
     assert len(pair) == 2
     for sign, res in zip("+-", pair):
         one = amplitude(params, sign, grid, route)
-        assert res.route == one.route
         assert np.shape(res.value) == np.shape(one.value) == np.shape(grid)
         gap = np.abs(res.value - one.value)
         assert np.all(gap <= 1e-14 * np.abs(one.value)), sign
@@ -578,7 +570,7 @@ def test_critical_pair_includes_the_product_route():
     grid = np.array([0.3, -1.2])
     for sign, res in zip("+-", amplitude_pair(CRIT_07, grid, "product")):
         one = amplitude(CRIT_07, sign, grid, "product")
-        assert np.array_equal(res.value, one.value) and res.route == "product"
+        assert np.array_equal(res.value, one.value)
 
 
 @pytest.mark.parametrize("args,rules", [(["--regime", "xxx"], 1),

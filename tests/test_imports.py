@@ -275,9 +275,6 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
 
 # __slots__ fields that no package code reads, each with its reason
 UNREAD_FIELDS = {
-    # the route that produced an amplitude: the label the route-agreement
-    # tests compare, one result per route
-    "special_functions.AmplitudeResult.route",
     # the measured bound on an amplitude's error, which the tests hold
     # against the gap between the routes and against exact values
     "special_functions.AmplitudeResult.error_estimate",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,9 +114,16 @@ def test_harmonic_boundary_confined_to_top_state():
     assert np.abs(viol[:, d - 1]).max() == pytest.approx(d)
 
 
-def test_q_oscillator_root_of_unity_flagged():
-    with pytest.warns(UserWarning, match="root of unity of order 4 < D=6"):
-        q_oscillator_rep(6, np.exp(2j * np.pi / 4))
+def test_q_oscillator_at_a_root_of_unity_is_an_ordinary_rep():
+    # q = i is a root of unity of order 4 < D = 6: X's spectrum repeats, yet
+    # every relation holds on its subspace, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = q_oscillator_rep(6, 1j)
+    residuals = algebra_residuals(rep)
+    assert "interior" in {subspace for _, _, subspace in residuals}
+    for relation, residual, _ in residuals:
+        assert residual < 1e-12, relation
 
 
 def test_q_oscillator_domain():
