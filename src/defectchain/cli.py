@@ -268,11 +268,9 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
 
     # amplitudes: cross-route agreement and unitarity
-    if params.regime == NONCRITICAL:
-        second_route, tol_amp = "sum", 1e-8
-    else:
-        second_route, tol_amp = "integral", 1e-6
-    # T+ and T- on the grid and on its mirror image in the same call
+    second_route, tol_amp = ("sum", 1e-8) if params.regime == NONCRITICAL else ("integral", 1e-6)
+    # T+ and T- on the grid and its mirror image in one call; T- is T+ reflected,
+    # so [-] is the reflected [+] gap and unitarity reads T+(-lam) = conj T+(lam)
     plus, minus = (r.value for r in amplitude_pair(params, np.concatenate([lam_grid, -lam_grid])))
     for sign, mine, theirs in zip("+-", (plus[:5], minus[:5]),
                                   amplitude_pair(params, lam_grid, second_route)):
@@ -469,9 +467,9 @@ def cmd_amplitude(args) -> int:
         second = None if n != 1 else (
             lambda x: (breather_amplitude("+", 1, x, params.gamma, "integral").value,))
     else:
-        def closed(x):
-            return (type2_amplitude(x, params.eta, args.spin).value,
-                    type2_amplitude(-x, params.eta, args.spin).value)
+        def closed(x):      # T(-lam_hat) = conj T(lam_hat) on the real grid, -0.0 + 0.0 = 0.0
+            value = type2_amplitude(x, params.eta, args.spin).value
+            return value, np.conj(value) + 0.0
 
         def second(x):
             return (type2_amplitude(x, params.eta, args.spin, "sum").value,)

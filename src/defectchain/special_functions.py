@@ -65,12 +65,11 @@ class PoleError(ValueError):
 
 class FloatRangeError(ValueError):
     """An amplitude lies outside the normal float range: location is the
-    first lam_hat where it does, column the amplitude's column there."""
+    first lam_hat where it does."""
 
-    def __init__(self, message, location=None, column=0):
+    def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
-        self.column = column
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def q_gamma_ratio(num, den, q: float, lam):
                 with np.errstate(over="ignore"):
                     err[at] += _EPS * sum((size[:, at, None] * q_j / gap[0] + (
                         len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
-    value = _exp_in_range(ln[:, None], np.ravel(lam))[:, 0]
+    value = _exp_in_range(ln, np.ravel(lam))
     return value.reshape(shape), (np.abs(value) * (err + _EPS * (np.abs(ln) + 2.0))).reshape(shape)
 
 
@@ -803,15 +802,14 @@ _LN_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
 def _exp_in_range(ln, lam):
-    """exp(ln) for (points, columns) exponents ln at the points lam;
-    FloatRangeError names the first point and column whose exp would leave
-    the normal float range (or whose exponent is NaN)."""
+    """exp(ln) for the exponents ln at the points lam; FloatRangeError names
+    the first point whose exp would leave the normal float range (or whose
+    exponent is NaN)."""
     outside = ~((ln.real >= _LN_RANGE[0]) & (ln.real <= _LN_RANGE[1]))
     if outside.any():
-        i, j = np.argwhere(outside)[0]
+        i = np.argmax(outside)
         raise FloatRangeError(f"an amplitude at lam_hat = {lam[i]:.10g} is outside the "
-                              f"float range: ln|T| = {ln[i, j].real:.6g}",
-                              location=lam[i].item(), column=int(j))
+                              f"float range: ln|T| = {ln[i].real:.6g}", location=lam[i].item())
     return np.exp(ln)
 
 
@@ -832,46 +830,33 @@ def _origin_prescription(kernel: FourierKernel):
                      f"({kernel.odd_kind!r}, eta = {kernel.eta})")
 
 
-def amplitude_integral(kernels, lam_hat):
+def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     """exp of the regularised 1/x-weighted Fourier transform of a kernel,
     at a real lam_hat or a real grid of them.
 
-    kernels is one FourierKernel, giving one AmplitudeResult, or a sequence
-    of them on one lattice (else ValueError), giving a tuple: the kernels
-    are columns of one rule, which runs out where the slowest has decayed.
     A kernel of the frequency (eta None) takes the half-line rule, route
-    "integral", whose panels are sized from max|lam_hat|; each error
-    estimate is its column's gap to the comparison rule on the same panels
-    plus the measured tail and rounding.  An integer-mode kernel takes the
-    modes of its eta, route "sum": sum_{k != 0} (1/k) e^{-2i eta k lam}
-    K(k); each error estimate is its column's tail past the last mode,
-    summed geometrically, plus rounding.  An amplitude outside the normal
-    float range raises FloatRangeError.  Analytic continuation is handled
-    in closed form by the callers that need it.
+    "integral", whose panels are sized from max|lam_hat|; the error
+    estimate is the gap to the comparison rule on the same panels plus the
+    measured tail and rounding.  An integer-mode kernel takes the modes of
+    its eta, route "sum": sum_{k != 0} (1/k) e^{-2i eta k lam} K(k); the
+    error estimate is the tail past the last mode, summed geometrically,
+    plus rounding.  An amplitude outside the normal float range raises
+    FloatRangeError.  Analytic continuation is handled in closed form by
+    the callers that need it.
     """
-    single = isinstance(kernels, FourierKernel)
-    kernels = (kernels,) if single else tuple(kernels)
-    etas = {kern.eta for kern in kernels}
-    if len(etas) > 1:
-        raise ValueError(f"kernels on different lattices in one call: eta = {etas}")
-    eta = etas.pop()
-    rates, shifts, counters = zip(*map(_origin_prescription, kernels))
+    rate, shift, counter = _origin_prescription(kernel)
     lam, scalar = as_grid(lam_hat, real=True)
 
     def terms(x):
-        # (nodes, kernels) each
-        ke, ko = np.array([kern.even_odd(x) for kern in kernels]).transpose(1, 2, 0)
-        cx = np.array([counter(x) for counter in counters]).T
-        x = x[:, None]
+        # (nodes, 1) each
+        ke, ko = (part[:, None] for part in kernel.even_odd(x))
+        cx, x = counter(x)[:, None], x[:, None]
         return ko / x, ke / x, -2.0 * (ko - cx) / x, 2.0 * (np.abs(ko) + np.abs(cx)) / x
 
-    rate = min(rates)
-    if eta is None:
+    if kernel.eta is None:
         ln, err = half_line_sums(lam, rate, terms)
     else:
-        modes, freq, weights, groups = _mode_rule(eta, rate)
+        modes, freq, weights, groups = _mode_rule(kernel.eta, rate)
         ln, err = _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
-    value = _exp_in_range(ln + np.array(shifts), lam)
-    out = tuple(AmplitudeResult.on_grid(value[:, j], np.abs(value[:, j]) * err[:, j], scalar)
-                for j in range(len(kernels)))
-    return out[0] if single else out
+    value = _exp_in_range(ln[:, 0] + shift, lam)
+    return AmplitudeResult.on_grid(value, np.abs(value) * err[:, 0], scalar)

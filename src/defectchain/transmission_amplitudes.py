@@ -24,6 +24,10 @@ integral (route ``closed``) or through the literal Gamma-ratio product (route
 prescription the quadrature route uses, so the two routes share only that one
 constant and are otherwise independent evaluations of the lam-dependence.
 
+Each route evaluates the hole amplitude T+ alone.  Unitarity T-(x) T+(-x) = 1
+and real analyticity T+(-x) = conj T+(conj x) (the kernel rt_minus is rt_plus
+at -w) make T-(x) = 1 / conj T+(conj x) in every regime: T- is T+ reflected.
+
 The critical bulk prefactor S_s is an infinite Gamma-ratio product too; one
 engine, ``special_functions.infinite_gamma_product``, sums both products.
 """
@@ -198,19 +202,19 @@ def _critical_anchor(gamma: float) -> tuple[float, float]:
     return float(ln[0, 0].real - 0.5 * np.log(2.0)), float(err[0, 0])
 
 
-def _critical_ln_ratio(lam, gamma: float, sides):
-    """ln prod_k [f_k(s lam)/f_k(0)] for the critical T+ Gamma-ratio product at
-    every lam and each s in sides (+1 or -1, a column each), resummed as one
-    absolutely convergent Malmsten-type integral, and a bound on its error:
+def _critical_ln_ratio(lam, gamma: float):
+    """ln prod_k [f_k(lam)/f_k(0)] for the critical T+ Gamma-ratio product at
+    every lam, resummed as one absolutely convergent Malmsten-type integral,
+    and a bound on its error:
 
         int_0^inf dt [e^{-g t/2} (e^{-i lam t} - 1) + e^{-(g/2+1) t} (e^{i lam t} - 1)]
                      (1 - e^{-g t}) / ((1 - e^{-t}) (1 - e^{-2 g t}) t)
 
-    The bracket is 4 sin^2(lam t/2) a(t) + 2i sin(lam t) b(t), even and odd
-    in lam, so the column at -lam is the one at lam with b negated, in the
-    complex strip too.  The integrand decays like e^{-(g/2 - |Im lam|) t}.
-    Its phases grow like e^{|Im lam| t} out to the rule's cutoff, so the
-    rule reaches |Im lam| up to about 0.95 g/2 and raises ValueError beyond.
+    The bracket is 4 sin^2(lam t/2) a(t) + 2i sin(lam t) b(t) with real a
+    and b, so the integral at -lam is the conjugate of the one at conj lam.
+    The integrand decays like e^{-(g/2 - |Im lam|) t}.  Its phases grow like
+    e^{|Im lam| t} out to the rule's cutoff, so the rule reaches |Im lam| up
+    to about 0.95 g/2 and raises ValueError beyond.
     """
     rate = gamma / 2.0 - float(np.abs(np.imag(lam)).max(initial=0.0))
     if not rate > 0:
@@ -221,26 +225,20 @@ def _critical_ln_ratio(lam, gamma: float, sides):
         b_t = a_t * np.exp(-t)
         g_t = -np.expm1(-gamma * t) / (np.expm1(-t) * np.expm1(-2.0 * gamma * t) * t)
         # the bracket is -2 sin^2(lam t/2) (A + B) + i sin(lam t) (B - A)
-        a = (-0.5 * (a_t + b_t) * g_t)[:, None].repeat(sides.size, axis=1)
-        b = np.multiply.outer(0.5 * a_t * np.expm1(-t) * g_t, sides)
-        return a, b, np.zeros(a.shape)
+        a = (-0.5 * (a_t + b_t) * g_t)[:, None]
+        return a, (0.5 * a_t * np.expm1(-t) * g_t)[:, None], np.zeros(a.shape)
 
-    return half_line_sums(lam, rate, terms)
+    ln, err = half_line_sums(lam, rate, terms)
+    return ln[:, 0], err[:, 0]
 
 
-def _critical_ln_product(lam, gamma: float, sides):
-    """_critical_ln_ratio's ln prod_k [f_k(s lam)/f_k(0)] and its error bound
-    from the literal Gamma-ratio product; a pole raises PoleError naming lam."""
-    x = 1j * np.multiply.outer(lam, sides)
-    half = gamma / 2.0
-    try:
-        return infinite_gamma_product(2.0 * gamma,
-                                      [half + x, half + 1.0 - x, 3.0 * half, 3.0 * half + 1.0],
-                                      [3.0 * half + x, 3.0 * half + 1.0 - x, half, half + 1.0])
-    except PoleError as exc:
-        at = lam[exc.location[0]]
-        raise PoleError(f"a Gamma of the product has a pole at lam_hat = {at:.10g}",
-                        location=at) from None
+def _critical_ln_product(lam, gamma: float):
+    """_critical_ln_ratio's ln prod_k [f_k(lam)/f_k(0)] and its error bound by the
+    literal Gamma-ratio product; a pole raises PoleError at the index of its lam."""
+    x, half = 1j * lam, gamma / 2.0
+    return infinite_gamma_product(2.0 * gamma,
+                                  [half + x, half + 1.0 - x, 3.0 * half, 3.0 * half + 1.0],
+                                  [3.0 * half + x, 3.0 * half + 1.0 - x, half, half + 1.0])
 
 
 # --------------------------------------------------------------------------
@@ -256,10 +254,9 @@ _ROUTES = {XXX: ("isotropic", ("closed", "integral")),
 def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
                    ) -> tuple[AmplitudeResult, AmplitudeResult]:
     """The hole-defect transmission amplitudes (T+, T-)(lam_hat) at a scalar
-    or on a grid (value and error_estimate then have the grid's length),
-    from one pass: the quadrature and sum routes take both as columns of one
-    rule, and the critical closed route reads its ratio integral at +lam_hat
-    and -lam_hat as two columns of one rule.
+    or on a grid (value and error_estimate then have the grid's length):
+    T+ at lam_hat and, off the real axis, at conj lam_hat, and T-(lam_hat) =
+    1 / conj T+(conj lam_hat) with T+'s relative estimate and its rounding.
 
     Routes: "closed" everywhere; "integral" (continuous regimes) and "sum"
     (non-critical) are the independent quadrature/summation routes;
@@ -267,26 +264,48 @@ def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
     critical regime.  Closed routes accept complex lam_hat (the critical
     one inside its strip |Im lam_hat| < gamma/2, up to about 0.95 gamma/2,
     see _critical_ln_ratio), the product route any complex lam_hat off the
-    poles of its Gammas (PoleError names lam_hat); the quadrature routes
-    require it real.  An amplitude outside the normal float range raises
-    FloatRangeError naming lam_hat and the anisotropy.
+    poles of its Gammas; the quadrature routes require it real.  A pole of
+    the product raises PoleError, an amplitude outside the normal float
+    range FloatRangeError, each naming the amplitude and lam_hat.
     """
     regime, routes = _ROUTES[params.regime]
     if route not in routes:
         raise ValueError(f"route {route!r} not available in the {regime} regime")
-    try:
-        if route in ("integral", "sum"):
-            return amplitude_integral([kernel(params, "rt_plus"), kernel(params, "rt_minus")],
-                                      lam_hat)
-        lam, scalar = as_grid(lam_hat)
-        columns = _closed_amplitudes(params, lam, route)
-    except FloatRangeError as exc:
+    lam, scalar = as_grid(lam_hat, real=route in ("integral", "sum"))
+    off, n = np.flatnonzero(np.imag(lam)), lam.size
+    at = np.concatenate([lam, lam[off].conj()])
+
+    def named(x):
+        # (column, lam_hat) of the point x: every point of `at` with x's value
+        # reads the same T+, bit for bit, so the first one names it
+        return (0, x) if np.argmax(at == x) < n else (1, np.conj(x))
+
+    def out_of_range(column, x):
         where = {CRITICAL: f"mu = {params.mu}",
                  NONCRITICAL: f"eta = {params.eta}"}.get(params.regime, "the isotropic point")
-        raise FloatRangeError(f"T{'+-'[exc.column]} at lam_hat = {exc.location:.10g} is "
-                              f"outside the float range at {where}",
-                              location=exc.location, column=exc.column) from None
-    return tuple(AmplitudeResult.on_grid(val, err, scalar) for val, err in columns)
+        return FloatRangeError(f"T{'+-'[column]} at lam_hat = {x:.10g} is outside the float "
+                               f"range at {where}", location=x)
+
+    try:
+        plus, err = _t_plus(params, at, route)
+    except FloatRangeError as exc:
+        raise out_of_range(*named(exc.location)) from None
+    except PoleError as exc:
+        if route != "product":
+            raise
+        column, x = named(at[exc.location[0]])
+        raise PoleError(f"a Gamma of the product for T{'+-'[column]} has a pole at lam_hat = "
+                        f"{x:.10g}", location=x) from None
+    mirror = np.arange(n)       # where T+(conj lam_hat) is
+    mirror[off] = n + np.arange(off.size)
+    with np.errstate(over="ignore"):
+        minus = 1.0 / plus[mirror].conj()
+    small = np.abs(minus) < np.finfo(float).tiny
+    if small.any():
+        raise out_of_range(1, lam[np.argmax(small)].item())
+    minus_err = np.abs(minus) * (err[mirror] / np.abs(plus[mirror]) + 2.0 * np.finfo(float).eps)
+    return (AmplitudeResult.on_grid(plus[:n], err[:n], scalar),
+            AmplitudeResult.on_grid(minus, minus_err, scalar))
 
 
 # left out of __all__: the package reads both signs wherever it reads one;
@@ -299,26 +318,23 @@ def amplitude(params: RegimeParams, sign: str, lam_hat, route: str = "closed"
     return amplitude_pair(params, lam_hat, route)["+-".index(sign)]
 
 
-def _closed_amplitudes(params: RegimeParams, lam, route: str):
-    """(values, errors) of T+ and T- by the closed (or, critical, the literal
-    product) route.  xxx: Gamma ratios; non-critical: q-Gamma ratios;
-    critical: T+(lam) = A r(lam) and T-(lam) = 1 / T+(-lam), with A the
-    anchor and r the ratio product."""
-    if params.regime != CRITICAL:
-        # one ratio call for both signs, a row each
-        z = np.array([-1j * lam / 2, 1j * lam / 2])
-        a = np.array([[0.25], [0.75]] if params.regime == XXX else [[0.75], [0.25]])
-        if params.regime == XXX:
-            return list(zip(*gamma_ratio_bound([z + a], [z + (1.0 - a)])))
-        return list(zip(*q_gamma_ratio([z + a], [z + (1.0 - a)], float(np.exp(-4.0 * params.eta)),
-                                       np.broadcast_to(lam, z.shape))))
-    sides = np.array([1.0, -1.0])
+def _t_plus(params: RegimeParams, lam, route: str):
+    """(values, errors) of T+ at every lam by `route`: the rt_plus kernel's transform
+    (integral, sum), Gamma (xxx) or q-Gamma (non-critical) ratios, or critically A
+    r(lam), A the anchor and r the ratio product, resummed (closed) or literal."""
+    if route in ("integral", "sum"):
+        res = amplitude_integral(kernel(params, "rt_plus"), lam)
+        return res.value, res.error_estimate
+    z = -1j * lam / 2
+    if params.regime == XXX:
+        return gamma_ratio_bound([z + 0.25], [z + 0.75])
+    if params.regime == NONCRITICAL:
+        return q_gamma_ratio([z + 0.75], [z + 0.25], float(np.exp(-4.0 * params.eta)), lam)
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
-    ln_r, err_r = ratio(lam, params.gamma, sides)
-    val = _exp_in_range(sides * (ln_a + ln_r), lam)
-    err = np.abs(val) * (err_a + err_r)
-    return [(val[:, j], err[:, j]) for j in range(sides.size)]
+    ln_r, err_r = ratio(lam, params.gamma)
+    val = _exp_in_range(ln_a + ln_r, lam)
+    return val, np.abs(val) * (err_a + err_r)
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectchain.lax_defect import RegimeParams
-from defectchain.special_functions import (FloatRangeError, PoleError, gamma_ratio,
-                                           half_line_sums, q_gamma_ratio)
-from defectchain.transmission_amplitudes import (amplitude, amplitude_pair, breather_amplitude,
-                                                 kernel, soliton_s_amplitude, type2_amplitude)
+from defectchain.special_functions import (FloatRangeError, PoleError, _half_line_rule,
+                                           _mode_rule, amplitude_integral, gamma_ratio,
+                                           gamma_ratio_bound, half_line_sums, q_gamma_ratio)
+from defectchain.transmission_amplitudes import (_critical_anchor, _critical_ln_product,
+                                                 _critical_ln_ratio, amplitude, amplitude_pair,
+                                                 breather_amplitude, kernel, soliton_s_amplitude,
+                                                 type2_amplitude)
 from kernel_oracles import oracle_kernel
 
 mp.mp.dps = 30
@@ -280,6 +283,103 @@ def test_amplitude_bounded_and_smooth_on_real_axis(params, route):
     d2 = np.abs(np.diff(vals, 2))
     d2_closed = np.abs(np.diff(closed, 2))
     assert d2.max() < d2_closed.max() + 100.0 * err
+
+
+# ------------------------------------------------ T- as T+ reflected
+
+EPS = np.finfo(float).eps
+
+
+def second_column_t_minus(params, lam, route):
+    """T- and its estimate evaluated on its own, as every route did before
+    it reflected T+: the a = 3/4 ratio row (xxx, non-critical), the rt_minus
+    kernel's transform (integral, sum), or 1 / (A r(-lam)) with the ratio
+    integral's b negated, i.e. taken at -lam (critical closed and product)."""
+    z = 1j * lam / 2
+    if route in ("integral", "sum"):
+        res = amplitude_integral(kernel(params, "rt_minus"), lam)
+        return res.value, res.error_estimate
+    if params is XXX:
+        return gamma_ratio_bound([z + 0.75], [z + 0.25])
+    if params is NC:
+        return q_gamma_ratio([z + 0.25], [z + 0.75], float(np.exp(-4.0 * params.eta)), lam)
+    ln_a, err_a = _critical_anchor(params.gamma)
+    ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
+    ln_r, err_r = ratio(-lam, params.gamma)
+    value = np.exp(-(ln_a + ln_r))
+    return value, np.abs(value) * (err_a + err_r)
+
+
+REAL = np.linspace(-4.0, 4.0, 81)
+STRIP = (np.linspace(-3.0, 3.0, 9) + 1j * np.linspace(-0.9, 0.9, 9) * CRIT.gamma / 2.0)
+OFF_AXIS = np.linspace(-3.0, 3.0, 9) + 1j * np.linspace(-0.9, 0.9, 9)
+REFLECTION_CASES = [(XXX, "closed", REAL), (XXX, "integral", REAL), (CRIT, "closed", REAL),
+                    (CRIT, "product", REAL), (CRIT, "integral", REAL), (NC, "closed", REAL),
+                    (NC, "sum", REAL), (CRIT, "closed", STRIP), (CRIT, "product", STRIP),
+                    (XXX, "closed", OFF_AXIS), (NC, "closed", OFF_AXIS)]
+
+
+@pytest.mark.parametrize("params,route,lam", REFLECTION_CASES,
+                         ids=["xxx-closed", "xxx-integral", "crit-closed", "crit-product",
+                              "crit-integral", "nc-closed", "nc-sum", "crit-strip",
+                              "crit-strip-product", "xxx-complex", "nc-complex"])
+def test_reflected_t_minus_matches_its_second_column(params, route, lam):
+    # T-(lam) = 1 / conj T+(conj lam) against T- evaluated on its own: a
+    # few eps of |T-| apart (4.4 at most here), inside the summed estimates
+    minus = amplitude_pair(params, lam, route)[1]
+    value, err = second_column_t_minus(params, lam, route)
+    gap = np.abs(minus.value - value)
+    assert np.all(gap <= 8.0 * EPS * np.abs(value))
+    assert np.all(gap <= minus.error_estimate + err)
+
+
+@pytest.mark.parametrize("params", [XXX, CRIT, CRIT_SAMPLE, RegimeParams.critical(2.5), NC,
+                                    RegimeParams.noncritical(0.01)],
+                         ids=["xxx", "crit-0.7", "crit-g1.5", "crit-2.5", "nc-0.5", "nc-0.01"])
+def test_rt_minus_is_rt_plus_reflected_bit_for_bit_on_the_rule(params):
+    # the hole routes' premise: K-(w) = K+(-w), on every node of the rule
+    # (half-line rule or modes) the routes take, and on its mirror image
+    plus, minus = kernel(params, "rt_plus"), kernel(params, "rt_minus")
+    if plus.eta is None:
+        nodes = _half_line_rule(plus.decay, 4.0)[0]
+    else:
+        nodes = _mode_rule(plus.eta, plus.eta)[0]
+    for w in (nodes, -nodes):
+        assert np.array_equal(minus.hat(w), plus.hat(-w))
+
+
+def test_free_fermion_point_is_exact_in_every_critical_route():
+    # at mu = pi/2 (gamma = 1) the anchor's integrand vanishes and the
+    # product's factors are 1: T+(0) = 2^(-1/2), and T-(0) = 2^(1/2)
+    params = RegimeParams.critical(np.pi / 2)
+    assert params.gamma == 1.0
+    for route in ("closed", "product", "integral"):
+        plus, minus = amplitude_pair(params, 0.0, route)
+        assert abs(plus.value - 2 ** -0.5) <= plus.error_estimate + 4 * EPS, route
+        assert abs(minus.value - 2 ** 0.5) <= minus.error_estimate + 8 * EPS, route
+
+
+@pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4])
+def test_noncritical_t_plus_tends_to_the_inverse_isotropic_t_plus(eta):
+    # T+_nc(lam) T+_xxx(lam) = 1 + eta (1 + i lam/2) + O(eta^2): the measured
+    # eta^2 coefficient is about 0.5 at lam = -1, so the gap to the linear
+    # term stays below eta (eta = 1e-5 would need 978601 q-series terms)
+    lam = np.array([-1.0, 0.0, 0.7])
+    product = (amplitude_pair(RegimeParams.noncritical(eta), lam)[0].value
+               * amplitude_pair(XXX, lam)[0].value)
+    assert np.all(np.abs((product - 1.0) / eta - (1.0 + 0.5j * lam)) <= eta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_breather_reflection_carries_the_sign_of_n(n):
+    # T-_n(lam) conj T+_n(lam) = (-1)^n on the real axis, unlike the holes'
+    # +1: a breather table cannot be reflected the way the hole routes are
+    g = CRIT.gamma
+    lam = np.linspace(-2.0, 2.0, 41)
+    plus, minus = (breather_amplitude(s, n, lam, g).value for s in "+-")
+    away = np.isfinite(plus) & np.isfinite(minus)
+    assert away.sum() >= 40
+    assert np.all(np.abs(minus[away] * np.conj(plus[away]) - (-1) ** n) < 1e-14)
 
 
 # ------------------------------------------------------------------ breathers

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from product_oracle import log_gamma_product
 
-from defectchain import special_functions
+from defectchain import special_functions, transmission_amplitudes
 from defectchain.cli import main
 from defectchain.lax_defect import RegimeParams
 from defectchain.special_functions import (_KRONROD, BLOCK, ConvergenceError,
                                            FloatRangeError, _half_line_rule, _half_sin_cos,
+                                           _mode_rule,
                                            amplitude_integral, gamma_ratio, q_gamma_ratio)
 from defectchain.transmission_amplitudes import (_critical_anchor, amplitude, amplitude_pair,
                                                  breather_amplitude, kernel,
@@ -175,6 +176,36 @@ def test_grid_rows_are_lone_points_bit_for_bit(monkeypatch, route):
         rules.append([])
         assert np.array_equal(np.array(fn(float(x)), dtype=complex), whole[:, k]), (route, x)
     assert all(seen == rules[1] for seen in rules[1:])
+
+
+@pytest.mark.parametrize("rule", ["xxx", "critical", "modes"])
+def test_blas_rounds_every_row_block_of_a_rule_product_alike(rule):
+    # the precondition of the lone-point tests above and of CI's lone-row
+    # step: with one kernel, _rule_sums takes (rows, nodes) x (nodes, 4)
+    # products (2 rules x re/im) in blocks of 1 (as 2 equal rows) to
+    # BLOCK // nodes rows, and each row must come out of every block alike
+    if rule == "modes":
+        _, freq, weights, groups = _mode_rule(0.5, 0.5)
+    else:
+        decay = kernel(RegimeParams.xxx() if rule == "xxx" else CRIT_07, "rt_plus").decay
+        freq, weights, groups = _half_line_rule(decay, 3.0)
+    step = BLOCK // freq.size
+    sin, _ = _half_sin_cos(0.5 * np.linspace(-2.9, 2.7, step), groups)
+    nodes = freq[:-1, None]
+    cols = np.concatenate([weights[:-1], weights[:-1] * np.exp(-nodes) / (1.0 + nodes)], axis=1)
+    product = sin * sin @ cols[None]      # (1, rows, 4), as _rule_sums stacks its kernels
+    checked = 0
+    for rows in range(1, step + 1):
+        for at in range(0, step, rows):
+            block = sin[at:at + rows] ** 2
+            got = (block.repeat(2, axis=0) if len(block) == 1 else block) @ cols[None]
+            if not np.array_equal(got[:, :len(block)], product[:, at:at + rows]):
+                blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+                pytest.fail(f"this BLAS rounds a ({len(block)}, {nodes.size}) x ({nodes.size}, "
+                            f"4) product unlike the same rows of a ({step}, {nodes.size}) one, "
+                            f"so a lone point cannot read its grid row bit for bit: {blas}")
+            checked += 1
+    assert checked > step
 
 
 def test_pole_row_does_not_blank_its_table(tmp_path):
@@ -627,6 +658,32 @@ def test_amplitude_outside_the_float_range_raises(params, lam, route):
     with pytest.raises(FloatRangeError, match=rf"T\+ at lam_hat = {lam:g} is outside the "
                                               rf"float range at mu = {params.mu}"):
         amplitude_pair(params, lam, route)
+
+
+def test_float_range_errors_met_at_conj_lam_hat_name_t_minus(monkeypatch):
+    # T- is T+ at conj lam_hat reflected: T+ leaving the float range at a
+    # conjugate point, or T- = 1 / conj T+ leaving it, is T-'s error at the
+    # caller's lam_hat; a conjugate that is itself a grid point is T+'s
+    t_plus = transmission_amplitudes._t_plus
+
+    def far(where, value):
+        def patched(params, lam, route):
+            plus, err = t_plus(params, lam, route)
+            if value is None:
+                raise FloatRangeError("", location=lam[where].item())
+            plus[where] = value
+            return plus, err
+        return patched
+
+    cases = [([0.4, 0.3 + 0.2j], -1, None, r"T- at lam_hat = 0\.3\+0\.2j"),
+             ([0.3 - 0.2j, 0.3 + 0.2j], -1, None, r"T\+ at lam_hat = 0\.3-0\.2j"),
+             ([0.4, 0.3 + 0.2j], 0, None, r"T\+ at lam_hat = 0\.4\+0j "),
+             ([0.4, 0.3 + 0.2j], 2, 1e308, r"T- at lam_hat = 0\.3\+0\.2j"),
+             ([0.4, -0.5], 1, -1e308j, r"T- at lam_hat = -0\.5 ")]
+    for grid, where, value, message in cases:
+        monkeypatch.setattr(transmission_amplitudes, "_t_plus", far(where, value))
+        with pytest.raises(FloatRangeError, match=message + ".*outside the float range at mu"):
+            amplitude_pair(CRIT_07, np.array(grid))
 
 
 @pytest.mark.parametrize("args", [["--mu", "0.7", "--grid=-1000:1000:3"],

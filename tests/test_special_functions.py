@@ -209,11 +209,6 @@ def test_zero_kernel_gives_unit_amplitude():
     for eta in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="eta must be positive"):
             FourierKernel("zero", zero_d.hat, decay=0.5, eta=eta)
-    # one call runs one rule: a kernel of the frequency and a mode kernel,
-    # or mode kernels of two lattices, do not share one
-    for other in (zero, FourierKernel("zero", zero_d.hat, decay=0.25, eta=0.25)):
-        with pytest.raises(ValueError, match="different lattices"):
-            amplitude_integral([zero_d, other], 0.7)
     # a pole at the origin has no mode-sum prescription
     pole_d = FourierKernel("pole", zero_d.hat, odd_kind="pole", odd_origin=0.5, decay=0.5,
                            eta=0.5)
