@@ -521,7 +521,7 @@ def cmd_spectrum(args) -> int:
         for lam, value in zip(lams, comm):
             if not math.isfinite(value):
                 raise ValueError(f"the commutator check at lam = {lam} is beyond the float range")
-        evs = np.concatenate([np.linalg.eigvals(block) for _, block in blocks], axis=1).ravel()
+        evs = np.concatenate(mono.sector_eigenvalues(spec, blocks), axis=1).ravel()
         evs = evs[_sector_order(evs, sizes * len(lams))].reshape(len(lams), -1)
         return [{"lam": float(lam), "sector": charge, "re_eig": ev.real, "im_eig": ev.imag,
                  "reference_check": mono.reference_residual(spec, [(0, block)], lam),

@@ -181,9 +181,22 @@ def make_r(params: RegimeParams, lam) -> np.ndarray:
     return six_vertex(*_x_pair(params.mu_complex, lam))
 
 
+# largest x whose e^x is a float
+_LN_MAX = float(np.log(np.finfo(float).max))
+
+
 def defect_rep(params: RegimeParams, dim: int):
-    """The D-level defect representation the regime's Lax operator acts on."""
-    return harmonic_rep(dim) if params.regime == XXX else q_oscillator_rep(dim, params.q)
+    """The D-level defect representation the regime's Lax operator acts on.
+    The non-critical q-oscillator's largest entry is q^(-(D - 1/2)) =
+    e^(eta (D - 1/2)): an (eta, D) that puts it past the float range is a
+    ValueError naming both."""
+    if params.regime == XXX:
+        return harmonic_rep(dim)
+    if params.regime == NONCRITICAL and params.eta * (dim - 0.5) > _LN_MAX:
+        raise ValueError(f"eta = {params.eta} and D = {dim} put the q-oscillator's entry "
+                         f"e^(eta (D - 1/2)) past the float range; keep eta (D - 1/2) "
+                         f"below {_LN_MAX:.6g}")
+    return q_oscillator_rep(dim, params.q)
 
 
 def _check_rep(params: RegimeParams, rep):

@@ -49,6 +49,7 @@ __all__ = [
     "sector_blocks",
     "sector_commutator",
     "transfer_matrix",
+    "sector_eigenvalues",
     "reference_eigenvalue",
     "reference_residual",
     "rtt_residual",
@@ -62,6 +63,14 @@ RESOURCE_BOUND = 4096
 BATCH_ENTRIES = 2 ** 17    # most complex entries one batch of lams holds (`ChainSpec.batch`)
 # largest |Re mu theta| `bae_root` takes: its root z ~ e^(2 mu theta) stays below e^700
 MAX_BAE_EXPONENT = 350.0
+# largest off-diagonal residual || D - diag D ||_F / || t ||_F of D = V^-1 t V
+# at which `sector_eigenvalues` reads t's eigenvalues off diag D (the
+# chain-spectrum workload's seeds 1-10 read at most 6.3e-13)
+EIGENBASIS_TOL = 1e-12
+# smallest exact sector `sector_eigenvalues` diagonalises once: at 3 lams a
+# batch, eig, inv and the products take about 1.5, 1.05 and 0.85 of the
+# time of eigvals lam by lam at 5, 8 and 11 states
+MIN_EIGENBASIS_SIZE = 8
 
 
 class ChainSpec:
@@ -101,10 +110,12 @@ class ChainSpec:
         """Lams a batch: as many as fit in BATCH_ENTRIES, one `spectrum` lam
         holding 4 R^2 entries of bulk product (R = 2^N), 8 D^2 of defect tensor
         and its build, 4 n R of the largest sector's gather, 2 sum n^2 of blocks
-        and eigvals stacks, 8 R D of eigenvalues and sort keys, 64 of its row."""
+        and eigvals stacks, 4 m^2 of the eigenbasis products at the largest
+        exact sector m (`sector_eigenvalues`), 8 R D of eigenvalues and sort
+        keys, 64 of its row."""
         n = np.bincount(charge_vector(self).astype(int))
-        r, d = 2 ** self.n_sites, self.rep.dim
-        held = 4 * r * r + 8 * d * d + 4 * n.max() * r + 2 * n @ n + 8 * r * d + 64
+        r, d, m = 2 ** self.n_sites, self.rep.dim, n[:self.max_exact_charge + 1].max()
+        held = 4 * r * r + 8 * d * d + 4 * n.max() * r + 2 * n @ n + 4 * m * m + 8 * r * d + 64
         return max(1, BATCH_ENTRIES // int(held))
 
     @property
@@ -203,6 +214,45 @@ def _finite(spec: ChainSpec, lam, m: np.ndarray) -> np.ndarray:
     return m
 
 
+def sector_eigenvalues(spec: ChainSpec, blocks) -> list[np.ndarray]:
+    """The eigenvalues of the `transfer_matrix` block stacks at a grid of
+    lams, one (lams, n) array a sector.  t(lam) commute on the exact
+    sectors (Q <= D - 2), so there the eigenbasis of the first lam's block
+    serves the whole grid (`_common_eigenvalues`); the other sectors, a
+    one-lam grid and a sector of fewer than MIN_EIGENBASIS_SIZE states take
+    eigvals lam by lam."""
+    return [_common_eigenvalues(b) if q <= spec.max_exact_charge and len(b) > 1
+            and b.shape[-1] >= MIN_EIGENBASIS_SIZE else np.linalg.eigvals(b) for q, b in blocks]
+
+
+def _common_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a stack of commuting matrices t_0, t_1, ...: eig's
+    eigenvalues and eigenvectors V at t_0 (eigvals' bits), then each other
+    t_k's as the diagonal of D_k = V^-1 t_k V, t_k scaled first by the power
+    of two nearest the inverse of its largest entry, so that no product
+    overflows, and the scaling undone after.  The stack goes through eigvals
+    lam by lam where V is singular, an entry is not finite, or some k's
+    off-diagonal residual || D_k - diag D_k ||_F / || t_k ||_F passes
+    EIGENBASIS_TOL: a degeneracy at t_0 that t_k splits, or an
+    ill-conditioned V, costs speed, never accuracy."""
+    w, v = np.linalg.eig(stack[0])
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:       # singular V
+        return np.linalg.eigvals(stack)
+    exp = np.frexp(np.maximum(np.abs(stack[1:]).max((-2, -1)), 1e-30))[1][:, None]
+    t = stack[1:] * np.ldexp(1.0, -exp)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite entry falls back
+        d = v_inv @ (t @ v)
+        diag = np.einsum("...ii->...i", d)
+        evs = np.concatenate([w[None], diag * np.ldexp(1.0, exp)])
+        diag[...] = 0.0                 # d is now D - diag D
+        off = np.linalg.norm(d, axis=(-2, -1)) / np.linalg.norm(t, axis=(-2, -1))
+    if not ((off <= EIGENBASIS_TOL).all() and np.isfinite(evs).all()):
+        return np.linalg.eigvals(stack)
+    return evs
+
+
 # --------------------------------------------------------------------------
 # charge grading
 # --------------------------------------------------------------------------
@@ -280,7 +330,11 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     `contract`'s leak guard makes the auxiliary block T_ab map sector Q into
     Q + g_b - g_a (g the auxiliary grading) and vanish elsewhere, and R12
     conserves g_1 + g_2, so each term of entry (a c, b d) maps sector Q into
-    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector blocks.
+    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector blocks,
+    each operand scaled first by the power of two nearest the inverse of its
+    largest entry and the norm scaled back after, as `commutator_residual`
+    does: the value keeps its bits wherever the unscaled products stay in
+    the normal range, and reads inf past the float range.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
     shift, d, dim = g - g[:, None], spec.rep.dim, spec.chain_dim
@@ -298,9 +352,15 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     b1, b2 = _finite(spec, lams, np.where((rows == dim) | (cols == dim), 0, blocks))
     k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
     r = make_r(spec.params, lams[0] - lams[1]).reshape(2, 2, 2, 2)
+    exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in (b1, b2, r)]
+    b1, b2, r = (m * math.ldexp(1.0, -e) for m, e in zip((b1, b2, r), exps))
     lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
     rhs = np.tensordot(b2[k] @ b1[1:d, :, :, None, None], r, ([2, 4], [0, 1]))
-    return float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs))
+    try:
+        return math.ldexp(float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs)),
+                          sum(exps))
+    except OverflowError:               # past the float range
+        return math.inf
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +394,11 @@ def _linear(params: RegimeParams, c, x) -> tuple[complex, float]:
 
 def _vacuum(params: RegimeParams, n_sites: int, sign: str, u) -> list[tuple[complex, float]]:
     """(a, |a|) and (d, |d|) at u: the products of the `_weights` of N =
-    n_sites bulk sites at u and the defect at u - theta, and of their scales."""
-    pairs = [(_linear(params, bulk, u), _linear(params, defect, u - params.theta))
+    n_sites bulk sites at u and the defect at u - theta, and of their scales.
+    A chain of no bulk sites reads no bulk weight, whose e^(mu u) may
+    overflow where the defect's e^(mu (u - theta)) does not."""
+    pairs = [(_linear(params, bulk, u) if n_sites else (1.0, 1.0),
+              _linear(params, defect, u - params.theta))
              for bulk, defect in zip(*_weights(params, sign))]
     return [(b ** n_sites * f, sb ** n_sites * sf) for (b, sb), (f, sf) in pairs]
 

@@ -53,6 +53,19 @@ __all__ = [
 ]
 
 
+# largest eta whose nome q^4 = e^(-4 eta) is a normal float
+_MAX_NOME_ETA = -0.25 * float(np.log(np.finfo(float).tiny))
+
+
+def _nome(eta: float) -> float:
+    """q^4 = e^(-4 eta), the nome of the non-critical q-Gamma ratios, or a
+    ValueError naming eta where it underflows (below the smallest normal)."""
+    if eta > _MAX_NOME_ETA:
+        raise ValueError(f"eta = {eta} puts q^4 = e^(-4 eta) below the smallest normal float; "
+                         f"the q-Gamma ratios need eta <= {_MAX_NOME_ETA:.6g}")
+    return float(np.exp(-4.0 * eta))
+
+
 # --------------------------------------------------------------------------
 # kernels
 # --------------------------------------------------------------------------
@@ -329,7 +342,7 @@ def _t_plus(params: RegimeParams, lam, route: str):
     if params.regime == XXX:
         return gamma_ratio_bound([z + 0.25], [z + 0.75])
     if params.regime == NONCRITICAL:
-        return q_gamma_ratio([z + 0.75], [z + 0.25], float(np.exp(-4.0 * params.eta)), lam)
+        return q_gamma_ratio([z + 0.75], [z + 0.25], _nome(params.eta), lam)
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
     ln_r, err_r = ratio(lam, params.gamma)
@@ -431,7 +444,7 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
         lam, scalar = as_grid(lam_hat)
         z, s = -1j * lam / 2, s_tilde / 2
         val, err = q_gamma_ratio([z + s + 0.25, -z + s + 0.75], [z + s + 0.75, -z + s + 0.25],
-                                 float(np.exp(-4.0 * eta)), lam)
+                                 _nome(eta), lam)
         return AmplitudeResult.on_grid(val, err, scalar)
     if route == "sum":
         return amplitude_integral(kernel(RegimeParams.noncritical(eta), "rt_spin", spin=spin),
@@ -483,5 +496,5 @@ def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
     elif params.regime == CRITICAL:
         val = _s_critical(grid, params.gamma)
     else:
-        val = q_gamma_ratio(num, den, float(np.exp(-4.0 * params.eta)), grid)[0]
+        val = q_gamma_ratio(num, den, _nome(params.eta), grid)[0]
     return complex(val[0]) if scalar else val

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defectchain
@@ -794,6 +794,53 @@ def test_non_finite_regime_parameters_are_one_line_usage_errors(capsys, command,
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the q-oscillator's entry e^(eta (D - 1/2)) past the float range: an
+    # OverflowError traceback from the complex power, or at eta = 300 and
+    # D = 3 warnings and an error that blamed the chain product
+    (["spectrum", "--regime", "noncritical", "--eta", "150", "--sites", "2", "--fock-dim", "8",
+      "--grid=0:1:2"], "eta = 150.0 and D = 8 put"),
+    (["verify", "--regime", "noncritical", "--eta", "150"], "eta = 150.0 and D = 8 put"),
+    (["spectrum", "--regime", "noncritical", "--eta", "300", "--sites", "2", "--fock-dim", "3",
+      "--grid=0:1:2"], "eta = 300.0 and D = 3 put"),
+    (["verify", "--regime", "noncritical", "--eta", "300", "--fock-dim", "3"],
+     "eta = 300.0 and D = 3 put"),
+    # q^4 = e^(-4 eta) underflows: 'q must lie in (0, 1), got 0.0' named a q
+    # nobody gave
+    (["amplitude", "--regime", "noncritical", "--eta", "300"], "eta = 300.0 puts q^4"),
+    (["amplitude", "--regime", "noncritical", "--eta", "178", "--family", "type2"],
+     "eta = 178.0 puts q^4"),
+    # the rtt products pass the float range, the Bethe root does too: only the
+    # root's error line, no warning from the products
+    (["verify", "--regime", "critical", "--mu", "1.5707963267948966", "--theta=-400",
+      "--fock-dim", "6"], "theta = -400.0 puts |Re mu theta| = 628.3 past 350"),
+], ids=["spectrum-150", "verify-150", "spectrum-300", "verify-300", "amplitude-300",
+        "type2-178", "verify-rtt"])
+def test_past_the_float_range_is_one_error_line_naming_its_parameter(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_the_largest_eta_below_the_float_range_limits_runs():
+    # eta (D - 1/2) just below ln(max float) builds the representation, and
+    # the largest eta whose q^4 is normal tabulates finite amplitudes
+    eta = 709.78 / 7.5
+    rep = defect_rep(RegimeParams.noncritical(eta), 8)
+    assert np.isfinite(rep.v_inv).all() and np.abs(rep.v_inv).max() > 1e307
+    with pytest.raises(ValueError, match="eta = 94.64 and D = 8 put"):
+        defect_rep(RegimeParams.noncritical(94.64), 8)
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+        warnings.simplefilter("error")
+        assert run(["amplitude", "--regime", "noncritical", "--eta", "177", "--grid=-1:1:3"]) == 0
+    rows = list(csv.DictReader(out.getvalue().splitlines()[1:]))
+    assert len(rows) == 3 and all(np.isfinite(float(v)) for row in rows
+                                  for k, v in row.items() if k != "note")
+
+
 # the ratio, product and quadrature calls of one warm run_verify pass, with
 # the kernel-transform engine's (amplitude_integral: a half-line rule, or
 # the mode sum in the non-critical regime); before
@@ -1187,7 +1234,10 @@ def test_spectrum_error_in_a_later_batch_names_its_lam(tmp_path, capsys):
 def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotropy, sites,
                                                      defect_site, fock_dim):
     # every lam of a grid, in one batch or (N = 6, D = 8) one lam a batch,
-    # prints the rows of the one-point grid at that lam, all but the commutator
+    # prints the rows of the one-point grid at that lam, all but the
+    # commutator; a batch's lams after its first read the eigenvalues of
+    # its exact sectors off the first lam's eigenbasis, so those agree up
+    # to roundoff (`assert_rows_close`), every other cell byte for byte
     argv = ["spectrum", "--regime", regime, *anisotropy, "--theta", "0.1", "--sites",
             str(sites), "--defect-site", str(defect_site), "--fock-dim", str(fock_dim)]
     grid = np.linspace(-1.1, 0.7, 4)
@@ -1201,14 +1251,22 @@ def test_spectrum_grid_rows_equal_the_one_point_rows(tmp_path, regime, anisotrop
         assert len(got) == len(want) == 2 ** sites * fock_dim
         for row in got + want:
             row.pop("commutator_check")
-        assert got == want
+        if lam == grid[0] or sites == 6:
+            assert got == want
+        else:
+            assert list(map(without_exact_eigenvalues, got)) == \
+                list(map(without_exact_eigenvalues, want))
+            assert_rows_close(got, want)
     assert (mono.ChainSpec(sites, RegimeParams.xxx(), defect_rep(
         RegimeParams.xxx(), fock_dim)).batch < len(grid)) == (sites == 6)
 
 
 def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_sector(monkeypatch):
+    # one eigen-solve a sector: eigvals on the stack, or eig at the first
+    # lam on an exact sector of MIN_EIGENBASIS_SIZE states or more (here
+    # charge 3, of 8 states)
     calls = Counter()
-    for owner, name in ((mono, "transfer_matrix"), (np.linalg, "eigvals")):
+    for owner, name in ((mono, "transfer_matrix"), (np.linalg, "eigvals"), (np.linalg, "eig")):
         def counted(*args, fn=getattr(owner, name), name=name):
             calls[name] += 1
             return fn(*args)
@@ -1218,7 +1276,10 @@ def test_spectrum_contracts_a_grid_once_with_one_eigvals_call_per_sector(monkeyp
     params = RegimeParams.xxx()
     spec = ChainSpec(3, params, defect_rep(params, 5))
     sectors = mono.sector_blocks(spec)
-    assert spec.batch >= 41 and calls == {"transfer_matrix": 1, "eigvals": len(sectors)}
+    eig = sum(len(idx) >= mono.MIN_EIGENBASIS_SIZE for q, idx in sectors
+              if q <= spec.max_exact_charge)
+    assert spec.batch >= 41 and eig == 1
+    assert calls == {"transfer_matrix": 1, "eig": eig, "eigvals": len(sectors) - eig}
 
 
 def dense_spectrum_rows(spec, grid, site):
@@ -1268,22 +1329,37 @@ def test_spectrum_rows_equal_the_dense_route(tmp_path, regime, anisotropy, param
         return max(abs(complex(float(r["re_eig"]), float(r["im_eig"])))
                    for r in want if r["lam"] == lam)
 
+    # the first lam's rows and the sectors above the ceiling byte for byte;
+    # the other lams read the exact sectors' eigenvalues off the first lam's
+    # eigenbasis, so those agree up to roundoff, every other cell byte for byte
     first = want[0]["lam"]
     for got, row in zip(rows, want):
         comm = (got.pop("commutator_check"), row.pop("commutator_check"))
-        assert got == row
+        if row["lam"] == first:
+            assert got == row
+        else:
+            assert without_exact_eigenvalues(got) == without_exact_eigenvalues(row)
         assert abs(float(comm[0]) - float(comm[1])) <= 1e-12 * scale(row["lam"]) * scale(first)
+    assert_rows_close(rows, want)
     # and the trace in the order N+1 ... 1 at the actual site, up to roundoff
     assert_rows_close(rows, dense_spectrum_rows(spec, np.linspace(-1.2, 0.9, 3), 2))
 
 
+def without_exact_eigenvalues(row):
+    """The csv row without its eigenvalue cells where its sector is exact."""
+    eig = ("re_eig", "im_eig") if row["exact"] == "1" else ()
+    return {k: v for k, v in row.items() if k not in eig}
+
+
 def assert_rows_close(rows, want):
-    """Each printed row as the dense row of its lam and sector up to
-    roundoff: every eigenvalue within 1e-12 of the lam's largest |eigenvalue|
-    of one of the sector's dense ones, and back (the 12-digit print alone is
-    up to 5e-13 off; eigvals read from the defect differ by at most 2.9e-13
-    from the dense trace in the order N+1 ... 1), and the reference check
-    within 1e-15 (measured: 3.1e-16)."""
+    """Each printed row as the row of its lam and sector in `want` (dense
+    rows, or printed ones) up to roundoff: every eigenvalue within 1e-12 of
+    the lam's largest |eigenvalue| of one of the sector's wanted ones, and
+    back (the 12-digit print alone is up to 5e-13 off; eigvals read from the
+    defect differ by at most 2.9e-13 from the dense trace in the order
+    N+1 ... 1, and eigenvalues read off the first lam's eigenbasis by at
+    most 2.7e-14 from the rows of per-lam eigvals here), and the reference
+    check within 1e-15 (measured: 3.1e-16)."""
     def key(row):
         return f"{float(row['lam']):.12e}", int(row["sector"])
 
@@ -1299,8 +1375,8 @@ def assert_rows_close(rows, want):
         scale = max(abs(eig(r)) for r in want if key(r)[0] == lam)
         dist = np.abs(np.subtract.outer([eig(r) for r in got], [eig(r) for r in dense]))
         assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-12 * scale
-        assert all(abs(float(r["reference_check"]) - dense[0]["reference_check"]) <= 1e-15
-                   for r in got)
+        assert all(abs(float(r["reference_check"]) - float(dense[0]["reference_check"]))
+                   <= 1e-15 for r in got)
         assert [r["exact"] for r in got] == [str(r["exact"]) for r in dense]
 
 
@@ -1335,6 +1411,41 @@ def test_spectrum_at_every_defect_site_is_the_site_1_spectrum(regime, anisotropy
         want = dense_spectrum_rows(spec, np.linspace(*ends, 3), site)
         assert_rows_close(rows, want)
     assert all(text == texts[0] for text in texts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["xxx", "critical", "noncritical"]),
+       st.one_of(st.sampled_from([np.pi / 2, np.pi / 3, np.pi / 4]),
+                 st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)),
+       st.floats(1e-3, 20.0), st.floats(-400.0, 400.0), st.integers(0, 4), st.integers(2, 8),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 5))
+# grid ends at |lam| = 100 put t(lam)'s entries near 1e200: products of the
+# unscaled blocks overflowed in an eigenbasis without its power-of-two scaling
+@example("critical", 1.5707963267948966, 0.5, 0.0, 3, 7, -2.369384019261358, 100.0, 2)
+@example("critical", 1.559194077934671, 0.5, 0.0, 3, 3, -3.9608853696596533, 100.0, 4)
+@example("critical", 0.7853981633974483, 0.5, -200.0, 4, 7, -100.0, -100.0, 3)
+def test_spectrum_over_its_domain_exits_cleanly(regime, mu, eta, theta, sites, fock_dim,
+                                                 start, stop, count):
+    # every regime, mu (pi/2, pi/3 and pi/4 among them), eta, theta, N <= 4,
+    # D <= 8 and grid of 1 to 5 points: exit 0 with finite rows and an empty
+    # stderr, or exit 2 with one error line and nothing on stdout; no
+    # warning, no traceback
+    argv = ["spectrum", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
+            f"--theta={theta!r}", "--sites", str(sites), "--fock-dim", str(fock_dim),
+            f"--grid={start!r}:{stop!r}:{count}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", argv
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert rows and all(np.isfinite(float(v)) for row in rows for v in row.values()), argv
 
 
 def test_spectrum_jsonl_and_out_carry_the_csv_values(tmp_path):

@@ -15,7 +15,8 @@ from defectchain.lax_defect import RegimeParams, defect_rep, make_l, make_l_hat,
 from defectchain.monodromy import (BATCH_ENTRIES, ChainSpec, bae_residual, bae_root,
                                    charge_leak, charge_vector, contract, local_tensors,
                                    reference_eigenvalue, reference_residual, rtt_residual,
-                                   sector_blocks, sector_commutator, transfer_matrix)
+                                   sector_blocks, sector_commutator, sector_eigenvalues,
+                                   transfer_matrix)
 from defectchain.oscillator_reps import harmonic_rep, q_oscillator_rep
 from dense_oracle import (dense_monodromy, dense_transfer, embed, exchange_oracle,
                           masked_commutator, mpmath_bethe_roots, reference_state, sector_mask,
@@ -182,6 +183,23 @@ def test_rtt_relation_on_sectors(chain):
     rng = np.random.default_rng(3)
     for l1, l2 in rng.uniform(-1.0, 1.0, size=(3, 2)):
         assert rtt(spec, l1, l2) < 1e-10
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+def test_rtt_residual_scales_exactly_past_the_product_range(monkeypatch, params):
+    # T(lam) scales with the defect's L and the residual with its square:
+    # L times 2^510 takes the block products past the float range, yet the
+    # residual is the unscaled one times 2^1020 bit for bit; times 2^600 the
+    # residual itself is past the float range and reads inf; neither warns
+    spec = ChainSpec(n_sites=3, params=params, rep=defect_rep(params, 6))
+    base = rtt(spec, 0.58, -0.33)
+    make = monodromy.make_l
+    for power, want in ((510, math.ldexp(base, 1020)), (600, math.inf)):
+        monkeypatch.setattr(monodromy, "make_l", lambda *args, p=power: make(*args) * 2.0 ** p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rtt(spec, 0.58, -0.33) == want
+    assert 0 < base and math.isfinite(math.ldexp(base, 1020))
 
 
 @pytest.mark.parametrize("chain", [xxx_chain, nc_chain], ids=["xxx", "nc"])
@@ -670,13 +688,13 @@ def traced_peak(argv):
 
 
 @pytest.mark.parametrize("n_sites, defect_site, d, batch", [
-    (4, 1, 6, 23), (4, 3, 8, 18), (5, 1, 8, 5), (5, 4, 8, 5), (6, 1, 8, 1), (6, 4, 8, 1),
-    (8, 1, 8, 1), (0, 1, 8, 197), (2, 1, 4, 237), (3, 2, 5, 81), (0, 1, 2048, 1)])
+    (4, 1, 6, 19), (4, 3, 8, 15), (5, 1, 8, 4), (5, 4, 8, 4), (6, 1, 8, 1), (6, 4, 8, 1),
+    (8, 1, 8, 1), (0, 1, 8, 196), (2, 1, 4, 212), (3, 2, 5, 70), (0, 1, 2048, 1)])
 def test_a_batch_holds_at_most_batch_entries(n_sites, defect_site, d, batch):
     # what a spectrum batch holds beyond a one-lam run, every array traced
-    # (product, gathers, blocks, eigvals stacks, commutator temporaries and
-    # sort keys), fits in BATCH_ENTRIES complex entries, or the batch is one
-    # lam (measured: 0.68 to 0.90 of it)
+    # (product, gathers, blocks, eigvals stacks, eigenbasis products,
+    # commutator temporaries and sort keys), fits in BATCH_ENTRIES complex
+    # entries, or the batch is one lam (measured: 0.47 to 0.88 of it)
     spec = ChainSpec(n_sites=n_sites, params=XXX, rep=types.SimpleNamespace(dim=d))
     assert spec.batch == batch
     if batch > 1:
@@ -684,6 +702,92 @@ def test_a_batch_holds_at_most_batch_entries(n_sites, defect_site, d, batch):
                 "--fock-dim", str(d)]
         one, full = (traced_peak([*argv, f"--grid=-1:1:{k}"]) for k in (1, batch))
         assert full - one <= BATCH_ENTRIES * 16
+
+
+# ------------------------------------------------------ sector eigenvalues
+
+def per_lam_eigvals(blocks):
+    """The oracle: each sector's eigenvalues, eigvals at one lam at a time."""
+    return [np.array([np.linalg.eigvals(m) for m in b]) for _, b in blocks]
+
+
+@pytest.mark.parametrize("params", REGIMES, ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("smallest", [1, monodromy.MIN_EIGENBASIS_SIZE], ids=["all", "default"])
+def test_sector_eigenvalues_are_the_per_lam_eigvals(monkeypatch, params, smallest):
+    # every eigenvalue within 1e-12 of the largest |eigenvalue| at its lam of
+    # one of the oracle's, and back, on N = 1 ... 5, D = 3 ... 8 and 1-, 2-,
+    # 3- and 5-point grids, with the eigenbasis on every exact sector (`all`)
+    # or on those of at least MIN_EIGENBASIS_SIZE states; the first lam's
+    # rows are the oracle's bits, and so are every lam's rows of a one-lam
+    # grid, of a sector above the ceiling and of a smaller exact sector
+    monkeypatch.setattr(monodromy, "MIN_EIGENBASIS_SIZE", smallest)
+    for n_sites in range(1, 6):
+        for d in range(3, 9):
+            spec = ChainSpec(n_sites=n_sites, params=params, rep=defect_rep(params, d))
+            for count in (1, 2, 3, 5):
+                blocks = transfer_matrix(spec, np.linspace(-1.3, 0.9, count), sector_blocks(spec))
+                got, want = sector_eigenvalues(spec, blocks), per_lam_eigvals(blocks)
+                scale = np.abs(np.concatenate(want, axis=1)).max(1)
+                for (q, _), g, w in zip(blocks, got, want):
+                    assert g.shape == w.shape
+                    dist = np.abs(g[:, :, None] - w[:, None, :])
+                    worst = np.maximum(dist.min(1).max(1), dist.min(2).max(1))
+                    assert (worst <= 1e-12 * scale).all(), (n_sites, d, count, q, worst / scale)
+                    assert same_bits(g[0], w[0])
+                    if q > spec.max_exact_charge or count == 1 or w.shape[-1] < smallest:
+                        assert same_bits(g, w)
+
+
+def test_sector_eigenvalues_read_a_commuting_stack_off_one_eigenbasis(monkeypatch):
+    # one eig and no eigvals on an exact sector of a commuting stack, one
+    # matrix near 1e200: the first lam's eigenvalues are eigvals' bits, every
+    # other lam's within 1e-13 of its largest |eigenvalue| of the exact ones
+    spec = xxx_chain()
+    n = monodromy.MIN_EIGENBASIS_SIZE
+    lams = np.arange(1.0, 3 * n + 1).reshape(3, n) * np.array([[1.0], [0.5j], [-1e200]])
+    v = np.random.default_rng(n).standard_normal((n, n)) + 1j * np.eye(n)
+    stack = np.einsum("ij,kj,jl->kil", v, lams, np.linalg.inv(v))
+    first = np.linalg.eigvals(stack[0])
+
+    def refuse(*args):
+        raise AssertionError("eigvals ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (got,) = sector_eigenvalues(spec, [(0, stack)])
+    assert same_bits(got[0], first)
+    for row, want in zip(got[1:], lams[1:]):
+        dist = np.abs(row[:, None] - want[None, :])
+        assert max(dist.min(0).max(), dist.min(1).max()) <= 1e-13 * np.abs(want).max()
+
+
+def coupled(diagonal):
+    """diag(diagonal) with its first two states coupled by 1 both ways."""
+    m = np.diag(np.asarray(diagonal, dtype=complex))
+    m[0, 1] = m[1, 0] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("t0, split", [
+    # t0 repeats its first eigenvalue, and t1, which commutes with it,
+    # splits it: V = 1 does not diagonalise t1, whose diagonal is not its
+    # spectrum
+    (np.diag([2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]) + 0j, coupled(np.arange(1.0, 9.0))),
+    # a Jordan block: eig's V is singular, and inv raises
+    (np.eye(8, k=1) + 0j, np.diag(np.arange(1.0, 9.0)) + 0j),
+    # nearly so: cond(V) is about 3e19
+    (np.eye(8, k=1) + np.diag(np.arange(8) * 1e-3) + 0j, np.diag(np.arange(1.0, 9.0)) + 0j),
+], ids=["degenerate", "singular", "ill-conditioned"])
+def test_sector_eigenvalues_fall_back_to_eigvals_where_the_eigenbasis_fails(t0, split):
+    # a stack the first lam's eigenbasis does not diagonalise returns
+    # eigvals' bits at every lam, without a warning
+    spec = xxx_chain()
+    stack = np.stack([t0, split, 2.0 * split])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (got,) = sector_eigenvalues(spec, [(0, stack)])
+    assert same_bits(got, np.linalg.eigvals(stack))
 
 
 # ------------------------------------------------------------ sector blocks
