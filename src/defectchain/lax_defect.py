@@ -270,11 +270,11 @@ def unitarity_residuals(params: RegimeParams, lams, rep) -> tuple[np.ndarray, np
     zeros too (lam = -i and i for the isotropic chain, lam = 0 otherwise).
     """
     lams, keep = np.asarray(lams, dtype=np.complex128), rep.interior()
-    unit = make_l(params, lams, rep) @ make_l_hat(params, -lams, rep)
     lt = aux_transpose(make_l(params, -lams - 1j, rep))
     lht = aux_transpose(make_l_hat(params, lams - 1j, rep))
-    return (identity_residual(unit, scalar_unitarity(params, lams), keep),
-            identity_residual(lt @ lht, scalar_crossing(params, lams), keep))
+    return (identity_residual(make_l(params, lams, rep), make_l_hat(params, -lams, rep),
+                              scalar_unitarity(params, lams), keep),
+            identity_residual(lt, lht, scalar_crossing(params, lams), keep))
 
 
 def s_matrix_part(params: RegimeParams, lam) -> np.ndarray:

@@ -28,8 +28,8 @@ one lam (`local_tensors`) can be built once and contracted once
 (`contract`), and the contracted pair passed to every residual at that lam.
 They also take a 1-d grid of lams, adding a leading lam axis (each slice
 the lone lam's bits), in batches of `ChainSpec.batch` lams: at most
-BATCH_ENTRIES complex entries (2 MB) of what a batch holds, so chains of
-N >= 7 bulk sites take one lam a batch.
+BATCH_ENTRIES complex entries (2 MB) of what a batch holds beyond one lam,
+so chains of N >= 7 bulk sites take one lam a batch.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .lax_defect import XXX, RegimeParams, make_l, make_r
-from .tensor_core import commutator_residual
+from .tensor_core import commutator_residual, pow2_norm, pow2_scaled
 
 __all__ = [
     "ChainSpec",
@@ -107,16 +107,17 @@ class ChainSpec:
 
     @property
     def batch(self) -> int:
-        """Lams a batch: as many as fit in BATCH_ENTRIES, one `spectrum` lam
-        holding 4 R^2 entries of bulk product (R = 2^N), 8 D^2 of defect tensor
-        and its build, 4 n R of the largest sector's gather, 2 sum n^2 of blocks
-        and eigvals stacks, 4 m^2 of the eigenbasis products at the largest
-        exact sector m (`sector_eigenvalues`), 8 R D of eigenvalues and sort
-        keys, 64 of its row."""
+        """Lams a batch: one, and as many more as fit in BATCH_ENTRIES, one
+        `spectrum` lam holding, while `transfer_matrix` gathers its largest
+        sector of n states, 4 R^2 entries of bulk product (R = 2^N), 10 D^2
+        of defect tensor and its build, 10 n^2 of gathered entries and their
+        products, and at most sum n^2 of blocks.  That is its peak: the later
+        stages (eigenvalues, eigenbasis products, sort keys) hold the blocks
+        and at most 6 n^2 + 8 R D more."""
         n = np.bincount(charge_vector(self).astype(int))
-        r, d, m = 2 ** self.n_sites, self.rep.dim, n[:self.max_exact_charge + 1].max()
-        held = 4 * r * r + 8 * d * d + 4 * n.max() * r + 2 * n @ n + 4 * m * m + 8 * r * d + 64
-        return max(1, BATCH_ENTRIES // int(held))
+        r, d = 2 ** self.n_sites, self.rep.dim
+        held = 4 * r * r + 10 * d * d + 10 * n.max() ** 2 + n @ n
+        return 1 + BATCH_ENTRIES // int(held)
 
     @property
     def max_exact_charge(self) -> int:
@@ -228,24 +229,22 @@ def sector_eigenvalues(spec: ChainSpec, blocks) -> list[np.ndarray]:
 def _common_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """The eigenvalues of a stack of commuting matrices t_0, t_1, ...: eig's
     eigenvalues and eigenvectors V at t_0 (eigvals' bits), then each other
-    t_k's as the diagonal of D_k = V^-1 t_k V, t_k scaled first by the power
-    of two nearest the inverse of its largest entry, so that no product
-    overflows, and the scaling undone after.  The stack goes through eigvals
-    lam by lam where V is singular, an entry is not finite, or some k's
-    off-diagonal residual || D_k - diag D_k ||_F / || t_k ||_F passes
-    EIGENBASIS_TOL: a degeneracy at t_0 that t_k splits, or an
-    ill-conditioned V, costs speed, never accuracy."""
+    t_k's as the diagonal of D_k = V^-1 t_k V, t_k `pow2_scaled` first and
+    the scaling undone after.  The stack goes through eigvals lam by lam
+    where V is singular, an entry is not finite, or some k's off-diagonal
+    residual || D_k - diag D_k ||_F / || t_k ||_F passes EIGENBASIS_TOL: a
+    degeneracy at t_0 that t_k splits, or an ill-conditioned V, costs speed,
+    never accuracy."""
     w, v = np.linalg.eig(stack[0])
     try:
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:       # singular V
         return np.linalg.eigvals(stack)
-    exp = np.frexp(np.maximum(np.abs(stack[1:]).max((-2, -1)), 1e-30))[1][:, None]
-    t = stack[1:] * np.ldexp(1.0, -exp)[..., None]
+    t, exp = pow2_scaled(stack[1:])
     with np.errstate(over="ignore", invalid="ignore"):     # a non-finite entry falls back
         d = v_inv @ (t @ v)
         diag = np.einsum("...ii->...i", d)
-        evs = np.concatenate([w[None], diag * np.ldexp(1.0, exp)])
+        evs = np.concatenate([w[None], diag * np.ldexp(1.0, exp)[:, None]])
         diag[...] = 0.0                 # d is now D - diag D
         off = np.linalg.norm(d, axis=(-2, -1)) / np.linalg.norm(t, axis=(-2, -1))
     if not ((off <= EIGENBASIS_TOL).all() and np.isfinite(evs).all()):
@@ -330,11 +329,8 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     `contract`'s leak guard makes the auxiliary block T_ab map sector Q into
     Q + g_b - g_a (g the auxiliary grading) and vanish elsewhere, and R12
     conserves g_1 + g_2, so each term of entry (a c, b d) maps sector Q into
-    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector blocks,
-    each operand scaled first by the power of two nearest the inverse of its
-    largest entry and the norm scaled back after, as `commutator_residual`
-    does: the value keeps its bits wherever the unscaled products stay in
-    the normal range, and reads inf past the float range.
+    Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector
+    blocks, each operand `pow2_scaled`.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
     shift, d, dim = g - g[:, None], spec.rep.dim, spec.chain_dim
@@ -352,15 +348,10 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     b1, b2 = _finite(spec, lams, np.where((rows == dim) | (cols == dim), 0, blocks))
     k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
     r = make_r(spec.params, lams[0] - lams[1]).reshape(2, 2, 2, 2)
-    exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in (b1, b2, r)]
-    b1, b2, r = (m * math.ldexp(1.0, -e) for m, e in zip((b1, b2, r), exps))
+    (b1, e1), (b2, e2), (r, er) = map(pow2_scaled, (b1, b2, r))
     lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
     rhs = np.tensordot(b2[k] @ b1[1:d, :, :, None, None], r, ([2, 4], [0, 1]))
-    try:
-        return math.ldexp(float(np.linalg.norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs)),
-                          sum(exps))
-    except OverflowError:               # past the float range
-        return math.inf
+    return pow2_norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs, e1 + e2 + er)
 
 
 # --------------------------------------------------------------------------
@@ -418,13 +409,7 @@ def reference_residual(spec: ChainSpec, blocks, lam: complex) -> float:
     so t v is the 1 x 1 block of that sector, bit for bit the mat-vec.
     """
     ev = reference_eigenvalue(spec, lam)
-    res = blocks[0][1][:, 0] - ev
-    size = max(abs(ev), 1e-30)
-    # scaled by the power of two nearest 1/|e| before the norm squares
-    # entries that may reach ~1e260; the scaling is exact, so the residual
-    # keeps its bits wherever the unscaled norm is finite
-    scale = 2.0 ** -math.frexp(size)[1]
-    return float(np.linalg.norm(res * scale) / (size * scale))
+    return pow2_norm(*pow2_scaled(blocks[0][1][:, 0] - ev)) / max(abs(ev), 1e-30)
 
 
 def bae_residual(params: RegimeParams, n_sites: int, sign: str, roots) -> np.ndarray:
@@ -493,14 +478,14 @@ def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
 
 def _quadratic_roots(p) -> list[complex]:
     """The roots of the polynomial p of degree <= 2 (highest coefficient
-    first) as numpy.roots finds them, without its eigensolver: p scaled by a
-    power of two, exactly, so b^2 cannot overflow, q = -(b + s sqrt(b^2 -
-    4 a c)) / 2 with the sign s that adds to b, and the roots q / a and
-    c / q (Higham, Accuracy and Stability of Numerical Algorithms, 1.8)."""
+    first) as numpy.roots finds them, without its eigensolver: p
+    `pow2_scaled`, so b^2 cannot overflow, q = -(b + s sqrt(b^2 - 4 a c)) / 2
+    with the sign s that adds to b, and the roots q / a and c / q (Higham,
+    Accuracy and Stability of Numerical Algorithms, 1.8)."""
     p = np.trim_zeros(np.asarray(p, dtype=complex), "f")
     if p.size < 2:
         return []
-    p = p * 2.0 ** -math.frexp(np.abs(p).max())[1]
+    p = pow2_scaled(p)[0]
     if p.size == 2:
         b, c = map(complex, p)
         return [-c / b]

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor_core import pow2_norm, pow2_scaled
+
 __all__ = [
     "HarmonicRep",
     "QOscRep",
@@ -152,11 +154,11 @@ def spin_rep(spin: float, q: complex = 1.0) -> SpinRep:
 def algebra_residuals(rep) -> list[tuple[str, float, str]]:
     """(relation, Frobenius residual, subspace) of every defining relation
     of an oscillator representation, measured on the columns the interior
-    mask keeps."""
+    mask keeps (`pow2_norm`: inf past the float range)."""
     reports = []
 
     def add(name, lhs_minus_rhs, keep, subspace):
-        reports.append((name, float(np.linalg.norm(lhs_minus_rhs * keep)), subspace))
+        reports.append((name, pow2_norm(*pow2_scaled(lhs_minus_rhs * keep)), subspace))
 
     if isinstance(rep, HarmonicRep):
         keep = rep.interior()

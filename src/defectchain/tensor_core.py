@@ -8,11 +8,13 @@ product basis index is ``i1 * d2 + i2``, which is exactly what
 ``numpy.kron`` produces.  ``aux_transpose`` transposes the leading C^2
 factor, the auxiliary space of every R, Lax and transmission matrix.
 
-The module also holds the three residual kernels of the operator
-identities: the exchange relation works on (2, d, 2, d) tensors without
-building 4d x 4d products and multiplies only the columns its mask keeps,
-the identity kernel multiplies by a 0/1 mask in place of a dense
-projector, and the commutator kernel scales its operands by powers of two.
+The module also holds the residual kernels of the operator identities:
+the exchange relation works on (2, d, 2, d) tensors without building
+4d x 4d products and multiplies only the columns its mask keeps, and the
+identity kernel multiplies by a 0/1 mask in place of a dense projector.
+Every residual norm of the package is taken on `pow2_scaled` operands and
+scaled back by `pow2_norm`, exactly: a norm keeps its bits while every value
+stays in the normal range, and reads inf past the float range.
 
 ``TensorSpace`` and ``TensorOperator`` remain only for the commutator
 kernel's product: clibench/tracer.py wraps their methods by name and counts
@@ -32,6 +34,8 @@ __all__ = [
     "exchange_residual",
     "identity_residual",
     "commutator_residual",
+    "pow2_scaled",
+    "pow2_norm",
 ]
 
 
@@ -156,6 +160,32 @@ def _as_matrix(op, expected_dim: int) -> np.ndarray:
     return m.reshape(-1, expected_dim, expected_dim)
 
 
+def pow2_scaled(m):
+    """(m 2^-e, e): m times the power of two nearest the inverse of its
+    largest |entry| (floored at 1e-30), so that the largest becomes one in
+    [1/2, 1), and the exponent e.  At a stack of matrices (a 3-d m) each
+    matrix takes its own power, and e is an array over the stack."""
+    m = np.asarray(m)
+    if m.ndim == 3:
+        e = np.frexp(np.maximum(np.abs(m).max((-2, -1)), 1e-30))[1]
+        return m * np.ldexp(1.0, -e)[:, None, None], e
+    e = math.frexp(max(float(np.abs(m).max()), 1e-30))[1]
+    return m * math.ldexp(1.0, -e), e
+
+
+def pow2_norm(x, e):
+    """|| x ||_F 2^e, x formed from `pow2_scaled` operands whose exponents
+    add up to e: inf past the float range, without a warning.  At an array
+    of exponents, the norm of each x[k] (over all its axes) times 2^e[k]."""
+    if isinstance(e, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.ldexp([np.linalg.norm(y) for y in x], e)
+    try:
+        return math.ldexp(float(np.linalg.norm(x)), e)
+    except OverflowError:
+        return math.inf
+
+
 def exchange_residual(r12, a1, a2, keep=None):
     """The exchange relation R12 A1 A2 = A2 A1 R12 on C^2 (x) C^2 (x) V.
 
@@ -177,65 +207,48 @@ def exchange_residual(r12, a1, a2, keep=None):
     """
     stacked = np.ndim(a1) == 3
     d = np.shape(a1)[-1] // 2
-    r = _as_matrix(r12, 4).reshape(-1, 2, 2, 2, 2)
-    # blocks[row aux, col aux] as d x d matrices on V, broadcast so that the
-    # products carry indices (sample, row1, col1, row2, col2, V row, V col)
-    t1 = _as_matrix(a1, 2 * d).reshape(-1, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
-    t2 = _as_matrix(a2, 2 * d).reshape(-1, 2, d, 2, d).transpose(0, 1, 3, 2, 4)
+    (r, er), (t1, e1), (t2, e2) = (pow2_scaled(_as_matrix(m, n))
+                                   for m, n in ((r12, 4), (a1, 2 * d), (a2, 2 * d)))
     if not len(r) == len(t1) == len(t2):
         raise ValueError(f"stacks of different lengths: {len(r)}, {len(t1)}, {len(t2)}")
+    # blocks[row aux, col aux] as d x d matrices on V, broadcast so that the
+    # products carry indices (sample, row1, col1, row2, col2, V row, V col)
+    r = r.reshape(-1, 2, 2, 2, 2)
+    t1, t2 = (t.reshape(-1, 2, d, 2, d).transpose(0, 1, 3, 2, 4) for t in (t1, t2))
     cols = slice(None) if keep is None else np.flatnonzero(keep)
     t1, t2 = t1[:, :, :, None, None], t2[:, None, None]
     lhs = np.einsum("nacef,nebfdij->nacbdij", r, t1 @ t2[..., cols])
     res = lhs - np.einsum("naecfij,nefbd->nacbdij", t2 @ t1[..., cols], r)
-    # np.linalg.norm of each sample's whole array: a stack of one gives the
-    # lone relation's norms bit for bit
-    norms = [np.array([np.linalg.norm(x) for x in xs]) for xs in (res, lhs)]
+    # each sample's whole array: a stack of one gives the lone relation's
+    # norms bit for bit
+    norms = [pow2_norm(x, er + e1 + e2) for x in (res, lhs)]
     return tuple(norms) if stacked else (float(norms[0][0]), float(norms[1][0]))
 
 
-def identity_residual(m, s, keep):
-    """|| (M - s 1) P || for M on C^n (x) V and P = 1 (x) diag(keep).
+def identity_residual(a, b, s, keep):
+    """|| (A B - s 1) P || for A and B on C^n (x) V and P = 1 (x) diag(keep).
 
     Unitarity and crossing-unitarity of the Lax and transmission matrices
-    are this relation; ``keep`` is the 0/1 mask over the basis of V.
+    are this relation; ``keep`` is the 0/1 mask over the basis of V.  The
+    product is formed from `pow2_scaled` factors, with s scaled alike.
     Multiplying by the mask (instead of slicing) keeps the zeros in place,
     so the norm equals the one of the dense projector product bit for bit.
-    ``m`` may instead be a stack of matrices along a leading axis, with
+    ``a`` may instead be a stack of matrices along a leading axis, with
     ``s`` an (n, 1, 1) array over it; the residuals are then an array, each
     the lone relation's bit for bit.
     """
-    size = m.shape[-1]
-    res = (m - s * np.eye(size, dtype=np.complex128)) * np.tile(keep, size // len(keep))
-    if res.ndim == 2:
-        return float(np.linalg.norm(res))
-    return np.array([np.linalg.norm(x) for x in res])
+    (a, ea), (b, eb) = pow2_scaled(a), pow2_scaled(b)
+    size = a.shape[-1]
+    s = s * np.ldexp(1.0, -(ea + eb))[..., None, None]
+    res = (a @ b - s * np.eye(size, dtype=np.complex128)) * np.tile(keep, size // len(keep))
+    return pow2_norm(res, ea + eb)
 
 
 def commutator_residual(a, b):
-    """|| [A, B] || for square matrices A and B.
-
-    Each operand is scaled by the power of two nearest the inverse of its
-    largest entry before the products, and the norm is scaled back after.
-    The scaling is exact, so the value keeps its bits wherever the unscaled
-    products stay in the normal range, while operands near 1e260 give a
-    finite value or, past the float range, inf.  At a stack A, the norms
-    are an array over it, each the lone call's bit for bit.
-    """
-    mats = [np.asarray(x) for x in (a, b)]
-    if mats[0].ndim == mats[1].ndim == 2:       # a lone pair: scales as Python numbers
-        exps = [math.frexp(max(float(np.abs(m).max()), 1e-30))[1] for m in mats]
-        scales = [math.ldexp(1.0, -e) for e in exps]
-    else:
-        exps = [np.frexp(np.maximum(np.abs(m).max((-2, -1)), 1e-30))[1] for m in mats]
-        scales = [np.ldexp(1.0, -e)[..., None, None] for e in exps]
-    space = TensorSpace((mats[1].shape[-1],))
-    a, b = (TensorOperator(space, m * scale) for m, scale in zip(mats, scales))
-    c = (a @ b).entries - (b @ a).entries
-    if c.ndim == 2:
-        try:
-            return math.ldexp(float(np.linalg.norm(c)), exps[0] + exps[1])
-        except OverflowError:               # past the float range
-            return math.inf
-    with np.errstate(over="ignore"):        # inf past the float range
-        return np.ldexp([np.linalg.norm(x) for x in c], exps[0] + exps[1])
+    """|| [A, B] || for square matrices A and B, from `pow2_scaled`
+    operands.  At a stack A, the norms are an array over it, each the lone
+    call's bit for bit."""
+    (a, ea), (b, eb) = pow2_scaled(a), pow2_scaled(b)
+    space = TensorSpace((b.shape[-1],))
+    a, b = TensorOperator(space, a), TensorOperator(space, b)
+    return pow2_norm((a @ b).entries - (b @ a).entries, ea + eb)

@@ -182,12 +182,11 @@ def unitarity_crossing_residual(params: RegimeParams, lam: float,
         t, t_bar, cross_bar, cross = t_prefactor(params, [lam, -lam, lam + shift, -lam + shift],
                                                  ("t", "t_bar", "t_bar", "t"))
         scalars = cross_bar * cross
-    unit = ((t * t_matrix_part(params, lam, rep))
-            @ (t_bar * t_matrix_part(params, -lam, rep, "t_bar")))
     mb = aux_transpose(t_matrix_part(params, lam + shift, rep, "t_bar"))
     mt = aux_transpose(t_matrix_part(params, -lam + shift, rep))
-    return (identity_residual(unit, 1, keep),
-            identity_residual(scalars * (mb @ mt), 1, keep))
+    return (identity_residual(t * t_matrix_part(params, lam, rep),
+                              t_bar * t_matrix_part(params, -lam, rep, "t_bar"), 1, keep),
+            identity_residual(scalars * mb, mt, 1, keep))
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,8 @@ has a caller inside the package (through an import at module level or inside
 a function), every defaulted parameter of a public function is passed inside
 the package, every __slots__ field of a package class is read inside the
 package, no module imports a random generator or dataclasses, only the
-entry point imports gc, and only tensor_core names its operator classes."""
+entry point imports gc, and only tensor_core names its operator classes
+or calls frexp."""
 import ast
 from pathlib import Path
 
@@ -486,9 +487,9 @@ def test_only_the_entry_point_imports_gc():
 TENSOR_CLASSES = ("TensorOperator", "TensorSpace")
 
 
-def tensor_class_users(trees) -> list[str]:
-    """module: name for every name, attribute or import of a tensor_core
-    class outside tensor_core."""
+def tensor_core_names_used(trees, names) -> list[str]:
+    """module: name for every name, attribute or import of one of `names`
+    outside tensor_core."""
     found = []
     for module, tree in trees.items():
         if module == "tensor_core":
@@ -497,22 +498,31 @@ def tensor_class_users(trees) -> list[str]:
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, ast.alias) else None)
-            if name in TENSOR_CLASSES:
+            if name in names:
                 found.append(f"{module}: {name}")
     return found
 
 
-def test_tensor_class_users_finds_each_form():
+def test_tensor_core_names_used_finds_each_form():
     trees = {"m": ast.parse("from .tensor_core import TensorSpace as S\n"
                             "from . import tensor_core\n"
                             "x = tensor_core.TensorOperator(S((2,)), m)\n"
-                            "def f(op: TensorOperator): return op\n"),
-             "tensor_core": ast.parse("class TensorSpace: pass\n")}
-    assert sorted(tensor_class_users(trees)) == [
+                            "def f(op: TensorOperator): return op\n"
+                            "from math import frexp\n"
+                            "y = np.frexp(x)[1] + math.frexp(2.0)[1]\n"),
+             "tensor_core": ast.parse("class TensorSpace: pass\ne = math.frexp(1.0)\n")}
+    assert sorted(tensor_core_names_used(trees, TENSOR_CLASSES)) == [
         "m: TensorOperator", "m: TensorOperator", "m: TensorSpace"]
+    assert tensor_core_names_used(trees, ("frexp",)) == ["m: frexp"] * 3
 
 
 def test_only_tensor_core_names_the_tensor_classes():
     # every operator builder returns a plain array; the classes stay only
     # for tensor_core's commutator product, which clibench's tracer counts
-    assert tensor_class_users(_parse_all()) == []
+    assert tensor_core_names_used(_parse_all(), TENSOR_CLASSES) == []
+
+
+def test_only_tensor_core_calls_frexp():
+    # every residual norm takes its power-of-two scaling from
+    # tensor_core.pow2_scaled, the one place that reads an exponent
+    assert tensor_core_names_used(_parse_all(), ("frexp",)) == []

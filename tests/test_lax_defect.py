@@ -196,20 +196,19 @@ def test_unitarity_identities_hold_at_scalar_zeros(params, zeros):
 
 def unitarity_oracle(params, lam, rep):
     """(residual, scale) of unitarity and of crossing-unitarity at one lam,
-    from one operator each: the products of make_l and make_l_hat, their
-    auxiliary transposes by einsum, and the scales the norms of the
-    products."""
+    from one pair of operators each: make_l and make_l_hat, their auxiliary
+    transposes by einsum, and the scales the norms of their products."""
     keep, d = rep.interior(), rep.dim
 
     def t1(m):
         return np.einsum("aibj->biaj", m.reshape(2, d, 2, d)).reshape(2 * d, 2 * d)
 
-    unit = make_l(params, lam, rep) @ make_l_hat(params, -lam, rep)
-    crossing = t1(make_l(params, -lam - 1j, rep)) @ t1(make_l_hat(params, lam - 1j, rep))
-    return ((identity_residual(unit, scalar_unitarity(params, lam), keep),
-             np.linalg.norm(unit)),
-            (identity_residual(crossing, scalar_crossing(params, lam), keep),
-             np.linalg.norm(crossing)))
+    unit = make_l(params, lam, rep), make_l_hat(params, -lam, rep)
+    crossing = t1(make_l(params, -lam - 1j, rep)), t1(make_l_hat(params, lam - 1j, rep))
+    return ((identity_residual(*unit, scalar_unitarity(params, lam), keep),
+             np.linalg.norm(unit[0] @ unit[1])),
+            (identity_residual(*crossing, scalar_crossing(params, lam), keep),
+             np.linalg.norm(crossing[0] @ crossing[1])))
 
 
 @pytest.mark.parametrize("params, zeros", ZEROS, ids=["xxx", "crit", "nc"])

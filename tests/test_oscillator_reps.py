@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from defectchain.oscillator_reps import (algebra_residuals, harmonic_rep,
+from defectchain.oscillator_reps import (QOscRep, algebra_residuals, harmonic_rep,
                                          q_oscillator_rep, spin_rep)
 from spin_oracle import spin_algebra_residuals
 
@@ -156,3 +157,34 @@ def test_spin_classical_limit():
 def test_spin_rejects_bad_spin():
     with pytest.raises(ValueError):
         spin_rep(0.7)
+
+
+# the q-oscillator relations that are homogeneous in (X, X^-1, a, a_dag) at
+# Y = 0, with their degree
+HOMOGENEOUS = {"Va-qaV": 2, "Va_dag-a_dagV/q": 2, "a-YX": 1, "a_dagY-(X^-1-qX)": 1,
+               "a_dag|0>": 1}
+
+
+def test_algebra_residuals_scale_by_powers_of_two_without_overflow():
+    # random operands in place of X, X^-1, a and a_dag (Y = 0): times 2^510
+    # each homogeneous relation reads the unit one times 2^(510 k), k its
+    # degree, bit for bit, where the unscaled norm of a quadratic one would
+    # pass the float range; an a with finite entries near 2^1023 reads inf
+    # in a - YX; nothing warns
+    rng = np.random.default_rng(33)
+    d, q = 6, 0.7
+    v, v_inv, a, a_dag = (rng.uniform(-0.25, 0.25, (d, d)) + 1j * rng.uniform(-0.25, 0.25, (d, d))
+                          for _ in range(4))
+    zero = np.zeros((d, d), dtype=complex)
+
+    def residuals(*ops):
+        return {name: res for name, res, _ in algebra_residuals(QOscRep(d, q, *ops, zero))}
+
+    unit = residuals(v, v_inv, a, a_dag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = residuals(*(m * 2.0 ** 510 for m in (v, v_inv, a, a_dag)))
+        near_top = residuals(zero, zero, np.ldexp(rng.uniform(0.5, 1.0, (d, d)), 1023) + 0j, zero)
+    for name, k in HOMOGENEOUS.items():
+        assert 0 < unit[name] and big[name] == math.ldexp(unit[name], 510 * k), name
+    assert near_top["a-YX"] == math.inf

@@ -169,17 +169,21 @@ def test_exchange_residual_keep_all_and_keep_none_on_a_stack():
 
 @pytest.mark.parametrize("d", [1, 4, 5])
 def test_identity_residual_equals_dense_projector_product(d):
+    # || (A B - s 1) P || is that of the dense projector product bit for bit
     rng = np.random.default_rng(20 + d)
-    m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+    a, b = (rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+            for _ in range(2))
     s = complex(rng.standard_normal(), rng.standard_normal())
     keep = (rng.uniform(size=d) < 0.6).astype(float)
     keep[0] = 1.0
     proj = np.kron(np.eye(2, dtype=complex), np.diag(keep).astype(complex))
-    want = np.linalg.norm((m - s * np.eye(2 * d, dtype=complex)) @ proj)
-    assert identity_residual(m, s, keep) == want
-    # M = s 1 on the kept columns only: the residual sees none of the rest
-    m_ok = s * np.eye(2 * d, dtype=complex) + m * (1.0 - np.tile(keep, 2))
-    assert identity_residual(m_ok, s, keep) == 0.0
+    want = np.linalg.norm((a @ b - s * np.eye(2 * d, dtype=complex)) @ proj)
+    assert identity_residual(a, b, s, keep) == want
+    # A = 1 and B = s 1 on the kept columns only: the residual sees none of
+    # the rest
+    eye = np.eye(2 * d, dtype=complex)
+    b_ok = s * eye + b * (1.0 - np.tile(keep, 2))
+    assert identity_residual(eye, b_ok, s, keep) == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 12])
@@ -206,6 +210,63 @@ def test_commutator_residual_scales_by_powers_of_two_without_overflow():
         assert commutator_residual(a * big, b * big) == unit * big * big
         c = rng.standard_normal((6, 6))
         assert commutator_residual(a * big, c * big) == np.inf
+
+
+def random_operands(rng, *shapes):
+    """Random complex operands of the given shapes, entries below 1 in size."""
+    return [(rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)) / 2
+            for shape in shapes]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+def test_exchange_residual_scales_by_powers_of_two_without_overflow(stacked):
+    # A1 and A2 times 2^510: the unscaled products would pass 2^1020, but
+    # every operand is scaled first, so both norms are the unit ones times
+    # 2^1020 bit for bit; times 2^600 they are past the float range and
+    # read inf; on a stack each sample scales alone; nothing warns
+    rng = np.random.default_rng(31)
+    d, lead = 3, (4,) if stacked else ()
+    r12, m1, m2 = random_operands(rng, lead + (4, 4), lead + (2 * d,) * 2, lead + (2 * d,) * 2)
+    keep = np.array([1.0, 0.0, 1.0])
+    unit = exchange_residual(r12, m1, m2, keep=keep)
+    assert all(np.all((0 < x) & np.isfinite(np.ldexp(x, 1020))) for x in unit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for power, want in ((510, [np.ldexp(x, 1020) for x in unit]), (600, [np.inf] * 2)):
+            big = 2.0 ** power
+            got = exchange_residual(r12, m1 * big, m2 * big, keep=keep)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, np.broadcast_to(w, np.shape(g)))
+        if stacked:     # a sample past the range leaves the others' bits alone
+            m1[1] *= 2.0 ** 600
+            m2[1] *= 2.0 ** 600
+            got = exchange_residual(r12, m1, m2, keep=keep)
+            for g, x in zip(got, unit):
+                assert g[1] == np.inf and np.array_equal(np.delete(g, 1), np.delete(x, 1))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+def test_identity_residual_scales_by_powers_of_two_without_overflow(stacked):
+    # A and B times 2^510 and s times 2^1020: the residual is the unit one
+    # times 2^1020 bit for bit, where the unscaled product A B would pass
+    # the float range; A and B times 2^600 read inf; nothing warns
+    rng = np.random.default_rng(32)
+    d, lead = 4, (3,) if stacked else ()
+    a, b = random_operands(rng, lead + (2 * d,) * 2, lead + (2 * d,) * 2)
+    s = np.full(lead + (1, 1), 0.3 - 0.2j) if stacked else 0.3 - 0.2j
+    keep = np.array([1.0, 1.0, 0.0, 1.0])
+    unit = identity_residual(a, b, s, keep)
+    assert np.all((0 < unit) & np.isfinite(np.ldexp(unit, 1020)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = 2.0 ** 510
+        assert np.array_equal(identity_residual(a * big, b * big, s * big * big, keep),
+                              np.ldexp(unit, 1020))
+        big = 2.0 ** 600
+        assert np.all(identity_residual(a * big, b * big, s, keep) == np.inf)
+    if stacked:
+        assert identity_residual(a, b, s, keep).tolist() == [
+            identity_residual(x, y, z[0, 0], keep) for x, y, z in zip(a, b, s)]
 
 
 def test_commutator_residual_of_a_stack_is_each_lone_call():
