@@ -173,8 +173,8 @@ def _seeded_uniform(seed: int):
 
 def _json_value(v):
     """A params value as JSON: numbers stay numbers, a complex becomes
-    [re, im], strings stay strings, anything else its repr."""
-    if isinstance(v, str):
+    [re, im], strings and bools stay themselves, anything else its repr."""
+    if isinstance(v, (str, bool)):
         return v
     if isinstance(v, numbers.Integral):
         return int(v)
@@ -187,6 +187,21 @@ def _json_value(v):
 
 # every JSON text the commands write: sorted keys, else json.dumps's defaults
 _JSON = json.JSONEncoder(sort_keys=True).encode
+
+# (gate, subspace) of each verify record by name.  A family reads the row of
+# its name before "[" unless the member has a row of its own, algebra[...]
+# keeps the subspace algebra_residuals gives, and a cross-route record reads
+# the row of its second route.
+GATES = {"ybe-r": (1e-10, "full"), "ybe-s": (1e-10, "full"), "algebra": (1e-12, None),
+         "rll": (1e-11, "interior"), "lhat-two-route": (1e-13, "full"),
+         "lax-unitarity": (1e-11, "interior"), "lax-crossing-unitarity": (1e-11, "interior"),
+         "rtt": (1e-10, "charge sectors"), "commuting-family": (1e-10, "charge sectors"),
+         "charge-conservation": (1e-12, "local tensors, relative"),
+         "reference-eigenvalue": (1e-10, "full"), "integral": (1e-6, "full"),
+         "sum": (1e-8, "full"), "amplitude-unitarity": (1e-10, "full"),
+         "rttb": (1e-9, "interior, relative"), "rttb[type2]": (1e-9, "full, relative"),
+         "tt-unitarity": (1e-9, "interior"), "tt-crossing": (1e-9, "interior"),
+         "breather-crossing": (1e-10, "full"), "bae-residual": (1e-10, "full")}
 
 
 def run_verify(params: RegimeParams, fock_dim: int, seed: int,
@@ -201,21 +216,21 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     rep = defect_rep(params, fock_dim)
     reports: list[dict] = []
 
-    def add(name, residual, tol, params=None, subspace="full"):
+    def add(name, residual, params=None, row=None, subspace=None):
+        tol, row_subspace = GATES.get(row or name) or GATES[name.split("[")[0]]
         tol = tol if tol_override is None else tol_override
         residual = float(residual)
         text = _JSON({k: _json_value(v) for k, v in params.items()}) if params else "{}"
         reports.append({"name": name, "params": text,
                         "residual": residual, "tolerance": tol, "pass": residual < tol,
-                        "subspace": subspace})
+                        "subspace": subspace or row_subspace})
 
     # Yang-Baxter for R and the prefactored S-matrix: the exchange relation
     # with A = R (or S) on V = C^2, one stacked call over the pairs
     pairs = uniform(-1.5, 1.5, (6, 2))
     args = np.stack([pairs[:, 0] - pairs[:, 1], pairs[:, 0], pairs[:, 1]])   # (R12, A1, A2)
     r_args = [make_r(params, xs) for xs in args]
-    add("ybe-r", exchange_residual(*r_args)[0].max(), 1e-10,
-        params={"pairs": len(pairs), "seed": seed})
+    add("ybe-r", exchange_residual(*r_args)[0].max(), {"pairs": len(pairs), "seed": seed})
     # the closed S_s grid serves s-amplitude-cross-route too
     lam_grid = np.linspace(-1.6, 1.6, 5)
     s_grid = lam_grid[:3]
@@ -223,29 +238,27 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     prefactors = s_closed[:args.size].reshape(args.shape)
     s_parts = s_matrix_part(params, args.ravel()).reshape(args.shape + (4, 4))
     s_args = prefactors[..., None, None] * s_parts
-    add("ybe-s", exchange_residual(*s_args)[0].max(), 1e-10,
-        params={"pairs": len(pairs), "seed": seed})
+    add("ybe-s", exchange_residual(*s_args)[0].max(), {"pairs": len(pairs), "seed": seed})
 
     # defect algebra relations
     for relation, residual, subspace in algebra_residuals(rep):
-        add(f"algebra[{relation}]", residual, 1e-12, subspace=subspace)
+        add(f"algebra[{relation}]", residual, subspace=subspace)
 
     # RLL
     l1, l2 = pairs[:3].T
     rll = exchange_residual(r_args[0][:3], make_l(params, l1, rep), make_l(params, l2, rep),
                             keep=rep.interior())[0].max()
-    add("rll", rll, 1e-11, subspace="interior")
+    add("rll", rll)
 
     # conjugate operator: explicit vs crossing route, unitarity scalars
     lam0 = 0.37
     two_route = np.abs(crossing_transform(make_l(params, -lam0 - 1j, rep))
                        - make_l_hat(params, lam0, rep)).max()
-    add("lhat-two-route", two_route, 1e-13)
+    add("lhat-two-route", two_route)
     grid = np.delete(np.linspace(-2.0, 2.0, 9), 4)     # all but lam = 0
     for lam, unit, crossing in zip(grid, *unitarity_residuals(params, grid, rep)):
-        add("lax-unitarity", unit, 1e-11, params={"lam": complex(lam)}, subspace="interior")
-        add("lax-crossing-unitarity", crossing, 1e-11, params={"lam": complex(lam)},
-            subspace="interior")
+        add("lax-unitarity", unit, {"lam": complex(lam)})
+        add("lax-crossing-unitarity", crossing, {"lam": complex(lam)})
 
     # monodromy-level checks at desk scale, on charge-sector blocks: RTT on
     # those of T(lam), the rest on those of t(lam) as `spectrum` reads them
@@ -254,49 +267,44 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     local = mono.local_tensors(spec, lams)      # both lams at once
     both = mono.contract(spec, lams, local)     # likewise
     all_sectors = mono.sector_blocks(spec)
-    pair, sectors = dict(zip(("lam1", "lam2"), lams)), "charge sectors"
-    add("rtt", mono.rtt_residual(spec, lams, both, all_sectors), 1e-10, params=pair,
-        subspace=sectors)
+    pair = dict(zip(("lam1", "lam2"), lams))
+    add("rtt", mono.rtt_residual(spec, lams, both, all_sectors), pair)
     exact = all_sectors[:spec.max_exact_charge + 1]
     blocks = mono.transfer_matrix(spec, lams, exact, both)      # likewise
     t1, t2 = ([(q, b[k]) for q, b in blocks] for k in range(2))
-    add("commuting-family", mono.sector_commutator(spec, t1, t2), 1e-10,
-        params=pair, subspace=sectors)
-    add("charge-conservation", mono.charge_leak(spec, [m[0] for m in local]), 1e-12,
-        subspace="local tensors, relative")
+    add("commuting-family", mono.sector_commutator(spec, t1, t2), pair)
+    add("charge-conservation", mono.charge_leak(spec, [m[0] for m in local]))
     blocks = mono.transfer_matrix(spec, 0.77, exact[:1])   # charge 0 only
-    add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77), 1e-10)
+    add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77))
 
     # amplitudes: cross-route agreement and unitarity
-    second_route, tol_amp = ("sum", 1e-8) if params.regime == NONCRITICAL else ("integral", 1e-6)
+    second_route = "sum" if params.regime == NONCRITICAL else "integral"
     # T+ and T- on the grid and its mirror image in one call; T- is T+ reflected,
     # so [-] is the reflected [+] gap and unitarity reads T+(-lam) = conj T+(lam)
     plus, minus = (r.value for r in amplitude_pair(params, np.concatenate([lam_grid, -lam_grid])))
     for sign, mine, theirs in zip("+-", (plus[:5], minus[:5]),
                                   amplitude_pair(params, lam_grid, second_route)):
         disc = np.abs(mine - theirs.value).max()
-        add(f"amplitude-cross-route[{sign}]", disc, tol_amp,
-            params={"route": second_route})
+        add(f"amplitude-cross-route[{sign}]", disc, {"route": second_route}, second_route)
     uni = np.abs(minus[:5] * plus[5:] - 1.0).max()
-    add("amplitude-unitarity", uni, 1e-10)
+    add("amplitude-unitarity", uni)
     s_disc = np.abs(s_closed[args.size:] - soliton_s_amplitude(params, s_grid, second_route)).max()
-    add("s-amplitude-cross-route", s_disc, tol_amp, params={"route": second_route})
+    add("s-amplitude-cross-route", s_disc, {"route": second_route}, second_route)
 
     # transmission matrices
     trep = tmat.default_rep(params, 6)
     l1, l2 = uniform(-1.2, 1.2, 2)
     for which in ("t", "t_bar"):
         add(f"rttb[{which}]", tmat.quadratic_algebra_residual(params, l1, l2, trep, which),
-            1e-9, params={"lam1": l1, "lam2": l2, "dim": trep.dim},
-            subspace="interior, relative")
+            {"lam1": l1, "lam2": l2, "dim": trep.dim})
     if params.regime == NONCRITICAL:
         # the spin-1 defect's matrix part at the same pair; its
         # representation is not truncated
-        add("rttb[type2]", tmat.type2_algebra_residual(params.eta, 1.0, l1, l2), 1e-9,
-            params={"lam1": l1, "lam2": l2, "spin": 1.0}, subspace="full, relative")
+        add("rttb[type2]", tmat.type2_algebra_residual(params.eta, 1.0, l1, l2),
+            {"lam1": l1, "lam2": l2, "spin": 1.0})
     unit, crossing = tmat.unitarity_crossing_residual(params, 0.44, trep)
-    add("tt-unitarity", unit, 1e-9, subspace="interior")
-    add("tt-crossing", crossing, 1e-9, subspace="interior")
+    add("tt-unitarity", unit)
+    add("tt-crossing", crossing)
 
     # breathers (critical only)
     if params.regime == CRITICAL and params.is_attractive():
@@ -305,23 +313,24 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         # theta -> -theta + i pi
         crossing = np.abs(breather_amplitude("-", 1, th_grid, g).value
                           - breather_amplitude("+", 1, -th_grid + 1j * g, g).value).max()
-        add("breather-crossing", crossing, 1e-10)
+        add("breather-crossing", crossing)
         disc = np.abs(breather_amplitude("+", 1, th_grid, g).value
                       - breather_amplitude("+", 1, th_grid, g, route="integral").value).max()
-        add("breather-cross-route", disc, 1e-6)
+        add("breather-cross-route", disc, row="integral")
 
     # Bethe roots for the one-root chain, both defect orientations
-    for sign, root, res in _bae_roots(params):
-        add(f"bae-residual[{sign}]", res, 1e-10, params={"root": root})
+    for sign, root, res, singular in _bae_roots(params):
+        add(f"bae-residual[{sign}]", res, {"root": root, "singular": singular})
     return reports
 
 
-def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float]]:
-    """(sign, root, residual) of the chain's N=1, M=1 Bethe equation with the
-    defect's L (+) and L-hat (-): `bae_root`'s root and its scaled T-Q
-    residual (`bae_residual`)."""
+def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float, bool]]:
+    """(sign, root, residual, singular) of the chain's N=1, M=1 Bethe equation
+    with the defect's L (+) and L-hat (-): `bae_root`'s root, its scaled T-Q
+    residual (`bae_residual`), and whether a and d (`_vacuum`) vanish there."""
     roots = [(sign, mono.bae_root(params, 1, sign)) for sign in "+-"]
-    return [(sign, root, float(np.abs(mono.bae_residual(params, 1, sign, [root])).max()))
+    return [(sign, root, float(np.abs(mono.bae_residual(params, 1, sign, [root])).max()),
+             all(abs(w) <= 16 * 2.0 ** -52 * s for w, s in mono._vacuum(params, 1, sign, root)))
             for sign, root in roots]
 
 
@@ -550,10 +559,10 @@ def cmd_spectrum(args) -> int:
 def cmd_bae(args) -> int:
     params = _make_params(args)
     rows = [{"sign": sign, "re_root": root.real, "im_root": root.imag, "residual": res}
-            for sign, root, res in _bae_roots(params)]
+            for sign, root, res, _ in _bae_roots(params)]
     worst = max(row["residual"] for row in rows)
     _write_records([_columns(rows)], args.format or "csv", args.out, _header(args))
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else GATES["bae-residual"][0]
     return EXIT_OK if worst < tol else EXIT_FAIL
 
 

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .lax_defect import XXX, RegimeParams, make_l, make_r
-from .tensor_core import commutator_residual, pow2_norm, pow2_scaled
+from .tensor_core import commutator_residual, pow2_factor, pow2_norm, pow2_scaled
 
 __all__ = [
     "ChainSpec",
@@ -330,7 +330,7 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     Q + g_b - g_a (g the auxiliary grading) and vanish elsewhere, and R12
     conserves g_1 + g_2, so each term of entry (a c, b d) maps sector Q into
     Q + g_b + g_d - g_a - g_c: batched products of zero-padded sector
-    blocks, each operand `pow2_scaled`.
+    blocks, each operand a `pow2_factor`.
     """
     g = np.array(_grading(spec.params.regime, 2), dtype=int)
     shift, d, dim = g - g[:, None], spec.rep.dim, spec.chain_dim
@@ -348,7 +348,7 @@ def rtt_residual(spec: ChainSpec, lams, pair, sectors) -> float:
     b1, b2 = _finite(spec, lams, np.where((rows == dim) | (cols == dim), 0, blocks))
     k = np.arange(1, d)[:, None, None] + shift      # the kept column sectors 0 ... D - 2
     r = make_r(spec.params, lams[0] - lams[1]).reshape(2, 2, 2, 2)
-    (b1, e1), (b2, e2), (r, er) = map(pow2_scaled, (b1, b2, r))
+    (b1, e1), (b2, e2), (r, er) = map(pow2_factor, (b1, b2, r))
     lhs = np.tensordot(r, b1[k] @ b2[1:d, :, :, None, None], ([2, 3], [3, 1]))
     rhs = np.tensordot(b2[k] @ b1[1:d, :, :, None, None], r, ([2, 4], [0, 1]))
     return pow2_norm(lhs.transpose(2, 0, 1, 5, 6, 4, 3) - rhs, e1 + e2 + er)

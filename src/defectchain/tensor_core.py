@@ -35,6 +35,7 @@ __all__ = [
     "identity_residual",
     "commutator_residual",
     "pow2_scaled",
+    "pow2_factor",
     "pow2_norm",
 ]
 
@@ -173,15 +174,22 @@ def pow2_scaled(m):
     return m * math.ldexp(1.0, -e), e
 
 
+def pow2_factor(m):
+    """`pow2_scaled` of a product's factor, NaN where it flushes a nonzero entry to zero."""
+    y, e = pow2_scaled(m)
+    return np.where((y == 0) & (m != 0), np.nan, y), e
+
+
 def pow2_norm(x, e):
     """|| x ||_F 2^e, x formed from `pow2_scaled` operands whose exponents
-    add up to e: inf past the float range, without a warning.  At an array
-    of exponents, the norm of each x[k] (over all its axes) times 2^e[k]."""
+    add up to e: inf past the float range or at a NaN, without a warning.
+    At an array of exponents, each x[k]'s norm (over all axes) times 2^e[k]."""
     if isinstance(e, np.ndarray):
         with np.errstate(over="ignore"):
-            return np.ldexp([np.linalg.norm(y) for y in x], e)
+            norms = np.ldexp([np.linalg.norm(y) for y in x], e)
+        return np.where(np.isnan(norms), np.inf, norms)
     try:
-        return math.ldexp(float(np.linalg.norm(x)), e)
+        return norm if (norm := math.ldexp(float(np.linalg.norm(x)), e)) == norm else math.inf
     except OverflowError:
         return math.inf
 
@@ -207,7 +215,7 @@ def exchange_residual(r12, a1, a2, keep=None):
     """
     stacked = np.ndim(a1) == 3
     d = np.shape(a1)[-1] // 2
-    (r, er), (t1, e1), (t2, e2) = (pow2_scaled(_as_matrix(m, n))
+    (r, er), (t1, e1), (t2, e2) = (pow2_factor(_as_matrix(m, n))
                                    for m, n in ((r12, 4), (a1, 2 * d), (a2, 2 * d)))
     if not len(r) == len(t1) == len(t2):
         raise ValueError(f"stacks of different lengths: {len(r)}, {len(t1)}, {len(t2)}")
@@ -230,16 +238,17 @@ def identity_residual(a, b, s, keep):
 
     Unitarity and crossing-unitarity of the Lax and transmission matrices
     are this relation; ``keep`` is the 0/1 mask over the basis of V.  The
-    product is formed from `pow2_scaled` factors, with s scaled alike.
+    product is formed from `pow2_factor`s, s scaled alike (NaN if lost).
     Multiplying by the mask (instead of slicing) keeps the zeros in place,
     so the norm equals the one of the dense projector product bit for bit.
     ``a`` may instead be a stack of matrices along a leading axis, with
     ``s`` an (n, 1, 1) array over it; the residuals are then an array, each
     the lone relation's bit for bit.
     """
-    (a, ea), (b, eb) = pow2_scaled(a), pow2_scaled(b)
+    (a, ea), (b, eb) = pow2_factor(a), pow2_factor(b)
     size = a.shape[-1]
-    s = s * np.ldexp(1.0, -(ea + eb))[..., None, None]
+    scaled = s * np.ldexp(1.0, -(ea + eb))[..., None, None]
+    s = np.where((scaled == 0) & (s != 0), np.nan, scaled)
     res = (a @ b - s * np.eye(size, dtype=np.complex128)) * np.tile(keep, size // len(keep))
     return pow2_norm(res, ea + eb)
 

@@ -343,6 +343,8 @@ def _t_plus(params: RegimeParams, lam, route: str):
         return gamma_ratio_bound([z + 0.25], [z + 0.75])
     if params.regime == NONCRITICAL:
         return q_gamma_ratio([z + 0.75], [z + 0.25], _nome(params.eta), lam)
+    if not params.gamma < 1e300:    # gamma t overflows; ln A ~ -0.58 gamma is past the range
+        raise FloatRangeError("T+ is outside the float range", location=lam[0])
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
     ln_r, err_r = ratio(lam, params.gamma)

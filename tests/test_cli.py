@@ -992,6 +992,8 @@ def test_verify_params_are_json_numbers(tmp_path, args):
             seen += 1
             if key == "route":
                 assert value in ("integral", "sum")
+            elif key == "singular":
+                assert isinstance(value, bool) and rec["name"].startswith("bae-residual")
             elif isinstance(value, list):
                 assert len(value) == 2 and all(isinstance(v, (int, float)) for v in value)
             else:
@@ -1137,6 +1139,73 @@ def test_verify_past_eta_38_ends_in_a_log1p_warning():
     # prefactors reach special_functions.q_gamma_ratio with |q^x| >> 1, and
     # np.log1p meets -1 (eta = 38.25 is the first failure on a 0.25 grid)
     run_quietly(["verify", "--regime", "noncritical", "--eta", "42"])
+
+
+def test_verify_reads_a_factor_entry_flushed_by_its_scaling_as_inf():
+    # at D = 16 the scaling of L^t1 by 2^-679 and Lhat^t1 by 2^-724 flushes 14
+    # and 15 nonzero entries and the scalar s_c (|s_c| = 0.076) to zero, and
+    # every lax-crossing-unitarity record read exactly 0.0 and passed
+    code, out, err = run_quietly(["verify", "--regime", "noncritical", "--eta", "31.34",
+                                  "--fock-dim", "16"])
+    records = [json.loads(line) for line in out.splitlines()[1:]]
+    crossing = [r for r in records if r["name"] == "lax-crossing-unitarity"]
+    assert (code, err) == (1, "") and len(crossing) == 8
+    assert all(r["residual"] == math.inf and not r["pass"] for r in crossing)
+
+
+@pytest.mark.parametrize("params, singular", [
+    (RegimeParams.critical(0.7), True), (RegimeParams.critical(2.5), True),
+    (RegimeParams.noncritical(0.5), True), (RegimeParams.noncritical(3.0), True),
+    (RegimeParams.xxx(), False), (RegimeParams.xxx(0.3), False),
+    (RegimeParams.critical(0.7, theta=0.3), False), (RegimeParams.critical(2.5, theta=-0.2), False),
+    (RegimeParams.noncritical(0.5, theta=0.3), False),
+    (RegimeParams.noncritical(0.5, theta=-0.2), False),
+])
+def test_bae_records_mark_the_singular_roots(params, singular):
+    # at theta = 0 the anisotropic root is a common zero of a and d (u = -i
+    # for L, u = 0 for Lhat), where T-Q holds for any Q; the record names it
+    records = [r for r in cli.run_verify(params, 3, 7) if r["name"].startswith("bae-residual")]
+    assert len(records) == 2
+    for rec in records:
+        assert json.loads(rec["params"])["singular"] is singular and rec["pass"], rec
+
+
+def _gate_row(record):
+    """The GATES row a verify record reads: a cross-route record's second
+    route (breather-cross-route's is the integral), else its own name's or
+    its family's."""
+    name = record["name"]
+    if "cross-route" in name:
+        return json.loads(record["params"]).get("route", "integral")
+    return name if name in cli.GATES else name.split("[")[0]
+
+
+def test_readme_table_names_every_gate_row():
+    # one README row per GATES row: its gate, its subspace, and the regimes
+    # whose verify writes a record that reads it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            first = re.match(r"`([^`]+)`", cells[0]).group(1)
+            rows[first if first in cli.GATES else first.split("[")[0]] = cells[1:]
+    assert rows.keys() == cli.GATES.keys()
+    for key, (gate, subspace) in cli.GATES.items():
+        assert rows[key][0] == f"{gate:.0e}".replace("e-0", "e-"), key
+        assert subspace is None or rows[key][1] == subspace, key
+    regimes = {}
+    for regime, params in (("xxx", RegimeParams.xxx()), ("critical", RegimeParams.critical(0.7)),
+                           ("noncritical", RegimeParams.noncritical(0.5))):
+        for rec in cli.run_verify(params, 3, 7):
+            key = _gate_row(rec)
+            regimes.setdefault(key, set()).add(regime)
+            assert rec["tolerance"] == cli.GATES[key][0], rec
+            assert rec["subspace"] in rows[key][1].split(", or "), rec
+    for key, cells in rows.items():
+        want = {"xxx", "critical", "noncritical"} if cells[2] == "all" else \
+            set(re.findall(r"\b(?:xxx|critical|noncritical)\b", cells[2]))
+        assert regimes[key] == want, key
 
 
 def test_verify_critical_off_zero_theta_without_warnings(tmp_path):
@@ -1488,6 +1557,45 @@ def test_spectrum_over_its_domain_exits_cleanly(regime, mu, eta, theta, sites, f
         assert err == "", argv
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert rows and all(np.isfinite(float(v)) for row in rows for v in row.values()), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from([("xxx", "type1"), ("critical", "type1"), ("noncritical", "type1"),
+                                  ("critical", "breather"), ("noncritical", "type2")]),
+                 st.tuples(st.sampled_from(["xxx", "critical", "noncritical"]),
+                           st.sampled_from(["type1", "breather", "type2"]))),
+       st.integers(1, 3),
+       st.one_of(st.sampled_from([np.pi / 2, np.pi / 3, np.pi / 4]),
+                 st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)),
+       st.floats(1e-3, 200.0), st.floats(-400.0, 400.0),
+       st.one_of(st.integers(1, 20).map(lambda n: n / 2), st.floats(-5.0, 5.0)),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 50))
+# at these mu, gamma = pi/mu - 1 is inf or near the float limit, and gamma t
+# overflowed in the critical T+ kernels (a RuntimeWarning traceback)
+@example(("critical", "type1"), 1, 5e-324, 1.0, 0.0, 0.5, 0.0, 0.0, 1)
+@example(("critical", "type1"), 1, 2.2250738585072014e-308, 1.0, 0.0, 0.5, 0.0, 0.0, 1)
+def test_amplitude_over_its_domain_exits_cleanly(pair, n, mu, eta, theta, spin, start, stop,
+                                                  count):
+    # every regime and family (breathers n = 1-3), mu (pi/2, pi/3 and pi/4
+    # among them), eta >= 1e-3, theta, spin and grid of 1 to 50 points: exit 0
+    # or 1 with an empty stderr and no NaN cell but on a `pole:` row, or exit 2
+    # with one error line and nothing on stdout; no warning, no traceback
+    regime, family = pair
+    argv = ["amplitude", "--regime", regime, "--family", family, "--breather-n", str(n),
+            f"--mu={mu!r}", f"--eta={eta!r}", f"--theta={theta!r}", f"--spin={spin!r}",
+            f"--grid={start!r}:{stop!r}:{count}"]
+    code, out, err = run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", argv
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert len(rows) == count, argv
+        for row in rows:
+            note = row.pop("note")
+            assert note.startswith("pole:") or not any(math.isnan(float(v))
+                                                       for v in row.values()), (argv, row)
 
 
 def test_spectrum_jsonl_and_out_carry_the_csv_values(tmp_path):
