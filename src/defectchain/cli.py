@@ -211,7 +211,8 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     pass flag and the subspace it was measured on."""
     # imported here, as in cmd_amplitude, so that spectrum and bae do not
     # compile the amplitude layer
-    from .transmission_amplitudes import amplitude_pair, breather_amplitude, soliton_s_amplitude
+    from .transmission_amplitudes import (amplitude_pair, breather_amplitude, second_route,
+                                          soliton_s_amplitude)
     uniform = _seeded_uniform(seed)
     rep = defect_rep(params, fock_dim)
     reports: list[dict] = []
@@ -278,18 +279,18 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     add("reference-eigenvalue", mono.reference_residual(spec, blocks, 0.77))
 
     # amplitudes: cross-route agreement and unitarity
-    second_route = "sum" if params.regime == NONCRITICAL else "integral"
+    other = second_route(params)
     # T+ and T- on the grid and its mirror image in one call; T- is T+ reflected,
     # so [-] is the reflected [+] gap and unitarity reads T+(-lam) = conj T+(lam)
     plus, minus = (r.value for r in amplitude_pair(params, np.concatenate([lam_grid, -lam_grid])))
     for sign, mine, theirs in zip("+-", (plus[:5], minus[:5]),
-                                  amplitude_pair(params, lam_grid, second_route)):
+                                  amplitude_pair(params, lam_grid, other)):
         disc = np.abs(mine - theirs.value).max()
-        add(f"amplitude-cross-route[{sign}]", disc, {"route": second_route}, second_route)
+        add(f"amplitude-cross-route[{sign}]", disc, {"route": other}, other)
     uni = np.abs(minus[:5] * plus[5:] - 1.0).max()
     add("amplitude-unitarity", uni)
-    s_disc = np.abs(s_closed[args.size:] - soliton_s_amplitude(params, s_grid, second_route)).max()
-    add("s-amplitude-cross-route", s_disc, {"route": second_route}, second_route)
+    s_disc = np.abs(s_closed[args.size:] - soliton_s_amplitude(params, s_grid, other)).max()
+    add("s-amplitude-cross-route", s_disc, {"route": other}, other)
 
     # transmission matrices
     trep = tmat.default_rep(params, 6)
@@ -447,7 +448,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_amplitude(args) -> int:
-    from .transmission_amplitudes import amplitude_pair, breather_amplitude, type2_amplitude
+    from .transmission_amplitudes import (amplitude_pair, breather_amplitude, second_route,
+                                          type2_amplitude)
     params = _make_params(args)
     start, stop, count = args.grid
     grid = np.linspace(start, stop, count)
@@ -459,7 +461,7 @@ def cmd_amplitude(args) -> int:
                          f"mu < pi/2 = {np.pi / 2:.6g}; got mu = {params.mu}")
     # closed(x) -> (T+, T-) and second(x) -> the other route's T+ (and T-)
     if args.family == "type1":
-        other = "sum" if params.regime == NONCRITICAL else "integral"
+        other = second_route(params)
 
         def closed(x):
             return tuple(res.value for res in amplitude_pair(params, x))

@@ -58,8 +58,11 @@ class RegimeParams:
 
     Exactly the fields of the active regime are set: mu for the critical
     chain (q = e^(i mu) on the unit circle), eta for the non-critical one
-    (q = e^(-eta) in (0,1), more than 1e-12 below 1), neither for the
-    isotropic chain.  theta is the defect rapidity; it and eta must be finite.
+    (q = e^(-eta) in (0,1)), neither for the isotropic chain; either way q
+    lies more than 1e-12 from 1, so mu >= 1e-12.  theta is the defect
+    rapidity; it and eta must be finite.  The layers below take this domain
+    as given: the critical gamma = pi / mu - 1 lies in (0, 3.2e12) and the
+    non-critical nome e^(-4 eta) in (0, 1), and none checks them again.
     """
 
     __slots__ = ("regime", "mu", "eta", "theta")
@@ -84,8 +87,10 @@ class RegimeParams:
         if not np.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")
         self.regime, self.mu, self.eta, self.theta = regime, mu, eta, theta
-        if regime == NONCRITICAL and abs(abs(self.q) - 1.0) < 1e-12:   # as q_oscillator_rep
-            raise ValueError(f"eta must put q = e^(-eta) more than 1e-12 below 1, got {eta}")
+        if regime != XXX and abs(self.q - 1.0) < 1e-12:
+            rule = ("mu must put q = e^(i mu) more than 1e-12 from 1" if regime == CRITICAL
+                    else "eta must put q = e^(-eta) more than 1e-12 below 1")
+            raise ValueError(f"{rule}, got {mu if regime == CRITICAL else eta}")
 
     @classmethod
     def xxx(cls, theta: float = 0.0) -> "RegimeParams":

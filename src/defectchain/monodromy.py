@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .lax_defect import XXX, RegimeParams, make_l, make_r
+from .lax_defect import NONCRITICAL, XXX, RegimeParams, make_l, make_r
 from .tensor_core import commutator_residual, pow2_factor, pow2_norm, pow2_scaled
 
 __all__ = [
@@ -63,6 +63,9 @@ RESOURCE_BOUND = 4096
 BATCH_ENTRIES = 2 ** 17    # most complex entries one batch of lams holds (`ChainSpec.batch`)
 # largest |Re mu theta| `bae_root` takes: its root z ~ e^(2 mu theta) stays below e^700
 MAX_BAE_EXPONENT = 350.0
+# largest non-critical eta `bae_root` takes: its root z = e^(2 mu u), u near
+# -i, has |z| near e^(2 eta), which stays below the largest float
+MAX_BAE_ETA = 0.5 * math.log(np.finfo(float).max)
 # largest off-diagonal residual || D - diag D ||_F / || t ||_F of D = V^-1 t V
 # at which `sector_eigenvalues` reads t's eigenvalues off diag D (the
 # chain-spectrum workload's seeds 1-10 read at most 6.3e-13)
@@ -451,9 +454,13 @@ def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
     with the larger real part.  In the anisotropic regimes a and d share
     their e^{-2 mu u} term (L) or their e^{2 mu u} term (Lhat) identically,
     so the equation is linear in z.  A root z ~ e^{2 mu theta} past
-    |Re mu theta| = MAX_BAE_EXPONENT is a ValueError naming theta."""
+    |Re mu theta| = MAX_BAE_EXPONENT is a ValueError naming theta, and one
+    of |z| ~ e^(2 eta) past eta = MAX_BAE_ETA (non-critical) one naming eta."""
     if n_sites != 1:
         raise ValueError(f"the exact root needs a one-site chain, got N = {n_sites}")
+    if params.regime == NONCRITICAL and params.eta > MAX_BAE_ETA:
+        raise ValueError(f"eta = {params.eta} puts the one-site Bethe root e^(2 mu lam) ~ "
+                         f"e^(2 eta) past the float range; keep eta below {MAX_BAE_ETA:.6g}")
     w = np.array(_weights(params, sign), dtype=complex)     # [bulk, defect][a, d][c1, c0]
     th, mu = params.theta, 0.0 if params.regime == XXX else params.mu_complex
     if params.regime == XXX:        # c1 (u - t) + c0 = c1 v + c0 + c1 (s - t)

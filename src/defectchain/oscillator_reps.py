@@ -102,17 +102,11 @@ def q_oscillator_rep(d: int, q: complex) -> QOscRep:
 
     X |n> = q^(n+1/2) |n>,  Y |n> = |n+1> (top state truncated) so that
     a = Y X raises and a_dag = (X^-1 - q X) Y^-1 lowers with a_dag |0> = 0.
+    q is unimodular or real in (0, 1), as RegimeParams fixes it.
     """
     if d < 3:
         raise ValueError(f"q_oscillator_rep needs D >= 3, got {d}")
     q = complex(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    on_circle = abs(abs(q) - 1.0) < 1e-12
-    real_in_01 = abs(q.imag) < 1e-12 and 0.0 < q.real < 1.0
-    if not (on_circle or real_in_01):
-        raise ValueError(f"q must be unimodular or real in (0,1), got {q}")
-
     n = np.arange(d)
     x = np.diag(q ** (n + 0.5)).astype(np.complex128)
     x_inv = np.diag(q ** (-(n + 0.5))).astype(np.complex128)
@@ -133,13 +127,9 @@ def _q_number(z, q: complex):
 
 
 def spin_rep(spin: float, q: complex = 1.0) -> SpinRep:
-    """Standard (2S+1)-dimensional quantum-group spin matrices; q -> 1 gives
-    the classical ones."""
-    two_s = round(2 * spin)
-    if abs(2 * spin - two_s) > 1e-12 or two_s < 0:
-        raise ValueError(f"2*spin must be a non-negative integer, got {spin}")
-    spin = two_s / 2.0
-    d = two_s + 1
+    """Standard (2S+1)-dimensional quantum-group spin matrices, 2S a
+    non-negative integer; q -> 1 gives the classical ones."""
+    d = round(2 * spin) + 1
     q = complex(q)
     m = spin - np.arange(d)
     s_z = np.diag(m).astype(np.complex128)

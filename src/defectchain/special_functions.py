@@ -233,8 +233,6 @@ def q_gamma_ratio(num, den, q: float, lam):
     scalar value bit for bit.  FloatRangeError names lam, PoleError the side
     of a pole.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
     x, shape = _pairs(num, den, lam)
     lq = np.log(q)
     with np.errstate(over="ignore"):
@@ -602,25 +600,23 @@ def _half_sin_cos(x, groups):
 
 def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     """sum_j weights_j [4 sin^2(freq_j lam / 2) a_j + 2i sin(freq_j lam) b_j + c_j]
-    at every lam (a 1-d array) for the first rule and every column of the
-    terms, with a bound on the error of each value.
+    at every lam (a 1-d array) for the first rule, with a bound on the error
+    of each value.
 
-    a, b, c (and c_size) are (nodes, k): k integrands on the same nodes.
+    a, b, c (and c_size) are one integrand's terms at the nodes, 1-d.
     weights is (nodes, m), m >= 2, one column per rule, the fine rule
     first; every rule gives the last node zero weight, and only its terms
     are read there.  Every block of points takes its sin/cos table once
     (_half_sin_cos, with freq, but for its last node, the nodes, group by
-    group, of the groups) and folds all k integrands of all rules into the
-    same two stacked products, one (nodes, m) weight matrix per integrand,
-    so that a column's value is the one it gets alone, bit for bit; the
-    values and bounds are (points, k).  4 sin^2(phi/2) = 2 (1 - cos phi)
+    group, of the groups) and folds all rules into two products, each with
+    one (nodes, m) weight matrix.  4 sin^2(phi/2) = 2 (1 - cos phi)
     keeps small phases exact.  The points are walked in blocks so no
     temporary exceeds BLOCK elements.  A block of one point is summed as
     two equal rows, since numpy takes a one-row product through its
     matrix-vector path; so, with m >= 2 (at real lam four real columns or
     more, whose products OpenBLAS rounds alike in blocks of any size), a
     point's value is the same in any grid on the same rule, bit for bit.
-    The bound of a column adds
+    The bound adds
       * the largest spread between the rules,
       * the tail past the last node: the largest term there, grown by
         e^{|Im lam| freq}, times tail_length,
@@ -647,15 +643,13 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     if not math.isfinite(top):
         raise ValueError(f"|lam| = {reach:.4g} puts the phase past the float range at the "
                          f"last node (frequency {freq[-1]:.4g})")
-    rules, cols = weights.shape[1], a.shape[1]
-    # (k, nodes, rules), C-ordered so that every column's matrix is the
-    # contiguous one a single column would have
-    wa = np.multiply(weights[:-1], 4.0 * a[:-1].T[:, :, None], dtype=np.complex128, order="C")
-    wb = np.multiply(weights[:-1], 2.0 * b[:-1].T[:, :, None], dtype=np.complex128, order="C")
+    # (nodes, rules), C-ordered so that at real lam each complex column
+    # reads as a pair of real columns: one real product each
+    wa = np.multiply(weights[:-1], 4.0 * a[:-1, None], dtype=np.complex128, order="C")
+    wb = np.multiply(weights[:-1], 2.0 * b[:-1, None], dtype=np.complex128, order="C")
     if real:
-        # complex columns as pairs of real columns: one real product each
         wa, wb = wa.view(float), wb.view(float)
-    ln = np.empty((cols, lam.size, rules), dtype=np.complex128)
+    ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
         s, sin_phi = _half_sin_cos(0.5 * lam[i:i + step], groups)
@@ -666,18 +660,17 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
         sa, sb = s @ wa, sin_phi @ wb
         if real:
             sa, sb = sa.view(np.complex128), sb.view(np.complex128)
-        block = ln[:, i:i + step]
-        block[...] = (sa + 1j * sb)[:, :block.shape[1]]
-    ln += (weights.T @ np.ascontiguousarray(c.T)[..., None]).transpose(0, 2, 1)
-    ln = ln.transpose(1, 2, 0)      # (points, rules, k)
+        block = ln[i:i + step]
+        block[...] = (sa + 1j * sb)[:block.shape[0]]
+    ln += weights.T @ c
 
-    phase = freq[:, None] * reach
+    phase = freq * reach
     turn = np.minimum(1.0, phase)
     slip = 0.5 * phase
     _, rows, scales = groups[-1]
     if scales is not None:
         doubled = slice(-1 - rows.size, -1)
-        slip[doubled] += scales.repeat(rows.shape[1])[:, None] * turn[doubled]
+        slip[doubled] += scales.repeat(rows.shape[1]) * turn[doubled]
     last = 4.0 * np.abs(a[-1]) + 2.0 * np.abs(b[-1]) + np.abs(c[-1])
     terms = 4.0 * np.abs(a) * np.minimum(1.0, 0.5 * phase) ** 2 + 2.0 * np.abs(b) * turn
     with np.errstate(over="ignore"):    # a bound past the float range reads inf
@@ -689,14 +682,14 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
 
 
 def half_line_sums(lam, decay: float, terms):
-    """The half-line rule applied at every lam (an array):
+    """The half-line rule applied at every lam (a 1-d array):
 
         int_0^inf dw [4 sin^2(w lam / 2) a(w) + 2i sin(w lam) b(w) + c(w)]
 
-    for k integrands that decay like e^{-decay w}; terms(w) returns a, b
-    and c at the rule's nodes, each (nodes, k), and optionally the size of
-    the operands c was formed from (see _rule_sums).  Returns the (points,
-    k) values and a bound on each one's error: the gap to the comparison
+    for an integrand that decays like e^{-decay w}; terms(w) returns a, b
+    and c at the rule's nodes, each 1-d, and optionally the size of the
+    operands c was formed from (see _rule_sums).  Returns the value at
+    every lam and a bound on each one's error: the gap to the comparison
     rule, the tail past the cutoff and rounding.
     """
     w, weights, groups = _half_line_rule(decay, float(np.abs(lam).max(initial=0.0)))
@@ -786,8 +779,6 @@ class FourierKernel:
 
     def __init__(self, name: str, hat: Callable, odd_kind: str = "none",
                  odd_origin: complex = 0.0, decay: float = 0.5, eta: float | None = None):
-        if eta is not None and not eta > 0:
-            raise ValueError(f"eta must be positive, got {eta}")
         self.name, self.hat, self.odd_kind, self.odd_origin = name, hat, odd_kind, odd_origin
         self.decay, self.eta = decay, eta
 
@@ -848,9 +839,8 @@ def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     lam, scalar = as_grid(lam_hat, real=True)
 
     def terms(x):
-        # (nodes, 1) each
-        ke, ko = (part[:, None] for part in kernel.even_odd(x))
-        cx, x = counter(x)[:, None], x[:, None]
+        ke, ko = kernel.even_odd(x)
+        cx = counter(x)
         return ko / x, ke / x, -2.0 * (ko - cx) / x, 2.0 * (np.abs(ko) + np.abs(cx)) / x
 
     if kernel.eta is None:
@@ -858,5 +848,5 @@ def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     else:
         modes, freq, weights, groups = _mode_rule(kernel.eta, rate)
         ln, err = _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
-    value = _exp_in_range(ln[:, 0] + shift, lam)
-    return AmplitudeResult.on_grid(value, np.abs(value) * err[:, 0], scalar)
+    value = _exp_in_range(ln + shift, lam)
+    return AmplitudeResult.on_grid(value, np.abs(value) * err, scalar)

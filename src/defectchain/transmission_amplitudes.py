@@ -50,6 +50,7 @@ __all__ = [
     "breather_amplitude",
     "type2_amplitude",
     "soliton_s_amplitude",
+    "second_route",
 ]
 
 
@@ -77,11 +78,10 @@ def _sech2(x):
     return np.exp(-ax) / (1.0 + np.exp(-2.0 * ax))
 
 
-def kernel(params: RegimeParams, name: str, spin: float | None = None) -> FourierKernel:
+def kernel(params: RegimeParams, name: str) -> FourierKernel:
     """Named Fourier kernel of the regime: the hole kernels rt_plus and
     rt_minus, the bulk kernel r, and in the critical regime the breather
-    kernels tb_plus and tb_minus, in the non-critical one the spin-defect
-    kernel rt_spin (which takes ``spin``).
+    kernels tb_plus and tb_minus (the spin defect's kernel is _kernel_spin).
 
     Continuous regimes (isotropic, critical) give functions of a real
     frequency w; the non-critical regime gives integer-mode kernels on the
@@ -90,8 +90,8 @@ def kernel(params: RegimeParams, name: str, spin: float | None = None) -> Fourie
     if params.regime == XXX:
         return _kernel_xxx(name)
     if params.regime == CRITICAL:
-        return _kernel_critical(params, name)
-    return _kernel_noncritical(params, name, spin)
+        return _kernel_critical(params.gamma, name)
+    return _kernel_noncritical(params.eta, name)
 
 
 def _half_line(values, support_sign: float):
@@ -119,10 +119,7 @@ def _kernel_xxx(name: str) -> FourierKernel:
     raise ValueError(f"unknown isotropic kernel {name!r}")
 
 
-def _kernel_critical(params: RegimeParams, name: str) -> FourierKernel:
-    nu = params.nu
-    g = params.gamma
-
+def _kernel_critical(g: float, name: str) -> FourierKernel:
     if name in ("rt_plus", "rt_minus"):
         sgn = 1.0 if name.endswith("plus") else -1.0
 
@@ -140,10 +137,10 @@ def _kernel_critical(params: RegimeParams, name: str) -> FourierKernel:
         sgn = 1.0 if name.endswith("plus") else -1.0
 
         def hat(w, sgn=sgn):
-            # -e^{-sgn (nu-2) w/2} / (2 cosh((nu-1) w/2)) in decaying exponentials
+            # -e^{-sgn (g-1) w/2} / (2 cosh(g w/2)) in decaying exponentials
             w = np.asarray(w, dtype=float)
-            a = (nu - 1.0) * np.abs(w)
-            return (-np.exp(-sgn * (nu - 2.0) * w / 2.0 - a / 2.0)
+            a = g * np.abs(w)
+            return (-np.exp(-sgn * (g - 1.0) * w / 2.0 - a / 2.0)
                     / (1.0 + np.exp(-a)))
 
         return FourierKernel(name, hat, odd_kind="none", decay=0.5)
@@ -157,9 +154,7 @@ def _kernel_critical(params: RegimeParams, name: str) -> FourierKernel:
     raise ValueError(f"unknown critical kernel {name!r}")
 
 
-def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
-    eta = params.eta
-
+def _kernel_noncritical(eta: float, name: str) -> FourierKernel:
     if name in ("rt_plus", "rt_minus"):
         support = -1.0 if name == "rt_plus" else 1.0
         hat = _half_line(lambda k: -_sech2(eta * k), support)
@@ -172,17 +167,19 @@ def _kernel_noncritical(params: RegimeParams, name: str, spin) -> FourierKernel:
             return np.exp(-2.0 * eta * u) / (1.0 + np.exp(-2.0 * eta * u))
 
         return FourierKernel("r", hat, decay=2.0 * eta, eta=eta)
-    if name == "rt_spin":
-        if spin is None:
-            raise ValueError("rt_spin needs spin")
-        y = 2.0 * spin
-
-        def hat(k, y=y):
-            u = np.abs(np.asarray(k, dtype=float))
-            return np.exp(-eta * y * u) / (1.0 + np.exp(-2.0 * eta * u))
-
-        return FourierKernel("rt_spin", hat, decay=y * eta, eta=eta)
     raise ValueError(f"unknown non-critical kernel {name!r}")
+
+
+def _kernel_spin(eta: float, spin: float) -> FourierKernel:
+    """The spin-S defect's even mode kernel e^{-eta y|k|} / (1 + e^{-2 eta |k|}),
+    y = 2S."""
+    y = 2.0 * spin
+
+    def hat(k):
+        u = np.abs(np.asarray(k, dtype=float))
+        return np.exp(-eta * y * u) / (1.0 + np.exp(-2.0 * eta * u))
+
+    return FourierKernel("rt_spin", hat, decay=y * eta, eta=eta)
 
 
 # --------------------------------------------------------------------------
@@ -208,11 +205,11 @@ def _critical_anchor(gamma: float) -> tuple[float, float]:
         rho_o = (0.5 * np.sign(gamma - 1.0) * np.exp(-np.minimum(u, v))
                  * np.expm1(-(u + v)) * np.expm1(-np.abs(v - u))
                  / (-np.expm1(-2.0 * u) * (1.0 + np.exp(-2.0 * v))))
-        zero = np.zeros((w.size, 1))
-        return zero, zero, (-2.0 * rho_o / w)[:, None]
+        zero = np.zeros(w.size)
+        return zero, zero, -2.0 * rho_o / w
 
     ln, err = half_line_sums(np.zeros(1), min(gamma, 1.0) / 2.0, terms)
-    return float(ln[0, 0].real - 0.5 * np.log(2.0)), float(err[0, 0])
+    return float(ln[0].real - 0.5 * np.log(2.0)), float(err[0])
 
 
 def _critical_ln_ratio(lam, gamma: float):
@@ -238,11 +235,10 @@ def _critical_ln_ratio(lam, gamma: float):
         b_t = a_t * np.exp(-t)
         g_t = -np.expm1(-gamma * t) / (np.expm1(-t) * np.expm1(-2.0 * gamma * t) * t)
         # the bracket is -2 sin^2(lam t/2) (A + B) + i sin(lam t) (B - A)
-        a = (-0.5 * (a_t + b_t) * g_t)[:, None]
-        return a, (0.5 * a_t * np.expm1(-t) * g_t)[:, None], np.zeros(a.shape)
+        a = -0.5 * (a_t + b_t) * g_t
+        return a, 0.5 * a_t * np.expm1(-t) * g_t, np.zeros(a.shape)
 
-    ln, err = half_line_sums(lam, rate, terms)
-    return ln[:, 0], err[:, 0]
+    return half_line_sums(lam, rate, terms)
 
 
 def _critical_ln_product(lam, gamma: float):
@@ -262,6 +258,12 @@ def _critical_ln_product(lam, gamma: float):
 _ROUTES = {XXX: ("isotropic", ("closed", "integral")),
            CRITICAL: ("critical", ("closed", "product", "integral")),
            NONCRITICAL: ("non-critical", ("closed", "sum"))}
+
+
+def second_route(params: RegimeParams) -> str:
+    """The regime's route independent of the closed forms: the mode sum in
+    the non-critical regime, the half-line quadrature otherwise."""
+    return "sum" if params.regime == NONCRITICAL else "integral"
 
 
 def amplitude_pair(params: RegimeParams, lam_hat, route: str = "closed"
@@ -343,8 +345,6 @@ def _t_plus(params: RegimeParams, lam, route: str):
         return gamma_ratio_bound([z + 0.25], [z + 0.75])
     if params.regime == NONCRITICAL:
         return q_gamma_ratio([z + 0.75], [z + 0.25], _nome(params.eta), lam)
-    if not params.gamma < 1e300:    # gamma t overflows; ln A ~ -0.58 gamma is past the range
-        raise FloatRangeError("T+ is outside the float range", location=lam[0])
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
     ln_r, err_r = ratio(lam, params.gamma)
@@ -380,7 +380,8 @@ def _breather_one(sign: str, theta_hat, gamma: float):
 
 def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
                        route: str = "closed") -> AmplitudeResult:
-    """n-breather transmission amplitude at a scalar or on a grid.
+    """n-breather transmission amplitude at a scalar or on a grid, at the
+    gamma of a critical RegimeParams.
 
     n = 1 has both the hyperbolic closed form (in theta_hat = pi lam_hat /
     gamma) and a quadrature route; n > 1 is the fusion product of shifted
@@ -391,8 +392,6 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if n < 1:
         raise ValueError(f"breather index must be >= 1, got {n}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
 
     if route == "closed":
         lam, scalar = as_grid(lam_hat)
@@ -416,10 +415,8 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
     if route == "integral":
         if n != 1:
             raise ValueError("the integral route exists for the lightest breather only")
-        nu = gamma + 1.0
-        params = RegimeParams.critical(float(np.pi / nu))
-        return amplitude_integral(kernel(params, "tb_plus" if sign == "+" else "tb_minus"),
-                                  lam_hat)
+        tb = _kernel_critical(gamma, "tb_plus" if sign == "+" else "tb_minus")
+        return amplitude_integral(tb, lam_hat)
     raise ValueError(f"unknown breather route {route!r}")
 
 
@@ -431,16 +428,14 @@ def breather_amplitude(sign: str, n: int, lam_hat, gamma: float,
 def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
                     ) -> AmplitudeResult:
     """Transmission amplitude of the spin-S defect in the non-critical regime,
-    at a scalar or on a grid.
+    at a scalar or on a grid, at the eta of a RegimeParams.
 
     Closed form: Gamma_{q^4} ratios with the shifted spin S~ = S - 1/2; sum
-    route: the even kernel e^{-eta y|k|} / (1 + e^{-2 eta |k|}), y = 2S.
+    route: the mode sum of _kernel_spin.
     """
     two_s = round(2 * spin) if np.isfinite(spin) else 0
     if abs(2 * spin - two_s) > 1e-12 or two_s < 1:
         raise ValueError(f"2*spin must be a positive integer, got {spin}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
     s_tilde = spin - 0.5
     if route == "closed":
         lam, scalar = as_grid(lam_hat)
@@ -449,8 +444,7 @@ def type2_amplitude(lam_hat, eta: float, spin: float, route: str = "closed"
                                  _nome(eta), lam)
         return AmplitudeResult.on_grid(val, err, scalar)
     if route == "sum":
-        return amplitude_integral(kernel(RegimeParams.noncritical(eta), "rt_spin", spin=spin),
-                                  lam_hat)
+        return amplitude_integral(_kernel_spin(eta, spin), lam_hat)
     raise ValueError(f"unknown type-II route {route!r}")
 
 
@@ -483,7 +477,7 @@ def _s_critical(lam, g: float):
 def soliton_s_amplitude(params: RegimeParams, lam, route: str = "closed"):
     """Scalar prefactor of the bulk S-matrix, at a scalar lam (a complex is
     returned) or on a grid (an array)."""
-    second = "sum" if params.regime == NONCRITICAL else "integral"
+    second = second_route(params)
     if route not in ("closed", second):
         regime = {XXX: "isotropic", CRITICAL: "critical"}.get(params.regime, "non-critical")
         raise ValueError(f"route {route!r} not available for the {regime} S_s")

@@ -2,8 +2,8 @@
 not evaluate, used as test oracles for the ones it does.
 
 ``defectchain.transmission_amplitudes.kernel`` computes the hole kernels
-rt_plus/rt_minus, the bulk kernel r, the breather kernels tb_plus/tb_minus
-and the spin-defect kernel rt_spin.  The bulk density sigma0, the string
+rt_plus/rt_minus, the bulk kernel r and the breather kernels
+tb_plus/tb_minus, and ``_kernel_spin`` the spin-defect kernel rt_spin.  The bulk density sigma0, the string
 kernels a_n and b_n, the one-sided kernels frak_a and frak_b, sigma0_bar and
 the displayed critical kernel B (rt before its rewriting in decaying
 exponentials) live here; ``oracle_kernel`` gives them under the same
@@ -13,7 +13,7 @@ import numpy as np
 
 from defectchain.lax_defect import CRITICAL, XXX
 from defectchain.special_functions import FourierKernel
-from defectchain.transmission_amplitudes import _half_line, _sech2, kernel
+from defectchain.transmission_amplitudes import _half_line, _kernel_spin, _sech2, kernel
 
 
 def _sinh_ratio(a: float, b: float, w):
@@ -104,12 +104,14 @@ def _oracle_noncritical(params, name, n):
 
 def oracle_kernel(params, name: str, n=None, spin=None) -> FourierKernel:
     """The named kernel of the regime: an oracle kernel of this module, or
-    the package's ``kernel`` for the names it computes.  ``n`` indexes the
-    string kernels a_n and b_n."""
+    the package's for the names it computes.  ``n`` indexes the string
+    kernels a_n and b_n, ``spin`` is rt_spin's."""
     if params.regime == XXX:
         found = _oracle_xxx(name, n)
     elif params.regime == CRITICAL:
         found = _oracle_critical(params, name, n)
     else:
         found = _oracle_noncritical(params, name, n)
-    return found if found is not None else kernel(params, name, spin=spin)
+    if found is None and name == "rt_spin":
+        return _kernel_spin(params.eta, spin)
+    return found if found is not None else kernel(params, name)

@@ -1078,6 +1078,17 @@ def run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def log_uniform(low: float, high: float):
+    """Floats spread evenly in log between low and high, both included."""
+    return st.floats(math.log(low), math.log(high)).map(
+        lambda x: min(max(math.exp(x), low), high))
+
+
+# every critical mu down to the smallest subnormal: RegimeParams refuses those
+# below 1e-12, which the uniform draws on (0, pi) never reach
+SMALL_MU = log_uniform(5e-324, 3.1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["xxx", "critical", "noncritical"]),
        st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
@@ -1087,10 +1098,16 @@ def test_bae_over_its_domain_exits_cleanly(regime, mu, eta, sign, k):
     # every regime, mu, eta and theta = +-10^k: no exception and no warning;
     # exit 0 or 1 with finite numbers and an empty stderr, or exit 2 with
     # one error line and nothing on stdout
-    argv = ["bae", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
-            f"--theta={sign * 10.0 ** k!r}"]
+    assert_bae_exits_cleanly(["bae", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
+                              f"--theta={sign * 10.0 ** k!r}"], (0, 1))
+
+
+def assert_bae_exits_cleanly(argv, codes):
+    """bae ends in one of `codes` with two rows of finite numbers and an empty
+    stderr, or in exit 2 with one error line and nothing on stdout; no
+    warning, no traceback."""
     code, out, err = run_quietly(argv)
-    assert code in (0, 1, 2), argv
+    assert code in (*codes, 2), (argv, code)
     assert (code == 2) == (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
     if code == 2:
         assert out == "", argv
@@ -1101,9 +1118,29 @@ def test_bae_over_its_domain_exits_cleanly(regime, mu, eta, sign, k):
                                       for k, v in row.items() if k != "sign"), (argv, out)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["xxx", "critical", "noncritical"]), SMALL_MU,
+       log_uniform(1e-15, 1000.0), st.floats(-400.0, 400.0))
+# a critical mu of 5e-324 blamed theta; a non-critical eta from 354.9 on
+# blamed theta, and from 372.2 on ended in a ZeroDivisionError traceback
+@example("critical", 5e-324, 0.5, 0.0)
+@example("critical", 1e-20, 0.5, 0.0)
+@example("critical", 1e-12, 0.5, 0.3)
+@example("noncritical", 0.7, 354.8, 0.0)
+@example("noncritical", 0.7, 354.9, 0.0)
+@example("noncritical", 0.7, 372.3, -0.2)
+@example("noncritical", 0.7, 1000.0, 0.3)
+def test_bae_from_the_smallest_mu_to_the_largest_eta_exits_cleanly(regime, mu, eta, theta):
+    # mu log-uniform down to 5e-324, eta up to 1000, theta in [-400, 400]:
+    # exit 0 or 2 as assert_bae_exits_cleanly says, and no failing root
+    assert_bae_exits_cleanly(["bae", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
+                              f"--theta={theta!r}"], (0,))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["xxx", "critical", "noncritical"]),
-       st.one_of(st.sampled_from([np.pi / 2, np.pi / 3, np.pi / 4]), st.floats(0.05, 3.1)),
+       st.one_of(st.sampled_from([np.pi / 2, np.pi / 3, np.pi / 4]), st.floats(0.05, 3.1),
+                 SMALL_MU),
        st.floats(1e-3, 35.0), st.floats(-400.0, 400.0), st.integers(3, 16),
        st.integers(0, 1000))
 # each of these ended in a RuntimeWarning traceback while the exchange,
@@ -1115,8 +1152,8 @@ def test_bae_over_its_domain_exits_cleanly(regime, mu, eta, sign, k):
 @example("noncritical", 0.7, 31.34, 0.0, 16, 7)
 @example("noncritical", 0.7, 34.0, 0.0, 11, 7)
 def test_verify_over_its_domain_exits_cleanly(regime, mu, eta, theta, fock_dim, seed):
-    # every regime, mu (pi/2, pi/3 and pi/4 among them), eta <= 35, theta,
-    # D and seed: exit 0 or 1 with an empty stderr and no NaN in any record,
+    # every regime, mu (pi/2, pi/3 and pi/4 among them, and down to 5e-324),
+    # eta <= 35, theta, D and seed: exit 0 or 1 with an empty stderr and no NaN in any record,
     # or exit 2 with one error line and nothing on stdout; no warning, no
     # traceback
     argv = ["verify", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
@@ -1532,7 +1569,7 @@ def test_spectrum_at_every_defect_site_is_the_site_1_spectrum(regime, anisotropy
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["xxx", "critical", "noncritical"]),
        st.one_of(st.sampled_from([np.pi / 2, np.pi / 3, np.pi / 4]),
-                 st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)),
+                 st.floats(0.0, np.pi, exclude_min=True, exclude_max=True), SMALL_MU),
        st.floats(1e-3, 20.0), st.floats(-400.0, 400.0), st.integers(0, 4), st.integers(2, 8),
        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 5))
 # grid ends at |lam| = 100 put t(lam)'s entries near 1e200: products of the
@@ -1542,8 +1579,8 @@ def test_spectrum_at_every_defect_site_is_the_site_1_spectrum(regime, anisotropy
 @example("critical", 0.7853981633974483, 0.5, -200.0, 4, 7, -100.0, -100.0, 3)
 def test_spectrum_over_its_domain_exits_cleanly(regime, mu, eta, theta, sites, fock_dim,
                                                  start, stop, count):
-    # every regime, mu (pi/2, pi/3 and pi/4 among them), eta, theta, N <= 4,
-    # D <= 8 and grid of 1 to 5 points: exit 0 with finite rows and an empty
+    # every regime, mu (pi/2, pi/3 and pi/4 among them, and down to 5e-324),
+    # eta, theta, N <= 4, D <= 8 and grid of 1 to 5 points: exit 0 with finite rows and an empty
     # stderr, or exit 2 with one error line and nothing on stdout; no
     # warning, no traceback
     argv = ["spectrum", "--regime", regime, f"--mu={mu!r}", f"--eta={eta!r}",
@@ -1566,18 +1603,19 @@ def test_spectrum_over_its_domain_exits_cleanly(regime, mu, eta, theta, sites, f
                            st.sampled_from(["type1", "breather", "type2"]))),
        st.integers(1, 3),
        st.one_of(st.sampled_from([np.pi / 2, np.pi / 3, np.pi / 4]),
-                 st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)),
+                 st.floats(0.0, np.pi, exclude_min=True, exclude_max=True), SMALL_MU),
        st.floats(1e-3, 200.0), st.floats(-400.0, 400.0),
        st.one_of(st.integers(1, 20).map(lambda n: n / 2), st.floats(-5.0, 5.0)),
        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 50))
 # at these mu, gamma = pi/mu - 1 is inf or near the float limit, and gamma t
-# overflowed in the critical T+ kernels (a RuntimeWarning traceback)
+# overflowed in the critical T+ kernels (a RuntimeWarning traceback); now
+# RegimeParams refuses them
 @example(("critical", "type1"), 1, 5e-324, 1.0, 0.0, 0.5, 0.0, 0.0, 1)
 @example(("critical", "type1"), 1, 2.2250738585072014e-308, 1.0, 0.0, 0.5, 0.0, 0.0, 1)
 def test_amplitude_over_its_domain_exits_cleanly(pair, n, mu, eta, theta, spin, start, stop,
                                                   count):
     # every regime and family (breathers n = 1-3), mu (pi/2, pi/3 and pi/4
-    # among them), eta >= 1e-3, theta, spin and grid of 1 to 50 points: exit 0
+    # among them, and down to 5e-324), eta >= 1e-3, theta, spin and grid of 1 to 50 points: exit 0
     # or 1 with an empty stderr and no NaN cell but on a `pole:` row, or exit 2
     # with one error line and nothing on stdout; no warning, no traceback
     regime, family = pair

@@ -181,9 +181,9 @@ def test_grid_rows_are_lone_points_bit_for_bit(monkeypatch, route):
 @pytest.mark.parametrize("rule", ["xxx", "critical", "modes"])
 def test_blas_rounds_every_row_block_of_a_rule_product_alike(rule):
     # the precondition of the lone-point tests above and of CI's lone-row
-    # step: with one kernel, _rule_sums takes (rows, nodes) x (nodes, 4)
-    # products (2 rules x re/im) in blocks of 1 (as 2 equal rows) to
-    # BLOCK // nodes rows, and each row must come out of every block alike
+    # step: _rule_sums takes (rows, nodes) x (nodes, 4) products (2 rules x
+    # re/im) in blocks of 1 (as 2 equal rows) to BLOCK // nodes rows, and
+    # each row must come out of every block alike
     if rule == "modes":
         _, freq, weights, groups = _mode_rule(0.5, 0.5)
     else:
@@ -193,13 +193,13 @@ def test_blas_rounds_every_row_block_of_a_rule_product_alike(rule):
     sin, _ = _half_sin_cos(0.5 * np.linspace(-2.9, 2.7, step), groups)
     nodes = freq[:-1, None]
     cols = np.concatenate([weights[:-1], weights[:-1] * np.exp(-nodes) / (1.0 + nodes)], axis=1)
-    product = sin * sin @ cols[None]      # (1, rows, 4), as _rule_sums stacks its kernels
+    product = sin * sin @ cols
     checked = 0
     for rows in range(1, step + 1):
         for at in range(0, step, rows):
             block = sin[at:at + rows] ** 2
-            got = (block.repeat(2, axis=0) if len(block) == 1 else block) @ cols[None]
-            if not np.array_equal(got[:, :len(block)], product[:, at:at + rows]):
+            got = (block.repeat(2, axis=0) if len(block) == 1 else block) @ cols
+            if not np.array_equal(got[:len(block)], product[at:at + rows]):
                 blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
                 pytest.fail(f"this BLAS rounds a ({len(block)}, {nodes.size}) x ({nodes.size}, "
                             f"4) product unlike the same rows of a ({step}, {nodes.size}) one, "
@@ -308,21 +308,14 @@ def test_mode_sum_cap_raises_before_allocating():
 def direct_trig_sums(lam, freq, weights, a, b, c):
     """The fine rule's sums with sin and cos taken at every (lam, node)
     pair, in the blocks and products the rule used before it shared them
-    across panels (a lone point, as there, a row of two), for every column
-    of the (nodes, k) terms, each alone as the rule sums it: the oracle for
+    across panels (a lone point, as there, a row of two): the oracle for
     the angle-addition evaluation."""
-    if a.shape[1] > 1:
-        return np.concatenate([direct_trig_sums(lam, freq, weights,
-                                                *(t[:, j:j + 1] for t in (a, b, c)))
-                               for j in range(a.shape[1])], axis=1)
     real = not np.iscomplexobj(lam)
-    rules, cols = weights.shape[1], a.shape[1]
-    wa = np.multiply(weights[:, :, None], 4.0 * a[:, None], dtype=np.complex128)
-    wb = np.multiply(weights[:, :, None], 2.0 * b[:, None], dtype=np.complex128)
-    wa, wb = wa.reshape(freq.size, -1), wb.reshape(freq.size, -1)
+    wa = np.multiply(weights, 4.0 * a[:, None], dtype=np.complex128)
+    wb = np.multiply(weights, 2.0 * b[:, None], dtype=np.complex128)
     if real:
         wa, wb = wa.view(float), wb.view(float)
-    ln = np.empty((lam.size, rules * cols), dtype=np.complex128)
+    ln = np.empty((lam.size, weights.shape[1]), dtype=np.complex128)
     step = max(1, BLOCK // freq.size)
     for i in range(0, lam.size, step):
         half = np.multiply.outer(np.resize(lam[i:i + step], max(2, lam[i:i + step].size)),
@@ -334,30 +327,29 @@ def direct_trig_sums(lam, freq, weights, a, b, c):
         if real:
             sa, sb = sa.view(np.complex128), sb.view(np.complex128)
         ln[i:i + step] = (sa + 1j * sb)[:ln[i:i + step].shape[0]]
-    ln += (weights.T @ c).ravel()
-    return ln.reshape(lam.size, rules, cols)[:, 0]
+    ln += weights.T @ c
+    return ln[:, 0]
 
 
 def exact_phase_sums(lam, freq, weights, a, b, c):
-    """The fine rule's sums on the same nodes, weights and (nodes, k) terms,
-    with the phases, sin and cos and the sums in long double: the rule's
-    value less the float rounding its error estimate must charge."""
+    """The fine rule's sums on the same nodes, weights and terms, with the
+    phases, sin and cos and the sums in long double: the rule's value less
+    the float rounding its error estimate must charge."""
     ld = np.longdouble
     half = np.multiply.outer(np.asarray(lam, dtype=ld), np.asarray(freq, dtype=ld)) / 2
     s2, sin_phi = 4 * np.sin(half) ** 2, 2 * np.sin(2 * half)
-    w = weights[:, :1].astype(ld)
+    w = weights[:, 0].astype(ld)
     a, b, c = (np.asarray(t, dtype=np.complex128) for t in (a, b, c))
     re = (s2 @ (w * a.real.astype(ld)) - sin_phi @ (w * b.imag.astype(ld))
-          + (w * c.real.astype(ld)).sum(axis=0))
+          + (w * c.real.astype(ld)).sum())
     im = (s2 @ (w * a.imag.astype(ld)) + sin_phi @ (w * b.real.astype(ld))
-          + (w * c.imag.astype(ld)).sum(axis=0))
+          + (w * c.imag.astype(ld)).sum())
     return re.astype(float) + 1j * im.astype(float)
 
 
 def rule_calls(monkeypatch, compute, oracle=direct_trig_sums):
     """Run compute() and return, for every rule evaluation it made, the
-    (points, k) values and error bounds the rule returned and the oracle's
-    values."""
+    values and error bounds the rule returned and the oracle's values."""
     seen = []
     rule_sums = special_functions._rule_sums
 
@@ -407,9 +399,7 @@ def test_mode_sums_are_bit_identical_to_direct_trig(monkeypatch):
             monkeypatch, lambda: (amplitude(nc, "+", np.linspace(-4.0, 4.0, 121), "sum"),
                                   amplitude(nc, "-", 0.3, "sum"),
                                   type2_amplitude(np.linspace(-2.0, 2.0, 41), 0.5, 1.5, "sum"))):
-        assert value.shape == direct.shape
-        for col in range(value.shape[1]):
-            assert np.array_equal(value[:, col], direct[:, col])
+        assert value.shape == direct.shape and np.array_equal(value, direct)
 
 
 def test_mode_groups_rebuild_the_frequencies(monkeypatch):

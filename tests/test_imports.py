@@ -4,8 +4,8 @@ has a caller inside the package (through an import at module level or inside
 a function), every defaulted parameter of a public function is passed inside
 the package, every __slots__ field of a package class is read inside the
 package, no module imports a random generator or dataclasses, only the
-entry point imports gc, and only tensor_core names its operator classes
-or calls frexp."""
+entry point imports gc, only tensor_core names its operator classes
+or calls frexp, and only transmission_amplitudes names the second route."""
 import ast
 from pathlib import Path
 
@@ -526,3 +526,27 @@ def test_only_tensor_core_calls_frexp():
     # every residual norm takes its power-of-two scaling from
     # tensor_core.pow2_scaled, the one place that reads an exponent
     assert tensor_core_names_used(_parse_all(), ("frexp",)) == []
+
+
+def second_route_choices(trees) -> list[str]:
+    """module: line of every conditional expression that picks between the
+    route names "sum" and "integral", either way round."""
+    return [f"{module}: {node.lineno}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.IfExp)
+            and {getattr(node.body, "value", None),
+                 getattr(node.orelse, "value", None)} == {"sum", "integral"}]
+
+
+def test_second_route_choices_finds_each_form():
+    tree = ast.parse('a = "sum" if x else "integral"\n'
+                     'f("integral" if y == NONCRITICAL else "sum")\n'
+                     'b = "sum" if x else "closed"\n'
+                     'c = {"sum": 1, "integral": 2}\n')
+    assert second_route_choices({"m": tree}) == ["m: 1", "m: 2"]
+
+
+def test_only_transmission_amplitudes_names_the_second_route():
+    # transmission_amplitudes.second_route decides, once, which route the
+    # closed forms are checked against; verify, amplitude and S_s ask it
+    assert [entry.split(":")[0] for entry in second_route_choices(_parse_all())] == [
+        "transmission_amplitudes"]

@@ -126,8 +126,6 @@ def test_q_gamma_ratio_pole_and_domain(monkeypatch):
     with pytest.raises(PoleError, match="denominator") as err:
         q_gamma_ratio([0.5, 1.5], [2.5, -1.0], 0.5, lam)
     assert err.value.location == -1.0
-    with pytest.raises(ValueError, match="q must lie"):
-        q_gamma_ratio([0.5], [1.0], 1.5, lam)
     with pytest.raises(ValueError, match="as many"):
         q_gamma_ratio([0.5], [], 0.5, lam)
     monkeypatch.setattr(special_functions, "MAX_TERMS", 100)
@@ -206,9 +204,6 @@ def test_zero_kernel_gives_unit_amplitude():
                            decay=0.5, eta=0.5)
     result = amplitude_integral(zero_d, 0.7)
     assert result.value == pytest.approx(1.0, abs=1e-14)
-    for eta in (0.0, -0.5, float("nan")):
-        with pytest.raises(ValueError, match="eta must be positive"):
-            FourierKernel("zero", zero_d.hat, decay=0.5, eta=eta)
     # a pole at the origin has no mode-sum prescription
     pole_d = FourierKernel("pole", zero_d.hat, odd_kind="pole", odd_origin=0.5, decay=0.5,
                            eta=0.5)
