@@ -56,6 +56,11 @@ MAX_VERIFY_FOCK_DIM = 256
 # 240 MB, at 2048 about 2.6 s and 0.9 GB, at 4096 (mono.RESOURCE_BOUND)
 # about 11 s and 3.4 GB
 MAX_SPECTRUM_FOCK_DIM = 2048
+# largest --breather-n, and n x grid points, of a breather table, checked the
+# same way: its n fusion factors take about 15 us each and 0.2 us a point, so
+# either bound alone leaves 30 s or more; at both the closed forms take 0.5 s
+MAX_BREATHER_N = 1000
+MAX_BREATHER_FACTORS = 2 * MAX_GRID_POINTS
 
 
 def _parse_grid(text: str):
@@ -320,19 +325,9 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         add("breather-cross-route", disc, row="integral")
 
     # Bethe roots for the one-root chain, both defect orientations
-    for sign, root, res, singular in _bae_roots(params):
+    for sign, root, res, singular in mono.bae_solutions(params):
         add(f"bae-residual[{sign}]", res, {"root": root, "singular": singular})
     return reports
-
-
-def _bae_roots(params: RegimeParams) -> list[tuple[str, complex, float, bool]]:
-    """(sign, root, residual, singular) of the chain's N=1, M=1 Bethe equation
-    with the defect's L (+) and L-hat (-): `bae_root`'s root, its scaled T-Q
-    residual (`bae_residual`), and whether a and d (`_vacuum`) vanish there."""
-    roots = [(sign, mono.bae_root(params, 1, sign)) for sign in "+-"]
-    return [(sign, root, float(np.abs(mono.bae_residual(params, 1, sign, [root])).max()),
-             all(abs(w) <= 16 * 2.0 ** -52 * s for w, s in mono._vacuum(params, 1, sign, root)))
-            for sign, root in roots]
 
 
 # --------------------------------------------------------------------------
@@ -359,13 +354,12 @@ def _write_records(tables, fmt: str, out, header: dict):
         target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as err:
         raise ValueError(f"cannot write --out {out}: {err.strerror}") from None
-    lone = len(first) == 1
     with target as stream:
         stream.write(_JSON({"header": header}) + "\n" if fmt == "jsonl"
                      else "# " + _JSON(header) + "\n"
-                     + ",".join(_csv_cell(name, lone) for name in first) + "\n")
+                     + ",".join(map(_csv_cell, first)) + "\n")
         for table in itertools.chain([first], tables):
-            fields = {k: _csv_field(v, lone) for k, v in table.items()}
+            fields = {k: _csv_field(v) for k, v in table.items()}
             template = ",".join(fields.values()) + "\n"
             cols = [k for k, v in table.items() if isinstance(v, (list, np.ndarray))]
             for at in range(0, min((len(table[k]) for k in cols), default=0), _BLOCK_ROWS):
@@ -376,29 +370,30 @@ def _write_records(tables, fmt: str, out, header: dict):
                     stream.writelines(_JSON(dict(zip(table, row))) + "\n" for row in rows)
                 else:
                     rows = zip(*(block[k] if fields[k] != "%s"
-                                 else [_csv_cell(_fmt_cell(v), lone) for v in block[k]]
+                                 else [_csv_cell(_fmt_cell(v)) for v in block[k]]
                                  for k in cols))
                     stream.write(template * len(block[cols[0]])
                                  % tuple(itertools.chain.from_iterable(rows)))
 
 
-def _csv_field(v, lone: bool) -> str:
+def _csv_field(v) -> str:
     """v's part of a csv row template: a repeated cell baked in (% doubled),
     or %.12e, %d or %s for a column of floats, of ints or of other cells."""
     if isinstance(v, np.ndarray):
         return {"f": "%.12e", "i": "%d", "u": "%d"}.get(v.dtype.kind, "%s")
     if not isinstance(v, list):
-        return _csv_cell(_fmt_cell(v), lone).replace("%", "%%")
+        return _csv_cell(_fmt_cell(v)).replace("%", "%%")
     types = set(map(type, v))
     return ("%.12e" if all(issubclass(t, float) for t in types)
             else "%d" if types == {int} else "%s")
 
 
-def _csv_cell(text: str, lone: bool) -> str:
+def _csv_cell(text: str) -> str:
     """text as a csv cell that csv.reader reads back: quoted, quotes doubled,
-    if it holds `,`, `"`, "\\n" or "\\r", or is empty and its row's only field
-    (csv.writer with the line terminator "\\n" leaves a "\\r" unquoted)."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text or (lone and not text):
+    if it holds `,`, `"`, "\\n" or "\\r" (csv.writer with the line terminator
+    "\\n" leaves a "\\r" unquoted).  No command writes a one-column table,
+    whose empty cell csv.writer would quote."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -452,13 +447,19 @@ def cmd_amplitude(args) -> int:
                                           type2_amplitude)
     params = _make_params(args)
     start, stop, count = args.grid
-    grid = np.linspace(start, stop, count)
     needs = {"breather": "critical", "type2": "noncritical"}.get(args.family, args.regime)
     if args.regime != needs:
         raise ValueError(f"--family {args.family} needs --regime {needs}")
     if args.family == "breather" and not params.is_attractive():
         raise ValueError(f"--family breather needs the attractive regime, "
                          f"mu < pi/2 = {np.pi / 2:.6g}; got mu = {params.mu}")
+    n = args.breather_n
+    if args.family == "breather" and not (n <= MAX_BREATHER_N
+                                          and n * count <= MAX_BREATHER_FACTORS):
+        raise ValueError(f"--breather-n {n} on a {count}-point grid: the fusion product takes "
+                         f"n factors at every point; keep n <= {MAX_BREATHER_N} and "
+                         f"n x points <= {MAX_BREATHER_FACTORS}")
+    grid = np.linspace(start, stop, count)
     # closed(x) -> (T+, T-) and second(x) -> the other route's T+ (and T-)
     if args.family == "type1":
         other = second_route(params)
@@ -469,8 +470,6 @@ def cmd_amplitude(args) -> int:
         def second(x):
             return tuple(res.value for res in amplitude_pair(params, x, other))
     elif args.family == "breather":
-        n = args.breather_n
-
         def closed(x):
             return (breather_amplitude("+", n, x, params.gamma).value,
                     breather_amplitude("-", n, x, params.gamma).value)
@@ -561,7 +560,7 @@ def cmd_spectrum(args) -> int:
 def cmd_bae(args) -> int:
     params = _make_params(args)
     rows = [{"sign": sign, "re_root": root.real, "im_root": root.imag, "residual": res}
-            for sign, root, res, _ in _bae_roots(params)]
+            for sign, root, res, _ in mono.bae_solutions(params)]
     worst = max(row["residual"] for row in rows)
     _write_records([_columns(rows)], args.format or "csv", args.out, _header(args))
     tol = args.tol if args.tol is not None else GATES["bae-residual"][0]

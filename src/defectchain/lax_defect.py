@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oscillator_reps import HarmonicRep, QOscRep, harmonic_rep, q_oscillator_rep
+from . import EXP_REACH, LN_MAX
+from .oscillator_reps import QOscRep, harmonic_rep, q_oscillator_rep
 from .tensor_core import aux_transpose, block2, identity_residual
 
 __all__ = [
@@ -138,17 +139,13 @@ _SM = np.array([[0, 0], [1, 0]], dtype=np.complex128)
 _P4 = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]     # P (|a> (x) |b>) = |b> (x) |a>
 
 
-# largest |Re mu lam| the Lax entries e^{+-mu lam} may take (exp overflows past 709)
-_MAX_EXPONENT = 700.0
-
-
 def _x_pair(mu: complex, lam):
     """q = e^(i mu), x = e^(mu (lam + i/2)) and 1/x (as e^(+-mu lam) q^(+-1/2)),
-    or a ValueError where e^(+-mu lam) overflows."""
+    or a ValueError where |Re mu lam| passes EXP_REACH."""
     growth = np.abs((mu * lam).real).max()
-    if growth > _MAX_EXPONENT:
+    if growth > EXP_REACH:
         raise ValueError(f"|Re mu lam| = {growth:.4g} overflows e^(+-mu lam); "
-                         f"keep it below {_MAX_EXPONENT:g}")
+                         f"keep it below {EXP_REACH:g}")
     q = complex(np.exp(1j * mu))
     return q, np.exp(mu * lam) * q ** 0.5, np.exp(-mu * lam) * q ** -0.5
 
@@ -186,10 +183,6 @@ def make_r(params: RegimeParams, lam) -> np.ndarray:
     return six_vertex(*_x_pair(params.mu_complex, lam))
 
 
-# largest x whose e^x is a float
-_LN_MAX = float(np.log(np.finfo(float).max))
-
-
 def defect_rep(params: RegimeParams, dim: int):
     """The D-level defect representation the regime's Lax operator acts on.
     The non-critical q-oscillator's largest entry is q^(-(D - 1/2)) =
@@ -197,26 +190,15 @@ def defect_rep(params: RegimeParams, dim: int):
     ValueError naming both."""
     if params.regime == XXX:
         return harmonic_rep(dim)
-    if params.regime == NONCRITICAL and params.eta * (dim - 0.5) > _LN_MAX:
+    if params.regime == NONCRITICAL and params.eta * (dim - 0.5) > LN_MAX:
         raise ValueError(f"eta = {params.eta} and D = {dim} put the q-oscillator's entry "
                          f"e^(eta (D - 1/2)) past the float range; keep eta (D - 1/2) "
-                         f"below {_LN_MAX:.6g}")
+                         f"below {LN_MAX:.6g}")
     return q_oscillator_rep(dim, params.q)
 
 
-def _check_rep(params: RegimeParams, rep):
-    if params.regime == XXX:
-        if not isinstance(rep, HarmonicRep):
-            raise TypeError("isotropic defect needs a HarmonicRep")
-    elif not isinstance(rep, QOscRep):
-        raise TypeError("anisotropic defect needs a QOscRep")
-    elif abs(rep.q - params.q) > 1e-12:
-        raise ValueError(f"representation deformation {rep.q} does not match regime q {params.q}")
-
-
 def make_l(params: RegimeParams, lam, rep) -> np.ndarray:
-    """Defect Lax operator on (aux C^2) (x) (defect space), or a stack."""
-    _check_rep(params, rep)
+    """Defect Lax operator over `defect_rep` on (aux C^2) (x) (defect space), or a stack."""
     lam = _lams(lam)
     if params.regime == XXX:
         eye = np.eye(rep.dim, dtype=np.complex128)
@@ -230,7 +212,6 @@ def make_l_hat(params: RegimeParams, lam, rep) -> np.ndarray:
     Must agree entrywise with crossing_transform applied to make_l at
     -lam - i; the `lhat-two-route` record of `verify` compares the two.
     """
-    _check_rep(params, rep)
     lam = _lams(lam)
     if params.regime == XXX:
         eye = np.eye(rep.dim, dtype=np.complex128)
@@ -244,8 +225,6 @@ _V1 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=np.complex128)
 def crossing_transform(m: np.ndarray) -> np.ndarray:
     """V1 L^{t1} V1 for a matrix L on (C^2 aux) (x) (anything), or a stack:
     given L(-lam - i) it returns the conjugate operator Lhat(lam)."""
-    if m.shape[-1] % 2:
-        raise ValueError("crossing transform needs a 2-dimensional auxiliary factor")
     v1 = np.kron(_V1, np.eye(m.shape[-1] // 2, dtype=np.complex128))
     return v1 @ aux_transpose(m) @ v1
 

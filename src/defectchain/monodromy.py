@@ -38,6 +38,7 @@ import math
 
 import numpy as np
 
+from . import EXP_REACH, LN_MAX
 from .lax_defect import NONCRITICAL, XXX, RegimeParams, make_l, make_r
 from .tensor_core import commutator_residual, pow2_factor, pow2_norm, pow2_scaled
 
@@ -56,16 +57,17 @@ __all__ = [
     "charge_leak",
     "bae_residual",
     "bae_root",
+    "bae_solutions",
 ]
 
 # largest chain dimension 2^N D a ChainSpec accepts
 RESOURCE_BOUND = 4096
 BATCH_ENTRIES = 2 ** 17    # most complex entries one batch of lams holds (`ChainSpec.batch`)
-# largest |Re mu theta| `bae_root` takes: its root z ~ e^(2 mu theta) stays below e^700
-MAX_BAE_EXPONENT = 350.0
+# largest |Re mu theta| `bae_root` takes: its root z ~ e^(2 mu theta) stays below e^EXP_REACH
+MAX_BAE_EXPONENT = EXP_REACH / 2
 # largest non-critical eta `bae_root` takes: its root z = e^(2 mu u), u near
 # -i, has |z| near e^(2 eta), which stays below the largest float
-MAX_BAE_ETA = 0.5 * math.log(np.finfo(float).max)
+MAX_BAE_ETA = LN_MAX / 2
 # largest off-diagonal residual || D - diag D ||_F / || t ||_F of D = V^-1 t V
 # at which `sector_eigenvalues` reads t's eigenvalues off diag D (the
 # chain-spectrum workload's seeds 1-10 read at most 6.3e-13)
@@ -481,6 +483,16 @@ def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
         raise ValueError(f"at theta = {th} the one-site Bethe equation has no finite root: "
                          "theta is past what double precision resolves")
     return complex(max(roots, key=lambda u: u.real))
+
+
+def bae_solutions(params: RegimeParams) -> list[tuple[str, complex, float, bool]]:
+    """(sign, root, residual, singular) of the chain's N=1, M=1 Bethe equation
+    with the defect's L (+) and L-hat (-): `bae_root`'s root, its scaled T-Q
+    residual, and whether a and d (`_vacuum`) vanish there to 16 eps of scale."""
+    roots = [(sign, bae_root(params, 1, sign)) for sign in "+-"]
+    return [(sign, root, float(np.abs(bae_residual(params, 1, sign, [root])).max()),
+             all(abs(w) <= 16 * 2.0 ** -52 * s for w, s in _vacuum(params, 1, sign, root)))
+            for sign, root in roots]
 
 
 def _quadratic_roots(p) -> list[complex]:

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import ConvergenceError
+from . import EXP_REACH, LN_MAX, LN_TINY, ConvergenceError
 
 __all__ = [
     "PoleError",
@@ -439,7 +439,6 @@ _FIRST_PANEL = 0.25    # panel at the origin; widths double from it
 _MAX_WIDTH = 8.0       # widest panel
 _PANEL_PHASE = 24.0    # largest phase max|lam| * width one panel carries
 _TAIL = 1e-16          # the cutoff (or last mode) leaves at most this much of e^{-decay w}
-_MAX_GROWTH = 700.0    # largest exponent |Im lam| w the phases may reach (exp overflows past 709)
 
 # The 41-point Gauss-Kronrod rule on [-1, 1] and its embedded 20-point Gauss
 # rule (QUADPACK's qk41; Piessens et al. 1983, Laurie 1997): the
@@ -523,7 +522,8 @@ def _panel_rule(cutoff: float, width: float):
 
 def _half_line_rule(decay: float, lam_max: float = 0.0):
     """(nodes, weights, groups) of the rule for integrands that decay like
-    e^{-decay w} and oscillate like e^{i lam w} with |lam| <= lam_max.
+    e^{-decay w}, decay > 0 (every kernel and integrand the package builds
+    has one), and oscillate like e^{i lam w} with |lam| <= lam_max.
 
     The cutoff leaves a tail below _TAIL; the panel width is the largest
     power of two that keeps lam_max * width <= _PANEL_PHASE, at most
@@ -532,8 +532,6 @@ def _half_line_rule(decay: float, lam_max: float = 0.0):
     a few panels short of the doubling ones near the origin) raises
     ConvergenceError before anything is allocated, as _mode_rule does.
     """
-    if not decay > 0:
-        raise ValueError(f"decay rate must be positive, got {decay}")
     cutoff = float(-np.log(_TAIL) / decay)
     width = _MAX_WIDTH
     if lam_max * width > _PANEL_PHASE:
@@ -554,15 +552,13 @@ def _half_sin_cos(x, groups):
     combined by angle addition (DLMF 4.21.2) as two stacked products per
     group, sin = (sb, cb).(cu, su) and cos = (cb, -sb).(cu, su), so a group
     costs 2 bases + offsets evaluations per point instead of bases * offsets.
-    A base of 0 gives the offsets' own sin/cos exactly.  Scales, if a group
-    has them (only the last group may), are 1, 2, 4, ...: the offsets are
-    then one row per base, row k exactly scales[k] times row 0, so that
-    x * row k is 2 (x * row k-1) in floating point, and at real x only the
-    first row is evaluated: each further row is the square of the one
-    before as cos + i sin.
+    A base of 0 gives the offsets' own sin/cos exactly.  Scales, which only
+    the last group has (as _panel_rule builds it), are 1, 2, 4, ...: the
+    offsets are then one row per base, row k exactly scales[k] times row 0,
+    so that x * row k is 2 (x * row k-1) in floating point, and at real x
+    only the first row is evaluated: each further row is the square of the
+    one before as cos + i sin.
     """
-    if any(scales is not None for _, _, scales in groups[:-1]):
-        raise ValueError("only the last group of a rule may have scales")
     angles = np.concatenate([a for b, u, _ in groups for a in (b, -b, u.ravel())])
     _, last, scales = groups[-1]
     step = last.shape[-1]
@@ -633,10 +629,10 @@ def _rule_sums(lam, freq, groups, weights, tail_length, a, b, c, c_size=None):
     """
     real = not np.iscomplexobj(lam)
     growth = 0.0 if real else float(np.abs(lam.imag).max(initial=0.0)) * freq[-1]
-    if growth > _MAX_GROWTH:
+    if growth > EXP_REACH:
         raise ValueError(f"|Im lam| = {np.abs(lam.imag).max():.4g} lets the phases overflow "
                          f"before the last node {freq[-1]:.4g}; keep it below "
-                         f"{_MAX_GROWTH / freq[-1]:.4g}")
+                         f"{EXP_REACH / freq[-1]:.4g}")
     reach = float(np.abs(lam).max(initial=0.0))
     with np.errstate(over="ignore"):
         top = reach * freq[-1]
@@ -726,13 +722,11 @@ def _mode_rule(eta: float, rate: float):
 
 class AmplitudeResult:
     """An amplitude (scalar or per grid point) and a measured bound on its
-    absolute error."""
+    absolute error, >= 0 as every route computes it."""
 
     __slots__ = ("value", "error_estimate")
 
     def __init__(self, value: complex, error_estimate: float = 0.0):
-        if (np.min(error_estimate) if np.ndim(error_estimate) else error_estimate) < 0:
-            raise ValueError("error_estimate must be >= 0")
         self.value, self.error_estimate = value, error_estimate
 
     @classmethod
@@ -745,19 +739,14 @@ class AmplitudeResult:
 
 
 def as_grid(lam, real: bool = False):
-    """(1-d array of points, whether lam was a scalar)."""
+    """(1-d array of points, whether lam was a scalar): complex points stay
+    complex, others become floats.  With ``real`` (the quadrature and sum
+    routes) a complex lam is a ValueError, whatever its imaginary part."""
     arr = np.asarray(lam)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).ravel()
-    if real:
-        if np.iscomplexobj(arr):
-            if np.any(arr.imag != 0):
-                raise ValueError("the quadrature and sum routes require real lam_hat")
-            arr = arr.real
-        arr = arr.astype(float)
-    elif not np.iscomplexobj(arr):
-        arr = arr.astype(float)
-    return arr, scalar
+    if real and np.iscomplexobj(arr):
+        raise ValueError("the quadrature and sum routes require real lam_hat")
+    points = arr if np.iscomplexobj(arr) else arr.astype(float)
+    return np.atleast_1d(points).ravel(), arr.ndim == 0
 
 
 class FourierKernel:
@@ -788,15 +777,11 @@ class FourierKernel:
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-# the exponents whose exp is a normal float
-_LN_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
-
-
 def _exp_in_range(ln, lam):
     """exp(ln) for the exponents ln at the points lam; FloatRangeError names
     the first point whose exp would leave the normal float range (or whose
     exponent is NaN)."""
-    outside = ~((ln.real >= _LN_RANGE[0]) & (ln.real <= _LN_RANGE[1]))
+    outside = ~((ln.real >= LN_TINY) & (ln.real <= LN_MAX))
     if outside.any():
         i = np.argmax(outside)
         raise FloatRangeError(f"an amplitude at lam_hat = {lam[i]:.10g} is outside the "

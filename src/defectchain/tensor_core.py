@@ -151,16 +151,6 @@ def aux_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, 2, d, 2, d).swapaxes(1, 3).reshape(m.shape)
 
 
-def _as_matrix(op, expected_dim: int) -> np.ndarray:
-    """A matrix, or a stack of them along a leading axis, of the expected
-    size as a 3-d complex array (a lone matrix is a stack of one)."""
-    m = np.asarray(op, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (expected_dim, expected_dim):
-        raise ValueError(f"local operator shape {m.shape}, expected {(expected_dim,) * 2} "
-                         "or a stack of those")
-    return m.reshape(-1, expected_dim, expected_dim)
-
-
 def pow2_scaled(m):
     """(m 2^-e, e): m times the power of two nearest the inverse of its
     largest |entry| (floored at 1e-30), so that the largest becomes one in
@@ -212,13 +202,14 @@ def exchange_residual(r12, a1, a2, keep=None):
     the norms equal the dense projector product's up to summation order.
     The arguments may instead be stacks of matrices along a leading axis of
     one length (one relation per sample); the norms are then arrays over it.
+    The callers build them so: R12 is 4 x 4 and A1, A2 are 2d x 2d, each
+    alone or all stacked alike, and no shape is checked here.
     """
     stacked = np.ndim(a1) == 3
     d = np.shape(a1)[-1] // 2
-    (r, er), (t1, e1), (t2, e2) = (pow2_factor(_as_matrix(m, n))
-                                   for m, n in ((r12, 4), (a1, 2 * d), (a2, 2 * d)))
-    if not len(r) == len(t1) == len(t2):
-        raise ValueError(f"stacks of different lengths: {len(r)}, {len(t1)}, {len(t2)}")
+    (r, er), (t1, e1), (t2, e2) = (
+        pow2_factor(np.asarray(m, dtype=np.complex128).reshape(-1, n, n))
+        for m, n in ((r12, 4), (a1, 2 * d), (a2, 2 * d)))
     # blocks[row aux, col aux] as d x d matrices on V, broadcast so that the
     # products carry indices (sample, row1, col1, row2, col2, V row, V col)
     r = r.reshape(-1, 2, 2, 2, 2)

@@ -37,6 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import EXP_REACH, LN_TINY
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
 from .special_functions import (AmplitudeResult, FloatRangeError, FourierKernel, PoleError,
                                 amplitude_integral, as_grid, gamma_ratio,
@@ -55,7 +56,7 @@ __all__ = [
 
 
 # largest eta whose nome q^4 = e^(-4 eta) is a normal float
-_MAX_NOME_ETA = -0.25 * float(np.log(np.finfo(float).tiny))
+_MAX_NOME_ETA = -0.25 * LN_TINY
 
 
 def _nome(eta: float) -> float:
@@ -357,9 +358,9 @@ def _t_plus(params: RegimeParams, lam, route: str):
 # --------------------------------------------------------------------------
 
 
-# past |Re theta_hat| = 1400 the sinh ratio of `_breather_one` is its limit
-# to e^(-1400) relative, and its sinh values, about e^700, near overflow
-_BREATHER_REACH = 1400.0
+# past |Re theta_hat| = 2 EXP_REACH the sinh ratio of `_breather_one` is its limit
+# to e^(-2 EXP_REACH) relative, and its sinh values, about e^EXP_REACH, near overflow
+_BREATHER_REACH = 2 * EXP_REACH
 
 
 def _breather_one(sign: str, theta_hat, gamma: float):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .lax_defect import (CRITICAL, NONCRITICAL, XXX, RegimeParams, _lams, defect_rep, make_l,
                          make_l_hat, q_lax, s_matrix_part)
-from .oscillator_reps import QOscRep, q_oscillator_rep, spin_rep
+from .oscillator_reps import q_oscillator_rep, spin_rep
 from .tensor_core import aux_transpose, block2, exchange_residual, identity_residual
 
 __all__ = [
@@ -61,13 +61,15 @@ def default_rep(params: RegimeParams, dim: int):
 def t_matrix_part(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray:
     """Matrix part of T (``which="t"``) or Tbar (``"t_bar"``) at lam_hat on
     (aux C^2) (x) (defect space), or a stack; complex lam_hat is allowed.
+    rep is the regime's `default_rep`, whose deformation q the formulas take
+    as given (the critical one at q~): nothing here checks it again.
 
     Each is the chain's Lax operator at a shifted argument: T = -i L(-lam_hat
     - i/2) and Tbar = -i Lhat(-lam_hat + i/2) in the isotropic regime, else
     T = L(-lam_hat + i/2) and Tbar = Lhat(-lam_hat - i/2) over rep (critical:
     at q~ and u = lam_hat / gamma), i.e. q_lax at x = q/e and x = 1/e with
     q = rep.q and e = e^{pi lam_hat} (critical) or e = e^{i eta lam_hat}.
-    A rep at another q, or a ``which`` other than these two, raises ValueError.
+    A ``which`` other than these two raises ValueError.
     """
     if which not in ("t", "t_bar"):
         raise ValueError(f"which must be 't' or 't_bar', got {which!r}")
@@ -75,15 +77,7 @@ def t_matrix_part(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray
     if params.regime == XXX:
         lax = make_l_hat if hat else make_l
         return -1j * lax(params, -lh + (0.5j if hat else -0.5j), rep)
-    if not isinstance(rep, QOscRep):
-        raise TypeError("anisotropic transmission matrices need a QOscRep")
-    if params.regime == CRITICAL:
-        q, e = complex(np.exp(1j * np.pi * params.gamma)), np.exp(np.pi * _lams(lh))
-    else:
-        q, e = params.q, np.exp(1j * params.eta * _lams(lh))
-    if abs(rep.q - q) > 1e-9:
-        raise ValueError(f"transmission matrices need the regime's oscillator (critical: the "
-                         f"rescaled-deformation one), q = {q}, got {rep.q}")
+    e = np.exp(np.pi * _lams(lh) if params.regime == CRITICAL else 1j * params.eta * _lams(lh))
     return q_lax(rep, 1 / e, e, True) if hat else q_lax(rep, rep.q / e, e / rep.q, False)
 
 

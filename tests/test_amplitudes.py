@@ -12,8 +12,8 @@ from defectchain.special_functions import (FloatRangeError, PoleError, _half_lin
                                            gamma_ratio_bound, half_line_sums, q_gamma_ratio)
 from defectchain.transmission_amplitudes import (_critical_anchor, _critical_ln_product,
                                                  _critical_ln_ratio, amplitude, amplitude_pair,
-                                                 breather_amplitude, kernel, soliton_s_amplitude,
-                                                 type2_amplitude)
+                                                 breather_amplitude, kernel, second_route,
+                                                 soliton_s_amplitude, type2_amplitude)
 from kernel_oracles import oracle_kernel
 
 mp.mp.dps = 30
@@ -264,6 +264,19 @@ def test_bad_sign_and_route():
         amplitude(XXX, "+", 0.0, route="sum")
     with pytest.raises(ValueError):
         amplitude(NC, "+", 0.0, route="integral")
+
+
+@pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
+@pytest.mark.parametrize("lam", [0.3 + 0j, np.array([0.3, -1.0], dtype=complex)],
+                         ids=["scalar", "grid"])
+def test_second_routes_refuse_a_complex_lam_hat_on_the_real_axis(params, lam):
+    # the quadrature and sum routes take real lam_hat only: a complex one is
+    # refused whatever its imaginary part, for the hole amplitudes and for S_s
+    route, message = second_route(params), "^the quadrature and sum routes require real lam_hat$"
+    with pytest.raises(ValueError, match=message):
+        amplitude_pair(params, lam, route)
+    with pytest.raises(ValueError, match=message):
+        soliton_s_amplitude(params, lam, route)
 
 
 @pytest.mark.parametrize("params,route",

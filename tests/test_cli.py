@@ -442,6 +442,33 @@ def test_grid_count_cap_is_inclusive(count, accepted):
             cli._parse_grid(f"-2:2:{count}")
 
 
+BREATHER = ["amplitude", "--regime", "critical", "--mu", "0.7", "--family", "breather"]
+
+
+@pytest.mark.parametrize("n, count", [(1_000_000, 3), (1001, 1), (1000, 2001), (3, 1_000_000)])
+def test_breather_table_past_its_bounds_is_a_usage_error(monkeypatch, capsys, n, count):
+    # n <= 1000 and n x points <= 2000000, checked before the grid or any
+    # factor is built: n = 1000000 on 3 points ran past 15 s
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(cli.np, "linspace", unreachable)
+    monkeypatch.setattr(ta, "breather_amplitude", unreachable)
+    assert run(BREATHER + ["--breather-n", str(n), f"--grid=0:1:{count}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: --breather-n {n} on a {count}-point grid: the fusion product takes n factors "
+        "at every point; keep n <= 1000 and n x points <= 2000000\n")
+
+
+@pytest.mark.parametrize("n, count", [(1000, 2000), (1000, 1)])
+def test_breather_table_at_its_bounds_runs(tmp_path, n, count):
+    out = tmp_path / "breather.csv"
+    argv = BREATHER + ["--breather-n", str(n), f"--grid=-4:4:{count}", "--out", str(out)]
+    assert run(argv) == 0
+    assert len(read_csv(out)[1]) == count
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--fock-dim", "100000"], "must be <= 256, got 100000"),
     (["verify", "--fock-dim", "2048"], "must be <= 256, got 2048"),
@@ -1776,8 +1803,9 @@ ARRAY_DTYPES = {"float": float, "np_float": float, "np_int": np.int64, "bool": b
 @st.composite
 def tables_and_records(draw):
     """Tables of list, array and repeated columns (several tables, one set
-    of names) and their rows as records, arrays read through tolist()."""
-    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    of two names or more, as every command writes) and their rows as
+    records, arrays read through tolist()."""
+    names = draw(st.lists(TEXT, min_size=2, max_size=4, unique=True))
     kinds = [draw(st.sampled_from([*CELLS, "mixed"])) for _ in names]
     tables, records = [], []
     for _ in range(draw(st.integers(1, 3))):

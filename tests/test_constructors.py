@@ -36,9 +36,6 @@ def _eye_with(value):
      "operator entries contain NaN or Inf"),
     (lambda: TensorOperator(TensorSpace((2,)), _eye_with(np.inf)),
      "operator entries contain NaN or Inf"),
-    (lambda: AmplitudeResult(1.0, -1e-3), "error_estimate must be >= 0"),
-    (lambda: AmplitudeResult(np.ones(2), np.array([0.0, -1e-300])),
-     "error_estimate must be >= 0"),
     (lambda: ChainSpec(-1, CRIT, harmonic_rep(4)), "n_sites must be >= 0"),
     (lambda: ChainSpec(10, CRIT, harmonic_rep(8)),
      "chain dimension 8192 exceeds resource bound 4096"),

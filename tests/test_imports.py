@@ -5,7 +5,9 @@ a function), every defaulted parameter of a public function is passed inside
 the package, every __slots__ field of a package class is read inside the
 package, no module imports a random generator or dataclasses, only the
 entry point imports gc, only tensor_core names its operator classes
-or calls frexp, and only transmission_amplitudes names the second route."""
+or calls frexp, only transmission_amplitudes names the second route, cli
+reads no underscore name of another package module, and the float's
+exponent reach is a literal in one module only."""
 import ast
 from pathlib import Path
 
@@ -550,3 +552,61 @@ def test_only_transmission_amplitudes_names_the_second_route():
     # closed forms are checked against; verify, amplitude and S_s ask it
     assert [entry.split(":")[0] for entry in second_route_choices(_parse_all())] == [
         "transmission_amplitudes"]
+
+
+def private_reads(trees, module) -> list[str]:
+    """source: name for every underscore name, dunders aside, that `module`
+    reads from another package module: imported from it by name, or loaded
+    as an attribute of the alias the module imports it as."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    found, aliases = [], {}
+    for node in ast.walk(trees[module]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found += [f"{node.module}: {a.name}" for a in node.names if private(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            aliases.update({a.asname or a.name: a.name for a in node.names if a.name in trees})
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname: a.name.split(".")[1] for a in node.names
+                            if a.asname and a.name.startswith("defectchain.")})
+    for node in ast.walk(trees[module]):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and getattr(node.value, "id", None) in aliases):
+            found.append(f"{aliases[node.value.id]}: {node.attr}")
+    return found
+
+
+def test_private_reads_finds_each_form():
+    trees = {"m": ast.parse("from . import a as alias, b, __version__\n"
+                            "from .a import _x, y, __all__\nimport defectchain.b as bb\n"
+                            "def f(): return alias._z, b._w, bb._v, alias.y, _own, other._u\n"
+                            "_own = alias.__name__\n"),
+             "a": ast.parse(""), "b": ast.parse("")}
+    assert sorted(private_reads(trees, "m")) == ["a: _x", "a: _z", "b: _v", "b: _w"]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # what the command line needs of a layer is that layer's public API
+    assert private_reads(_parse_all(), "cli") == []
+
+
+def literal_modules(trees, value) -> list[str]:
+    """The modules whose code holds the number `value` as a literal (a
+    bool is not a number here)."""
+    return sorted(module for module, tree in trees.items()
+                  if any(isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                         and node.value == value for node in ast.walk(tree)))
+
+
+def test_literal_modules_finds_ints_and_floats():
+    trees = {"a": ast.parse("x = 700.0\n"), "b": ast.parse("def f(y=700): return True\n"),
+             "c": ast.parse("s = '700'  # 700\nz = 7000\n")}
+    assert literal_modules(trees, 700) == ["a", "b"]
+    assert literal_modules(trees, 1) == []
+
+
+def test_the_exponent_reach_is_one_literal():
+    # lax_defect, special_functions, monodromy and transmission_amplitudes
+    # derive their bounds from the package's EXP_REACH, LN_MAX and LN_TINY
+    assert literal_modules(_parse_all(), 700) == ["__init__"]

@@ -102,13 +102,6 @@ def test_xxx_l_corner_entry():
     np.testing.assert_allclose(l[6:, 6:], 1j * np.eye(6), atol=1e-14)
 
 
-def test_l_rejects_wrong_rep():
-    with pytest.raises(TypeError):
-        make_l(XXX, 0.0, q_oscillator_rep(6, 0.5))
-    with pytest.raises(TypeError):
-        make_l(NC, 0.0, harmonic_rep(6))
-
-
 @pytest.mark.parametrize("params", [XXX, CRIT, NC], ids=["xxx", "crit", "nc"])
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_rll_quadratic_algebra(params, d):
@@ -144,11 +137,6 @@ def test_v1_square_and_sign_convention():
     rep = rep_for(XXX, 4)
     np.testing.assert_allclose(crossing_transform(make_l(XXX, -0.3 - 1j, rep)),
                                make_l_hat(XXX, 0.3, rep), atol=1e-14)
-
-
-def test_crossing_needs_two_dim_aux():
-    with pytest.raises(ValueError, match="2-dimensional auxiliary factor"):
-        crossing_transform(np.eye(3))
 
 
 # ------------------------------------------------------- unitarity identities

@@ -214,12 +214,3 @@ def test_zero_kernel_gives_unit_amplitude():
                         odd_kind="divergent", decay=1.0)
     with pytest.raises(ValueError, match="origin"):
         amplitude_integral(bad, 0.7)
-
-
-def test_quadrature_spec_validation():
-    # the half-line rule is sized from the kernel's decay, which must be
-    # positive for a finite cutoff
-    flat = FourierKernel("flat", lambda w: np.exp(-np.abs(np.asarray(w, dtype=float))),
-                         decay=0.0)
-    with pytest.raises(ValueError, match="decay"):
-        amplitude_integral(flat, 0.7)

@@ -145,8 +145,6 @@ def test_exchange_residual_odd_dimension_with_mask():
     assert 0.0 < res < exchange_residual(r12, m1, m2)[0]
     assert exchange_residual(r12, m1, m2, keep=np.zeros(d)) == (0.0, 0.0)
     assert exchange_residual(r12, m1, m2, keep=np.ones(d)) == exchange_residual(r12, m1, m2)
-    with pytest.raises(ValueError, match="stacks of different lengths"):
-        exchange_residual(np.stack([r12, r12]), m1, m2)
 
 
 def test_exchange_residual_keep_all_and_keep_none_on_a_stack():

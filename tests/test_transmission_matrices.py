@@ -72,23 +72,6 @@ def test_critical_entries_spot_check():
     assert prefactor(params, lh) == pytest.approx(want, rel=1e-13)
 
 
-def test_critical_rejects_microscopic_deformation():
-    from defectchain.oscillator_reps import q_oscillator_rep
-    with pytest.raises(ValueError, match="rescaled-deformation"):
-        t_matrix_part(CRIT, 0.3, q_oscillator_rep(6, CRIT.q))
-
-
-def test_noncritical_rejects_another_deformation():
-    # the non-critical matrices once accepted any q: at q = 0.9 a 12 x 12
-    # matrix came out, and the algebra residual read 0.33
-    from defectchain.oscillator_reps import q_oscillator_rep
-    rep = q_oscillator_rep(6, 0.9)
-    with pytest.raises(ValueError, match=r"q = \(0\.70468.*got \(0\.9"):
-        t_matrix_part(NC, 0.3, rep)
-    with pytest.raises(ValueError, match="q = "):
-        quadratic_algebra_residual(NC, 0.3, -0.2, rep)
-
-
 @pytest.mark.parametrize("params", ALL, ids=IDS)
 def test_which_names_t_or_t_bar(params):
     # any other which once gave Tbar silently ("T" bit for bit)
