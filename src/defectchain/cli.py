@@ -13,10 +13,10 @@ spectrum   eigenvalues of the transfer matrix grouped by charge sector,
 bae        solve the chain's one-root Bethe equation (N=1, M=1) exactly and
            report its T-Q residual for the defect's L (+) and L-hat (-).
 
-Outputs are deterministic: `verify`'s random sample points come from a
-pure-Python PCG64 that reproduces numpy.random.default_rng(seed).uniform bit
-for bit, with the seed recorded in the output header, and records are sorted
-before writing.  Every header also names the package and numpy versions.
+Outputs are deterministic: `verify`'s random sample points come from
+Python's own seeded MT19937 (random.Random(seed)), with the seed recorded in
+the output header, and records are sorted before writing.  Every header also
+names the package and numpy versions.
 Formats: csv (tables) or jsonl (one JSON record per line).
 """
 from __future__ import annotations
@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import numbers
+import random
 import sys
 
 import numpy as np
@@ -128,54 +129,6 @@ def _header(args, **fields) -> dict:
 # verify
 # --------------------------------------------------------------------------
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seeded_uniform(seed: int):
-    """uniform(low, high, size) whose successive calls return those of
-    numpy.random.default_rng(seed).uniform bit for bit, without numpy.random:
-    SeedSequence hashes the seed's 32-bit words into a pool of four, the pool
-    into PCG64's 128-bit state and increment, and each draw is low + (high -
-    low) * (x >> 11) * 2**-53 of the next XSL-RR output x (O'Neill, 2014)."""
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashed(value, mult=0x931E8875):
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mixed(x, y):
-        x = 0xCA01F9DD * x - 0x4973F715 * hashed(y) & _M32
-        return x ^ x >> 16
-
-    pool = [hashed(word) for word in (words + [0, 0, 0])[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mixed(pool[dst], pool[src])
-    for word in words[4:]:
-        pool = [mixed(x, word) for x in pool]
-    const = 0x8B51F9DD
-    half = [hashed(pool[i % 4], 0x58F38DED) for i in range(8)]
-    u64 = [half[k] | half[k + 1] << 32 for k in (0, 2, 4, 6)]
-    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _M128
-    state = ((u64[0] << 64 | u64[1]) + inc) * _PCG64_MULT + inc & _M128
-
-    def uniform(low: float, high: float, size) -> np.ndarray:
-        nonlocal state
-        out = np.empty(size)
-        for k in range(out.size):
-            state = state * _PCG64_MULT + inc & _M128
-            x, rot = (state >> 64 ^ state) & _M64, state >> 122
-            x = (x >> rot | x << 64 - rot) & _M64
-            out.flat[k] = low + (high - low) * ((x >> 11) * 2.0 ** -53)
-        return out
-
-    return uniform
-
-
 def _json_value(v):
     """A params value as JSON: numbers stay numbers, a complex becomes
     [re, im], strings and bools stay themselves, anything else its repr."""
@@ -218,7 +171,11 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
     # compile the amplitude layer
     from .transmission_amplitudes import (amplitude_pair, breather_amplitude, second_route,
                                           soliton_s_amplitude)
-    uniform = _seeded_uniform(seed)
+    draw = random.Random(seed).random      # MT19937; `import numpy` has loaded random
+
+    def uniform(low, high, n):
+        return np.array([low + (high - low) * draw() for _ in range(n)])
+
     rep = defect_rep(params, fock_dim)
     reports: list[dict] = []
 
@@ -231,19 +188,20 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
                         "residual": residual, "tolerance": tol, "pass": residual < tol,
                         "subspace": subspace or row_subspace})
 
-    # Yang-Baxter for R and the prefactored S-matrix: the exchange relation
-    # with A = R (or S) on V = C^2, one stacked call over the pairs
-    pairs = uniform(-1.5, 1.5, (6, 2))
+    # Yang-Baxter for R and the S-matrix: the exchange relation with A = R
+    # (or S) on V = C^2, one stacked call over the pairs.  Each side holds
+    # S_s(l1 - l2) S_s(l1) S_s(l2) once, so the prefactor cancels: ybe-s is
+    # measured on the matrix part, as rttb is.
+    pairs = uniform(-1.5, 1.5, 12).reshape(6, 2)
     args = np.stack([pairs[:, 0] - pairs[:, 1], pairs[:, 0], pairs[:, 1]])   # (R12, A1, A2)
     r_args = [make_r(params, xs) for xs in args]
     add("ybe-r", exchange_residual(*r_args)[0].max(), {"pairs": len(pairs), "seed": seed})
-    # the closed S_s grid serves s-amplitude-cross-route too
+    # the closed S_s of s-amplitude-cross-route, taken ahead of the amplitude
+    # records: at a mu past the Gamma-product cap, the cap is what verify reports
     lam_grid = np.linspace(-1.6, 1.6, 5)
     s_grid = lam_grid[:3]
-    s_closed = soliton_s_amplitude(params, np.concatenate([args.ravel(), s_grid]))
-    prefactors = s_closed[:args.size].reshape(args.shape)
-    s_parts = s_matrix_part(params, args.ravel()).reshape(args.shape + (4, 4))
-    s_args = prefactors[..., None, None] * s_parts
+    s_closed = soliton_s_amplitude(params, s_grid)
+    s_args = s_matrix_part(params, args.ravel()).reshape(args.shape + (4, 4))
     add("ybe-s", exchange_residual(*s_args)[0].max(), {"pairs": len(pairs), "seed": seed})
 
     # defect algebra relations
@@ -294,7 +252,7 @@ def run_verify(params: RegimeParams, fock_dim: int, seed: int,
         add(f"amplitude-cross-route[{sign}]", disc, {"route": other}, other)
     uni = np.abs(minus[:5] * plus[5:] - 1.0).max()
     add("amplitude-unitarity", uni)
-    s_disc = np.abs(s_closed[args.size:] - soliton_s_amplitude(params, s_grid, other)).max()
+    s_disc = np.abs(s_closed - soliton_s_amplitude(params, s_grid, other)).max()
     add("s-amplitude-cross-route", s_disc, {"route": other}, other)
 
     # transmission matrices
@@ -437,7 +395,7 @@ def cmd_verify(args) -> int:
     params = _make_params(args)
     records = sorted(run_verify(params, args.fock_dim, args.seed, tol_override=args.tol),
                      key=lambda r: r["name"])
-    header = _header(args, seed=args.seed, fock_dim=args.fock_dim, sampler="pcg64")
+    header = _header(args, seed=args.seed, fock_dim=args.fock_dim, sampler="mt19937")
     _write_records([_columns(records)], args.format or "jsonl", args.out, header)
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_FAIL
 

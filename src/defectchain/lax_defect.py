@@ -150,7 +150,7 @@ def _x_pair(mu: complex, lam):
     return q, np.exp(mu * lam) * q ** 0.5, np.exp(-mu * lam) * q ** -0.5
 
 
-def _lams(lam):
+def lam_stack(lam):
     """lam as a complex, or a 1-d array of lams as (n, 1, 1): every builder
     then broadcasts over it and returns an (n, dim, dim) stack."""
     return lam.astype(np.complex128)[:, None, None] if isinstance(lam, np.ndarray) else complex(lam)
@@ -177,7 +177,7 @@ def q_lax(rep: QOscRep, x, x_inv, hat: bool) -> np.ndarray:
 
 def make_r(params: RegimeParams, lam) -> np.ndarray:
     """Bulk R-matrix on C^2 (x) C^2 (first factor = block space), or a stack."""
-    lam = _lams(lam)
+    lam = lam_stack(lam)
     if params.regime == XXX:
         return lam * np.eye(4, dtype=np.complex128) + 1j * _P4
     return six_vertex(*_x_pair(params.mu_complex, lam))
@@ -199,7 +199,7 @@ def defect_rep(params: RegimeParams, dim: int):
 
 def make_l(params: RegimeParams, lam, rep) -> np.ndarray:
     """Defect Lax operator over `defect_rep` on (aux C^2) (x) (defect space), or a stack."""
-    lam = _lams(lam)
+    lam = lam_stack(lam)
     if params.regime == XXX:
         eye = np.eye(rep.dim, dtype=np.complex128)
         return block2(lam * eye + 1j * rep.n_op + 1j * eye, 1j * rep.a, 1j * rep.a_dag, 1j * eye)
@@ -212,7 +212,7 @@ def make_l_hat(params: RegimeParams, lam, rep) -> np.ndarray:
     Must agree entrywise with crossing_transform applied to make_l at
     -lam - i; the `lhat-two-route` record of `verify` compares the two.
     """
-    lam = _lams(lam)
+    lam = lam_stack(lam)
     if params.regime == XXX:
         eye = np.eye(rep.dim, dtype=np.complex128)
         return block2(1j * eye, -1j * rep.a, -1j * rep.a_dag, -lam * eye + 1j * rep.n_op)
@@ -230,7 +230,7 @@ def crossing_transform(m: np.ndarray) -> np.ndarray:
 
 
 def scalar_unitarity(params: RegimeParams, lam):
-    lam = _lams(lam)
+    lam = lam_stack(lam)
     if params.regime == XXX:
         return 1j * (lam + 1j)
     mu = params.mu_complex
@@ -238,7 +238,7 @@ def scalar_unitarity(params: RegimeParams, lam):
 
 
 def scalar_crossing(params: RegimeParams, lam):
-    lam = _lams(lam)
+    lam = lam_stack(lam)
     if params.regime == XXX:
         return -1j * (lam - 1j)
     mu = params.mu_complex
@@ -267,7 +267,7 @@ def s_matrix_part(params: RegimeParams, lam) -> np.ndarray:
     (1,1) entry."""
     if params.regime == CRITICAL:
         g = params.gamma
-        m = six_vertex(*_x_pair(np.pi * g, -_lams(lam) / g))
+        m = six_vertex(*_x_pair(np.pi * g, -lam_stack(lam) / g))
     else:
         m = make_r(params, -lam)
     return m / m[..., :1, :1]

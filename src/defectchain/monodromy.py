@@ -447,7 +447,7 @@ def bae_residual(params: RegimeParams, n_sites: int, sign: str, roots) -> np.nda
     return terms[:, 0] / terms[:, 1].real
 
 
-def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
+def bae_root(params: RegimeParams, sign: str) -> complex:
     """The Bethe root of the one-site chain (N = 1, M = 1), solved exactly:
     a(u) = d(u), the products of the `_weights` factors, cleared into a
     polynomial in v = u - max(theta, 0) (isotropic: a root near theta or 0
@@ -458,8 +458,6 @@ def bae_root(params: RegimeParams, n_sites: int, sign: str) -> complex:
     so the equation is linear in z.  A root z ~ e^{2 mu theta} past
     |Re mu theta| = MAX_BAE_EXPONENT is a ValueError naming theta, and one
     of |z| ~ e^(2 eta) past eta = MAX_BAE_ETA (non-critical) one naming eta."""
-    if n_sites != 1:
-        raise ValueError(f"the exact root needs a one-site chain, got N = {n_sites}")
     if params.regime == NONCRITICAL and params.eta > MAX_BAE_ETA:
         raise ValueError(f"eta = {params.eta} puts the one-site Bethe root e^(2 mu lam) ~ "
                          f"e^(2 eta) past the float range; keep eta below {MAX_BAE_ETA:.6g}")
@@ -489,7 +487,7 @@ def bae_solutions(params: RegimeParams) -> list[tuple[str, complex, float, bool]
     """(sign, root, residual, singular) of the chain's N=1, M=1 Bethe equation
     with the defect's L (+) and L-hat (-): `bae_root`'s root, its scaled T-Q
     residual, and whether a and d (`_vacuum`) vanish there to 16 eps of scale."""
-    roots = [(sign, bae_root(params, 1, sign)) for sign in "+-"]
+    roots = [(sign, bae_root(params, sign)) for sign in "+-"]
     return [(sign, root, float(np.abs(bae_residual(params, 1, sign, [root])).max()),
              all(abs(w) <= 16 * 2.0 ** -52 * s for w, s in _vacuum(params, 1, sign, root)))
             for sign, root in roots]

@@ -272,7 +272,7 @@ def q_gamma_ratio(num, den, q: float, lam):
                 with np.errstate(over="ignore"):
                     err[at] += _EPS * sum((size[:, at, None] * q_j / gap[0] + (
                         len(num) + 2.0 + math.log2(n)) * np.abs(logs)).sum(axis=-1))
-    value = _exp_in_range(ln, np.ravel(lam))
+    value = exp_in_range(ln, np.ravel(lam))
     return value.reshape(shape), (np.abs(value) * (err + _EPS * (np.abs(ln) + 2.0))).reshape(shape)
 
 
@@ -777,7 +777,7 @@ class FourierKernel:
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def _exp_in_range(ln, lam):
+def exp_in_range(ln, lam):
     """exp(ln) for the exponents ln at the points lam; FloatRangeError names
     the first point whose exp would leave the normal float range (or whose
     exponent is NaN)."""
@@ -833,5 +833,5 @@ def amplitude_integral(kernel: FourierKernel, lam_hat) -> AmplitudeResult:
     else:
         modes, freq, weights, groups = _mode_rule(kernel.eta, rate)
         ln, err = _rule_sums(lam, freq, groups, weights, 1.0 / -np.expm1(-rate), *terms(modes))
-    value = _exp_in_range(ln + shift, lam)
+    value = exp_in_range(ln + shift, lam)
     return AmplitudeResult.on_grid(value, np.abs(value) * err, scalar)

@@ -40,9 +40,9 @@ import numpy as np
 from . import EXP_REACH, LN_TINY
 from .lax_defect import CRITICAL, NONCRITICAL, XXX, RegimeParams
 from .special_functions import (AmplitudeResult, FloatRangeError, FourierKernel, PoleError,
-                                amplitude_integral, as_grid, gamma_ratio,
+                                amplitude_integral, as_grid, exp_in_range, gamma_ratio,
                                 gamma_ratio_bound, half_line_sums, infinite_gamma_product,
-                                q_gamma_ratio, _exp_in_range)
+                                q_gamma_ratio)
 
 __all__ = [
     "AmplitudeResult",
@@ -349,7 +349,7 @@ def _t_plus(params: RegimeParams, lam, route: str):
     ln_a, err_a = _critical_anchor(params.gamma)
     ratio = _critical_ln_ratio if route == "closed" else _critical_ln_product
     ln_r, err_r = ratio(lam, params.gamma)
-    val = _exp_in_range(ln_a + ln_r, lam)
+    val = exp_in_range(ln_a + ln_r, lam)
     return val, np.abs(val) * (err_a + err_r)
 
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lax_defect import (CRITICAL, NONCRITICAL, XXX, RegimeParams, _lams, defect_rep, make_l,
-                         make_l_hat, q_lax, s_matrix_part)
+from .lax_defect import (CRITICAL, NONCRITICAL, XXX, RegimeParams, defect_rep, lam_stack,
+                         make_l, make_l_hat, q_lax, s_matrix_part)
 from .oscillator_reps import q_oscillator_rep, spin_rep
 from .tensor_core import aux_transpose, block2, exchange_residual, identity_residual
 
@@ -77,7 +77,7 @@ def t_matrix_part(params: RegimeParams, lh, rep, which: str = "t") -> np.ndarray
     if params.regime == XXX:
         lax = make_l_hat if hat else make_l
         return -1j * lax(params, -lh + (0.5j if hat else -0.5j), rep)
-    e = np.exp(np.pi * _lams(lh) if params.regime == CRITICAL else 1j * params.eta * _lams(lh))
+    e = np.exp((np.pi if params.regime == CRITICAL else 1j * params.eta) * lam_stack(lh))
     return q_lax(rep, 1 / e, e, True) if hat else q_lax(rep, rep.q / e, e / rep.q, False)
 
 
@@ -193,7 +193,7 @@ def type2_matrix_part(eta: float, spin: float, lh) -> np.ndarray:
     a stack: sin(eta(-lam +- i Sz + i/2)) on the diagonal and sin(i eta) S-+
     off it, over the spin representation at q = e^{-eta}."""
     rep = spin_rep(spin, complex(np.exp(-eta)))
-    lh, sz, eye = _lams(lh), rep.s_z.diagonal(), np.eye(rep.dim)
+    lh, sz, eye = lam_stack(lh), rep.s_z.diagonal(), np.eye(rep.dim)
     a11 = eye * np.sin(eta * (-lh + 1j * sz + 0.5j))
     a22 = eye * np.sin(eta * (-lh - 1j * sz + 0.5j))
     off = np.sin(1j * eta)

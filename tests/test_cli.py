@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from defectchain import monodromy as mono
 from defectchain import special_functions as sf
 from defectchain import transmission_amplitudes as ta
 from defectchain import transmission_matrices as tmat
-from defectchain.cli import _fmt_cell, _sector_order, _seeded_uniform, _write_records, main
+from defectchain.cli import _fmt_cell, _sector_order, _write_records, main
 from defectchain.lax_defect import (NONCRITICAL, RegimeParams, defect_rep, make_l,
                                    make_r, s_matrix_part)
 from defectchain.monodromy import ChainSpec, charge_vector, reference_eigenvalue
@@ -153,15 +154,25 @@ class SampleLog:
 
 SAMPLED = (amplitude, breather_amplitude, soliton_s_amplitude, exchange_residual, amplitude_pair)
 
+# verify's draws: (low, high, count) in its draw order, the first six pairs
+# row-major, then the rtt pair, then the rttb pair
+VERIFY_DRAWS = [(-1.5, 1.5, 12), (-1.0, 1.0, 2), (-1.2, 1.2, 2)]
+
+
+def verify_draws(seed):
+    """verify's sample points at a seed, one list per draw, as low + (high -
+    low) r from the stdlib generator's stream r."""
+    stream = random.Random(seed).random
+    return [[low + (high - low) * stream() for _ in range(n)] for low, high, n in VERIFY_DRAWS]
+
 
 def per_point_records(params, fock_dim, seed, log):
     """The records `run_verify` evaluates on sample grids, rebuilt one sample
     point at a time from scalar calls: the suite's sample points, counts and
     gates, with every amplitude and every exchange relation taken alone."""
     amp, breather, s_amp, exchange = (log.wrap(fn) for fn in SAMPLED[:4])
-    rng = np.random.default_rng(seed)
     rep = defect_rep(params, fock_dim)
-    pairs = rng.uniform(-1.5, 1.5, size=(6, 2))
+    pairs = np.reshape(verify_draws(seed)[0], (6, 2))
     out = []
 
     def add(name, residuals, tol, params=None, subspace="full"):
@@ -175,8 +186,8 @@ def per_point_records(params, fock_dim, seed, log):
 
     sample = {"pairs": len(pairs), "seed": seed}
     add("ybe-r", ybe(lambda x: make_r(params, x)), 1e-10, params=sample)
-    add("ybe-s", ybe(lambda x: s_amp(params, x) * s_matrix_part(params, x)), 1e-10,
-        params=sample)
+    # S_s(l1 - l2) S_s(l1) S_s(l2) stands on both sides: the matrix part alone
+    add("ybe-s", ybe(lambda x: s_matrix_part(params, x)), 1e-10, params=sample)
     add("rll", [exchange(make_r(params, l1 - l2), make_l(params, l1, rep),
                          make_l(params, l2, rep), keep=rep.interior())[0]
                 for l1, l2 in pairs[:3]], 1e-11, subspace="interior")
@@ -519,34 +530,56 @@ def test_seed_must_be_a_non_negative_integer(capsys, value):
     assert f"argument --seed: seed must be an integer >= 0, got '{value}'" in captured.err
 
 
-# verify's draws: (low, high, size) in its call order
-VERIFY_DRAWS = [(-1.5, 1.5, (6, 2)), (-1.0, 1.0, 2), (-1.2, 1.2, 2)]
-
-
 def test_verify_draws_its_points_in_order(monkeypatch):
+    # one generator at the seed, sixteen draws, the first twelve the
+    # Yang-Baxter pairs row by row: make_r takes them as its A1 and A2
+    # columns (the next test reads the rtt and rttb pairs)
+    pairs = verify_draws(46)[0]
+    seeds, draws = [], []
+
+    class Logged(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+        def random(self):
+            draws.append(super().random())
+            return draws[-1]
+
+    made = []
+    monkeypatch.setattr(random, "Random", Logged)
+    monkeypatch.setattr(cli, "make_r", lambda params, lam: made.append(lam) or make_r(params, lam))
+    cli.run_verify(RegimeParams.xxx(), 8, 46)
+    assert seeds == [46] and len(draws) == sum(n for _, _, n in VERIFY_DRAWS)
+    assert made[1].tolist() == pairs[0::2] and made[2].tolist() == pairs[1::2]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_verify_samples_are_the_stdlib_stream_bit_for_bit(seed):
+    # the lams verify reports are low + (high - low) random.Random(seed).random()
+    # in draw order, to the last bit (JSON writes a float's shortest repr)
+    _, rtt, rttb = verify_draws(seed)
+    records = {r["name"]: json.loads(r["params"])
+               for r in cli.run_verify(RegimeParams.noncritical(0.5), 8, seed)}
+    for name, want in (("rtt", rtt), ("rttb[t]", rttb)):
+        assert [records[name][k] for k in ("lam1", "lam2")] == want, (seed, name)
+
+
+def test_verify_takes_the_closed_s_amplitude_on_the_cross_route_points_only(monkeypatch):
+    # S_s cancels from Yang-Baxter, so its closed form is evaluated once, on
+    # the three s-amplitude-cross-route points
     calls = []
 
-    def logged(seed):
-        uniform = _seeded_uniform(seed)
+    def logged(params, lam, route="closed"):
+        calls.append((route, np.ravel(lam).tolist()))
+        return soliton_s_amplitude(params, lam, route)
 
-        def draw(low, high, size):
-            calls.append((seed, low, high, size))
-            return uniform(low, high, size)
-        return draw
-
-    monkeypatch.setattr(cli, "_seeded_uniform", logged)
-    cli.run_verify(RegimeParams.xxx(), 8, 46)
-    assert calls == [(46, *draw) for draw in VERIFY_DRAWS]
-
-
-def test_seeded_uniform_is_numpy_default_rng_bit_for_bit():
-    # one-, two-, three- and four-word seeds; numpy.random is the oracle
-    for seed in [*range(3000), 2**32, 2**64 + 3, 10**30]:
-        uniform, rng = _seeded_uniform(seed), np.random.default_rng(seed)
-        for low, high, size in VERIFY_DRAWS:
-            mine, want = uniform(low, high, size), rng.uniform(low, high, size=size)
-            assert mine.dtype == want.dtype and mine.shape == want.shape
-            assert mine.tobytes() == want.tobytes(), (seed, size)
+    monkeypatch.setattr(ta, "soliton_s_amplitude", logged)
+    points = np.linspace(-1.6, 1.6, 5)[:3].tolist()
+    for params in (RegimeParams.xxx(), RegimeParams.critical(0.7), RegimeParams.noncritical(0.5)):
+        calls.clear()
+        cli.run_verify(params, 8, 7)
+        assert [call for call in calls if call[0] == "closed"] == [("closed", points)]
 
 
 # the package modules every command loads, and the amplitude layer, which
@@ -706,7 +739,7 @@ def test_every_header_names_the_versions(tmp_path, argv, regime, anisotropy):
     assert header["command"] == argv[0]
     assert header["version"] == defectchain.__version__
     assert header["numpy"] == np.__version__
-    assert header.get("sampler") == ("pcg64" if argv[0] == "verify" else None)
+    assert header.get("sampler") == ("mt19937" if argv[0] == "verify" else None)
     assert {k: header[k] for k in ("mu", "eta") if k in header} == anisotropy
 
 

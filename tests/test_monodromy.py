@@ -388,7 +388,7 @@ def test_bae_root_from_independent_polynomial_oracle_xxx():
         roots = np.roots(xxx_bethe_polynomial(sign, params.theta))
         for r in roots:
             assert abs(bae_residual(params, 1, sign, [r])[0]) < 1e-10
-        assert bae_root(params, 1, sign) == pytest.approx(max(roots, key=lambda z: z.real),
+        assert bae_root(params, sign) == pytest.approx(max(roots, key=lambda z: z.real),
                                                           abs=1e-13)
 
 
@@ -439,7 +439,7 @@ def test_bae_root_gives_an_eigenvalue_of_the_chain(make, theta):
     # both roots of the quadratic give the block's two eigenvalues
     params = make(theta)
     for sign in "+-":
-        root = bae_root(params, 1, sign)
+        root = bae_root(params, sign)
         for lam in (0.41 + 0.07j, -0.63 + 0.2j):
             vacuum, block = chain_q1_block(params, sign, lam)
             ev = np.linalg.eigvals(block)
@@ -473,7 +473,7 @@ def test_bae_root_products_are_polymul_bit_for_bit(monkeypatch, regime):
     def roots():
         out = []
         for th in np.linspace(-0.25, 0.25, 11):
-            out.append([bae_root(make(th), 1, sign) for sign in "+-"])
+            out.append([bae_root(make(th), sign) for sign in "+-"])
         return out
 
     ours = roots()
@@ -507,9 +507,9 @@ def test_bae_root_is_the_numpy_roots_root(monkeypatch, make):
     # np.roots, the eigensolver the closed form replaced, is the oracle: the
     # same root to 1e-13 at every theta of a sweep, in both orientations
     thetas = [*np.linspace(-3.0, 3.0, 25), 0.06, -10.0, 10.0]
-    ours = [bae_root(params, 1, sign) for params in map(make, thetas) for sign in "+-"]
+    ours = [bae_root(params, sign) for params in map(make, thetas) for sign in "+-"]
     monkeypatch.setattr(monodromy, "_quadratic_roots", lambda p: list(np.roots(p)))
-    theirs = [bae_root(params, 1, sign) for params in map(make, thetas) for sign in "+-"]
+    theirs = [bae_root(params, sign) for params in map(make, thetas) for sign in "+-"]
     assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-13
 
 
@@ -523,7 +523,7 @@ def test_bae_root_far_out_in_theta_is_exact():
     for theta, sign, exact in [(1e6, "+", (far, small)), (1e6, "-", (far, unit)),
                                (-1e6, "+", (near, unit)), (-1e6, "-", (near, small))]:
         re, im = map(mp.mpf, exact)
-        root = bae_root(RegimeParams.xxx(theta=theta), 1, sign)
+        root = bae_root(RegimeParams.xxx(theta=theta), sign)
         assert abs(root.real - re) <= math.ulp(root.real), (theta, sign)
         assert abs(root.imag - im) <= 1e-15 * abs(im), (theta, sign)
 
@@ -534,11 +534,11 @@ def test_bae_root_past_the_exponent_bound_is_a_value_error_naming_theta(theta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"theta = {theta} puts")):
-            bae_root(params, 1, "+")
+            bae_root(params, "+")
     # just inside the bound both roots are found, valid to roundoff
     params = RegimeParams.critical(0.7, theta=math.copysign(499.0, theta))
     for sign in "+-":
-        assert abs(bae_residual(params, 1, sign, [bae_root(params, 1, sign)])[0]) < 1e-12
+        assert abs(bae_residual(params, 1, sign, [bae_root(params, sign)])[0]) < 1e-12
 
 
 def test_bae_root_noncritical_newton_oracle():
@@ -549,7 +549,7 @@ def test_bae_root_noncritical_newton_oracle():
     assert set(roots) == {"+", "-"}
     for sign, root in roots.items():
         assert abs(bae_residual(params, 1, sign, [root])[0]) < 1e-10
-        gap = (bae_root(params, 1, sign) - root) / (math.pi / 0.5)
+        gap = (bae_root(params, sign) - root) / (math.pi / 0.5)
         assert abs(gap - round(gap.real)) < 1e-13
 
 
